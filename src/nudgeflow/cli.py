@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("check", "run the built-in operator self tests"),
         ("twin", "nudged run against a truth solution per the config"),
-        ("tau-sweep", "time-step convergence against a fine reference"),
+        ("tau-sweep", "time-step convergence against an ETDRK4 reference flow"),
         ("n-sweep", "cutoff sweep with the postprocessing correction"),
         ("soak", "long-run stability bound verification"),
         ("contraction", "difference-of-solutions envelope verification"),

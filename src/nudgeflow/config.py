@@ -152,6 +152,9 @@ _SCHEMA: tuple[tuple[str, str, str, Callable, object], ...] = (
     ("sweep", "lambda_cut_list", "lambda_cut_list", _floats, (6.0, 16.0, 40.0)),
     ("sweep", "beta_list", "beta_list", _floats, ()),
     ("sweep", "h_list", "h_list", _floats, ()),
+    # Accuracy ratio the tau sweep's reference must certify: the `reference`
+    # check passes iff the gap between its ETDRK4 runs at dt_ref and 2 dt_ref
+    # is at most sup_err_H(min tau) / ref_factor.  It does not set dt_ref.
     ("sweep", "ref_factor", "ref_factor", _i, 50),
     ("sweep", "tau_floor_factor", "tau_floor_factor", _f, 2.0),
     ("output", "dir", "out_dir", _s, "out"),

@@ -763,43 +763,63 @@ def run_stability_soak(
 # tau sweep
 
 
+def _reference_step(tau_list: tuple[float, ...], ref_factor: int) -> float:
+    """dt_ref = min(tau)/(2m) for the smallest m making every tau a multiple.
+
+    Every list whose steps are multiples of min(tau)/ref_factor needs
+    m <= ref_factor, so the search stops there.
+    """
+    tau_min = min(tau_list)
+    for m in range(1, ref_factor + 1):
+        dt = tau_min / (2 * m)
+        ratios = [tau / dt for tau in tau_list]
+        if all(abs(r - round(r)) <= 1e-9 * r for r in ratios):
+            return dt
+    raise ConfigError(
+        f"tau_list {tau_list} has no common reference step min(tau)/(2m) "
+        f"with m <= ref_factor = {ref_factor}: some tau is not an integer "
+        "multiple of it"
+    )
+
+
 def run_tau_sweep(
     cfg: ExperimentConfig, out_dir: str | None = None
 ) -> ExperimentReport:
-    """First-order-in-tau verification against a common fine reference.
+    """First-order-in-tau verification against the continuous Galerkin flow.
 
     All runs (coarse and reference) share the truth, the observation
     stream, and the initial data, so the truth discretization bias cancels
-    and the measured gap isolates the time-stepping error.
+    and the measured gap isolates the time-stepping error.  The flow is
+    approximated by one ETDRK4 trajectory at dt_ref = min(tau)/(2m), m >= 1
+    the smallest value making every tau an integer multiple of dt_ref, with
+    every step stored so coarse times hit stored states exactly.  A second
+    ETDRK4 run at 2 dt_ref bounds the reference's own error: the `reference`
+    check passes iff their largest H gap, ref_gap_H, is at most
+    sup_err_H(min tau) / ref_factor.
     """
     if len(cfg.tau_list) < 3:
         raise ConfigError("tau sweep needs at least 3 step sizes")
+    if cfg.ref_factor < 1:
+        raise ConfigError(f"ref_factor must be >= 1, got {cfg.ref_factor}")
     setup = _setup(cfg, tau=max(cfg.tau_list))
     report = ExperimentReport("tau_sweep", cfg.scheme, cfg.seed,
                               constants=setup.consts, conditions=setup.conditions)
     out = _out_dir(cfg, out_dir)
     params = setup.params
-    tau_ref = min(cfg.tau_list) / cfg.ref_factor
     for tau in cfg.tau_list:
         _steps_for(cfg.t_end, tau)
-        ratio = tau / tau_ref
-        if abs(ratio - round(ratio)) > 1e-9 * ratio:
-            raise ConfigError(
-                f"tau = {tau} is not an integer multiple of the reference "
-                f"step {tau_ref}"
-            )
+    dt_ref = _reference_step(cfg.tau_list, cfg.ref_factor)
 
     truth = build_truth(setup, cfg.t_end)
     obs = truth.observations(setup.spec) if params.beta > 0.0 else None
     v0 = project_low(build_ic(setup, truth), params.cutoff)
 
-    # Stored spacing = min(tau)/2 divides every coarse step, so coarse
-    # comparisons hit stored reference states exactly (no interpolation).
-    store_every = max(1, cfg.ref_factor // 2)
-    ref = reference_galerkin_integrate(
-        v0, params, obs, cfg.t_end, tau_ref,
-        store_every=store_every, scheme=cfg.scheme,
+    ref = reference_galerkin_integrate(v0, params, obs, cfg.t_end, dt_ref)
+    ref_2dt = reference_galerkin_integrate(v0, params, obs, cfg.t_end, 2.0 * dt_ref)
+    ref_gap_h = max(
+        norm_H(a - b) for a, b in zip(ref.fields[::2], ref_2dt.fields)
     )
+    del ref_2dt  # only the gap is kept
 
     sups_h: list[tuple[float, float]] = []
     sups_v: list[tuple[float, float]] = []
@@ -837,6 +857,13 @@ def run_tau_sweep(
         report.notes.append(
             f"reference interpolated {ref.interpolated_queries} queries"
         )
+    report.values["ref_gap_H"] = ref_gap_h
+    budget = sups_h[-1][1] / cfg.ref_factor  # the runs end at min(tau)
+    report.add_check(
+        "reference", PASS if ref_gap_h <= budget else FAIL,
+        f"ETDRK4 gap dt_ref vs 2 dt_ref {ref_gap_h:.3e}, must be <= "
+        f"sup_err_H(min tau) / ref_factor = {budget:.3e} (dt_ref {dt_ref:g})",
+    )
     for label, sups, lo, hi in (
         ("order_H", sups_h, 0.8, 1.2),
         ("order_V", sups_v, 0.7, 1.2),

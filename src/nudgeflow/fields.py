@@ -168,13 +168,20 @@ class GalerkinCutoff:
 
 
 def _conj_flip(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """conj(uhat(-k)) with correct wrapping at the Nyquist rows."""
+    """conj(uhat(-k)) with correct wrapping at the Nyquist rows.
+
+    np.take keeps the result C-contiguous, so sums with it can be handed
+    to from_coeffs(copy=False) at every grid size.
+    """
     idx = grid._conj_index
-    return np.conj(coeffs[..., idx, :][..., :, idx])
+    return np.conj(np.take(np.take(coeffs, idx, axis=-2), idx, axis=-1))
 
 
 def _validate(grid: TorusGrid, coeffs: np.ndarray) -> None:
     herm = 0.5 * np.max(np.abs(coeffs - _conj_flip(grid, coeffs)))
+    # a NaN or inf coefficient makes its symmetry defect NaN or inf
+    if not np.isfinite(herm):
+        raise FieldInvariantError("coefficients must be finite")
     if herm > INVARIANT_TOL:
         raise FieldInvariantError(
             f"Hermitian symmetry violated: deviation {herm:.3e} > {INVARIANT_TOL:.0e}"
@@ -206,7 +213,7 @@ class SpectralField:
                 f"coefficients must have shape (2, {grid.n}, {grid.n}), got {c.shape}"
             )
         mean_mag = float(np.max(np.abs(c[:, 0, 0])))
-        if mean_mag > INVARIANT_TOL:
+        if not mean_mag <= INVARIANT_TOL:
             raise FieldInvariantError(
                 f"mean mode must be zero, got magnitude {mean_mag:.3e}"
             )

@@ -1,4 +1,5 @@
-"""Implicit Euler time steppers for the nudged spectral Galerkin system.
+"""Implicit Euler time steppers for the nudged spectral Galerkin system,
+plus an ETDRK4 reference for its continuous-in-time flow.
 
 Both schemes advance
 
@@ -22,6 +23,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from .fields import (
+    FieldInvariantError,
     GalerkinCutoff,
     SpectralField,
     TorusGrid,
@@ -138,42 +140,41 @@ class ObservationStream:
         return cls(lambda t: observed)
 
 
-class _Stepper:
-    """Precomputed machinery for one (params, tau, scheme) combination.
+class _Galerkin:
+    """Scheme-independent pieces of the nudged Galerkin system for one params.
 
-    Linear solves run on packed vectors holding only the low-mode
-    coefficients; the packed 2-norm is norm_H / L, so relative tolerances
-    transfer unchanged.
+    Vectors are packed to hold only the low-mode coefficients; the packed
+    2-norm is norm_H / L, so relative tolerances transfer unchanged.
+    obs_diag is the diagonal part of beta P_N P_sigma I_h: exact for
+    Fourier truncation (beta on the observed modes), beta on every mode
+    for volume averages.
     """
 
-    def __init__(self, p: PhysicsParams, tau: float, scheme: str):
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    def __init__(self, p: PhysicsParams):
         self.p = p
-        self.tau = float(tau)
-        self.scheme = scheme
         grid = p.grid
         self.grid = grid
         self.mask = p.cutoff.mask_low(grid)
         self.f_low = project_low(p.forcing, p.cutoff)
-        # Diagonal right preconditioner: the non-advective part of the operator.
-        obs_diag = np.zeros((grid.n, grid.n))
+        self.obs_diag = np.zeros((grid.n, grid.n))
         self._ih_mask = None
         self._blocks = None
         if p.beta > 0.0:
             if p.interpolant.kind == "fourier_truncation":
                 self._ih_mask = p.interpolant.cutoff().mask_low(grid) & self.mask
-                obs_diag = np.where(self._ih_mask, p.beta, 0.0)
+                self.obs_diag = np.where(self._ih_mask, p.beta, 0.0)
             else:
                 self._blocks = p.interpolant.blocks(grid)
-                obs_diag = np.full((grid.n, grid.n), p.beta)
-        diag = 1.0 / self.tau + p.nu * grid.k_squared + obs_diag
-        self._inv_diag = self._pack(np.broadcast_to(diag, (2, grid.n, grid.n)) ** -1.0)
+                self.obs_diag = np.full((grid.n, grid.n), p.beta)
 
     # -- packing ------------------------------------------------------------
 
     def _pack(self, arr: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(arr[:, self.mask]).reshape(-1)
+
+    def _pack_diag(self, diag: np.ndarray) -> np.ndarray:
+        """A per-mode (n, n) diagonal, packed like a velocity vector."""
+        return self._pack(np.broadcast_to(diag, (2, self.grid.n, self.grid.n)))
 
     def _unpack(self, vec: np.ndarray) -> np.ndarray:
         full = np.zeros((2, self.grid.n, self.grid.n), dtype=np.complex128)
@@ -197,6 +198,45 @@ class _Stepper:
         c = leray_project_raw(c, self.grid)
         return np.where(self.mask, p.beta * c, 0.0)
 
+    def _observed(self, obs_field: SpectralField | None) -> np.ndarray:
+        """Packed beta P_N (P_sigma I_h u), the data the nudging term feeds in."""
+        if obs_field is None:
+            raise ValueError("beta > 0 requires an observation stream")
+        return self.p.beta * self._pack(obs_field.coeffs)
+
+    def _cleanup(self, vec: np.ndarray) -> SpectralField:
+        """Exactly restore Hermitian symmetry and solenoidality of an iterate."""
+        full = self._unpack(vec)
+        full = 0.5 * (full + _conj_flip(self.grid, full))
+        full = leray_project_raw(full, self.grid)
+        full = np.where(self.mask, full, 0.0)
+        try:
+            return SpectralField.from_coeffs(self.grid, full, copy=False)
+        except FieldInvariantError:
+            _require_finite(vec, "iterate")
+            raise
+
+
+def _require_finite(vec: np.ndarray, what: str) -> None:
+    # A blow-up is a solver failure, not bad input: report it before GMRES,
+    # solve_triangular or field validation turns it into a ValueError.
+    if not np.all(np.isfinite(vec)):
+        raise SolverError(f"non-finite {what}")
+
+
+class _Stepper(_Galerkin):
+    """Precomputed machinery for one (params, tau, scheme) combination."""
+
+    def __init__(self, p: PhysicsParams, tau: float, scheme: str):
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+        super().__init__(p)
+        self.tau = float(tau)
+        self.scheme = scheme
+        # Diagonal right preconditioner: the non-advective part of the operator.
+        diag = 1.0 / self.tau + p.nu * self.grid.k_squared + self.obs_diag
+        self._inv_diag = self._pack_diag(diag) ** -1.0
+
     def _apply_linear(self, vec: np.ndarray, u_phys: np.ndarray) -> np.ndarray:
         """Packed action of w/tau + nu A w + P_N B(u, w) + beta P_N P_sigma I_h w."""
         full = self._unpack(vec)
@@ -207,20 +247,10 @@ class _Stepper:
         return self._pack(out)
 
     def _rhs(self, v: SpectralField, obs_field: SpectralField | None) -> np.ndarray:
-        b = v.coeffs / self.tau + self.f_low.coeffs
+        b = self._pack(v.coeffs / self.tau + self.f_low.coeffs)
         if self.p.beta > 0.0:
-            if obs_field is None:
-                raise ValueError("beta > 0 requires an observation stream")
-            b = b + self.p.beta * np.where(self.mask, obs_field.coeffs, 0.0)
-        return self._pack(b)
-
-    def _cleanup(self, vec: np.ndarray) -> SpectralField:
-        """Exactly restore Hermitian symmetry and solenoidality after a solve."""
-        full = self._unpack(vec)
-        full = 0.5 * (full + _conj_flip(self.grid, full))
-        full = leray_project_raw(full, self.grid)
-        full = np.where(self.mask, full, 0.0)
-        return SpectralField.from_coeffs(self.grid, full, copy=False)
+            b = b + self._observed(obs_field)
+        return b
 
     def _solve(
         self, u_phys: np.ndarray, b: np.ndarray, x0: np.ndarray | None
@@ -250,6 +280,9 @@ class _Stepper:
         obs_field = obs(t_next) if (obs is not None and p.beta > 0.0) else None
         b = self._rhs(state.v, obs_field)
         bnorm = float(np.linalg.norm(b))
+        if not np.isfinite(bnorm):
+            # the state, the forcing or the observation is not finite
+            raise SolverError("non-finite step right-hand side")
         x0 = self._pack(state.v.coeffs)
         if self.scheme == SEMI_IMPLICIT:
             u_phys = to_physical(state.v)
@@ -403,26 +436,91 @@ def _steps_for(t_end: float, tau: float) -> int:
     return n
 
 
+# Contour points of the Kassam-Trefethen mean for the ETDRK4 weights.
+_CONTOUR_POINTS = 32
+
+
+def _etdrk4_weights(hl: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
+    """Cox-Matthews ETDRK4 weights for the diagonal h*L (Kassam & Trefethen 2005).
+
+    Each phi-function is the mean of its values on a unit circle around
+    h*L: upper-half points and the real part, since L is real.  The closed
+    forms cancel catastrophically when |h L| is small.
+    """
+    r = np.exp(1j * np.pi * (np.arange(1, _CONTOUR_POINTS + 1) - 0.5) / _CONTOUR_POINTS)
+    z = hl[:, None] + r[None, :]
+    ez = np.exp(z)
+    z3 = z**3
+
+    def mean(values: np.ndarray) -> np.ndarray:
+        return h * np.mean(values, axis=1).real
+
+    q = mean((np.exp(z / 2.0) - 1.0) / z)
+    f1 = mean((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3)
+    f2 = mean((2.0 + z + ez * (z - 2.0)) / z3)
+    f3 = mean((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3)
+    return np.exp(hl), np.exp(hl / 2.0), q, f1, f2, f3
+
+
 def reference_galerkin_integrate(
     v0: SpectralField,
     p: PhysicsParams,
     obs: ObservationStream | None,
     t_end: float,
-    tau_fine: float,
-    *,
-    store_every: int = 1,
-    scheme: str = SEMI_IMPLICIT,
+    dt: float,
 ) -> Trajectory:
-    """Fine-step surrogate for the continuous-in-time Galerkin flow.
+    """Fourth-order surrogate for the continuous-in-time nudged Galerkin flow.
 
-    The bias of the surrogate is first order in tau_fine; callers pair it
-    with coarse runs at tau >= 50 * tau_fine so the bias is subdominant.
+    Integrates dv/dt = L v + N(v, t) with ETDRK4 (Cox & Matthews 2002),
+    storing every step from v(0) = P_N v0.  The diagonal part
+    L = -(nu A + obs_diag) is integrated exactly; the explicit part is
+    N(v, t) = P_N f - P_N B(v, v) + beta P_N P_sigma I_h u(t), plus, for
+    volume averages, the off-diagonal remainder -beta (P_N P_sigma I_h - I) v.
+    Observations are read once per distinct stage time.  The flow does not
+    depend on a time-stepping scheme, so one trajectory serves both.
+    Raises SolverError if an iterate becomes non-finite.
     """
-    n = _steps_for(t_end, tau_fine)
-    _, traj = advance(
-        v0, p, obs, tau_fine, n, scheme=scheme, store_every=store_every
+    n_steps = _steps_for(t_end, dt)
+    if p.beta > 0.0 and obs is None:
+        raise ValueError("beta > 0 requires an observation stream")
+    gal = _Galerkin(p)
+    grid, h = p.grid, float(dt)
+    e, e2, q, f1, f2, f3 = _etdrk4_weights(
+        -h * gal._pack_diag(p.nu * grid.k_squared + gal.obs_diag), h
     )
-    assert traj is not None
+    forcing = gal._pack(gal.f_low.coeffs)
+
+    def observed(t: float) -> np.ndarray | float:
+        return gal._observed(obs(t)) if p.beta > 0.0 else 0.0
+
+    def explicit(x: np.ndarray, data: np.ndarray | float) -> np.ndarray:
+        full = gal._unpack(x)
+        u_phys = to_physical(SpectralField._trusted(grid, full))
+        out = forcing - gal._pack(advect_raw(grid, u_phys, full)) + data
+        if gal._blocks is not None:
+            out += gal._pack(p.beta * full - gal._obs_term(full))
+        return out
+
+    v = project_low(v0, p.cutoff)
+    x = gal._pack(v.coeffs)
+    _require_finite(x, "initial state")
+    traj = Trajectory(grid)
+    traj.append(0, 0.0, v)
+    data0 = observed(0.0)
+    for k in range(n_steps):
+        data_half = observed((k + 0.5) * h)
+        data1 = observed((k + 1) * h)
+        nx = explicit(x, data0)
+        a = e2 * x + q * nx
+        na = explicit(a, data_half)
+        b = e2 * x + q * na
+        nb = explicit(b, data_half)
+        c = e2 * a + q * (2.0 * nb - nx)
+        nc = explicit(c, data1)
+        v = gal._cleanup(e * x + f1 * nx + 2.0 * f2 * (na + nb) + f3 * nc)
+        x = gal._pack(v.coeffs)
+        traj.append(k + 1, (k + 1) * h, v)
+        data0 = data1
     return traj
 
 

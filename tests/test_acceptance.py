@@ -280,7 +280,7 @@ def test_criterion_06_first_order_in_tau_sweep(tmp_path):
         rep = run_tau_sweep(_tau_sweep_config(scheme), str(tmp_path / scheme))
         assert rep.status == PASS, rep.describe()
         slopes[scheme] = (rep.values["order_H:slope"], rep.values["order_V:slope"])
-    dt = _elapsed(t0, 1200.0, 6)
+    dt = _elapsed(t0, 300.0, 6)
     ok = all(
         0.8 <= sh <= 1.2 and 0.7 <= sv <= 1.2 for sh, sv in slopes.values()
     )

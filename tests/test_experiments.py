@@ -20,11 +20,13 @@ from nudgeflow.experiments import (
     SKIP,
     ExperimentReport,
     SeriesRecorder,
+    _reference_step,
     build_forcing,
     build_grid,
     render_report,
     run_contraction_test,
     run_self_check,
+    run_tau_sweep,
     run_twin_experiment,
     write_report,
 )
@@ -259,6 +261,36 @@ def test_contraction_unperturbed_runs_identical(tmp_path):
     assert names == {"identical_runs": PASS}
     assert report.values["eps0_H"] == 0.0
     assert report.values["eps_final_H"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# tau sweep
+
+
+def test_reference_step_is_half_the_smallest_tau_when_commensurate():
+    assert _reference_step((0.02, 0.01, 0.005, 0.0025), 50) == 0.00125
+    assert _reference_step((0.03, 0.02, 0.01), 50) == pytest.approx(0.005)
+    # steps that are multiples of min(tau)/3 only: the old min(tau)/ref_factor
+    # rule accepted them at ref_factor = 3, and m = 3 still does
+    assert _reference_step((0.05, 0.04, 0.03), 3) == pytest.approx(0.005)
+    with pytest.raises(ConfigError, match="integer multiple"):
+        _reference_step((0.05, 0.04, 0.03), 2)
+
+
+def test_tau_sweep_reference_check_certifies_the_reference(tmp_path):
+    cfg = tiny_twin_config(t_end=0.06, burn_in=0.02)
+    report = run_tau_sweep(cfg, str(tmp_path / "a"))
+    status = {c.name: c.status for c in report.checks}
+    gap = report.values["ref_gap_H"]
+    sup_min = report.values["sup_err_H:tau=0.0025"]
+    assert status["reference"] == PASS
+    assert 0.0 < gap <= sup_min / cfg.ref_factor
+    # a demanded accuracy ratio the reference cannot certify fails the check
+    strict = dataclasses.replace(cfg, ref_factor=int(2.0 * sup_min / gap))
+    report = run_tau_sweep(strict, str(tmp_path / "b"))
+    assert {c.name: c.status for c in report.checks}["reference"] == FAIL
+    with pytest.raises(ConfigError, match="ref_factor"):
+        run_tau_sweep(dataclasses.replace(cfg, ref_factor=0), str(tmp_path / "c"))
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,14 @@ def test_from_coeffs_rejects_bad_arrays(grid16):
         SpectralField.from_coeffs(grid16, np.zeros((2, n, n + 2), dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_from_coeffs_rejects_non_finite_coefficients(bad, grid16):
+    c = np.zeros((2, grid16.n, grid16.n), dtype=complex)
+    c[0, 0, 1] = bad
+    with pytest.raises(FieldInvariantError, match="finite"):
+        SpectralField.from_coeffs(grid16, c)
+
+
 def test_grid_mismatch_raises(rng, grid16, grid32):
     f = random_field(grid16, rng)
     g = random_field(grid32, rng)

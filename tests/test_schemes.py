@@ -1,7 +1,10 @@
-"""Implicit Euler steppers: fixed points, exact recursions, order, guards."""
+"""Implicit Euler steppers and the ETDRK4 reference flow: fixed points,
+exact recursions, order, guards."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nudgeflow.fields import (
     GalerkinCutoff,
@@ -261,3 +264,113 @@ def test_integrator_requires_commensurate_times(rng, grid16):
     v0 = random_field(grid16, rng, norm_v=0.1)
     with pytest.raises(ValueError, match="integer multiple"):
         reference_galerkin_integrate(v0, p, None, 0.05, 0.015)
+
+
+def nudged_problem(grid, rng, kind="fourier_truncation"):
+    """Nonlinear nudged Galerkin problem observing a moving field."""
+    co = GalerkinCutoff(20.0)
+    h = 0.4 if kind == "fourier_truncation" else TWO_PI / 8
+    spec = InterpolantSpec(kind, h)
+    p = PhysicsParams(0.1, grid, kolmogorov_forcing(grid, 2, 0.5), 10.0, spec, co)
+    u = random_field(grid, rng, norm_v=2.0, cutoff=co)
+    w = random_field(grid, rng, norm_v=2.0, cutoff=co)
+    obs = ObservationStream.from_truth_fn(
+        lambda t: u * np.cos(3.0 * t) + w * np.sin(3.0 * t), spec
+    )
+    v0 = random_field(grid, rng, norm_v=3.0, cutoff=co)
+    return p, obs, v0
+
+
+def test_reference_reproduces_taylor_green_to_roundoff(grid32):
+    # P_N B(v, v) vanishes on the vortex, so the exponential step is exact
+    nu = 0.5
+    p = free_params(grid32, nu)
+    v0 = taylor_green(grid32, 1, 0.0, nu)
+    traj = reference_galerkin_integrate(v0, p, None, 0.2, 0.02)
+    assert traj.steps == list(range(11))
+    for t, v in zip(traj.times, traj.fields):
+        exact = taylor_green(grid32, 1, t, nu)
+        assert norm_H(v - exact) <= 1e-13 * norm_H(v0)
+
+
+@pytest.mark.parametrize("kind", ["fourier_truncation", "volume_average"])
+def test_reference_is_fourth_order(kind, rng, grid32):
+    p, obs, v0 = nudged_problem(grid32, rng, kind)
+    t_end = 0.4
+    ends = [
+        reference_galerkin_integrate(v0, p, obs, t_end, dt).fields[-1]
+        for dt in (0.02, 0.01, 0.0025)
+    ]
+    errs = [norm_H(v - ends[-1]) for v in ends[:-1]]
+    assert 14.0 <= errs[0] / errs[1] <= 18.5
+
+
+def test_reference_agrees_with_euler_within_its_first_order_gap(rng, grid16):
+    p, obs, v0 = nudged_problem(grid16, rng)
+    t_end = 0.2
+    ref = reference_galerkin_integrate(v0, p, obs, t_end, 0.0025)
+    euler = {
+        tau: advance(v0, p, obs, tau, int(round(t_end / tau)), store_every=1)[1]
+        for tau in (0.01, 0.005, 0.0025)
+    }
+
+    def sup_gap(traj, other):
+        return max(norm_H(v - other.at(t)) for t, v in zip(traj.times, traj.fields))
+
+    gaps = [sup_gap(euler[tau], ref) for tau in (0.01, 0.005)]
+    # a first-order error is about twice the step-halving difference
+    predicted = [2.0 * sup_gap(euler[tau], euler[tau / 2]) for tau in (0.01, 0.005)]
+    for gap, bound in zip(gaps, predicted):
+        assert gap <= 1.1 * bound
+    assert 1.8 <= gaps[0] / gaps[1] <= 2.2
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(min_value=4, max_value=128).map(lambda m: 2 * m))
+@example(96)
+@example(256)
+def test_solver_runs_at_every_grid_size(n):
+    grid = TorusGrid(TWO_PI, n)
+    rng = np.random.default_rng(n)
+    co = GalerkinCutoff(4.0)  # inside the dealiased band from n = 8 on
+    p = PhysicsParams(0.1, grid, kolmogorov_forcing(grid, 1, 0.5), 0.0, None, co)
+    v0 = random_field(grid, rng, norm_v=1.0, cutoff=co)
+    assert random_field(grid, rng).grid == grid
+    stepped = semi_implicit_step(SchemeState(0, 0.01, v0), p, None)
+    traj = reference_galerkin_integrate(v0, p, None, 0.01, 0.01)
+    assert norm_H(stepped.v - traj.fields[-1]) <= 1e-3 * norm_H(v0)
+
+
+def _poisoned(field):
+    c = np.array(field.coeffs)
+    c[0, 0, 1] = np.nan
+    return SpectralField._trusted(field.grid, c)
+
+
+@pytest.mark.parametrize("step_fn", [semi_implicit_step, fully_implicit_step])
+def test_step_rejects_non_finite_state_as_solver_error(step_fn, rng, grid16):
+    p = free_params(grid16, 1.0)
+    v = _poisoned(random_field(grid16, rng, norm_v=0.1, cutoff=p.cutoff))
+    with pytest.raises(SolverError, match="non-finite"):
+        step_fn(SchemeState(0, 0.01, v), p, None)
+
+
+def test_step_rejects_non_finite_observation_as_solver_error(rng, grid16):
+    spec = InterpolantSpec("fourier_truncation", 0.5)
+    p = PhysicsParams(
+        1.0, grid16, SpectralField.zero(grid16), 2.0, spec, grid16.band_cutoff()
+    )
+    v = random_field(grid16, rng, norm_v=0.1, cutoff=p.cutoff)
+    obs = ObservationStream(lambda t: _poisoned(v))
+    with pytest.raises(SolverError, match="non-finite"):
+        semi_implicit_step(SchemeState(0, 0.01, v), p, obs)
+
+
+def test_reference_reports_blow_up_as_solver_error(rng, grid16):
+    p = free_params(grid16, 0.01)
+    v0 = random_field(grid16, rng, norm_v=1.0)
+    with pytest.raises(SolverError, match="non-finite"):
+        reference_galerkin_integrate(_poisoned(v0), p, None, 0.1, 0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="non-finite"):
+            reference_galerkin_integrate(v0 * 1e150, p, None, 1.0, 0.1)

@@ -77,7 +77,6 @@ from .schemes import (
     nse_integrate,
     reference_galerkin_integrate,
     semi_implicit_step,
-    solve_coercive_linear,
 )
 from .storage import (
     SnapshotFormatError,

@@ -1,7 +1,15 @@
 """Command line entry points for the experiment harness.
 
-Exit status is 0 iff every enabled check of the invoked subcommand passed
-(skipped checks do not fail a run), 1 on a failed check, 2 on bad input.
+Exit status:
+
+  0  every enabled check of the invoked subcommand passed (skipped checks
+     do not fail a run);
+  1  a check failed.  This includes the `solver` check a runner adds when
+     a linear, Picard or reference solve stalls or turns non-finite; the
+     report (with the solver message and residual trace) and the series
+     recorded up to the failure are written all the same;
+  2  bad input: an unreadable or invalid config, or parameters the
+     runner rejects.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ Every runner takes an ExperimentConfig, draws all randomness from a single
 seeded generator in a fixed order (truth first, then initial data, then
 perturbations), writes CSV series / text reports with full-precision
 deterministic formatting, and returns an ExperimentReport whose checks
-decide the process exit code.
+decide the process exit code.  A stalled or non-finite solve ends the run
+with a failed `solver` check carrying the message and residual trace; the
+report and the series recorded up to the failure are still written.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .fields import (
     random_field,
 )
 from .interpolants import InterpolantSpec, estimate_c0
+from .krylov import SolverError
 from .operators import (
     bilinear_B,
     bilinear_B_direct,
@@ -185,6 +188,38 @@ def write_report(report: ExperimentReport, out_dir: str) -> str:
     path = os.path.join(out_dir, f"{report.name}_report.txt")
     atomic_write_text(path, render_report(report))
     return path
+
+
+# Residuals of a failed solve's history quoted in the `solver` check.
+_TRACE_TAIL = 8
+
+
+def _integrate(report: ExperimentReport, fn, *args, **kwargs):
+    """Call one integration; a SolverError becomes a failed `solver` check.
+
+    Returns fn's result, or None after a solver failure.  The runner then
+    writes its report and the series recorded so far and returns: a stalled
+    or non-finite solve is an outcome of the run, not bad input.
+    """
+    try:
+        return fn(*args, **kwargs)
+    except SolverError as exc:
+        detail = str(exc)
+        if exc.result is not None:
+            tail = exc.result.history[-_TRACE_TAIL:]
+            detail += (
+                f"; residual trace (last {len(tail)} of "
+                f"{len(exc.result.history)}): "
+                + " ".join("%.3e" % r for r in tail)
+            )
+        report.add_check("solver", FAIL, detail)
+        return None
+
+
+def _stop(report: ExperimentReport, out: str) -> ExperimentReport:
+    """Write the report of a run that a solver failure ended."""
+    write_report(report, out)
+    return report
 
 
 class SeriesRecorder:
@@ -464,7 +499,9 @@ def run_twin_experiment(
     params, tau = setup.params, cfg.tau
     n_steps = _steps_for(cfg.t_end, tau)
 
-    truth = build_truth(setup, cfg.t_end)
+    truth = _integrate(report, build_truth, setup, cfg.t_end)
+    if truth is None:
+        return _stop(report, out)
     obs = truth.observations(setup.spec) if params.beta > 0.0 else None
     v0 = project_low(build_ic(setup, truth), params.cutoff)
     u0 = truth.field_at(0.0)
@@ -490,9 +527,13 @@ def run_twin_experiment(
         sup_v = max(sup_v, norm_V(new.v))
         rec.add(new.k, new.t, new.v, eh, ev, env_h[new.k], env_v[new.k])
 
-    advance(v0, params, obs, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
-
+    finished = _integrate(
+        report, advance, v0, params, obs, tau, n_steps, scheme=cfg.scheme,
+        on_step=on_step,
+    )
     report.series_files.append(rec.write(out, "twin_series.csv"))
+    if finished is None:
+        return _stop(report, out)
     times, errs_h = rec.column("time"), rec.column("err_H")
     series = ErrorSeries(times, errs_h, "H", not truth.steady)
 
@@ -574,7 +615,9 @@ def run_contraction_test(
     n_steps = cfg.contraction_steps
     t_end = n_steps * tau
 
-    truth = build_truth(setup, t_end)
+    truth = _integrate(report, build_truth, setup, t_end)
+    if truth is None:
+        return _stop(report, out)
     obs = truth.observations(setup.spec) if params.beta > 0.0 else None
     v0 = project_low(build_ic(setup, truth), params.cutoff)
     bump = random_field(
@@ -594,19 +637,27 @@ def run_contraction_test(
     max_ratio_h = 0.0
     max_ratio_v = 0.0
     exact_zero = eps0_h == 0.0 and eps0_v == 0.0
-    for k in range(1, n_steps + 1):
-        a = step_fn(a, params, obs)
-        b = step_fn(b, params, obs)
-        diff = a.v - b.v
-        eh, ev = norm_H(diff), norm_V(diff)
-        if env_h2[k] > 0.0:
-            max_ratio_h = max(max_ratio_h, eh * eh / env_h2[k])
-        if env_v2[k] > 0.0:
-            max_ratio_v = max(max_ratio_v, ev * ev / env_v2[k])
-        exact_zero = exact_zero and eh == 0.0 and ev == 0.0
-        rec.add(k, a.t, a.v, eh, ev, math.sqrt(env_h2[k]), math.sqrt(env_v2[k]))
 
+    def march() -> bool:
+        nonlocal a, b, max_ratio_h, max_ratio_v, exact_zero
+        for k in range(1, n_steps + 1):
+            a = step_fn(a, params, obs)
+            b = step_fn(b, params, obs)
+            diff = a.v - b.v
+            eh, ev = norm_H(diff), norm_V(diff)
+            if env_h2[k] > 0.0:
+                max_ratio_h = max(max_ratio_h, eh * eh / env_h2[k])
+            if env_v2[k] > 0.0:
+                max_ratio_v = max(max_ratio_v, ev * ev / env_v2[k])
+            exact_zero = exact_zero and eh == 0.0 and ev == 0.0
+            rec.add(k, a.t, a.v, eh, ev, math.sqrt(env_h2[k]), math.sqrt(env_v2[k]))
+        return True
+
+    finished = _integrate(report, march)
     report.series_files.append(rec.write(out, "contraction_series.csv"))
+    if finished is None:
+        return _stop(report, out)
+
     report.values["eps0_H"] = eps0_h
     report.values["eps0_V"] = eps0_v
     report.values["max_ratio_H"] = max_ratio_h
@@ -678,7 +729,9 @@ def run_stability_soak(
     params, consts = setup.params, setup.consts
     n_steps = cfg.soak_steps
 
-    truth = build_truth(setup, n_steps * max(taus))
+    truth = _integrate(report, build_truth, setup, n_steps * max(taus))
+    if truth is None:
+        return _stop(report, out)
     obs = truth.observations(setup.spec)
     v0 = project_low(build_ic(setup, truth), params.cutoff)
     if norm_V(v0) > consts.M1 * (1.0 + BOUND_RTOL):
@@ -739,10 +792,14 @@ def run_stability_soak(
             rec.add(new.k, new.t, new.v, norm_H(diff), norm_V(diff),
                     math.sqrt(h2_env[new.k]), math.sqrt(v2_env[new.k]))
 
-        advance(v0, params, obs, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
-
+        finished = _integrate(
+            report, advance, v0, params, obs, tau, n_steps, scheme=cfg.scheme,
+            on_step=on_step,
+        )
         safe = "".join(ch if ch.isalnum() else "_" for ch in label)
         report.series_files.append(rec.write(out, f"soak_series_{safe}.csv"))
+        if finished is None:
+            return _stop(report, out)
         for name in _SOAK_BOUNDS:
             if name == "stepwise_energy" and cfg.scheme != SEMI_IMPLICIT:
                 continue
@@ -810,12 +867,20 @@ def run_tau_sweep(
         _steps_for(cfg.t_end, tau)
     dt_ref = _reference_step(cfg.tau_list, cfg.ref_factor)
 
-    truth = build_truth(setup, cfg.t_end)
+    truth = _integrate(report, build_truth, setup, cfg.t_end)
+    if truth is None:
+        return _stop(report, out)
     obs = truth.observations(setup.spec) if params.beta > 0.0 else None
     v0 = project_low(build_ic(setup, truth), params.cutoff)
 
-    ref = reference_galerkin_integrate(v0, params, obs, cfg.t_end, dt_ref)
-    ref_2dt = reference_galerkin_integrate(v0, params, obs, cfg.t_end, 2.0 * dt_ref)
+    ref = _integrate(
+        report, reference_galerkin_integrate, v0, params, obs, cfg.t_end, dt_ref
+    )
+    ref_2dt = ref and _integrate(
+        report, reference_galerkin_integrate, v0, params, obs, cfg.t_end, 2.0 * dt_ref
+    )
+    if ref_2dt is None:
+        return _stop(report, out)
     ref_gap_h = max(
         norm_H(a - b) for a, b in zip(ref.fields[::2], ref_2dt.fields)
     )
@@ -832,8 +897,13 @@ def run_tau_sweep(
             diff = new.v - ref.at(new.t)
             rec.add(new.k, new.t, new.v, norm_H(diff), norm_V(diff))
 
-        advance(v0, params, obs, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
+        finished = _integrate(
+            report, advance, v0, params, obs, tau, n_steps, scheme=cfg.scheme,
+            on_step=on_step,
+        )
         report.series_files.append(rec.write(out, f"tau_sweep_series_{i}.csv"))
+        if finished is None:
+            return _stop(report, out)
         times = rec.column("time")
         eh = ErrorSeries(times, rec.column("err_H"), "H", False)
         ev = ErrorSeries(times, rec.column("err_V"), "V", False)
@@ -908,7 +978,9 @@ def run_n_sweep(
     cfg_tau = cfg.tau
     n_steps = _steps_for(cfg.t_end, cfg_tau)
 
-    truth = build_truth(setup, cfg.t_end)
+    truth = _integrate(report, build_truth, setup, cfg.t_end)
+    if truth is None:
+        return _stop(report, out)
     obs = (
         truth.observations(setup.spec)
         if setup.params.beta > 0.0 else None
@@ -916,25 +988,49 @@ def run_n_sweep(
     v0 = build_ic(setup, truth)
     u_end = truth.field_at(cfg.t_end)
 
-    def final_errors(lambda_cut: float, tau: float) -> tuple[float, float, float, float]:
+    def final_errors(
+        lambda_cut: float, tau: float
+    ) -> tuple[float, float, float, float] | None:
         params = build_params(
             cfg, setup.grid, setup.forcing, setup.spec, lambda_cut=lambda_cut
         )
-        state, _ = advance(
-            v0, params, obs, tau, _steps_for(cfg.t_end, tau), scheme=cfg.scheme
+        ran = _integrate(
+            report, advance, v0, params, obs, tau, _steps_for(cfg.t_end, tau),
+            scheme=cfg.scheme,
         )
+        if ran is None:
+            return None
+        state = ran[0]
         plain = state.v - u_end
         corrected = state.v + phi1(state.v, setup.forcing, cfg.nu, params.cutoff) - u_end
         return norm_H(plain), norm_H(corrected), norm_V(plain), norm_V(corrected)
 
     rows = []
+
+    def write_summary() -> None:
+        os.makedirs(out, exist_ok=True)
+        summary_path = os.path.join(out, "n_sweep_summary.csv")
+        atomic_write_text(
+            summary_path,
+            series_to_csv(
+                ("lambda_cut", "lambda_next", "L_N", "err_plain_H", "err_pp_H",
+                 "err_plain_V", "err_pp_V"),
+                rows,
+            ),
+        )
+        report.series_files.append(summary_path)
+
     pairs: list[tuple[float, float]] = []
     for lam in sorted(cfg.lambda_cut_list):
         cutoff = GalerkinCutoff(lam)
         lam_next = cutoff.lambda_next(setup.grid)
         lam_low = cutoff.lambda_low(setup.grid)
         l_n = math.sqrt(1.0 + math.log(lam_low / setup.grid.lambda1))
-        ep_h, ec_h, ep_v, ec_v = final_errors(lam, cfg_tau)
+        errs = final_errors(lam, cfg_tau)
+        if errs is None:
+            write_summary()
+            return _stop(report, out)
+        ep_h, ec_h, ep_v, ec_v = errs
         rows.append((lam, lam_next, l_n, ep_h, ec_h, ep_v, ec_v))
         pairs.append((lam_next, ec_h / l_n))
         report.add_check(
@@ -945,18 +1041,7 @@ def run_n_sweep(
         )
         report.values[f"err_plain_H:lambda_cut={lam:g}"] = ep_h
         report.values[f"err_pp_H:lambda_cut={lam:g}"] = ec_h
-
-    os.makedirs(out, exist_ok=True)
-    summary_path = os.path.join(out, "n_sweep_summary.csv")
-    atomic_write_text(
-        summary_path,
-        series_to_csv(
-            ("lambda_cut", "lambda_next", "L_N", "err_plain_H", "err_pp_H",
-             "err_plain_V", "err_pp_V"),
-            rows,
-        ),
-    )
-    report.series_files.append(summary_path)
+    write_summary()
 
     try:
         fit = convergence_order(pairs)
@@ -972,7 +1057,10 @@ def run_n_sweep(
 
     lam_max = max(cfg.lambda_cut_list)
     ec_coarse = next(r[4] for r in rows if r[0] == lam_max)
-    _, ec_fine, _, _ = final_errors(lam_max, cfg_tau / cfg.tau_floor_factor)
+    fine = final_errors(lam_max, cfg_tau / cfg.tau_floor_factor)
+    if fine is None:
+        return _stop(report, out)
+    ec_fine = fine[1]
     rel_change = abs(ec_coarse - ec_fine) / max(ec_coarse, 1e-300)
     report.values["tau_floor_rel_change"] = rel_change
     report.add_check(

@@ -86,6 +86,24 @@ def _block_average(samples: np.ndarray, m: int) -> np.ndarray:
     return np.repeat(np.repeat(cells, b, axis=1), b, axis=2)
 
 
+def _cell_average_matrix(
+    spec: InterpolantSpec, grid: TorusGrid, j: np.ndarray
+) -> np.ndarray:
+    """Spectral matrix T of the one-dimensional cell average on grid samples.
+
+    T[a, b] is coefficient j[a] of the piecewise-constant function that
+    replaces every h-cell of the grid samples of exp(2 pi i j[b] x / L) by
+    their mean.  The two-dimensional block average is separable, so on a
+    coefficient array C it acts as T C T^T.  Modes couple only when their
+    indices agree mod L/h, so T is diagonal on any set of |j| < L/(2h).
+    """
+    m = spec.blocks(grid)
+    n = grid.n
+    waves = np.exp(2j * np.pi * np.outer(np.arange(n), j) / n)
+    cells = waves.reshape(m, n // m, -1).mean(axis=1)
+    return waves.conj().T @ np.repeat(cells, n // m, axis=0) / n
+
+
 def apply_ih(spec: InterpolantSpec, f: SpectralField) -> SpectralField:
     """Observation operator composed with the solenoidal projection.
 

@@ -95,22 +95,31 @@ def advect_raw(grid: TorusGrid, u_phys: np.ndarray, v_coeffs: np.ndarray) -> np.
     """Dealiased, Leray-projected spectrum of (u . grad) v.
 
     u_phys are physical samples of the advecting field; v_coeffs the
-    spectrum of the advected one.  Both must be band-limited; the result
-    is exact (alias-free) on the retained band.
+    Hermitian spectrum of the advected (real) field.  Both must be
+    band-limited; the result is exact (alias-free) on the retained band.
+    The four gradient syntheses and the two analyses are real FFTs over
+    the half-spectrum j2 >= 0; the other half of the result is its
+    conjugate mirror.
     """
     n = grid.n
+    h = n // 2 + 1
     ik1 = 1j * grid.k1
-    ik2 = 1j * grid.k2
-    grads = _fft.ifft2(
-        np.stack((ik1 * v_coeffs[0], ik2 * v_coeffs[0], ik1 * v_coeffs[1], ik2 * v_coeffs[1]))
-    ).real * (n * n)
+    ik2 = 1j * grid.k2[:, :h]
+    v = v_coeffs[..., :h]
+    grads = _fft.irfft2(
+        np.stack((ik1 * v[0], ik2 * v[0], ik1 * v[1], ik2 * v[1])), s=(n, n)
+    ) * (n * n)
     w = np.stack(
         (
             u_phys[0] * grads[0] + u_phys[1] * grads[1],
             u_phys[0] * grads[2] + u_phys[1] * grads[3],
         )
     )
-    c = _fft.fft2(w) / (n * n)
+    half = _fft.rfft2(w) / (n * n)
+    c = np.empty((2, n, n), dtype=np.complex128)
+    c[..., :h] = half
+    # uhat(j1, -j2) = conj(uhat(-j1, j2)) for the columns j2 = n/2 + 1 .. n - 1
+    c[..., h:] = np.conj(half[:, grid._conj_index, h - 2 : 0 : -1])
     c *= grid.dealias_mask
     return leray_project_raw(c, grid)
 

@@ -11,10 +11,19 @@ a Picard outer loop that freezes the first bilinear argument).  Every
 linear solve is a matrix-free restarted-GMRES iteration on the coercive
 operator w/tau + nu A w + P_N B(v*, w) + beta P_N P_sigma I_h w with a
 diagonal right preconditioner, run in the low-mode space only.
+
+The operator is applied on the cutoff's own product grid: the smallest
+even FFT-friendly n_s >= 3K + 1, K the largest |j|_inf of a low mode, on
+which the 2/3 rule makes P_N B(v, w) exact (Orszag 1971).  Volume
+averages of grid samples are separable, so P_N P_sigma I_h acts on the
+low modes as Leray(T C T^T) with a small precomputed matrix T; its
+diagonal is exact and is what the preconditioner and the ETDRK4 linear
+part use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -28,12 +37,10 @@ from .fields import (
     SpectralField,
     TorusGrid,
     _conj_flip,
-    norm_H,
     project_low,
-    raw_from_physical,
     to_physical,
 )
-from .interpolants import InterpolantSpec, apply_ih, _block_average
+from .interpolants import InterpolantSpec, _cell_average_matrix, apply_ih
 from .krylov import SolveResult, SolverError, gmres
 from .operators import advect_raw, leray_project_raw
 from .storage import Trajectory
@@ -48,7 +55,6 @@ __all__ = [
     "SCHEMES",
     "semi_implicit_step",
     "fully_implicit_step",
-    "solve_coercive_linear",
     "advance",
     "reference_galerkin_integrate",
     "nse_integrate",
@@ -140,80 +146,123 @@ class ObservationStream:
         return cls(lambda t: observed)
 
 
+def _product_size(k: int, n: int) -> int:
+    """Smallest even FFT-friendly length >= 3k + 1, at most n."""
+    size = _fft.next_fast_len(3 * k + 1)
+    while size % 2:
+        size = _fft.next_fast_len(size + 1)
+    return min(size, n)
+
+
 class _Galerkin:
     """Scheme-independent pieces of the nudged Galerkin system for one params.
 
     Vectors are packed to hold only the low-mode coefficients; the packed
     2-norm is norm_H / L, so relative tolerances transfer unchanged.
-    obs_diag is the diagonal part of beta P_N P_sigma I_h: exact for
-    Fourier truncation (beta on the observed modes), beta on every mode
-    for volume averages.
+    Operators run on the product grid sgrid = TorusGrid(L, n_s), n_s the
+    smallest even FFT-friendly length >= 3K + 1 (K the largest |j|_inf of
+    a low mode), capped at grid.n.  FFT order restricted to |j| <= K is the
+    same on every grid, so packing from params.grid or from sgrid gives the
+    same vector; fields enter and leave on params.grid.
+
+    obs_diag (packed) is the exact diagonal of beta P_N P_sigma I_h on
+    solenoidal modes: beta on the observed modes for Fourier truncation,
+    beta T_{j1 j1} T_{j2 j2} for volume averages, whose observation acts
+    on the low modes as beta Leray(T C T^T) with T the one-dimensional
+    cell-average matrix of the params grid's samples, evaluated at the
+    product grid's wavenumbers.  When L/h >= 2K + 1, T is diagonal on
+    |j| <= K and so is the observation term.
     """
 
     def __init__(self, p: PhysicsParams):
         self.p = p
         grid = p.grid
         self.grid = grid
-        self.mask = p.cutoff.mask_low(grid)
-        self.f_low = project_low(p.forcing, p.cutoff)
-        self.obs_diag = np.zeros((grid.n, grid.n))
-        self._ih_mask = None
-        self._blocks = None
+        k = math.isqrt(p.cutoff.shell_limit(grid))
+        self.sgrid = sgrid = TorusGrid(grid.L, _product_size(k, grid.n))
+        self.mask = p.cutoff.mask_low(sgrid)
+        self._grid_mask = p.cutoff.mask_low(grid)
+        self.k_squared = self._pack_diag(sgrid.k_squared)
+        self.f_low = self._pack_field(p.forcing)
+        self.obs_diag = np.zeros_like(self.k_squared)
+        self._cell_avg = None
         if p.beta > 0.0:
             if p.interpolant.kind == "fourier_truncation":
-                self._ih_mask = p.interpolant.cutoff().mask_low(grid) & self.mask
-                self.obs_diag = np.where(self._ih_mask, p.beta, 0.0)
+                observed = p.interpolant.cutoff().mask_low(sgrid)
+                self.obs_diag = p.beta * self._pack_diag(observed.astype(float))
             else:
-                self._blocks = p.interpolant.blocks(grid)
-                self.obs_diag = np.full((grid.n, grid.n), p.beta)
+                # rows and columns with |j| > K never meet a packed vector
+                self._cell_avg = _cell_average_matrix(p.interpolant, grid, sgrid._j)
+                t_diag = self._cell_avg.diagonal().real
+                self.obs_diag = p.beta * self._pack_diag(np.outer(t_diag, t_diag))
 
     # -- packing ------------------------------------------------------------
 
     def _pack(self, arr: np.ndarray) -> np.ndarray:
+        """Low-mode coefficients of a (2, n_s, n_s) product-grid array."""
         return np.ascontiguousarray(arr[:, self.mask]).reshape(-1)
 
+    def _pack_field(self, f: SpectralField) -> np.ndarray:
+        """Low-mode coefficients of a field on the params grid."""
+        return np.ascontiguousarray(f.coeffs[:, self._grid_mask]).reshape(-1)
+
     def _pack_diag(self, diag: np.ndarray) -> np.ndarray:
-        """A per-mode (n, n) diagonal, packed like a velocity vector."""
-        return self._pack(np.broadcast_to(diag, (2, self.grid.n, self.grid.n)))
+        """A per-mode (n_s, n_s) diagonal, packed like a velocity vector."""
+        return self._pack(np.broadcast_to(diag, (2,) + diag.shape))
 
     def _unpack(self, vec: np.ndarray) -> np.ndarray:
-        full = np.zeros((2, self.grid.n, self.grid.n), dtype=np.complex128)
+        n = self.sgrid.n
+        full = np.zeros((2, n, n), dtype=np.complex128)
         full[:, self.mask] = vec.reshape(2, -1)
         return full
 
+    def _physical(self, vec: np.ndarray) -> np.ndarray:
+        """Product-grid samples of a packed velocity."""
+        return to_physical(SpectralField._trusted(self.sgrid, self._unpack(vec)))
+
     # -- operator pieces ----------------------------------------------------
 
-    def _obs_term(self, full: np.ndarray) -> np.ndarray:
-        """beta * P_N P_sigma I_h w on a full coefficient array."""
-        p = self.p
-        if p.beta == 0.0:
-            return np.zeros_like(full)
-        if self._ih_mask is not None:
-            return np.where(self._ih_mask, p.beta * full, 0.0)
-        n = self.grid.n
-        phys = _fft.ifft2(full).real * (n * n)
-        averaged = _block_average(phys, self._blocks)
-        c = _fft.fft2(averaged) / (n * n)
-        c[:, 0, 0] = 0.0
-        c = leray_project_raw(c, self.grid)
-        return np.where(self.mask, p.beta * c, 0.0)
+    def _obs_term(self, vec: np.ndarray) -> np.ndarray:
+        """beta * P_N P_sigma I_h w on a packed vector."""
+        if self._cell_avg is None:
+            return self.obs_diag * vec
+        t = self._cell_avg
+        averaged = t @ self._unpack(vec) @ t.T
+        return self.p.beta * self._pack(leray_project_raw(averaged, self.sgrid))
 
     def _observed(self, obs_field: SpectralField | None) -> np.ndarray:
         """Packed beta P_N (P_sigma I_h u), the data the nudging term feeds in."""
         if obs_field is None:
             raise ValueError("beta > 0 requires an observation stream")
-        return self.p.beta * self._pack(obs_field.coeffs)
+        return self.p.beta * self._pack_field(obs_field)
 
-    def _cleanup(self, vec: np.ndarray) -> SpectralField:
-        """Exactly restore Hermitian symmetry and solenoidality of an iterate."""
+    def _explicit(self, vec: np.ndarray, data: np.ndarray | float) -> np.ndarray:
+        """Packed ETDRK4 explicit part of the Galerkin field at v.
+
+        P_N f - P_N B(v, v) + data + (obs_diag v - beta P_N P_sigma I_h v),
+        data the packed observation term beta P_N I_h u(t) (or 0.0).
+        """
+        adv = self._pack(advect_raw(self.sgrid, self._physical(vec), self._unpack(vec)))
+        out = self.f_low - adv + data
+        if self._cell_avg is not None:
+            out += self.obs_diag * vec - self._obs_term(vec)
+        return out
+
+    def _cleanup(self, vec: np.ndarray) -> tuple[np.ndarray, SpectralField]:
+        """Exactly restore Hermitian symmetry and solenoidality of an iterate.
+
+        Returns the cleaned packed vector and its field on the params grid.
+        """
         full = self._unpack(vec)
-        full = 0.5 * (full + _conj_flip(self.grid, full))
-        full = leray_project_raw(full, self.grid)
-        full = np.where(self.mask, full, 0.0)
+        full = 0.5 * (full + _conj_flip(self.sgrid, full))
+        x = self._pack(leray_project_raw(full, self.sgrid))
+        n = self.grid.n
+        coeffs = np.zeros((2, n, n), dtype=np.complex128)
+        coeffs[:, self._grid_mask] = x.reshape(2, -1)
         try:
-            return SpectralField.from_coeffs(self.grid, full, copy=False)
+            return x, SpectralField.from_coeffs(self.grid, coeffs, copy=False)
         except FieldInvariantError:
-            _require_finite(vec, "iterate")
+            _require_finite(x, "iterate")
             raise
 
 
@@ -233,21 +282,17 @@ class _Stepper(_Galerkin):
         super().__init__(p)
         self.tau = float(tau)
         self.scheme = scheme
+        self._stokes_diag = 1.0 / self.tau + p.nu * self.k_squared
         # Diagonal right preconditioner: the non-advective part of the operator.
-        diag = 1.0 / self.tau + p.nu * self.grid.k_squared + self.obs_diag
-        self._inv_diag = self._pack_diag(diag) ** -1.0
+        self._inv_diag = 1.0 / (self._stokes_diag + self.obs_diag)
 
     def _apply_linear(self, vec: np.ndarray, u_phys: np.ndarray) -> np.ndarray:
         """Packed action of w/tau + nu A w + P_N B(u, w) + beta P_N P_sigma I_h w."""
-        full = self._unpack(vec)
-        out = full / self.tau + self.p.nu * self.grid.k_squared * full
-        adv = advect_raw(self.grid, u_phys, full)
-        out += np.where(self.mask, adv, 0.0)
-        out += self._obs_term(full)
-        return self._pack(out)
+        adv = self._pack(advect_raw(self.sgrid, u_phys, self._unpack(vec)))
+        return self._stokes_diag * vec + adv + self._obs_term(vec)
 
-    def _rhs(self, v: SpectralField, obs_field: SpectralField | None) -> np.ndarray:
-        b = self._pack(v.coeffs / self.tau + self.f_low.coeffs)
+    def _rhs(self, x: np.ndarray, obs_field: SpectralField | None) -> np.ndarray:
+        b = x / self.tau + self.f_low
         if self.p.beta > 0.0:
             b = b + self._observed(obs_field)
         return b
@@ -278,17 +323,17 @@ class _Stepper(_Galerkin):
         p = self.p
         t_next = (state.k + 1) * self.tau
         obs_field = obs(t_next) if (obs is not None and p.beta > 0.0) else None
-        b = self._rhs(state.v, obs_field)
+        x = self._pack_field(state.v)
+        b = self._rhs(x, obs_field)
         bnorm = float(np.linalg.norm(b))
         if not np.isfinite(bnorm):
             # the state, the forcing or the observation is not finite
             raise SolverError("non-finite step right-hand side")
-        x0 = self._pack(state.v.coeffs)
+        u_phys = self._physical(x)
         if self.scheme == SEMI_IMPLICIT:
-            u_phys = to_physical(state.v)
-            result = self._solve(u_phys, b, x0)
-            v_new = self._cleanup(result.x)
-            resid = self._residual(v_new, u_phys, b, bnorm)
+            result = self._solve(u_phys, b, x)
+            x, v_new = self._cleanup(result.x)
+            resid = self._residual(x, u_phys, b, bnorm)
             if resid > STEP_RESIDUAL_RTOL:
                 raise SolverError(
                     f"post-solve residual {resid:.3e} exceeds {STEP_RESIDUAL_RTOL:.0e}",
@@ -296,15 +341,12 @@ class _Stepper(_Galerkin):
                 )
             return SchemeState(state.k + 1, self.tau, v_new)
         # Fully implicit: Picard with frozen first bilinear argument.
-        x = x0
-        u_phys = to_physical(state.v)
         trace: list[float] = []
         for _ in range(PICARD_MAX_OUTER):
             result = self._solve(u_phys, b, x)
-            w_new = self._cleanup(result.x)
-            x = self._pack(w_new.coeffs)
-            u_phys = to_physical(w_new)
-            resid = self._residual(w_new, u_phys, b, bnorm)
+            x, w_new = self._cleanup(result.x)
+            u_phys = self._physical(x)
+            resid = self._residual(x, u_phys, b, bnorm)
             trace.append(resid)
             if resid <= STEP_RESIDUAL_RTOL:
                 return SchemeState(state.k + 1, self.tau, w_new)
@@ -315,14 +357,10 @@ class _Stepper(_Galerkin):
         )
 
     def _residual(
-        self,
-        v_new: SpectralField,
-        u_phys: np.ndarray,
-        b: np.ndarray,
-        bnorm: float,
+        self, x: np.ndarray, u_phys: np.ndarray, b: np.ndarray, bnorm: float
     ) -> float:
         """Relative residual of the step equation for the cleaned-up iterate."""
-        r = self._apply_linear(self._pack(v_new.coeffs), u_phys) - b
+        r = self._apply_linear(x, u_phys) - b
         return float(np.linalg.norm(r)) / bnorm if bnorm > 0 else 0.0
 
 
@@ -355,41 +393,6 @@ def fully_implicit_step(
 
 
 _STEP_FNS = {SEMI_IMPLICIT: semi_implicit_step, FULLY_IMPLICIT: fully_implicit_step}
-
-
-def solve_coercive_linear(
-    apply_operator: Callable[[SpectralField], SpectralField],
-    rhs: SpectralField,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
-) -> SpectralField:
-    """Solve L x = rhs for a coercive field-level operator, matrix-free.
-
-    The returned x satisfies norm_H(L x - rhs) <= tol * norm_H(rhs).
-    """
-    grid = rhs.grid
-
-    def apply_vec(vec: np.ndarray) -> np.ndarray:
-        f = SpectralField._trusted(grid, vec.reshape(2, grid.n, grid.n).copy())
-        return apply_operator(f).coeffs.reshape(-1)
-
-    result = gmres(
-        apply_vec,
-        rhs.coeffs.reshape(-1).copy(),
-        rel_tol=tol,
-        max_iter=max_iter,
-        restart=50,
-    )
-    if not result.converged:
-        raise SolverError(
-            f"solve_coercive_linear stalled at relative residual "
-            f"{result.residual:.3e} after {result.iterations} iterations",
-            result,
-        )
-    c = result.x.reshape(2, grid.n, grid.n)
-    c = 0.5 * (c + _conj_flip(grid, c))
-    c[:, 0, 0] = 0.0
-    return SpectralField.from_coeffs(grid, c, copy=False)
 
 
 def advance(
@@ -474,51 +477,42 @@ def reference_galerkin_integrate(
     Integrates dv/dt = L v + N(v, t) with ETDRK4 (Cox & Matthews 2002),
     storing every step from v(0) = P_N v0.  The diagonal part
     L = -(nu A + obs_diag) is integrated exactly; the explicit part is
-    N(v, t) = P_N f - P_N B(v, v) + beta P_N P_sigma I_h u(t), plus, for
-    volume averages, the off-diagonal remainder -beta (P_N P_sigma I_h - I) v.
-    Observations are read once per distinct stage time.  The flow does not
-    depend on a time-stepping scheme, so one trajectory serves both.
-    Raises SolverError if an iterate becomes non-finite.
+    N(v, t) = P_N f - P_N B(v, v) + beta P_N I_h u(t), plus, for volume
+    averages, the off-diagonal remainder obs_diag v - beta P_N P_sigma I_h v
+    (zero when L/h >= 2K + 1).  Observations are read once per distinct
+    stage time.  The flow does not depend on a time-stepping scheme, so one
+    trajectory serves both.  Raises SolverError if an iterate becomes
+    non-finite.
     """
     n_steps = _steps_for(t_end, dt)
     if p.beta > 0.0 and obs is None:
         raise ValueError("beta > 0 requires an observation stream")
     gal = _Galerkin(p)
-    grid, h = p.grid, float(dt)
+    h = float(dt)
     e, e2, q, f1, f2, f3 = _etdrk4_weights(
-        -h * gal._pack_diag(p.nu * grid.k_squared + gal.obs_diag), h
+        -h * (p.nu * gal.k_squared + gal.obs_diag), h
     )
-    forcing = gal._pack(gal.f_low.coeffs)
 
     def observed(t: float) -> np.ndarray | float:
         return gal._observed(obs(t)) if p.beta > 0.0 else 0.0
 
-    def explicit(x: np.ndarray, data: np.ndarray | float) -> np.ndarray:
-        full = gal._unpack(x)
-        u_phys = to_physical(SpectralField._trusted(grid, full))
-        out = forcing - gal._pack(advect_raw(grid, u_phys, full)) + data
-        if gal._blocks is not None:
-            out += gal._pack(p.beta * full - gal._obs_term(full))
-        return out
-
     v = project_low(v0, p.cutoff)
-    x = gal._pack(v.coeffs)
+    x = gal._pack_field(v)
     _require_finite(x, "initial state")
-    traj = Trajectory(grid)
+    traj = Trajectory(p.grid)
     traj.append(0, 0.0, v)
     data0 = observed(0.0)
     for k in range(n_steps):
         data_half = observed((k + 0.5) * h)
         data1 = observed((k + 1) * h)
-        nx = explicit(x, data0)
+        nx = gal._explicit(x, data0)
         a = e2 * x + q * nx
-        na = explicit(a, data_half)
+        na = gal._explicit(a, data_half)
         b = e2 * x + q * na
-        nb = explicit(b, data_half)
+        nb = gal._explicit(b, data_half)
         c = e2 * a + q * (2.0 * nb - nx)
-        nc = explicit(c, data1)
-        v = gal._cleanup(e * x + f1 * nx + 2.0 * f2 * (na + nb) + f3 * nc)
-        x = gal._pack(v.coeffs)
+        nc = gal._explicit(c, data1)
+        x, v = gal._cleanup(e * x + f1 * nx + 2.0 * f2 * (na + nb) + f3 * nc)
         traj.append(k + 1, (k + 1) * h, v)
         data0 = data1
     return traj

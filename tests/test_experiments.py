@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from nudgeflow import cli
+from nudgeflow import cli, schemes
 from nudgeflow.config import ConfigError, default_config, write_config
 from nudgeflow.experiments import (
     FAIL,
@@ -25,12 +25,15 @@ from nudgeflow.experiments import (
     build_grid,
     render_report,
     run_contraction_test,
+    run_n_sweep,
     run_self_check,
+    run_stability_soak,
     run_tau_sweep,
     run_twin_experiment,
     write_report,
 )
 from nudgeflow.fields import SpectralField, norm_H
+from nudgeflow.krylov import SolveResult
 
 # Shear amplitude giving Grashof number 2 at nu = 0.1 on the 2 pi torus.
 AMP_G2 = 0.02 * math.sqrt(2.0) / (2.0 * math.pi)
@@ -369,3 +372,77 @@ def test_cli_failed_check_exits_1(tmp_path):
         "--quiet", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "twin",
     ])
     assert rc == 1
+
+
+# ---------------------------------------------------------------------------
+# solver failures
+
+
+def _stalled_gmres(apply_op, b, **kwargs):
+    """A linear solve that never converges."""
+    return SolveResult(np.array(b), False, 2000, 0.2201, (1.0, 0.5, 0.2201))
+
+
+def _non_finite_gmres(apply_op, b, **kwargs):
+    """A linear solve that 'converges' to a non-finite iterate."""
+    return SolveResult(np.full_like(b, np.nan), True, 1, 0.0, (0.0,))
+
+
+STALL = (
+    "linear solve stalled at relative residual 2.201e-01 after 2000 iterations; "
+    "residual trace (last 3 of 3): 1.000e+00 5.000e-01 2.201e-01"
+)
+
+
+@pytest.mark.parametrize(
+    "runner, overrides, partial",
+    [
+        (run_twin_experiment, {}, "twin_series.csv"),
+        (run_contraction_test, dict(contraction_steps=5), "contraction_series.csv"),
+        (run_stability_soak, dict(soak_steps=5), "soak_series_tau_0_02.csv"),
+        (run_tau_sweep, dict(t_end=0.06), "tau_sweep_series_0.csv"),
+        (run_n_sweep, dict(lambda_cut_list=(6.0, 16.0, 40.0)), "n_sweep_summary.csv"),
+        # the stall hits the truth integration before any series exists
+        (run_twin_experiment, dict(truth="nse_integrate", truth_spinup=0.0), None),
+    ],
+)
+def test_runners_report_a_solver_stall_as_failed_check(
+    runner, overrides, partial, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(schemes, "gmres", _stalled_gmres)
+    report = runner(tiny_twin_config(**overrides), str(tmp_path))
+    solver = [c for c in report.checks if c.name == "solver"]
+    assert [(c.status, c.detail) for c in solver] == [(FAIL, STALL)]
+    text = (tmp_path / f"{report.name}_report.txt").read_text()
+    assert f"solver = fail ({STALL})" in text
+    if partial is None:
+        assert report.series_files == []
+    else:
+        assert report.series_files == [str(tmp_path / partial)]
+        rows = (tmp_path / partial).read_text().splitlines()
+        # the header, plus the initial state where the series records one
+        assert 1 <= len(rows) <= 2
+
+
+def test_non_finite_iterate_is_a_failed_solver_check(tmp_path, monkeypatch):
+    monkeypatch.setattr(schemes, "gmres", _non_finite_gmres)
+    report = run_twin_experiment(
+        tiny_twin_config(scheme="fully_implicit"), str(tmp_path)
+    )
+    assert [(c.name, c.status, c.detail) for c in report.checks] == [
+        ("solver", FAIL, "non-finite iterate")
+    ]
+    assert (tmp_path / "twin_series.csv").exists()
+
+
+def test_cli_solver_stall_exits_1_with_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(schemes, "gmres", _stalled_gmres)
+    cfg_path = tmp_path / "run.cfg"
+    write_config(tiny_twin_config(scheme="fully_implicit"), str(cfg_path))
+    rc = cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "twin"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"solver: fail ({STALL})" in captured.out
+    assert (tmp_path / "out" / "twin_report.txt").exists()
+    assert (tmp_path / "out" / "twin_series.csv").exists()

@@ -1,25 +1,30 @@
 """Implicit Euler steppers and the ETDRK4 reference flow: fixed points,
 exact recursions, order, guards."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nudgeflow import schemes
 from nudgeflow.fields import (
     GalerkinCutoff,
     SpectralField,
     TorusGrid,
+    _conj_flip,
     inner_product,
     is_low_supported,
     norm_H,
     norm_V,
     random_field,
+    to_physical,
 )
-from nudgeflow.interpolants import InterpolantSpec
+from nudgeflow.interpolants import InterpolantSpec, apply_ih
 from nudgeflow.krylov import SolverError
 from nudgeflow.operators import (
-    apply_stokes,
+    advect_raw,
     kolmogorov_forcing,
     kolmogorov_steady_state,
     taylor_green,
@@ -35,7 +40,6 @@ from nudgeflow.schemes import (
     nse_integrate,
     reference_galerkin_integrate,
     semi_implicit_step,
-    solve_coercive_linear,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -221,25 +225,6 @@ def test_observation_streams(rng, grid16):
     assert norm_H(got - steady(0.0) * 1.5) <= 1e-12 * norm_H(u)
 
 
-def test_solve_coercive_linear_closed_form(rng, grid16):
-    nu, tau = 0.7, 0.05
-    rhs = random_field(grid16, rng, norm_h=1.0)
-
-    def op(w):
-        return w * (1.0 / tau) + apply_stokes(w) * nu
-
-    x = solve_coercive_linear(op, rhs, tol=1e-11)
-    k2 = np.where(grid16.shell == 0, 1.0, grid16.k_squared)
-    expected = rhs.coeffs / (1.0 / tau + nu * k2)
-    assert np.max(np.abs(x.coeffs - expected)) <= 1e-10 * np.max(np.abs(expected))
-
-
-def test_solve_coercive_linear_reports_stall(rng, grid16):
-    rhs = random_field(grid16, rng, norm_h=1.0)
-    with pytest.raises(SolverError, match="stalled"):
-        solve_coercive_linear(lambda w: w * 0.0, rhs, tol=1e-12, max_iter=10)
-
-
 def test_nse_integrate_guards(rng, grid16):
     spec = InterpolantSpec("fourier_truncation", 0.5)
     nudged = PhysicsParams(
@@ -374,3 +359,178 @@ def test_reference_reports_blow_up_as_solver_error(rng, grid16):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverError, match="non-finite"):
             reference_galerkin_integrate(v0 * 1e150, p, None, 1.0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# the product-grid operators against the full-grid formulas
+
+
+# (grid n, interpolant kind, h, lambda_cut or None for the full band, n_s)
+PRODUCT_GRID_CASES = [
+    (32, "fourier_truncation", 0.4, 60.0, 22),
+    (32, "fourier_truncation", 0.4, None, 32),
+    # 4 cells per side < 2K + 1 = 15: the observation couples low modes
+    (32, "volume_average", TWO_PI / 4, 60.0, 22),
+    # 16 cells per side >= 15: the observation is diagonal on the low modes
+    (48, "volume_average", TWO_PI / 16, 60.0, 22),
+    (48, "volume_average", TWO_PI / 16, None, 48),
+]
+
+
+def _case_params(n, kind, h, lam):
+    grid = TorusGrid(TWO_PI, n)
+    cutoff = grid.band_cutoff() if lam is None else GalerkinCutoff(lam)
+    forcing = kolmogorov_forcing(grid, 2, 0.5)
+    return PhysicsParams(0.1, grid, forcing, 8.0, InterpolantSpec(kind, h), cutoff)
+
+
+def _full_grid_nudging(p, w):
+    """beta P_N P_sigma I_h w, evaluated with apply_ih on the params grid."""
+    return p.beta * np.where(
+        p.cutoff.mask_low(p.grid), apply_ih(p.interpolant, w).coeffs, 0.0
+    )
+
+
+def _rel_gap(packed, full, p):
+    expected = full[:, p.cutoff.mask_low(p.grid)].reshape(-1)
+    return np.max(np.abs(packed - expected)) / np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n, kind, h, lam, n_s", PRODUCT_GRID_CASES)
+def test_product_grid_operator_matches_full_grid_formula(n, kind, h, lam, n_s):
+    p = _case_params(n, kind, h, lam)
+    grid, tau = p.grid, 1.0  # every term of the operator of similar size
+    rng = np.random.default_rng(n)
+    v = random_field(grid, rng, norm_v=2.0, cutoff=p.cutoff)
+    w = random_field(grid, rng, norm_v=1.0, cutoff=p.cutoff)
+    stepper = schemes._stepper(p, tau, SEMI_IMPLICIT)
+    assert stepper.sgrid.n == n_s
+
+    got = stepper._apply_linear(
+        stepper._pack_field(w), stepper._physical(stepper._pack_field(v))
+    )
+    mask = p.cutoff.mask_low(grid)
+    adv = np.where(mask, advect_raw(grid, to_physical(v), w.coeffs), 0.0)
+    expected = (
+        w.coeffs / tau + p.nu * grid.k_squared * w.coeffs + adv
+        + _full_grid_nudging(p, w)
+    )
+    assert _rel_gap(got, expected, p) <= 1e-13
+
+
+@pytest.mark.parametrize("n, kind, h, lam, n_s", PRODUCT_GRID_CASES)
+def test_reference_vector_field_matches_full_grid_formula(n, kind, h, lam, n_s):
+    # the exact diagonal plus the explicit term is the whole Galerkin field
+    # P_N f - nu A v - P_N B(v, v) - beta P_N P_sigma I_h (v - u)
+    p = _case_params(n, kind, h, lam)
+    grid = p.grid
+    rng = np.random.default_rng(n + 1)
+    v = random_field(grid, rng, norm_v=2.0, cutoff=p.cutoff)
+    u = random_field(grid, rng, norm_v=2.0)
+    gal = schemes._Galerkin(p)
+    x = gal._pack_field(v)
+    data = gal._observed(apply_ih(p.interpolant, u))
+    got = -(p.nu * gal.k_squared + gal.obs_diag) * x + gal._explicit(x, data)
+
+    mask = p.cutoff.mask_low(grid)
+    adv = advect_raw(grid, to_physical(v), v.coeffs)
+    expected = (
+        np.where(mask, p.forcing.coeffs - adv, 0.0)
+        - p.nu * grid.k_squared * v.coeffs
+        - _full_grid_nudging(p, v)
+        + _full_grid_nudging(p, u)
+    )
+    assert _rel_gap(got, expected, p) <= 1e-13
+
+
+def _solenoidal_unit(grid, a, b):
+    """Complex unit vector (-j2, j1) / |j| at the single mode with index (a, b)."""
+    j1, j2 = float(grid.j1[a, 0]), float(grid.j2[0, b])
+    c = np.zeros((2, grid.n, grid.n), dtype=np.complex128)
+    c[:, a, b] = np.array([-j2, j1]) / np.hypot(j1, j2)
+    return c
+
+
+def _full_grid_nudging_on_mode(p, e):
+    """Complex-linear extension of beta P_N P_sigma I_h to one mode vector e.
+
+    I_h only acts on real fields: with e = (phi_c - i phi_s) / 2 for the real
+    fields phi_c = e + conj-mirror and phi_s = i e + conj-mirror, the
+    extension is (M phi_c - i M phi_s) / 2.
+    """
+    grid = p.grid
+
+    def real_field(c):
+        return SpectralField.from_coeffs(grid, c + _conj_flip(grid, c))
+
+    m_c = _full_grid_nudging(p, real_field(e))
+    m_s = _full_grid_nudging(p, real_field(1j * e))
+    return 0.5 * (m_c - 1j * m_s)
+
+
+@pytest.mark.parametrize(
+    "n, kind, h, lam, n_s", [c for c in PRODUCT_GRID_CASES if c[1] == "volume_average"]
+)
+def test_preconditioner_diagonal_is_exact(n, kind, h, lam, n_s):
+    p = _case_params(n, kind, h, lam)
+    grid = p.grid
+    gal = schemes._Galerkin(p)
+    mask = p.cutoff.mask_low(grid)
+    diag = np.zeros((2, n, n))
+    diag[:, mask] = gal.obs_diag.reshape(2, -1)
+    assert np.array_equal(diag[0], diag[1])
+    diagonal_case = grid.L / h >= 2 * math.isqrt(p.cutoff.shell_limit(grid)) + 1
+    worst_diag = worst_off = 0.0
+    for a, b in zip(*np.nonzero(mask)):
+        e = _solenoidal_unit(grid, a, b)
+        image = _full_grid_nudging_on_mode(p, e)
+        entry = np.vdot(e, image)  # e has unit norm
+        worst_diag = max(worst_diag, abs(entry - diag[0, a, b]))
+        off = image - diag[0, a, b] * e
+        worst_off = max(worst_off, float(np.max(np.abs(off))))
+    assert worst_diag <= 1e-13 * p.beta
+    if diagonal_case:
+        assert worst_off <= 1e-13 * p.beta
+    else:
+        assert worst_off > 1e-3 * p.beta
+
+
+# ---------------------------------------------------------------------------
+# entry points that layer tracing patches
+
+
+def test_layer_entry_points_are_called_once_per_operator_application(monkeypatch):
+    for name in ("gmres", "advect_raw", "to_physical", "apply_ih", "advance"):
+        assert name in vars(schemes), name
+    counts = {"advect_raw": 0, "apply": 0}
+    real_advect = schemes.advect_raw
+    real_apply = schemes._Stepper._apply_linear
+    real_explicit = schemes._Galerkin._explicit
+
+    def advect(*args):
+        counts["advect_raw"] += 1
+        return real_advect(*args)
+
+    def apply(self, *args):
+        counts["apply"] += 1
+        return real_apply(self, *args)
+
+    def explicit(self, *args):
+        counts["apply"] += 1
+        return real_explicit(self, *args)
+
+    monkeypatch.setattr(schemes, "advect_raw", advect)
+    monkeypatch.setattr(schemes._Stepper, "_apply_linear", apply)
+    monkeypatch.setattr(schemes._Galerkin, "_explicit", explicit)
+    rng = np.random.default_rng(5)
+    p, obs, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
+    state = SchemeState(0, 0.01, v0)
+    for run in (
+        lambda: semi_implicit_step(state, p, obs),
+        lambda: fully_implicit_step(state, p, obs),
+        lambda: reference_galerkin_integrate(v0, p, obs, 0.01, 0.01),
+    ):
+        counts.update(advect_raw=0, apply=0)
+        run()
+        assert counts["advect_raw"] == counts["apply"] > 0
+    assert counts["apply"] == 4  # one ETDRK4 step has four stages

@@ -62,9 +62,6 @@ class AbsoluteConstants:
     c4: float = 1.0
     c_alpha: float = 1.0
     c_minus1: float = 1.0
-    c7: float = 1.0
-    c8: float = 1.0
-    c9: float = 1.0
     alpha: float = 0.75
 
     def __post_init__(self) -> None:

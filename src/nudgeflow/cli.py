@@ -6,8 +6,9 @@ Exit status:
      do not fail a run);
   1  a check failed.  This includes the `solver` check a runner adds when
      a linear, Picard or reference solve stalls or turns non-finite; the
-     report (with the solver message and residual trace) and the series
-     recorded up to the failure are written all the same;
+     report (with the solver message and residual trace), the series
+     recorded up to the failure and a snapshot of the last accepted state
+     are written all the same;
   2  bad input: an unreadable or invalid config, or parameters the
      runner rejects.
 """

@@ -6,7 +6,8 @@ perturbations), writes CSV series / text reports with full-precision
 deterministic formatting, and returns an ExperimentReport whose checks
 decide the process exit code.  A stalled or non-finite solve ends the run
 with a failed `solver` check carrying the message and residual trace; the
-report and the series recorded up to the failure are still written.
+report, the series recorded up to the failure and a snapshot of the last
+accepted state are still written.
 """
 
 from __future__ import annotations
@@ -194,12 +195,14 @@ def write_report(report: ExperimentReport, out_dir: str) -> str:
 _TRACE_TAIL = 8
 
 
-def _integrate(report: ExperimentReport, fn, *args, **kwargs):
+def _integrate(report: ExperimentReport, out: str, fn, *args, **kwargs):
     """Call one integration; a SolverError becomes a failed `solver` check.
 
     Returns fn's result, or None after a solver failure.  The runner then
     writes its report and the series recorded so far and returns: a stalled
-    or non-finite solve is an outcome of the run, not bad input.
+    or non-finite solve is an outcome of the run, not bad input.  The last
+    accepted state goes to <report name>_solver_state.nnsf in out, a
+    snapshot that load_snapshot reads, and the check names the file.
     """
     try:
         return fn(*args, **kwargs)
@@ -212,6 +215,10 @@ def _integrate(report: ExperimentReport, fn, *args, **kwargs):
                 f"{len(exc.result.history)}): "
                 + " ".join("%.3e" % r for r in tail)
             )
+        if exc.state is not None:
+            name = f"{report.name}_solver_state.nnsf"
+            save_snapshot(os.path.join(out, name), exc.state.v, exc.cutoff)
+            detail += f"; last accepted state (step {exc.state.k}) in {name}"
         report.add_check("solver", FAIL, detail)
         return None
 
@@ -321,7 +328,6 @@ def build_params(
         beta=cfg.beta if beta is None else beta,
         interpolant=spec,
         cutoff=GalerkinCutoff(cfg.lambda_cut if lambda_cut is None else lambda_cut),
-        condition_constant=cfg.condition_c,
     )
 
 
@@ -438,7 +444,6 @@ def build_truth(setup: _Setup, t_end: float) -> TruthSource:
     p_free = PhysicsParams(
         nu=cfg.nu, grid=setup.grid, forcing=setup.forcing, beta=0.0,
         interpolant=None, cutoff=setup.grid.band_cutoff(),
-        condition_constant=cfg.condition_c,
     )
     u_init = random_field(setup.grid, setup.rng, norm_v=_m1_scale(setup))
     spin_steps = int(round(cfg.truth_spinup / tau_t))
@@ -499,7 +504,7 @@ def run_twin_experiment(
     params, tau = setup.params, cfg.tau
     n_steps = _steps_for(cfg.t_end, tau)
 
-    truth = _integrate(report, build_truth, setup, cfg.t_end)
+    truth = _integrate(report, out, build_truth, setup, cfg.t_end)
     if truth is None:
         return _stop(report, out)
     obs = truth.observations(setup.spec) if params.beta > 0.0 else None
@@ -528,7 +533,7 @@ def run_twin_experiment(
         rec.add(new.k, new.t, new.v, eh, ev, env_h[new.k], env_v[new.k])
 
     finished = _integrate(
-        report, advance, v0, params, obs, tau, n_steps, scheme=cfg.scheme,
+        report, out, advance, v0, params, obs, tau, n_steps, scheme=cfg.scheme,
         on_step=on_step,
     )
     report.series_files.append(rec.write(out, "twin_series.csv"))
@@ -615,7 +620,7 @@ def run_contraction_test(
     n_steps = cfg.contraction_steps
     t_end = n_steps * tau
 
-    truth = _integrate(report, build_truth, setup, t_end)
+    truth = _integrate(report, out, build_truth, setup, t_end)
     if truth is None:
         return _stop(report, out)
     obs = truth.observations(setup.spec) if params.beta > 0.0 else None
@@ -653,7 +658,7 @@ def run_contraction_test(
             rec.add(k, a.t, a.v, eh, ev, math.sqrt(env_h2[k]), math.sqrt(env_v2[k]))
         return True
 
-    finished = _integrate(report, march)
+    finished = _integrate(report, out, march)
     report.series_files.append(rec.write(out, "contraction_series.csv"))
     if finished is None:
         return _stop(report, out)
@@ -729,7 +734,7 @@ def run_stability_soak(
     params, consts = setup.params, setup.consts
     n_steps = cfg.soak_steps
 
-    truth = _integrate(report, build_truth, setup, n_steps * max(taus))
+    truth = _integrate(report, out, build_truth, setup, n_steps * max(taus))
     if truth is None:
         return _stop(report, out)
     obs = truth.observations(setup.spec)
@@ -793,7 +798,7 @@ def run_stability_soak(
                     math.sqrt(h2_env[new.k]), math.sqrt(v2_env[new.k]))
 
         finished = _integrate(
-            report, advance, v0, params, obs, tau, n_steps, scheme=cfg.scheme,
+            report, out, advance, v0, params, obs, tau, n_steps, scheme=cfg.scheme,
             on_step=on_step,
         )
         safe = "".join(ch if ch.isalnum() else "_" for ch in label)
@@ -867,17 +872,18 @@ def run_tau_sweep(
         _steps_for(cfg.t_end, tau)
     dt_ref = _reference_step(cfg.tau_list, cfg.ref_factor)
 
-    truth = _integrate(report, build_truth, setup, cfg.t_end)
+    truth = _integrate(report, out, build_truth, setup, cfg.t_end)
     if truth is None:
         return _stop(report, out)
     obs = truth.observations(setup.spec) if params.beta > 0.0 else None
     v0 = project_low(build_ic(setup, truth), params.cutoff)
 
     ref = _integrate(
-        report, reference_galerkin_integrate, v0, params, obs, cfg.t_end, dt_ref
+        report, out, reference_galerkin_integrate, v0, params, obs, cfg.t_end, dt_ref
     )
     ref_2dt = ref and _integrate(
-        report, reference_galerkin_integrate, v0, params, obs, cfg.t_end, 2.0 * dt_ref
+        report, out, reference_galerkin_integrate,
+        v0, params, obs, cfg.t_end, 2.0 * dt_ref,
     )
     if ref_2dt is None:
         return _stop(report, out)
@@ -898,7 +904,7 @@ def run_tau_sweep(
             rec.add(new.k, new.t, new.v, norm_H(diff), norm_V(diff))
 
         finished = _integrate(
-            report, advance, v0, params, obs, tau, n_steps, scheme=cfg.scheme,
+            report, out, advance, v0, params, obs, tau, n_steps, scheme=cfg.scheme,
             on_step=on_step,
         )
         report.series_files.append(rec.write(out, f"tau_sweep_series_{i}.csv"))
@@ -978,7 +984,7 @@ def run_n_sweep(
     cfg_tau = cfg.tau
     n_steps = _steps_for(cfg.t_end, cfg_tau)
 
-    truth = _integrate(report, build_truth, setup, cfg.t_end)
+    truth = _integrate(report, out, build_truth, setup, cfg.t_end)
     if truth is None:
         return _stop(report, out)
     obs = (
@@ -995,7 +1001,7 @@ def run_n_sweep(
             cfg, setup.grid, setup.forcing, setup.spec, lambda_cut=lambda_cut
         )
         ran = _integrate(
-            report, advance, v0, params, obs, tau, _steps_for(cfg.t_end, tau),
+            report, out, advance, v0, params, obs, tau, _steps_for(cfg.t_end, tau),
             scheme=cfg.scheme,
         )
         if ran is None:

@@ -33,11 +33,24 @@ class SolveResult:
 
 
 class SolverError(RuntimeError):
-    """Linear or nonlinear solve failed; carries the partial result."""
+    """Linear or nonlinear solve failed; carries the partial result.
 
-    def __init__(self, message: str, result: SolveResult | None = None) -> None:
+    An integrator that fails sets state to its last accepted iterate and
+    cutoff to the Galerkin cutoff it is supported under, or leaves both None.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        result: SolveResult | None = None,
+        *,
+        state: object = None,
+        cutoff: object = None,
+    ) -> None:
         super().__init__(message)
         self.result = result
+        self.state = state
+        self.cutoff = cutoff
 
 
 def _re_dot(a: Vec, b: Vec) -> float:

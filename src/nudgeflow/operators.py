@@ -92,14 +92,15 @@ def _require_band(f: SpectralField) -> None:
 
 
 def advect_raw(grid: TorusGrid, u_phys: np.ndarray, v_coeffs: np.ndarray) -> np.ndarray:
-    """Dealiased, Leray-projected spectrum of (u . grad) v.
+    """Raw half spectrum j2 >= 0 of (u . grad) v, shape (2, n, n // 2 + 1).
 
-    u_phys are physical samples of the advecting field; v_coeffs the
-    Hermitian spectrum of the advected (real) field.  Both must be
-    band-limited; the result is exact (alias-free) on the retained band.
-    The four gradient syntheses and the two analyses are real FFTs over
-    the half-spectrum j2 >= 0; the other half of the result is its
-    conjugate mirror.
+    u_phys are physical samples of the advecting field; only the half
+    j2 >= 0 of v_coeffs, the Hermitian spectrum of the advected (real)
+    field, is read, so a full (2, n, n) or a half (2, n, n // 2 + 1) array
+    both do.  Both fields must be band-limited; the result is exact
+    (alias-free) on the retained band, but neither masked nor
+    Leray-projected.  The four gradient syntheses and the two analyses are
+    real FFTs.
     """
     n = grid.n
     h = n // 2 + 1
@@ -107,21 +108,17 @@ def advect_raw(grid: TorusGrid, u_phys: np.ndarray, v_coeffs: np.ndarray) -> np.
     ik2 = 1j * grid.k2[:, :h]
     v = v_coeffs[..., :h]
     grads = _fft.irfft2(
-        np.stack((ik1 * v[0], ik2 * v[0], ik1 * v[1], ik2 * v[1])), s=(n, n)
-    ) * (n * n)
+        np.stack((ik1 * v[0], ik2 * v[0], ik1 * v[1], ik2 * v[1])),
+        s=(n, n),
+        norm="forward",
+    )
     w = np.stack(
         (
             u_phys[0] * grads[0] + u_phys[1] * grads[1],
             u_phys[0] * grads[2] + u_phys[1] * grads[3],
         )
     )
-    half = _fft.rfft2(w) / (n * n)
-    c = np.empty((2, n, n), dtype=np.complex128)
-    c[..., :h] = half
-    # uhat(j1, -j2) = conj(uhat(-j1, j2)) for the columns j2 = n/2 + 1 .. n - 1
-    c[..., h:] = np.conj(half[:, grid._conj_index, h - 2 : 0 : -1])
-    c *= grid.dealias_mask
-    return leray_project_raw(c, grid)
+    return _fft.rfft2(w, norm="forward")
 
 
 def bilinear_B(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -129,8 +126,16 @@ def bilinear_B(u: SpectralField, v: SpectralField) -> SpectralField:
     u._require_same_grid(v)
     _require_band(u)
     _require_band(v)
-    c = advect_raw(u.grid, to_physical(u), v.coeffs)
-    return SpectralField.from_coeffs(u.grid, c, copy=False)
+    grid = u.grid
+    n = grid.n
+    h = n // 2 + 1
+    half = advect_raw(grid, to_physical(u), v.coeffs)
+    c = np.empty((2, n, n), dtype=np.complex128)
+    c[..., :h] = half
+    # uhat(j1, -j2) = conj(uhat(-j1, j2)) for the columns j2 = n/2 + 1 .. n - 1
+    c[..., h:] = np.conj(half[:, grid._conj_index, h - 2 : 0 : -1])
+    c *= grid.dealias_mask
+    return SpectralField.from_coeffs(grid, leray_project_raw(c, grid), copy=False)
 
 
 def bilinear_B_direct(u: SpectralField, v: SpectralField) -> SpectralField:

@@ -10,7 +10,9 @@ with v* = v^k (semi-implicit) or v* = v^{k+1} (fully implicit, solved by
 a Picard outer loop that freezes the first bilinear argument).  Every
 linear solve is a matrix-free restarted-GMRES iteration on the coercive
 operator w/tau + nu A w + P_N B(v*, w) + beta P_N P_sigma I_h w with a
-diagonal right preconditioner, run in the low-mode space only.
+diagonal right preconditioner.  The unknowns are one solenoidal amplitude
+per half-plane low mode, so every iterate is real and divergence-free by
+construction and is accepted as GMRES returns it.
 
 The operator is applied on the cutoff's own product grid: the smallest
 even FFT-friendly n_s >= 3K + 1, K the largest |j|_inf of a low mode, on
@@ -32,17 +34,15 @@ import numpy as np
 import scipy.fft as _fft
 
 from .fields import (
-    FieldInvariantError,
     GalerkinCutoff,
     SpectralField,
     TorusGrid,
-    _conj_flip,
     project_low,
-    to_physical,
+    to_physical,  # noqa: F401  (a layer entry point that tracing patches)
 )
 from .interpolants import InterpolantSpec, _cell_average_matrix, apply_ih
-from .krylov import SolveResult, SolverError, gmres
-from .operators import advect_raw, leray_project_raw
+from .krylov import SolverError, gmres
+from .operators import advect_raw
 from .storage import Trajectory
 
 __all__ = [
@@ -70,11 +70,7 @@ PICARD_MAX_OUTER = 100
 
 @dataclass(frozen=True)
 class PhysicsParams:
-    """Problem data: viscosity, grid, forcing, nudging gain, observations, cutoff.
-
-    condition_constant is the dimensionless c in the admissibility lower
-    bound for beta; it only affects condition *checks*, never dynamics.
-    """
+    """Problem data: viscosity, grid, forcing, nudging gain, observations, cutoff."""
 
     nu: float
     grid: TorusGrid
@@ -82,7 +78,6 @@ class PhysicsParams:
     beta: float
     interpolant: InterpolantSpec | None
     cutoff: GalerkinCutoff
-    condition_constant: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.nu > 0.0):
@@ -157,68 +152,101 @@ def _product_size(k: int, n: int) -> int:
 class _Galerkin:
     """Scheme-independent pieces of the nudged Galerkin system for one params.
 
-    Vectors are packed to hold only the low-mode coefficients; the packed
-    2-norm is norm_H / L, so relative tolerances transfer unchanged.
-    Operators run on the product grid sgrid = TorusGrid(L, n_s), n_s the
-    smallest even FFT-friendly length >= 3K + 1 (K the largest |j|_inf of
-    a low mode), capped at grid.n.  FFT order restricted to |j| <= K is the
-    same on every grid, so packing from params.grid or from sgrid gives the
-    same vector; fields enter and leave on params.grid.
+    A packed vector holds one complex amplitude a_k per low mode k with
+    j2 > 0, or j2 = 0 < j1 (in the order of `modes`): uhat(k) = a_k e_k,
+    e_k = (-j2, j1) / |j|, and uhat(-k) = conj(uhat(k)), the
+    stream-function Galerkin form of Canuto et al., Spectral Methods
+    (2006).  GMRES works in the real space Re <a, b>, whose norm is
+    norm_H / (sqrt(2) L), so relative tolerances transfer unchanged.
+    Diagonals (k_squared, obs_diag, Stokes, preconditioner, ETDRK4
+    weights) hold one real entry per mode.
 
-    obs_diag (packed) is the exact diagonal of beta P_N P_sigma I_h on
-    solenoidal modes: beta on the observed modes for Fourier truncation,
-    beta T_{j1 j1} T_{j2 j2} for volume averages, whose observation acts
-    on the low modes as beta Leray(T C T^T) with T the one-dimensional
-    cell-average matrix of the params grid's samples, evaluated at the
-    product grid's wavenumbers.  When L/h >= 2K + 1, T is diagonal on
-    |j| <= K and so is the observation term.
+    Operators run on sgrid = TorusGrid(L, n_s), n_s the product size
+    capped at grid.n.  A packed vector enters it as the half spectrum
+    j2 >= 0 of its velocity (the j2 = 0 column holds k and -k) and leaves
+    it as the dot product with e_k at the packed modes, which is
+    P_N P_sigma.  Fields enter and leave on params.grid.
+
+    obs_diag is the exact diagonal of beta P_N P_sigma I_h: beta on the
+    observed modes for Fourier truncation, beta T_{j1 j1} T_{j2 j2} for
+    volume averages, T the cell-average matrix of the params grid's
+    samples at sgrid's wavenumbers.  When L/h >= 2K + 1, T is diagonal on
+    |j| <= K and _cell_avg is None; otherwise it holds the matrices that
+    apply T C T^T to a half spectrum.
     """
 
     def __init__(self, p: PhysicsParams):
         self.p = p
-        grid = p.grid
-        self.grid = grid
+        self.grid = grid = p.grid
         k = math.isqrt(p.cutoff.shell_limit(grid))
         self.sgrid = sgrid = TorusGrid(grid.L, _product_size(k, grid.n))
-        self.mask = p.cutoff.mask_low(sgrid)
-        self._grid_mask = p.cutoff.mask_low(grid)
-        self.k_squared = self._pack_diag(sgrid.k_squared)
+        n, n_s, h, j = grid.n, sgrid.n, sgrid.n // 2 + 1, sgrid._j
+        half_plane = (j[None, :] > 0) | ((j[None, :] == 0) & (j[:, None] > 0))
+        rows, cols = np.nonzero(p.cutoff.mask_low(sgrid) & half_plane)
+        j1, j2 = j[rows], j[cols]
+        self.modes = (j1, j2)
+        shell = j1 * j1 + j2 * j2
+        self.k_squared = sgrid.lambda1 * shell
+        self._e = np.stack((-j2, j1)) / np.sqrt(shell)
+        # the mirrors -k of the modes on the j2 = 0 axis also lie in j2 >= 0
+        self._axis = np.flatnonzero(j2 == 0)
+        self._half_shape = (2, n_s, h)
+        self._half_at = np.concatenate((rows * h + cols, -j1[self._axis] % n_s * h))
+        self._e_half = np.concatenate((self._e, self._e[:, self._axis]), axis=1)
+        self._grid_at = np.concatenate((j1 % n * n + j2 % n, -j1 % n * n + -j2 % n))
         self.f_low = self._pack_field(p.forcing)
         self.obs_diag = np.zeros_like(self.k_squared)
         self._cell_avg = None
         if p.beta > 0.0:
             if p.interpolant.kind == "fourier_truncation":
-                observed = p.interpolant.cutoff().mask_low(sgrid)
-                self.obs_diag = p.beta * self._pack_diag(observed.astype(float))
+                observed = p.interpolant.cutoff().shell_limit(sgrid)
+                self.obs_diag = p.beta * (shell <= observed)
             else:
-                # rows and columns with |j| > K never meet a packed vector
-                self._cell_avg = _cell_average_matrix(p.interpolant, grid, sgrid._j)
-                t_diag = self._cell_avg.diagonal().real
-                self.obs_diag = p.beta * self._pack_diag(np.outer(t_diag, t_diag))
+                t = _cell_average_matrix(p.interpolant, grid, j)
+                t_diag = t.diagonal().real
+                self.obs_diag = p.beta * t_diag[rows] * t_diag[cols]
+                if p.interpolant.blocks(grid) < 2 * k + 1:
+                    # T C T^T over C's columns j2 >= 0, then over its columns
+                    # j2 < 0, the mirror conj(C(-j1, -j2)) (j2 = 0 counted once)
+                    flip = sgrid._conj_index
+                    minus = t[:h, flip[:h]].T
+                    minus[0] = 0.0
+                    self._cell_avg = (t, t[:, flip], t[:h, :h].T, minus)
 
     # -- packing ------------------------------------------------------------
 
-    def _pack(self, arr: np.ndarray) -> np.ndarray:
-        """Low-mode coefficients of a (2, n_s, n_s) product-grid array."""
-        return np.ascontiguousarray(arr[:, self.mask]).reshape(-1)
+    def _dot_e(self, coeffs: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """e_k . c(k) over the packed modes, at flat positions `at` of c."""
+        c = coeffs.reshape(2, -1)[:, at[: self.k_squared.size]]
+        return self._e[0] * c[0] + self._e[1] * c[1]
 
     def _pack_field(self, f: SpectralField) -> np.ndarray:
-        """Low-mode coefficients of a field on the params grid."""
-        return np.ascontiguousarray(f.coeffs[:, self._grid_mask]).reshape(-1)
+        """Packed amplitudes of a field on the params grid."""
+        return self._dot_e(f.coeffs, self._grid_at)
 
-    def _pack_diag(self, diag: np.ndarray) -> np.ndarray:
-        """A per-mode (n_s, n_s) diagonal, packed like a velocity vector."""
-        return self._pack(np.broadcast_to(diag, (2,) + diag.shape))
+    def _field(self, vec: np.ndarray) -> SpectralField:
+        """The params-grid field of a packed vector."""
+        n = self.grid.n
+        coeffs = np.zeros((2, n, n), dtype=np.complex128)
+        both = np.concatenate((vec, vec.conj()))
+        coeffs.reshape(2, -1)[:, self._grid_at] = both * np.tile(self._e, 2)
+        return SpectralField._trusted(self.grid, coeffs)
 
-    def _unpack(self, vec: np.ndarray) -> np.ndarray:
-        n = self.sgrid.n
-        full = np.zeros((2, n, n), dtype=np.complex128)
-        full[:, self.mask] = vec.reshape(2, -1)
-        return full
+    def _half(self, vec: np.ndarray) -> np.ndarray:
+        """Product-grid half spectrum j2 >= 0 of a packed velocity."""
+        half = np.zeros(self._half_shape, dtype=np.complex128)
+        amps = np.concatenate((vec, vec[self._axis].conj()))
+        half.reshape(2, -1)[:, self._half_at] = amps * self._e_half
+        return half
+
+    def _project(self, half: np.ndarray) -> np.ndarray:
+        """P_N P_sigma of a product-grid half spectrum, packed."""
+        return self._dot_e(half, self._half_at)
 
     def _physical(self, vec: np.ndarray) -> np.ndarray:
         """Product-grid samples of a packed velocity."""
-        return to_physical(SpectralField._trusted(self.sgrid, self._unpack(vec)))
+        n = self.sgrid.n
+        return _fft.irfft2(self._half(vec), s=(n, n), norm="forward")
 
     # -- operator pieces ----------------------------------------------------
 
@@ -226,9 +254,10 @@ class _Galerkin:
         """beta * P_N P_sigma I_h w on a packed vector."""
         if self._cell_avg is None:
             return self.obs_diag * vec
-        t = self._cell_avg
-        averaged = t @ self._unpack(vec) @ t.T
-        return self.p.beta * self._pack(leray_project_raw(averaged, self.sgrid))
+        t, t_flip, plus, minus = self._cell_avg
+        half = self._half(vec)
+        averaged = t @ half @ plus + t_flip @ half.conj() @ minus
+        return self.p.beta * self._project(averaged)
 
     def _observed(self, obs_field: SpectralField | None) -> np.ndarray:
         """Packed beta P_N (P_sigma I_h u), the data the nudging term feeds in."""
@@ -242,33 +271,16 @@ class _Galerkin:
         P_N f - P_N B(v, v) + data + (obs_diag v - beta P_N P_sigma I_h v),
         data the packed observation term beta P_N I_h u(t) (or 0.0).
         """
-        adv = self._pack(advect_raw(self.sgrid, self._physical(vec), self._unpack(vec)))
-        out = self.f_low - adv + data
+        adv = advect_raw(self.sgrid, self._physical(vec), self._half(vec))
+        out = self.f_low - self._project(adv) + data
         if self._cell_avg is not None:
             out += self.obs_diag * vec - self._obs_term(vec)
         return out
 
-    def _cleanup(self, vec: np.ndarray) -> tuple[np.ndarray, SpectralField]:
-        """Exactly restore Hermitian symmetry and solenoidality of an iterate.
-
-        Returns the cleaned packed vector and its field on the params grid.
-        """
-        full = self._unpack(vec)
-        full = 0.5 * (full + _conj_flip(self.sgrid, full))
-        x = self._pack(leray_project_raw(full, self.sgrid))
-        n = self.grid.n
-        coeffs = np.zeros((2, n, n), dtype=np.complex128)
-        coeffs[:, self._grid_mask] = x.reshape(2, -1)
-        try:
-            return x, SpectralField.from_coeffs(self.grid, coeffs, copy=False)
-        except FieldInvariantError:
-            _require_finite(x, "iterate")
-            raise
-
 
 def _require_finite(vec: np.ndarray, what: str) -> None:
-    # A blow-up is a solver failure, not bad input: report it before GMRES,
-    # solve_triangular or field validation turns it into a ValueError.
+    # A blow-up is a solver failure, not bad input: raise SolverError, never
+    # the ValueError that GMRES or solve_triangular would raise on it.
     if not np.all(np.isfinite(vec)):
         raise SolverError(f"non-finite {what}")
 
@@ -288,18 +300,11 @@ class _Stepper(_Galerkin):
 
     def _apply_linear(self, vec: np.ndarray, u_phys: np.ndarray) -> np.ndarray:
         """Packed action of w/tau + nu A w + P_N B(u, w) + beta P_N P_sigma I_h w."""
-        adv = self._pack(advect_raw(self.sgrid, u_phys, self._unpack(vec)))
+        adv = self._project(advect_raw(self.sgrid, u_phys, self._half(vec)))
         return self._stokes_diag * vec + adv + self._obs_term(vec)
 
-    def _rhs(self, x: np.ndarray, obs_field: SpectralField | None) -> np.ndarray:
-        b = x / self.tau + self.f_low
-        if self.p.beta > 0.0:
-            b = b + self._observed(obs_field)
-        return b
-
-    def _solve(
-        self, u_phys: np.ndarray, b: np.ndarray, x0: np.ndarray | None
-    ) -> SolveResult:
+    def _solve(self, u_phys: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        """The GMRES iterate, whose true relative residual is <= the step tolerance."""
         result = gmres(
             lambda w: self._apply_linear(w, u_phys),
             b,
@@ -315,53 +320,48 @@ class _Stepper(_Galerkin):
                 f"after {result.iterations} iterations",
                 result,
             )
-        return result
+        _require_finite(result.x, "iterate")
+        return result.x
 
     # -- steps ----------------------------------------------------------------
 
     def step(self, state: SchemeState, obs: ObservationStream | None) -> SchemeState:
-        p = self.p
-        t_next = (state.k + 1) * self.tau
-        obs_field = obs(t_next) if (obs is not None and p.beta > 0.0) else None
+        """The next iterate; a SolverError carries state as the last accepted."""
+        try:
+            return self._step(state, obs)
+        except SolverError as exc:
+            exc.state, exc.cutoff = state, self.p.cutoff
+            raise
+
+    def _step(self, state: SchemeState, obs: ObservationStream | None) -> SchemeState:
         x = self._pack_field(state.v)
-        b = self._rhs(x, obs_field)
+        b = x / self.tau + self.f_low
+        if self.p.beta > 0.0:
+            t_next = (state.k + 1) * self.tau
+            b += self._observed(obs(t_next) if obs is not None else None)
         bnorm = float(np.linalg.norm(b))
         if not np.isfinite(bnorm):
             # the state, the forcing or the observation is not finite
             raise SolverError("non-finite step right-hand side")
         u_phys = self._physical(x)
         if self.scheme == SEMI_IMPLICIT:
-            result = self._solve(u_phys, b, x)
-            x, v_new = self._cleanup(result.x)
-            resid = self._residual(x, u_phys, b, bnorm)
-            if resid > STEP_RESIDUAL_RTOL:
-                raise SolverError(
-                    f"post-solve residual {resid:.3e} exceeds {STEP_RESIDUAL_RTOL:.0e}",
-                    result,
-                )
-            return SchemeState(state.k + 1, self.tau, v_new)
+            # the step residual is GMRES's final true residual of this iterate
+            x = self._solve(u_phys, b, x)
+            return SchemeState(state.k + 1, self.tau, self._field(x))
         # Fully implicit: Picard with frozen first bilinear argument.
         trace: list[float] = []
         for _ in range(PICARD_MAX_OUTER):
-            result = self._solve(u_phys, b, x)
-            x, w_new = self._cleanup(result.x)
+            x = self._solve(u_phys, b, x)
             u_phys = self._physical(x)
-            resid = self._residual(x, u_phys, b, bnorm)
-            trace.append(resid)
-            if resid <= STEP_RESIDUAL_RTOL:
-                return SchemeState(state.k + 1, self.tau, w_new)
+            r = self._apply_linear(x, u_phys) - b
+            trace.append(float(np.linalg.norm(r)) / bnorm if bnorm > 0 else 0.0)
+            if trace[-1] <= STEP_RESIDUAL_RTOL:
+                return SchemeState(state.k + 1, self.tau, self._field(x))
         raise SolverError(
             "Picard iteration did not reach the nonlinear residual tolerance "
             f"{STEP_RESIDUAL_RTOL:.0e} in {PICARD_MAX_OUTER} iterations; "
             f"trace={['%.3e' % r for r in trace[-8:]]} (consider a smaller tau)"
         )
-
-    def _residual(
-        self, x: np.ndarray, u_phys: np.ndarray, b: np.ndarray, bnorm: float
-    ) -> float:
-        """Relative residual of the step equation for the cleaned-up iterate."""
-        r = self._apply_linear(x, u_phys) - b
-        return float(np.linalg.norm(r)) / bnorm if bnorm > 0 else 0.0
 
 
 @lru_cache(maxsize=64)
@@ -390,9 +390,6 @@ def fully_implicit_step(
     """One fully implicit Euler step (Picard outer iteration)."""
     _require_low_supported(state, p)
     return _stepper(p, state.tau, FULLY_IMPLICIT).step(state, obs)
-
-
-_STEP_FNS = {SEMI_IMPLICIT: semi_implicit_step, FULLY_IMPLICIT: fully_implicit_step}
 
 
 def advance(
@@ -512,8 +509,11 @@ def reference_galerkin_integrate(
         nb = gal._explicit(b, data_half)
         c = e2 * a + q * (2.0 * nb - nx)
         nc = gal._explicit(c, data1)
-        x, v = gal._cleanup(e * x + f1 * nx + 2.0 * f2 * (na + nb) + f3 * nc)
-        traj.append(k + 1, (k + 1) * h, v)
+        x = e * x + f1 * nx + 2.0 * f2 * (na + nb) + f3 * nc
+        if not np.all(np.isfinite(x)):
+            last = SchemeState(k, h, traj.fields[-1])
+            raise SolverError("non-finite iterate", state=last, cutoff=p.cutoff)
+        traj.append(k + 1, (k + 1) * h, gal._field(x))
         data0 = data1
     return traj
 

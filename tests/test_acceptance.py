@@ -64,7 +64,7 @@ def _elapsed(t0: float, limit: float, num: int) -> float:
 def _free_params(grid: TorusGrid, nu: float, forcing: SpectralField) -> PhysicsParams:
     return PhysicsParams(
         nu=nu, grid=grid, forcing=forcing, beta=0.0, interpolant=None,
-        cutoff=grid.band_cutoff(), condition_constant=1.0,
+        cutoff=grid.band_cutoff(),
     )
 
 

@@ -32,8 +32,9 @@ from nudgeflow.experiments import (
     run_twin_experiment,
     write_report,
 )
-from nudgeflow.fields import SpectralField, norm_H
+from nudgeflow.fields import SpectralField, is_low_supported, norm_H
 from nudgeflow.krylov import SolveResult
+from nudgeflow.storage import load_snapshot
 
 # Shear amplitude giving Grashof number 2 at nu = 0.1 on the 2 pi torus.
 AMP_G2 = 0.02 * math.sqrt(2.0) / (2.0 * math.pi)
@@ -412,9 +413,15 @@ def test_runners_report_a_solver_stall_as_failed_check(
     monkeypatch.setattr(schemes, "gmres", _stalled_gmres)
     report = runner(tiny_twin_config(**overrides), str(tmp_path))
     solver = [c for c in report.checks if c.name == "solver"]
-    assert [(c.status, c.detail) for c in solver] == [(FAIL, STALL)]
+    # the first step stalls, so the last accepted state is the initial one
+    dump = f"{report.name}_solver_state.nnsf"
+    detail = f"{STALL}; last accepted state (step 0) in {dump}"
+    assert [(c.status, c.detail) for c in solver] == [(FAIL, detail)]
     text = (tmp_path / f"{report.name}_report.txt").read_text()
-    assert f"solver = fail ({STALL})" in text
+    assert f"solver = fail ({detail})" in text
+    state, cutoff = load_snapshot(str(tmp_path / dump))
+    assert state.grid.n == 32 and norm_H(state) > 0.0
+    assert is_low_supported(state, cutoff)
     if partial is None:
         assert report.series_files == []
     else:
@@ -422,6 +429,9 @@ def test_runners_report_a_solver_stall_as_failed_check(
         rows = (tmp_path / partial).read_text().splitlines()
         # the header, plus the initial state where the series records one
         assert 1 <= len(rows) <= 2
+        if len(rows) == 2 and rows[0].split(",") == list(SERIES_HEADER):
+            recorded = float(rows[1].split(",")[SERIES_HEADER.index("norm_H")])
+            assert recorded == norm_H(state)
 
 
 def test_non_finite_iterate_is_a_failed_solver_check(tmp_path, monkeypatch):
@@ -429,10 +439,13 @@ def test_non_finite_iterate_is_a_failed_solver_check(tmp_path, monkeypatch):
     report = run_twin_experiment(
         tiny_twin_config(scheme="fully_implicit"), str(tmp_path)
     )
+    dump = "twin_solver_state.nnsf"
     assert [(c.name, c.status, c.detail) for c in report.checks] == [
-        ("solver", FAIL, "non-finite iterate")
+        ("solver", FAIL, f"non-finite iterate; last accepted state (step 0) in {dump}")
     ]
     assert (tmp_path / "twin_series.csv").exists()
+    state, _ = load_snapshot(str(tmp_path / dump))
+    assert norm_H(state) > 0.0
 
 
 def test_cli_solver_stall_exits_1_with_report(tmp_path, monkeypatch, capsys):
@@ -443,6 +456,7 @@ def test_cli_solver_stall_exits_1_with_report(tmp_path, monkeypatch, capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert f"solver: fail ({STALL})" in captured.out
+    assert f"solver: fail ({STALL}; last accepted state (step 0) in " in captured.out
+    assert (tmp_path / "out" / "twin_solver_state.nnsf").exists()
     assert (tmp_path / "out" / "twin_report.txt").exists()
     assert (tmp_path / "out" / "twin_series.csv").exists()

@@ -19,12 +19,11 @@ from nudgeflow.fields import (
     norm_H,
     norm_V,
     random_field,
-    to_physical,
 )
 from nudgeflow.interpolants import InterpolantSpec, apply_ih
 from nudgeflow.krylov import SolverError
 from nudgeflow.operators import (
-    advect_raw,
+    bilinear_B,
     kolmogorov_forcing,
     kolmogorov_steady_state,
     taylor_green,
@@ -322,8 +321,20 @@ def test_solver_runs_at_every_grid_size(n):
     v0 = random_field(grid, rng, norm_v=1.0, cutoff=co)
     assert random_field(grid, rng).grid == grid
     stepped = semi_implicit_step(SchemeState(0, 0.01, v0), p, None)
+    implicit = fully_implicit_step(SchemeState(0, 0.01, v0), p, None)
     traj = reference_galerkin_integrate(v0, p, None, 0.01, 0.01)
     assert norm_H(stepped.v - traj.fields[-1]) <= 1e-3 * norm_H(v0)
+    for out in (stepped.v, implicit.v, traj.fields[-1]):
+        # real and divergence-free by construction: full validation passes
+        SpectralField.from_coeffs(grid, out.coeffs)
+        assert is_low_supported(out, co)
+    # packing and unpacking are inverse up to the rounding of e_k
+    gal = schemes._Galerkin(p)
+    x = gal._pack_field(stepped.v)
+    eps = 4 * np.finfo(float).eps
+    assert np.max(np.abs(gal._pack_field(gal._field(x)) - x)) <= eps * np.max(np.abs(x))
+    gap = np.max(np.abs(gal._field(x).coeffs - stepped.v.coeffs))
+    assert gap <= eps * np.max(np.abs(stepped.v.coeffs))
 
 
 def _poisoned(field):
@@ -391,9 +402,13 @@ def _full_grid_nudging(p, w):
     )
 
 
-def _rel_gap(packed, full, p):
-    expected = full[:, p.cutoff.mask_low(p.grid)].reshape(-1)
-    return np.max(np.abs(packed - expected)) / np.max(np.abs(expected))
+def _rel_gap(packed, gal, full, p):
+    """Largest gap between a packed vector's field and full-grid coefficients
+    on the low modes, relative to the largest coefficient."""
+    mask = p.cutoff.mask_low(p.grid)
+    got = gal._field(packed).coeffs[:, mask]
+    expected = full[:, mask]
+    return np.max(np.abs(got - expected)) / np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("n, kind, h, lam, n_s", PRODUCT_GRID_CASES)
@@ -409,13 +424,11 @@ def test_product_grid_operator_matches_full_grid_formula(n, kind, h, lam, n_s):
     got = stepper._apply_linear(
         stepper._pack_field(w), stepper._physical(stepper._pack_field(v))
     )
-    mask = p.cutoff.mask_low(grid)
-    adv = np.where(mask, advect_raw(grid, to_physical(v), w.coeffs), 0.0)
     expected = (
-        w.coeffs / tau + p.nu * grid.k_squared * w.coeffs + adv
+        w.coeffs / tau + p.nu * grid.k_squared * w.coeffs + bilinear_B(v, w).coeffs
         + _full_grid_nudging(p, w)
     )
-    assert _rel_gap(got, expected, p) <= 1e-13
+    assert _rel_gap(got, stepper, expected, p) <= 1e-13
 
 
 @pytest.mark.parametrize("n, kind, h, lam, n_s", PRODUCT_GRID_CASES)
@@ -432,15 +445,13 @@ def test_reference_vector_field_matches_full_grid_formula(n, kind, h, lam, n_s):
     data = gal._observed(apply_ih(p.interpolant, u))
     got = -(p.nu * gal.k_squared + gal.obs_diag) * x + gal._explicit(x, data)
 
-    mask = p.cutoff.mask_low(grid)
-    adv = advect_raw(grid, to_physical(v), v.coeffs)
     expected = (
-        np.where(mask, p.forcing.coeffs - adv, 0.0)
+        p.forcing.coeffs - bilinear_B(v, v).coeffs
         - p.nu * grid.k_squared * v.coeffs
         - _full_grid_nudging(p, v)
         + _full_grid_nudging(p, u)
     )
-    assert _rel_gap(got, expected, p) <= 1e-13
+    assert _rel_gap(got, gal, expected, p) <= 1e-13
 
 
 def _solenoidal_unit(grid, a, b):
@@ -476,17 +487,19 @@ def test_preconditioner_diagonal_is_exact(n, kind, h, lam, n_s):
     grid = p.grid
     gal = schemes._Galerkin(p)
     mask = p.cutoff.mask_low(grid)
-    diag = np.zeros((2, n, n))
-    diag[:, mask] = gal.obs_diag.reshape(2, -1)
-    assert np.array_equal(diag[0], diag[1])
+    diag = np.zeros((n, n))
+    j1, j2 = gal.modes
+    diag[j1 % n, j2 % n] = diag[-j1 % n, -j2 % n] = gal.obs_diag
     diagonal_case = grid.L / h >= 2 * math.isqrt(p.cutoff.shell_limit(grid)) + 1
+    # the diagonal case skips the cell-average product altogether
+    assert (gal._cell_avg is None) == diagonal_case
     worst_diag = worst_off = 0.0
     for a, b in zip(*np.nonzero(mask)):
         e = _solenoidal_unit(grid, a, b)
         image = _full_grid_nudging_on_mode(p, e)
         entry = np.vdot(e, image)  # e has unit norm
-        worst_diag = max(worst_diag, abs(entry - diag[0, a, b]))
-        off = image - diag[0, a, b] * e
+        worst_diag = max(worst_diag, abs(entry - diag[a, b]))
+        off = image - diag[a, b] * e
         worst_off = max(worst_off, float(np.max(np.abs(off))))
     assert worst_diag <= 1e-13 * p.beta
     if diagonal_case:
@@ -497,6 +510,42 @@ def test_preconditioner_diagonal_is_exact(n, kind, h, lam, n_s):
 
 # ---------------------------------------------------------------------------
 # entry points that layer tracing patches
+
+
+def test_semi_implicit_step_applies_the_operator_only_inside_gmres(monkeypatch):
+    # the step residual is GMRES's final true residual, so there is no
+    # separate check apply, and the new field is built without validation
+    rng = np.random.default_rng(11)
+    p, obs, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
+    observed = obs(0.01)  # apply_ih validates its own output
+    counts = {"advect_raw": 0, "gmres_apply": 0, "from_coeffs": 0}
+    real_advect, real_gmres = schemes.advect_raw, schemes.gmres
+    real_from_coeffs = SpectralField.from_coeffs.__func__
+
+    def advect(*args):
+        counts["advect_raw"] += 1
+        return real_advect(*args)
+
+    def gmres(apply_op, b, **kwargs):
+        def counted(w):
+            counts["gmres_apply"] += 1
+            return apply_op(w)
+
+        return real_gmres(counted, b, **kwargs)
+
+    def from_coeffs(cls, *args, **kwargs):
+        counts["from_coeffs"] += 1
+        return real_from_coeffs(cls, *args, **kwargs)
+
+    monkeypatch.setattr(schemes, "advect_raw", advect)
+    monkeypatch.setattr(schemes, "gmres", gmres)
+    monkeypatch.setattr(SpectralField, "from_coeffs", classmethod(from_coeffs))
+    new = semi_implicit_step(
+        SchemeState(0, 0.01, v0), p, ObservationStream(lambda t: observed)
+    )
+    assert new.k == 1
+    assert counts["advect_raw"] == counts["gmres_apply"] > 0
+    assert counts["from_coeffs"] == 0
 
 
 def test_layer_entry_points_are_called_once_per_operator_application(monkeypatch):

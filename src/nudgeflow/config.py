@@ -80,6 +80,22 @@ class ExperimentConfig:
             raise ConfigError(
                 f"burn_in ({self.burn_in}) must be smaller than t_end ({self.t_end})"
             )
+        if not self.tau > 0.0:
+            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not all(tau > 0.0 for tau in self.tau_list):
+            raise ConfigError(f"tau_list entries must be positive, got {self.tau_list}")
+        if self.truth_dt_factor < 1:
+            raise ConfigError(
+                f"truth_dt_factor must be >= 1, got {self.truth_dt_factor}"
+            )
+        if not self.truth_spinup >= 0.0:
+            raise ConfigError(
+                f"truth_spinup must be nonnegative, got {self.truth_spinup}"
+            )
+        if self.truth_store_every < 1:
+            raise ConfigError(
+                f"truth_store_every must be >= 1, got {self.truth_store_every}"
+            )
 
 
 def _f(s: str) -> float:

@@ -84,6 +84,13 @@ class TorusGrid:
         return (2.0 * np.pi / self.L) * self.j2.astype(float)
 
     @cached_property
+    def _ik_half(self) -> np.ndarray:
+        """Derivative multipliers (i k1, i k2) on the half spectrum j2 >= 0,
+        shape (2, n, n // 2 + 1)."""
+        h = self.n // 2 + 1
+        return np.stack(np.broadcast_arrays(1j * self.k1, 1j * self.k2[:, :h]))
+
+    @cached_property
     def k_squared(self) -> np.ndarray:
         """|k|^2 for every mode, shape (n, n); zero at the mean mode."""
         return self.lambda1 * self.shell.astype(float)

@@ -7,15 +7,24 @@ vectors; operators that preserve Hermitian coefficient symmetry keep the
 whole iteration inside the symmetry class.  Preconditioning is applied
 on the right, so the reported residual is the true residual of the
 original system.
+
+The Arnoldi step orthogonalizes by classical Gram-Schmidt applied twice
+(CGS2), two matrix-vector products over a real view of the basis per
+pass; twice is enough for an orthonormal basis to roundoff (Giraud,
+Langou & Rozloznik, Comput. Math. Appl. 50, 2005).  The small least
+squares problem is reduced by Givens rotations and solved by back
+substitution on Python floats (Saad & Schultz, SIAM J. Sci. Stat.
+Comput. 7, 1986).  A caller that already holds the initial residual
+b - A x0 passes it as r0 and saves one operator application.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = ["SolveResult", "SolverError", "gmres"]
 
@@ -53,15 +62,12 @@ class SolverError(RuntimeError):
         self.cutoff = cutoff
 
 
-def _re_dot(a: Vec, b: Vec) -> float:
-    return float(np.vdot(a, b).real)
-
-
 def gmres(
     apply_op: Operator,
     b: Vec,
     *,
     x0: Vec | None = None,
+    r0: Vec | None = None,
     rel_tol: float = 1e-10,
     max_iter: int = 2000,
     restart: int = 50,
@@ -71,72 +77,85 @@ def gmres(
 
     apply_precond, if given, applies an approximate inverse M^(-1); the
     iteration solves A M^(-1) y = b and returns x = M^(-1) y, so the
-    residual history tracks |b - A x| throughout.
+    residual history tracks |b - A x| throughout.  r0, if given, must be
+    b - A x0: the caller has just computed it, and the first cycle starts
+    from it instead of applying A once more.
     """
     b = np.asarray(b)
+    b = b.astype(np.result_type(b.dtype, np.float64), copy=False)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return SolveResult(np.zeros_like(b), True, 0, 0.0, (0.0,))
     mi = apply_precond if apply_precond is not None else (lambda v: v)
-    x = np.array(x0, copy=True) if x0 is not None else np.zeros_like(b)
+    x = np.array(x0, dtype=b.dtype) if x0 is not None else np.zeros_like(b)
     history: list[float] = []
     total = 0
-    res = np.inf
+    res = math.inf
     while total < max_iter:
-        r = b - apply_op(x)
+        r = b - apply_op(x) if r0 is None else r0
+        r0 = None
         rho = float(np.linalg.norm(r))
         res = rho / bnorm
         history.append(res)
         if res <= rel_tol:
             return SolveResult(x, True, total, res, tuple(history))
         m = min(restart, max_iter - total)
-        V = np.empty((m + 1,) + b.shape, dtype=b.dtype)
-        H = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
+        V = np.empty((m + 1, b.size), dtype=b.dtype)
+        # the basis as real vectors, so Re <a, b> is a plain dot product
+        Vr = V.view(np.float64)
         V[0] = r / rho
-        g[0] = rho
-        j_used = 0
+        cols: list[list[float]] = []  # columns of the rotated Hessenberg matrix
+        cs: list[float] = []
+        sn: list[float] = []
+        g = [rho]
         breakdown = False
         for j in range(m):
-            w = apply_op(mi(V[j]))
-            for i in range(j + 1):
-                H[i, j] = _re_dot(V[i], w)
-                w = w - H[i, j] * V[i]
-            H[j + 1, j] = float(np.linalg.norm(w))
-            if H[j + 1, j] > 1e-300:
-                V[j + 1] = w / H[j + 1, j]
+            w = np.ascontiguousarray(apply_op(mi(V[j])), dtype=b.dtype).view(np.float64)
+            # classical Gram-Schmidt, twice (Giraud, Langou & Rozloznik 2005)
+            basis, v = Vr[: j + 1], Vr[j + 1]
+            h = basis @ w
+            np.subtract(w, h @ basis, out=v)
+            h2 = basis @ v
+            v -= h2 @ basis
+            col = (h + h2).tolist()
+            hnext = math.sqrt(float(v @ v))
+            col.append(hnext)
+            if hnext > 1e-300:
+                v /= hnext
             else:
                 breakdown = True  # invariant subspace: solution is exact
             for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
-            d = float(np.hypot(H[j, j], H[j + 1, j]))
+                a, c = col[i], col[i + 1]
+                col[i] = cs[i] * a + sn[i] * c
+                col[i + 1] = -sn[i] * a + cs[i] * c
+            d = math.hypot(col[j], col[j + 1])
+            total += 1
             if d == 0.0:
                 # the operator annihilated this direction: the triangular
                 # block is singular, so stop with the previous columns
-                total += 1
                 breakdown = True
                 break
-            cs[j] = H[j, j] / d
-            sn[j] = H[j + 1, j] / d
-            H[j, j] = d
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
+            cs.append(col[j] / d)
+            sn.append(col[j + 1] / d)
+            col[j] = d
+            cols.append(col[: j + 1])
+            g.append(-sn[j] * g[j])
             g[j] = cs[j] * g[j]
-            total += 1
-            j_used = j + 1
             res = abs(g[j + 1]) / bnorm
             history.append(res)
             if res <= rel_tol or breakdown:
                 break
-        if j_used:
-            # Givens rotations left H upper triangular in the used block.
-            y = solve_triangular(H[:j_used, :j_used], g[:j_used])
-            z = np.tensordot(y, V[:j_used], axes=(0, 0))
-            x = x + mi(z.astype(b.dtype, copy=False))
+        if cols:
+            # back substitution on the upper triangular block the rotations left
+            n_used = len(cols)
+            y = [0.0] * n_used
+            for i in range(n_used - 1, -1, -1):
+                s = g[i]
+                for k in range(i + 1, n_used):
+                    s -= cols[k][i] * y[k]
+                y[i] = s / cols[i][i]
+            z = (np.array(y) @ Vr[:n_used]).view(b.dtype)
+            x = x + mi(z)
         if res <= rel_tol or breakdown:
             r = b - apply_op(x)
             res = float(np.linalg.norm(r)) / bnorm

@@ -103,22 +103,11 @@ def advect_raw(grid: TorusGrid, u_phys: np.ndarray, v_coeffs: np.ndarray) -> np.
     real FFTs.
     """
     n = grid.n
-    h = n // 2 + 1
-    ik1 = 1j * grid.k1
-    ik2 = 1j * grid.k2[:, :h]
-    v = v_coeffs[..., :h]
+    # d/dx1 and d/dx2 of each component: spectra (2, 2, n, h), [component, axis]
     grads = _fft.irfft2(
-        np.stack((ik1 * v[0], ik2 * v[0], ik1 * v[1], ik2 * v[1])),
-        s=(n, n),
-        norm="forward",
+        v_coeffs[:, None, :, : n // 2 + 1] * grid._ik_half, s=(n, n), norm="forward"
     )
-    w = np.stack(
-        (
-            u_phys[0] * grads[0] + u_phys[1] * grads[1],
-            u_phys[0] * grads[2] + u_phys[1] * grads[3],
-        )
-    )
-    return _fft.rfft2(w, norm="forward")
+    return _fft.rfft2((grads * u_phys).sum(axis=1), norm="forward")
 
 
 def bilinear_B(u: SpectralField, v: SpectralField) -> SpectralField:

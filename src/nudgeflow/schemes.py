@@ -14,6 +14,18 @@ diagonal right preconditioner.  The unknowns are one solenoidal amplitude
 per half-plane low mode, so every iterate is real and divergence-free by
 construction and is accepted as GMRES returns it.
 
+The initial guess changes only the work, not the step beyond its
+tolerance: `advance` starts each step's solve from the damped
+extrapolation v^k + (v^k - v^(k-1)) / (1 + tau d_k) per mode, d_k =
+nu |k|^2 + obs_diag_k (v^k on the first step and in the single-step
+functions).  It is 2 v^k - v^(k-1) where tau d_k << 1, and the exact next
+iterate of a mode that only decays under its stiff diagonal, where plain
+extrapolation would overshoot.  The semi-implicit scheme still freezes its
+first bilinear argument at v^k; the Picard loop starts from the guess.
+Each Picard nonlinear residual b - A(v) v is also the initial GMRES
+residual of the next solve, which reuses it instead of applying the
+operator again.
+
 The operator is applied on the cutoff's own product grid: the smallest
 even FFT-friendly n_s >= 3K + 1, K the largest |j|_inf of a low mode, on
 which the 2/3 rule makes P_N B(v, w) exact (Orszag 1971).  Volume
@@ -279,8 +291,7 @@ class _Galerkin:
 
 
 def _require_finite(vec: np.ndarray, what: str) -> None:
-    # A blow-up is a solver failure, not bad input: raise SolverError, never
-    # the ValueError that GMRES or solve_triangular would raise on it.
+    # A blow-up is a solver failure, not bad input: raise SolverError.
     if not np.all(np.isfinite(vec)):
         raise SolverError(f"non-finite {what}")
 
@@ -297,18 +308,30 @@ class _Stepper(_Galerkin):
         self._stokes_diag = 1.0 / self.tau + p.nu * self.k_squared
         # Diagonal right preconditioner: the non-advective part of the operator.
         self._inv_diag = 1.0 / (self._stokes_diag + self.obs_diag)
+        # 1/(1 + tau d_k), the per-mode weight of the predictor in `advance`
+        self._predictor_weight = self._inv_diag / self.tau
 
     def _apply_linear(self, vec: np.ndarray, u_phys: np.ndarray) -> np.ndarray:
         """Packed action of w/tau + nu A w + P_N B(u, w) + beta P_N P_sigma I_h w."""
         adv = self._project(advect_raw(self.sgrid, u_phys, self._half(vec)))
         return self._stokes_diag * vec + adv + self._obs_term(vec)
 
-    def _solve(self, u_phys: np.ndarray, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        """The GMRES iterate, whose true relative residual is <= the step tolerance."""
+    def _solve(
+        self,
+        u_phys: np.ndarray,
+        b: np.ndarray,
+        x0: np.ndarray,
+        r0: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The GMRES iterate, whose true relative residual is <= the step tolerance.
+
+        r0, if given, is b - A x0 for this u_phys, already computed.
+        """
         result = gmres(
             lambda w: self._apply_linear(w, u_phys),
             b,
             x0=x0,
+            r0=r0,
             rel_tol=0.25 * STEP_RESIDUAL_RTOL,
             max_iter=2000,
             restart=50,
@@ -325,15 +348,30 @@ class _Stepper(_Galerkin):
 
     # -- steps ----------------------------------------------------------------
 
-    def step(self, state: SchemeState, obs: ObservationStream | None) -> SchemeState:
-        """The next iterate; a SolverError carries state as the last accepted."""
+    def step(
+        self,
+        state: SchemeState,
+        obs: ObservationStream | None,
+        guess: np.ndarray | None = None,
+    ) -> tuple[SchemeState, np.ndarray]:
+        """The next iterate and its packed vector.
+
+        guess, a packed vector, starts the solve (x_k if None); the
+        iterate does not depend on it beyond the step tolerance.  A
+        SolverError carries state as the last accepted.
+        """
         try:
-            return self._step(state, obs)
+            return self._step(state, obs, guess)
         except SolverError as exc:
             exc.state, exc.cutoff = state, self.p.cutoff
             raise
 
-    def _step(self, state: SchemeState, obs: ObservationStream | None) -> SchemeState:
+    def _step(
+        self,
+        state: SchemeState,
+        obs: ObservationStream | None,
+        guess: np.ndarray | None,
+    ) -> tuple[SchemeState, np.ndarray]:
         x = self._pack_field(state.v)
         b = x / self.tau + self.f_low
         if self.p.beta > 0.0:
@@ -343,20 +381,24 @@ class _Stepper(_Galerkin):
         if not np.isfinite(bnorm):
             # the state, the forcing or the observation is not finite
             raise SolverError("non-finite step right-hand side")
-        u_phys = self._physical(x)
+        if guess is None:
+            guess = x
         if self.scheme == SEMI_IMPLICIT:
             # the step residual is GMRES's final true residual of this iterate
-            x = self._solve(u_phys, b, x)
-            return SchemeState(state.k + 1, self.tau, self._field(x))
-        # Fully implicit: Picard with frozen first bilinear argument.
+            x = self._solve(self._physical(x), b, guess)
+            return SchemeState(state.k + 1, self.tau, self._field(x)), x
+        # Fully implicit: Picard with frozen first bilinear argument, from the
+        # guess.  Each residual r is the next solve's initial GMRES residual.
         trace: list[float] = []
+        x, r = guess, None
+        u_phys = self._physical(x)
         for _ in range(PICARD_MAX_OUTER):
-            x = self._solve(u_phys, b, x)
+            x = self._solve(u_phys, b, x, r)
             u_phys = self._physical(x)
-            r = self._apply_linear(x, u_phys) - b
+            r = b - self._apply_linear(x, u_phys)
             trace.append(float(np.linalg.norm(r)) / bnorm if bnorm > 0 else 0.0)
             if trace[-1] <= STEP_RESIDUAL_RTOL:
-                return SchemeState(state.k + 1, self.tau, self._field(x))
+                return SchemeState(state.k + 1, self.tau, self._field(x)), x
         raise SolverError(
             "Picard iteration did not reach the nonlinear residual tolerance "
             f"{STEP_RESIDUAL_RTOL:.0e} in {PICARD_MAX_OUTER} iterations; "
@@ -381,7 +423,7 @@ def semi_implicit_step(
 ) -> SchemeState:
     """One semi-implicit Euler step (bilinear term frozen at v^k)."""
     _require_low_supported(state, p)
-    return _stepper(p, state.tau, SEMI_IMPLICIT).step(state, obs)
+    return _stepper(p, state.tau, SEMI_IMPLICIT).step(state, obs)[0]
 
 
 def fully_implicit_step(
@@ -389,7 +431,7 @@ def fully_implicit_step(
 ) -> SchemeState:
     """One fully implicit Euler step (Picard outer iteration)."""
     _require_low_supported(state, p)
-    return _stepper(p, state.tau, FULLY_IMPLICIT).step(state, obs)
+    return _stepper(p, state.tau, FULLY_IMPLICIT).step(state, obs)[0]
 
 
 def advance(
@@ -405,6 +447,8 @@ def advance(
 ) -> tuple[SchemeState, Trajectory | None]:
     """March n_steps from v^0 = P_N v0, optionally recording a trajectory.
 
+    Each solve starts from the per-mode damped extrapolation of v^k and
+    v^(k-1) (v^0 for the first step; see the module docstring).
     on_step(prev, new) fires after every accepted step; store_every = m
     records v^0 and every m-th iterate (plus the final one) into the
     returned trajectory.
@@ -419,8 +463,11 @@ def advance(
             raise ValueError(f"store_every must be >= 1, got {store_every}")
         traj = Trajectory(p.grid)
         traj.append(0, 0.0, state.v)
+    x_prev, x = None, stepper._pack_field(state.v)
     for _ in range(n_steps):
-        new = stepper.step(state, obs)
+        guess = x if x_prev is None else x + stepper._predictor_weight * (x - x_prev)
+        new, x_new = stepper.step(state, obs, guess)
+        x_prev, x = x, x_new
         if on_step is not None:
             on_step(state, new)
         if traj is not None and (new.k % store_every == 0 or new.k == n_steps):

@@ -128,6 +128,25 @@ def test_burn_in_must_precede_t_end():
         parse_config_text(MINIMAL + "burn_in = 2.0\n")
 
 
+@pytest.mark.parametrize(
+    "section, key, value, match",
+    [
+        ("experiment", "tau", "0", "tau must be positive"),
+        ("experiment", "tau", "-0.01", "tau must be positive"),
+        ("experiment", "tau", "nan", "tau must be positive"),
+        ("sweep", "tau_list", "0.02, 0.0, 0.005", "tau_list entries"),
+        ("sweep", "tau_list", "0.02, -0.01, 0.005", "tau_list entries"),
+        ("experiment", "truth_dt_factor", "0", "truth_dt_factor must be >= 1"),
+        ("experiment", "truth_spinup", "-1", "truth_spinup must be nonnegative"),
+        ("experiment", "truth_store_every", "0", "truth_store_every must be >= 1"),
+    ],
+)
+def test_inadmissible_time_steps_rejected(section, key, value, match):
+    text = MINIMAL.replace("tau = 0.005\n", "") if key == "tau" else MINIMAL
+    with pytest.raises(ConfigError, match=match):
+        parse_config_text(text + f"[{section}]\n{key} = {value}\n")
+
+
 def test_float_list_keys():
     cfg = parse_config_text(MINIMAL + "[sweep]\ntau_list = 0.1, 0.05\nbeta_list =\n")
     assert cfg.tau_list == (0.1, 0.05)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nudgeflow import cli, schemes
-from nudgeflow.config import ConfigError, default_config, write_config
+from nudgeflow.config import ConfigError, default_config, render_config, write_config
 from nudgeflow.experiments import (
     FAIL,
     PASS,
@@ -364,6 +364,27 @@ def test_cli_invalid_physics_exits_2(tmp_path, capsys):
     rc = cli.main(["--config", str(cfg_path), "constants"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("constants", "tau", "0"),
+        ("twin", "tau", "0"),
+        ("tau-sweep", "tau_list", "0.02,0,0.005"),
+        ("twin", "truth_dt_factor", "0"),
+        ("twin", "truth_spinup", "-1"),
+    ],
+)
+def test_cli_inadmissible_time_step_exits_2(tmp_path, capsys, command, key, value):
+    cfg_path = tmp_path / "run.cfg"
+    text = render_config(tiny_twin_config(truth="nse_integrate"))
+    line = next(ln for ln in text.splitlines() if ln.startswith(f"{key} = "))
+    cfg_path.write_text(text.replace(line, f"{key} = {value}"))
+    rc = cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), command])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
 
 
 def test_cli_failed_check_exits_1(tmp_path):

@@ -124,3 +124,63 @@ def test_hermitian_symmetry_is_preserved(rng):
     assert res.converged
     drift = np.max(np.abs(res.x - np.conj(res.x[::-1])))
     assert drift <= 1e-12 * np.max(np.abs(res.x))
+
+
+def test_given_initial_residual_saves_one_apply(rng):
+    n = 40
+    a = np.eye(n) + 0.3 / math.sqrt(n) * rng.standard_normal((n, n))
+    b = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(complex)
+    x0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    counts = []
+
+    def counted(x):
+        counts[-1] += 1
+        return a @ x
+
+    runs = []
+    for r0 in (None, b - a @ x0):
+        counts.append(0)
+        runs.append(gmres(counted, b, x0=x0, r0=r0, rel_tol=1e-11, restart=8))
+    plain, reused = runs
+    assert plain.converged and reused.converged
+    assert np.array_equal(plain.x, reused.x)
+    assert plain.history == reused.history
+    assert counts[1] == counts[0] - 1
+
+
+def test_cgs2_basis_stays_orthonormal_across_a_restart(rng):
+    # a strongly nonnormal upper triangular operator, on which one pass of
+    # classical (1.5e-12) or modified (2.4e-13) Gram-Schmidt loses more
+    # orthogonality than the bound; the preconditioner records each basis
+    # vector it is given
+    n, m = 60, 30
+    a = np.diag(1.0 + np.arange(n)) + 50.0 / math.sqrt(n) * np.triu(
+        rng.standard_normal((n, n)), 1
+    )
+    b = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(complex)
+    seen = []
+
+    def record(v):
+        seen.append(np.array(v))
+        return v
+
+    res = gmres(lambda x: a @ x, b, apply_precond=record, rel_tol=1e-15,
+                restart=m, max_iter=2 * m)
+    assert not res.converged and res.iterations == 2 * m
+    # each cycle preconditions its m basis vectors, then the update
+    assert len(seen) == 2 * (m + 1)
+    for cycle in (seen[:m], seen[m + 1 : 2 * m + 1]):
+        q = np.array(cycle)
+        gram = (q.conj() @ q.T).real  # the real inner product Re <a, b>
+        assert np.max(np.abs(gram - np.eye(m))) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_operator_output_ends_the_solve_unconverged():
+    # a blow-up inside the iteration is a stalled solve for the caller to
+    # report, not an exception about bad input
+    b = np.ones(8, dtype=complex)
+    res = gmres(lambda x: x * np.nan, b, max_iter=100)
+    assert not res.converged
+    assert res.iterations == 1
+    assert math.isnan(res.residual)

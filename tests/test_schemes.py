@@ -207,6 +207,23 @@ def test_advance_trajectory_cadence(rng, grid16):
         advance(v0, p, None, 0.01, 1, scheme="leapfrog")
 
 
+@pytest.mark.parametrize(
+    "scheme, step_fn",
+    [(SEMI_IMPLICIT, semi_implicit_step), (FULLY_IMPLICIT, fully_implicit_step)],
+)
+def test_advance_agrees_with_single_steps(scheme, step_fn, rng):
+    # advance starts each solve from the extrapolated guess, the single-step
+    # functions from v^k; both iterates meet the 1e-10 step tolerance
+    p, obs, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
+    marched = []
+    advance(v0, p, obs, 0.01, 20, scheme=scheme,
+            on_step=lambda prev, new: marched.append(new.v))
+    state = SchemeState(0, 0.01, v0)
+    for v in marched:
+        state = step_fn(state, p, obs)
+        assert norm_H(v - state.v) <= 1e-9 * norm_H(state.v)
+
+
 def test_observation_streams(rng, grid16):
     spec = InterpolantSpec("fourier_truncation", 0.5)
     u = random_field(grid16, rng, norm_v=1.0)
@@ -546,6 +563,52 @@ def test_semi_implicit_step_applies_the_operator_only_inside_gmres(monkeypatch):
     assert new.k == 1
     assert counts["advect_raw"] == counts["gmres_apply"] > 0
     assert counts["from_coeffs"] == 0
+
+
+def test_picard_solves_start_from_the_residual_just_computed(monkeypatch):
+    # every advect_raw call is a GMRES operator application or a Picard
+    # residual apply, and each solve after the first takes that residual
+    # as its initial residual instead of applying the operator again
+    rng = np.random.default_rng(11)
+    p, obs, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
+    counts = {"advect_raw": 0, "checking": False}
+    solves = []
+    real_advect, real_gmres = schemes.advect_raw, schemes.gmres
+
+    def advect(*args):
+        counts["advect_raw"] += not counts["checking"]
+        return real_advect(*args)
+
+    def gmres(apply_op, b, **kwargs):
+        solve = {"applies": 0, "r0": kwargs.get("r0")}
+        if solve["r0"] is not None:
+            counts["checking"] = True
+            solve["r0_exact"] = np.array_equal(
+                solve["r0"], b - apply_op(kwargs["x0"])
+            )
+            counts["checking"] = False
+
+        def counted(w):
+            solve["applies"] += 1
+            return apply_op(w)
+
+        solves.append(solve)
+        result = real_gmres(counted, b, **kwargs)
+        solve["iterations"] = result.iterations
+        return result
+
+    monkeypatch.setattr(schemes, "gmres", gmres)
+    monkeypatch.setattr(schemes, "advect_raw", advect)
+    fully_implicit_step(SchemeState(0, 0.01, v0), p, obs)
+    assert len(solves) >= 2
+    applies = sum(s["applies"] for s in solves)
+    assert counts["advect_raw"] == applies + len(solves)
+    assert solves[0]["r0"] is None
+    assert solves[0]["applies"] == solves[0]["iterations"] + 2
+    for solve in solves[1:]:
+        assert solve["r0_exact"]
+        its = solve["iterations"]
+        assert solve["applies"] == its + (its > 0)
 
 
 def test_layer_entry_points_are_called_once_per_operator_application(monkeypatch):

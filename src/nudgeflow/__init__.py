@@ -21,7 +21,6 @@ from .analysis import (
     contraction_envelope,
     convergence_order,
     decay_rate_fit,
-    error_series,
     gronwall_envelope,
     stability_bound_h2,
     stability_bound_v2,
@@ -82,9 +81,7 @@ from .storage import (
     SnapshotFormatError,
     Trajectory,
     load_snapshot,
-    load_trajectory,
     save_snapshot,
-    save_trajectory,
 )
 from .experiments import (
     CheckResult,

@@ -20,9 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import norm as field_norm, norm_H, project_high
+from .fields import norm_H, project_high
 from .schemes import PhysicsParams
-from .storage import Trajectory
 
 __all__ = [
     "AbsoluteConstants",
@@ -32,12 +31,10 @@ __all__ = [
     "ConditionReport",
     "check_conditions",
     "gronwall_envelope",
-    "gronwall_envelope_closed",
     "contraction_envelope",
     "stability_bound_h2",
     "stability_bound_v2",
     "ErrorSeries",
-    "error_series",
     "FitError",
     "DecayFit",
     "decay_rate_fit",
@@ -300,15 +297,6 @@ def gronwall_envelope(
     return env
 
 
-def gronwall_envelope_closed(a0: float, gamma: float, b_sup: float, m: int) -> float:
-    """Closed-form bound a0/(1+gamma)^m + b_sup/gamma for constant-b tails."""
-    if not (1.0 + gamma > 0.0):
-        raise ValueError(f"need 1 + gamma > 0, got gamma = {gamma}")
-    if gamma == 0.0:
-        raise ValueError("closed form requires gamma != 0")
-    return a0 / (1.0 + gamma) ** m + b_sup / gamma
-
-
 def contraction_envelope(
     e0_sq: float, p: PhysicsParams, tau: float, steps: np.ndarray | int
 ) -> np.ndarray:
@@ -389,36 +377,6 @@ class ErrorSeries:
     def after(self, t_from: float) -> "ErrorSeries":
         sel = self.times >= t_from - 1e-12 * max(1.0, abs(t_from))
         return ErrorSeries(self.times[sel], self.values[sel], self.norm, self.interpolated)
-
-
-def error_series(traj_a: Trajectory, traj_b: Trajectory, norm: str = "H") -> ErrorSeries:
-    """Error of traj_a against traj_b at traj_a's snapshot times.
-
-    Times of traj_a that fall outside traj_b's stored range are skipped;
-    traj_b is interpolated in time where needed and the series records
-    whether that happened.
-    """
-    if norm not in ("H", "V", "DA"):
-        raise ValueError(f"unknown norm {norm!r}")
-    t_lo, t_hi = traj_b.times[0], traj_b.times[-1]
-    before = traj_b.interpolated_queries
-    times: list[float] = []
-    values: list[float] = []
-    tol = 1e-9
-    for t, f in zip(traj_a.times, traj_a.fields):
-        if t < t_lo - tol or t > t_hi + tol:
-            continue
-        ref = traj_b.at(float(t))
-        times.append(float(t))
-        values.append(field_norm(f - ref, norm))
-    if not times:
-        raise ValueError("trajectories have no overlapping time range")
-    return ErrorSeries(
-        np.asarray(times),
-        np.asarray(values),
-        norm,
-        traj_b.interpolated_queries > before,
-    )
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"truth_store_every must be >= 1, got {self.truth_store_every}"
             )
+        for f in dc_fields(self):
+            value = getattr(self, f.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(x) for x in entries if isinstance(x, float)):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 def _f(s: str) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -64,6 +65,8 @@ from .schemes import (
     ObservationStream,
     PhysicsParams,
     SchemeState,
+    _Galerkin,
+    _galerkin,
     _steps_for,
     advance,
     fully_implicit_step,
@@ -239,14 +242,16 @@ class SeriesRecorder:
         self,
         step: int,
         time: float,
-        v: SpectralField,
+        norms: tuple[float, float, float],
         err_h: float = 0.0,
         err_v: float = 0.0,
         env_h: float = 0.0,
         env_v: float = 0.0,
     ) -> None:
+        """One row; norms are the state's (norm_H, norm_V, norm_DA)."""
+        nh, nv, nda = norms
         self.rows.append(
-            (int(step), float(time), norm_H(v), norm_V(v), norm_DA(v),
+            (int(step), float(time), float(nh), float(nv), float(nda),
              float(err_h), float(err_v), float(env_h), float(env_v))
         )
 
@@ -371,6 +376,10 @@ def _setup(cfg: ExperimentConfig, *, tau: float | None = None) -> _Setup:
 # truth sources
 
 
+# (packed vector, time) -> [err_H, err_V, err_DA] of v(t) - u(t)
+ErrorNorms = Callable[[np.ndarray, float], list[float]]
+
+
 class TruthSource:
     """Resolved solution u(t) plus the coarse observations taken from it."""
 
@@ -381,6 +390,16 @@ class TruthSource:
 
     def observations(self, spec: InterpolantSpec) -> ObservationStream:
         raise NotImplementedError
+
+    def error_norms(self, gal: _Galerkin) -> ErrorNorms:
+        """Norms of v - u(t) for v packed in gal, by Parseval."""
+        raise NotImplementedError
+
+
+def _tail_sq(u: SpectralField, gal: _Galerkin) -> np.ndarray:
+    """Squared H, V and DA norms of u's modes outside gal's cutoff."""
+    q = project_high(u, gal.p.cutoff)
+    return np.array([norm_H(q), norm_V(q), norm_DA(q)]) ** 2
 
 
 class SteadyTruth(TruthSource):
@@ -395,6 +414,11 @@ class SteadyTruth(TruthSource):
     def observations(self, spec: InterpolantSpec) -> ObservationStream:
         return ObservationStream.steady(self.u_star, spec)
 
+    def error_norms(self, gal: _Galerkin) -> ErrorNorms:
+        # |v - u|^2 = |v - P_N u|^2 + |(I - P_N) u|^2, with u packed once
+        u, tail = gal._pack_field(self.u_star), _tail_sq(self.u_star, gal)
+        return lambda x, t: gal.norms(x - u, tail)
+
 
 class AnalyticTruth(TruthSource):
     def __init__(self, fn) -> None:
@@ -406,8 +430,17 @@ class AnalyticTruth(TruthSource):
     def observations(self, spec: InterpolantSpec) -> ObservationStream:
         return ObservationStream.from_truth_fn(self._fn, spec)
 
+    def error_norms(self, gal: _Galerkin) -> ErrorNorms:
+        def errors(x: np.ndarray, t: float) -> list[float]:
+            u = self._fn(t)
+            return gal.norms(x - gal._pack_field(u), _tail_sq(u, gal))
+
+        return errors
+
 
 class StoredTruth(TruthSource):
+    """A packed trajectory whose packing holds every mode of the solution."""
+
     def __init__(self, traj: Trajectory) -> None:
         self.traj = traj
 
@@ -416,6 +449,18 @@ class StoredTruth(TruthSource):
 
     def observations(self, spec: InterpolantSpec) -> ObservationStream:
         return ObservationStream.from_trajectory(self.traj, spec)
+
+    def error_norms(self, gal: _Galerkin) -> ErrorNorms:
+        # v embedded into the truth's own packing; no cancelling expansion
+        traj, own = self.traj, self.traj.packing
+        at = own._index_of(gal.modes)
+
+        def errors(x: np.ndarray, t: float) -> list[float]:
+            d = -traj.frame_at(t)
+            d[at] += x
+            return own.norms(d)
+
+        return errors
 
 
 def _m1_scale(setup: _Setup) -> float:
@@ -509,8 +554,10 @@ def run_twin_experiment(
         return _stop(report, out)
     obs = truth.observations(setup.spec) if params.beta > 0.0 else None
     v0 = project_low(build_ic(setup, truth), params.cutoff)
-    u0 = truth.field_at(0.0)
-    e0_h, e0_v = norm_H(v0 - u0), norm_V(v0 - u0)
+    gal = _galerkin(params)
+    x0 = gal._pack_field(v0)
+    errors = truth.error_norms(gal)
+    e0_h, e0_v, _ = errors(x0, 0.0)
     if e0_h == 0.0:
         raise ConfigError("twin experiment requires v0 != u(0)")
 
@@ -521,16 +568,16 @@ def run_twin_experiment(
     env_v = np.sqrt(contraction_envelope(e0_v**2, params, tau, n_steps))
 
     rec = SeriesRecorder()
-    rec.add(0, 0.0, v0, e0_h, e0_v, env_h[0], env_v[0])
-    sup_v = norm_V(v0)
+    norms0 = gal.norms(x0)
+    rec.add(0, 0.0, norms0, e0_h, e0_v, env_h[0], env_v[0])
+    sup_v = norms0[1]
 
     def on_step(prev: SchemeState, new: SchemeState) -> None:
         nonlocal sup_v
-        u_t = truth.field_at(new.t)
-        diff = new.v - u_t
-        eh, ev = norm_H(diff), norm_V(diff)
-        sup_v = max(sup_v, norm_V(new.v))
-        rec.add(new.k, new.t, new.v, eh, ev, env_h[new.k], env_v[new.k])
+        norms = gal.norms(new.x)
+        eh, ev, _ = errors(new.x, new.t)
+        sup_v = max(sup_v, norms[1])
+        rec.add(new.k, new.t, norms, eh, ev, env_h[new.k], env_v[new.k])
 
     finished = _integrate(
         report, out, advance, v0, params, obs, tau, n_steps, scheme=cfg.scheme,
@@ -581,7 +628,7 @@ def run_twin_experiment(
     if (
         setup.consts is not None
         and params.beta > 0.0
-        and norm_V(v0) <= setup.consts.M1 * (1.0 + BOUND_RTOL)
+        and norms0[1] <= setup.consts.M1 * (1.0 + BOUND_RTOL)
     ):
         bound = 6.0 * setup.consts.M1
         report.values["sup_norm_V"] = sup_v
@@ -629,15 +676,18 @@ def run_contraction_test(
         setup.grid, setup.rng,
         norm_v=cfg.perturbation * _m1_scale(setup), cutoff=params.cutoff,
     )
-    a = SchemeState(0, tau, v0)
-    b = SchemeState(0, tau, project_low(v0 + bump, params.cutoff))
+    gal = _galerkin(params)
+    a = SchemeState(0, tau, v0, x=gal._pack_field(v0), packing=gal)
+    b_v0 = project_low(v0 + bump, params.cutoff)
+    b = SchemeState(0, tau, b_v0, x=gal._pack_field(b_v0), packing=gal)
 
-    eps0_h, eps0_v = norm_H(a.v - b.v), norm_V(a.v - b.v)
+    eps0_h, eps0_v, _ = gal.norms(a.x - b.x)
     env_h2 = contraction_envelope(eps0_h**2, params, tau, n_steps)
     env_v2 = contraction_envelope(eps0_v**2, params, tau, n_steps)
 
     rec = SeriesRecorder()
-    rec.add(0, 0.0, a.v, eps0_h, eps0_v, math.sqrt(env_h2[0]), math.sqrt(env_v2[0]))
+    rec.add(0, 0.0, gal.norms(a.x), eps0_h, eps0_v,
+            math.sqrt(env_h2[0]), math.sqrt(env_v2[0]))
     step_fn = _scheme_step(cfg.scheme)
     max_ratio_h = 0.0
     max_ratio_v = 0.0
@@ -648,14 +698,14 @@ def run_contraction_test(
         for k in range(1, n_steps + 1):
             a = step_fn(a, params, obs)
             b = step_fn(b, params, obs)
-            diff = a.v - b.v
-            eh, ev = norm_H(diff), norm_V(diff)
+            eh, ev, _ = gal.norms(a.x - b.x)
             if env_h2[k] > 0.0:
                 max_ratio_h = max(max_ratio_h, eh * eh / env_h2[k])
             if env_v2[k] > 0.0:
                 max_ratio_v = max(max_ratio_v, ev * ev / env_v2[k])
             exact_zero = exact_zero and eh == 0.0 and ev == 0.0
-            rec.add(k, a.t, a.v, eh, ev, math.sqrt(env_h2[k]), math.sqrt(env_v2[k]))
+            rec.add(k, a.t, gal.norms(a.x), eh, ev,
+                    math.sqrt(env_h2[k]), math.sqrt(env_v2[k]))
         return True
 
     finished = _integrate(report, out, march)
@@ -739,11 +789,16 @@ def run_stability_soak(
         return _stop(report, out)
     obs = truth.observations(setup.spec)
     v0 = project_low(build_ic(setup, truth), params.cutoff)
-    if norm_V(v0) > consts.M1 * (1.0 + BOUND_RTOL):
+    gal = _galerkin(params)
+    x0 = gal._pack_field(v0)
+    norms0 = gal.norms(x0)
+    if norms0[1] > consts.M1 * (1.0 + BOUND_RTOL):
         raise ValueError(
-            f"soak initial data must lie in B_V(M1): ||v0|| = {norm_V(v0):.4g} "
+            f"soak initial data must lie in B_V(M1): ||v0|| = {norms0[1]:.4g} "
             f"> M1 = {consts.M1:.4g}"
         )
+    errors = truth.error_norms(gal)
+    e0_h, e0_v, _ = errors(x0, 0.0)
 
     m1 = consts.M1
     lam1 = params.grid.lambda1
@@ -754,16 +809,15 @@ def run_stability_soak(
 
     for tau in taus:
         label = f"tau={tau:g}"
-        h2_env = stability_bound_h2(params, consts, norm_H(v0) ** 2, tau, n_steps)
-        v2_env = stability_bound_v2(params, consts, norm_V(v0) ** 2, tau, n_steps)
+        h2_env = stability_bound_h2(params, consts, norms0[0] ** 2, tau, n_steps)
+        v2_env = stability_bound_v2(params, consts, norms0[1] ** 2, tau, n_steps)
         energy_lhs_factor = 1.0 + tau * (0.5 * beta + nu * lam1)
         energy_gain = 6.0 * tau * (f2 / beta + beta * consts.M0**2 + nu * m1**2)
         first_violation: dict[str, str] = {}
         max_ratio: dict[str, float] = {name: 0.0 for name in _SOAK_BOUNDS}
         rec = SeriesRecorder()
-        u0 = truth.field_at(0.0)
-        rec.add(0, 0.0, v0, norm_H(v0 - u0), norm_V(v0 - u0),
-                math.sqrt(h2_env[0]), math.sqrt(v2_env[0]))
+        rec.add(0, 0.0, norms0, e0_h, e0_v, math.sqrt(h2_env[0]), math.sqrt(v2_env[0]))
+        last = norms0  # norms of the previous iterate
 
         def track(name: str, lhs: float, rhs: float, state: SchemeState) -> None:
             if rhs > 0.0:
@@ -779,10 +833,10 @@ def run_stability_soak(
                 )
 
         def on_step(prev: SchemeState, new: SchemeState) -> None:
-            h_prev = norm_H(prev.v)
-            v_prev = norm_V(prev.v)
-            h_new = norm_H(new.v)
-            v_new = norm_V(new.v)
+            nonlocal last
+            h_prev, v_prev, _ = last
+            norms = last = gal.norms(new.x)
+            h_new, v_new, _ = norms
             track("sup_V", v_new, v_cap, new)
             track("sup_H", h_new, h_cap, new)
             track("envelope_H2", h_new**2, float(h2_env[new.k]), new)
@@ -792,9 +846,8 @@ def run_stability_soak(
             if cfg.scheme == SEMI_IMPLICIT:
                 track("stepwise_energy", energy_lhs_factor * h_new**2,
                       h_prev**2 + energy_gain, new)
-            u_t = truth.field_at(new.t)
-            diff = new.v - u_t
-            rec.add(new.k, new.t, new.v, norm_H(diff), norm_V(diff),
+            eh, ev, _ = errors(new.x, new.t)
+            rec.add(new.k, new.t, norms, eh, ev,
                     math.sqrt(h2_env[new.k]), math.sqrt(v2_env[new.k]))
 
         finished = _integrate(
@@ -887,21 +940,24 @@ def run_tau_sweep(
     )
     if ref_2dt is None:
         return _stop(report, out)
+    gal = _galerkin(params)
     ref_gap_h = max(
-        norm_H(a - b) for a, b in zip(ref.fields[::2], ref_2dt.fields)
+        gal.norms(a - b)[0] for a, b in zip(ref.frames[::2], ref_2dt.frames)
     )
     del ref_2dt  # only the gap is kept
+    x0 = gal._pack_field(v0)
+    errors = StoredTruth(ref).error_norms(gal)
 
     sups_h: list[tuple[float, float]] = []
     sups_v: list[tuple[float, float]] = []
     for i, tau in enumerate(sorted(cfg.tau_list, reverse=True)):
         n_steps = _steps_for(cfg.t_end, tau)
         rec = SeriesRecorder()
-        rec.add(0, 0.0, v0, 0.0, 0.0)
+        rec.add(0, 0.0, gal.norms(x0), 0.0, 0.0)
 
         def on_step(prev: SchemeState, new: SchemeState) -> None:
-            diff = new.v - ref.at(new.t)
-            rec.add(new.k, new.t, new.v, norm_H(diff), norm_V(diff))
+            eh, ev, _ = errors(new.x, new.t)
+            rec.add(new.k, new.t, gal.norms(new.x), eh, ev)
 
         finished = _integrate(
             report, out, advance, v0, params, obs, tau, n_steps, scheme=cfg.scheme,

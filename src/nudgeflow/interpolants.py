@@ -87,20 +87,29 @@ def _block_average(samples: np.ndarray, m: int) -> np.ndarray:
 
 
 def _cell_average_matrix(
-    spec: InterpolantSpec, grid: TorusGrid, j: np.ndarray
+    spec: InterpolantSpec,
+    grid: TorusGrid,
+    rows: np.ndarray,
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """Spectral matrix T of the one-dimensional cell average on grid samples.
 
-    T[a, b] is coefficient j[a] of the piecewise-constant function that
-    replaces every h-cell of the grid samples of exp(2 pi i j[b] x / L) by
-    their mean.  The two-dimensional block average is separable, so on a
-    coefficient array C it acts as T C T^T.  Modes couple only when their
-    indices agree mod L/h, so T is diagonal on any set of |j| < L/(2h).
+    T[a, b] is coefficient rows[a] of the piecewise-constant function that
+    replaces every h-cell of the grid samples of exp(2 pi i cols[b] x / L)
+    by their mean (cols defaults to rows).  The two-dimensional block
+    average is separable, so on a coefficient array C over cols it acts as
+    T C T^T, and rows picks the output coefficients.  Modes couple only
+    when their indices agree mod L/h, so T is diagonal on any set of
+    |j| < L/(2h).
     """
+    cols = rows if cols is None else cols
     m = spec.blocks(grid)
     n = grid.n
-    waves = np.exp(2j * np.pi * np.outer(np.arange(n), j) / n)
+    x = np.arange(n)
+    waves = np.exp(2j * np.pi * np.outer(x, cols) / n)
     cells = waves.reshape(m, n // m, -1).mean(axis=1)
+    if cols is not rows:
+        waves = np.exp(2j * np.pi * np.outer(x, rows) / n)
     return waves.conj().T @ np.repeat(cells, n // m, axis=0) / n
 
 

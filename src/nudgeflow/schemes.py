@@ -33,13 +33,23 @@ averages of grid samples are separable, so P_N P_sigma I_h acts on the
 low modes as Leray(T C T^T) with a small precomputed matrix T; its
 diagonal is exact and is what the preconditioner and the ETDRK4 linear
 part use.
+
+The packed vector is also the state the callers see.  A SchemeState
+that a stepper returns carries its vector and packing and builds its
+n x n field only when asked for it; `advance` and the ETDRK4 reference
+store packed frames in their trajectories.  Norms of packed vectors are
+Parseval sums with per-mode weights 2 L^2 {1, |k|^2, |k|^4} (`norms`).
+Observations reach the solver packed (`ObservationStream.packed`): a
+stored truth's frames are observed once each, through a mode mask
+(Fourier truncation) or the low rows of T C T^T (volume averages), and
+interpolated in time with the trajectory's Lagrange weights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -80,9 +90,14 @@ STEP_RESIDUAL_RTOL = 1e-10
 PICARD_MAX_OUTER = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhysicsParams:
-    """Problem data: viscosity, grid, forcing, nudging gain, observations, cutoff."""
+    """Problem data: viscosity, grid, forcing, nudging gain, observations, cutoff.
+
+    Two params are equal, and hash alike, when their values are: the
+    forcing compares by its coefficients, so caches keyed on params hit
+    across runs that rebuild the same problem.
+    """
 
     nu: float
     grid: TorusGrid
@@ -106,20 +121,55 @@ class PhysicsParams:
                 "bilinear term would not be computed exactly"
             )
 
+    @cached_property
+    def _key(self) -> tuple:
+        return (
+            self.nu, self.grid, self.forcing.coeffs.tobytes(), self.beta,
+            self.interpolant, self.cutoff,
+        )
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PhysicsParams):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+
 class SchemeState:
-    """Iterate v^k at time t_k = k * tau, supported in the low-mode space."""
+    """Iterate v^k at time t_k = k * tau, supported in the low-mode space.
 
-    k: int
-    tau: float
-    v: SpectralField
+    A state that a stepper returns carries its packed vector x and the
+    packing x is written in, and builds the field v from them on first
+    access.  SchemeState(k, tau, v) holds the field only (x and packing
+    are None).
+    """
 
-    def __post_init__(self) -> None:
-        if self.tau <= 0.0:
-            raise ValueError(f"time step must be positive, got {self.tau}")
-        if self.k < 0:
-            raise ValueError(f"step index must be nonnegative, got {self.k}")
+    __slots__ = ("k", "tau", "x", "packing", "_v")
+
+    def __init__(
+        self,
+        k: int,
+        tau: float,
+        v: SpectralField | None = None,
+        *,
+        x: np.ndarray | None = None,
+        packing: "_Galerkin | None" = None,
+    ) -> None:
+        if not tau > 0.0:
+            raise ValueError(f"time step must be positive, got {tau}")
+        if k < 0:
+            raise ValueError(f"step index must be nonnegative, got {k}")
+        if v is None and (x is None or packing is None):
+            raise ValueError("a state needs its field or a packed vector and packing")
+        self.k, self.tau, self._v, self.x, self.packing = k, tau, v, x, packing
+
+    @property
+    def v(self) -> SpectralField:
+        if self._v is None:
+            self._v = self.packing._field(self.x)
+        return self._v
 
     @property
     def t(self) -> float:
@@ -127,13 +177,21 @@ class SchemeState:
 
 
 class ObservationStream:
-    """Provider of coarse observations t -> I_h(u(t))."""
+    """Provider of coarse observations t -> P_sigma I_h(u(t)).
+
+    The solver reads them packed, through `packed`; a user-supplied
+    provider is packed from its field at every call.
+    """
 
     def __init__(self, provider: Callable[[float], SpectralField]):
         self._provider = provider
 
     def __call__(self, t: float) -> SpectralField:
         return self._provider(t)
+
+    def packed(self, gal: "_Galerkin", t: float) -> np.ndarray:
+        """P_N P_sigma I_h u(t) in gal's packing."""
+        return gal._pack_field(self(t))
 
     @classmethod
     def from_truth_fn(
@@ -145,12 +203,36 @@ class ObservationStream:
     def from_trajectory(
         cls, traj: Trajectory, spec: InterpolantSpec
     ) -> "ObservationStream":
-        return cls(lambda t: apply_ih(spec, traj.at(t)))
+        return _TrajectoryObservations(traj, spec)
 
     @classmethod
     def steady(cls, u_star: SpectralField, spec: InterpolantSpec) -> "ObservationStream":
         observed = apply_ih(spec, u_star)
         return cls(lambda t: observed)
+
+
+class _TrajectoryObservations(ObservationStream):
+    """Observations of a stored truth, packed once per stored frame.
+
+    For each packing asked for, P_N P_sigma I_h of every stored frame is
+    computed once (`_Galerkin._observe`); lookups interpolate those packed
+    frames with the trajectory's own Lagrange weights, which equals
+    observing the interpolated truth because both maps are linear.
+    """
+
+    def __init__(self, traj: Trajectory, spec: InterpolantSpec):
+        super().__init__(lambda t: apply_ih(spec, traj.at(t)))
+        self._traj, self._spec = traj, spec
+        self._frames: dict[tuple, np.ndarray] = {}
+
+    def packed(self, gal: "_Galerkin", t: float) -> np.ndarray:
+        key = (gal.grid, gal.p.cutoff)
+        frames = self._frames.get(key)
+        if frames is None:
+            if gal.grid != self._traj.grid:
+                raise ValueError("observed trajectory grid differs from params grid")
+            frames = self._frames[key] = gal._observe(self._spec, self._traj.fields)
+        return self._traj.lookup(frames, t)
 
 
 def _product_size(k: int, n: int) -> int:
@@ -199,6 +281,10 @@ class _Galerkin:
         self.modes = (j1, j2)
         shell = j1 * j1 + j2 * j2
         self.k_squared = sgrid.lambda1 * shell
+        # Parseval: |v|^2, ||v||^2 and |A v|^2 are these weights times |a_k|^2
+        self._norm_weights = 2.0 * grid.L**2 * np.stack(
+            (np.ones_like(self.k_squared), self.k_squared, self.k_squared**2)
+        )
         self._e = np.stack((-j2, j1)) / np.sqrt(shell)
         # the mirrors -k of the modes on the j2 = 0 axis also lie in j2 >= 0
         self._axis = np.flatnonzero(j2 == 0)
@@ -244,6 +330,32 @@ class _Galerkin:
         coeffs.reshape(2, -1)[:, self._grid_at] = both * np.tile(self._e, 2)
         return SpectralField._trusted(self.grid, coeffs)
 
+    def holds(self, state: SchemeState) -> bool:
+        """True if state's packed vector is written in this packing."""
+        pk = state.packing
+        return pk is self or (
+            pk is not None and pk.grid == self.grid and pk.p.cutoff == self.p.cutoff
+        )
+
+    def _index_of(self, modes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Positions in this packing of the modes (j1, j2) of another one."""
+        j1, j2 = self.modes
+        n = self.sgrid.n
+        table = np.full((n, n), -1)
+        table[j1 % n, j2 % n] = np.arange(j1.size)
+        at = table[modes[0] % n, modes[1] % n]
+        if np.any(at < 0) or np.any(j1[at] != modes[0]) or np.any(j2[at] != modes[1]):
+            raise ValueError("modes lie outside this packing")
+        return at
+
+    def norms(self, vec: np.ndarray, tail: np.ndarray | float = 0.0) -> list[float]:
+        """[|v|, ||v||, |A v|] of a packed vector, by Parseval.
+
+        tail adds the squared norms of a part of the field outside the
+        packing, orthogonal to it.
+        """
+        return np.sqrt(self._norm_weights @ (vec.real**2 + vec.imag**2) + tail).tolist()
+
     def _half(self, vec: np.ndarray) -> np.ndarray:
         """Product-grid half spectrum j2 >= 0 of a packed velocity."""
         half = np.zeros(self._half_shape, dtype=np.complex128)
@@ -271,11 +383,30 @@ class _Galerkin:
         averaged = t @ half @ plus + t_flip @ half.conj() @ minus
         return self.p.beta * self._project(averaged)
 
-    def _observed(self, obs_field: SpectralField | None) -> np.ndarray:
-        """Packed beta P_N (P_sigma I_h u), the data the nudging term feeds in."""
-        if obs_field is None:
+    def _observe(self, spec: InterpolantSpec, fields: list[SpectralField]) -> np.ndarray:
+        """Packed P_N P_sigma I_h f of each params-grid field, shape (len, modes).
+
+        Fourier truncation keeps the packed amplitudes of the observed
+        shells.  Volume averages take only the low rows of T C T^T, T the
+        cell-average matrix from the grid's wavenumbers to |j| <= K.
+        """
+        j1, j2 = self.modes
+        if spec.kind == "fourier_truncation":
+            keep = j1 * j1 + j2 * j2 <= spec.cutoff().shell_limit(self.sgrid)
+            return np.array([np.where(keep, self._pack_field(f), 0.0) for f in fields])
+        k = int(max(np.max(np.abs(j1)), np.max(j2)))
+        t = _cell_average_matrix(spec, self.grid, np.arange(-k, k + 1), self.grid._j)
+        out = np.empty((len(fields), j1.size), dtype=np.complex128)
+        for i, f in enumerate(fields):
+            c = (t @ f.coeffs @ t.T)[:, j1 + k, j2 + k]
+            out[i] = self._e[0] * c[0] + self._e[1] * c[1]
+        return out
+
+    def _observed(self, obs: ObservationStream | None, t: float) -> np.ndarray:
+        """Packed beta P_N (P_sigma I_h u(t)), the data the nudging term feeds in."""
+        if obs is None:
             raise ValueError("beta > 0 requires an observation stream")
-        return self.p.beta * self._pack_field(obs_field)
+        return self.p.beta * obs.packed(self, t)
 
     def _explicit(self, vec: np.ndarray, data: np.ndarray | float) -> np.ndarray:
         """Packed ETDRK4 explicit part of the Galerkin field at v.
@@ -353,8 +484,8 @@ class _Stepper(_Galerkin):
         state: SchemeState,
         obs: ObservationStream | None,
         guess: np.ndarray | None = None,
-    ) -> tuple[SchemeState, np.ndarray]:
-        """The next iterate and its packed vector.
+    ) -> SchemeState:
+        """The next iterate, packed in this stepper.
 
         guess, a packed vector, starts the solve (x_k if None); the
         iterate does not depend on it beyond the step tolerance.  A
@@ -371,12 +502,11 @@ class _Stepper(_Galerkin):
         state: SchemeState,
         obs: ObservationStream | None,
         guess: np.ndarray | None,
-    ) -> tuple[SchemeState, np.ndarray]:
-        x = self._pack_field(state.v)
+    ) -> SchemeState:
+        x = state.x if self.holds(state) else self._pack_field(state.v)
         b = x / self.tau + self.f_low
         if self.p.beta > 0.0:
-            t_next = (state.k + 1) * self.tau
-            b += self._observed(obs(t_next) if obs is not None else None)
+            b += self._observed(obs, (state.k + 1) * self.tau)
         bnorm = float(np.linalg.norm(b))
         if not np.isfinite(bnorm):
             # the state, the forcing or the observation is not finite
@@ -386,7 +516,7 @@ class _Stepper(_Galerkin):
         if self.scheme == SEMI_IMPLICIT:
             # the step residual is GMRES's final true residual of this iterate
             x = self._solve(self._physical(x), b, guess)
-            return SchemeState(state.k + 1, self.tau, self._field(x)), x
+            return SchemeState(state.k + 1, self.tau, x=x, packing=self)
         # Fully implicit: Picard with frozen first bilinear argument, from the
         # guess.  Each residual r is the next solve's initial GMRES residual.
         trace: list[float] = []
@@ -398,12 +528,17 @@ class _Stepper(_Galerkin):
             r = b - self._apply_linear(x, u_phys)
             trace.append(float(np.linalg.norm(r)) / bnorm if bnorm > 0 else 0.0)
             if trace[-1] <= STEP_RESIDUAL_RTOL:
-                return SchemeState(state.k + 1, self.tau, self._field(x)), x
+                return SchemeState(state.k + 1, self.tau, x=x, packing=self)
         raise SolverError(
             "Picard iteration did not reach the nonlinear residual tolerance "
             f"{STEP_RESIDUAL_RTOL:.0e} in {PICARD_MAX_OUTER} iterations; "
             f"trace={['%.3e' % r for r in trace[-8:]]} (consider a smaller tau)"
         )
+
+
+@lru_cache(maxsize=64)
+def _galerkin(p: PhysicsParams) -> _Galerkin:
+    return _Galerkin(p)
 
 
 @lru_cache(maxsize=64)
@@ -418,20 +553,27 @@ def _require_low_supported(state: SchemeState, p: PhysicsParams) -> None:
         raise ValueError("state iterate has energy outside the Galerkin cutoff")
 
 
+def _one_step(
+    state: SchemeState, p: PhysicsParams, obs: ObservationStream | None, scheme: str
+) -> SchemeState:
+    stepper = _stepper(p, state.tau, scheme)
+    if not stepper.holds(state):
+        _require_low_supported(state, p)
+    return stepper.step(state, obs)
+
+
 def semi_implicit_step(
     state: SchemeState, p: PhysicsParams, obs: ObservationStream | None
 ) -> SchemeState:
     """One semi-implicit Euler step (bilinear term frozen at v^k)."""
-    _require_low_supported(state, p)
-    return _stepper(p, state.tau, SEMI_IMPLICIT).step(state, obs)[0]
+    return _one_step(state, p, obs, SEMI_IMPLICIT)
 
 
 def fully_implicit_step(
     state: SchemeState, p: PhysicsParams, obs: ObservationStream | None
 ) -> SchemeState:
     """One fully implicit Euler step (Picard outer iteration)."""
-    _require_low_supported(state, p)
-    return _stepper(p, state.tau, FULLY_IMPLICIT).step(state, obs)[0]
+    return _one_step(state, p, obs, FULLY_IMPLICIT)
 
 
 def advance(
@@ -449,29 +591,32 @@ def advance(
 
     Each solve starts from the per-mode damped extrapolation of v^k and
     v^(k-1) (v^0 for the first step; see the module docstring).
-    on_step(prev, new) fires after every accepted step; store_every = m
-    records v^0 and every m-th iterate (plus the final one) into the
+    on_step(prev, new) fires after every accepted step with packed states,
+    whose fields are built only if asked for; store_every = m records the
+    packed v^0 and every m-th iterate (plus the final one) into the
     returned trajectory.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     stepper = _stepper(p, float(tau), scheme)
-    state = SchemeState(0, float(tau), project_low(v0, p.cutoff))
+    v = project_low(v0, p.cutoff)
+    state = SchemeState(0, float(tau), v, x=stepper._pack_field(v), packing=stepper)
     traj: Trajectory | None = None
     if store_every is not None:
         if store_every < 1:
             raise ValueError(f"store_every must be >= 1, got {store_every}")
-        traj = Trajectory(p.grid)
-        traj.append(0, 0.0, state.v)
-    x_prev, x = None, stepper._pack_field(state.v)
+        traj = Trajectory(p.grid, stepper)
+        traj.append(0, 0.0, state.x)
+    x_prev = None
     for _ in range(n_steps):
+        x = state.x
         guess = x if x_prev is None else x + stepper._predictor_weight * (x - x_prev)
-        new, x_new = stepper.step(state, obs, guess)
-        x_prev, x = x, x_new
+        new = stepper.step(state, obs, guess)
+        x_prev = x
         if on_step is not None:
             on_step(state, new)
         if traj is not None and (new.k % store_every == 0 or new.k == n_steps):
-            traj.append(new.k, new.t, new.v)
+            traj.append(new.k, new.t, new.x)
         state = new
     return state, traj
 
@@ -531,20 +676,19 @@ def reference_galerkin_integrate(
     n_steps = _steps_for(t_end, dt)
     if p.beta > 0.0 and obs is None:
         raise ValueError("beta > 0 requires an observation stream")
-    gal = _Galerkin(p)
+    gal = _galerkin(p)
     h = float(dt)
     e, e2, q, f1, f2, f3 = _etdrk4_weights(
         -h * (p.nu * gal.k_squared + gal.obs_diag), h
     )
 
     def observed(t: float) -> np.ndarray | float:
-        return gal._observed(obs(t)) if p.beta > 0.0 else 0.0
+        return gal._observed(obs, t) if p.beta > 0.0 else 0.0
 
-    v = project_low(v0, p.cutoff)
-    x = gal._pack_field(v)
+    x = gal._pack_field(project_low(v0, p.cutoff))
     _require_finite(x, "initial state")
-    traj = Trajectory(p.grid)
-    traj.append(0, 0.0, v)
+    traj = Trajectory(p.grid, gal)
+    traj.append(0, 0.0, x)
     data0 = observed(0.0)
     for k in range(n_steps):
         data_half = observed((k + 0.5) * h)
@@ -556,11 +700,12 @@ def reference_galerkin_integrate(
         nb = gal._explicit(b, data_half)
         c = e2 * a + q * (2.0 * nb - nx)
         nc = gal._explicit(c, data1)
-        x = e * x + f1 * nx + 2.0 * f2 * (na + nb) + f3 * nc
-        if not np.all(np.isfinite(x)):
-            last = SchemeState(k, h, traj.fields[-1])
+        x_next = e * x + f1 * nx + 2.0 * f2 * (na + nb) + f3 * nc
+        if not np.all(np.isfinite(x_next)):
+            last = SchemeState(k, h, x=x, packing=gal)
             raise SolverError("non-finite iterate", state=last, cutoff=p.cutoff)
-        traj.append(k + 1, (k + 1) * h, gal._field(x))
+        x = x_next
+        traj.append(k + 1, (k + 1) * h, x)
         data0 = data1
     return traj
 

@@ -4,13 +4,15 @@ Snapshot layout (little-endian): header = magic "NNSF", version u32,
 L f64, n u32, lambda_cut f64; body = the (2, n, n) complex128
 coefficient array, component-major, each component row-major.
 
-A trajectory is a directory of snapshots named by step index plus an
-index CSV with columns step,time,file.
+A trajectory holds time-ordered frames in memory: fields, or the packed
+Galerkin vectors that the solver marches (see `schemes`), from which it
+builds a field only on request.  `Trajectory.lookup` interpolates between
+stored times with 4-point Lagrange weights, for the frames themselves and
+for per-frame data derived linearly from them (packed observations).
 """
 
 from __future__ import annotations
 
-import csv
 import os
 import struct
 import tempfile
@@ -27,8 +29,6 @@ __all__ = [
     "save_snapshot",
     "load_snapshot",
     "Trajectory",
-    "save_trajectory",
-    "load_trajectory",
     "atomic_write_bytes",
     "atomic_write_text",
 ]
@@ -36,7 +36,6 @@ __all__ = [
 SNAPSHOT_MAGIC = b"NNSF"
 SNAPSHOT_VERSION = 1
 _HEADER = struct.Struct("<4sIdId")
-INDEX_NAME = "index.csv"
 # Float format guaranteeing exact double round-trip in text outputs.
 FLOAT_FMT = "%.17g"
 
@@ -97,28 +96,55 @@ def load_snapshot(path: str) -> tuple[SpectralField, GalerkinCutoff]:
     return field, GalerkinCutoff(lam)
 
 
-class Trajectory:
-    """Time-ordered snapshots with exact lookup plus cubic time interpolation.
+def _lagrange_weights(times: np.ndarray, t: float) -> tuple[int, list[float]]:
+    """First index and weights of the 4-point Lagrange stencil at time t.
 
-    Queries at stored times return the stored field; between samples a
-    4-point Lagrange polynomial in time is used (linear combinations
-    preserve the field invariants exactly).  interpolated_queries counts
-    how often interpolation fired so callers can report it.
+    The stencil is the (at most) four stored times around t, shifted
+    inward at the ends of the range.
+    """
+    width = min(4, len(times))
+    i = int(np.searchsorted(times, t, side="right")) - 1
+    lo = int(np.clip(i - (width - 1) // 2, 0, len(times) - width))
+    xs = times[lo : lo + width]
+    weights = []
+    for m in range(width):
+        w = 1.0
+        for l in range(width):
+            if l != m:
+                w *= (t - xs[l]) / (xs[m] - xs[l])
+        weights.append(w)
+    return lo, weights
+
+
+class Trajectory:
+    """Time-ordered frames with exact lookup plus cubic time interpolation.
+
+    A plain trajectory stores fields.  A packed trajectory stores one packed
+    vector per frame together with its packing (an object whose
+    `_field(vec)` builds the field), and builds a field only when one is
+    asked for: `at`, `fields`.  Queries at stored times return the stored
+    frame; between samples a 4-point Lagrange polynomial in time is used
+    (linear combinations preserve the field invariants exactly).
+    exact_queries and interpolated_queries count the lookups of each kind
+    so callers can report them.
     """
 
     _EXACT_RTOL = 1e-9
 
-    def __init__(self, grid: TorusGrid) -> None:
+    def __init__(self, grid: TorusGrid, packing=None) -> None:
         self.grid = grid
+        self.packing = packing
         self.steps: list[int] = []
         self._times: list[float] = []
-        self.fields: list[SpectralField] = []
+        # fields (plain) or packed vectors (packed)
+        self.frames: list = []
         self.interpolated_queries = 0
         self.exact_queries = 0
         self._times_arr: np.ndarray | None = None
 
-    def append(self, step: int, t: float, field: SpectralField) -> None:
-        if field.grid != self.grid:
+    def append(self, step: int, t: float, frame) -> None:
+        """Store a field, or a packed vector in a packed trajectory."""
+        if self.packing is None and frame.grid != self.grid:
             raise ValueError("snapshot grid differs from trajectory grid")
         if self._times and t <= self._times[-1]:
             raise ValueError(
@@ -126,7 +152,7 @@ class Trajectory:
             )
         self.steps.append(int(step))
         self._times.append(float(t))
-        self.fields.append(field)
+        self.frames.append(frame)
         self._times_arr = None
 
     @property
@@ -142,25 +168,27 @@ class Trajectory:
     def t_end(self) -> float:
         return self._times[-1]
 
-    def _exact_index(self, t: float) -> int | None:
+    @property
+    def fields(self) -> list[SpectralField]:
+        """The stored frames as fields (built anew for a packed trajectory)."""
+        if self.packing is None:
+            return list(self.frames)
+        return [self.packing._field(vec) for vec in self.frames]
+
+    def stencil(self, t: float) -> tuple[int, list[float] | None]:
+        """Frame index and Lagrange weights for time t (weights None: exact).
+
+        Counts the query as exact or interpolated.
+        """
+        if not self._times:
+            raise ValueError("empty trajectory")
         times = self.times
         i = int(np.searchsorted(times, t))
         tol = self._EXACT_RTOL * (1.0 + abs(t))
         for j in (i - 1, i):
             if 0 <= j < len(times) and abs(times[j] - t) <= tol:
-                return j
-        return None
-
-    def at(self, t: float) -> SpectralField:
-        """Field at time t: stored snapshot if t matches, else interpolated."""
-        if not self._times:
-            raise ValueError("empty trajectory")
-        j = self._exact_index(t)
-        if j is not None:
-            self.exact_queries += 1
-            return self.fields[j]
-        times = self.times
-        tol = self._EXACT_RTOL * (1.0 + abs(t))
+                self.exact_queries += 1
+                return j, None
         if t < times[0] - tol or t > times[-1] + tol:
             raise ValueError(
                 f"time {t} outside stored range [{times[0]}, {times[-1]}]"
@@ -168,62 +196,30 @@ class Trajectory:
         if len(times) < 2:
             raise ValueError("cannot interpolate a single-snapshot trajectory")
         self.interpolated_queries += 1
-        width = min(4, len(times))
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        lo = int(np.clip(i - (width - 1) // 2, 0, len(times) - width))
-        xs = times[lo : lo + width]
-        out = None
-        for m in range(width):
-            w = 1.0
-            for l in range(width):
-                if l != m:
-                    w *= (t - xs[l]) / (xs[m] - xs[l])
-            term = self.fields[lo + m] * w
-            out = term if out is None else out + term
+        return _lagrange_weights(times, t)
+
+    def lookup(self, frames, t: float):
+        """The entry of `frames` (one per stored time) at time t.
+
+        frames may be the stored frames or any data derived linearly from
+        them; between stored times the entries are interpolated.
+        """
+        lo, weights = self.stencil(t)
+        if weights is None:
+            return frames[lo]
+        out = frames[lo] * weights[0]
+        for m in range(1, len(weights)):
+            out = out + frames[lo + m] * weights[m]
         return out
 
+    def frame_at(self, t: float):
+        """Stored frame at time t if t matches, else interpolated."""
+        return self.lookup(self.frames, t)
 
-def _snapshot_name(step: int) -> str:
-    return f"step_{step:08d}.nnsf"
-
-
-def save_trajectory(
-    traj: Trajectory, directory: str, cutoff: GalerkinCutoff | None = None
-) -> None:
-    """Write all snapshots plus the index CSV (index written last)."""
-    os.makedirs(directory, exist_ok=True)
-    rows = []
-    for step, t, field in zip(traj.steps, traj.times, traj.fields):
-        name = _snapshot_name(step)
-        save_snapshot(os.path.join(directory, name), field, cutoff)
-        rows.append((step, t, name))
-    lines = ["step,time,file"]
-    for step, t, name in rows:
-        lines.append(f"{step},{FLOAT_FMT % t},{name}")
-    atomic_write_text(os.path.join(directory, INDEX_NAME), "\n".join(lines) + "\n")
-
-
-def load_trajectory(directory: str) -> tuple[Trajectory, GalerkinCutoff]:
-    index_path = os.path.join(directory, INDEX_NAME)
-    with open(index_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["step", "time", "file"]:
-            raise SnapshotFormatError(
-                f"{index_path}: expected header step,time,file, got {reader.fieldnames}"
-            )
-        rows = [(int(r["step"]), float(r["time"]), r["file"]) for r in reader]
-    if not rows:
-        raise SnapshotFormatError(f"{index_path}: empty trajectory index")
-    traj: Trajectory | None = None
-    cut: GalerkinCutoff | None = None
-    for step, t, name in rows:
-        field, c = load_snapshot(os.path.join(directory, name))
-        if traj is None:
-            traj = Trajectory(field.grid)
-            cut = c
-        traj.append(step, t, field)
-    assert traj is not None and cut is not None
-    return traj, cut
+    def at(self, t: float) -> SpectralField:
+        """Field at time t: stored snapshot if t matches, else interpolated."""
+        frame = self.frame_at(t)
+        return frame if self.packing is None else self.packing._field(frame)
 
 
 def series_to_csv(header: Iterable[str], rows: Iterable[Iterable[float]]) -> str:

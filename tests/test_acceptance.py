@@ -223,7 +223,7 @@ def test_criterion_04_stability_soaks(tmp_path):
         worst[scheme] = max(
             v for k, v in rep.values.items() if k.endswith("max_ratio")
         )
-    dt = _elapsed(t0, 600.0, 4)
+    dt = _elapsed(t0, 200.0, 4)
     ok = all(w <= 1.0 for w in worst.values())
     _verdict(4, "10^4-step soaks hold every a-priori bound", ok,
              "worst bound ratio "

@@ -18,17 +18,14 @@ from nudgeflow.analysis import (
     contraction_envelope,
     convergence_order,
     decay_rate_fit,
-    error_series,
     gronwall_envelope,
-    gronwall_envelope_closed,
     stability_bound_h2,
     stability_bound_v2,
 )
-from nudgeflow.fields import GalerkinCutoff, TorusGrid, norm_H, random_field
+from nudgeflow.fields import GalerkinCutoff, TorusGrid
 from nudgeflow.interpolants import InterpolantSpec
 from nudgeflow.operators import kolmogorov_forcing
 from nudgeflow.schemes import PhysicsParams
-from nudgeflow.storage import Trajectory
 
 TWO_PI = 2.0 * np.pi
 AMP_F5 = 1.1253953951963827  # amplitude giving |f| = 5 on L = 2 pi
@@ -164,14 +161,6 @@ def test_gronwall_envelope_dominates_recurrence(rng):
             assert a <= env[k + 1] * (1.0 + 1e-12) + 1e-15
 
 
-def test_gronwall_closed_form_dominates_iterative():
-    env = gronwall_envelope(2.0, 0.3, 0.7, 50)
-    closed = gronwall_envelope_closed(2.0, 0.3, 0.7, 50)
-    assert closed >= env[-1] * (1.0 - 1e-14)
-    with pytest.raises(ValueError):
-        gronwall_envelope_closed(1.0, 0.0, 0.1, 10)
-
-
 def test_contraction_envelope_values(params16):
     from dataclasses import replace
 
@@ -205,42 +194,6 @@ def test_stability_bounds_survive_long_horizons(params16):
     consts = bound_constants(params16)
     vals = stability_bound_h2(params16, consts, 1e8, 0.1, np.array([100000]))
     assert np.isfinite(vals[0])
-
-
-def _linear_trajectory(grid, f0, times, slope=1.0):
-    traj = Trajectory(grid)
-    for i, t in enumerate(times):
-        traj.append(i, float(t), f0 * (1.0 + slope * t))
-    return traj
-
-
-def test_error_series_against_interpolated_reference(rng, grid16):
-    f0 = random_field(grid16, rng, norm_h=1.0)
-    dense = _linear_trajectory(grid16, f0, np.linspace(0.0, 1.0, 11))
-    coarse = Trajectory(grid16)
-    for i, t in enumerate((0.0, 0.35, 0.7)):
-        coarse.append(i, t, f0 * (1.0 + t) * 1.01)
-    series = error_series(coarse, dense, norm="H")
-    assert series.interpolated  # t = 0.35 falls between stored samples
-    expected = [0.01 * (1.0 + t) * norm_H(f0) for t in (0.0, 0.35, 0.7)]
-    assert series.values == pytest.approx(expected, rel=1e-10)
-    assert series.norm == "H"
-
-
-def test_error_series_skips_uncovered_times(rng, grid16):
-    f0 = random_field(grid16, rng, norm_h=1.0)
-    dense = _linear_trajectory(grid16, f0, np.linspace(0.0, 1.0, 11))
-    wide = Trajectory(grid16)
-    for i, t in enumerate((0.5, 2.0)):
-        wide.append(i, t, f0)
-    series = error_series(wide, dense)
-    assert len(series) == 1 and series.times[0] == pytest.approx(0.5)
-    beyond = Trajectory(grid16)
-    beyond.append(0, 5.0, f0)
-    with pytest.raises(ValueError, match="overlapping"):
-        error_series(beyond, dense)
-    with pytest.raises(ValueError, match="norm"):
-        error_series(wide, dense, norm="X")
 
 
 def test_error_series_tail_helpers():

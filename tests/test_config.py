@@ -162,3 +162,30 @@ def test_float_list_keys():
 def test_float_precision_survives_round_trip(nu, tau, beta):
     cfg = default_config(nu=nu, tau=tau, beta=beta)
     assert parse_config_text(render_config(cfg)) == cfg
+
+
+# Float keys that ran (or failed late with exit 1) when NaN or infinite.
+NON_FINITE = [
+    ("physics", "beta", "nan"),
+    ("physics", "beta", "inf"),
+    ("experiment", "ic_amplitude", "nan"),
+    ("experiment", "min_decay_orders", "nan"),
+    ("physics", "nu", "-inf"),
+    ("sweep", "lambda_cut_list", "6.0, inf, 40.0"),
+]
+
+
+@pytest.mark.parametrize("section, key, value", NON_FINITE)
+def test_non_finite_values_rejected_by_load_config(tmp_path, section, key, value):
+    path = tmp_path / "run.cfg"
+    text = MINIMAL.replace("nu = 0.1\n", "") if key == "nu" else MINIMAL
+    path.write_text(text + f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("section, key, value", NON_FINITE)
+def test_non_finite_values_rejected_by_default_config(section, key, value):
+    parsed = tuple(float(x) for x in value.split(","))
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        default_config(**{key: parsed if len(parsed) > 1 else parsed[0]})

@@ -23,6 +23,8 @@ from nudgeflow.experiments import (
     _reference_step,
     build_forcing,
     build_grid,
+    build_interpolant,
+    build_params,
     render_report,
     run_contraction_test,
     run_n_sweep,
@@ -32,7 +34,7 @@ from nudgeflow.experiments import (
     run_twin_experiment,
     write_report,
 )
-from nudgeflow.fields import SpectralField, is_low_supported, norm_H
+from nudgeflow.fields import SpectralField, is_low_supported, norm_DA, norm_H, norm_V
 from nudgeflow.krylov import SolveResult
 from nudgeflow.storage import load_snapshot
 
@@ -111,8 +113,9 @@ def test_series_recorder_columns_and_csv(tmp_path, grid8, rng):
 
     rec = SeriesRecorder()
     v = random_field(grid8, rng, norm_h=2.0)
-    rec.add(0, 0.0, v)
-    rec.add(1, 0.25, v, err_h=0.5, env_h=1.5)
+    norms = (norm_H(v), norm_V(v), norm_DA(v))
+    rec.add(0, 0.0, norms)
+    rec.add(1, 0.25, norms, err_h=0.5, env_h=1.5)
     assert rec.column("step").tolist() == [0.0, 1.0]
     assert rec.column("err_H").tolist() == [0.0, 0.5]
     assert math.isclose(rec.column("norm_H")[0], 2.0, rel_tol=1e-12)
@@ -387,6 +390,24 @@ def test_cli_inadmissible_time_step_exits_2(tmp_path, capsys, command, key, valu
     assert err.startswith("error:") and key in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("beta", "nan"), ("beta", "inf"), ("ic_amplitude", "nan"),
+     ("min_decay_orders", "nan")],
+)
+def test_cli_non_finite_value_exits_2(tmp_path, capsys, key, value):
+    # each of these ran to exit 1 (a beta = 0 control, a solver FAIL, or a
+    # decay check against "required nan") instead of being rejected
+    cfg_path = tmp_path / "run.cfg"
+    text = render_config(tiny_twin_config(truth="nse_integrate"))
+    line = next(ln for ln in text.splitlines() if ln.startswith(f"{key} = "))
+    cfg_path.write_text(text.replace(line, f"{key} = {value}"))
+    rc = cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "twin"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} must be finite" in err
+
+
 def test_cli_failed_check_exits_1(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     write_config(tiny_twin_config(t_end=0.3, min_decay_orders=50.0), str(cfg_path))
@@ -432,7 +453,8 @@ def test_runners_report_a_solver_stall_as_failed_check(
     runner, overrides, partial, tmp_path, monkeypatch
 ):
     monkeypatch.setattr(schemes, "gmres", _stalled_gmres)
-    report = runner(tiny_twin_config(**overrides), str(tmp_path))
+    cfg = tiny_twin_config(**overrides)
+    report = runner(cfg, str(tmp_path))
     solver = [c for c in report.checks if c.name == "solver"]
     # the first step stalls, so the last accepted state is the initial one
     dump = f"{report.name}_solver_state.nnsf"
@@ -452,7 +474,13 @@ def test_runners_report_a_solver_stall_as_failed_check(
         assert 1 <= len(rows) <= 2
         if len(rows) == 2 and rows[0].split(",") == list(SERIES_HEADER):
             recorded = float(rows[1].split(",")[SERIES_HEADER.index("norm_H")])
-            assert recorded == norm_H(state)
+            # series norms are Parseval sums over the packed amplitudes
+            grid = build_grid(cfg)
+            params = build_params(
+                cfg, grid, build_forcing(cfg, grid), build_interpolant(cfg)
+            )
+            gal = schemes._galerkin(params)
+            assert recorded == gal.norms(gal._pack_field(state))[0]
 
 
 def test_non_finite_iterate_is_a_failed_solver_check(tmp_path, monkeypatch):
@@ -481,3 +509,65 @@ def test_cli_solver_stall_exits_1_with_report(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "out" / "twin_solver_state.nnsf").exists()
     assert (tmp_path / "out" / "twin_report.txt").exists()
     assert (tmp_path / "out" / "twin_series.csv").exists()
+
+
+def _series_row(path, step):
+    rows = path.read_text().splitlines()
+    row = next(r for r in rows[1:] if r.split(",")[0] == str(step))
+    return dict(zip(SERIES_HEADER, (float(x) for x in row.split(","))))
+
+
+def test_solver_stall_mid_run_snapshots_the_last_packed_state(tmp_path, monkeypatch):
+    # the last accepted state is a packed stepper state whose field is built
+    # only for the snapshot; it is the iterate the series recorded
+    real_gmres = schemes.gmres
+    calls = []
+
+    def stalls_at_fourth_solve(apply_op, b, **kwargs):
+        calls.append(1)
+        if len(calls) == 4:
+            return _stalled_gmres(apply_op, b, **kwargs)
+        return real_gmres(apply_op, b, **kwargs)
+
+    monkeypatch.setattr(schemes, "gmres", stalls_at_fourth_solve)
+    cfg = tiny_twin_config()
+    report = run_twin_experiment(cfg, str(tmp_path))
+    [solver] = [c for c in report.checks if c.name == "solver"]
+    assert solver.detail.endswith("last accepted state (step 3) in twin_solver_state.nnsf")
+    state, cutoff = load_snapshot(str(tmp_path / "twin_solver_state.nnsf"))
+    assert state.grid.n == cfg.grid_n and is_low_supported(state, cutoff)
+    row = _series_row(tmp_path / "twin_series.csv", 3)
+    for name, fn in (("norm_H", norm_H), ("norm_V", norm_V), ("norm_DA", norm_DA)):
+        assert fn(state) == pytest.approx(row[name], rel=1e-13)
+
+
+def test_soak_violation_snapshots_the_offending_iterate(tmp_path, monkeypatch):
+    from nudgeflow import experiments
+    from nudgeflow.fields import GalerkinCutoff
+
+    def vanishing_envelope(p, consts, v0_h2, tau, steps):
+        return np.full(steps + 1, 1e-30)
+
+    monkeypatch.setattr(experiments, "stability_bound_h2", vanishing_envelope)
+    cfg = tiny_twin_config(soak_steps=4)
+    report = run_stability_soak(cfg, str(tmp_path))
+    [check] = [c for c in report.checks if c.name == "tau=0.01:envelope_H2"]
+    assert check.status == FAIL and "step 1:" in check.detail
+    snap = tmp_path / "soak_violation_tau=0.01_envelope_H2_step1.nnsf"
+    assert check.detail.endswith(str(snap))
+    state, _ = load_snapshot(str(snap))
+    assert is_low_supported(state, GalerkinCutoff(cfg.lambda_cut))
+    row = _series_row(tmp_path / "soak_series_tau_0_01.csv", 1)
+    assert norm_H(state) == pytest.approx(row["norm_H"], rel=1e-13)
+    assert norm_V(state) == pytest.approx(row["norm_V"], rel=1e-13)
+
+
+def test_runner_reuses_cached_steppers_across_calls(tmp_path):
+    # params compare by value, so a rerun of one config builds no new stepper
+    cfg = tiny_twin_config(truth="nse_integrate", truth_spinup=0.05, t_end=0.1)
+    run_twin_experiment(cfg, str(tmp_path / "a"))
+    sizes = schemes._stepper.cache_info().currsize, schemes._galerkin.cache_info().currsize
+    run_twin_experiment(cfg, str(tmp_path / "b"))
+    assert (
+        schemes._stepper.cache_info().currsize, schemes._galerkin.cache_info().currsize
+    ) == sizes

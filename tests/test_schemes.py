@@ -40,6 +40,7 @@ from nudgeflow.schemes import (
     reference_galerkin_integrate,
     semi_implicit_step,
 )
+from nudgeflow.storage import Trajectory
 
 TWO_PI = 2.0 * np.pi
 
@@ -459,7 +460,7 @@ def test_reference_vector_field_matches_full_grid_formula(n, kind, h, lam, n_s):
     u = random_field(grid, rng, norm_v=2.0)
     gal = schemes._Galerkin(p)
     x = gal._pack_field(v)
-    data = gal._observed(apply_ih(p.interpolant, u))
+    data = gal._observed(ObservationStream(lambda t: apply_ih(p.interpolant, u)), 0.0)
     got = -(p.nu * gal.k_squared + gal.obs_diag) * x + gal._explicit(x, data)
 
     expected = (
@@ -646,3 +647,123 @@ def test_layer_entry_points_are_called_once_per_operator_application(monkeypatch
         run()
         assert counts["advect_raw"] == counts["apply"] > 0
     assert counts["apply"] == 4  # one ETDRK4 step has four stages
+
+
+# ---------------------------------------------------------------------------
+# the packed state: Parseval norms, packed observations, lazy fields
+
+
+def _packings(n):
+    """A full-band (truth) and a truncated (assimilation) packing at grid n."""
+    grid = TorusGrid(TWO_PI, n)
+    forcing = kolmogorov_forcing(grid, 1, 0.1)
+    lam = min(60.0, 0.5 * grid.band_limit**2)
+    truncated = PhysicsParams(
+        0.1, grid, forcing, 5.0, InterpolantSpec("fourier_truncation", 0.5),
+        GalerkinCutoff(lam),
+    )
+    return {
+        "truth": schemes._Galerkin(free_params(grid, 0.1, forcing)),
+        "assimilation": schemes._Galerkin(truncated),
+    }
+
+
+@pytest.mark.parametrize("n", [16, 32, 48, 96])
+@pytest.mark.parametrize("which", ["truth", "assimilation"])
+def test_packed_norms_equal_full_grid_norms(n, which):
+    from nudgeflow.fields import norm_DA
+
+    gal = _packings(n)[which]
+    rng = np.random.default_rng(n)
+    f = random_field(gal.grid, rng, norm_v=3.0, cutoff=gal.p.cutoff)
+    x = gal._pack_field(f)
+    built = gal._field(x)
+    full = [norm_H(built), norm_V(built), norm_DA(built)]
+    packed = gal.norms(x)
+    assert all(abs(a - b) <= 1e-13 * b for a, b in zip(packed, full)), (packed, full)
+    # the tail of a field outside the packing adds orthogonally
+    tail = np.array([1.0, 2.0, 3.0])
+    assert gal.norms(x, tail**2) == pytest.approx(np.hypot(full, tail), rel=1e-14)
+
+
+# (grid n, interpolant kind, h): Fourier truncation; volume averages with
+# L/h >= 2K + 1 (diagonal on the low modes); L/h < 2K + 1 (coupling them)
+OBSERVATION_CASES = [
+    (32, "fourier_truncation", 0.4),
+    (48, "volume_average", TWO_PI / 16),
+    (32, "volume_average", TWO_PI / 4),
+]
+
+
+@pytest.mark.parametrize("n, kind, h", OBSERVATION_CASES)
+@pytest.mark.parametrize("stored", ["packed", "plain"])
+def test_packed_observations_match_apply_ih(n, kind, h, stored):
+    grid = TorusGrid(TWO_PI, n)
+    rng = np.random.default_rng(n + 3)
+    forcing = kolmogorov_forcing(grid, 2, 0.5)
+    u0 = random_field(grid, rng, norm_v=2.0)
+    traj = nse_integrate(u0, free_params(grid, 0.1, forcing), 0.06, 0.01, store_every=2)
+    assert traj.packing is not None
+    if stored == "plain":
+        plain = Trajectory(grid)
+        for step, t, f in zip(traj.steps, traj.times, traj.fields):
+            plain.append(step, float(t), f)
+        traj = plain
+    spec = InterpolantSpec(kind, h)
+    p = PhysicsParams(0.1, grid, forcing, 8.0, spec, GalerkinCutoff(60.0))
+    gal = schemes._Galerkin(p)
+    obs = ObservationStream.from_trajectory(traj, spec)
+    for t in (0.0, 0.02, 0.06, 0.005, 0.031, 0.0555):
+        got = obs.packed(gal, t)
+        expected = gal._pack_field(apply_ih(spec, traj.at(t)))
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert traj.interpolated_queries > 0 and traj.exact_queries > 0
+
+
+def test_lazy_state_field_equals_eager_field_bitwise(rng):
+    p, obs, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
+    new = fully_implicit_step(SchemeState(0, 0.01, v0), p, obs)
+    assert new._v is None  # not built until asked for
+    stepper = schemes._stepper(p, 0.01, FULLY_IMPLICIT)
+    assert new.packing is stepper
+    lazy = new.v
+    assert np.array_equal(lazy.coeffs, stepper._field(new.x).coeffs)
+    assert new.v is lazy
+    # a packed state from the cached galerkin of equal params steps alike
+    gal = schemes._galerkin(p)
+    packed = SchemeState(0, 0.01, x=gal._pack_field(v0), packing=gal)
+    again = fully_implicit_step(packed, p, obs)
+    assert np.array_equal(again.x, new.x)
+
+
+def test_twin_steps_make_no_apply_ih_or_field_call(monkeypatch):
+    grid = TorusGrid(TWO_PI, 48)
+    rng = np.random.default_rng(2)
+    forcing = kolmogorov_forcing(grid, 1, 0.05)
+    u0 = random_field(grid, rng, norm_v=1.0)
+    truth = nse_integrate(u0, free_params(grid, 0.1, forcing), 0.1, 0.01, store_every=4)
+    spec = InterpolantSpec("volume_average", TWO_PI / 16)
+    p = PhysicsParams(0.1, grid, forcing, 8.0, spec, GalerkinCutoff(60.0))
+    obs = ObservationStream.from_trajectory(truth, spec)
+    v0 = random_field(grid, rng, norm_v=1.0, cutoff=p.cutoff)
+    # the first lookup observes every stored frame once
+    state, _ = advance(v0, p, obs, 0.02, 1, scheme=FULLY_IMPLICIT)
+    counts = {"apply_ih": 0, "_field": 0}
+    real_apply_ih, real_field = schemes.apply_ih, schemes._Galerkin._field
+
+    def apply_ih_counted(*args):
+        counts["apply_ih"] += 1
+        return real_apply_ih(*args)
+
+    def field_counted(self, vec):
+        counts["_field"] += 1
+        return real_field(self, vec)
+
+    monkeypatch.setattr(schemes, "apply_ih", apply_ih_counted)
+    monkeypatch.setattr(schemes._Galerkin, "_field", field_counted)
+    seen = []
+    advance(v0, p, obs, 0.02, 5, scheme=FULLY_IMPLICIT,
+            on_step=lambda prev, new: seen.append(new.k))
+    assert seen == [1, 2, 3, 4, 5]
+    assert counts == {"apply_ih": 0, "_field": 0}
+    assert truth.interpolated_queries > 0  # t = 0.02, 0.06, ... lie between frames

@@ -1,22 +1,17 @@
 """Snapshot format, trajectory store, interpolation, atomic writes."""
 
-import os
-
 import numpy as np
 import pytest
 
-from nudgeflow.fields import GalerkinCutoff, TorusGrid, norm_H, random_field
+from nudgeflow.fields import GalerkinCutoff, norm_H, random_field
 from nudgeflow.storage import (
-    INDEX_NAME,
     SNAPSHOT_MAGIC,
     SnapshotFormatError,
     Trajectory,
     atomic_write_bytes,
     atomic_write_text,
     load_snapshot,
-    load_trajectory,
     save_snapshot,
-    save_trajectory,
     series_to_csv,
 )
 
@@ -73,33 +68,6 @@ def test_snapshot_format_errors(tmp_path, rng, grid16):
     open(versioned, "wb").write(blob[:4] + b"\x63\x00\x00\x00" + blob[8:])
     with pytest.raises(SnapshotFormatError, match="version"):
         load_snapshot(versioned)
-
-
-def test_trajectory_round_trip(tmp_path, rng, grid16):
-    traj = Trajectory(grid16)
-    base = random_field(grid16, rng, norm_v=1.0)
-    for k, t in enumerate((0.0, 0.1, 0.2, 0.3)):
-        traj.append(k, t, base * (1.0 + t))
-    d = str(tmp_path / "traj")
-    save_trajectory(traj, d, GalerkinCutoff(9.0))
-    assert os.path.exists(os.path.join(d, INDEX_NAME))
-    back, cut = load_trajectory(d)
-    assert cut.lambda_cut == 9.0
-    assert back.steps == traj.steps
-    assert np.allclose(back.times, traj.times)
-    for a, b in zip(back.fields, traj.fields):
-        assert np.array_equal(a.coeffs, b.coeffs)
-
-
-def test_trajectory_index_validation(tmp_path, grid16):
-    d = tmp_path / "traj"
-    d.mkdir()
-    (d / INDEX_NAME).write_text("step,time,file\n")
-    with pytest.raises(SnapshotFormatError, match="empty"):
-        load_trajectory(str(d))
-    (d / INDEX_NAME).write_text("a,b\n1,2\n")
-    with pytest.raises(SnapshotFormatError, match="header"):
-        load_trajectory(str(d))
 
 
 def test_trajectory_append_guards(rng, grid16, grid32):

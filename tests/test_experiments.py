@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from nudgeflow import cli, schemes
+from nudgeflow import cli, experiments, schemes
 from nudgeflow.config import ConfigError, default_config, render_config, write_config
 from nudgeflow.experiments import (
     FAIL,
@@ -34,7 +34,14 @@ from nudgeflow.experiments import (
     run_twin_experiment,
     write_report,
 )
-from nudgeflow.fields import SpectralField, is_low_supported, norm_DA, norm_H, norm_V
+from nudgeflow.fields import (
+    GalerkinCutoff,
+    SpectralField,
+    is_low_supported,
+    norm_DA,
+    norm_H,
+    norm_V,
+)
 from nudgeflow.krylov import SolveResult
 from nudgeflow.storage import load_snapshot
 
@@ -542,9 +549,6 @@ def test_solver_stall_mid_run_snapshots_the_last_packed_state(tmp_path, monkeypa
 
 
 def test_soak_violation_snapshots_the_offending_iterate(tmp_path, monkeypatch):
-    from nudgeflow import experiments
-    from nudgeflow.fields import GalerkinCutoff
-
     def vanishing_envelope(p, consts, v0_h2, tau, steps):
         return np.full(steps + 1, 1e-30)
 

@@ -16,6 +16,7 @@ from nudgeflow.fields import (
     _conj_flip,
     inner_product,
     is_low_supported,
+    norm_DA,
     norm_H,
     norm_V,
     random_field,
@@ -671,8 +672,6 @@ def _packings(n):
 @pytest.mark.parametrize("n", [16, 32, 48, 96])
 @pytest.mark.parametrize("which", ["truth", "assimilation"])
 def test_packed_norms_equal_full_grid_norms(n, which):
-    from nudgeflow.fields import norm_DA
-
     gal = _packings(n)[which]
     rng = np.random.default_rng(n)
     f = random_field(gal.grid, rng, norm_v=3.0, cutoff=gal.p.cutoff)

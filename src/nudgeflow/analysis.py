@@ -374,10 +374,6 @@ class ErrorSeries:
             raise ValueError(f"no samples at or after t = {t_from}")
         return float(np.max(self.values[sel]))
 
-    def after(self, t_from: float) -> "ErrorSeries":
-        sel = self.times >= t_from - 1e-12 * max(1.0, abs(t_from))
-        return ErrorSeries(self.times[sel], self.values[sel], self.norm, self.interpolated)
-
 
 @dataclass(frozen=True)
 class DecayFit:

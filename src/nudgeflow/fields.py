@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as _fft
 
 INVARIANT_TOL = 1e-12
 # Relative slack when comparing |k|^2 against a cutoff, so that shells
@@ -325,11 +324,13 @@ def is_low_supported(f: SpectralField, cutoff: GalerkinCutoff, tol: float = 0.0)
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# transforms (scipy.fft is imported by the first transform, not with the
+# package, so runs that never transform do not load it)
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
     """Real velocity samples of shape (2, n, n); u(x) = sum uhat e^(ik.x)."""
+    import scipy.fft as _fft
     n = f.grid.n
     return np.ascontiguousarray(_fft.ifft2(f.coeffs).real * n * n)
 
@@ -340,6 +341,7 @@ def from_physical(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
     Non-solenoidal samples therefore fail field validation; project the raw
     spectrum with leray_project when that is intended.
     """
+    import scipy.fft as _fft
     s = np.asarray(samples)
     if np.iscomplexobj(s):
         if np.max(np.abs(s.imag)) > INVARIANT_TOL:
@@ -352,13 +354,6 @@ def from_physical(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
     c = _fft.fft2(s) / (grid.n * grid.n)
     c[:, 0, 0] = 0.0
     return SpectralField.from_coeffs(grid, c, copy=False)
-
-
-def raw_from_physical(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Spectral coefficients of arbitrary real samples, mean removed, no validation."""
-    c = _fft.fft2(np.asarray(samples, dtype=float)) / (grid.n * grid.n)
-    c[..., 0, 0] = 0.0
-    return c
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,17 @@
 
 Two interpolant families are supported: truncation to Fourier modes with
 |k|^2 <= 1/h^2, and local volume averages over an h x h uniform
-partition composed with the Leray projection.  The module also estimates
-the approximation-of-identity constant c0 in
+partition composed with the Leray projection.
+
+A volume average replaces each of the m = L/h cells per side by the mean
+of its b = n/m grid samples.  It is applied in spectral space through its
+separable symbol: with D(j) the mean of exp(2 pi i j s / n) over s < b,
+coefficient k of the averaged samples is conj(D(k)) times the sum of
+D(j) c(j) over the grid indices j = k mod m.  In two dimensions that is
+conj(D x D) * tile(fold(D x D * c)), the fold summing the m x m index
+classes, so no transform is needed.
+
+The module also estimates the approximation-of-identity constant c0 in
 
     |f - I_h f| <= c0^(1/2) h ||f||
 
@@ -27,8 +36,6 @@ from .fields import (
     norm_V,
     project_low,
     random_field,
-    raw_from_physical,
-    to_physical,
 )
 from .operators import apply_stokes, leray_project_raw
 
@@ -78,12 +85,9 @@ class InterpolantSpec:
         return m_int
 
 
-def _block_average(samples: np.ndarray, m: int) -> np.ndarray:
-    """Replace each of the m x m cells by its mean, preserving array shape."""
-    c, n, _ = samples.shape
-    b = n // m
-    cells = samples.reshape(c, m, b, m, b).mean(axis=(2, 4))
-    return np.repeat(np.repeat(cells, b, axis=1), b, axis=2)
+def _average_symbol(j: np.ndarray, n: int, b: int) -> np.ndarray:
+    """D(j), the mean of exp(2 pi i j s / n) over the b samples s < b of a cell."""
+    return np.exp(2j * np.pi * np.outer(j, np.arange(b)) / n).mean(axis=1)
 
 
 def _cell_average_matrix(
@@ -96,39 +100,37 @@ def _cell_average_matrix(
 
     T[a, b] is coefficient rows[a] of the piecewise-constant function that
     replaces every h-cell of the grid samples of exp(2 pi i cols[b] x / L)
-    by their mean (cols defaults to rows).  The two-dimensional block
-    average is separable, so on a coefficient array C over cols it acts as
-    T C T^T, and rows picks the output coefficients.  Modes couple only
-    when their indices agree mod L/h, so T is diagonal on any set of
-    |j| < L/(2h).
+    by their mean (cols defaults to rows): conj(D(rows[a])) D(cols[b]) when
+    the indices agree mod L/h, else 0.  The two-dimensional block average
+    is separable, so on a coefficient array C over cols it acts as
+    T C T^T, and rows picks the output coefficients.  T is diagonal on any
+    set of |j| < L/(2h).
     """
     cols = rows if cols is None else cols
     m = spec.blocks(grid)
-    n = grid.n
-    x = np.arange(n)
-    waves = np.exp(2j * np.pi * np.outer(x, cols) / n)
-    cells = waves.reshape(m, n // m, -1).mean(axis=1)
-    if cols is not rows:
-        waves = np.exp(2j * np.pi * np.outer(x, rows) / n)
-    return waves.conj().T @ np.repeat(cells, n // m, axis=0) / n
+    d_rows, d_cols = (_average_symbol(j, grid.n, grid.n // m) for j in (rows, cols))
+    same_class = rows[:, None] % m == cols[None, :] % m
+    return np.where(same_class, np.outer(d_rows.conj(), d_cols), 0.0)
 
 
 def apply_ih(spec: InterpolantSpec, f: SpectralField) -> SpectralField:
     """Observation operator composed with the solenoidal projection.
 
     fourier_truncation: spectral projection onto |k|^2 <= 1/h^2 (already
-    divergence-free).  volume_average: blockwise mean in physical space,
-    then mean removal and Leray projection, since the assimilation
-    schemes only ever use P_sigma I_h.
+    divergence-free).  volume_average: blockwise mean of the grid samples,
+    applied through its symbol and fold, then mean removal and Leray
+    projection, since the assimilation schemes only ever use P_sigma I_h.
     """
     if spec.kind == "fourier_truncation":
         return project_low(f, spec.cutoff())
-    m = spec.blocks(f.grid)
-    averaged = _block_average(to_physical(f), m)
-    c = raw_from_physical(averaged, f.grid)
-    return SpectralField.from_coeffs(
-        f.grid, leray_project_raw(c, f.grid), copy=False
-    )
+    grid = f.grid
+    m = spec.blocks(grid)
+    b = grid.n // m
+    d = _average_symbol(grid._j, grid.n, b)
+    dd = d[:, None] * d[None, :]
+    folded = (dd * f.coeffs).reshape(2, b, m, b, m).sum(axis=(1, 3))
+    c = dd.conj() * np.tile(folded, (1, b, b))
+    return SpectralField.from_coeffs(grid, leray_project_raw(c, grid), copy=False)
 
 
 def _trial_fields(

@@ -12,7 +12,6 @@ used as integration oracles.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft as _fft
 
 from .fields import (
     FieldInvariantError,
@@ -102,6 +101,7 @@ def advect_raw(grid: TorusGrid, u_phys: np.ndarray, v_coeffs: np.ndarray) -> np.
     Leray-projected.  The four gradient syntheses and the two analyses are
     real FFTs.
     """
+    import scipy.fft as _fft
     n = grid.n
     # d/dx1 and d/dx2 of each component: spectra (2, 2, n, h), [component, axis]
     grads = _fft.irfft2(

@@ -53,7 +53,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.fft as _fft
 
 from .fields import (
     GalerkinCutoff,
@@ -237,6 +236,7 @@ class _TrajectoryObservations(ObservationStream):
 
 def _product_size(k: int, n: int) -> int:
     """Smallest even FFT-friendly length >= 3k + 1, at most n."""
+    import scipy.fft as _fft
     size = _fft.next_fast_len(3 * k + 1)
     while size % 2:
         size = _fft.next_fast_len(size + 1)
@@ -289,9 +289,13 @@ class _Galerkin:
         # the mirrors -k of the modes on the j2 = 0 axis also lie in j2 >= 0
         self._axis = np.flatnonzero(j2 == 0)
         self._half_shape = (2, n_s, h)
-        self._half_at = np.concatenate((rows * h + cols, -j1[self._axis] % n_s * h))
+        # flat positions in a (2, ...) array, both components' packed modes
+        # followed by their mirrors: one scatter writes, one gather reads
+        at = np.concatenate((rows * h + cols, -j1[self._axis] % n_s * h))
+        self._half_at = np.concatenate((at, at + n_s * h))
+        at = np.concatenate((j1 % n * n + j2 % n, -j1 % n * n + -j2 % n))
+        self._grid_at = np.concatenate((at, at + n * n))
         self._e_half = np.concatenate((self._e, self._e[:, self._axis]), axis=1)
-        self._grid_at = np.concatenate((j1 % n * n + j2 % n, -j1 % n * n + -j2 % n))
         self.f_low = self._pack_field(p.forcing)
         self.obs_diag = np.zeros_like(self.k_squared)
         self._cell_avg = None
@@ -315,8 +319,9 @@ class _Galerkin:
 
     def _dot_e(self, coeffs: np.ndarray, at: np.ndarray) -> np.ndarray:
         """e_k . c(k) over the packed modes, at flat positions `at` of c."""
-        c = coeffs.reshape(2, -1)[:, at[: self.k_squared.size]]
-        return self._e[0] * c[0] + self._e[1] * c[1]
+        c = coeffs.take(at).reshape(2, -1)
+        m = self.k_squared.size
+        return self._e[0] * c[0, :m] + self._e[1] * c[1, :m]
 
     def _pack_field(self, f: SpectralField) -> np.ndarray:
         """Packed amplitudes of a field on the params grid."""
@@ -327,7 +332,7 @@ class _Galerkin:
         n = self.grid.n
         coeffs = np.zeros((2, n, n), dtype=np.complex128)
         both = np.concatenate((vec, vec.conj()))
-        coeffs.reshape(2, -1)[:, self._grid_at] = both * np.tile(self._e, 2)
+        coeffs.ravel()[self._grid_at] = (both * np.tile(self._e, 2)).ravel()
         return SpectralField._trusted(self.grid, coeffs)
 
     def holds(self, state: SchemeState) -> bool:
@@ -360,7 +365,7 @@ class _Galerkin:
         """Product-grid half spectrum j2 >= 0 of a packed velocity."""
         half = np.zeros(self._half_shape, dtype=np.complex128)
         amps = np.concatenate((vec, vec[self._axis].conj()))
-        half.reshape(2, -1)[:, self._half_at] = amps * self._e_half
+        half.ravel()[self._half_at] = (amps * self._e_half).ravel()
         return half
 
     def _project(self, half: np.ndarray) -> np.ndarray:
@@ -369,6 +374,7 @@ class _Galerkin:
 
     def _physical(self, vec: np.ndarray) -> np.ndarray:
         """Product-grid samples of a packed velocity."""
+        import scipy.fft as _fft
         n = self.sgrid.n
         return _fft.irfft2(self._half(vec), s=(n, n), norm="forward")
 

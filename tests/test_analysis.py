@@ -200,7 +200,6 @@ def test_error_series_tail_helpers():
     s = ErrorSeries(np.array([0.0, 0.5, 1.0]), np.array([3.0, 1.0, 2.0]), "H", False)
     assert s.tail_sup(0.4) == 2.0
     assert s.tail_sup(0.0) == 3.0
-    assert len(s.after(0.5)) == 2
     with pytest.raises(ValueError):
         s.tail_sup(5.0)
 

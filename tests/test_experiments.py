@@ -7,10 +7,14 @@ conditions, the decay fit, and the report files.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nudgeflow
 from nudgeflow import cli, experiments, schemes
 from nudgeflow.config import ConfigError, default_config, render_config, write_config
 from nudgeflow.experiments import (
@@ -339,6 +343,38 @@ def test_cli_constants_report(tmp_path, capsys):
     assert "[conditions]" in text
     assert "scheme = semi_implicit" in text
     assert "beta_lower_bound" in capsys.readouterr().out
+
+
+_SCIPY_GUARD = """
+import sys
+import nudgeflow
+assert "scipy" not in sys.modules, "import nudgeflow loaded scipy"
+from nudgeflow import cli
+out = sys.argv[1]
+for cfg in sys.argv[2:]:
+    assert cli.main(["--quiet", "--config", cfg, "--out", out, "constants"]) == 0
+    assert "scipy" not in sys.modules, "constants on " + cfg + " loaded scipy"
+"""
+
+
+def test_cli_constants_never_loads_scipy(tmp_path):
+    # a fresh interpreter, so no other test has imported scipy yet
+    configs = []
+    for name, overrides in (
+        ("fourier.cfg", {}),
+        ("volume.cfg", dict(interpolant="volume_average", h=2.0 * math.pi / 16, beta=5.0)),
+    ):
+        write_config(tiny_twin_config(**overrides), str(tmp_path / name))
+        configs.append(str(tmp_path / name))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nudgeflow.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_GUARD, str(tmp_path / "out"), *configs],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the volume-average run, written last, estimated its c0 by probing
+    assert "c0=0.0" in (tmp_path / "out" / "constants_report.txt").read_text()
 
 
 def test_cli_overrides_scheme_and_seed(tmp_path):

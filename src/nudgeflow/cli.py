@@ -23,6 +23,7 @@ from .config import ConfigError, ExperimentConfig, default_config, load_config
 from .experiments import (
     FAIL,
     ExperimentReport,
+    _Run,
     _setup,
     run_contraction_test,
     run_n_sweep,
@@ -30,7 +31,6 @@ from .experiments import (
     run_stability_soak,
     run_tau_sweep,
     run_twin_experiment,
-    write_report,
 )
 from .schemes import FULLY_IMPLICIT, SEMI_IMPLICIT
 
@@ -78,14 +78,10 @@ def _load_cfg(args: argparse.Namespace) -> ExperimentConfig:
 
 def _constants_report(cfg: ExperimentConfig) -> ExperimentReport:
     setup = _setup(cfg)
-    report = ExperimentReport(
-        "constants", cfg.scheme, cfg.seed,
-        constants=setup.consts, conditions=setup.conditions,
-    )
-    if setup.consts is None:
-        report.notes.append("zero forcing: a-priori constants are undefined")
-    write_report(report, cfg.out_dir)
-    return report
+    with _Run("constants", setup, None) as run:
+        if setup.consts is None:
+            run.report.notes.append("zero forcing: a-priori constants are undefined")
+    return run.report
 
 
 _RUNNERS = {

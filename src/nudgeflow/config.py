@@ -68,8 +68,6 @@ class ExperimentConfig:
     # [sweep]
     tau_list: tuple[float, ...]
     lambda_cut_list: tuple[float, ...]
-    beta_list: tuple[float, ...]
-    h_list: tuple[float, ...]
     ref_factor: int
     tau_floor_factor: float
     # [output]
@@ -171,8 +169,6 @@ _SCHEMA: tuple[tuple[str, str, str, Callable, object], ...] = (
     ("experiment", "contraction_steps", "contraction_steps", _i, 2000),
     ("sweep", "tau_list", "tau_list", _floats, (0.02, 0.01, 0.005, 0.0025)),
     ("sweep", "lambda_cut_list", "lambda_cut_list", _floats, (6.0, 16.0, 40.0)),
-    ("sweep", "beta_list", "beta_list", _floats, ()),
-    ("sweep", "h_list", "h_list", _floats, ()),
     # Accuracy ratio the tau sweep's reference must certify: the `reference`
     # check passes iff the gap between its ETDRK4 runs at dt_ref and 2 dt_ref
     # is at most sup_err_H(min tau) / ref_factor.  It does not set dt_ref.

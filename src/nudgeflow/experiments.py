@@ -4,10 +4,20 @@ Every runner takes an ExperimentConfig, draws all randomness from a single
 seeded generator in a fixed order (truth first, then initial data, then
 perturbations), writes CSV series / text reports with full-precision
 deterministic formatting, and returns an ExperimentReport whose checks
-decide the process exit code.  A stalled or non-finite solve ends the run
-with a failed `solver` check carrying the message and residual trace; the
-report, the series recorded up to the failure and a snapshot of the last
-accepted state are still written.
+decide the process exit code.
+
+The runners share one pipeline.  `_setup` builds the grid, forcing,
+parameters and a-priori constants; `_start` integrates the truth and
+returns it with its observations (None when beta = 0) and the initial data
+v0 = P_N build_ic.  The run itself happens inside a `_Run` block, which
+owns the report, the output directory and the output tables
+(`_Run.table`).  On leaving the block `_Run` writes the tables in the
+order they were registered, then the report.  A stalled or non-finite
+solve (SolverError) inside the block ends the run with a failed `solver`
+check carrying the message and residual trace; the tables recorded up to
+the failure, a snapshot of the last accepted state and the report are
+still written.  Any other exception propagates and writes no table or
+report.
 """
 
 from __future__ import annotations
@@ -188,54 +198,16 @@ def render_report(report: ExperimentReport) -> str:
 
 
 def write_report(report: ExperimentReport, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{report.name}_report.txt")
     atomic_write_text(path, render_report(report))
     return path
 
 
-# Residuals of a failed solve's history quoted in the `solver` check.
-_TRACE_TAIL = 8
-
-
-def _integrate(report: ExperimentReport, out: str, fn, *args, **kwargs):
-    """Call one integration; a SolverError becomes a failed `solver` check.
-
-    Returns fn's result, or None after a solver failure.  The runner then
-    writes its report and the series recorded so far and returns: a stalled
-    or non-finite solve is an outcome of the run, not bad input.  The last
-    accepted state goes to <report name>_solver_state.nnsf in out, a
-    snapshot that load_snapshot reads, and the check names the file.
-    """
-    try:
-        return fn(*args, **kwargs)
-    except SolverError as exc:
-        detail = str(exc)
-        if exc.result is not None:
-            tail = exc.result.history[-_TRACE_TAIL:]
-            detail += (
-                f"; residual trace (last {len(tail)} of "
-                f"{len(exc.result.history)}): "
-                + " ".join("%.3e" % r for r in tail)
-            )
-        if exc.state is not None:
-            name = f"{report.name}_solver_state.nnsf"
-            save_snapshot(os.path.join(out, name), exc.state.v, exc.cutoff)
-            detail += f"; last accepted state (step {exc.state.k}) in {name}"
-        report.add_check("solver", FAIL, detail)
-        return None
-
-
-def _stop(report: ExperimentReport, out: str) -> ExperimentReport:
-    """Write the report of a run that a solver failure ended."""
-    write_report(report, out)
-    return report
-
-
 class SeriesRecorder:
-    """Accumulates per-step rows in the fixed series schema."""
+    """Accumulates the rows of one table; `add` fills the series schema."""
 
-    def __init__(self) -> None:
+    def __init__(self, header: tuple[str, ...] = SERIES_HEADER) -> None:
+        self.header = header
         self.rows: list[tuple] = []
 
     def add(
@@ -248,7 +220,7 @@ class SeriesRecorder:
         env_h: float = 0.0,
         env_v: float = 0.0,
     ) -> None:
-        """One row; norms are the state's (norm_H, norm_V, norm_DA)."""
+        """One SERIES_HEADER row; norms are the state's (norm_H, norm_V, norm_DA)."""
         nh, nv, nda = norms
         self.rows.append(
             (int(step), float(time), float(nh), float(nv), float(nda),
@@ -256,13 +228,12 @@ class SeriesRecorder:
         )
 
     def column(self, name: str) -> np.ndarray:
-        i = SERIES_HEADER.index(name)
+        i = self.header.index(name)
         return np.array([row[i] for row in self.rows], dtype=float)
 
     def write(self, out_dir: str, filename: str) -> str:
-        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, filename)
-        atomic_write_text(path, series_to_csv(SERIES_HEADER, self.rows))
+        atomic_write_text(path, series_to_csv(self.header, self.rows))
         return path
 
 
@@ -521,8 +492,72 @@ def build_ic(setup: _Setup, truth: TruthSource) -> SpectralField:
     raise ConfigError(f"unknown initial condition kind {cfg.ic!r}")
 
 
-def _out_dir(cfg: ExperimentConfig, out_dir: str | None) -> str:
-    return out_dir if out_dir is not None else cfg.out_dir
+def _start(
+    setup: _Setup, t_end: float
+) -> tuple[TruthSource, ObservationStream | None, SpectralField]:
+    """Truth on [0, t_end], its observations (None when beta = 0) and v0."""
+    truth = build_truth(setup, t_end)
+    obs = truth.observations(setup.spec) if setup.params.beta > 0.0 else None
+    return truth, obs, project_low(build_ic(setup, truth), setup.params.cutoff)
+
+
+# Residuals of a failed solve's history quoted in the `solver` check.
+_TRACE_TAIL = 8
+
+
+class _Run:
+    """One runner's report, output tables and solver failures.
+
+    `run.table` registers an output table; the module docstring says what
+    leaving the block writes.  A SolverError is not re-raised: a stalled or
+    non-finite solve is an outcome of the run, not bad input.  Its last
+    accepted state goes to the snapshot <name>_solver_state.nnsf, which the
+    `solver` check names.
+    """
+
+    def __init__(self, name: str, setup: _Setup, out_dir: str | None) -> None:
+        cfg = setup.cfg
+        self.report = ExperimentReport(
+            name, cfg.scheme, cfg.seed,
+            constants=setup.consts, conditions=setup.conditions,
+        )
+        self.out = out_dir if out_dir is not None else cfg.out_dir
+        self._tables: list[tuple[str, SeriesRecorder]] = []
+
+    def table(
+        self, filename: str, header: tuple[str, ...] = SERIES_HEADER
+    ) -> SeriesRecorder:
+        rec = SeriesRecorder(header)
+        self._tables.append((filename, rec))
+        return rec
+
+    def __enter__(self) -> _Run:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc is not None and not isinstance(exc, SolverError):
+            return False
+        if exc is not None:
+            self._solver_failed(exc)
+        for filename, rec in self._tables:
+            self.report.series_files.append(rec.write(self.out, filename))
+        write_report(self.report, self.out)
+        return True
+
+    def _solver_failed(self, exc: SolverError) -> None:
+        detail = str(exc)
+        if exc.result is not None:
+            tail = exc.result.history[-_TRACE_TAIL:]
+            detail += (
+                f"; residual trace (last {len(tail)} of "
+                f"{len(exc.result.history)}): "
+                + " ".join("%.3e" % r for r in tail)
+            )
+        if exc.state is not None:
+            name = f"{self.report.name}_solver_state.nnsf"
+            save_snapshot(os.path.join(self.out, name), exc.state.v, exc.cutoff)
+            detail += f"; last accepted state (step {exc.state.k}) in {name}"
+        self.report.add_check("solver", FAIL, detail)
 
 
 def _scheme_step(scheme: str):
@@ -543,105 +578,92 @@ def run_twin_experiment(
     control) requires the error never to fall two orders below its start.
     """
     setup = _setup(cfg)
-    report = ExperimentReport("twin", cfg.scheme, cfg.seed,
-                              constants=setup.consts, conditions=setup.conditions)
-    out = _out_dir(cfg, out_dir)
     params, tau = setup.params, cfg.tau
     n_steps = _steps_for(cfg.t_end, tau)
+    with _Run("twin", setup, out_dir) as run:
+        report = run.report
+        truth, obs, v0 = _start(setup, cfg.t_end)
+        gal = _galerkin(params)
+        x0 = gal._pack_field(v0)
+        errors = truth.error_norms(gal)
+        e0_h, e0_v, _ = errors(x0, 0.0)
+        if e0_h == 0.0:
+            raise ConfigError("twin experiment requires v0 != u(0)")
 
-    truth = _integrate(report, out, build_truth, setup, cfg.t_end)
-    if truth is None:
-        return _stop(report, out)
-    obs = truth.observations(setup.spec) if params.beta > 0.0 else None
-    v0 = project_low(build_ic(setup, truth), params.cutoff)
-    gal = _galerkin(params)
-    x0 = gal._pack_field(v0)
-    errors = truth.error_norms(gal)
-    e0_h, e0_v, _ = errors(x0, 0.0)
-    if e0_h == 0.0:
-        raise ConfigError("twin experiment requires v0 != u(0)")
+        # The geometric factor is proved for discrete-vs-discrete differences;
+        # against a steady truth (itself a discrete solution) it is rigorous,
+        # otherwise the envelope columns are advisory.
+        env_h = np.sqrt(contraction_envelope(e0_h**2, params, tau, n_steps))
+        env_v = np.sqrt(contraction_envelope(e0_v**2, params, tau, n_steps))
 
-    # The geometric factor is proved for discrete-vs-discrete differences;
-    # against a steady truth (itself a discrete solution) it is rigorous,
-    # otherwise the envelope columns are advisory.
-    env_h = np.sqrt(contraction_envelope(e0_h**2, params, tau, n_steps))
-    env_v = np.sqrt(contraction_envelope(e0_v**2, params, tau, n_steps))
+        rec = run.table("twin_series.csv")
+        norms0 = gal.norms(x0)
+        rec.add(0, 0.0, norms0, e0_h, e0_v, env_h[0], env_v[0])
+        sup_v = norms0[1]
 
-    rec = SeriesRecorder()
-    norms0 = gal.norms(x0)
-    rec.add(0, 0.0, norms0, e0_h, e0_v, env_h[0], env_v[0])
-    sup_v = norms0[1]
+        def on_step(prev: SchemeState, new: SchemeState) -> None:
+            nonlocal sup_v
+            norms = gal.norms(new.x)
+            eh, ev, _ = errors(new.x, new.t)
+            sup_v = max(sup_v, norms[1])
+            rec.add(new.k, new.t, norms, eh, ev, env_h[new.k], env_v[new.k])
 
-    def on_step(prev: SchemeState, new: SchemeState) -> None:
-        nonlocal sup_v
-        norms = gal.norms(new.x)
-        eh, ev, _ = errors(new.x, new.t)
-        sup_v = max(sup_v, norms[1])
-        rec.add(new.k, new.t, norms, eh, ev, env_h[new.k], env_v[new.k])
+        advance(v0, params, obs, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
+        times, errs_h = rec.column("time"), rec.column("err_H")
+        series = ErrorSeries(times, errs_h, "H", not truth.steady)
 
-    finished = _integrate(
-        report, out, advance, v0, params, obs, tau, n_steps, scheme=cfg.scheme,
-        on_step=on_step,
-    )
-    report.series_files.append(rec.write(out, "twin_series.csv"))
-    if finished is None:
-        return _stop(report, out)
-    times, errs_h = rec.column("time"), rec.column("err_H")
-    series = ErrorSeries(times, errs_h, "H", not truth.steady)
-
-    if cfg.twin_expect == "decay":
-        try:
-            fit = decay_rate_fit(series)
-            orders = math.log10(errs_h[0] / fit.floor) if fit.floor > 0 else math.inf
-            report.values["decay_rate"] = fit.rate
-            report.values["decay_floor"] = fit.floor
-            report.values["decay_orders"] = orders
-            ok_orders = orders >= cfg.min_decay_orders
+        if cfg.twin_expect == "decay":
+            try:
+                fit = decay_rate_fit(series)
+                orders = math.log10(errs_h[0] / fit.floor) if fit.floor > 0 else math.inf
+                report.values["decay_rate"] = fit.rate
+                report.values["decay_floor"] = fit.floor
+                report.values["decay_orders"] = orders
+                ok_orders = orders >= cfg.min_decay_orders
+                report.add_check(
+                    "decay_orders", PASS if ok_orders else FAIL,
+                    f"{orders:.2f} orders, floor {fit.floor:.3e}, "
+                    f"required {cfg.min_decay_orders:g}",
+                )
+                report.add_check(
+                    "decay_rate", PASS if fit.rate > 0 else FAIL,
+                    f"fitted rate {fit.rate:.4g} over {fit.n_used} samples",
+                )
+            except FitError as exc:
+                report.add_check("decay_orders", FAIL, f"no decaying fit: {exc}")
+        else:
+            ratio = float(np.min(errs_h)) / errs_h[0]
+            report.values["min_error_ratio"] = ratio
             report.add_check(
-                "decay_orders", PASS if ok_orders else FAIL,
-                f"{orders:.2f} orders, floor {fit.floor:.3e}, "
-                f"required {cfg.min_decay_orders:g}",
+                "no_decay", PASS if ratio >= 1e-2 else FAIL,
+                f"min/initial error ratio {ratio:.3e} (must stay >= 1e-2)",
             )
+
+        if setup.conditions is not None:
+            ok = setup.conditions.passed("beta_lower_bound", "interpolant_resolution")
             report.add_check(
-                "decay_rate", PASS if fit.rate > 0 else FAIL,
-                f"fitted rate {fit.rate:.4g} over {fit.n_used} samples",
+                "conditions", PASS if ok else FAIL,
+                "admissibility inequalities for the nudging gain and resolution",
             )
-        except FitError as exc:
-            report.add_check("decay_orders", FAIL, f"no decaying fit: {exc}")
-    else:
-        ratio = float(np.min(errs_h)) / errs_h[0]
-        report.values["min_error_ratio"] = ratio
-        report.add_check(
-            "no_decay", PASS if ratio >= 1e-2 else FAIL,
-            f"min/initial error ratio {ratio:.3e} (must stay >= 1e-2)",
-        )
+        else:
+            report.add_check("conditions", SKIP, "no nudging (beta = 0 control)")
 
-    if setup.conditions is not None:
-        ok = setup.conditions.passed("beta_lower_bound", "interpolant_resolution")
-        report.add_check(
-            "conditions", PASS if ok else FAIL,
-            "admissibility inequalities for the nudging gain and resolution",
-        )
-    else:
-        report.add_check("conditions", SKIP, "no nudging (beta = 0 control)")
+        if (
+            setup.consts is not None
+            and params.beta > 0.0
+            and norms0[1] <= setup.consts.M1 * (1.0 + BOUND_RTOL)
+        ):
+            bound = 6.0 * setup.consts.M1
+            report.values["sup_norm_V"] = sup_v
+            report.add_check(
+                "stability", PASS if sup_v <= bound * (1.0 + BOUND_RTOL) else FAIL,
+                f"sup ||v|| = {sup_v:.4g} vs 6 M1 = {bound:.4g}",
+            )
+        else:
+            report.add_check("stability", SKIP, "v0 outside B_V(M1) or no constants")
 
-    if (
-        setup.consts is not None
-        and params.beta > 0.0
-        and norms0[1] <= setup.consts.M1 * (1.0 + BOUND_RTOL)
-    ):
-        bound = 6.0 * setup.consts.M1
-        report.values["sup_norm_V"] = sup_v
-        report.add_check(
-            "stability", PASS if sup_v <= bound * (1.0 + BOUND_RTOL) else FAIL,
-            f"sup ||v|| = {sup_v:.4g} vs 6 M1 = {bound:.4g}",
-        )
-    else:
-        report.add_check("stability", SKIP, "v0 outside B_V(M1) or no constants")
-
-    report.values["err0_H"] = e0_h
-    report.values["err_final_H"] = float(errs_h[-1])
-    write_report(report, out)
+        report.values["err0_H"] = e0_h
+        report.values["err_final_H"] = float(errs_h[-1])
     return report
 
 
@@ -660,41 +682,31 @@ def run_contraction_test(
     at any step size.
     """
     setup = _setup(cfg)
-    report = ExperimentReport("contraction", cfg.scheme, cfg.seed,
-                              constants=setup.consts, conditions=setup.conditions)
-    out = _out_dir(cfg, out_dir)
     params, tau = setup.params, cfg.tau
     n_steps = cfg.contraction_steps
-    t_end = n_steps * tau
+    with _Run("contraction", setup, out_dir) as run:
+        report = run.report
+        _, obs, v0 = _start(setup, n_steps * tau)
+        bump = random_field(
+            setup.grid, setup.rng,
+            norm_v=cfg.perturbation * _m1_scale(setup), cutoff=params.cutoff,
+        )
+        gal = _galerkin(params)
+        a = SchemeState(0, tau, v0, x=gal._pack_field(v0), packing=gal)
+        b_v0 = project_low(v0 + bump, params.cutoff)
+        b = SchemeState(0, tau, b_v0, x=gal._pack_field(b_v0), packing=gal)
 
-    truth = _integrate(report, out, build_truth, setup, t_end)
-    if truth is None:
-        return _stop(report, out)
-    obs = truth.observations(setup.spec) if params.beta > 0.0 else None
-    v0 = project_low(build_ic(setup, truth), params.cutoff)
-    bump = random_field(
-        setup.grid, setup.rng,
-        norm_v=cfg.perturbation * _m1_scale(setup), cutoff=params.cutoff,
-    )
-    gal = _galerkin(params)
-    a = SchemeState(0, tau, v0, x=gal._pack_field(v0), packing=gal)
-    b_v0 = project_low(v0 + bump, params.cutoff)
-    b = SchemeState(0, tau, b_v0, x=gal._pack_field(b_v0), packing=gal)
+        eps0_h, eps0_v, _ = gal.norms(a.x - b.x)
+        env_h2 = contraction_envelope(eps0_h**2, params, tau, n_steps)
+        env_v2 = contraction_envelope(eps0_v**2, params, tau, n_steps)
 
-    eps0_h, eps0_v, _ = gal.norms(a.x - b.x)
-    env_h2 = contraction_envelope(eps0_h**2, params, tau, n_steps)
-    env_v2 = contraction_envelope(eps0_v**2, params, tau, n_steps)
-
-    rec = SeriesRecorder()
-    rec.add(0, 0.0, gal.norms(a.x), eps0_h, eps0_v,
-            math.sqrt(env_h2[0]), math.sqrt(env_v2[0]))
-    step_fn = _scheme_step(cfg.scheme)
-    max_ratio_h = 0.0
-    max_ratio_v = 0.0
-    exact_zero = eps0_h == 0.0 and eps0_v == 0.0
-
-    def march() -> bool:
-        nonlocal a, b, max_ratio_h, max_ratio_v, exact_zero
+        rec = run.table("contraction_series.csv")
+        rec.add(0, 0.0, gal.norms(a.x), eps0_h, eps0_v,
+                math.sqrt(env_h2[0]), math.sqrt(env_v2[0]))
+        step_fn = _scheme_step(cfg.scheme)
+        max_ratio_h = 0.0
+        max_ratio_v = 0.0
+        exact_zero = eps0_h == 0.0 and eps0_v == 0.0
         for k in range(1, n_steps + 1):
             a = step_fn(a, params, obs)
             b = step_fn(b, params, obs)
@@ -706,44 +718,36 @@ def run_contraction_test(
             exact_zero = exact_zero and eh == 0.0 and ev == 0.0
             rec.add(k, a.t, gal.norms(a.x), eh, ev,
                     math.sqrt(env_h2[k]), math.sqrt(env_v2[k]))
-        return True
 
-    finished = _integrate(report, out, march)
-    report.series_files.append(rec.write(out, "contraction_series.csv"))
-    if finished is None:
-        return _stop(report, out)
+        report.values["eps0_H"] = eps0_h
+        report.values["eps0_V"] = eps0_v
+        report.values["max_ratio_H"] = max_ratio_h
+        report.values["max_ratio_V"] = max_ratio_v
+        report.values["eps_final_H"] = float(rec.column("err_H")[-1])
 
-    report.values["eps0_H"] = eps0_h
-    report.values["eps0_V"] = eps0_v
-    report.values["max_ratio_H"] = max_ratio_h
-    report.values["max_ratio_V"] = max_ratio_v
-    report.values["eps_final_H"] = float(rec.column("err_H")[-1])
-
-    tol = 1.0 + BOUND_RTOL
-    if cfg.perturbation == 0.0:
-        report.add_check(
-            "identical_runs", PASS if exact_zero else FAIL,
-            "difference of two unperturbed runs must vanish identically",
-        )
-    elif cfg.scheme == SEMI_IMPLICIT:
-        if tau * params.beta <= 1.0 + 1e-12:
+        tol = 1.0 + BOUND_RTOL
+        if cfg.perturbation == 0.0:
             report.add_check(
-                "contraction_H", PASS if max_ratio_h <= tol else FAIL,
-                f"max |eps|^2 / envelope = {max_ratio_h:.6g} over {n_steps} steps",
+                "identical_runs", PASS if exact_zero else FAIL,
+                "difference of two unperturbed runs must vanish identically",
             )
+        elif cfg.scheme == SEMI_IMPLICIT:
+            if tau * params.beta <= 1.0 + 1e-12:
+                report.add_check(
+                    "contraction_H", PASS if max_ratio_h <= tol else FAIL,
+                    f"max |eps|^2 / envelope = {max_ratio_h:.6g} over {n_steps} steps",
+                )
+            else:
+                report.add_check(
+                    "contraction_H", SKIP,
+                    f"tau*beta = {tau * params.beta:.4g} > 1: outside the "
+                    "semi-implicit contraction hypothesis",
+                )
         else:
             report.add_check(
-                "contraction_H", SKIP,
-                f"tau*beta = {tau * params.beta:.4g} > 1: outside the "
-                "semi-implicit contraction hypothesis",
+                "contraction_V", PASS if max_ratio_v <= tol else FAIL,
+                f"max ||eps||^2 / envelope = {max_ratio_v:.6g} over {n_steps} steps",
             )
-    else:
-        report.add_check(
-            "contraction_V", PASS if max_ratio_v <= tol else FAIL,
-            f"max ||eps||^2 / envelope = {max_ratio_v:.6g} over {n_steps} steps",
-        )
-
-    write_report(report, out)
     return report
 
 
@@ -778,99 +782,85 @@ def run_stability_soak(
             "stability soak preconditions: admissibility conditions must pass:\n"
             + setup.conditions.describe()
         )
-    report = ExperimentReport("soak", cfg.scheme, cfg.seed,
-                              constants=setup.consts, conditions=setup.conditions)
-    out = _out_dir(cfg, out_dir)
     params, consts = setup.params, setup.consts
     n_steps = cfg.soak_steps
+    with _Run("soak", setup, out_dir) as run:
+        report = run.report
+        truth, obs, v0 = _start(setup, n_steps * max(taus))
+        gal = _galerkin(params)
+        x0 = gal._pack_field(v0)
+        norms0 = gal.norms(x0)
+        if norms0[1] > consts.M1 * (1.0 + BOUND_RTOL):
+            raise ValueError(
+                f"soak initial data must lie in B_V(M1): ||v0|| = {norms0[1]:.4g} "
+                f"> M1 = {consts.M1:.4g}"
+            )
+        errors = truth.error_norms(gal)
+        e0_h, e0_v, _ = errors(x0, 0.0)
 
-    truth = _integrate(report, out, build_truth, setup, n_steps * max(taus))
-    if truth is None:
-        return _stop(report, out)
-    obs = truth.observations(setup.spec)
-    v0 = project_low(build_ic(setup, truth), params.cutoff)
-    gal = _galerkin(params)
-    x0 = gal._pack_field(v0)
-    norms0 = gal.norms(x0)
-    if norms0[1] > consts.M1 * (1.0 + BOUND_RTOL):
-        raise ValueError(
-            f"soak initial data must lie in B_V(M1): ||v0|| = {norms0[1]:.4g} "
-            f"> M1 = {consts.M1:.4g}"
-        )
-    errors = truth.error_norms(gal)
-    e0_h, e0_v, _ = errors(x0, 0.0)
+        m1 = consts.M1
+        lam1 = params.grid.lambda1
+        v_cap = 6.0 * m1
+        h_cap = 6.0 * m1 / math.sqrt(lam1)
+        f2 = consts.f_norm**2
+        beta, nu = params.beta, params.nu
 
-    m1 = consts.M1
-    lam1 = params.grid.lambda1
-    v_cap = 6.0 * m1
-    h_cap = 6.0 * m1 / math.sqrt(lam1)
-    f2 = consts.f_norm**2
-    beta, nu = params.beta, params.nu
+        for tau in taus:
+            label = f"tau={tau:g}"
+            h2_env = stability_bound_h2(params, consts, norms0[0] ** 2, tau, n_steps)
+            v2_env = stability_bound_v2(params, consts, norms0[1] ** 2, tau, n_steps)
+            energy_lhs_factor = 1.0 + tau * (0.5 * beta + nu * lam1)
+            energy_gain = 6.0 * tau * (f2 / beta + beta * consts.M0**2 + nu * m1**2)
+            first_violation: dict[str, str] = {}
+            max_ratio: dict[str, float] = {name: 0.0 for name in _SOAK_BOUNDS}
+            safe = "".join(ch if ch.isalnum() else "_" for ch in label)
+            rec = run.table(f"soak_series_{safe}.csv")
+            rec.add(0, 0.0, norms0, e0_h, e0_v,
+                    math.sqrt(h2_env[0]), math.sqrt(v2_env[0]))
+            last = norms0  # norms of the previous iterate
 
-    for tau in taus:
-        label = f"tau={tau:g}"
-        h2_env = stability_bound_h2(params, consts, norms0[0] ** 2, tau, n_steps)
-        v2_env = stability_bound_v2(params, consts, norms0[1] ** 2, tau, n_steps)
-        energy_lhs_factor = 1.0 + tau * (0.5 * beta + nu * lam1)
-        energy_gain = 6.0 * tau * (f2 / beta + beta * consts.M0**2 + nu * m1**2)
-        first_violation: dict[str, str] = {}
-        max_ratio: dict[str, float] = {name: 0.0 for name in _SOAK_BOUNDS}
-        rec = SeriesRecorder()
-        rec.add(0, 0.0, norms0, e0_h, e0_v, math.sqrt(h2_env[0]), math.sqrt(v2_env[0]))
-        last = norms0  # norms of the previous iterate
+            def track(name: str, lhs: float, rhs: float, state: SchemeState) -> None:
+                if rhs > 0.0:
+                    max_ratio[name] = max(max_ratio[name], lhs / rhs)
+                if lhs > rhs * (1.0 + BOUND_RTOL) and name not in first_violation:
+                    snap = os.path.join(
+                        run.out, f"soak_violation_{label}_{name}_step{state.k}.nnsf"
+                    )
+                    save_snapshot(snap, state.v)
+                    first_violation[name] = (
+                        f"step {state.k}: {lhs:.9g} > {rhs:.9g}, iterate in {snap}"
+                    )
 
-        def track(name: str, lhs: float, rhs: float, state: SchemeState) -> None:
-            if rhs > 0.0:
-                max_ratio[name] = max(max_ratio[name], lhs / rhs)
-            if lhs > rhs * (1.0 + BOUND_RTOL) and name not in first_violation:
-                snap = os.path.join(
-                    out, f"soak_violation_{label}_{name}_step{state.k}.nnsf"
-                )
-                os.makedirs(out, exist_ok=True)
-                save_snapshot(snap, state.v)
-                first_violation[name] = (
-                    f"step {state.k}: {lhs:.9g} > {rhs:.9g}, iterate in {snap}"
-                )
+            def on_step(prev: SchemeState, new: SchemeState) -> None:
+                nonlocal last
+                h_prev, v_prev, _ = last
+                norms = last = gal.norms(new.x)
+                h_new, v_new, _ = norms
+                track("sup_V", v_new, v_cap, new)
+                track("sup_H", h_new, h_cap, new)
+                track("envelope_H2", h_new**2, float(h2_env[new.k]), new)
+                track("envelope_V2", v_new**2, float(v2_env[new.k]), new)
+                track("stepwise_enstrophy", v_new**2,
+                      4.0 * v_prev**2 + 40.0 * m1**2, new)
+                if cfg.scheme == SEMI_IMPLICIT:
+                    track("stepwise_energy", energy_lhs_factor * h_new**2,
+                          h_prev**2 + energy_gain, new)
+                eh, ev, _ = errors(new.x, new.t)
+                rec.add(new.k, new.t, norms, eh, ev,
+                        math.sqrt(h2_env[new.k]), math.sqrt(v2_env[new.k]))
 
-        def on_step(prev: SchemeState, new: SchemeState) -> None:
-            nonlocal last
-            h_prev, v_prev, _ = last
-            norms = last = gal.norms(new.x)
-            h_new, v_new, _ = norms
-            track("sup_V", v_new, v_cap, new)
-            track("sup_H", h_new, h_cap, new)
-            track("envelope_H2", h_new**2, float(h2_env[new.k]), new)
-            track("envelope_V2", v_new**2, float(v2_env[new.k]), new)
-            track("stepwise_enstrophy", v_new**2,
-                  4.0 * v_prev**2 + 40.0 * m1**2, new)
-            if cfg.scheme == SEMI_IMPLICIT:
-                track("stepwise_energy", energy_lhs_factor * h_new**2,
-                      h_prev**2 + energy_gain, new)
-            eh, ev, _ = errors(new.x, new.t)
-            rec.add(new.k, new.t, norms, eh, ev,
-                    math.sqrt(h2_env[new.k]), math.sqrt(v2_env[new.k]))
-
-        finished = _integrate(
-            report, out, advance, v0, params, obs, tau, n_steps, scheme=cfg.scheme,
-            on_step=on_step,
-        )
-        safe = "".join(ch if ch.isalnum() else "_" for ch in label)
-        report.series_files.append(rec.write(out, f"soak_series_{safe}.csv"))
-        if finished is None:
-            return _stop(report, out)
-        for name in _SOAK_BOUNDS:
-            if name == "stepwise_energy" and cfg.scheme != SEMI_IMPLICIT:
-                continue
-            check_name = f"{label}:{name}"
-            if name in first_violation:
-                report.add_check(check_name, FAIL, first_violation[name])
-            else:
-                report.add_check(
-                    check_name, PASS, f"max ratio {max_ratio[name]:.6g}"
-                )
-            report.values[f"{check_name}:max_ratio"] = max_ratio[name]
-
-    write_report(report, out)
+            advance(v0, params, obs, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
+            for name in _SOAK_BOUNDS:
+                if name == "stepwise_energy" and cfg.scheme != SEMI_IMPLICIT:
+                    continue
+                check_name = f"{label}:{name}"
+                if name in first_violation:
+                    report.add_check(check_name, FAIL, first_violation[name])
+                else:
+                    report.add_check(
+                        check_name, PASS, f"max ratio {max_ratio[name]:.6g}"
+                    )
+                report.values[f"{check_name}:max_ratio"] = max_ratio[name]
     return report
 
 
@@ -917,102 +907,74 @@ def run_tau_sweep(
     if cfg.ref_factor < 1:
         raise ConfigError(f"ref_factor must be >= 1, got {cfg.ref_factor}")
     setup = _setup(cfg, tau=max(cfg.tau_list))
-    report = ExperimentReport("tau_sweep", cfg.scheme, cfg.seed,
-                              constants=setup.consts, conditions=setup.conditions)
-    out = _out_dir(cfg, out_dir)
     params = setup.params
     for tau in cfg.tau_list:
         _steps_for(cfg.t_end, tau)
     dt_ref = _reference_step(cfg.tau_list, cfg.ref_factor)
-
-    truth = _integrate(report, out, build_truth, setup, cfg.t_end)
-    if truth is None:
-        return _stop(report, out)
-    obs = truth.observations(setup.spec) if params.beta > 0.0 else None
-    v0 = project_low(build_ic(setup, truth), params.cutoff)
-
-    ref = _integrate(
-        report, out, reference_galerkin_integrate, v0, params, obs, cfg.t_end, dt_ref
-    )
-    ref_2dt = ref and _integrate(
-        report, out, reference_galerkin_integrate,
-        v0, params, obs, cfg.t_end, 2.0 * dt_ref,
-    )
-    if ref_2dt is None:
-        return _stop(report, out)
-    gal = _galerkin(params)
-    ref_gap_h = max(
-        gal.norms(a - b)[0] for a, b in zip(ref.frames[::2], ref_2dt.frames)
-    )
-    del ref_2dt  # only the gap is kept
-    x0 = gal._pack_field(v0)
-    errors = StoredTruth(ref).error_norms(gal)
-
-    sups_h: list[tuple[float, float]] = []
-    sups_v: list[tuple[float, float]] = []
-    for i, tau in enumerate(sorted(cfg.tau_list, reverse=True)):
-        n_steps = _steps_for(cfg.t_end, tau)
-        rec = SeriesRecorder()
-        rec.add(0, 0.0, gal.norms(x0), 0.0, 0.0)
-
-        def on_step(prev: SchemeState, new: SchemeState) -> None:
-            eh, ev, _ = errors(new.x, new.t)
-            rec.add(new.k, new.t, gal.norms(new.x), eh, ev)
-
-        finished = _integrate(
-            report, out, advance, v0, params, obs, tau, n_steps, scheme=cfg.scheme,
-            on_step=on_step,
+    with _Run("tau_sweep", setup, out_dir) as run:
+        report = run.report
+        _, obs, v0 = _start(setup, cfg.t_end)
+        ref = reference_galerkin_integrate(v0, params, obs, cfg.t_end, dt_ref)
+        ref_2dt = reference_galerkin_integrate(v0, params, obs, cfg.t_end, 2.0 * dt_ref)
+        gal = _galerkin(params)
+        ref_gap_h = max(
+            gal.norms(a - b)[0] for a, b in zip(ref.frames[::2], ref_2dt.frames)
         )
-        report.series_files.append(rec.write(out, f"tau_sweep_series_{i}.csv"))
-        if finished is None:
-            return _stop(report, out)
-        times = rec.column("time")
-        eh = ErrorSeries(times, rec.column("err_H"), "H", False)
-        ev = ErrorSeries(times, rec.column("err_V"), "V", False)
-        sup_h = eh.tail_sup(cfg.burn_in)
-        sup_v = ev.tail_sup(cfg.burn_in)
-        sups_h.append((tau, sup_h))
-        sups_v.append((tau, sup_v))
-        report.values[f"sup_err_H:tau={tau:g}"] = sup_h
-        report.values[f"sup_err_V:tau={tau:g}"] = sup_v
+        del ref_2dt  # only the gap is kept
+        x0 = gal._pack_field(v0)
+        errors = StoredTruth(ref).error_norms(gal)
 
-    summary = series_to_csv(
-        ("tau", "sup_err_H", "sup_err_V"),
-        [(t, h, v) for (t, h), (_, v) in zip(sups_h, sups_v)],
-    )
-    os.makedirs(out, exist_ok=True)
-    summary_path = os.path.join(out, "tau_sweep_summary.csv")
-    atomic_write_text(summary_path, summary)
-    report.series_files.append(summary_path)
+        sups_h: list[tuple[float, float]] = []
+        sups_v: list[tuple[float, float]] = []
+        for i, tau in enumerate(sorted(cfg.tau_list, reverse=True)):
+            n_steps = _steps_for(cfg.t_end, tau)
+            rec = run.table(f"tau_sweep_series_{i}.csv")
+            rec.add(0, 0.0, gal.norms(x0), 0.0, 0.0)
 
-    if ref.interpolated_queries:
-        report.notes.append(
-            f"reference interpolated {ref.interpolated_queries} queries"
-        )
-    report.values["ref_gap_H"] = ref_gap_h
-    budget = sups_h[-1][1] / cfg.ref_factor  # the runs end at min(tau)
-    report.add_check(
-        "reference", PASS if ref_gap_h <= budget else FAIL,
-        f"ETDRK4 gap dt_ref vs 2 dt_ref {ref_gap_h:.3e}, must be <= "
-        f"sup_err_H(min tau) / ref_factor = {budget:.3e} (dt_ref {dt_ref:g})",
-    )
-    for label, sups, lo, hi in (
-        ("order_H", sups_h, 0.8, 1.2),
-        ("order_V", sups_v, 0.7, 1.2),
-    ):
-        try:
-            fit = convergence_order(sups)
-            report.values[f"{label}:slope"] = fit.slope
-            ok = lo <= fit.slope <= hi
-            report.add_check(
-                label, PASS if ok else FAIL,
-                f"slope {fit.slope:.4f}, admissible [{lo}, {hi}], "
-                f"max log residual {fit.max_log_residual:.3f}",
+            def on_step(prev: SchemeState, new: SchemeState) -> None:
+                eh, ev, _ = errors(new.x, new.t)
+                rec.add(new.k, new.t, gal.norms(new.x), eh, ev)
+
+            advance(v0, params, obs, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
+            times = rec.column("time")
+            eh = ErrorSeries(times, rec.column("err_H"), "H", False)
+            ev = ErrorSeries(times, rec.column("err_V"), "V", False)
+            sup_h = eh.tail_sup(cfg.burn_in)
+            sup_v = ev.tail_sup(cfg.burn_in)
+            sups_h.append((tau, sup_h))
+            sups_v.append((tau, sup_v))
+            report.values[f"sup_err_H:tau={tau:g}"] = sup_h
+            report.values[f"sup_err_V:tau={tau:g}"] = sup_v
+
+        summary = run.table("tau_sweep_summary.csv", ("tau", "sup_err_H", "sup_err_V"))
+        summary.rows = [(t, h, v) for (t, h), (_, v) in zip(sups_h, sups_v)]
+
+        if ref.interpolated_queries:
+            report.notes.append(
+                f"reference interpolated {ref.interpolated_queries} queries"
             )
-        except FitError as exc:
-            report.add_check(label, FAIL, f"order fit failed: {exc}")
-
-    write_report(report, out)
+        report.values["ref_gap_H"] = ref_gap_h
+        budget = sups_h[-1][1] / cfg.ref_factor  # the runs end at min(tau)
+        report.add_check(
+            "reference", PASS if ref_gap_h <= budget else FAIL,
+            f"ETDRK4 gap dt_ref vs 2 dt_ref {ref_gap_h:.3e}, must be <= "
+            f"sup_err_H(min tau) / ref_factor = {budget:.3e} (dt_ref {dt_ref:g})",
+        )
+        for label, sups, lo, hi in (
+            ("order_H", sups_h, 0.8, 1.2),
+            ("order_V", sups_v, 0.7, 1.2),
+        ):
+            try:
+                fit = convergence_order(sups)
+                report.values[f"{label}:slope"] = fit.slope
+                ok = lo <= fit.slope <= hi
+                report.add_check(
+                    label, PASS if ok else FAIL,
+                    f"slope {fit.slope:.4f}, admissible [{lo}, {hi}], "
+                    f"max log residual {fit.max_log_residual:.3f}",
+                )
+            except FitError as exc:
+                report.add_check(label, FAIL, f"order fit failed: {exc}")
     return report
 
 
@@ -1034,104 +996,74 @@ def run_n_sweep(
     if len(cfg.lambda_cut_list) < 3:
         raise ConfigError("cutoff sweep needs at least 3 cutoffs")
     setup = _setup(cfg)
-    report = ExperimentReport("n_sweep", cfg.scheme, cfg.seed,
-                              constants=setup.consts, conditions=setup.conditions)
-    out = _out_dir(cfg, out_dir)
-    cfg_tau = cfg.tau
-    n_steps = _steps_for(cfg.t_end, cfg_tau)
+    fine_tau = cfg.tau / cfg.tau_floor_factor
+    for tau in (cfg.tau, fine_tau):
+        _steps_for(cfg.t_end, tau)
+    with _Run("n_sweep", setup, out_dir) as run:
+        report = run.report
+        truth, obs, v0 = _start(setup, cfg.t_end)
+        u_end = truth.field_at(cfg.t_end)
 
-    truth = _integrate(report, out, build_truth, setup, cfg.t_end)
-    if truth is None:
-        return _stop(report, out)
-    obs = (
-        truth.observations(setup.spec)
-        if setup.params.beta > 0.0 else None
-    )
-    v0 = build_ic(setup, truth)
-    u_end = truth.field_at(cfg.t_end)
+        def final_errors(
+            lambda_cut: float, tau: float
+        ) -> tuple[float, float, float, float]:
+            params = build_params(
+                cfg, setup.grid, setup.forcing, setup.spec, lambda_cut=lambda_cut
+            )
+            state, _ = advance(
+                v0, params, obs, tau, _steps_for(cfg.t_end, tau), scheme=cfg.scheme
+            )
+            plain = state.v - u_end
+            corrected = (
+                state.v + phi1(state.v, setup.forcing, cfg.nu, params.cutoff) - u_end
+            )
+            return norm_H(plain), norm_H(corrected), norm_V(plain), norm_V(corrected)
 
-    def final_errors(
-        lambda_cut: float, tau: float
-    ) -> tuple[float, float, float, float] | None:
-        params = build_params(
-            cfg, setup.grid, setup.forcing, setup.spec, lambda_cut=lambda_cut
+        summary = run.table(
+            "n_sweep_summary.csv",
+            ("lambda_cut", "lambda_next", "L_N", "err_plain_H", "err_pp_H",
+             "err_plain_V", "err_pp_V"),
         )
-        ran = _integrate(
-            report, out, advance, v0, params, obs, tau, _steps_for(cfg.t_end, tau),
-            scheme=cfg.scheme,
-        )
-        if ran is None:
-            return None
-        state = ran[0]
-        plain = state.v - u_end
-        corrected = state.v + phi1(state.v, setup.forcing, cfg.nu, params.cutoff) - u_end
-        return norm_H(plain), norm_H(corrected), norm_V(plain), norm_V(corrected)
+        pairs: list[tuple[float, float]] = []
+        for lam in sorted(cfg.lambda_cut_list):
+            cutoff = GalerkinCutoff(lam)
+            lam_next = cutoff.lambda_next(setup.grid)
+            lam_low = cutoff.lambda_low(setup.grid)
+            l_n = math.sqrt(1.0 + math.log(lam_low / setup.grid.lambda1))
+            ep_h, ec_h, ep_v, ec_v = final_errors(lam, cfg.tau)
+            summary.rows.append((lam, lam_next, l_n, ep_h, ec_h, ep_v, ec_v))
+            pairs.append((lam_next, ec_h / l_n))
+            report.add_check(
+                f"pp_improves:lambda_cut={lam:g}",
+                PASS if ec_h <= ep_h * (1.0 + BOUND_RTOL) else FAIL,
+                f"corrected {ec_h:.6g} vs plain {ep_h:.6g} (ratio "
+                f"{ec_h / ep_h if ep_h > 0 else math.inf:.4f})",
+            )
+            report.values[f"err_plain_H:lambda_cut={lam:g}"] = ep_h
+            report.values[f"err_pp_H:lambda_cut={lam:g}"] = ec_h
 
-    rows = []
+        try:
+            fit = convergence_order(pairs)
+            report.values["pp_order:slope"] = fit.slope
+            ok = -1.6 <= fit.slope <= -0.9
+            report.add_check(
+                "pp_order", PASS if ok else FAIL,
+                f"slope {fit.slope:.4f} of err_pp/L_N vs lambda_next, "
+                f"admissible [-1.6, -0.9]",
+            )
+        except FitError as exc:
+            report.add_check("pp_order", FAIL, f"order fit failed: {exc}")
 
-    def write_summary() -> None:
-        os.makedirs(out, exist_ok=True)
-        summary_path = os.path.join(out, "n_sweep_summary.csv")
-        atomic_write_text(
-            summary_path,
-            series_to_csv(
-                ("lambda_cut", "lambda_next", "L_N", "err_plain_H", "err_pp_H",
-                 "err_plain_V", "err_pp_V"),
-                rows,
-            ),
-        )
-        report.series_files.append(summary_path)
-
-    pairs: list[tuple[float, float]] = []
-    for lam in sorted(cfg.lambda_cut_list):
-        cutoff = GalerkinCutoff(lam)
-        lam_next = cutoff.lambda_next(setup.grid)
-        lam_low = cutoff.lambda_low(setup.grid)
-        l_n = math.sqrt(1.0 + math.log(lam_low / setup.grid.lambda1))
-        errs = final_errors(lam, cfg_tau)
-        if errs is None:
-            write_summary()
-            return _stop(report, out)
-        ep_h, ec_h, ep_v, ec_v = errs
-        rows.append((lam, lam_next, l_n, ep_h, ec_h, ep_v, ec_v))
-        pairs.append((lam_next, ec_h / l_n))
+        lam_max = max(cfg.lambda_cut_list)
+        ec_coarse = next(r[4] for r in summary.rows if r[0] == lam_max)
+        ec_fine = final_errors(lam_max, fine_tau)[1]
+        rel_change = abs(ec_coarse - ec_fine) / max(ec_coarse, 1e-300)
+        report.values["tau_floor_rel_change"] = rel_change
         report.add_check(
-            f"pp_improves:lambda_cut={lam:g}",
-            PASS if ec_h <= ep_h * (1.0 + BOUND_RTOL) else FAIL,
-            f"corrected {ec_h:.6g} vs plain {ep_h:.6g} (ratio "
-            f"{ec_h / ep_h if ep_h > 0 else math.inf:.4f})",
+            "tau_floor_subdominant", PASS if rel_change <= 0.5 else FAIL,
+            f"corrected error moved {rel_change:.2%} when tau halved "
+            f"({ec_coarse:.6g} -> {ec_fine:.6g})",
         )
-        report.values[f"err_plain_H:lambda_cut={lam:g}"] = ep_h
-        report.values[f"err_pp_H:lambda_cut={lam:g}"] = ec_h
-    write_summary()
-
-    try:
-        fit = convergence_order(pairs)
-        report.values["pp_order:slope"] = fit.slope
-        ok = -1.6 <= fit.slope <= -0.9
-        report.add_check(
-            "pp_order", PASS if ok else FAIL,
-            f"slope {fit.slope:.4f} of err_pp/L_N vs lambda_next, "
-            f"admissible [-1.6, -0.9]",
-        )
-    except FitError as exc:
-        report.add_check("pp_order", FAIL, f"order fit failed: {exc}")
-
-    lam_max = max(cfg.lambda_cut_list)
-    ec_coarse = next(r[4] for r in rows if r[0] == lam_max)
-    fine = final_errors(lam_max, cfg_tau / cfg.tau_floor_factor)
-    if fine is None:
-        return _stop(report, out)
-    ec_fine = fine[1]
-    rel_change = abs(ec_coarse - ec_fine) / max(ec_coarse, 1e-300)
-    report.values["tau_floor_rel_change"] = rel_change
-    report.add_check(
-        "tau_floor_subdominant", PASS if rel_change <= 0.5 else FAIL,
-        f"corrected error moved {rel_change:.2%} when tau halved "
-        f"({ec_coarse:.6g} -> {ec_fine:.6g})",
-    )
-
-    write_report(report, out)
     return report
 
 

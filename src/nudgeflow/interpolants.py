@@ -130,7 +130,8 @@ def apply_ih(spec: InterpolantSpec, f: SpectralField) -> SpectralField:
     dd = d[:, None] * d[None, :]
     folded = (dd * f.coeffs).reshape(2, b, m, b, m).sum(axis=(1, 3))
     c = dd.conj() * np.tile(folded, (1, b, b))
-    return SpectralField.from_coeffs(grid, leray_project_raw(c, grid), copy=False)
+    # a fresh Hermitian, solenoidal, mean-free array: nothing to re-validate
+    return SpectralField._trusted(grid, leray_project_raw(c, grid))
 
 
 def _trial_fields(

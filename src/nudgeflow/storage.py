@@ -4,9 +4,9 @@ Snapshot layout (little-endian): header = magic "NNSF", version u32,
 L f64, n u32, lambda_cut f64; body = the (2, n, n) complex128
 coefficient array, component-major, each component row-major.
 
-A trajectory holds time-ordered frames in memory: fields, or the packed
-Galerkin vectors that the solver marches (see `schemes`), from which it
-builds a field only on request.  `Trajectory.lookup` interpolates between
+A trajectory holds time-ordered frames in memory: the packed Galerkin
+vectors that the solver marches (see `schemes`), from which it builds a
+field only on request.  `Trajectory.lookup` interpolates between
 stored times with 4-point Lagrange weights, for the frames themselves and
 for per-frame data derived linearly from them (packed observations).
 """
@@ -119,33 +119,30 @@ def _lagrange_weights(times: np.ndarray, t: float) -> tuple[int, list[float]]:
 class Trajectory:
     """Time-ordered frames with exact lookup plus cubic time interpolation.
 
-    A plain trajectory stores fields.  A packed trajectory stores one packed
-    vector per frame together with its packing (an object whose
-    `_field(vec)` builds the field), and builds a field only when one is
-    asked for: `at`, `fields`.  Queries at stored times return the stored
-    frame; between samples a 4-point Lagrange polynomial in time is used
-    (linear combinations preserve the field invariants exactly).
+    Stores one packed vector per frame together with its packing (an
+    object whose `_field(vec)` builds the field), and builds a field only
+    when one is asked for: `at`, `fields`.  Queries at stored times return
+    the stored frame; between samples a 4-point Lagrange polynomial in
+    time is used (linear combinations preserve the field invariants
+    exactly).
     exact_queries and interpolated_queries count the lookups of each kind
     so callers can report them.
     """
 
     _EXACT_RTOL = 1e-9
 
-    def __init__(self, grid: TorusGrid, packing=None) -> None:
+    def __init__(self, grid: TorusGrid, packing) -> None:
         self.grid = grid
         self.packing = packing
         self.steps: list[int] = []
         self._times: list[float] = []
-        # fields (plain) or packed vectors (packed)
-        self.frames: list = []
+        self.frames: list[np.ndarray] = []
         self.interpolated_queries = 0
         self.exact_queries = 0
         self._times_arr: np.ndarray | None = None
 
-    def append(self, step: int, t: float, frame) -> None:
-        """Store a field, or a packed vector in a packed trajectory."""
-        if self.packing is None and frame.grid != self.grid:
-            raise ValueError("snapshot grid differs from trajectory grid")
+    def append(self, step: int, t: float, frame: np.ndarray) -> None:
+        """Store the packed vector of the state at time t."""
         if self._times and t <= self._times[-1]:
             raise ValueError(
                 f"snapshot times must increase: got {t} after {self._times[-1]}"
@@ -170,9 +167,7 @@ class Trajectory:
 
     @property
     def fields(self) -> list[SpectralField]:
-        """The stored frames as fields (built anew for a packed trajectory)."""
-        if self.packing is None:
-            return list(self.frames)
+        """The stored frames as fields, built anew."""
         return [self.packing._field(vec) for vec in self.frames]
 
     def stencil(self, t: float) -> tuple[int, list[float] | None]:
@@ -218,8 +213,7 @@ class Trajectory:
 
     def at(self, t: float) -> SpectralField:
         """Field at time t: stored snapshot if t matches, else interpolated."""
-        frame = self.frame_at(t)
-        return frame if self.packing is None else self.packing._field(frame)
+        return self.packing._field(self.frame_at(t))
 
 
 def series_to_csv(header: Iterable[str], rows: Iterable[Iterable[float]]) -> str:

@@ -148,9 +148,9 @@ def test_inadmissible_time_steps_rejected(section, key, value, match):
 
 
 def test_float_list_keys():
-    cfg = parse_config_text(MINIMAL + "[sweep]\ntau_list = 0.1, 0.05\nbeta_list =\n")
+    cfg = parse_config_text(MINIMAL + "[sweep]\ntau_list = 0.1, 0.05\nlambda_cut_list =\n")
     assert cfg.tau_list == (0.1, 0.05)
-    assert cfg.beta_list == ()
+    assert cfg.lambda_cut_list == ()
 
 
 @settings(max_examples=30, deadline=None)

@@ -45,8 +45,9 @@ from nudgeflow.fields import (
     norm_DA,
     norm_H,
     norm_V,
+    project_low,
 )
-from nudgeflow.krylov import SolveResult
+from nudgeflow.krylov import SolveResult, SolverError
 from nudgeflow.storage import load_snapshot
 
 # Shear amplitude giving Grashof number 2 at nu = 0.1 on the 2 pi torus.
@@ -312,6 +313,48 @@ def test_tau_sweep_reference_check_certifies_the_reference(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# runner pipeline
+
+
+@pytest.mark.parametrize(
+    "runner, overrides, tables",
+    [
+        (run_twin_experiment, {}, ["twin_series.csv"]),
+        (run_contraction_test, dict(contraction_steps=5), ["contraction_series.csv"]),
+        (
+            run_stability_soak,
+            dict(soak_steps=5),
+            [f"soak_series_tau_{t}.csv" for t in ("0_02", "0_01", "0_005", "0_0025")],
+        ),
+        (
+            run_tau_sweep,
+            dict(t_end=0.06, burn_in=0.02),
+            [f"tau_sweep_series_{i}.csv" for i in range(4)] + ["tau_sweep_summary.csv"],
+        ),
+        (run_n_sweep, dict(t_end=0.1), ["n_sweep_summary.csv"]),
+    ],
+)
+def test_runner_tables_are_written_in_registration_order(
+    runner, overrides, tables, tmp_path
+):
+    report = runner(tiny_twin_config(**overrides), str(tmp_path))
+    assert "solver" not in [c.name for c in report.checks]
+    assert report.series_files == [str(tmp_path / name) for name in tables]
+    assert all(os.path.exists(path) for path in report.series_files)
+    text = (tmp_path / f"{report.name}_report.txt").read_text()
+    listed = text.split("[series]\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert listed == [f"file_{i} = {path}" for i, path in enumerate(report.series_files)]
+
+
+def test_bad_input_inside_a_run_writes_nothing(tmp_path):
+    # v0 = P_N u* of a steady truth the cutoff holds: zero initial error
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"v0 != u\(0\)"):
+        run_twin_experiment(tiny_twin_config(ic="truth_low"), str(out))
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # command line interface
 
 
@@ -524,6 +567,26 @@ def test_runners_report_a_solver_stall_as_failed_check(
             )
             gal = schemes._galerkin(params)
             assert recorded == gal.norms(gal._pack_field(state))[0]
+
+
+def test_tau_sweep_reference_failure_writes_report_and_snapshot(tmp_path, monkeypatch):
+    def failing_reference(v0, p, obs, t_end, dt):
+        state = schemes.SchemeState(2, dt, project_low(v0, p.cutoff))
+        raise SolverError("non-finite iterate", state=state, cutoff=p.cutoff)
+
+    monkeypatch.setattr(experiments, "reference_galerkin_integrate", failing_reference)
+    cfg = tiny_twin_config(t_end=0.06)
+    report = run_tau_sweep(cfg, str(tmp_path))
+    dump = "tau_sweep_solver_state.nnsf"
+    detail = f"non-finite iterate; last accepted state (step 2) in {dump}"
+    assert [(c.name, c.status, c.detail) for c in report.checks] == [
+        ("solver", FAIL, detail)
+    ]
+    assert report.series_files == []
+    assert f"solver = fail ({detail})" in (tmp_path / "tau_sweep_report.txt").read_text()
+    state, cutoff = load_snapshot(str(tmp_path / dump))
+    assert cutoff == GalerkinCutoff(cfg.lambda_cut) and norm_H(state) > 0.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tau_sweep_report.txt", dump]
 
 
 def test_non_finite_iterate_is_a_failed_solver_check(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from nudgeflow.fields import (
     GalerkinCutoff,
     TorusGrid,
+    _validate,
     from_physical,
     norm_H,
     norm_V,
@@ -97,6 +98,9 @@ def test_volume_average_matches_loop_reference(rng, n, m):
     spec = InterpolantSpec("volume_average", TWO_PI / m)
     f = random_field(grid, rng, norm_v=1.0)
     obs = apply_ih(spec, f)
+    # apply_ih builds its result unchecked: the invariants hold by construction
+    _validate(grid, obs.coeffs)
+    assert not obs.coeffs[:, 0, 0].any()
     raw = np.fft.fft2(_loop_block_average(to_physical(f), m)) / grid.n**2
     raw[:, 0, 0] = 0.0
     ref = leray_project(raw, grid)

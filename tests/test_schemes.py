@@ -41,7 +41,6 @@ from nudgeflow.schemes import (
     reference_galerkin_integrate,
     semi_implicit_step,
 )
-from nudgeflow.storage import Trajectory
 
 TWO_PI = 2.0 * np.pi
 
@@ -695,19 +694,12 @@ OBSERVATION_CASES = [
 
 
 @pytest.mark.parametrize("n, kind, h", OBSERVATION_CASES)
-@pytest.mark.parametrize("stored", ["packed", "plain"])
-def test_packed_observations_match_apply_ih(n, kind, h, stored):
+def test_packed_observations_match_apply_ih(n, kind, h):
     grid = TorusGrid(TWO_PI, n)
     rng = np.random.default_rng(n + 3)
     forcing = kolmogorov_forcing(grid, 2, 0.5)
     u0 = random_field(grid, rng, norm_v=2.0)
     traj = nse_integrate(u0, free_params(grid, 0.1, forcing), 0.06, 0.01, store_every=2)
-    assert traj.packing is not None
-    if stored == "plain":
-        plain = Trajectory(grid)
-        for step, t, f in zip(traj.steps, traj.times, traj.fields):
-            plain.append(step, float(t), f)
-        traj = plain
     spec = InterpolantSpec(kind, h)
     p = PhysicsParams(0.1, grid, forcing, 8.0, spec, GalerkinCutoff(60.0))
     gal = schemes._Galerkin(p)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nudgeflow.fields import GalerkinCutoff, norm_H, random_field
+from nudgeflow.fields import GalerkinCutoff, SpectralField, norm_H, random_field
+from nudgeflow.schemes import PhysicsParams, _galerkin
 from nudgeflow.storage import (
     SNAPSHOT_MAGIC,
     SnapshotFormatError,
@@ -70,52 +71,60 @@ def test_snapshot_format_errors(tmp_path, rng, grid16):
         load_snapshot(versioned)
 
 
-def test_trajectory_append_guards(rng, grid16, grid32):
-    traj = Trajectory(grid16)
-    f = random_field(grid16, rng)
-    traj.append(0, 0.0, f)
+def _band_packing(grid):
+    """The packing of every mode in grid's dealiased band."""
+    return _galerkin(
+        PhysicsParams(0.1, grid, SpectralField.zero(grid), 0.0, None, grid.band_cutoff())
+    )
+
+
+def test_trajectory_append_guards(rng, grid16):
+    gal = _band_packing(grid16)
+    traj = Trajectory(grid16, gal)
+    x = gal._pack_field(random_field(grid16, rng))
+    traj.append(0, 0.0, x)
     with pytest.raises(ValueError, match="increase"):
-        traj.append(1, 0.0, f)
-    with pytest.raises(ValueError, match="grid"):
-        traj.append(1, 1.0, random_field(grid32, rng))
+        traj.append(1, 0.0, x)
 
 
 def test_trajectory_exact_and_interpolated_lookup(rng, grid16):
-    # fields polynomial (cubic) in t: 4-point Lagrange interpolation in
+    # frames polynomial (cubic) in t: 4-point Lagrange interpolation in
     # time must reproduce them exactly between samples
-    base = random_field(grid16, rng, norm_v=1.0)
+    gal = _band_packing(grid16)
+    base = gal._pack_field(random_field(grid16, rng, norm_v=1.0))
 
-    def field_at(t):
+    def frame_at(t):
         return base * (1.0 + 0.5 * t - 0.25 * t**2 + 0.125 * t**3)
 
-    traj = Trajectory(grid16)
+    traj = Trajectory(grid16, gal)
     times = np.linspace(0.0, 2.0, 9)
     for k, t in enumerate(times):
-        traj.append(k, float(t), field_at(float(t)))
+        traj.append(k, float(t), frame_at(float(t)))
 
     got = traj.at(0.5)
     assert traj.exact_queries == 1 and traj.interpolated_queries == 0
-    assert norm_H(got - field_at(0.5)) == 0.0
+    assert np.array_equal(got.coeffs, gal._field(frame_at(0.5)).coeffs)
 
     mid = 0.625  # strictly between stored samples
     got = traj.at(mid)
     assert traj.interpolated_queries == 1
-    assert norm_H(got - field_at(mid)) <= 1e-12 * norm_H(base)
+    assert norm_H(got - gal._field(frame_at(mid))) <= 1e-12 * norm_H(gal._field(base))
 
     with pytest.raises(ValueError, match="outside"):
         traj.at(2.5)
     with pytest.raises(ValueError, match="empty"):
-        Trajectory(grid16).at(0.0)
+        Trajectory(grid16, gal).at(0.0)
 
 
 def test_trajectory_near_time_tolerance(rng, grid16):
-    traj = Trajectory(grid16)
-    f = random_field(grid16, rng)
-    traj.append(0, 0.0, f)
-    traj.append(1, 0.1, f * 2.0)
+    gal = _band_packing(grid16)
+    traj = Trajectory(grid16, gal)
+    x = gal._pack_field(random_field(grid16, rng))
+    traj.append(0, 0.0, x)
+    traj.append(1, 0.1, x * 2.0)
     # a query within the relative tolerance snaps to the stored sample
     got = traj.at(0.1 + 1e-12)
-    assert norm_H(got - f * 2.0) == 0.0
+    assert np.array_equal(got.coeffs, gal._field(x * 2.0).coeffs)
     assert traj.interpolated_queries == 0
 
 

@@ -390,7 +390,9 @@ def decay_rate_fit(series: ErrorSeries, min_samples: int = 10) -> DecayFit:
 
     The floor is the median of the last 10% of samples; the fit uses the
     initial segment of samples strictly above 3x that floor and requires
-    at least min_samples of them.
+    at least min_samples of them.  A series whose first sample is not
+    above 3x the floor has not reached a floor (it decays by less than 3x
+    over the run, or rises), and its whole positive part is fitted.
     """
     t = np.asarray(series.times, dtype=float)
     v = np.asarray(series.values, dtype=float)
@@ -400,16 +402,15 @@ def decay_rate_fit(series: ErrorSeries, min_samples: int = 10) -> DecayFit:
     floor = float(np.median(v[-tail:]))
     cut = 3.0 * floor
     above = v > cut
-    # fit only the contiguous pre-floor prefix
-    stop = int(np.argmin(above)) if not bool(above.all()) else len(v)
-    if stop == 0 or not above[0]:
-        raise FitError("series has no samples above the detected floor")
+    # fit only the contiguous pre-floor prefix, or everything if no floor
+    stop = len(v) if above.all() or not above[0] else int(np.argmin(above))
     tt, vv = t[:stop], v[:stop]
     keep = vv > 0
     tt, vv = tt[keep], vv[keep]
     if len(tt) < min_samples:
         raise FitError(
-            f"only {len(tt)} samples above floor {floor:.3e}; need {min_samples}"
+            f"only {len(tt)} positive samples to fit (floor {floor:.3e}); "
+            f"need {min_samples}"
         )
     slope, intercept = np.polyfit(tt, np.log(vv), 1)
     if slope >= 0.0:

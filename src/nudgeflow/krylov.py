@@ -5,7 +5,7 @@ space with inner product Re <a, b>.  All Arnoldi coefficients are then
 real, so Krylov iterates are real-linear combinations of the seed
 vectors; operators that preserve Hermitian coefficient symmetry keep the
 whole iteration inside the symmetry class.  Preconditioning is applied
-on the right, so the reported residual is the true residual of the
+on the right, so the reported residual is the residual b - A x of the
 original system.
 
 The Arnoldi step orthogonalizes by classical Gram-Schmidt applied twice
@@ -16,6 +16,14 @@ squares problem is reduced by Givens rotations and solved by back
 substitution on Python floats (Saad & Schultz, SIAM J. Sci. Stat.
 Comput. 7, 1986).  A caller that already holds the initial residual
 b - A x0 passes it as r0 and saves one operator application.
+
+The residual at the end of a cycle is built from products already
+applied: the cycle keeps each A M^(-1) V[j], and since A is linear,
+b - A(x0 + M^(-1) V y) = r0 - sum_j y_j A M^(-1) V[j].  That residual,
+which tracks a freshly applied one to roundoff (Van der Vorst & Ye,
+SIAM J. Sci. Comput. 22, 2000), decides convergence, is the reported
+residual and starts the next cycle, so a solve applies the operator once
+per iteration plus once for b - A x0 when r0 is not given.
 """
 
 from __future__ import annotations
@@ -79,7 +87,10 @@ def gmres(
     iteration solves A M^(-1) y = b and returns x = M^(-1) y, so the
     residual history tracks |b - A x| throughout.  r0, if given, must be
     b - A x0: the caller has just computed it, and the first cycle starts
-    from it instead of applying A once more.
+    from it instead of applying A once more.  The residual after each
+    cycle is r0 minus the kept products A M^(-1) V[j] weighted by the
+    cycle's coefficients, so the operator and the preconditioner must
+    both be linear over the reals.
     """
     b = np.asarray(b)
     b = b.astype(np.result_type(b.dtype, np.float64), copy=False)
@@ -88,31 +99,33 @@ def gmres(
         return SolveResult(np.zeros_like(b), True, 0, 0.0, (0.0,))
     mi = apply_precond if apply_precond is not None else (lambda v: v)
     x = np.array(x0, dtype=b.dtype) if x0 is not None else np.zeros_like(b)
+    r = b - apply_op(x) if r0 is None else r0
     history: list[float] = []
     total = 0
-    res = math.inf
-    while total < max_iter:
-        r = b - apply_op(x) if r0 is None else r0
-        r0 = None
+    breakdown = False
+    while True:
         rho = float(np.linalg.norm(r))
         res = rho / bnorm
         history.append(res)
         if res <= rel_tol:
             return SolveResult(x, True, total, res, tuple(history))
+        if breakdown or total >= max_iter:
+            break
         m = min(restart, max_iter - total)
         V = np.empty((m + 1, b.size), dtype=b.dtype)
-        # the basis as real vectors, so Re <a, b> is a plain dot product
-        Vr = V.view(np.float64)
+        # the products A M^(-1) V[j], kept for the cycle's final residual
+        W = np.empty((m, b.size), dtype=b.dtype)
+        # both as real vectors, so Re <a, b> is a plain dot product
+        Vr, Wr = V.view(np.float64), W.view(np.float64)
         V[0] = r / rho
         cols: list[list[float]] = []  # columns of the rotated Hessenberg matrix
         cs: list[float] = []
         sn: list[float] = []
         g = [rho]
-        breakdown = False
         for j in range(m):
-            w = np.ascontiguousarray(apply_op(mi(V[j])), dtype=b.dtype).view(np.float64)
+            W[j] = apply_op(mi(V[j]))
             # classical Gram-Schmidt, twice (Giraud, Langou & Rozloznik 2005)
-            basis, v = Vr[: j + 1], Vr[j + 1]
+            w, basis, v = Wr[j], Vr[: j + 1], Vr[j + 1]
             h = basis @ w
             np.subtract(w, h @ basis, out=v)
             h2 = basis @ v
@@ -141,9 +154,8 @@ def gmres(
             cols.append(col[: j + 1])
             g.append(-sn[j] * g[j])
             g[j] = cs[j] * g[j]
-            res = abs(g[j + 1]) / bnorm
-            history.append(res)
-            if res <= rel_tol or breakdown:
+            history.append(abs(g[j + 1]) / bnorm)
+            if history[-1] <= rel_tol or breakdown:
                 break
         if cols:
             # back substitution on the upper triangular block the rotations left
@@ -154,14 +166,8 @@ def gmres(
                 for k in range(i + 1, n_used):
                     s -= cols[k][i] * y[k]
                 y[i] = s / cols[i][i]
-            z = (np.array(y) @ Vr[:n_used]).view(b.dtype)
-            x = x + mi(z)
-        if res <= rel_tol or breakdown:
-            r = b - apply_op(x)
-            res = float(np.linalg.norm(r)) / bnorm
-            history.append(res)
-            if res <= rel_tol:
-                return SolveResult(x, True, total, res, tuple(history))
-            if breakdown:
-                break
+            coef = np.array(y)
+            x = x + mi((coef @ Vr[:n_used]).view(b.dtype))
+            # b - A(x + M^(-1) V y) = r - A M^(-1) V y, from the kept products
+            r = r - (coef @ Wr[:n_used]).view(b.dtype)
     return SolveResult(x, False, total, res, tuple(history))

@@ -24,7 +24,12 @@ extrapolation would overshoot.  The semi-implicit scheme still freezes its
 first bilinear argument at v^k; the Picard loop starts from the guess.
 Each Picard nonlinear residual b - A(v) v is also the initial GMRES
 residual of the next solve, which reuses it instead of applying the
-operator again.
+operator again.  GMRES builds its final residual from the operator
+products it has already applied (`krylov`), so a solve costs one
+application per iteration, plus one for its initial residual when it has
+none; the semi-implicit step's residual is that final residual.  Each
+application builds the half spectrum of its argument once, for both the
+advective and the observation terms.
 
 The operator is applied on the cutoff's own product grid: the smallest
 even FFT-friendly n_s >= 3K + 1, K the largest |j|_inf of a low mode, on
@@ -372,20 +377,19 @@ class _Galerkin:
         """P_N P_sigma of a product-grid half spectrum, packed."""
         return self._dot_e(half, self._half_at)
 
-    def _physical(self, vec: np.ndarray) -> np.ndarray:
-        """Product-grid samples of a packed velocity."""
+    def _physical(self, half: np.ndarray) -> np.ndarray:
+        """Product-grid samples of a velocity, from its half spectrum (`_half`)."""
         import scipy.fft as _fft
         n = self.sgrid.n
-        return _fft.irfft2(self._half(vec), s=(n, n), norm="forward")
+        return _fft.irfft2(half, s=(n, n), norm="forward")
 
     # -- operator pieces ----------------------------------------------------
 
-    def _obs_term(self, vec: np.ndarray) -> np.ndarray:
-        """beta * P_N P_sigma I_h w on a packed vector."""
+    def _obs_term(self, vec: np.ndarray, half: np.ndarray) -> np.ndarray:
+        """beta * P_N P_sigma I_h w on a packed vector and its half spectrum."""
         if self._cell_avg is None:
             return self.obs_diag * vec
         t, t_flip, plus, minus = self._cell_avg
-        half = self._half(vec)
         averaged = t @ half @ plus + t_flip @ half.conj() @ minus
         return self.p.beta * self._project(averaged)
 
@@ -420,10 +424,11 @@ class _Galerkin:
         P_N f - P_N B(v, v) + data + (obs_diag v - beta P_N P_sigma I_h v),
         data the packed observation term beta P_N I_h u(t) (or 0.0).
         """
-        adv = advect_raw(self.sgrid, self._physical(vec), self._half(vec))
+        half = self._half(vec)
+        adv = advect_raw(self.sgrid, self._physical(half), half)
         out = self.f_low - self._project(adv) + data
         if self._cell_avg is not None:
-            out += self.obs_diag * vec - self._obs_term(vec)
+            out += self.obs_diag * vec - self._obs_term(vec, half)
         return out
 
 
@@ -448,10 +453,17 @@ class _Stepper(_Galerkin):
         # 1/(1 + tau d_k), the per-mode weight of the predictor in `advance`
         self._predictor_weight = self._inv_diag / self.tau
 
-    def _apply_linear(self, vec: np.ndarray, u_phys: np.ndarray) -> np.ndarray:
-        """Packed action of w/tau + nu A w + P_N B(u, w) + beta P_N P_sigma I_h w."""
-        adv = self._project(advect_raw(self.sgrid, u_phys, self._half(vec)))
-        return self._stokes_diag * vec + adv + self._obs_term(vec)
+    def _apply_linear(
+        self, vec: np.ndarray, u_phys: np.ndarray, half: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Packed action of w/tau + nu A w + P_N B(u, w) + beta P_N P_sigma I_h w.
+
+        half, if given, is vec's half spectrum, already built.
+        """
+        if half is None:
+            half = self._half(vec)
+        adv = self._project(advect_raw(self.sgrid, u_phys, half))
+        return self._stokes_diag * vec + adv + self._obs_term(vec, half)
 
     def _solve(
         self,
@@ -520,18 +532,19 @@ class _Stepper(_Galerkin):
         if guess is None:
             guess = x
         if self.scheme == SEMI_IMPLICIT:
-            # the step residual is GMRES's final true residual of this iterate
-            x = self._solve(self._physical(x), b, guess)
+            # the step residual is GMRES's final residual of this iterate
+            x = self._solve(self._physical(self._half(x)), b, guess)
             return SchemeState(state.k + 1, self.tau, x=x, packing=self)
         # Fully implicit: Picard with frozen first bilinear argument, from the
         # guess.  Each residual r is the next solve's initial GMRES residual.
         trace: list[float] = []
         x, r = guess, None
-        u_phys = self._physical(x)
+        u_phys = self._physical(self._half(x))
         for _ in range(PICARD_MAX_OUTER):
             x = self._solve(u_phys, b, x, r)
-            u_phys = self._physical(x)
-            r = b - self._apply_linear(x, u_phys)
+            half = self._half(x)
+            u_phys = self._physical(half)
+            r = b - self._apply_linear(x, u_phys, half)
             trace.append(float(np.linalg.norm(r)) / bnorm if bnorm > 0 else 0.0)
             if trace[-1] <= STEP_RESIDUAL_RTOL:
                 return SchemeState(state.k + 1, self.tau, x=x, packing=self)

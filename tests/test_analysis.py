@@ -214,12 +214,36 @@ def test_decay_rate_fit_recovers_synthetic_rate():
     assert fit.n_used >= 100
 
 
+def test_decay_rate_fit_uses_the_whole_series_before_any_floor():
+    # a clean decay by less than 3x never reaches a floor: the whole series
+    # is fitted, and the fit's floor (the tail median) shows how little
+    # it fell
+    t = np.linspace(0.0, 0.06, 25)
+    v = 0.25 * np.exp(-10.5 * t)
+    fit = decay_rate_fit(ErrorSeries(t, v, "H", False))
+    assert fit.rate == pytest.approx(10.5, rel=1e-12)
+    assert fit.amplitude == pytest.approx(0.25, rel=1e-12)
+    assert fit.n_used == len(t)
+    assert fit.floor == pytest.approx(float(np.median(v[-2:])), rel=1e-15)
+    assert v[0] < 3.0 * fit.floor
+
+
+def test_decay_rate_fit_calls_a_rising_series_not_decaying():
+    t = np.linspace(0.0, 1.0, 30)
+    rising = ErrorSeries(t, 1e-3 * (1.0 + t), "H", False)
+    with pytest.raises(FitError, match="not decaying"):
+        decay_rate_fit(rising)
+    # an identically zero error has nothing to fit
+    with pytest.raises(FitError, match="0 positive samples"):
+        decay_rate_fit(ErrorSeries(t, np.zeros_like(t), "H", False))
+
+
 def test_decay_rate_fit_rejects_bad_series():
     t = np.linspace(0.0, 10.0, 101)
     with pytest.raises(FitError, match="samples"):
         decay_rate_fit(ErrorSeries(t[:5], np.ones(5), "H", False))
     growing = ErrorSeries(t, np.exp(t), "H", False)
-    with pytest.raises(FitError):
+    with pytest.raises(FitError, match="not decaying"):
         decay_rate_fit(growing)
     # positive fitted slope on the pre-floor prefix
     v = np.concatenate((5.0 + 0.1 * t[:80], np.full(21, 1e-6)))

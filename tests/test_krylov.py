@@ -148,6 +148,61 @@ def test_given_initial_residual_saves_one_apply(rng):
     assert counts[1] == counts[0] - 1
 
 
+def _fresh_residual(a, b, x):
+    return np.linalg.norm(b - a @ x) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("preconditioned", [False, True])
+@pytest.mark.parametrize("given_r0", [False, True])
+def test_final_residual_comes_from_the_applied_products(
+    rng, dtype, preconditioned, given_r0
+):
+    # the solve applies the operator once per iteration, plus once for
+    # b - A x0 unless r0 is given, and its built residual is the residual
+    # of the returned iterate to roundoff
+    n = 40
+    a = np.diag(rng.uniform(1.0, 20.0, size=n))
+    a += 2.0 / math.sqrt(n) * rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    x0 = rng.standard_normal(n)
+    if dtype is complex:
+        a = a + 1j / math.sqrt(n) * rng.standard_normal((n, n))
+        b = b + 1j * rng.standard_normal(n)
+        x0 = x0 + 1j * rng.standard_normal(n)
+    m_inv = 1.0 / np.diag(a)
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return a @ x
+
+    res = gmres(
+        counted, b, x0=x0, r0=b - a @ x0 if given_r0 else None, rel_tol=1e-10,
+        restart=8, apply_precond=(lambda y: m_inv * y) if preconditioned else None,
+    )
+    assert res.converged and res.iterations > 8  # more than one cycle
+    assert res.x.dtype == np.result_type(dtype, np.float64)
+    assert abs(res.residual - _fresh_residual(a, b, res.x)) <= 1e-14
+    assert res.history[-1] == res.residual
+    assert calls[0] == res.iterations + (not given_r0)
+
+
+@pytest.mark.parametrize("cycles", [10, 40, 150])
+def test_built_residual_does_not_drift_over_many_short_cycles(rng, cycles):
+    # restart = 2 on a strongly nonnormal operator: each cycle starts from
+    # the residual the previous one built, so any drift would accumulate
+    n = 60
+    a = np.diag(1.0 + np.arange(n)) + 50.0 / math.sqrt(n) * np.triu(
+        rng.standard_normal((n, n)), 1
+    )
+    b = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(complex)
+    res = gmres(_mat_op(a), b, rel_tol=1e-15, restart=2, max_iter=2 * cycles)
+    assert not res.converged and res.iterations == 2 * cycles
+    assert res.residual < res.history[0]
+    assert abs(res.residual - _fresh_residual(a, b, res.x)) <= 1e-14
+
+
 def test_cgs2_basis_stays_orthonormal_across_a_restart(rng):
     # a strongly nonnormal upper triangular operator, on which one pass of
     # classical (1.5e-12) or modified (2.4e-13) Gram-Schmidt loses more

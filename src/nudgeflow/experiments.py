@@ -462,8 +462,14 @@ def build_truth(setup: _Setup, t_end: float) -> TruthSource:
         interpolant=None, cutoff=setup.grid.band_cutoff(),
     )
     u_init = random_field(setup.grid, setup.rng, norm_v=_m1_scale(setup))
-    spin_steps = int(round(cfg.truth_spinup / tau_t))
-    if spin_steps > 0:
+    if cfg.truth_spinup > 0.0:
+        try:
+            spin_steps = _steps_for(cfg.truth_spinup, tau_t)
+        except ValueError:
+            raise ConfigError(
+                f"truth_spinup = {cfg.truth_spinup} is not a whole number of truth "
+                f"steps tau / truth_dt_factor = {tau_t}"
+            ) from None
         state, _ = advance(u_init, p_free, None, tau_t, spin_steps)
         u_init = state.v
     traj = nse_integrate(

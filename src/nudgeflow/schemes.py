@@ -15,12 +15,18 @@ per half-plane low mode, so every iterate is real and divergence-free by
 construction and is accepted as GMRES returns it.
 
 The initial guess changes only the work, not the step beyond its
-tolerance: `advance` starts each step's solve from the damped
-extrapolation v^k + (v^k - v^(k-1)) / (1 + tau d_k) per mode, d_k =
-nu |k|^2 + obs_diag_k (v^k on the first step and in the single-step
-functions).  It is 2 v^k - v^(k-1) where tau d_k << 1, and the exact next
-iterate of a mode that only decays under its stiff diagonal, where plain
-extrapolation would overshoot.  The semi-implicit scheme still freezes its
+tolerance: `advance` starts each step's solve from a damped cubic
+extrapolation of the earlier iterates (`_Predictor`).  With w_k =
+1/(1 + tau d_k) per mode, d_k = nu |k|^2 + obs_diag_k, it keeps the damped
+backward differences D_1 = v^k - v^(k-1) and D_m = D_(m-1) - w D_(m-1)'
+(m = 2, 3; ' marks the previous step's) and guesses
+v^k + w (D_1 + D_2 + D_3), leaving out every term from the first D_m whose
+norm exceeds that of D_(m-1).  Where tau d_k << 1 it is cubic
+extrapolation; a mode that only decays under its stiff diagonal has
+D_2 = D_3 = 0 and is guessed exactly, where plain extrapolation would
+overshoot; and a steady state's roundoff, whose differences grow with m,
+is extrapolated by D_1 alone.  The first step and the single-step
+functions start from v^k.  The semi-implicit scheme still freezes its
 first bilinear argument at v^k; the Picard loop starts from the guess.
 Each Picard nonlinear residual b - A(v) v is also the initial GMRES
 residual of the next solve, which reuses it instead of applying the
@@ -555,6 +561,37 @@ class _Stepper(_Galerkin):
         )
 
 
+class _Predictor:
+    """Initial guesses for the solves of one march (module docstring).
+
+    Called with each iterate x_k in turn, it returns the guess for x_(k+1):
+    x_k itself first, then x_k + w (D_1 + D_2 + D_3) over the damped
+    backward differences that x_k and the iterates before it provide.
+    """
+
+    def __init__(self, weight: np.ndarray) -> None:
+        self.w = weight
+        self._x: np.ndarray | None = None
+        self._diffs: list[np.ndarray] = []  # D_1, D_2 of the previous iterate
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self._x is None:
+            self._x = x
+            return x
+        diffs = [x - self._x]
+        for prev in self._diffs:
+            diffs.append(diffs[-1] - self.w * prev)
+        self._x, self._diffs = x, diffs[:2]
+        # the truncation compares sizes only, so squared norms serve
+        step, size = diffs[0], np.vdot(diffs[0], diffs[0]).real
+        for d in diffs[1:]:
+            d_size = np.vdot(d, d).real
+            if d_size > size:
+                break
+            step, size = step + d, d_size
+        return x + self.w * step
+
+
 @lru_cache(maxsize=64)
 def _galerkin(p: PhysicsParams) -> _Galerkin:
     return _Galerkin(p)
@@ -608,8 +645,9 @@ def advance(
 ) -> tuple[SchemeState, Trajectory | None]:
     """March n_steps from v^0 = P_N v0, optionally recording a trajectory.
 
-    Each solve starts from the per-mode damped extrapolation of v^k and
-    v^(k-1) (v^0 for the first step; see the module docstring).
+    Each solve starts from the damped cubic extrapolation of the iterates
+    so far, truncated where their damped differences stop shrinking (v^0
+    for the first step; see the module docstring).
     on_step(prev, new) fires after every accepted step with packed states,
     whose fields are built only if asked for; store_every = m records the
     packed v^0 and every m-th iterate (plus the final one) into the
@@ -626,12 +664,9 @@ def advance(
             raise ValueError(f"store_every must be >= 1, got {store_every}")
         traj = Trajectory(p.grid, stepper)
         traj.append(0, 0.0, state.x)
-    x_prev = None
+    predict = _Predictor(stepper._predictor_weight)
     for _ in range(n_steps):
-        x = state.x
-        guess = x if x_prev is None else x + stepper._predictor_weight * (x - x_prev)
-        new = stepper.step(state, obs, guess)
-        x_prev = x
+        new = stepper.step(state, obs, predict(state.x))
         if on_step is not None:
             on_step(state, new)
         if traj is not None and (new.k % store_every == 0 or new.k == n_steps):

@@ -476,6 +476,23 @@ def test_cli_inadmissible_time_step_exits_2(tmp_path, capsys, command, key, valu
     assert err.startswith("error:") and key in err
 
 
+def test_cli_spinup_off_the_truth_step_exits_2(tmp_path, capsys):
+    # 0.015 at a truth step of 0.01 used to be rounded to a 0.02 spin-up
+    cfg_path = tmp_path / "run.cfg"
+    cfg = tiny_twin_config(
+        truth="nse_integrate", truth_dt_factor=1, truth_spinup=0.015, t_end=0.1
+    )
+    write_config(cfg, str(cfg_path))
+    out = tmp_path / "out"
+    rc = cli.main(["--config", str(cfg_path), "--out", str(out), "twin"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "truth_spinup = 0.015 is not a whole number of truth steps" in err
+    assert "truth_dt_factor = 0.01" in err
+    assert not any(out.rglob("*"))
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("beta", "nan"), ("beta", "inf"), ("ic_amplitude", "nan"),

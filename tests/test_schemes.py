@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nudgeflow import schemes
+from nudgeflow import experiments, schemes
+from nudgeflow.config import default_config
 from nudgeflow.fields import (
     GalerkinCutoff,
     SpectralField,
@@ -213,8 +214,9 @@ def test_advance_trajectory_cadence(rng, grid16):
     [(SEMI_IMPLICIT, semi_implicit_step), (FULLY_IMPLICIT, fully_implicit_step)],
 )
 def test_advance_agrees_with_single_steps(scheme, step_fn, rng):
-    # advance starts each solve from the extrapolated guess, the single-step
-    # functions from v^k; both iterates meet the 1e-10 step tolerance
+    # advance starts each solve from the truncated damped cubic
+    # extrapolation, the single-step functions from v^k; both iterates
+    # meet the 1e-10 step tolerance
     p, obs, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
     marched = []
     advance(v0, p, obs, 0.01, 20, scheme=scheme,
@@ -223,6 +225,52 @@ def test_advance_agrees_with_single_steps(scheme, step_fn, rng):
     for v in marched:
         state = step_fn(state, p, obs)
         assert norm_H(v - state.v) <= 1e-9 * norm_H(state.v)
+
+
+def _random_modes(rng, m):
+    return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+
+def test_predictor_is_exact_on_modes_that_only_decay(rng):
+    # x_k = w^k x_0: D_2 = D_3 = 0, and x_k + w D_1 is x_(k+1)
+    w = rng.uniform(0.01, 1.0, 200)
+    predict = schemes._Predictor(w)
+    x = _random_modes(rng, 200)
+    assert predict(x) is x
+    for _ in range(12):
+        x = w * x
+        guess = predict(x)
+        assert np.max(np.abs(guess - w * x)) <= 1e-14 * np.max(np.abs(x))
+
+
+def test_predictor_extrapolates_a_smooth_sequence_cubically(rng):
+    # where tau d_k << 1 (w = 1) the guess is the cubic through four iterates
+    a, b, c, d = (_random_modes(rng, 50) for _ in range(4))
+    predict = schemes._Predictor(np.ones(50))
+
+    def x(k):
+        t = 0.01 * k
+        return a + t * (b + t * (c + t * d))
+
+    for k in range(8):
+        guess = predict(x(k))
+        if k >= 3:
+            assert np.max(np.abs(guess - x(k + 1))) <= 1e-13 * np.max(np.abs(x(k + 1)))
+
+
+def test_predictor_adds_no_term_beyond_d1_to_roundoff_jitter(rng):
+    # around a fixed point the higher differences of roundoff grow, so the
+    # guess stays x_k + w (x_k - x_(k-1)) instead of amplifying the noise
+    w = rng.uniform(0.5, 1.0, 200)
+    predict = schemes._Predictor(w)
+    fixed = _random_modes(rng, 200)
+    prev = None
+    for _ in range(20):
+        x = fixed * (1.0 + 2e-16 * rng.standard_normal(200))
+        guess = predict(x)
+        if prev is not None:
+            assert np.array_equal(guess, x + w * (x - prev))
+        prev = x
 
 
 def test_observation_streams(rng, grid16):
@@ -612,9 +660,65 @@ def test_picard_solves_start_from_the_residual_just_computed(monkeypatch):
         assert solve["applies"] == solve["iterations"]
 
 
+def _count_gmres(monkeypatch) -> dict:
+    counts = {"solves": 0, "iterations": 0}
+    real_gmres = schemes.gmres
+
+    def gmres(apply_op, b, **kwargs):
+        result = real_gmres(apply_op, b, **kwargs)
+        counts["solves"] += 1
+        counts["iterations"] += result.iterations
+        return result
+
+    monkeypatch.setattr(schemes, "gmres", gmres)
+    return counts
+
+
+@pytest.mark.parametrize("scheme, per_solve", [(SEMI_IMPLICIT, 4.0), (FULLY_IMPLICIT, 3.2)])
+def test_predictor_keeps_a_nudged_march_under_its_iteration_count(
+    scheme, per_solve, monkeypatch
+):
+    # 3.65 (semi) and 2.84 (fully implicit) iterations per solve with the
+    # cubic predictor, 5.05 and 3.56 with first-order extrapolation
+    p, obs, v0 = nudged_problem(
+        TorusGrid(TWO_PI, 24), np.random.default_rng(5), "volume_average"
+    )
+    counts = _count_gmres(monkeypatch)
+    advance(v0, p, obs, 0.01, 20, scheme=scheme)
+    assert counts["iterations"] <= per_solve * counts["solves"]
+
+
+@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT, FULLY_IMPLICIT])
+def test_predictor_does_not_extrapolate_a_steady_states_roundoff(scheme, monkeypatch):
+    # criterion 04's soak config (tests/test_acceptance.py): after a transient
+    # of about 50 steps the march sits at the steady state, where an
+    # untruncated cubic extrapolation of roundoff costs 0.54 iterations per
+    # solve; the truncated one takes 0.046 (semi) and 0.0625 (fully implicit)
+    amp = 0.1 * math.sqrt(2.0) / (2.0 * math.pi)
+    cfg = default_config(
+        nu=0.1, grid_n=32, forcing="kolmogorov", forcing_kappa=2,
+        forcing_amplitude=amp, beta=50.0, h=1.0 / math.sqrt(556.0),
+        lambda_cut=60.0, scheme=scheme, tau=0.01, t_end=1.0, burn_in=0.0,
+        truth="analytic:kolmogorov", ic="random_bv", ic_amplitude=1.0,
+    )
+    setup = experiments._setup(cfg)
+    _, obs, v0 = experiments._start(setup, 10.0)
+    counts = _count_gmres(monkeypatch)
+    advance(v0, setup.params, obs, 0.01, 1000, scheme=scheme)
+    assert counts["iterations"] <= 0.08 * counts["solves"]
+
+
 def test_layer_entry_points_are_called_once_per_operator_application(monkeypatch):
     for name in ("gmres", "advect_raw", "to_physical", "apply_ih", "advance"):
         assert name in vars(schemes), name
+    for name in (
+        "advance", "nse_integrate", "reference_galerkin_integrate", "build_truth",
+        "estimate_c0", "atomic_write_text", "norm_H", "norm_V", "norm_DA",
+        "bound_constants", "check_conditions", "contraction_envelope",
+        "convergence_order", "decay_rate_fit", "gronwall_envelope",
+        "stability_bound_h2", "stability_bound_v2",
+    ):
+        assert name in vars(experiments), name
     counts = {"advect_raw": 0, "apply": 0}
     real_advect = schemes.advect_raw
     real_apply = schemes._Stepper._apply_linear

@@ -72,10 +72,8 @@ from .schemes import (
     PhysicsParams,
     SchemeState,
     advance,
-    fully_implicit_step,
     nse_integrate,
     reference_galerkin_integrate,
-    semi_implicit_step,
 )
 from .storage import (
     SnapshotFormatError,

@@ -90,9 +90,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"truth_spinup must be nonnegative, got {self.truth_spinup}"
             )
-        if self.truth_store_every < 1:
+        for key in ("truth_store_every", "soak_steps", "contraction_steps"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not self.tau_floor_factor > 1.0:
+            # the floor check compares against a finer step tau / factor
             raise ConfigError(
-                f"truth_store_every must be >= 1, got {self.truth_store_every}"
+                f"tau_floor_factor must be > 1, got {self.tau_floor_factor}"
             )
         for f in dc_fields(self):
             value = getattr(self, f.name)

@@ -79,10 +79,8 @@ from .schemes import (
     _galerkin,
     _steps_for,
     advance,
-    fully_implicit_step,
     nse_integrate,
     reference_galerkin_integrate,
-    semi_implicit_step,
 )
 from .storage import Trajectory, atomic_write_text, save_snapshot, series_to_csv
 
@@ -566,10 +564,6 @@ class _Run:
         self.report.add_check("solver", FAIL, detail)
 
 
-def _scheme_step(scheme: str):
-    return semi_implicit_step if scheme == SEMI_IMPLICIT else fully_implicit_step
-
-
 # ---------------------------------------------------------------------------
 # twin experiment
 
@@ -682,10 +676,12 @@ def run_contraction_test(
 ) -> ExperimentReport:
     """Two runs from perturbed initial data under shared observations.
 
-    The squared difference must stay below the geometric envelope at every
-    step: in H for the semi-implicit scheme (hypothesis tau * beta <= 1,
-    otherwise the check is skipped), in V for the fully implicit scheme
-    at any step size.
+    Both solutions are marched by `advance`, the first stored at every
+    step and the second compared with it step by step.  The squared
+    difference must stay below the geometric envelope at every step: in H
+    for the semi-implicit scheme (hypothesis tau * beta <= 1, otherwise the
+    check is skipped), in V for the fully implicit scheme at any step size.
+    The series records the first solution's norms.
     """
     setup = _setup(cfg)
     params, tau = setup.params, cfg.tau
@@ -698,32 +694,35 @@ def run_contraction_test(
             norm_v=cfg.perturbation * _m1_scale(setup), cutoff=params.cutoff,
         )
         gal = _galerkin(params)
-        a = SchemeState(0, tau, v0, x=gal._pack_field(v0), packing=gal)
         b_v0 = project_low(v0 + bump, params.cutoff)
-        b = SchemeState(0, tau, b_v0, x=gal._pack_field(b_v0), packing=gal)
-
-        eps0_h, eps0_v, _ = gal.norms(a.x - b.x)
+        x0 = gal._pack_field(v0)
+        eps0_h, eps0_v, _ = gal.norms(x0 - gal._pack_field(b_v0))
         env_h2 = contraction_envelope(eps0_h**2, params, tau, n_steps)
         env_v2 = contraction_envelope(eps0_v**2, params, tau, n_steps)
 
         rec = run.table("contraction_series.csv")
-        rec.add(0, 0.0, gal.norms(a.x), eps0_h, eps0_v,
+        rec.add(0, 0.0, gal.norms(x0), eps0_h, eps0_v,
                 math.sqrt(env_h2[0]), math.sqrt(env_v2[0]))
-        step_fn = _scheme_step(cfg.scheme)
         max_ratio_h = 0.0
         max_ratio_v = 0.0
         exact_zero = eps0_h == 0.0 and eps0_v == 0.0
-        for k in range(1, n_steps + 1):
-            a = step_fn(a, params, obs)
-            b = step_fn(b, params, obs)
-            eh, ev, _ = gal.norms(a.x - b.x)
+        _, first = advance(
+            v0, params, obs, tau, n_steps, scheme=cfg.scheme, store_every=1
+        )
+
+        def on_step(prev: SchemeState, new: SchemeState) -> None:
+            nonlocal max_ratio_h, max_ratio_v, exact_zero
+            k, a = new.k, first.frames[new.k]
+            eh, ev, _ = gal.norms(a - new.x)
             if env_h2[k] > 0.0:
                 max_ratio_h = max(max_ratio_h, eh * eh / env_h2[k])
             if env_v2[k] > 0.0:
                 max_ratio_v = max(max_ratio_v, ev * ev / env_v2[k])
             exact_zero = exact_zero and eh == 0.0 and ev == 0.0
-            rec.add(k, a.t, gal.norms(a.x), eh, ev,
+            rec.add(k, new.t, gal.norms(a), eh, ev,
                     math.sqrt(env_h2[k]), math.sqrt(env_v2[k]))
+
+        advance(b_v0, params, obs, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
 
         report.values["eps0_H"] = eps0_h
         report.values["eps0_V"] = eps0_v
@@ -1145,9 +1144,8 @@ def run_self_check(seed: int = 0, out_dir: str | None = None) -> ExperimentRepor
     )
     obs = ObservationStream.steady(u_star, spec)
     drift = 0.0
-    for step_fn in (semi_implicit_step, fully_implicit_step):
-        state = SchemeState(0, 0.01, project_low(u_star, params.cutoff))
-        state = step_fn(state, params, obs)
+    for scheme in (SEMI_IMPLICIT, FULLY_IMPLICIT):
+        state, _ = advance(u_star, params, obs, 0.01, 1, scheme=scheme)
         drift = max(drift, norm_H(state.v - u_star))
     report.values["fixed_point_drift"] = drift
     report.add_check(
@@ -1161,15 +1159,18 @@ def run_self_check(seed: int = 0, out_dir: str | None = None) -> ExperimentRepor
         interpolant=None, cutoff=grid32.band_cutoff(),
     )
     tau = 1e-3
-    # the physical-space transform leaves ~1e-17 energy outside the ball
+    # the physical-space transform leaves ~1e-17 energy outside the ball,
+    # which the exact recursion below must not carry
     v = project_low(taylor_green(grid32, 1, 0.0, nu), p_free.cutoff)
     kp2 = 2.0 * (2.0 * math.pi / grid32.L) ** 2
-    state = SchemeState(0, tau, v)
     worst_tg = 0.0
-    for k in range(20):
-        state = semi_implicit_step(state, p_free, None)
-        exact = v * (1.0 / (1.0 + nu * kp2 * tau) ** (k + 1))
-        worst_tg = max(worst_tg, norm_H(state.v - exact) / norm_H(exact))
+
+    def on_step(prev: SchemeState, new: SchemeState) -> None:
+        nonlocal worst_tg
+        exact = v * (1.0 / (1.0 + nu * kp2 * tau) ** new.k)
+        worst_tg = max(worst_tg, norm_H(new.v - exact) / norm_H(exact))
+
+    advance(v, p_free, None, tau, 20, on_step=on_step)
     report.values["vortex_recursion_rel"] = worst_tg
     report.add_check(
         "vortex_recursion", PASS if worst_tg <= 1e-10 else FAIL,

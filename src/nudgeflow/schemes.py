@@ -25,9 +25,9 @@ norm exceeds that of D_(m-1).  Where tau d_k << 1 it is cubic
 extrapolation; a mode that only decays under its stiff diagonal has
 D_2 = D_3 = 0 and is guessed exactly, where plain extrapolation would
 overshoot; and a steady state's roundoff, whose differences grow with m,
-is extrapolated by D_1 alone.  The first step and the single-step
-functions start from v^k.  The semi-implicit scheme still freezes its
-first bilinear argument at v^k; the Picard loop starts from the guess.
+is extrapolated by D_1 alone.  The first step starts from v^k.  The
+semi-implicit scheme still freezes its first bilinear argument at v^k; the
+Picard loop starts from the guess.
 Each Picard nonlinear residual b - A(v) v is also the initial GMRES
 residual of the next solve, which reuses it instead of applying the
 operator again.  GMRES builds its final residual from the operator
@@ -45,11 +45,13 @@ low modes as Leray(T C T^T) with a small precomputed matrix T; its
 diagonal is exact and is what the preconditioner and the ETDRK4 linear
 part use.
 
-The packed vector is also the state the callers see.  A SchemeState
-that a stepper returns carries its vector and packing and builds its
-n x n field only when asked for it; `advance` and the ETDRK4 reference
-store packed frames in their trajectories.  Norms of packed vectors are
-Parseval sums with per-mode weights 2 L^2 {1, |k|^2, |k|^4} (`norms`).
+`advance` is the only way to march a scheme: every runner and check,
+the contraction runner's two solutions included, steps through it.  The
+packed vector is also the state the callers see.  A SchemeState carries
+its vector and packing and builds its n x n field only when asked for
+it; `advance` and the ETDRK4 reference store packed frames in their
+trajectories.  Norms of packed vectors are Parseval sums with per-mode
+weights 2 L^2 {1, |k|^2, |k|^4} (`norms`).
 Observations reach the solver packed (`ObservationStream.packed`): a
 stored truth's frames are observed once each, through a mode mask
 (Fourier truncation) or the low rows of T C T^T (volume averages), and
@@ -85,8 +87,6 @@ __all__ = [
     "SEMI_IMPLICIT",
     "FULLY_IMPLICIT",
     "SCHEMES",
-    "semi_implicit_step",
-    "fully_implicit_step",
     "advance",
     "reference_galerkin_integrate",
     "nse_integrate",
@@ -150,30 +150,19 @@ class PhysicsParams:
 class SchemeState:
     """Iterate v^k at time t_k = k * tau, supported in the low-mode space.
 
-    A state that a stepper returns carries its packed vector x and the
-    packing x is written in, and builds the field v from them on first
-    access.  SchemeState(k, tau, v) holds the field only (x and packing
-    are None).
+    Carries its packed vector x and the packing x is written in (a
+    `_Galerkin`), and builds the field v from them on first access.
     """
 
     __slots__ = ("k", "tau", "x", "packing", "_v")
 
-    def __init__(
-        self,
-        k: int,
-        tau: float,
-        v: SpectralField | None = None,
-        *,
-        x: np.ndarray | None = None,
-        packing: "_Galerkin | None" = None,
-    ) -> None:
+    def __init__(self, k: int, tau: float, x: np.ndarray, packing: "_Galerkin") -> None:
         if not tau > 0.0:
             raise ValueError(f"time step must be positive, got {tau}")
         if k < 0:
             raise ValueError(f"step index must be nonnegative, got {k}")
-        if v is None and (x is None or packing is None):
-            raise ValueError("a state needs its field or a packed vector and packing")
-        self.k, self.tau, self._v, self.x, self.packing = k, tau, v, x, packing
+        self.k, self.tau, self.x, self.packing = k, tau, x, packing
+        self._v: SpectralField | None = None
 
     @property
     def v(self) -> SpectralField:
@@ -346,13 +335,6 @@ class _Galerkin:
         coeffs.ravel()[self._grid_at] = (both * np.tile(self._e, 2)).ravel()
         return SpectralField._trusted(self.grid, coeffs)
 
-    def holds(self, state: SchemeState) -> bool:
-        """True if state's packed vector is written in this packing."""
-        pk = state.packing
-        return pk is self or (
-            pk is not None and pk.grid == self.grid and pk.p.cutoff == self.p.cutoff
-        )
-
     def _index_of(self, modes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Positions in this packing of the modes (j1, j2) of another one."""
         j1, j2 = self.modes
@@ -509,25 +491,12 @@ class _Stepper(_Galerkin):
         obs: ObservationStream | None,
         guess: np.ndarray | None = None,
     ) -> SchemeState:
-        """The next iterate, packed in this stepper.
+        """The next iterate after state, which is packed in this stepper.
 
         guess, a packed vector, starts the solve (x_k if None); the
-        iterate does not depend on it beyond the step tolerance.  A
-        SolverError carries state as the last accepted.
+        iterate does not depend on it beyond the step tolerance.
         """
-        try:
-            return self._step(state, obs, guess)
-        except SolverError as exc:
-            exc.state, exc.cutoff = state, self.p.cutoff
-            raise
-
-    def _step(
-        self,
-        state: SchemeState,
-        obs: ObservationStream | None,
-        guess: np.ndarray | None,
-    ) -> SchemeState:
-        x = state.x if self.holds(state) else self._pack_field(state.v)
+        x = state.x
         b = x / self.tau + self.f_low
         if self.p.beta > 0.0:
             b += self._observed(obs, (state.k + 1) * self.tau)
@@ -540,7 +509,7 @@ class _Stepper(_Galerkin):
         if self.scheme == SEMI_IMPLICIT:
             # the step residual is GMRES's final residual of this iterate
             x = self._solve(self._physical(self._half(x)), b, guess)
-            return SchemeState(state.k + 1, self.tau, x=x, packing=self)
+            return SchemeState(state.k + 1, self.tau, x, self)
         # Fully implicit: Picard with frozen first bilinear argument, from the
         # guess.  Each residual r is the next solve's initial GMRES residual.
         trace: list[float] = []
@@ -553,7 +522,7 @@ class _Stepper(_Galerkin):
             r = b - self._apply_linear(x, u_phys, half)
             trace.append(float(np.linalg.norm(r)) / bnorm if bnorm > 0 else 0.0)
             if trace[-1] <= STEP_RESIDUAL_RTOL:
-                return SchemeState(state.k + 1, self.tau, x=x, packing=self)
+                return SchemeState(state.k + 1, self.tau, x, self)
         raise SolverError(
             "Picard iteration did not reach the nonlinear residual tolerance "
             f"{STEP_RESIDUAL_RTOL:.0e} in {PICARD_MAX_OUTER} iterations; "
@@ -602,36 +571,6 @@ def _stepper(p: PhysicsParams, tau: float, scheme: str) -> _Stepper:
     return _Stepper(p, tau, scheme)
 
 
-def _require_low_supported(state: SchemeState, p: PhysicsParams) -> None:
-    v = state.v
-    outside = np.where(p.cutoff.mask_low(p.grid), 0.0, np.abs(v.coeffs))
-    if outside.size and float(outside.max()) > 0.0:
-        raise ValueError("state iterate has energy outside the Galerkin cutoff")
-
-
-def _one_step(
-    state: SchemeState, p: PhysicsParams, obs: ObservationStream | None, scheme: str
-) -> SchemeState:
-    stepper = _stepper(p, state.tau, scheme)
-    if not stepper.holds(state):
-        _require_low_supported(state, p)
-    return stepper.step(state, obs)
-
-
-def semi_implicit_step(
-    state: SchemeState, p: PhysicsParams, obs: ObservationStream | None
-) -> SchemeState:
-    """One semi-implicit Euler step (bilinear term frozen at v^k)."""
-    return _one_step(state, p, obs, SEMI_IMPLICIT)
-
-
-def fully_implicit_step(
-    state: SchemeState, p: PhysicsParams, obs: ObservationStream | None
-) -> SchemeState:
-    """One fully implicit Euler step (Picard outer iteration)."""
-    return _one_step(state, p, obs, FULLY_IMPLICIT)
-
-
 def advance(
     v0: SpectralField,
     p: PhysicsParams,
@@ -651,13 +590,14 @@ def advance(
     on_step(prev, new) fires after every accepted step with packed states,
     whose fields are built only if asked for; store_every = m records the
     packed v^0 and every m-th iterate (plus the final one) into the
-    returned trajectory.
+    returned trajectory.  A SolverError carries the last accepted state
+    and the cutoff.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     stepper = _stepper(p, float(tau), scheme)
-    v = project_low(v0, p.cutoff)
-    state = SchemeState(0, float(tau), v, x=stepper._pack_field(v), packing=stepper)
+    x0 = stepper._pack_field(project_low(v0, p.cutoff))
+    state = SchemeState(0, float(tau), x0, stepper)
     traj: Trajectory | None = None
     if store_every is not None:
         if store_every < 1:
@@ -666,7 +606,11 @@ def advance(
         traj.append(0, 0.0, state.x)
     predict = _Predictor(stepper._predictor_weight)
     for _ in range(n_steps):
-        new = stepper.step(state, obs, predict(state.x))
+        try:
+            new = stepper.step(state, obs, predict(state.x))
+        except SolverError as exc:
+            exc.state, exc.cutoff = state, p.cutoff
+            raise
         if on_step is not None:
             on_step(state, new)
         if traj is not None and (new.k % store_every == 0 or new.k == n_steps):
@@ -756,7 +700,7 @@ def reference_galerkin_integrate(
         nc = gal._explicit(c, data1)
         x_next = e * x + f1 * nx + 2.0 * f2 * (na + nb) + f3 * nc
         if not np.all(np.isfinite(x_next)):
-            last = SchemeState(k, h, x=x, packing=gal)
+            last = SchemeState(k, h, x, gal)
             raise SolverError("non-finite iterate", state=last, cutoff=p.cutoff)
         x = x_next
         traj.append(k + 1, (k + 1) * h, x)

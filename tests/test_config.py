@@ -139,6 +139,13 @@ def test_burn_in_must_precede_t_end():
         ("experiment", "truth_dt_factor", "0", "truth_dt_factor must be >= 1"),
         ("experiment", "truth_spinup", "-1", "truth_spinup must be nonnegative"),
         ("experiment", "truth_store_every", "0", "truth_store_every must be >= 1"),
+        ("experiment", "soak_steps", "-3", "soak_steps must be >= 1"),
+        ("experiment", "soak_steps", "0", "soak_steps must be >= 1"),
+        ("experiment", "contraction_steps", "-3", "contraction_steps must be >= 1"),
+        ("experiment", "contraction_steps", "0", "contraction_steps must be >= 1"),
+        ("sweep", "tau_floor_factor", "0", "tau_floor_factor must be > 1"),
+        ("sweep", "tau_floor_factor", "-2", "tau_floor_factor must be > 1"),
+        ("sweep", "tau_floor_factor", "1", "tau_floor_factor must be > 1"),
     ],
 )
 def test_inadmissible_time_steps_rejected(section, key, value, match):

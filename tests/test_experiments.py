@@ -282,6 +282,25 @@ def test_contraction_unperturbed_runs_identical(tmp_path):
     assert report.values["eps_final_H"] == 0.0
 
 
+@pytest.mark.parametrize("scheme", ["semi_implicit", "fully_implicit"])
+def test_contraction_first_solution_is_the_advance_march(tmp_path, scheme):
+    # the series' norms are those of advance's own march from v0, bit for bit
+    cfg = tiny_twin_config(scheme=scheme, perturbation=0.05, contraction_steps=12)
+    run_contraction_test(cfg, str(tmp_path))
+    at = SERIES_HEADER.index("norm_H")
+    rows = (tmp_path / "contraction_series.csv").read_text().splitlines()[1:]
+    recorded = [[float(x) for x in row.split(",")[at : at + 2]] for row in rows]
+    setup = experiments._setup(cfg)
+    _, obs, v0 = experiments._start(setup, cfg.contraction_steps * cfg.tau)
+    gal = schemes._galerkin(setup.params)
+    marched = [gal.norms(gal._pack_field(v0))[:2]]
+    schemes.advance(
+        v0, setup.params, obs, cfg.tau, cfg.contraction_steps, scheme=scheme,
+        on_step=lambda prev, new: marched.append(gal.norms(new.x)[:2]),
+    )
+    assert recorded == marched
+
+
 # ---------------------------------------------------------------------------
 # tau sweep
 
@@ -463,6 +482,10 @@ def test_cli_invalid_physics_exits_2(tmp_path, capsys):
         ("tau-sweep", "tau_list", "0.02,0,0.005"),
         ("twin", "truth_dt_factor", "0"),
         ("twin", "truth_spinup", "-1"),
+        ("soak", "soak_steps", "-3"),
+        ("contraction", "contraction_steps", "-3"),
+        ("n-sweep", "tau_floor_factor", "0"),
+        ("n-sweep", "tau_floor_factor", "-2"),
     ],
 )
 def test_cli_inadmissible_time_step_exits_2(tmp_path, capsys, command, key, value):
@@ -588,7 +611,9 @@ def test_runners_report_a_solver_stall_as_failed_check(
 
 def test_tau_sweep_reference_failure_writes_report_and_snapshot(tmp_path, monkeypatch):
     def failing_reference(v0, p, obs, t_end, dt):
-        state = schemes.SchemeState(2, dt, project_low(v0, p.cutoff))
+        gal = schemes._galerkin(p)
+        x = gal._pack_field(project_low(v0, p.cutoff))
+        state = schemes.SchemeState(2, dt, x, gal)
         raise SolverError("non-finite iterate", state=state, cutoff=p.cutoff)
 
     monkeypatch.setattr(experiments, "reference_galerkin_integrate", failing_reference)

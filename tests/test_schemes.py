@@ -37,11 +37,10 @@ from nudgeflow.schemes import (
     PhysicsParams,
     SchemeState,
     advance,
-    fully_implicit_step,
     nse_integrate,
     reference_galerkin_integrate,
-    semi_implicit_step,
 )
+from nudgeflow.storage import Trajectory
 
 TWO_PI = 2.0 * np.pi
 
@@ -71,24 +70,22 @@ def test_params_validation(grid16):
 
 
 def test_state_validation(rng, grid16):
-    v = random_field(grid16, rng)
-    s = SchemeState(3, 0.25, v)
+    gal = schemes._galerkin(free_params(grid16, 1.0))
+    x = gal._pack_field(random_field(grid16, rng))
+    s = SchemeState(3, 0.25, x, gal)
     assert s.t == pytest.approx(0.75)
     with pytest.raises(ValueError):
-        SchemeState(0, 0.0, v)
+        SchemeState(0, 0.0, x, gal)
     with pytest.raises(ValueError):
-        SchemeState(-1, 0.1, v)
+        SchemeState(-1, 0.1, x, gal)
 
 
-def test_step_rejects_energy_outside_cutoff(rng, grid32):
+def test_advance_projects_energy_outside_cutoff(rng, grid32):
     co = GalerkinCutoff(4.0)
     truncated = PhysicsParams(
         1.0, grid32, SpectralField.zero(grid32), 0.0, None, co
     )
     v = random_field(grid32, rng)  # full band support
-    with pytest.raises(ValueError, match="outside the Galerkin cutoff"):
-        semi_implicit_step(SchemeState(0, 0.01, v), truncated, None)
-    # advance projects the initial state instead of raising
     state, _ = advance(v, truncated, None, 0.01, 1)
     assert is_low_supported(state.v, co)
 
@@ -164,8 +161,8 @@ def test_semi_and_fully_implicit_agree_to_second_order(rng, grid32):
     # small taus: at nu tau lambda ~ O(1) the step is outside the
     # asymptotic regime and the halving ratio sags well below 4
     for tau in (0.0025, 0.00125):
-        s = semi_implicit_step(SchemeState(0, tau, v0), p, None)
-        f = fully_implicit_step(SchemeState(0, tau, v0), p, None)
+        s, _ = advance(v0, p, None, tau, 1, scheme=SEMI_IMPLICIT)
+        f, _ = advance(v0, p, None, tau, 1, scheme=FULLY_IMPLICIT)
         diffs.append(norm_H(s.v - f.v))
     assert diffs[0] > 0.0
     ratio = diffs[0] / diffs[1]
@@ -209,21 +206,19 @@ def test_advance_trajectory_cadence(rng, grid16):
         advance(v0, p, None, 0.01, 1, scheme="leapfrog")
 
 
-@pytest.mark.parametrize(
-    "scheme, step_fn",
-    [(SEMI_IMPLICIT, semi_implicit_step), (FULLY_IMPLICIT, fully_implicit_step)],
-)
-def test_advance_agrees_with_single_steps(scheme, step_fn, rng):
+@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT, FULLY_IMPLICIT])
+def test_advance_agrees_with_single_steps(scheme, rng):
     # advance starts each solve from the truncated damped cubic
-    # extrapolation, the single-step functions from v^k; both iterates
-    # meet the 1e-10 step tolerance
+    # extrapolation, a bare step from v^k; both iterates meet the 1e-10
+    # step tolerance
     p, obs, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
     marched = []
     advance(v0, p, obs, 0.01, 20, scheme=scheme,
             on_step=lambda prev, new: marched.append(new.v))
-    state = SchemeState(0, 0.01, v0)
+    stepper = schemes._stepper(p, 0.01, scheme)
+    state = SchemeState(0, 0.01, stepper._pack_field(v0), stepper)
     for v in marched:
-        state = step_fn(state, p, obs)
+        state = stepper.step(state, obs)
         assert norm_H(v - state.v) <= 1e-9 * norm_H(state.v)
 
 
@@ -386,8 +381,8 @@ def test_solver_runs_at_every_grid_size(n):
     p = PhysicsParams(0.1, grid, kolmogorov_forcing(grid, 1, 0.5), 0.0, None, co)
     v0 = random_field(grid, rng, norm_v=1.0, cutoff=co)
     assert random_field(grid, rng).grid == grid
-    stepped = semi_implicit_step(SchemeState(0, 0.01, v0), p, None)
-    implicit = fully_implicit_step(SchemeState(0, 0.01, v0), p, None)
+    stepped, _ = advance(v0, p, None, 0.01, 1, scheme=SEMI_IMPLICIT)
+    implicit, _ = advance(v0, p, None, 0.01, 1, scheme=FULLY_IMPLICIT)
     traj = reference_galerkin_integrate(v0, p, None, 0.01, 0.01)
     assert norm_H(stepped.v - traj.fields[-1]) <= 1e-3 * norm_H(v0)
     for out in (stepped.v, implicit.v, traj.fields[-1]):
@@ -409,12 +404,14 @@ def _poisoned(field):
     return SpectralField._trusted(field.grid, c)
 
 
-@pytest.mark.parametrize("step_fn", [semi_implicit_step, fully_implicit_step])
-def test_step_rejects_non_finite_state_as_solver_error(step_fn, rng, grid16):
+@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT, FULLY_IMPLICIT])
+def test_step_rejects_non_finite_state_as_solver_error(scheme, rng, grid16):
     p = free_params(grid16, 1.0)
     v = _poisoned(random_field(grid16, rng, norm_v=0.1, cutoff=p.cutoff))
-    with pytest.raises(SolverError, match="non-finite"):
-        step_fn(SchemeState(0, 0.01, v), p, None)
+    with pytest.raises(SolverError, match="non-finite") as raised:
+        advance(v, p, None, 0.01, 1, scheme=scheme)
+    # the error carries the last accepted state, here the initial one
+    assert raised.value.state.k == 0 and raised.value.cutoff == p.cutoff
 
 
 def test_step_rejects_non_finite_observation_as_solver_error(rng, grid16):
@@ -425,7 +422,7 @@ def test_step_rejects_non_finite_observation_as_solver_error(rng, grid16):
     v = random_field(grid16, rng, norm_v=0.1, cutoff=p.cutoff)
     obs = ObservationStream(lambda t: _poisoned(v))
     with pytest.raises(SolverError, match="non-finite"):
-        semi_implicit_step(SchemeState(0, 0.01, v), p, obs)
+        advance(v, p, obs, 0.01, 1)
 
 
 def test_reference_reports_blow_up_as_solver_error(rng, grid16):
@@ -606,9 +603,7 @@ def test_semi_implicit_step_applies_the_operator_only_inside_gmres(monkeypatch):
     monkeypatch.setattr(schemes, "advect_raw", advect)
     monkeypatch.setattr(schemes, "gmres", gmres)
     monkeypatch.setattr(SpectralField, "from_coeffs", classmethod(from_coeffs))
-    new = semi_implicit_step(
-        SchemeState(0, 0.01, v0), p, ObservationStream(lambda t: observed)
-    )
+    new, _ = advance(v0, p, ObservationStream(lambda t: observed), 0.01, 1)
     assert new.k == 1
     assert counts["advect_raw"] == counts["gmres_apply"] > 0
     assert counts["from_coeffs"] == 0
@@ -649,7 +644,7 @@ def test_picard_solves_start_from_the_residual_just_computed(monkeypatch):
 
     monkeypatch.setattr(schemes, "gmres", gmres)
     monkeypatch.setattr(schemes, "advect_raw", advect)
-    fully_implicit_step(SchemeState(0, 0.01, v0), p, obs)
+    advance(v0, p, obs, 0.01, 1, scheme=FULLY_IMPLICIT)
     assert len(solves) >= 2
     applies = sum(s["applies"] for s in solves)
     assert counts["advect_raw"] == applies + len(solves)
@@ -719,6 +714,13 @@ def test_layer_entry_points_are_called_once_per_operator_application(monkeypatch
         "stability_bound_h2", "stability_bound_v2",
     ):
         assert name in vars(experiments), name
+    # class members the tracer patches or reads
+    assert "from_coeffs" in vars(SpectralField)
+    assert "mode_count" in vars(GalerkinCutoff)
+    for name in ("at", "fields"):
+        assert name in vars(Trajectory), name
+    for name in ("exact_queries", "interpolated_queries"):
+        assert name in vars(Trajectory(TorusGrid(TWO_PI, 8), None)), name
     counts = {"advect_raw": 0, "apply": 0}
     real_advect = schemes.advect_raw
     real_apply = schemes._Stepper._apply_linear
@@ -741,10 +743,9 @@ def test_layer_entry_points_are_called_once_per_operator_application(monkeypatch
     monkeypatch.setattr(schemes._Galerkin, "_explicit", explicit)
     rng = np.random.default_rng(5)
     p, obs, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
-    state = SchemeState(0, 0.01, v0)
     for run in (
-        lambda: semi_implicit_step(state, p, obs),
-        lambda: fully_implicit_step(state, p, obs),
+        lambda: advance(v0, p, obs, 0.01, 1, scheme=SEMI_IMPLICIT),
+        lambda: advance(v0, p, obs, 0.01, 1, scheme=FULLY_IMPLICIT),
         lambda: reference_galerkin_integrate(v0, p, obs, 0.01, 0.01),
     ):
         counts.update(advect_raw=0, apply=0)
@@ -817,18 +818,13 @@ def test_packed_observations_match_apply_ih(n, kind, h):
 
 def test_lazy_state_field_equals_eager_field_bitwise(rng):
     p, obs, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
-    new = fully_implicit_step(SchemeState(0, 0.01, v0), p, obs)
+    new, _ = advance(v0, p, obs, 0.01, 1, scheme=FULLY_IMPLICIT)
     assert new._v is None  # not built until asked for
     stepper = schemes._stepper(p, 0.01, FULLY_IMPLICIT)
     assert new.packing is stepper
     lazy = new.v
     assert np.array_equal(lazy.coeffs, stepper._field(new.x).coeffs)
     assert new.v is lazy
-    # a packed state from the cached galerkin of equal params steps alike
-    gal = schemes._galerkin(p)
-    packed = SchemeState(0, 0.01, x=gal._pack_field(v0), packing=gal)
-    again = fully_implicit_step(packed, p, obs)
-    assert np.array_equal(again.x, new.x)
 
 
 def test_twin_steps_make_no_apply_ih_or_field_call(monkeypatch):

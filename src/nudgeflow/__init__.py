@@ -44,14 +44,7 @@ from .fields import (
     random_field,
     to_physical,
 )
-from .interpolants import (
-    InterpolantSpec,
-    StabilizingReport,
-    apply_ih,
-    estimate_c0,
-    estimate_cminus1,
-    stabilizing_inequality_check,
-)
+from .interpolants import InterpolantSpec, apply_ih, estimate_c0
 from .krylov import SolveResult, SolverError, gmres
 from .operators import (
     apply_stokes,

@@ -198,13 +198,13 @@ def check_conditions(
     *,
     tau: float | None = None,
     c0_value: float | None = None,
-    cminus1_value: float | None = None,
 ) -> ConditionReport:
     """Evaluate the admissibility inequalities for the given parameters.
 
-    c0_value defaults to the analytic bound 1 for fourier_truncation and
-    must be supplied (empirically estimated) for volume averages.  The
-    report is advisory; experiments decide which checks gate what.
+    c0_value defaults to the exact 1 of fourier_truncation and must be
+    supplied for volume averages (interpolants.estimate_c0 estimates it);
+    the postprocessing check takes c_minus1 from the absolute constants.
+    The report is advisory; experiments decide which checks gate what.
     """
     ab = consts.constants
     nu, beta = p.nu, p.beta
@@ -238,14 +238,13 @@ def check_conditions(
                 note=f"c0={c0_value:g}",
             )
         )
-        cm1 = cminus1_value if cminus1_value is not None else ab.c_minus1
         checks.append(
             ConditionCheck(
                 "ppgm_interpolant_resolution",
-                max(c0_value, 4.0 * cm1) * beta * h * h,
+                max(c0_value, 4.0 * ab.c_minus1) * beta * h * h,
                 nu,
                 strict=True,
-                note=f"c0={c0_value:g}, c_minus1={cm1:g}",
+                note=f"c0={c0_value:g}, c_minus1={ab.c_minus1:g}",
             )
         )
     alpha = ab.alpha
@@ -361,11 +360,6 @@ class ErrorSeries:
 
     times: np.ndarray
     values: np.ndarray
-    norm: str
-    interpolated: bool
-
-    def __len__(self) -> int:
-        return len(self.times)
 
     def tail_sup(self, t_from: float) -> float:
         """sup of the error over times >= t_from (uniform-in-time claims)."""

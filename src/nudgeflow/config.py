@@ -111,8 +111,8 @@ def _f(s: str) -> float:
 
 def _i(s: str) -> int:
     v = float(s)
-    if v != int(v):
-        raise ValueError(f"expected an integer, got {s!r}")
+    if not math.isfinite(v) or v != int(v):
+        raise ValueError(f"expected a finite integer, got {s!r}")
     return int(v)
 
 

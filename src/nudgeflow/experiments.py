@@ -352,8 +352,6 @@ ErrorNorms = Callable[[np.ndarray, float], list[float]]
 class TruthSource:
     """Resolved solution u(t) plus the coarse observations taken from it."""
 
-    steady = False
-
     def field_at(self, t: float) -> SpectralField:
         raise NotImplementedError
 
@@ -372,8 +370,6 @@ def _tail_sq(u: SpectralField, gal: _Galerkin) -> np.ndarray:
 
 
 class SteadyTruth(TruthSource):
-    steady = True
-
     def __init__(self, u_star: SpectralField) -> None:
         self.u_star = u_star
 
@@ -610,7 +606,7 @@ def run_twin_experiment(
 
         advance(v0, params, obs, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
         times, errs_h = rec.column("time"), rec.column("err_H")
-        series = ErrorSeries(times, errs_h, "H", not truth.steady)
+        series = ErrorSeries(times, errs_h)
 
         if cfg.twin_expect == "decay":
             try:
@@ -644,6 +640,10 @@ def run_twin_experiment(
             report.add_check(
                 "conditions", PASS if ok else FAIL,
                 "admissibility inequalities for the nudging gain and resolution",
+            )
+        elif params.beta > 0.0:
+            report.add_check(
+                "conditions", SKIP, "zero forcing (the constants need |f| > 0)"
             )
         else:
             report.add_check("conditions", SKIP, "no nudging (beta = 0 control)")
@@ -942,8 +942,8 @@ def run_tau_sweep(
 
             advance(v0, params, obs, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
             times = rec.column("time")
-            eh = ErrorSeries(times, rec.column("err_H"), "H", False)
-            ev = ErrorSeries(times, rec.column("err_V"), "V", False)
+            eh = ErrorSeries(times, rec.column("err_H"))
+            ev = ErrorSeries(times, rec.column("err_V"))
             sup_h = eh.tail_sup(cfg.burn_in)
             sup_v = ev.tail_sup(cfg.burn_in)
             sups_h.append((tau, sup_h))

@@ -1,4 +1,4 @@
-"""Coarse observation operators I_h and their approximation diagnostics.
+"""Coarse observation operators I_h and the empirical c0 of volume averages.
 
 Two interpolant families are supported: truncation to Fourier modes with
 |k|^2 <= 1/h^2, and local volume averages over an h x h uniform
@@ -16,9 +16,7 @@ The module also estimates the approximation-of-identity constant c0 in
 
     |f - I_h f| <= c0^(1/2) h ||f||
 
-empirically, along with the companion constants used by the
-postprocessing error theory, and evaluates the stabilizing inequalities
-that the nudging analysis rests on.
+of a volume average empirically; Fourier truncation has c0 = 1.
 """
 
 from __future__ import annotations
@@ -31,21 +29,17 @@ from .fields import (
     GalerkinCutoff,
     SpectralField,
     TorusGrid,
-    inner_product,
     norm_H,
     norm_V,
     project_low,
     random_field,
 )
-from .operators import apply_stokes, leray_project_raw
+from .operators import leray_project_raw
 
 __all__ = [
     "InterpolantSpec",
     "apply_ih",
     "estimate_c0",
-    "estimate_cminus1",
-    "StabilizingReport",
-    "stabilizing_inequality_check",
 ]
 
 KINDS = ("fourier_truncation", "volume_average")
@@ -134,163 +128,30 @@ def apply_ih(spec: InterpolantSpec, f: SpectralField) -> SpectralField:
     return SpectralField._trusted(grid, leray_project_raw(c, grid))
 
 
-def _trial_fields(
-    spec: InterpolantSpec, grid: TorusGrid, trials: int, rng: np.random.Generator
-):
-    """Random band-limited probes, including high-mode-heavy ones that
-    stress the interpolant near its resolution limit."""
-    decays = (1.0, 0.5, 0.25, 0.1)
-    for i in range(trials):
-        yield random_field(grid, rng, decay=decays[i % len(decays)])
-    # Fields concentrated just above the induced cutoff expose the worst
-    # ratio for projections; include a few deterministic-seeded ones.
-    if spec.kind == "fourier_truncation":
-        lam = 1.0 / (spec.h * spec.h)
-        shells = np.unique(grid.shell)
-        above = shells[(shells * grid.lambda1) > lam]
-        if above.size:
-            target = float(above[0])
-            for _ in range(max(4, trials // 8)):
-                c = rng.standard_normal((2, grid.n, grid.n)) + 1j * rng.standard_normal(
-                    (2, grid.n, grid.n)
-                )
-                mask = (grid.shell.astype(float) == target) & grid.dealias_mask
-                c = np.where(mask, c, 0.0)
-                trial = _symmetrize_solenoidal(grid, c)
-                if trial is not None:
-                    yield trial
-
-
-def _symmetrize_solenoidal(grid: TorusGrid, c: np.ndarray) -> SpectralField | None:
-    from .fields import _conj_flip  # local import avoids public-name pollution
-
-    c = 0.5 * (c + _conj_flip(grid, c))
-    c = leray_project_raw(c, grid)
-    f = SpectralField.from_coeffs(grid, c, copy=False)
-    return f if norm_V(f) > 0.0 else None
-
-
 def estimate_c0(
     spec: InterpolantSpec,
     grid: TorusGrid,
     trials: int = 200,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Empirical c0 = max over probes of |f - I_h f|^2 / (h^2 ||f||^2)."""
+    """Empirical c0 of a volume average: the worst ratio
+    |f - I_h f|^2 / (h^2 ||f||^2) over random band-limited probes, some of
+    them high-mode-heavy to stress the average near its resolution limit.
+
+    Fourier truncation needs no estimate: its c0 is exactly 1.
+    """
+    if spec.kind != "volume_average":
+        raise ValueError(f"estimate_c0 serves volume averages; {spec.kind} has c0 = 1")
     if trials < 10:
         raise ValueError(f"need at least 10 trials, got {trials}")
     rng = rng if rng is not None else np.random.default_rng(0)
+    decays = (1.0, 0.5, 0.25, 0.1)
     worst = 0.0
-    for f in _trial_fields(spec, grid, trials, rng):
+    for i in range(trials):
+        f = random_field(grid, rng, decay=decays[i % len(decays)])
         nv = norm_V(f)
         if nv == 0.0:
             continue
         err = norm_H(f - apply_ih(spec, f))
         worst = max(worst, err * err / (spec.h * spec.h * nv * nv))
     return worst
-
-
-def estimate_cminus1(
-    spec: InterpolantSpec,
-    grid: TorusGrid,
-    trials: int = 200,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Empirical constant in the weaker bound |A^(-1/2)(f - I_h f)| <= c^(1/2) h |f|."""
-    if trials < 10:
-        raise ValueError(f"need at least 10 trials, got {trials}")
-    rng = rng if rng is not None else np.random.default_rng(1)
-    worst = 0.0
-    for f in _trial_fields(spec, grid, trials, rng):
-        nh = norm_H(f)
-        if nh == 0.0:
-            continue
-        d = f - apply_ih(spec, f)
-        k2 = np.where(grid.shell == 0, 1.0, grid.k_squared)
-        w = (np.abs(d.coeffs[0]) ** 2 + np.abs(d.coeffs[1]) ** 2) / k2
-        hm1 = grid.L * float(np.sqrt(np.sum(w)))
-        worst = max(worst, hm1 * hm1 / (spec.h * spec.h * nh * nh))
-    return worst
-
-
-@dataclass(frozen=True)
-class StabilizingEntry:
-    """One tested field: both sides of an inequality and the resulting slack."""
-
-    label: str
-    lhs: float
-    rhs: float
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs + 1e-12 * max(1.0, abs(self.rhs))
-
-
-@dataclass(frozen=True)
-class StabilizingReport:
-    """Evaluation of the two stabilizing inequalities over probe fields.
-
-    h_form entries test  -2 beta (P_sigma I_h phi, phi) <= nu ||phi||^2 - beta |phi|^2,
-    a_form entries test  -2 beta (P_sigma I_h phi, A phi) <= nu |A phi|^2 - beta ||phi||^2.
-    """
-
-    h_form: tuple[StabilizingEntry, ...]
-    a_form: tuple[StabilizingEntry, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(e.holds for e in self.h_form + self.a_form)
-
-    @property
-    def violations(self) -> list[StabilizingEntry]:
-        return [e for e in self.h_form + self.a_form if not e.holds]
-
-
-def stabilizing_inequality_check(
-    spec: InterpolantSpec,
-    beta: float,
-    nu: float,
-    f: SpectralField,
-    extra_probes: int = 32,
-    rng: np.random.Generator | None = None,
-) -> StabilizingReport:
-    """Evaluate both stabilizing inequalities on f and on random probes.
-
-    Violations are recorded in the report, never raised; callers decide
-    whether a violation is an error for their experiment.
-    """
-    rng = rng if rng is not None else np.random.default_rng(2)
-    probes: list[tuple[str, SpectralField]] = [("input", f)]
-    for i, g in enumerate(_trial_fields(spec, f.grid, extra_probes, rng)):
-        probes.append((f"probe_{i}", g))
-    h_entries = []
-    a_entries = []
-    for label, phi in probes:
-        nh = norm_H(phi)
-        nv = norm_V(phi)
-        if nh == 0.0:
-            h_entries.append(StabilizingEntry(label, 0.0, 0.0))
-            a_entries.append(StabilizingEntry(label, 0.0, 0.0))
-            continue
-        ih = apply_ih(spec, phi)
-        aphi = apply_stokes(phi)
-        nda = norm_H(aphi)
-        h_entries.append(
-            StabilizingEntry(
-                label,
-                -2.0 * beta * inner_product(ih, phi),
-                nu * nv * nv - beta * nh * nh,
-            )
-        )
-        a_entries.append(
-            StabilizingEntry(
-                label,
-                -2.0 * beta * inner_product(ih, aphi),
-                nu * nda * nda - beta * nv * nv,
-            )
-        )
-    return StabilizingReport(h_form=tuple(h_entries), a_form=tuple(a_entries))

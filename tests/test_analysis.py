@@ -197,7 +197,7 @@ def test_stability_bounds_survive_long_horizons(params16):
 
 
 def test_error_series_tail_helpers():
-    s = ErrorSeries(np.array([0.0, 0.5, 1.0]), np.array([3.0, 1.0, 2.0]), "H", False)
+    s = ErrorSeries(np.array([0.0, 0.5, 1.0]), np.array([3.0, 1.0, 2.0]))
     assert s.tail_sup(0.4) == 2.0
     assert s.tail_sup(0.0) == 3.0
     with pytest.raises(ValueError):
@@ -207,7 +207,7 @@ def test_error_series_tail_helpers():
 def test_decay_rate_fit_recovers_synthetic_rate():
     t = np.linspace(0.0, 15.0, 301)
     v = 3.0 * np.exp(-2.0 * t) + 1e-9
-    fit = decay_rate_fit(ErrorSeries(t, v, "H", False))
+    fit = decay_rate_fit(ErrorSeries(t, v))
     assert fit.rate == pytest.approx(2.0, rel=0.03)
     assert 0.5e-9 <= fit.floor <= 2e-9
     assert fit.amplitude == pytest.approx(3.0, rel=0.2)
@@ -220,7 +220,7 @@ def test_decay_rate_fit_uses_the_whole_series_before_any_floor():
     # it fell
     t = np.linspace(0.0, 0.06, 25)
     v = 0.25 * np.exp(-10.5 * t)
-    fit = decay_rate_fit(ErrorSeries(t, v, "H", False))
+    fit = decay_rate_fit(ErrorSeries(t, v))
     assert fit.rate == pytest.approx(10.5, rel=1e-12)
     assert fit.amplitude == pytest.approx(0.25, rel=1e-12)
     assert fit.n_used == len(t)
@@ -230,25 +230,25 @@ def test_decay_rate_fit_uses_the_whole_series_before_any_floor():
 
 def test_decay_rate_fit_calls_a_rising_series_not_decaying():
     t = np.linspace(0.0, 1.0, 30)
-    rising = ErrorSeries(t, 1e-3 * (1.0 + t), "H", False)
+    rising = ErrorSeries(t, 1e-3 * (1.0 + t))
     with pytest.raises(FitError, match="not decaying"):
         decay_rate_fit(rising)
     # an identically zero error has nothing to fit
     with pytest.raises(FitError, match="0 positive samples"):
-        decay_rate_fit(ErrorSeries(t, np.zeros_like(t), "H", False))
+        decay_rate_fit(ErrorSeries(t, np.zeros_like(t)))
 
 
 def test_decay_rate_fit_rejects_bad_series():
     t = np.linspace(0.0, 10.0, 101)
     with pytest.raises(FitError, match="samples"):
-        decay_rate_fit(ErrorSeries(t[:5], np.ones(5), "H", False))
-    growing = ErrorSeries(t, np.exp(t), "H", False)
+        decay_rate_fit(ErrorSeries(t[:5], np.ones(5)))
+    growing = ErrorSeries(t, np.exp(t))
     with pytest.raises(FitError, match="not decaying"):
         decay_rate_fit(growing)
     # positive fitted slope on the pre-floor prefix
     v = np.concatenate((5.0 + 0.1 * t[:80], np.full(21, 1e-6)))
     with pytest.raises(FitError, match="not decaying"):
-        decay_rate_fit(ErrorSeries(t, v, "H", False))
+        decay_rate_fit(ErrorSeries(t, v))
 
 
 def test_convergence_order_exact_power_law():

@@ -108,10 +108,12 @@ def test_unknown_key_warns_and_is_ignored():
 def test_type_errors_carry_line_numbers():
     with pytest.raises(ConfigError, match=r":3: key 'nu'"):
         parse_config_text("\n[physics]\nnu = fast\n[experiment]\ntau=1\nt_end=2\n")
-    # integer keys reject fractional values but accept integral floats
+    # integer keys reject fractional and non-finite values but accept
+    # integral floats
     physics = "[physics]\nnu = 0.1\ngrid_n = {}\n[experiment]\ntau = 1\nt_end = 2\n"
-    with pytest.raises(ConfigError, match="integer"):
-        parse_config_text(physics.format("48.5"))
+    for value in ("48.5", "inf", "-inf", "1e400", "nan"):
+        with pytest.raises(ConfigError, match=r":3: key 'grid_n': .*integer"):
+            parse_config_text(physics.format(value))
     cfg = parse_config_text(physics.format("48.0"))
     assert cfg.grid_n == 48
 

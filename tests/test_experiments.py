@@ -226,6 +226,18 @@ def test_twin_beta_zero_control_shows_no_decay(tmp_path):
     assert report.status == PASS
 
 
+def test_twin_zero_forcing_names_why_conditions_are_skipped(tmp_path):
+    # beta > 0, but the constants the conditions use need |f| > 0
+    cfg = tiny_twin_config(
+        forcing="none", beta=5.0, truth="analytic:taylor_green", t_end=0.2
+    )
+    report = run_twin_experiment(cfg, str(tmp_path))
+    conditions = next(c for c in report.checks if c.name == "conditions")
+    assert conditions.status == SKIP
+    assert "zero forcing" in conditions.detail
+    assert "beta = 0" not in conditions.detail
+
+
 def test_twin_reruns_are_byte_identical(tmp_path):
     cfg = tiny_twin_config(t_end=0.3)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -519,11 +531,12 @@ def test_cli_spinup_off_the_truth_step_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [("beta", "nan"), ("beta", "inf"), ("ic_amplitude", "nan"),
-     ("min_decay_orders", "nan")],
+     ("min_decay_orders", "nan"), ("seed", "inf"), ("grid_n", "1e400")],
 )
 def test_cli_non_finite_value_exits_2(tmp_path, capsys, key, value):
-    # each of these ran to exit 1 (a beta = 0 control, a solver FAIL, or a
-    # decay check against "required nan") instead of being rejected
+    # each of these ran to exit 1 (a beta = 0 control, a solver FAIL, a
+    # decay check against "required nan", or an OverflowError traceback
+    # from an integer key) instead of being rejected
     cfg_path = tmp_path / "run.cfg"
     text = render_config(tiny_twin_config(truth="nse_integrate"))
     line = next(ln for ln in text.splitlines() if ln.startswith(f"{key} = "))
@@ -531,7 +544,9 @@ def test_cli_non_finite_value_exits_2(tmp_path, capsys, key, value):
     rc = cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "twin"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"{key} must be finite" in err
+    integer = isinstance(getattr(tiny_twin_config(), key), int)
+    reason = f"key {key!r}: expected a finite integer" if integer else f"{key} must be finite"
+    assert err.startswith("error:") and reason in err
 
 
 def test_cli_failed_check_exits_1(tmp_path):

@@ -35,7 +35,6 @@ from .fields import (
     from_physical,
     inner_product,
     is_low_supported,
-    norm,
     norm_DA,
     norm_H,
     norm_V,
@@ -61,9 +60,9 @@ from .schemes import (
     FULLY_IMPLICIT,
     SCHEMES,
     SEMI_IMPLICIT,
-    ObservationStream,
     PhysicsParams,
     SchemeState,
+    TruthSource,
     advance,
     nse_integrate,
     reference_galerkin_integrate,

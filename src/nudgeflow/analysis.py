@@ -111,41 +111,64 @@ class BoundConstants:
         }
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, inf where the float result overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def bound_constants(
     p: PhysicsParams, consts: AbsoluteConstants = DEFAULT_CONSTANTS
 ) -> BoundConstants:
     """Evaluate the defining formulas of every a-priori constant.
 
-    Requires |f| > 0 (the Grashof number and Lambda degenerate otherwise)
-    and Lambda >= 0 so its square root exists in M2 and R2.
+    Requires |f| > 0 (the Grashof number and Lambda degenerate otherwise),
+    nu^2 lambda1 > 0 in floating point, Lambda >= 0 so its square root
+    exists in M2 and R2, and every constant finite: a ValueError names the
+    first one that overflows.
     """
     fnorm = norm_H(p.forcing)
     if fnorm <= 0.0:
         raise ValueError("bound constants require a nonzero forcing")
     nu = p.nu
     lam1 = p.grid.lambda1
+    if nu * nu * lam1 == 0.0:
+        raise ValueError(
+            f"nu^2 lambda1 underflows to 0 (nu = {nu:g}): the Grashof number "
+            "is not representable"
+        )
     G = fnorm / (nu * nu * lam1)
     M0 = 2.0 * nu * G
     M1 = nu * math.sqrt(lam1) * G
-    Lambda = 1.0 + math.log(M1 / (nu * math.sqrt(lam1)))
+    # a Grashof number that underflows to 0 has Lambda = -inf
+    Lambda = 1.0 + math.log(M1 / (nu * math.sqrt(lam1))) if M1 > 0.0 else -math.inf
     if Lambda < 0.0:
         raise ValueError(
             f"Grashof number {G:.3e} gives Lambda = {Lambda:.3e} < 0; the "
             "bound formulas require G >= 1/e"
         )
-    R1 = consts.c4 * M1**3 * Lambda / nu
+    R1 = consts.c4 * _power(M1, 3) * Lambda / nu
     bracket = M1 * math.sqrt(Lambda) / math.sqrt(nu) + math.sqrt(p.beta)
     M2 = (M1 / math.sqrt(nu)) * bracket
-    R2 = (M1**3 * Lambda / nu**1.5) * bracket
+    R2 = (_power(M1, 3) * Lambda / _power(nu, 1.5)) * bracket
     lam_N = p.cutoff.lambda_low(p.grid)
     L_N = math.sqrt(1.0 + math.log(lam_N / lam1))
     qn = norm_H(project_high(p.forcing, p.cutoff))
     C0 = consts.c * (qn + M1 * M1) / nu
     C1 = consts.c * ((qn + M1 * M1) / nu + M0 * M1 * M1 / (nu * nu))
-    return BoundConstants(
+    out = BoundConstants(
         G=G, M0=M0, M1=M1, Lambda=Lambda, R1=R1, M2=M2, R2=R2,
         L_N=L_N, C0=C0, C1=C1, f_norm=fnorm, constants=consts,
     )
+    for name, value in out.as_dict().items():
+        if not math.isfinite(value):
+            raise ValueError(
+                f"a-priori constant {name} = {value} is not finite: the forcing "
+                "and viscosity are outside the range the bound formulas can evaluate"
+            )
+    return out
 
 
 @dataclass(frozen=True)
@@ -181,10 +204,6 @@ class ConditionReport:
                 return c
         raise KeyError(name)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
     def passed(self, *names: str) -> bool:
         return all(self.get(n).passed for n in names)
 
@@ -205,13 +224,14 @@ def check_conditions(
     supplied for volume averages (interpolants.estimate_c0 estimates it);
     the postprocessing check takes c_minus1 from the absolute constants.
     The report is advisory; experiments decide which checks gate what.
+    A left-hand side that overflows reads inf, a failed check.
     """
     ab = consts.constants
     nu, beta = p.nu, p.beta
     lam1 = p.grid.lambda1
     omega = p.grid.L * p.grid.L
     checks: list[ConditionCheck] = []
-    beta_floor = ab.c * consts.M1**2 * consts.Lambda / nu
+    beta_floor = ab.c * _power(consts.M1, 2) * consts.Lambda / nu
     checks.append(
         ConditionCheck(
             "beta_lower_bound",
@@ -248,14 +268,15 @@ def check_conditions(
             )
         )
     alpha = ab.alpha
-    ppgm_alt = (
+    ppgm_alt = _power(
         ab.c
         * ab.c_alpha
         * (1.0 + 1.0 / (1.0 - alpha))
         * omega ** (alpha - 0.5)
         * consts.M1
-        / nu**alpha
-    ) ** (1.0 / (1.0 - alpha))
+        / nu**alpha,
+        1.0 / (1.0 - alpha),
+    )
     checks.append(
         ConditionCheck(
             "ppgm_beta_lower_bound",

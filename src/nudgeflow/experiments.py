@@ -8,9 +8,11 @@ decide the process exit code.
 
 The runners share one pipeline.  `_setup` builds the grid, forcing,
 parameters and a-priori constants; `_start` integrates the truth and
-returns it with its observations (None when beta = 0) and the initial data
-v0 = P_N build_ic.  The run itself happens inside a `_Run` block, which
-owns the report, the output directory and the output tables
+returns it with the initial data v0 = P_N build_ic.  The truth is a
+steady, analytic or stored `schemes.TruthSource`; the runners hand it to
+the solver whatever beta is, and the solver observes it under the params'
+interpolant only when beta > 0.  The run itself happens inside a `_Run`
+block, which owns the report, the output directory and the output tables
 (`_Run.table`).  On leaving the block `_Run` writes the tables in the
 order they were registered, then the report.  A stalled or non-finite
 solve (SolverError) inside the block ends the run with a failed `solver`
@@ -72,9 +74,10 @@ from .operators import (
 from .schemes import (
     FULLY_IMPLICIT,
     SEMI_IMPLICIT,
-    ObservationStream,
+    ErrorNorms,
     PhysicsParams,
     SchemeState,
+    TruthSource,
     _Galerkin,
     _galerkin,
     _steps_for,
@@ -259,8 +262,7 @@ def _random_band_forcing(
     scale = np.where(grid.shell > 0, np.maximum(shell, 1.0) ** (-0.5 * decay), 0.0)
     c *= scale * grid.dealias_mask
     c = 0.5 * (c + _conj_flip(grid, c))
-    c = leray_project_raw(c, grid)
-    f = SpectralField.from_coeffs(grid, c, copy=False)
+    f = SpectralField._trusted(grid, leray_project_raw(c, grid))
     target = amplitude * grid.L / math.sqrt(2.0)
     nh = norm_H(f)
     if nh == 0.0:
@@ -345,22 +347,12 @@ def _setup(cfg: ExperimentConfig, *, tau: float | None = None) -> _Setup:
 # truth sources
 
 
-# (packed vector, time) -> [err_H, err_V, err_DA] of v(t) - u(t)
-ErrorNorms = Callable[[np.ndarray, float], list[float]]
-
-
-class TruthSource:
-    """Resolved solution u(t) plus the coarse observations taken from it."""
-
-    def field_at(self, t: float) -> SpectralField:
-        raise NotImplementedError
-
-    def observations(self, spec: InterpolantSpec) -> ObservationStream:
-        raise NotImplementedError
-
-    def error_norms(self, gal: _Galerkin) -> ErrorNorms:
-        """Norms of v - u(t) for v packed in gal, by Parseval."""
-        raise NotImplementedError
+def _per_packing(cache: dict, gal: _Galerkin, build: Callable[[], np.ndarray]):
+    """build(), computed once per packing and interpolant that observe it."""
+    key = (gal.grid, gal.p.cutoff, gal.p.interpolant)
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 def _tail_sq(u: SpectralField, gal: _Galerkin) -> np.ndarray:
@@ -370,14 +362,17 @@ def _tail_sq(u: SpectralField, gal: _Galerkin) -> np.ndarray:
 
 
 class SteadyTruth(TruthSource):
+    """A time-independent u*, observed once per packing."""
+
     def __init__(self, u_star: SpectralField) -> None:
         self.u_star = u_star
+        self._observed: dict[tuple, np.ndarray] = {}
 
     def field_at(self, t: float) -> SpectralField:
         return self.u_star
 
-    def observations(self, spec: InterpolantSpec) -> ObservationStream:
-        return ObservationStream.steady(self.u_star, spec)
+    def observe(self, gal: _Galerkin, t: float) -> np.ndarray:
+        return _per_packing(self._observed, gal, lambda: TruthSource.observe(self, gal, t))
 
     def error_norms(self, gal: _Galerkin) -> ErrorNorms:
         # |v - u|^2 = |v - P_N u|^2 + |(I - P_N) u|^2, with u packed once
@@ -386,14 +381,13 @@ class SteadyTruth(TruthSource):
 
 
 class AnalyticTruth(TruthSource):
+    """u(t) = fn(t), observed from its field at every call."""
+
     def __init__(self, fn) -> None:
         self._fn = fn
 
     def field_at(self, t: float) -> SpectralField:
         return self._fn(t)
-
-    def observations(self, spec: InterpolantSpec) -> ObservationStream:
-        return ObservationStream.from_truth_fn(self._fn, spec)
 
     def error_norms(self, gal: _Galerkin) -> ErrorNorms:
         def errors(x: np.ndarray, t: float) -> list[float]:
@@ -404,16 +398,26 @@ class AnalyticTruth(TruthSource):
 
 
 class StoredTruth(TruthSource):
-    """A packed trajectory whose packing holds every mode of the solution."""
+    """A packed trajectory whose packing holds every mode of the solution.
+
+    For each packing and interpolant that observe it, every stored frame
+    is observed once (`_Galerkin._observe`); lookups interpolate those
+    packed frames with the trajectory's own Lagrange weights, which equals
+    observing the interpolated truth because both maps are linear.
+    """
 
     def __init__(self, traj: Trajectory) -> None:
         self.traj = traj
+        self._observed: dict[tuple, np.ndarray] = {}
 
     def field_at(self, t: float) -> SpectralField:
         return self.traj.at(t)
 
-    def observations(self, spec: InterpolantSpec) -> ObservationStream:
-        return ObservationStream.from_trajectory(self.traj, spec)
+    def observe(self, gal: _Galerkin, t: float) -> np.ndarray:
+        if gal.grid != self.traj.grid:
+            raise ValueError("observed trajectory grid differs from params grid")
+        frames = _per_packing(self._observed, gal, lambda: gal._observe(self.traj.fields))
+        return self.traj.lookup(frames, t)
 
     def error_norms(self, gal: _Galerkin) -> ErrorNorms:
         # v embedded into the truth's own packing; no cancelling expansion
@@ -492,13 +496,10 @@ def build_ic(setup: _Setup, truth: TruthSource) -> SpectralField:
     raise ConfigError(f"unknown initial condition kind {cfg.ic!r}")
 
 
-def _start(
-    setup: _Setup, t_end: float
-) -> tuple[TruthSource, ObservationStream | None, SpectralField]:
-    """Truth on [0, t_end], its observations (None when beta = 0) and v0."""
+def _start(setup: _Setup, t_end: float) -> tuple[TruthSource, SpectralField]:
+    """Truth on [0, t_end] and v0."""
     truth = build_truth(setup, t_end)
-    obs = truth.observations(setup.spec) if setup.params.beta > 0.0 else None
-    return truth, obs, project_low(build_ic(setup, truth), setup.params.cutoff)
+    return truth, project_low(build_ic(setup, truth), setup.params.cutoff)
 
 
 # Residuals of a failed solve's history quoted in the `solver` check.
@@ -578,7 +579,7 @@ def run_twin_experiment(
     n_steps = _steps_for(cfg.t_end, tau)
     with _Run("twin", setup, out_dir) as run:
         report = run.report
-        truth, obs, v0 = _start(setup, cfg.t_end)
+        truth, v0 = _start(setup, cfg.t_end)
         gal = _galerkin(params)
         x0 = gal._pack_field(v0)
         errors = truth.error_norms(gal)
@@ -604,7 +605,7 @@ def run_twin_experiment(
             sup_v = max(sup_v, norms[1])
             rec.add(new.k, new.t, norms, eh, ev, env_h[new.k], env_v[new.k])
 
-        advance(v0, params, obs, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
+        advance(v0, params, truth, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
         times, errs_h = rec.column("time"), rec.column("err_H")
         series = ErrorSeries(times, errs_h)
 
@@ -674,7 +675,7 @@ def run_twin_experiment(
 def run_contraction_test(
     cfg: ExperimentConfig, out_dir: str | None = None
 ) -> ExperimentReport:
-    """Two runs from perturbed initial data under shared observations.
+    """Two runs from perturbed initial data observing the same truth.
 
     Both solutions are marched by `advance`, the first stored at every
     step and the second compared with it step by step.  The squared
@@ -688,7 +689,7 @@ def run_contraction_test(
     n_steps = cfg.contraction_steps
     with _Run("contraction", setup, out_dir) as run:
         report = run.report
-        _, obs, v0 = _start(setup, n_steps * tau)
+        truth, v0 = _start(setup, n_steps * tau)
         bump = random_field(
             setup.grid, setup.rng,
             norm_v=cfg.perturbation * _m1_scale(setup), cutoff=params.cutoff,
@@ -707,7 +708,7 @@ def run_contraction_test(
         max_ratio_v = 0.0
         exact_zero = eps0_h == 0.0 and eps0_v == 0.0
         _, first = advance(
-            v0, params, obs, tau, n_steps, scheme=cfg.scheme, store_every=1
+            v0, params, truth, tau, n_steps, scheme=cfg.scheme, store_every=1
         )
 
         def on_step(prev: SchemeState, new: SchemeState) -> None:
@@ -722,7 +723,7 @@ def run_contraction_test(
             rec.add(k, new.t, gal.norms(a), eh, ev,
                     math.sqrt(env_h2[k]), math.sqrt(env_v2[k]))
 
-        advance(b_v0, params, obs, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
+        advance(b_v0, params, truth, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
 
         report.values["eps0_H"] = eps0_h
         report.values["eps0_V"] = eps0_v
@@ -791,7 +792,7 @@ def run_stability_soak(
     n_steps = cfg.soak_steps
     with _Run("soak", setup, out_dir) as run:
         report = run.report
-        truth, obs, v0 = _start(setup, n_steps * max(taus))
+        truth, v0 = _start(setup, n_steps * max(taus))
         gal = _galerkin(params)
         x0 = gal._pack_field(v0)
         norms0 = gal.norms(x0)
@@ -854,7 +855,7 @@ def run_stability_soak(
                 rec.add(new.k, new.t, norms, eh, ev,
                         math.sqrt(h2_env[new.k]), math.sqrt(v2_env[new.k]))
 
-            advance(v0, params, obs, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
+            advance(v0, params, truth, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
             for name in _SOAK_BOUNDS:
                 if name == "stepwise_energy" and cfg.scheme != SEMI_IMPLICIT:
                     continue
@@ -897,8 +898,8 @@ def run_tau_sweep(
 ) -> ExperimentReport:
     """First-order-in-tau verification against the continuous Galerkin flow.
 
-    All runs (coarse and reference) share the truth, the observation
-    stream, and the initial data, so the truth discretization bias cancels
+    All runs (coarse and reference) observe the same truth and share the
+    initial data, so the truth discretization bias cancels
     and the measured gap isolates the time-stepping error.  The flow is
     approximated by one ETDRK4 trajectory at dt_ref = min(tau)/(2m), m >= 1
     the smallest value making every tau an integer multiple of dt_ref, with
@@ -918,9 +919,9 @@ def run_tau_sweep(
     dt_ref = _reference_step(cfg.tau_list, cfg.ref_factor)
     with _Run("tau_sweep", setup, out_dir) as run:
         report = run.report
-        _, obs, v0 = _start(setup, cfg.t_end)
-        ref = reference_galerkin_integrate(v0, params, obs, cfg.t_end, dt_ref)
-        ref_2dt = reference_galerkin_integrate(v0, params, obs, cfg.t_end, 2.0 * dt_ref)
+        truth, v0 = _start(setup, cfg.t_end)
+        ref = reference_galerkin_integrate(v0, params, truth, cfg.t_end, dt_ref)
+        ref_2dt = reference_galerkin_integrate(v0, params, truth, cfg.t_end, 2.0 * dt_ref)
         gal = _galerkin(params)
         ref_gap_h = max(
             gal.norms(a - b)[0] for a, b in zip(ref.frames[::2], ref_2dt.frames)
@@ -940,7 +941,7 @@ def run_tau_sweep(
                 eh, ev, _ = errors(new.x, new.t)
                 rec.add(new.k, new.t, gal.norms(new.x), eh, ev)
 
-            advance(v0, params, obs, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
+            advance(v0, params, truth, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
             times = rec.column("time")
             eh = ErrorSeries(times, rec.column("err_H"))
             ev = ErrorSeries(times, rec.column("err_V"))
@@ -1006,7 +1007,7 @@ def run_n_sweep(
         _steps_for(cfg.t_end, tau)
     with _Run("n_sweep", setup, out_dir) as run:
         report = run.report
-        truth, obs, v0 = _start(setup, cfg.t_end)
+        truth, v0 = _start(setup, cfg.t_end)
         u_end = truth.field_at(cfg.t_end)
 
         def final_errors(
@@ -1016,7 +1017,7 @@ def run_n_sweep(
                 cfg, setup.grid, setup.forcing, setup.spec, lambda_cut=lambda_cut
             )
             state, _ = advance(
-                v0, params, obs, tau, _steps_for(cfg.t_end, tau), scheme=cfg.scheme
+                v0, params, truth, tau, _steps_for(cfg.t_end, tau), scheme=cfg.scheme
             )
             plain = state.v - u_end
             corrected = (
@@ -1142,10 +1143,10 @@ def run_self_check(seed: int = 0, out_dir: str | None = None) -> ExperimentRepor
         nu=nu, grid=grid32, forcing=forcing, beta=5.0, interpolant=spec,
         cutoff=GalerkinCutoff(40.0),
     )
-    obs = ObservationStream.steady(u_star, spec)
+    truth = SteadyTruth(u_star)
     drift = 0.0
     for scheme in (SEMI_IMPLICIT, FULLY_IMPLICIT):
-        state, _ = advance(u_star, params, obs, 0.01, 1, scheme=scheme)
+        state, _ = advance(u_star, params, truth, 0.01, 1, scheme=scheme)
         drift = max(drift, norm_H(state.v - u_star))
     report.values["fixed_point_drift"] = drift
     report.add_check(

@@ -9,6 +9,12 @@ invariants are enforced at construction:
   * incompressibility: k . uhat(k) = 0 for every k,
   * Hermitian symmetry: uhat(-k) = conj(uhat(k)), so u is real.
 
+`SpectralField.from_coeffs` checks them on arrays from outside the
+package (snapshots, physical samples, projections of raw spectra); the
+package's own constructors (random fields, the shear and band forcings,
+the Taylor-Green vortex, linear combinations) hold them by construction
+and skip the check.
+
 The inner product is normalized so that it equals the physical-space
 integral: (f, g) = L^2 sum_k fhat(k) . conj(ghat(k)).  With that
 convention norm_H is the L^2 norm, norm_V the H^1 seminorm (gradient
@@ -291,16 +297,6 @@ def norm_DA(f: SpectralField) -> float:
     return float(f.grid.L * np.sqrt(np.sum(w)))
 
 
-_NORMS = {"H": norm_H, "V": norm_V, "DA": norm_DA}
-
-
-def norm(f: SpectralField, which: str) -> float:
-    try:
-        return _NORMS[which](f)
-    except KeyError:
-        raise ValueError(f"unknown norm {which!r}, expected one of {sorted(_NORMS)}")
-
-
 # ---------------------------------------------------------------------------
 # projections
 
@@ -371,10 +367,13 @@ def random_field(
 ) -> SpectralField:
     """Random smooth divergence-free field, spectrum ~ exp(-decay |j|).
 
-    Supported inside the dealiased band (or the given cutoff), so it is safe
-    as input to the bilinear term.  Scaled to the requested norm_V or norm_H
-    if given.
+    Supported inside the dealiased band (or the given cutoff, which must lie
+    inside it), so it is safe as input to the bilinear term.  Scaled to the
+    requested norm_V or norm_H if given.  Hermitian, mean-free and
+    solenoidal by construction, so it is not re-validated.
     """
+    if cutoff is not None and not cutoff.within_band(grid):
+        raise ValueError("random_field cutoff exceeds the dealiased band of the grid")
     n = grid.n
     shape = (2, n, n)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -389,7 +388,7 @@ def random_field(
     d = (j1 * c[0] + j2 * c[1]) / shell
     c[0] -= j1 * d
     c[1] -= j2 * d
-    f = SpectralField.from_coeffs(grid, c, copy=False)
+    f = SpectralField._trusted(grid, c)
     if norm_v is not None:
         nv = norm_V(f)
         if nv == 0.0:

@@ -196,7 +196,7 @@ def kolmogorov_forcing(grid: TorusGrid, kappa: int, amplitude: float) -> Spectra
     # sin(a y) = (e^(iay) - e^(-iay)) / (2i)
     c[0, 0, kappa % grid.n] = -0.5j * amplitude
     c[0, 0, (-kappa) % grid.n] = 0.5j * amplitude
-    return SpectralField.from_coeffs(grid, c, copy=False)
+    return SpectralField._trusted(grid, c)
 
 
 def kolmogorov_steady_state(
@@ -232,4 +232,4 @@ def taylor_green(grid: TorusGrid, kappa: int, t: float, nu: float) -> SpectralFi
         for s2 in (1, -1):
             c[0, (s1 * kappa) % grid.n, (s2 * kappa) % grid.n] = -q * s1
             c[1, (s1 * kappa) % grid.n, (s2 * kappa) % grid.n] = q * s2
-    return SpectralField.from_coeffs(grid, c, copy=False)
+    return SpectralField._trusted(grid, c)

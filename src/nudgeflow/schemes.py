@@ -52,9 +52,11 @@ its vector and packing and builds its n x n field only when asked for
 it; `advance` and the ETDRK4 reference store packed frames in their
 trajectories.  Norms of packed vectors are Parseval sums with per-mode
 weights 2 L^2 {1, |k|^2, |k|^4} (`norms`).
-Observations reach the solver packed (`ObservationStream.packed`): a
-stored truth's frames are observed once each, through a mode mask
-(Fourier truncation) or the low rows of T C T^T (volume averages), and
+The solver reads its observations from the truth itself: a TruthSource
+returns P_N P_sigma I_h u(t) packed (`TruthSource.observe`), under the
+one interpolant the params name, and only when beta > 0.  A stored
+truth's frames are observed once each, through a mode mask (Fourier
+truncation) or the low rows of T C T^T (volume averages), and
 interpolated in time with the trajectory's Lagrange weights.
 """
 
@@ -82,7 +84,7 @@ from .storage import Trajectory
 __all__ = [
     "PhysicsParams",
     "SchemeState",
-    "ObservationStream",
+    "TruthSource",
     "SolverError",
     "SEMI_IMPLICIT",
     "FULLY_IMPLICIT",
@@ -175,63 +177,23 @@ class SchemeState:
         return self.k * self.tau
 
 
-class ObservationStream:
-    """Provider of coarse observations t -> P_sigma I_h(u(t)).
-
-    The solver reads them packed, through `packed`; a user-supplied
-    provider is packed from its field at every call.
-    """
-
-    def __init__(self, provider: Callable[[float], SpectralField]):
-        self._provider = provider
-
-    def __call__(self, t: float) -> SpectralField:
-        return self._provider(t)
-
-    def packed(self, gal: "_Galerkin", t: float) -> np.ndarray:
-        """P_N P_sigma I_h u(t) in gal's packing."""
-        return gal._pack_field(self(t))
-
-    @classmethod
-    def from_truth_fn(
-        cls, truth: Callable[[float], SpectralField], spec: InterpolantSpec
-    ) -> "ObservationStream":
-        return cls(lambda t: apply_ih(spec, truth(t)))
-
-    @classmethod
-    def from_trajectory(
-        cls, traj: Trajectory, spec: InterpolantSpec
-    ) -> "ObservationStream":
-        return _TrajectoryObservations(traj, spec)
-
-    @classmethod
-    def steady(cls, u_star: SpectralField, spec: InterpolantSpec) -> "ObservationStream":
-        observed = apply_ih(spec, u_star)
-        return cls(lambda t: observed)
+# (packed vector, time) -> [err_H, err_V, err_DA] of v(t) - u(t)
+ErrorNorms = Callable[[np.ndarray, float], list[float]]
 
 
-class _TrajectoryObservations(ObservationStream):
-    """Observations of a stored truth, packed once per stored frame.
+class TruthSource:
+    """Resolved solution u(t), which the solver observes under params.interpolant."""
 
-    For each packing asked for, P_N P_sigma I_h of every stored frame is
-    computed once (`_Galerkin._observe`); lookups interpolate those packed
-    frames with the trajectory's own Lagrange weights, which equals
-    observing the interpolated truth because both maps are linear.
-    """
+    def field_at(self, t: float) -> SpectralField:
+        raise NotImplementedError
 
-    def __init__(self, traj: Trajectory, spec: InterpolantSpec):
-        super().__init__(lambda t: apply_ih(spec, traj.at(t)))
-        self._traj, self._spec = traj, spec
-        self._frames: dict[tuple, np.ndarray] = {}
+    def observe(self, gal: "_Galerkin", t: float) -> np.ndarray:
+        """P_N P_sigma I_h u(t) packed in gal, I_h = gal.p.interpolant."""
+        return gal._pack_field(apply_ih(gal.p.interpolant, self.field_at(t)))
 
-    def packed(self, gal: "_Galerkin", t: float) -> np.ndarray:
-        key = (gal.grid, gal.p.cutoff)
-        frames = self._frames.get(key)
-        if frames is None:
-            if gal.grid != self._traj.grid:
-                raise ValueError("observed trajectory grid differs from params grid")
-            frames = self._frames[key] = gal._observe(self._spec, self._traj.fields)
-        return self._traj.lookup(frames, t)
+    def error_norms(self, gal: "_Galerkin") -> ErrorNorms:
+        """Norms of v - u(t) for v packed in gal, by Parseval."""
+        raise NotImplementedError
 
 
 def _product_size(k: int, n: int) -> int:
@@ -381,14 +343,15 @@ class _Galerkin:
         averaged = t @ half @ plus + t_flip @ half.conj() @ minus
         return self.p.beta * self._project(averaged)
 
-    def _observe(self, spec: InterpolantSpec, fields: list[SpectralField]) -> np.ndarray:
+    def _observe(self, fields: list[SpectralField]) -> np.ndarray:
         """Packed P_N P_sigma I_h f of each params-grid field, shape (len, modes).
 
-        Fourier truncation keeps the packed amplitudes of the observed
-        shells.  Volume averages take only the low rows of T C T^T, T the
-        cell-average matrix from the grid's wavenumbers to |j| <= K.
+        I_h is params.interpolant.  Fourier truncation keeps the packed
+        amplitudes of the observed shells.  Volume averages take only the
+        low rows of T C T^T, T the cell-average matrix from the grid's
+        wavenumbers to |j| <= K.
         """
-        j1, j2 = self.modes
+        spec, (j1, j2) = self.p.interpolant, self.modes
         if spec.kind == "fourier_truncation":
             keep = j1 * j1 + j2 * j2 <= spec.cutoff().shell_limit(self.sgrid)
             return np.array([np.where(keep, self._pack_field(f), 0.0) for f in fields])
@@ -400,11 +363,11 @@ class _Galerkin:
             out[i] = self._e[0] * c[0] + self._e[1] * c[1]
         return out
 
-    def _observed(self, obs: ObservationStream | None, t: float) -> np.ndarray:
+    def _observed(self, truth: TruthSource | None, t: float) -> np.ndarray:
         """Packed beta P_N (P_sigma I_h u(t)), the data the nudging term feeds in."""
-        if obs is None:
-            raise ValueError("beta > 0 requires an observation stream")
-        return self.p.beta * obs.packed(self, t)
+        if truth is None:
+            raise ValueError("beta > 0 requires a truth to observe")
+        return self.p.beta * truth.observe(self, t)
 
     def _explicit(self, vec: np.ndarray, data: np.ndarray | float) -> np.ndarray:
         """Packed ETDRK4 explicit part of the Galerkin field at v.
@@ -488,7 +451,7 @@ class _Stepper(_Galerkin):
     def step(
         self,
         state: SchemeState,
-        obs: ObservationStream | None,
+        truth: TruthSource | None,
         guess: np.ndarray | None = None,
     ) -> SchemeState:
         """The next iterate after state, which is packed in this stepper.
@@ -499,7 +462,7 @@ class _Stepper(_Galerkin):
         x = state.x
         b = x / self.tau + self.f_low
         if self.p.beta > 0.0:
-            b += self._observed(obs, (state.k + 1) * self.tau)
+            b += self._observed(truth, (state.k + 1) * self.tau)
         bnorm = float(np.linalg.norm(b))
         if not np.isfinite(bnorm):
             # the state, the forcing or the observation is not finite
@@ -574,7 +537,7 @@ def _stepper(p: PhysicsParams, tau: float, scheme: str) -> _Stepper:
 def advance(
     v0: SpectralField,
     p: PhysicsParams,
-    obs: ObservationStream | None,
+    truth: TruthSource | None,
     tau: float,
     n_steps: int,
     *,
@@ -584,6 +547,9 @@ def advance(
 ) -> tuple[SchemeState, Trajectory | None]:
     """March n_steps from v^0 = P_N v0, optionally recording a trajectory.
 
+    When beta > 0 each step observes the truth at its new time under
+    p.interpolant (`TruthSource.observe`); with beta = 0 the truth is not
+    read and may be None.
     Each solve starts from the damped cubic extrapolation of the iterates
     so far, truncated where their damped differences stop shrinking (v^0
     for the first step; see the module docstring).
@@ -607,7 +573,7 @@ def advance(
     predict = _Predictor(stepper._predictor_weight)
     for _ in range(n_steps):
         try:
-            new = stepper.step(state, obs, predict(state.x))
+            new = stepper.step(state, truth, predict(state.x))
         except SolverError as exc:
             exc.state, exc.cutoff = state, p.cutoff
             raise
@@ -655,7 +621,7 @@ def _etdrk4_weights(hl: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
 def reference_galerkin_integrate(
     v0: SpectralField,
     p: PhysicsParams,
-    obs: ObservationStream | None,
+    truth: TruthSource | None,
     t_end: float,
     dt: float,
 ) -> Trajectory:
@@ -666,14 +632,14 @@ def reference_galerkin_integrate(
     L = -(nu A + obs_diag) is integrated exactly; the explicit part is
     N(v, t) = P_N f - P_N B(v, v) + beta P_N I_h u(t), plus, for volume
     averages, the off-diagonal remainder obs_diag v - beta P_N P_sigma I_h v
-    (zero when L/h >= 2K + 1).  Observations are read once per distinct
-    stage time.  The flow does not depend on a time-stepping scheme, so one
+    (zero when L/h >= 2K + 1).  I_h is p.interpolant, and the truth is
+    observed once per distinct stage time (not at all when beta = 0).  The flow does not depend on a time-stepping scheme, so one
     trajectory serves both.  Raises SolverError if an iterate becomes
     non-finite.
     """
     n_steps = _steps_for(t_end, dt)
-    if p.beta > 0.0 and obs is None:
-        raise ValueError("beta > 0 requires an observation stream")
+    if p.beta > 0.0 and truth is None:
+        raise ValueError("beta > 0 requires a truth to observe")
     gal = _galerkin(p)
     h = float(dt)
     e, e2, q, f1, f2, f3 = _etdrk4_weights(
@@ -681,7 +647,7 @@ def reference_galerkin_integrate(
     )
 
     def observed(t: float) -> np.ndarray | float:
-        return gal._observed(obs, t) if p.beta > 0.0 else 0.0
+        return gal._observed(truth, t) if p.beta > 0.0 else 0.0
 
     x = gal._pack_field(project_low(v0, p.cutoff))
     _require_finite(x, "initial state")

@@ -5,6 +5,9 @@ L = 2 pi (so lambda1 = 1), |f| = 5, beta = 2, cutoff at lambda = 16.
 Every expected number below was worked out by hand from that data.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,25 @@ def params16():
         interpolant=InterpolantSpec("fourier_truncation", 0.25),
         cutoff=GalerkinCutoff(16.5),
     )
+
+
+def test_overflowing_constants_are_rejected_and_bounds_read_inf(params16):
+    # nu^2 lambda1 underflows, the constants overflow (R2 from M1^3; G from
+    # |f| itself), or only the advisory power in ppgm_beta_lower_bound does
+    def with_(nu=1.0, amplitude=AMP_F5):
+        forcing = kolmogorov_forcing(params16.grid, 1, amplitude)
+        return dataclasses.replace(params16, nu=nu, forcing=forcing)
+
+    with pytest.raises(ValueError, match=r"nu\^2 lambda1 underflows to 0"):
+        bound_constants(with_(nu=1e-300))
+    with pytest.raises(ValueError, match="constant R2 = inf is not finite"):
+        bound_constants(with_(amplitude=1e100))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="constant G = inf is not finite"):
+            bound_constants(with_(amplitude=1e200))
+    consts = bound_constants(params16, AbsoluteConstants(alpha=0.999))
+    ppbeta = check_conditions(params16, consts).get("ppgm_beta_lower_bound")
+    assert ppbeta.lhs == math.inf and not ppbeta.passed
 
 
 def test_constants_hand_regime(params16):
@@ -109,7 +131,6 @@ def test_condition_report_hand_values(params16):
     assert not ppbeta.passed
     tb = report.get("tau_beta")
     assert tb.lhs == pytest.approx(0.8) and tb.passed
-    assert not report.all_passed
     assert report.passed("tau_beta", "interpolant_resolution")
     assert "beta_lower_bound" in report.describe()
     with pytest.raises(KeyError):

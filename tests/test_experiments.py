@@ -303,11 +303,11 @@ def test_contraction_first_solution_is_the_advance_march(tmp_path, scheme):
     rows = (tmp_path / "contraction_series.csv").read_text().splitlines()[1:]
     recorded = [[float(x) for x in row.split(",")[at : at + 2]] for row in rows]
     setup = experiments._setup(cfg)
-    _, obs, v0 = experiments._start(setup, cfg.contraction_steps * cfg.tau)
+    truth, v0 = experiments._start(setup, cfg.contraction_steps * cfg.tau)
     gal = schemes._galerkin(setup.params)
     marched = [gal.norms(gal._pack_field(v0))[:2]]
     schemes.advance(
-        v0, setup.params, obs, cfg.tau, cfg.contraction_steps, scheme=scheme,
+        v0, setup.params, truth, cfg.tau, cfg.contraction_steps, scheme=scheme,
         on_step=lambda prev, new: marched.append(gal.norms(new.x)[:2]),
     )
     assert recorded == marched
@@ -549,6 +549,47 @@ def test_cli_non_finite_value_exits_2(tmp_path, capsys, key, value):
     assert err.startswith("error:") and reason in err
 
 
+def _minimal_config(tmp_path, key, value):
+    """nu, tau and t_end, with one physics key set and the rest at defaults."""
+    physics = f"nu = {value}" if key == "nu" else f"nu = 0.1\n{key} = {value}"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[physics]\n{physics}\n[experiment]\ntau = 0.005\nt_end = 10.0\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["constants", "twin"])
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("nu", "1e-300", "nu^2 lambda1 underflows to 0"),
+        ("nu", "1e200", "Grashof number 0.000e+00 gives Lambda = -inf < 0"),
+        ("forcing_amplitude", "1e100", "a-priori constant R1 = inf is not finite"),
+        ("forcing_amplitude", "1e200", "a-priori constant G = inf is not finite"),
+    ],
+)
+def test_cli_overflowing_constants_exit_2(tmp_path, capsys, command, key, value, reason):
+    # these escaped as ZeroDivisionError or OverflowError tracebacks,
+    # printed G = M1 = inf and exited 0, or gave "math domain error"
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        rc = cli.main(["--config", _minimal_config(tmp_path, key, value),
+                       "--out", str(out), command])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
+    assert not out.exists()
+
+
+def test_cli_overflowing_advisory_bound_fails_its_condition(tmp_path):
+    # alpha = 0.999 lies inside (1/2, 1); its ppgm power overflowed
+    out = tmp_path / "out"
+    rc = cli.main(["--quiet", "--config", _minimal_config(tmp_path, "alpha", "0.999"),
+                   "--out", str(out), "constants"])
+    assert rc == 0
+    text = (out / "constants_report.txt").read_text()
+    assert "ppgm_beta_lower_bound = fail (lhs=inf <= rhs=50" in text
+
+
 def test_cli_failed_check_exits_1(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     write_config(tiny_twin_config(t_end=0.3, min_decay_orders=50.0), str(cfg_path))
@@ -625,7 +666,7 @@ def test_runners_report_a_solver_stall_as_failed_check(
 
 
 def test_tau_sweep_reference_failure_writes_report_and_snapshot(tmp_path, monkeypatch):
-    def failing_reference(v0, p, obs, t_end, dt):
+    def failing_reference(v0, p, truth, t_end, dt):
         gal = schemes._galerkin(p)
         x = gal._pack_field(project_low(v0, p.cutoff))
         state = schemes.SchemeState(2, dt, x, gal)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nudgeflow.experiments import _random_band_forcing
 from nudgeflow.fields import (
     FieldInvariantError,
     GalerkinCutoff,
@@ -14,15 +15,16 @@ from nudgeflow.fields import (
     from_physical,
     inner_product,
     is_low_supported,
-    norm,
     norm_DA,
     norm_H,
     norm_V,
     project_high,
     project_low,
+    _validate,
     random_field,
     to_physical,
 )
+from nudgeflow.operators import kolmogorov_forcing, taylor_green
 
 TWO_PI = 2.0 * np.pi
 
@@ -79,15 +81,6 @@ def test_poincare_inequality_random(rng, grid32):
     for _ in range(10):
         f = random_field(grid32, rng)
         assert norm_V(f) ** 2 >= lam1 * norm_H(f) ** 2 * (1.0 - 1e-12)
-
-
-def test_norm_dispatcher(rng, grid16):
-    f = random_field(grid16, rng)
-    assert norm(f, "H") == norm_H(f)
-    assert norm(f, "V") == norm_V(f)
-    assert norm(f, "DA") == norm_DA(f)
-    with pytest.raises(ValueError):
-        norm(f, "L3")
 
 
 def test_cutoff_shell_classification(grid16):
@@ -191,6 +184,37 @@ def test_random_field_respects_requests(rng, grid32):
     assert is_low_supported(f, co)
     g = random_field(grid32, rng, norm_h=0.25)
     assert norm_H(g) == pytest.approx(0.25, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=40).map(lambda m: 2 * m),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_package_built_fields_are_valid_by_construction(n, cut, decay, seed):
+    # random_field, the random band forcing, the shear forcing and the
+    # Taylor-Green vortex skip from_coeffs: their arrays are Hermitian,
+    # mean-free and solenoidal by construction, which this checks instead
+    grid = TorusGrid(TWO_PI, n)
+    rng = np.random.default_rng(seed)
+    band = grid.band_limit
+    kappa = 1 + seed % band
+    cutoff = GalerkinCutoff(grid.lambda1 * max(1.0, cut * band**2))
+    built = [
+        random_field(grid, rng, decay=decay),
+        random_field(grid, rng, decay=decay, norm_v=1.0, cutoff=cutoff),
+        _random_band_forcing(grid, 0.5, decay, seed),
+        kolmogorov_forcing(grid, kappa if seed % 2 else -kappa, 0.5),
+        taylor_green(grid, kappa, 0.3, 0.1),
+    ]
+    for f in built:
+        assert f.coeffs.shape == (2, n, n) and f.coeffs.dtype == np.complex128
+        _validate(grid, f.coeffs)
+        assert not f.coeffs[:, 0, 0].any()
+    with pytest.raises(ValueError, match="band"):
+        random_field(grid, rng, cutoff=GalerkinCutoff(grid.lambda1 * (band**2 + 1)))
 
 
 def test_coefficients_are_immutable(rng, grid16):

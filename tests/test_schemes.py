@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nudgeflow import experiments, schemes
 from nudgeflow.config import default_config
+from nudgeflow.experiments import AnalyticTruth, SteadyTruth, StoredTruth
 from nudgeflow.fields import (
     GalerkinCutoff,
     SpectralField,
@@ -33,7 +34,6 @@ from nudgeflow.operators import (
 from nudgeflow.schemes import (
     FULLY_IMPLICIT,
     SEMI_IMPLICIT,
-    ObservationStream,
     PhysicsParams,
     SchemeState,
     advance,
@@ -113,10 +113,9 @@ def test_steady_state_is_fixed_point_nudged(scheme, grid32):
         nu, grid32, kolmogorov_forcing(grid32, 1, 1.0), 10.0, spec,
         grid32.band_cutoff(),
     )
-    obs = ObservationStream.steady(u_star, spec)
     drift = []
     advance(
-        u_star, p, obs, 0.01, 50, scheme=scheme,
+        u_star, p, SteadyTruth(u_star), 0.01, 50, scheme=scheme,
         on_step=lambda prev, new: drift.append(norm_H(new.v - u_star)),
     )
     assert max(drift) <= 50 * 1e-9 * norm_H(u_star)
@@ -211,14 +210,14 @@ def test_advance_agrees_with_single_steps(scheme, rng):
     # advance starts each solve from the truncated damped cubic
     # extrapolation, a bare step from v^k; both iterates meet the 1e-10
     # step tolerance
-    p, obs, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
+    p, truth, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
     marched = []
-    advance(v0, p, obs, 0.01, 20, scheme=scheme,
+    advance(v0, p, truth, 0.01, 20, scheme=scheme,
             on_step=lambda prev, new: marched.append(new.v))
     stepper = schemes._stepper(p, 0.01, scheme)
     state = SchemeState(0, 0.01, stepper._pack_field(v0), stepper)
     for v in marched:
-        state = stepper.step(state, obs)
+        state = stepper.step(state, truth)
         assert norm_H(v - state.v) <= 1e-9 * norm_H(state.v)
 
 
@@ -268,23 +267,6 @@ def test_predictor_adds_no_term_beyond_d1_to_roundoff_jitter(rng):
         prev = x
 
 
-def test_observation_streams(rng, grid16):
-    spec = InterpolantSpec("fourier_truncation", 0.5)
-    u = random_field(grid16, rng, norm_v=1.0)
-    steady = ObservationStream.steady(u, spec)
-    assert norm_H(steady(0.0) - steady(5.0)) == 0.0
-    seen = []
-
-    def truth(t):
-        seen.append(t)
-        return u * (1.0 + t)
-
-    stream = ObservationStream.from_truth_fn(truth, spec)
-    got = stream(0.5)
-    assert seen == [0.5]
-    assert norm_H(got - steady(0.0) * 1.5) <= 1e-12 * norm_H(u)
-
-
 def test_nse_integrate_guards(rng, grid16):
     spec = InterpolantSpec("fourier_truncation", 0.5)
     nudged = PhysicsParams(
@@ -312,18 +294,17 @@ def test_integrator_requires_commensurate_times(rng, grid16):
 
 
 def nudged_problem(grid, rng, kind="fourier_truncation"):
-    """Nonlinear nudged Galerkin problem observing a moving field."""
+    """Nonlinear nudged Galerkin problem observing a moving field: (params,
+    truth, v0)."""
     co = GalerkinCutoff(20.0)
     h = 0.4 if kind == "fourier_truncation" else TWO_PI / 8
     spec = InterpolantSpec(kind, h)
     p = PhysicsParams(0.1, grid, kolmogorov_forcing(grid, 2, 0.5), 10.0, spec, co)
     u = random_field(grid, rng, norm_v=2.0, cutoff=co)
     w = random_field(grid, rng, norm_v=2.0, cutoff=co)
-    obs = ObservationStream.from_truth_fn(
-        lambda t: u * np.cos(3.0 * t) + w * np.sin(3.0 * t), spec
-    )
+    truth = AnalyticTruth(lambda t: u * np.cos(3.0 * t) + w * np.sin(3.0 * t))
     v0 = random_field(grid, rng, norm_v=3.0, cutoff=co)
-    return p, obs, v0
+    return p, truth, v0
 
 
 def test_reference_reproduces_taylor_green_to_roundoff(grid32):
@@ -340,10 +321,10 @@ def test_reference_reproduces_taylor_green_to_roundoff(grid32):
 
 @pytest.mark.parametrize("kind", ["fourier_truncation", "volume_average"])
 def test_reference_is_fourth_order(kind, rng, grid32):
-    p, obs, v0 = nudged_problem(grid32, rng, kind)
+    p, truth, v0 = nudged_problem(grid32, rng, kind)
     t_end = 0.4
     ends = [
-        reference_galerkin_integrate(v0, p, obs, t_end, dt).fields[-1]
+        reference_galerkin_integrate(v0, p, truth, t_end, dt).fields[-1]
         for dt in (0.02, 0.01, 0.0025)
     ]
     errs = [norm_H(v - ends[-1]) for v in ends[:-1]]
@@ -351,11 +332,11 @@ def test_reference_is_fourth_order(kind, rng, grid32):
 
 
 def test_reference_agrees_with_euler_within_its_first_order_gap(rng, grid16):
-    p, obs, v0 = nudged_problem(grid16, rng)
+    p, truth, v0 = nudged_problem(grid16, rng)
     t_end = 0.2
-    ref = reference_galerkin_integrate(v0, p, obs, t_end, 0.0025)
+    ref = reference_galerkin_integrate(v0, p, truth, t_end, 0.0025)
     euler = {
-        tau: advance(v0, p, obs, tau, int(round(t_end / tau)), store_every=1)[1]
+        tau: advance(v0, p, truth, tau, int(round(t_end / tau)), store_every=1)[1]
         for tau in (0.01, 0.005, 0.0025)
     }
 
@@ -420,9 +401,8 @@ def test_step_rejects_non_finite_observation_as_solver_error(rng, grid16):
         1.0, grid16, SpectralField.zero(grid16), 2.0, spec, grid16.band_cutoff()
     )
     v = random_field(grid16, rng, norm_v=0.1, cutoff=p.cutoff)
-    obs = ObservationStream(lambda t: _poisoned(v))
     with pytest.raises(SolverError, match="non-finite"):
-        advance(v, p, obs, 0.01, 1)
+        advance(v, p, AnalyticTruth(lambda t: _poisoned(v)), 0.01, 1)
 
 
 def test_reference_reports_blow_up_as_solver_error(rng, grid16):
@@ -505,7 +485,7 @@ def test_reference_vector_field_matches_full_grid_formula(n, kind, h, lam, n_s):
     u = random_field(grid, rng, norm_v=2.0)
     gal = schemes._Galerkin(p)
     x = gal._pack_field(v)
-    data = gal._observed(ObservationStream(lambda t: apply_ih(p.interpolant, u)), 0.0)
+    data = gal._observed(SteadyTruth(u), 0.0)
     got = -(p.nu * gal.k_squared + gal.obs_diag) * x + gal._explicit(x, data)
 
     expected = (
@@ -579,8 +559,9 @@ def test_semi_implicit_step_applies_the_operator_only_inside_gmres(monkeypatch):
     # the step residual is GMRES's final residual, so there is no
     # separate check apply, and the new field is built without validation
     rng = np.random.default_rng(11)
-    p, obs, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
-    observed = obs(0.01)  # apply_ih validates its own output
+    p, moving, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
+    truth = SteadyTruth(moving.field_at(0.01))
+    truth.observe(schemes._galerkin(p), 0.01)  # observed before counting
     counts = {"advect_raw": 0, "gmres_apply": 0, "from_coeffs": 0}
     real_advect, real_gmres = schemes.advect_raw, schemes.gmres
     real_from_coeffs = SpectralField.from_coeffs.__func__
@@ -603,7 +584,7 @@ def test_semi_implicit_step_applies_the_operator_only_inside_gmres(monkeypatch):
     monkeypatch.setattr(schemes, "advect_raw", advect)
     monkeypatch.setattr(schemes, "gmres", gmres)
     monkeypatch.setattr(SpectralField, "from_coeffs", classmethod(from_coeffs))
-    new, _ = advance(v0, p, ObservationStream(lambda t: observed), 0.01, 1)
+    new, _ = advance(v0, p, truth, 0.01, 1)
     assert new.k == 1
     assert counts["advect_raw"] == counts["gmres_apply"] > 0
     assert counts["from_coeffs"] == 0
@@ -615,7 +596,7 @@ def test_picard_solves_start_from_the_residual_just_computed(monkeypatch):
     # its initial residual instead of applying the operator again, and
     # each solve builds its final residual from the products it applied
     rng = np.random.default_rng(11)
-    p, obs, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
+    p, truth, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
     counts = {"advect_raw": 0, "checking": False}
     solves = []
     real_advect, real_gmres = schemes.advect_raw, schemes.gmres
@@ -644,7 +625,7 @@ def test_picard_solves_start_from_the_residual_just_computed(monkeypatch):
 
     monkeypatch.setattr(schemes, "gmres", gmres)
     monkeypatch.setattr(schemes, "advect_raw", advect)
-    advance(v0, p, obs, 0.01, 1, scheme=FULLY_IMPLICIT)
+    advance(v0, p, truth, 0.01, 1, scheme=FULLY_IMPLICIT)
     assert len(solves) >= 2
     applies = sum(s["applies"] for s in solves)
     assert counts["advect_raw"] == applies + len(solves)
@@ -675,11 +656,11 @@ def test_predictor_keeps_a_nudged_march_under_its_iteration_count(
 ):
     # 3.65 (semi) and 2.84 (fully implicit) iterations per solve with the
     # cubic predictor, 5.05 and 3.56 with first-order extrapolation
-    p, obs, v0 = nudged_problem(
+    p, truth, v0 = nudged_problem(
         TorusGrid(TWO_PI, 24), np.random.default_rng(5), "volume_average"
     )
     counts = _count_gmres(monkeypatch)
-    advance(v0, p, obs, 0.01, 20, scheme=scheme)
+    advance(v0, p, truth, 0.01, 20, scheme=scheme)
     assert counts["iterations"] <= per_solve * counts["solves"]
 
 
@@ -697,9 +678,9 @@ def test_predictor_does_not_extrapolate_a_steady_states_roundoff(scheme, monkeyp
         truth="analytic:kolmogorov", ic="random_bv", ic_amplitude=1.0,
     )
     setup = experiments._setup(cfg)
-    _, obs, v0 = experiments._start(setup, 10.0)
+    truth, v0 = experiments._start(setup, 10.0)
     counts = _count_gmres(monkeypatch)
-    advance(v0, setup.params, obs, 0.01, 1000, scheme=scheme)
+    advance(v0, setup.params, truth, 0.01, 1000, scheme=scheme)
     assert counts["iterations"] <= 0.08 * counts["solves"]
 
 
@@ -798,27 +779,58 @@ OBSERVATION_CASES = [
 ]
 
 
-@pytest.mark.parametrize("n, kind, h", OBSERVATION_CASES)
-def test_packed_observations_match_apply_ih(n, kind, h):
-    grid = TorusGrid(TWO_PI, n)
-    rng = np.random.default_rng(n + 3)
+def _truths(grid, rng):
+    """A steady, an analytic and a stored truth on grid."""
     forcing = kolmogorov_forcing(grid, 2, 0.5)
-    u0 = random_field(grid, rng, norm_v=2.0)
-    traj = nse_integrate(u0, free_params(grid, 0.1, forcing), 0.06, 0.01, store_every=2)
-    spec = InterpolantSpec(kind, h)
-    p = PhysicsParams(0.1, grid, forcing, 8.0, spec, GalerkinCutoff(60.0))
+    u = random_field(grid, rng, norm_v=2.0)
+    w = random_field(grid, rng, norm_v=2.0)
+    traj = nse_integrate(u, free_params(grid, 0.1, forcing), 0.06, 0.01, store_every=2)
+    return {
+        "steady": SteadyTruth(u),
+        "analytic": AnalyticTruth(lambda t: u * math.cos(3.0 * t) + w * math.sin(3.0 * t)),
+        "stored": StoredTruth(traj),
+    }
+
+
+def _observation_gap(truth, gal, t):
+    """|truth.observe - P_N P_sigma I_h u(t)| relative to the largest entry."""
+    expected = gal._pack_field(apply_ih(gal.p.interpolant, truth.field_at(t)))
+    return np.max(np.abs(truth.observe(gal, t) - expected)) / np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n, kind, h", OBSERVATION_CASES)
+@pytest.mark.parametrize("which", ["steady", "analytic", "stored"])
+def test_truth_observes_under_the_params_interpolant(which, n, kind, h):
+    # a stored truth observes its frames through the low rows of T C T^T
+    # (or a mode mask) and interpolates them in time; the others pack apply_ih
+    grid = TorusGrid(TWO_PI, n)
+    truth = _truths(grid, np.random.default_rng(n + 3))[which]
+    p = _case_params(n, kind, h, 60.0)
     gal = schemes._Galerkin(p)
-    obs = ObservationStream.from_trajectory(traj, spec)
+    tol = 1e-13 if which == "stored" else 0.0
     for t in (0.0, 0.02, 0.06, 0.005, 0.031, 0.0555):
-        got = obs.packed(gal, t)
-        expected = gal._pack_field(apply_ih(spec, traj.at(t)))
-        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
-    assert traj.interpolated_queries > 0 and traj.exact_queries > 0
+        assert _observation_gap(truth, gal, t) <= tol
+    if which == "stored":
+        assert truth.traj.interpolated_queries > 0 and truth.traj.exact_queries > 0
+
+
+@pytest.mark.parametrize("which", ["steady", "stored"])
+def test_one_truth_observed_under_two_interpolants(which):
+    # the per-packing caches are keyed on the interpolant too: two params
+    # that differ only there observe one truth differently
+    n = 32
+    truth = _truths(TorusGrid(TWO_PI, n), np.random.default_rng(7))[which]
+    coarse = schemes._Galerkin(_case_params(n, "volume_average", TWO_PI / 4, 60.0))
+    fine = schemes._Galerkin(_case_params(n, "volume_average", TWO_PI / 16, 60.0))
+    assert coarse.modes[0].tolist() == fine.modes[0].tolist()
+    for gal in (coarse, fine, coarse):
+        assert _observation_gap(truth, gal, 0.031) <= 1e-13
+    assert np.max(np.abs(truth.observe(coarse, 0.031) - truth.observe(fine, 0.031))) > 1e-3
 
 
 def test_lazy_state_field_equals_eager_field_bitwise(rng):
-    p, obs, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
-    new, _ = advance(v0, p, obs, 0.01, 1, scheme=FULLY_IMPLICIT)
+    p, truth, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
+    new, _ = advance(v0, p, truth, 0.01, 1, scheme=FULLY_IMPLICIT)
     assert new._v is None  # not built until asked for
     stepper = schemes._stepper(p, 0.01, FULLY_IMPLICIT)
     assert new.packing is stepper
@@ -832,13 +844,13 @@ def test_twin_steps_make_no_apply_ih_or_field_call(monkeypatch):
     rng = np.random.default_rng(2)
     forcing = kolmogorov_forcing(grid, 1, 0.05)
     u0 = random_field(grid, rng, norm_v=1.0)
-    truth = nse_integrate(u0, free_params(grid, 0.1, forcing), 0.1, 0.01, store_every=4)
+    traj = nse_integrate(u0, free_params(grid, 0.1, forcing), 0.1, 0.01, store_every=4)
     spec = InterpolantSpec("volume_average", TWO_PI / 16)
     p = PhysicsParams(0.1, grid, forcing, 8.0, spec, GalerkinCutoff(60.0))
-    obs = ObservationStream.from_trajectory(truth, spec)
+    truth = StoredTruth(traj)
     v0 = random_field(grid, rng, norm_v=1.0, cutoff=p.cutoff)
     # the first lookup observes every stored frame once
-    state, _ = advance(v0, p, obs, 0.02, 1, scheme=FULLY_IMPLICIT)
+    state, _ = advance(v0, p, truth, 0.02, 1, scheme=FULLY_IMPLICIT)
     counts = {"apply_ih": 0, "_field": 0}
     real_apply_ih, real_field = schemes.apply_ih, schemes._Galerkin._field
 
@@ -853,8 +865,8 @@ def test_twin_steps_make_no_apply_ih_or_field_call(monkeypatch):
     monkeypatch.setattr(schemes, "apply_ih", apply_ih_counted)
     monkeypatch.setattr(schemes._Galerkin, "_field", field_counted)
     seen = []
-    advance(v0, p, obs, 0.02, 5, scheme=FULLY_IMPLICIT,
+    advance(v0, p, truth, 0.02, 5, scheme=FULLY_IMPLICIT,
             on_step=lambda prev, new: seen.append(new.k))
     assert seen == [1, 2, 3, 4, 5]
     assert counts == {"apply_ih": 0, "_field": 0}
-    assert truth.interpolated_queries > 0  # t = 0.02, 0.06, ... lie between frames
+    assert traj.interpolated_queries > 0  # t = 0.02, 0.06, ... lie between frames

@@ -25,7 +25,7 @@ from .analysis import (
     stability_bound_h2,
     stability_bound_v2,
 )
-from .config import ConfigError, ExperimentConfig, default_config, load_config, write_config
+from .config import ConfigError, ExperimentConfig, default_config, load_config
 from .fields import (
     FieldInvariantError,
     GalerkinCutoff,

@@ -62,6 +62,9 @@ class AbsoluteConstants:
     alpha: float = 0.75
 
     def __post_init__(self) -> None:
+        # a negative c raised to the fractional power of the ppgm bound is complex
+        if not self.c >= 0.0:
+            raise ValueError(f"c must be nonnegative, got {self.c}")
         if not (0.5 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (1/2, 1), got {self.alpha}")
 

@@ -9,8 +9,12 @@ Exit status:
      report (with the solver message and residual trace), the series
      recorded up to the failure and a snapshot of the last accepted state
      are written all the same;
-  2  bad input: an unreadable or invalid config, or parameters the
-     runner rejects.
+  2  bad input: an unreadable config file, or a ConfigError from the
+     parser or the runners' front door (`experiments._setup` and each
+     runner's own checks), raised before anything is integrated except
+     for the twin's v0 != u(0) and the soak's B_V(M1) of truth-based v0.
+
+Any other exception is a program error, and propagates.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
             report = _constants_report(_load_cfg(args))
         else:
             report = _RUNNERS[args.command](_load_cfg(args))
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.quiet:

@@ -3,8 +3,8 @@
 The file format is deliberately small: `[section]` headers, `key = value`
 pairs, `#` comments, blank lines.  Parsing is strict about types and
 required keys (errors carry line numbers), loose about unknown keys
-(warning only, for forward compatibility).  Writing is atomic and uses
-full-precision floats so that load(write(cfg)) == cfg exactly.
+(warning only, for forward compatibility).  Rendering uses full-precision
+floats so that parse(render(cfg)) == cfg exactly.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import warnings
 from dataclasses import dataclass, fields as dc_fields
 from typing import Callable
 
-from .storage import FLOAT_FMT, atomic_write_text
+from .storage import FLOAT_FMT
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "write_config",
+__all__ = ["ConfigError", "ExperimentConfig", "load_config",
            "parse_config_text", "render_config", "default_config"]
 
 
@@ -265,10 +265,6 @@ def render_config(cfg: ExperimentConfig) -> str:
                 lines.append(f"{key} = {_render_value(getattr(cfg, attr))}")
         lines.append("")
     return "\n".join(lines)
-
-
-def write_config(cfg: ExperimentConfig, path: str) -> None:
-    atomic_write_text(path, render_config(cfg))
 
 
 def default_config(**overrides: object) -> ExperimentConfig:

@@ -7,8 +7,11 @@ deterministic formatting, and returns an ExperimentReport whose checks
 decide the process exit code.
 
 The runners share one pipeline.  `_setup` builds the grid, forcing,
-parameters and a-priori constants; `_start` integrates the truth and
-returns it with the initial data v0 = P_N build_ic.  The truth is a
+parameters and a-priori constants, and is the front door: with each
+runner's own checks before it, it rejects every bad value the config alone
+decides with a ConfigError naming its keys, before anything is
+integrated.  `_start` integrates the truth and returns it with the
+initial data v0 = P_N build_ic.  The truth is a
 steady, analytic or stored `schemes.TruthSource`; the runners hand it to
 the solver whatever beta is, and the solver observes it under the params'
 interpolant only when beta > 0.  The run itself happens inside a `_Run`
@@ -317,29 +320,101 @@ class _Setup:
     consts: BoundConstants | None
     conditions: ConditionReport | None
     rng: np.random.Generator
+    horizon: float | None  # the truth spans [0, horizon]
+    spinup_steps: int  # of an nse_integrate truth
 
 
-def _setup(cfg: ExperimentConfig, *, tau: float | None = None) -> _Setup:
-    grid = build_grid(cfg)
-    forcing = build_forcing(cfg, grid)
-    spec = build_interpolant(cfg)
-    params = build_params(cfg, grid, forcing, spec)
-    abs_consts = replace(DEFAULT_CONSTANTS, c=cfg.condition_c, alpha=cfg.alpha)
+def _config_value(keys: str, build: Callable, *args, **kwargs):
+    """build(*args, **kwargs); a ValueError or ArithmeticError is a ConfigError on keys."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
+
+
+def _steps(span: float, span_key: str, step: float, step_key: str) -> int:
+    """span / step, a whole number, or a ConfigError naming both keys."""
+    try:
+        return _steps_for(span, step)
+    except ValueError:
+        msg = f"{span_key} = {span} is not a whole number of {step_key} = {step}"
+        raise ConfigError(msg) from None
+
+
+# the forcing that each analytic truth solves the equations with
+_TRUTH_FORCING = {"analytic:kolmogorov": "kolmogorov", "analytic:taylor_green": "none"}
+
+
+def _truth_spinup_steps(
+    cfg: ExperimentConfig, grid: TorusGrid, t: float, key: str
+) -> int:
+    """Checks the config's truth on [0, t], t the value of the config
+    expression `key`; the spin-up steps of an nse_integrate truth."""
+    forcing = _TRUTH_FORCING.get(cfg.truth)
+    if forcing is not None:
+        if cfg.forcing != forcing:
+            raise ConfigError(f"truth = {cfg.truth} needs forcing = {forcing}")
+        if cfg.truth == "analytic:taylor_green":
+            _config_value("forcing_kappa", taylor_green, grid, cfg.forcing_kappa, 0.0, cfg.nu)
+        return 0
+    if cfg.truth != "nse_integrate":
+        raise ConfigError(f"unknown truth kind {cfg.truth!r}")
+    tau_t, step_key = cfg.tau / cfg.truth_dt_factor, "truth steps tau / truth_dt_factor"
+    _steps(t, key, tau_t, step_key)
+    if cfg.truth_spinup == 0.0:
+        return 0
+    return _steps(cfg.truth_spinup, "truth_spinup", tau_t, step_key)
+
+
+def _setup(
+    cfg: ExperimentConfig,
+    *,
+    tau: float | None = None,
+    horizon: tuple[float, str] | None = None,
+) -> _Setup:
+    """The config's grid, forcing, params and constants (module docstring).
+
+    A runner that integrates a truth over [0, t] passes horizon = (t, the
+    config expression of t), which checks that truth too.
+    """
+    grid = _config_value("L, grid_n", build_grid, cfg)
+    forcing = _config_value("forcing_kappa", build_forcing, cfg, grid)
+    spec = _config_value("h", build_interpolant, cfg)
+    params = _config_value(
+        "nu, beta, interpolant, lambda_cut", build_params, cfg, grid, forcing, spec
+    )
+    abs_consts = _config_value(
+        "condition_c, alpha", replace, DEFAULT_CONSTANTS,
+        c=cfg.condition_c, alpha=cfg.alpha,
+    )
+    if params.beta > 0.0 and spec.kind == "volume_average":
+        _config_value("h, grid_n", spec.blocks, grid)
+    elif params.beta > 0.0:
+        _config_value(
+            "h (Fourier truncation observes |k|^2 <= 1/h^2)",
+            lambda: spec.cutoff().shell_limit(grid),
+        )
+    spinup_steps = 0 if horizon is None else _truth_spinup_steps(cfg, grid, *horizon)
     consts = None
     conditions = None
-    if norm_H(forcing) > 0.0:
-        consts = bound_constants(params, abs_consts)
-        if params.beta > 0.0 and spec is not None:
-            c0_value = None
-            if spec.kind == "volume_average":
-                c0_value = estimate_c0(spec, grid)
-            conditions = check_conditions(
-                params, consts, tau=tau if tau is not None else cfg.tau,
-                c0_value=c0_value,
+    # an |f| that overflows reads inf, which bound_constants rejects by name
+    with np.errstate(over="ignore"):
+        if norm_H(forcing) > 0.0:
+            consts = _config_value(
+                "nu, forcing_amplitude", bound_constants, params, abs_consts
             )
+    if consts is not None and params.beta > 0.0:
+        c0_value = None
+        if spec.kind == "volume_average":
+            c0_value = estimate_c0(spec, grid)
+        conditions = check_conditions(
+            params, consts, tau=tau if tau is not None else cfg.tau,
+            c0_value=c0_value,
+        )
     return _Setup(
         cfg, grid, forcing, spec, params, consts, conditions,
         np.random.default_rng(cfg.seed),
+        None if horizon is None else horizon[0], spinup_steps,
     )
 
 
@@ -436,23 +511,20 @@ def _m1_scale(setup: _Setup) -> float:
     return setup.consts.M1 if setup.consts is not None else 1.0
 
 
-def build_truth(setup: _Setup, t_end: float) -> TruthSource:
-    """Truth per config.  Consumes the setup rng (before any initial data)."""
+def build_truth(setup: _Setup) -> TruthSource:
+    """Truth on [0, setup.horizon] per config (checked by `_setup`).
+
+    Consumes the setup rng (before any initial data).
+    """
     cfg = setup.cfg
     if cfg.truth == "analytic:kolmogorov":
-        if cfg.forcing != "kolmogorov":
-            raise ConfigError("analytic:kolmogorov truth requires kolmogorov forcing")
         u_star = kolmogorov_steady_state(
             setup.grid, cfg.forcing_kappa, cfg.forcing_amplitude, cfg.nu
         )
         return SteadyTruth(u_star)
     if cfg.truth == "analytic:taylor_green":
-        if cfg.forcing != "none":
-            raise ConfigError("analytic:taylor_green truth requires forcing = none")
         grid, kappa, nu = setup.grid, cfg.forcing_kappa, cfg.nu
         return AnalyticTruth(lambda t: taylor_green(grid, kappa, t, nu))
-    if cfg.truth != "nse_integrate":
-        raise ConfigError(f"unknown truth kind {cfg.truth!r}")
 
     tau_t = cfg.tau / cfg.truth_dt_factor
     p_free = PhysicsParams(
@@ -460,18 +532,11 @@ def build_truth(setup: _Setup, t_end: float) -> TruthSource:
         interpolant=None, cutoff=setup.grid.band_cutoff(),
     )
     u_init = random_field(setup.grid, setup.rng, norm_v=_m1_scale(setup))
-    if cfg.truth_spinup > 0.0:
-        try:
-            spin_steps = _steps_for(cfg.truth_spinup, tau_t)
-        except ValueError:
-            raise ConfigError(
-                f"truth_spinup = {cfg.truth_spinup} is not a whole number of truth "
-                f"steps tau / truth_dt_factor = {tau_t}"
-            ) from None
-        state, _ = advance(u_init, p_free, None, tau_t, spin_steps)
+    if setup.spinup_steps:
+        state, _ = advance(u_init, p_free, None, tau_t, setup.spinup_steps)
         u_init = state.v
     traj = nse_integrate(
-        u_init, p_free, t_end, tau_t, store_every=cfg.truth_store_every
+        u_init, p_free, setup.horizon, tau_t, store_every=cfg.truth_store_every
     )
     return StoredTruth(traj)
 
@@ -496,9 +561,9 @@ def build_ic(setup: _Setup, truth: TruthSource) -> SpectralField:
     raise ConfigError(f"unknown initial condition kind {cfg.ic!r}")
 
 
-def _start(setup: _Setup, t_end: float) -> tuple[TruthSource, SpectralField]:
-    """Truth on [0, t_end] and v0."""
-    truth = build_truth(setup, t_end)
+def _start(setup: _Setup) -> tuple[TruthSource, SpectralField]:
+    """Truth on [0, setup.horizon] and v0."""
+    truth = build_truth(setup)
     return truth, project_low(build_ic(setup, truth), setup.params.cutoff)
 
 
@@ -574,12 +639,12 @@ def run_twin_experiment(
     before flooring with a positive fitted rate; no_decay (the beta = 0
     control) requires the error never to fall two orders below its start.
     """
-    setup = _setup(cfg)
+    n_steps = _steps(cfg.t_end, "t_end", cfg.tau, "steps tau")
+    setup = _setup(cfg, horizon=(cfg.t_end, "t_end"))
     params, tau = setup.params, cfg.tau
-    n_steps = _steps_for(cfg.t_end, tau)
     with _Run("twin", setup, out_dir) as run:
         report = run.report
-        truth, v0 = _start(setup, cfg.t_end)
+        truth, v0 = _start(setup)
         gal = _galerkin(params)
         x0 = gal._pack_field(v0)
         errors = truth.error_norms(gal)
@@ -684,12 +749,12 @@ def run_contraction_test(
     check is skipped), in V for the fully implicit scheme at any step size.
     The series records the first solution's norms.
     """
-    setup = _setup(cfg)
-    params, tau = setup.params, cfg.tau
     n_steps = cfg.contraction_steps
+    setup = _setup(cfg, horizon=(n_steps * cfg.tau, "contraction_steps * tau"))
+    params, tau = setup.params, cfg.tau
     with _Run("contraction", setup, out_dir) as run:
         report = run.report
-        truth, v0 = _start(setup, n_steps * tau)
+        truth, v0 = _start(setup)
         bump = random_field(
             setup.grid, setup.rng,
             norm_v=cfg.perturbation * _m1_scale(setup), cutoff=params.cutoff,
@@ -778,28 +843,32 @@ def run_stability_soak(
     continues so one report covers all bounds.
     """
     taus = cfg.tau_list if cfg.tau_list else (cfg.tau,)
-    setup = _setup(cfg, tau=max(taus))
+    n_steps = cfg.soak_steps
+    if cfg.ic == "random_bv" and abs(cfg.ic_amplitude) > 1.0 + BOUND_RTOL:
+        raise ConfigError(
+            f"ic_amplitude = {cfg.ic_amplitude}: soak initial data must lie in "
+            "B_V(M1), and ic = random_bv draws ||v0|| = |ic_amplitude| M1"
+        )
+    span = "soak_steps * max(tau_list)" if cfg.tau_list else "soak_steps * tau"
+    setup = _setup(cfg, tau=max(taus), horizon=(n_steps * max(taus), span))
     if setup.consts is None or setup.params.beta <= 0.0:
-        raise ValueError("stability soak requires nonzero forcing and beta > 0")
-    if setup.conditions is None or not setup.conditions.passed(
-        "beta_lower_bound", "interpolant_resolution"
-    ):
-        raise ValueError(
-            "stability soak preconditions: admissibility conditions must pass:\n"
-            + setup.conditions.describe()
+        raise ConfigError("stability soak requires a nonzero forcing and beta > 0")
+    if not setup.conditions.passed("beta_lower_bound", "interpolant_resolution"):
+        raise ConfigError(
+            "stability soak requires the admissibility conditions on beta, h and "
+            "nu to pass:\n" + setup.conditions.describe()
         )
     params, consts = setup.params, setup.consts
-    n_steps = cfg.soak_steps
     with _Run("soak", setup, out_dir) as run:
         report = run.report
-        truth, v0 = _start(setup, n_steps * max(taus))
+        truth, v0 = _start(setup)
         gal = _galerkin(params)
         x0 = gal._pack_field(v0)
         norms0 = gal.norms(x0)
         if norms0[1] > consts.M1 * (1.0 + BOUND_RTOL):
-            raise ValueError(
-                f"soak initial data must lie in B_V(M1): ||v0|| = {norms0[1]:.4g} "
-                f"> M1 = {consts.M1:.4g}"
+            raise ConfigError(
+                f"ic = {cfg.ic}: soak initial data must lie in B_V(M1): "
+                f"||v0|| = {norms0[1]:.4g} > M1 = {consts.M1:.4g}"
             )
         errors = truth.error_norms(gal)
         e0_h, e0_v, _ = errors(x0, 0.0)
@@ -912,14 +981,16 @@ def run_tau_sweep(
         raise ConfigError("tau sweep needs at least 3 step sizes")
     if cfg.ref_factor < 1:
         raise ConfigError(f"ref_factor must be >= 1, got {cfg.ref_factor}")
-    setup = _setup(cfg, tau=max(cfg.tau_list))
-    params = setup.params
-    for tau in cfg.tau_list:
-        _steps_for(cfg.t_end, tau)
+    steps = {
+        tau: _steps(cfg.t_end, "t_end", tau, f"steps tau_list[{i}]")
+        for i, tau in enumerate(cfg.tau_list)
+    }
     dt_ref = _reference_step(cfg.tau_list, cfg.ref_factor)
+    setup = _setup(cfg, tau=max(cfg.tau_list), horizon=(cfg.t_end, "t_end"))
+    params = setup.params
     with _Run("tau_sweep", setup, out_dir) as run:
         report = run.report
-        truth, v0 = _start(setup, cfg.t_end)
+        truth, v0 = _start(setup)
         ref = reference_galerkin_integrate(v0, params, truth, cfg.t_end, dt_ref)
         ref_2dt = reference_galerkin_integrate(v0, params, truth, cfg.t_end, 2.0 * dt_ref)
         gal = _galerkin(params)
@@ -933,7 +1004,7 @@ def run_tau_sweep(
         sups_h: list[tuple[float, float]] = []
         sups_v: list[tuple[float, float]] = []
         for i, tau in enumerate(sorted(cfg.tau_list, reverse=True)):
-            n_steps = _steps_for(cfg.t_end, tau)
+            n_steps = steps[tau]
             rec = run.table(f"tau_sweep_series_{i}.csv")
             rec.add(0, 0.0, gal.norms(x0), 0.0, 0.0)
 
@@ -1001,24 +1072,28 @@ def run_n_sweep(
     """
     if len(cfg.lambda_cut_list) < 3:
         raise ConfigError("cutoff sweep needs at least 3 cutoffs")
-    setup = _setup(cfg)
     fine_tau = cfg.tau / cfg.tau_floor_factor
-    for tau in (cfg.tau, fine_tau):
-        _steps_for(cfg.t_end, tau)
+    n_coarse = _steps(cfg.t_end, "t_end", cfg.tau, "steps tau")
+    n_fine = _steps(cfg.t_end, "t_end", fine_tau, "steps tau / tau_floor_factor")
+    setup = _setup(cfg, horizon=(cfg.t_end, "t_end"))
+    # a cutoff inside the band has a next eigenvalue, so lambda_next holds
+    params_at = {
+        lam: _config_value(
+            f"lambda_cut_list entry {lam}", build_params,
+            cfg, setup.grid, setup.forcing, setup.spec, lambda_cut=lam,
+        )
+        for lam in cfg.lambda_cut_list
+    }
     with _Run("n_sweep", setup, out_dir) as run:
         report = run.report
-        truth, v0 = _start(setup, cfg.t_end)
+        truth, v0 = _start(setup)
         u_end = truth.field_at(cfg.t_end)
 
         def final_errors(
-            lambda_cut: float, tau: float
+            lambda_cut: float, tau: float, n_steps: int
         ) -> tuple[float, float, float, float]:
-            params = build_params(
-                cfg, setup.grid, setup.forcing, setup.spec, lambda_cut=lambda_cut
-            )
-            state, _ = advance(
-                v0, params, truth, tau, _steps_for(cfg.t_end, tau), scheme=cfg.scheme
-            )
+            params = params_at[lambda_cut]
+            state, _ = advance(v0, params, truth, tau, n_steps, scheme=cfg.scheme)
             plain = state.v - u_end
             corrected = (
                 state.v + phi1(state.v, setup.forcing, cfg.nu, params.cutoff) - u_end
@@ -1032,11 +1107,11 @@ def run_n_sweep(
         )
         pairs: list[tuple[float, float]] = []
         for lam in sorted(cfg.lambda_cut_list):
-            cutoff = GalerkinCutoff(lam)
+            cutoff = params_at[lam].cutoff
             lam_next = cutoff.lambda_next(setup.grid)
             lam_low = cutoff.lambda_low(setup.grid)
             l_n = math.sqrt(1.0 + math.log(lam_low / setup.grid.lambda1))
-            ep_h, ec_h, ep_v, ec_v = final_errors(lam, cfg.tau)
+            ep_h, ec_h, ep_v, ec_v = final_errors(lam, cfg.tau, n_coarse)
             summary.rows.append((lam, lam_next, l_n, ep_h, ec_h, ep_v, ec_v))
             pairs.append((lam_next, ec_h / l_n))
             report.add_check(
@@ -1062,7 +1137,7 @@ def run_n_sweep(
 
         lam_max = max(cfg.lambda_cut_list)
         ec_coarse = next(r[4] for r in summary.rows if r[0] == lam_max)
-        ec_fine = final_errors(lam_max, fine_tau)[1]
+        ec_fine = final_errors(lam_max, fine_tau, n_fine)[1]
         rel_change = abs(ec_coarse - ec_fine) / max(ec_coarse, 1e-300)
         report.values["tau_floor_rel_change"] = rel_change
         report.add_check(

@@ -111,6 +111,9 @@ def test_absolute_constants_alpha_range():
     with pytest.raises(ValueError):
         AbsoluteConstants(alpha=1.0)
     assert AbsoluteConstants(alpha=0.9).alpha == 0.9
+    # a negative c made the ppgm bound complex, a TypeError in its comparison
+    with pytest.raises(ValueError, match="c must be nonnegative"):
+        AbsoluteConstants(c=-1.0)
 
 
 def test_condition_report_hand_values(params16):

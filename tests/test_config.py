@@ -12,7 +12,6 @@ from nudgeflow.config import (
     load_config,
     parse_config_text,
     render_config,
-    write_config,
 )
 
 MINIMAL = """
@@ -61,7 +60,7 @@ def test_render_parse_round_trip_is_identity():
 def test_file_round_trip(tmp_path):
     cfg = default_config(grid_n=48, forcing="random_band", forcing_decay=1.25)
     path = tmp_path / "exp.cfg"
-    write_config(cfg, str(path))
+    path.write_text(render_config(cfg))
     assert load_config(str(path)) == cfg
 
 

@@ -10,13 +10,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nudgeflow
 from nudgeflow import cli, experiments, schemes
-from nudgeflow.config import ConfigError, default_config, render_config, write_config
+from nudgeflow.config import ConfigError, default_config, render_config
 from nudgeflow.experiments import (
     FAIL,
     PASS,
@@ -40,7 +44,6 @@ from nudgeflow.experiments import (
 )
 from nudgeflow.fields import (
     GalerkinCutoff,
-    SpectralField,
     is_low_supported,
     norm_DA,
     norm_H,
@@ -48,7 +51,7 @@ from nudgeflow.fields import (
     project_low,
 )
 from nudgeflow.krylov import SolveResult, SolverError
-from nudgeflow.storage import load_snapshot
+from nudgeflow.storage import Trajectory, load_snapshot
 
 # Shear amplitude giving Grashof number 2 at nu = 0.1 on the 2 pi torus.
 AMP_G2 = 0.02 * math.sqrt(2.0) / (2.0 * math.pi)
@@ -302,8 +305,10 @@ def test_contraction_first_solution_is_the_advance_march(tmp_path, scheme):
     at = SERIES_HEADER.index("norm_H")
     rows = (tmp_path / "contraction_series.csv").read_text().splitlines()[1:]
     recorded = [[float(x) for x in row.split(",")[at : at + 2]] for row in rows]
-    setup = experiments._setup(cfg)
-    truth, v0 = experiments._start(setup, cfg.contraction_steps * cfg.tau)
+    setup = experiments._setup(
+        cfg, horizon=(cfg.contraction_steps * cfg.tau, "contraction_steps * tau")
+    )
+    truth, v0 = experiments._start(setup)
     gal = schemes._galerkin(setup.params)
     marched = [gal.norms(gal._pack_field(v0))[:2]]
     schemes.advance(
@@ -406,7 +411,7 @@ def test_cli_quiet_suppresses_output(tmp_path, capsys):
 
 def test_cli_constants_report(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
-    write_config(tiny_twin_config(), str(cfg_path))
+    cfg_path.write_text(render_config(tiny_twin_config()))
     rc = cli.main(
         ["--config", str(cfg_path), "--out", str(tmp_path / "out"), "constants"]
     )
@@ -438,7 +443,7 @@ def test_cli_constants_never_loads_scipy(tmp_path):
         ("fourier.cfg", {}),
         ("volume.cfg", dict(interpolant="volume_average", h=2.0 * math.pi / 16, beta=5.0)),
     ):
-        write_config(tiny_twin_config(**overrides), str(tmp_path / name))
+        (tmp_path / name).write_text(render_config(tiny_twin_config(**overrides)))
         configs.append(str(tmp_path / name))
     src = os.path.dirname(os.path.dirname(os.path.abspath(nudgeflow.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -453,7 +458,7 @@ def test_cli_constants_never_loads_scipy(tmp_path):
 
 def test_cli_overrides_scheme_and_seed(tmp_path):
     cfg_path = tmp_path / "run.cfg"
-    write_config(tiny_twin_config(), str(cfg_path))
+    cfg_path.write_text(render_config(tiny_twin_config()))
     rc = cli.main([
         "--quiet", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
         "--scheme", "full", "--seed", "123", "constants",
@@ -480,7 +485,7 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
 
 def test_cli_invalid_physics_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
-    write_config(tiny_twin_config(nu=-1.0), str(cfg_path))
+    cfg_path.write_text(render_config(tiny_twin_config(nu=-1.0)))
     rc = cli.main(["--config", str(cfg_path), "constants"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
@@ -517,7 +522,7 @@ def test_cli_spinup_off_the_truth_step_exits_2(tmp_path, capsys):
     cfg = tiny_twin_config(
         truth="nse_integrate", truth_dt_factor=1, truth_spinup=0.015, t_end=0.1
     )
-    write_config(cfg, str(cfg_path))
+    cfg_path.write_text(render_config(cfg))
     out = tmp_path / "out"
     rc = cli.main(["--config", str(cfg_path), "--out", str(out), "twin"])
     assert rc == 2
@@ -569,14 +574,17 @@ def _minimal_config(tmp_path, key, value):
 )
 def test_cli_overflowing_constants_exit_2(tmp_path, capsys, command, key, value, reason):
     # these escaped as ZeroDivisionError or OverflowError tracebacks,
-    # printed G = M1 = inf and exited 0, or gave "math domain error"
+    # printed G = M1 = inf and exited 0, or gave "math domain error"; an
+    # |f| of 1e200 also printed numpy's overflow warning before the reason
     out = tmp_path / "out"
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = cli.main(["--config", _minimal_config(tmp_path, key, value),
                        "--out", str(out), command])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and reason in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -590,9 +598,120 @@ def test_cli_overflowing_advisory_bound_fails_its_condition(tmp_path):
     assert "ppgm_beta_lower_bound = fail (lhs=inf <= rhs=50" in text
 
 
+# Each of these was rejected only after its truth was integrated (13.5 s,
+# 3.7 s and 3.3 s for the first three), or with a message naming no key.
+_REJECTED_BASE = dict(
+    nu=0.1, grid_n=32, beta=10.0, forcing_amplitude=0.011253953951963828,
+    h=0.0949157995752499, tau=0.01, truth_spinup=1.0, t_end=1.0, burn_in=0.0,
+)
+
+
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("soak", dict(ic_amplitude=1.5, soak_steps=200), "ic_amplitude = 1.5"),
+        (
+            "twin",
+            dict(forcing="none", interpolant="volume_average", h=0.7, beta=5.0, t_end=0.5),
+            "h, grid_n: L/h",
+        ),
+        ("n-sweep", dict(lambda_cut_list=(6.0, 16.0, 500.0), t_end=0.2),
+         "lambda_cut_list entry 500.0"),
+        (
+            "soak",
+            dict(tau=0.02, truth_dt_factor=1, truth_spinup=0.0, tau_list=(0.03, 0.01),
+                 soak_steps=3),
+            "soak_steps * max(tau_list) = 0.09 is not a whole number of truth steps",
+        ),
+    ],
+)
+def test_cli_rejects_a_bad_config_before_any_integration(
+    tmp_path, capsys, monkeypatch, command, overrides, key
+):
+    def integrate(*args, **kwargs):
+        raise AssertionError("a config that exits 2 was integrated")
+
+    for name in ("advance", "nse_integrate", "reference_galerkin_integrate"):
+        monkeypatch.setattr(experiments, name, integrate)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(render_config(default_config(**{**_REJECTED_BASE, **overrides})))
+    out = tmp_path / "out"
+    rc = cli.main(["--config", str(cfg_path), "--out", str(out), command])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+def test_cli_lets_a_value_error_inside_a_run_propagate(tmp_path, monkeypatch):
+    # a fault inside the run is a program error, never "bad input"
+    def broken_lookup(self, frames, t):
+        raise ValueError("lookup fault")
+
+    monkeypatch.setattr(Trajectory, "lookup", broken_lookup)
+    cfg_path = tmp_path / "run.cfg"
+    cfg = tiny_twin_config(truth="nse_integrate", truth_spinup=0.0, t_end=0.05)
+    cfg_path.write_text(render_config(cfg))
+    with pytest.raises(ValueError, match="lookup fault"):
+        cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "twin"])
+
+
+# One small valid base for every subcommand, and the values the fuzz below
+# sets one to three keys to: odd or tiny grids, cutoffs outside the band, h
+# not dividing L, extreme nu, beta and tau, truths that do not match the
+# forcing.
+_FUZZ_BASE = dict(
+    nu=0.1, grid_n=16, forcing_kappa=1, forcing_amplitude=AMP_G2, beta=10.0,
+    h=1.0 / math.sqrt(111.0), lambda_cut=9.0, tau=0.01, t_end=0.02, burn_in=0.0,
+    truth="analytic:kolmogorov", truth_dt_factor=2, truth_spinup=0.0,
+    ic_amplitude=0.9, soak_steps=2, contraction_steps=2,
+    tau_list=(0.02, 0.01, 0.005), lambda_cut_list=(2.0, 5.0, 9.0), seed=7,
+)
+_FUZZ_VALUES = {
+    "grid_n": [2, 5, 6, 8, 15],
+    "lambda_cut": [0.5, 25.0, 1e3],
+    "lambda_cut_list": [(0.5, 2.0, 5.0), (2.0, 5.0, 1e3), (2.0, 5.0)],
+    "interpolant": ["volume_average", "none"],
+    "h": [0.7, 2.0 * math.pi / 8, 2.0 * math.pi / 3, 3.0, 1e-200],
+    "nu": [1e-300, 1e-6, 1e6, 1e200],
+    "beta": [0.0, 1e-12, 1e300],
+    "tau": [3e-7, 0.015, 1e3],
+    "truth": ["nse_integrate", "analytic:taylor_green"],
+    "forcing": ["none", "random_band"],
+    "forcing_amplitude": [1e-6, 1e200],
+    "forcing_kappa": [0, 9],
+    "ic": ["zero", "truth_low", "perturbed_truth"],
+    "ic_amplitude": [1.5],
+}
+_FUZZ_CHANGES = st.lists(
+    st.sampled_from(sorted(_FUZZ_VALUES)), min_size=1, max_size=3, unique=True
+).flatmap(
+    lambda keys: st.fixed_dictionaries({k: st.sampled_from(_FUZZ_VALUES[k]) for k in keys})
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(
+        ["constants", "twin", "contraction", "soak", "tau-sweep", "n-sweep"]
+    ),
+    changes=_FUZZ_CHANGES,
+)
+def test_cli_exits_0_1_or_2_on_adversarial_configs(command, changes):
+    # a run passes (0), fails a check (1) or is rejected by a ConfigError (2);
+    # any other exception escapes main and fails this test
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "run.cfg")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            fh.write(render_config(default_config(**{**_FUZZ_BASE, **changes})))
+        argv = ["--quiet", "--config", cfg_path, "--out", os.path.join(tmp, "out"), command]
+        assert cli.main(argv) in (0, 1, 2)
+
+
 def test_cli_failed_check_exits_1(tmp_path):
     cfg_path = tmp_path / "run.cfg"
-    write_config(tiny_twin_config(t_end=0.3, min_decay_orders=50.0), str(cfg_path))
+    cfg = tiny_twin_config(t_end=0.3, min_decay_orders=50.0)
+    cfg_path.write_text(render_config(cfg))
     rc = cli.main([
         "--quiet", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "twin",
     ])
@@ -704,7 +823,7 @@ def test_non_finite_iterate_is_a_failed_solver_check(tmp_path, monkeypatch):
 def test_cli_solver_stall_exits_1_with_report(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(schemes, "gmres", _stalled_gmres)
     cfg_path = tmp_path / "run.cfg"
-    write_config(tiny_twin_config(scheme="fully_implicit"), str(cfg_path))
+    cfg_path.write_text(render_config(tiny_twin_config(scheme="fully_implicit")))
     rc = cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "twin"])
     assert rc == 1
     captured = capsys.readouterr()

@@ -8,7 +8,6 @@ from nudgeflow.fields import (
     SpectralField,
     TorusGrid,
     inner_product,
-    is_low_supported,
     norm_H,
     norm_V,
     project_high,
@@ -108,6 +107,10 @@ def test_bilinear_matches_direct_convolution(n, rng):
         fast = bilinear_B(u, v)
         slow = bilinear_B_direct(u, v)
         assert norm_H(fast - slow) <= 1e-12 * max(norm_H(slow), 1e-30)
+        # its roundoff defects scale with the fields, and so does the
+        # validation tolerance: a fixed 1e-12 rejected this product
+        big = bilinear_B(u * 1e6, v * 1e6)
+        assert norm_H(big - slow * 1e12) <= 1e-12 * max(norm_H(slow * 1e12), 1e-30)
 
 
 def test_bilinear_rejects_out_of_band_input():

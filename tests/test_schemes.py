@@ -677,8 +677,8 @@ def test_predictor_does_not_extrapolate_a_steady_states_roundoff(scheme, monkeyp
         lambda_cut=60.0, scheme=scheme, tau=0.01, t_end=1.0, burn_in=0.0,
         truth="analytic:kolmogorov", ic="random_bv", ic_amplitude=1.0,
     )
-    setup = experiments._setup(cfg)
-    truth, v0 = experiments._start(setup, 10.0)
+    setup = experiments._setup(cfg, horizon=(10.0, "t_end"))
+    truth, v0 = experiments._start(setup)
     counts = _count_gmres(monkeypatch)
     advance(v0, setup.params, truth, 0.01, 1000, scheme=scheme)
     assert counts["iterations"] <= 0.08 * counts["solves"]

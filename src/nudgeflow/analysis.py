@@ -127,14 +127,16 @@ def bound_constants(
 ) -> BoundConstants:
     """Evaluate the defining formulas of every a-priori constant.
 
-    Requires |f| > 0 (the Grashof number and Lambda degenerate otherwise),
-    nu^2 lambda1 > 0 in floating point, Lambda >= 0 so its square root
+    Requires a nonzero forcing and, in floating point, |f| > 0 (the
+    Grashof number and Lambda degenerate otherwise) and nu^2 lambda1 > 0, Lambda >= 0 so its square root
     exists in M2 and R2, and every constant finite: a ValueError names the
     first one that overflows.
     """
-    fnorm = norm_H(p.forcing)
-    if fnorm <= 0.0:
+    if not np.any(p.forcing.coeffs):
         raise ValueError("bound constants require a nonzero forcing")
+    fnorm = norm_H(p.forcing)
+    if fnorm == 0.0:
+        raise ValueError("|f| of the nonzero forcing underflows to 0")
     nu = p.nu
     lam1 = p.grid.lambda1
     if nu * nu * lam1 == 0.0:
@@ -400,7 +402,6 @@ class DecayFit:
     rate: float
     floor: float
     n_used: int
-    amplitude: float
 
 
 def decay_rate_fit(series: ErrorSeries, min_samples: int = 10) -> DecayFit:
@@ -430,15 +431,10 @@ def decay_rate_fit(series: ErrorSeries, min_samples: int = 10) -> DecayFit:
             f"only {len(tt)} positive samples to fit (floor {floor:.3e}); "
             f"need {min_samples}"
         )
-    slope, intercept = np.polyfit(tt, np.log(vv), 1)
+    slope = np.polyfit(tt, np.log(vv), 1)[0]
     if slope >= 0.0:
         raise FitError(f"series is not decaying (fitted slope {slope:+.3e})")
-    return DecayFit(
-        rate=float(-slope),
-        floor=floor,
-        n_used=int(len(tt)),
-        amplitude=float(np.exp(intercept)),
-    )
+    return DecayFit(rate=float(-slope), floor=floor, n_used=int(len(tt)))
 
 
 @dataclass(frozen=True)

@@ -397,9 +397,9 @@ def _setup(
     spinup_steps = 0 if horizon is None else _truth_spinup_steps(cfg, grid, *horizon)
     consts = None
     conditions = None
-    # an |f| that overflows reads inf, which bound_constants rejects by name
-    with np.errstate(over="ignore"):
-        if norm_H(forcing) > 0.0:
+    # |f| may under- or overflow, which bound_constants rejects by name
+    if np.any(forcing.coeffs):
+        with np.errstate(over="ignore"):
             consts = _config_value(
                 "nu, forcing_amplitude", bound_constants, params, abs_consts
             )
@@ -1026,10 +1026,6 @@ def run_tau_sweep(
         summary = run.table("tau_sweep_summary.csv", ("tau", "sup_err_H", "sup_err_V"))
         summary.rows = [(t, h, v) for (t, h), (_, v) in zip(sups_h, sups_v)]
 
-        if ref.interpolated_queries:
-            report.notes.append(
-                f"reference interpolated {ref.interpolated_queries} queries"
-            )
         report.values["ref_gap_H"] = ref_gap_h
         budget = sups_h[-1][1] / cfg.ref_factor  # the runs end at min(tau)
         report.add_check(

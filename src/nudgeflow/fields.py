@@ -315,10 +315,8 @@ def project_high(f: SpectralField, cutoff: GalerkinCutoff) -> SpectralField:
     return SpectralField._trusted(f.grid, np.where(mask, 0.0, f.coeffs))
 
 
-def is_low_supported(f: SpectralField, cutoff: GalerkinCutoff, tol: float = 0.0) -> bool:
-    mask = cutoff.mask_low(f.grid)
-    outside = np.abs(np.where(mask, 0.0, f.coeffs))
-    return float(outside.max()) <= tol
+def is_low_supported(f: SpectralField, cutoff: GalerkinCutoff) -> bool:
+    return not np.any(np.where(cutoff.mask_low(f.grid), 0.0, f.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Implicit Euler time steppers for the nudged spectral Galerkin system,
-plus an ETDRK4 reference for its continuous-in-time flow.
+plus an ETDRK4 stepper, the reference for its continuous-in-time flow.
 
 Both schemes advance
 
@@ -45,13 +45,13 @@ low modes as Leray(T C T^T) with a small precomputed matrix T; its
 diagonal is exact and is what the preconditioner and the ETDRK4 linear
 part use.
 
-`advance` is the only way to march a scheme: every runner and check,
-the contraction runner's two solutions included, steps through it.  The
-packed vector is also the state the callers see.  A SchemeState carries
-its vector and packing and builds its n x n field only when asked for
-it; `advance` and the ETDRK4 reference store packed frames in their
-trajectories.  Norms of packed vectors are Parseval sums with per-mode
-weights 2 L^2 {1, |k|^2, |k|^4} (`norms`).
+`advance` holds the one loop over time steps: every runner and check,
+the contraction runner's two solutions and the ETDRK4 reference included,
+marches through it.  The packed vector is also the state the callers
+see.  A SchemeState carries its vector and packing and builds its n x n
+field only when asked for it; trajectories store packed frames.  Norms of
+packed vectors are Parseval sums with per-mode weights
+2 L^2 {1, |k|^2, |k|^4} (`norms`).
 The solver reads its observations from the truth itself: a TruthSource
 returns P_N P_sigma I_h u(t) packed (`TruthSource.observe`), under the
 one interpolant the params name, and only when beta > 0.  A stored
@@ -97,6 +97,7 @@ __all__ = [
 SEMI_IMPLICIT = "semi_implicit"
 FULLY_IMPLICIT = "fully_implicit"
 SCHEMES = (SEMI_IMPLICIT, FULLY_IMPLICIT)
+ETDRK4 = "etdrk4"
 
 STEP_RESIDUAL_RTOL = 1e-10
 PICARD_MAX_OUTER = 100
@@ -154,16 +155,21 @@ class SchemeState:
 
     Carries its packed vector x and the packing x is written in (a
     `_Galerkin`), and builds the field v from them on first access.
+    data, if not None, is the packed observation term at t_k, which the
+    ETDRK4 step that made the state has computed.
     """
 
-    __slots__ = ("k", "tau", "x", "packing", "_v")
+    __slots__ = ("k", "tau", "x", "packing", "data", "_v")
 
-    def __init__(self, k: int, tau: float, x: np.ndarray, packing: "_Galerkin") -> None:
+    def __init__(
+        self, k: int, tau: float, x: np.ndarray, packing: "_Galerkin",
+        data: np.ndarray | float | None = None,
+    ) -> None:
         if not tau > 0.0:
             raise ValueError(f"time step must be positive, got {tau}")
         if k < 0:
             raise ValueError(f"step index must be nonnegative, got {k}")
-        self.k, self.tau, self.x, self.packing = k, tau, x, packing
+        self.k, self.tau, self.x, self.packing, self.data = k, tau, x, packing, data
         self._v: SpectralField | None = None
 
     @property
@@ -214,8 +220,8 @@ class _Galerkin:
     stream-function Galerkin form of Canuto et al., Spectral Methods
     (2006).  GMRES works in the real space Re <a, b>, whose norm is
     norm_H / (sqrt(2) L), so relative tolerances transfer unchanged.
-    Diagonals (k_squared, obs_diag, Stokes, preconditioner, ETDRK4
-    weights) hold one real entry per mode.
+    Diagonals (k_squared, obs_diag, and the steppers' Stokes,
+    preconditioner and ETDRK4 weights) hold one real entry per mode.
 
     Operators run on sgrid = TorusGrid(L, n_s), n_s the product size
     capped at grid.n.  A packed vector enters it as the half spectrum
@@ -363,24 +369,13 @@ class _Galerkin:
             out[i] = self._e[0] * c[0] + self._e[1] * c[1]
         return out
 
-    def _observed(self, truth: TruthSource | None, t: float) -> np.ndarray:
-        """Packed beta P_N (P_sigma I_h u(t)), the data the nudging term feeds in."""
+    def _observed(self, truth: TruthSource | None, t: float) -> np.ndarray | float:
+        """Packed beta P_N P_sigma I_h u(t), the nudging data (0.0 if beta = 0)."""
+        if self.p.beta == 0.0:
+            return 0.0
         if truth is None:
             raise ValueError("beta > 0 requires a truth to observe")
         return self.p.beta * truth.observe(self, t)
-
-    def _explicit(self, vec: np.ndarray, data: np.ndarray | float) -> np.ndarray:
-        """Packed ETDRK4 explicit part of the Galerkin field at v.
-
-        P_N f - P_N B(v, v) + data + (obs_diag v - beta P_N P_sigma I_h v),
-        data the packed observation term beta P_N I_h u(t) (or 0.0).
-        """
-        half = self._half(vec)
-        adv = advect_raw(self.sgrid, self._physical(half), half)
-        out = self.f_low - self._project(adv) + data
-        if self._cell_avg is not None:
-            out += self.obs_diag * vec - self._obs_term(vec, half)
-        return out
 
 
 def _require_finite(vec: np.ndarray, what: str) -> None:
@@ -401,8 +396,11 @@ class _Stepper(_Galerkin):
         self._stokes_diag = 1.0 / self.tau + p.nu * self.k_squared
         # Diagonal right preconditioner: the non-advective part of the operator.
         self._inv_diag = 1.0 / (self._stokes_diag + self.obs_diag)
-        # 1/(1 + tau d_k), the per-mode weight of the predictor in `advance`
+        # 1/(1 + tau d_k), the per-mode weight of the predictor
         self._predictor_weight = self._inv_diag / self.tau
+
+    def predictor(self) -> "_Predictor":
+        return _Predictor(self._predictor_weight)
 
     def _apply_linear(
         self, vec: np.ndarray, u_phys: np.ndarray, half: np.ndarray | None = None
@@ -460,9 +458,7 @@ class _Stepper(_Galerkin):
         iterate does not depend on it beyond the step tolerance.
         """
         x = state.x
-        b = x / self.tau + self.f_low
-        if self.p.beta > 0.0:
-            b += self._observed(truth, (state.k + 1) * self.tau)
+        b = x / self.tau + self.f_low + self._observed(truth, (state.k + 1) * self.tau)
         bnorm = float(np.linalg.norm(b))
         if not np.isfinite(bnorm):
             # the state, the forcing or the observation is not finite
@@ -530,8 +526,8 @@ def _galerkin(p: PhysicsParams) -> _Galerkin:
 
 
 @lru_cache(maxsize=64)
-def _stepper(p: PhysicsParams, tau: float, scheme: str) -> _Stepper:
-    return _Stepper(p, tau, scheme)
+def _stepper(p: PhysicsParams, tau: float, scheme: str) -> _Stepper | _Etdrk4:
+    return _Etdrk4(p, tau) if scheme == ETDRK4 else _Stepper(p, tau, scheme)
 
 
 def advance(
@@ -548,11 +544,11 @@ def advance(
     """March n_steps from v^0 = P_N v0, optionally recording a trajectory.
 
     When beta > 0 each step observes the truth at its new time under
-    p.interpolant (`TruthSource.observe`); with beta = 0 the truth is not
-    read and may be None.
-    Each solve starts from the damped cubic extrapolation of the iterates
-    so far, truncated where their damped differences stop shrinking (v^0
-    for the first step; see the module docstring).
+    p.interpolant (`TruthSource.observe`), an ETDRK4 step also at its
+    midpoint; with beta = 0 the truth is not read and may be None.
+    Each Euler solve starts from the damped cubic extrapolation of the
+    iterates so far, truncated where their damped differences stop
+    shrinking (v^0 for the first step; see the module docstring).
     on_step(prev, new) fires after every accepted step with packed states,
     whose fields are built only if asked for; store_every = m records the
     packed v^0 and every m-th iterate (plus the final one) into the
@@ -567,8 +563,8 @@ def advance(
         if store_every < 1:
             raise ValueError(f"store_every must be >= 1, got {store_every}")
         traj = Trajectory(p.grid, stepper)
-        traj.append(0, 0.0, state.x)
-    predict = _Predictor(stepper._predictor_weight)
+        traj.append(0.0, state.x)
+    predict = stepper.predictor()
     for _ in range(n_steps):
         try:
             new = stepper.step(state, truth, predict(state.x))
@@ -578,7 +574,7 @@ def advance(
         if on_step is not None:
             on_step(state, new)
         if traj is not None and (new.k % store_every == 0 or new.k == n_steps):
-            traj.append(new.k, new.t, new.x)
+            traj.append(new.t, new.x)
         state = new
     return state, traj
 
@@ -616,6 +612,57 @@ def _etdrk4_weights(hl: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
     return np.exp(hl), np.exp(hl / 2.0), q, f1, f2, f3
 
 
+class _Etdrk4(_Galerkin):
+    """ETDRK4 steps of size tau for one params (`reference_galerkin_integrate`).
+
+    A new state carries its observation term, which the next step takes
+    as its t_k data: each distinct stage time is observed once.
+    """
+
+    def __init__(self, p: PhysicsParams, tau: float):
+        super().__init__(p)
+        self.tau = float(tau)
+        hl = -self.tau * (p.nu * self.k_squared + self.obs_diag)
+        self._weights = _etdrk4_weights(hl, self.tau)
+
+    def predictor(self) -> Callable[[np.ndarray], None]:
+        """No guesses: the step solves nothing."""
+        return lambda x: None
+
+    def _explicit(self, vec: np.ndarray, data: np.ndarray | float) -> np.ndarray:
+        """Packed explicit part N(v, t) of the Galerkin field at v.
+
+        P_N f - P_N B(v, v) + data + (obs_diag v - beta P_N P_sigma I_h v),
+        data the packed observation term beta P_N I_h u(t) (or 0.0).
+        """
+        half = self._half(vec)
+        adv = advect_raw(self.sgrid, self._physical(half), half)
+        out = self.f_low - self._project(adv) + data
+        if self._cell_avg is not None:
+            out += self.obs_diag * vec - self._obs_term(vec, half)
+        return out
+
+    def step(
+        self, state: SchemeState, truth: TruthSource | None, guess: None = None
+    ) -> SchemeState:
+        """The next iterate after state, which is packed in this stepper."""
+        x, h, k = state.x, self.tau, state.k
+        e, e2, q, f1, f2, f3 = self._weights
+        data0 = self._observed(truth, k * h) if state.data is None else state.data
+        data_half = self._observed(truth, (k + 0.5) * h)
+        data1 = self._observed(truth, (k + 1) * h)
+        nx = self._explicit(x, data0)
+        a = e2 * x + q * nx
+        na = self._explicit(a, data_half)
+        b = e2 * x + q * na
+        nb = self._explicit(b, data_half)
+        c = e2 * a + q * (2.0 * nb - nx)
+        nc = self._explicit(c, data1)
+        x = e * x + f1 * nx + 2.0 * f2 * (na + nb) + f3 * nc
+        _require_finite(x, "iterate")
+        return SchemeState(k + 1, h, x, self, data1)
+
+
 def reference_galerkin_integrate(
     v0: SpectralField,
     p: PhysicsParams,
@@ -625,49 +672,18 @@ def reference_galerkin_integrate(
 ) -> Trajectory:
     """Fourth-order surrogate for the continuous-in-time nudged Galerkin flow.
 
-    Integrates dv/dt = L v + N(v, t) with ETDRK4 (Cox & Matthews 2002),
-    storing every step from v(0) = P_N v0.  The diagonal part
+    `advance` marches dv/dt = L v + N(v, t) with ETDRK4 (Cox & Matthews
+    2002), storing every step from v(0) = P_N v0.  The diagonal part
     L = -(nu A + obs_diag) is integrated exactly; the explicit part is
     N(v, t) = P_N f - P_N B(v, v) + beta P_N I_h u(t), plus, for volume
     averages, the off-diagonal remainder obs_diag v - beta P_N P_sigma I_h v
     (zero when L/h >= 2K + 1).  I_h is p.interpolant, and the truth is
-    observed once per distinct stage time (not at all when beta = 0).  The flow does not depend on a time-stepping scheme, so one
-    trajectory serves both.  Raises SolverError if an iterate becomes
-    non-finite.
+    observed once per distinct stage time (not at all when beta = 0).  The
+    flow does not depend on a time-stepping scheme, so one trajectory
+    serves both.  Raises SolverError if an iterate becomes non-finite.
     """
     n_steps = _steps_for(t_end, dt)
-    gal = _galerkin(p)
-    h = float(dt)
-    e, e2, q, f1, f2, f3 = _etdrk4_weights(
-        -h * (p.nu * gal.k_squared + gal.obs_diag), h
-    )
-
-    def observed(t: float) -> np.ndarray | float:
-        return gal._observed(truth, t) if p.beta > 0.0 else 0.0
-
-    x = gal._pack_field(project_low(v0, p.cutoff))
-    _require_finite(x, "initial state")
-    traj = Trajectory(p.grid, gal)
-    traj.append(0, 0.0, x)
-    data0 = observed(0.0)
-    for k in range(n_steps):
-        data_half = observed((k + 0.5) * h)
-        data1 = observed((k + 1) * h)
-        nx = gal._explicit(x, data0)
-        a = e2 * x + q * nx
-        na = gal._explicit(a, data_half)
-        b = e2 * x + q * na
-        nb = gal._explicit(b, data_half)
-        c = e2 * a + q * (2.0 * nb - nx)
-        nc = gal._explicit(c, data1)
-        x_next = e * x + f1 * nx + 2.0 * f2 * (na + nb) + f3 * nc
-        if not np.all(np.isfinite(x_next)):
-            last = SchemeState(k, h, x, gal)
-            raise SolverError("non-finite iterate", state=last, cutoff=p.cutoff)
-        x = x_next
-        traj.append(k + 1, (k + 1) * h, x)
-        data0 = data1
-    return traj
+    return advance(v0, p, truth, dt, n_steps, scheme=ETDRK4, store_every=1)[1]
 
 
 def nse_integrate(
@@ -692,6 +708,4 @@ def nse_integrate(
             f"{p.cutoff.shell_limit(p.grid)}"
         )
     n = _steps_for(t_end, tau_fine)
-    _, traj = advance(u0, p, None, tau_fine, n, store_every=store_every)
-    assert traj is not None
-    return traj
+    return advance(u0, p, None, tau_fine, n, store_every=store_every)[1]

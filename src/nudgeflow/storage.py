@@ -134,20 +134,18 @@ class Trajectory:
     def __init__(self, grid: TorusGrid, packing) -> None:
         self.grid = grid
         self.packing = packing
-        self.steps: list[int] = []
         self._times: list[float] = []
         self.frames: list[np.ndarray] = []
         self.interpolated_queries = 0
         self.exact_queries = 0
         self._times_arr: np.ndarray | None = None
 
-    def append(self, step: int, t: float, frame: np.ndarray) -> None:
+    def append(self, t: float, frame: np.ndarray) -> None:
         """Store the packed vector of the state at time t."""
         if self._times and t <= self._times[-1]:
             raise ValueError(
                 f"snapshot times must increase: got {t} after {self._times[-1]}"
             )
-        self.steps.append(int(step))
         self._times.append(float(t))
         self.frames.append(frame)
         self._times_arr = None
@@ -157,13 +155,6 @@ class Trajectory:
         if self._times_arr is None:
             self._times_arr = np.asarray(self._times, dtype=float)
         return self._times_arr
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    @property
-    def t_end(self) -> float:
-        return self._times[-1]
 
     @property
     def fields(self) -> list[SpectralField]:

@@ -570,6 +570,8 @@ def _minimal_config(tmp_path, key, value):
         ("nu", "1e200", "Grashof number 0.000e+00 gives Lambda = -inf < 0"),
         ("forcing_amplitude", "1e100", "a-priori constant R1 = inf is not finite"),
         ("forcing_amplitude", "1e200", "a-priori constant G = inf is not finite"),
+        # read as zero forcing (exit 0, no constants) when |f| decided it
+        ("forcing_amplitude", "1e-200", "nonzero forcing underflows to 0"),
     ],
 )
 def test_cli_overflowing_constants_exit_2(tmp_path, capsys, command, key, value, reason):

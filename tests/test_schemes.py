@@ -196,7 +196,6 @@ def test_advance_trajectory_cadence(rng, grid16):
     state, traj = advance(v0, p, None, 0.01, 7, store_every=3)
     assert state.k == 7
     assert traj is not None
-    assert traj.steps == [0, 3, 6, 7]
     assert np.allclose(traj.times, [0.0, 0.03, 0.06, 0.07])
     assert norm_H(traj.fields[-1] - state.v) == 0.0
     with pytest.raises(ValueError, match="store_every"):
@@ -282,8 +281,8 @@ def test_nse_integrate_guards(rng, grid16):
         nse_integrate(u0, truncated, 0.1, 0.01)
     p = free_params(grid16, 1.0)
     traj = nse_integrate(u0, p, 0.05, 0.01)
-    assert len(traj) == 6
-    assert traj.t_end == pytest.approx(0.05)
+    assert np.allclose(traj.times, np.arange(6) * 0.01)
+    assert len(traj.frames) == 6
 
 
 def test_integrator_requires_commensurate_times(rng, grid16):
@@ -313,7 +312,7 @@ def test_reference_reproduces_taylor_green_to_roundoff(grid32):
     p = free_params(grid32, nu)
     v0 = taylor_green(grid32, 1, 0.0, nu)
     traj = reference_galerkin_integrate(v0, p, None, 0.2, 0.02)
-    assert traj.steps == list(range(11))
+    assert np.array_equal(traj.times, np.arange(11) * 0.02)
     for t, v in zip(traj.times, traj.fields):
         exact = taylor_green(grid32, 1, t, nu)
         assert norm_H(v - exact) <= 1e-13 * norm_H(v0)
@@ -408,11 +407,48 @@ def test_step_rejects_non_finite_observation_as_solver_error(rng, grid16):
 def test_reference_reports_blow_up_as_solver_error(rng, grid16):
     p = free_params(grid16, 0.01)
     v0 = random_field(grid16, rng, norm_v=1.0)
-    with pytest.raises(SolverError, match="non-finite"):
+    with pytest.raises(SolverError, match="non-finite") as raised:
         reference_galerkin_integrate(_poisoned(v0), p, None, 0.1, 0.1)
+    assert raised.value.state.k == 0 and raised.value.cutoff == p.cutoff
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SolverError, match="non-finite"):
+        with pytest.raises(SolverError, match="non-finite") as raised:
             reference_galerkin_integrate(v0 * 1e150, p, None, 1.0, 0.1)
+    # the last accepted state is finite, the one before the blow-up
+    assert raised.value.state.k == 0 and raised.value.cutoff == p.cutoff
+    assert np.all(np.isfinite(raised.value.state.x))
+
+
+def test_integrators_march_through_one_advance_call(monkeypatch, rng, grid16):
+    calls = []
+    real_advance = schemes.advance
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("scheme", SEMI_IMPLICIT))
+        return real_advance(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, "advance", counted)
+    p, truth, v0 = nudged_problem(grid16, rng)
+    reference_galerkin_integrate(v0, p, truth, 0.03, 0.01)
+    assert calls == [schemes.ETDRK4]
+    nse_integrate(v0, free_params(grid16, 1.0), 0.03, 0.01)
+    assert calls == [schemes.ETDRK4, SEMI_IMPLICIT]
+
+
+def test_reference_observes_each_stage_time_once(rng, grid16):
+    # n steps have 2n + 1 distinct stage times: t_0, then each step's
+    # midpoint and end, whose observation the next step reuses
+    p, truth, v0 = nudged_problem(grid16, rng)
+    times = []
+    real_observe = truth.observe
+
+    def observe(gal, t):
+        times.append(t)
+        return real_observe(gal, t)
+
+    truth.observe = observe
+    reference_galerkin_integrate(v0, p, truth, 0.04, 0.01)
+    assert len(times) == 2 * 4 + 1
+    assert times == sorted(set(times))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +519,7 @@ def test_reference_vector_field_matches_full_grid_formula(n, kind, h, lam, n_s):
     rng = np.random.default_rng(n + 1)
     v = random_field(grid, rng, norm_v=2.0, cutoff=p.cutoff)
     u = random_field(grid, rng, norm_v=2.0)
-    gal = schemes._Galerkin(p)
+    gal = schemes._Etdrk4(p, 0.01)
     x = gal._pack_field(v)
     data = gal._observed(SteadyTruth(u), 0.0)
     got = -(p.nu * gal.k_squared + gal.obs_diag) * x + gal._explicit(x, data)
@@ -705,7 +741,7 @@ def test_layer_entry_points_are_called_once_per_operator_application(monkeypatch
     counts = {"advect_raw": 0, "apply": 0}
     real_advect = schemes.advect_raw
     real_apply = schemes._Stepper._apply_linear
-    real_explicit = schemes._Galerkin._explicit
+    real_explicit = schemes._Etdrk4._explicit
 
     def advect(*args):
         counts["advect_raw"] += 1
@@ -721,7 +757,7 @@ def test_layer_entry_points_are_called_once_per_operator_application(monkeypatch
 
     monkeypatch.setattr(schemes, "advect_raw", advect)
     monkeypatch.setattr(schemes._Stepper, "_apply_linear", apply)
-    monkeypatch.setattr(schemes._Galerkin, "_explicit", explicit)
+    monkeypatch.setattr(schemes._Etdrk4, "_explicit", explicit)
     rng = np.random.default_rng(5)
     p, obs, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
     for run in (

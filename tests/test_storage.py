@@ -82,9 +82,9 @@ def test_trajectory_append_guards(rng, grid16):
     gal = _band_packing(grid16)
     traj = Trajectory(grid16, gal)
     x = gal._pack_field(random_field(grid16, rng))
-    traj.append(0, 0.0, x)
+    traj.append(0.0, x)
     with pytest.raises(ValueError, match="increase"):
-        traj.append(1, 0.0, x)
+        traj.append(0.0, x)
 
 
 def test_trajectory_exact_and_interpolated_lookup(rng, grid16):
@@ -98,8 +98,8 @@ def test_trajectory_exact_and_interpolated_lookup(rng, grid16):
 
     traj = Trajectory(grid16, gal)
     times = np.linspace(0.0, 2.0, 9)
-    for k, t in enumerate(times):
-        traj.append(k, float(t), frame_at(float(t)))
+    for t in times:
+        traj.append(float(t), frame_at(float(t)))
 
     got = traj.at(0.5)
     assert traj.exact_queries == 1 and traj.interpolated_queries == 0
@@ -120,8 +120,8 @@ def test_trajectory_near_time_tolerance(rng, grid16):
     gal = _band_packing(grid16)
     traj = Trajectory(grid16, gal)
     x = gal._pack_field(random_field(grid16, rng))
-    traj.append(0, 0.0, x)
-    traj.append(1, 0.1, x * 2.0)
+    traj.append(0.0, x)
+    traj.append(0.1, x * 2.0)
     # a query within the relative tolerance snaps to the stored sample
     got = traj.at(0.1 + 1e-12)
     assert np.array_equal(got.coeffs, gal._field(x * 2.0).coeffs)

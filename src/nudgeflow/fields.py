@@ -154,22 +154,19 @@ class GalerkinCutoff:
     def lambda_next(self, grid: TorusGrid) -> float:
         """Smallest representable eigenvalue strictly greater than lambda_cut."""
         m = self.shell_limit(grid)
-        shells = np.unique(grid.shell)
-        above = shells[shells > m]
+        above = grid.shell[grid.shell > m]
         if above.size == 0:
             raise ValueError(
                 f"lambda_cut={self.lambda_cut} leaves no representable mode above it"
             )
-        return grid.lambda1 * float(above[0])
+        return grid.lambda1 * float(above.min())
 
     def lambda_low(self, grid: TorusGrid) -> float:
         """Largest realizable eigenvalue <= lambda_cut (lambda_N)."""
-        m = self.shell_limit(grid)
-        shells = np.unique(grid.shell)
-        below = shells[(shells >= 1) & (shells <= m)]
+        below = grid.shell[self.mask_low(grid)]
         if below.size == 0:
             raise ValueError("no representable eigenvalue at or below lambda_cut")
-        return grid.lambda1 * float(below[-1])
+        return grid.lambda1 * float(below.max())
 
     def mode_count(self, grid: TorusGrid) -> int:
         return int(np.count_nonzero(self.mask_low(grid)))

@@ -16,7 +16,16 @@ The module also estimates the approximation-of-identity constant c0 in
 
     |f - I_h f| <= c0^(1/2) h ||f||
 
-of a volume average empirically; Fourier truncation has c0 = 1.
+of a volume average empirically; Fourier truncation has c0 = 1.  The
+estimate is the worst ratio over random probes, the same probes
+`random_field` draws from the same generator stream.  Probes live on the
+(2B+1)^2 dealiased band, so the estimate is evaluated there: the fold
+only reads band coefficients, and off the band, where a probe is zero,
+the error is a quadratic form of the fold per index class, assembled
+once per call.  A maximum over probes is a lower bound on the exact
+supremum 1/pi^2 = 0.1013 over the band: it reads 0.0647 on the twin
+bench grid (n = 48, 16 x 16 cells), and ROADMAP "Fix first" tracks
+replacing it by the exact constant.
 """
 
 from __future__ import annotations
@@ -25,15 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    GalerkinCutoff,
-    SpectralField,
-    TorusGrid,
-    norm_H,
-    norm_V,
-    project_low,
-    random_field,
-)
+from .fields import GalerkinCutoff, SpectralField, TorusGrid, project_low
 from .operators import leray_project_raw
 
 __all__ = [
@@ -128,6 +129,35 @@ def apply_ih(spec: InterpolantSpec, f: SpectralField) -> SpectralField:
     return SpectralField._trusted(grid, leray_project_raw(c, grid))
 
 
+# probes drawn and evaluated together: the normal buffer holds
+# 4 x 4 n^2 floats (0.3 MB at n = 48)
+_PROBE_BATCH = 4
+
+
+def _off_band_gram(grid: TorusGrid, m: int) -> np.ndarray:
+    """M_r = sum |D(k1) D(k2)|^2 P(k) per index class r, shape (2, 2, m, m).
+
+    The sum runs over the modes k = r mod m outside the dealiased band
+    that `apply_ih` keeps: not the mean (it lies in the band) and not
+    the Nyquist index n/2, which it zeroes.  A fold F_r of a band-limited
+    probe puts |P conj(D x D) F_r|^2 = F_r^H M_r F_r of error there.
+    """
+    w = np.abs(_average_symbol(grid._j, grid.n, grid.n // m)) ** 2
+    w[grid.n // 2] = 0.0
+    w = np.where(grid.dealias_mask, 0.0, np.outer(w, w))
+    j = (grid.j1, grid.j2)
+    shell = np.maximum(grid.shell, 1)
+    p = np.array([[(a == b) - j[a] * j[b] / shell for b in (0, 1)] for a in (0, 1)])
+    b = grid.n // m
+    return (w * p).reshape(2, 2, b, m, b, m).sum(axis=(2, 4))
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re sum conj(x) y per probe (first axis) of contiguous complex arrays."""
+    x, y = (np.reshape(a, (len(a), -1)).view(float) for a in (x, y))
+    return np.einsum("pk,pk->p", x, y)
+
+
 def estimate_c0(
     spec: InterpolantSpec,
     grid: TorusGrid,
@@ -138,6 +168,18 @@ def estimate_c0(
     |f - I_h f|^2 / (h^2 ||f||^2) over random band-limited probes, some of
     them high-mode-heavy to stress the average near its resolution limit.
 
+    Probe i is the field `random_field(grid, rng, decay=(1, 0.5, 0.25,
+    0.1)[i % 4])` would return, drawn from the same generator stream, and
+    I_h f is `apply_ih`.  Both are evaluated on the dealiased band only:
+    with S[r, a] = [j_a = r mod m] D(j_a) over the band indices j_a, the
+    fold is F_r = S c S^T; on the band the error is c - P conj(D x D) F_r,
+    and off the band, where c = 0, its square is F_r^H M_r F_r
+    (`_off_band_gram`).  The norm is ||f||^2 = L^2 lambda1 sum |j|^2 |c|^2,
+    and the common L^2 cancels in the ratio.
+
+    The maximum over probes is a lower bound on the exact supremum
+    1/pi^2 = 0.1013: it reads 0.0647 on the twin bench grid.
+
     Fourier truncation needs no estimate: its c0 is exactly 1.
     """
     if spec.kind != "volume_average":
@@ -145,13 +187,48 @@ def estimate_c0(
     if trials < 10:
         raise ValueError(f"need at least 10 trials, got {trials}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    decays = (1.0, 0.5, 0.25, 0.1)
+    n, m = grid.n, spec.blocks(grid)
+    top = grid.band_limit
+    band = np.arange(-top, top + 1)
+    at = band % n
+    cls = band % m
+    j1, j2 = band[:, None], band[None, :]
+    shell = j1 * j1 + j2 * j2
+    shell1 = np.maximum(shell, 1)
+    decays = np.array([1.0, 0.5, 0.25, 0.1])
+    weights = np.exp(-decays[:, None, None] * np.sqrt(shell.astype(float)))
+    weights[:, top, top] = 0.0
+    d = _average_symbol(band, n, n // m)
+    fold = np.where(cls == np.arange(m)[:, None], d, 0.0)
+    unfold = np.outer(d, d).conj()
+    unfold[top, top] = 0.0
+    gram = _off_band_gram(grid, m)
+    buf = np.empty((_PROBE_BATCH, 2, 2, n, n))
+
+    def leray(v: np.ndarray) -> None:
+        # exact Leray projection in index form, in place
+        div = (j1 * v[:, 0] + j2 * v[:, 1]) / shell1
+        v[:, 0] -= j1 * div
+        v[:, 1] -= j2 * div
+
     worst = 0.0
-    for i in range(trials):
-        f = random_field(grid, rng, decay=decays[i % len(decays)])
-        nv = norm_V(f)
-        if nv == 0.0:
-            continue
-        err = norm_H(f - apply_ih(spec, f))
-        worst = max(worst, err * err / (spec.h * spec.h * nv * nv))
-    return worst
+    for start in range(0, trials, _PROBE_BATCH):
+        draws = buf[: min(_PROBE_BATCH, trials - start)]
+        # the normals of len(draws) successive random_field calls
+        rng.standard_normal(out=draws)
+        g = draws[..., at[:, None], at[None, :]]
+        # real weights scale real and imaginary parts alike, exactly
+        g *= weights[np.arange(start, start + len(g)) % len(decays), None, None]
+        c = g[:, 0] + 1j * g[:, 1]
+        # on the band ordered -top..top the conjugate partner is the reversal
+        c = 0.5 * (c + c[..., ::-1, ::-1].conj())
+        leray(c)
+        folded = fold @ c @ fold.T
+        ih = unfold * folded[..., cls[:, None], cls[None, :]]
+        leray(ih)
+        e = c - ih
+        err = _dot(e, e) + _dot(folded, (gram * folded[:, None]).sum(axis=2))
+        norm = _dot(c, shell * c)
+        ratio = np.divide(err, norm, out=np.zeros_like(err), where=norm > 0.0)
+        worst = max(worst, float(np.max(ratio)))
+    return worst / (spec.h * spec.h * grid.lambda1)

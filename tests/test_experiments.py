@@ -424,7 +424,7 @@ def test_cli_constants_report(tmp_path, capsys):
     assert "beta_lower_bound" in capsys.readouterr().out
 
 
-_SCIPY_GUARD = """
+_IMPORT_GUARD = """
 import sys
 import nudgeflow
 assert "scipy" not in sys.modules, "import nudgeflow loaded scipy"
@@ -432,12 +432,13 @@ from nudgeflow import cli
 out = sys.argv[1]
 for cfg in sys.argv[2:]:
     assert cli.main(["--quiet", "--config", cfg, "--out", out, "constants"]) == 0
-    assert "scipy" not in sys.modules, "constants on " + cfg + " loaded scipy"
+    for name in ("scipy", "numpy.ma"):
+        assert name not in sys.modules, "constants on " + cfg + " loaded " + name
 """
 
 
-def test_cli_constants_never_loads_scipy(tmp_path):
-    # a fresh interpreter, so no other test has imported scipy yet
+def test_cli_constants_never_loads_scipy_or_numpy_ma(tmp_path):
+    # a fresh interpreter, so no other test has imported scipy or numpy.ma yet
     configs = []
     for name, overrides in (
         ("fourier.cfg", {}),
@@ -448,7 +449,7 @@ def test_cli_constants_never_loads_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(nudgeflow.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_GUARD, str(tmp_path / "out"), *configs],
+        [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path / "out"), *configs],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

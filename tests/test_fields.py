@@ -105,6 +105,38 @@ def test_cutoff_boundary_shell_is_kept(grid16):
     assert co.lambda_next(grid16) == pytest.approx(5.0)
 
 
+def _unique_shell_eigenvalues(cutoff, grid):
+    """(lambda_low, lambda_next) read off the sorted distinct shells."""
+    m = cutoff.shell_limit(grid)
+    shells = np.unique(grid.shell)
+    below = shells[(shells >= 1) & (shells <= m)]
+    above = shells[shells > m]
+    return grid.lambda1 * float(below[-1]), grid.lambda1 * float(above[0])
+
+
+@pytest.mark.parametrize("L, n", [(TWO_PI, 4), (TWO_PI, 16), (1.0, 10), (3.7, 24)])
+def test_cutoff_eigenvalues_match_unique_oracle(L, n):
+    grid = TorusGrid(L, n)
+    top = int(grid.shell.max())
+    for shell in range(1, top):
+        for cut in (shell, shell + 0.5):
+            co = GalerkinCutoff(grid.lambda1 * cut)
+            got = (co.lambda_low(grid), co.lambda_next(grid))
+            assert got == _unique_shell_eigenvalues(co, grid)
+    co = GalerkinCutoff(grid.lambda1 * top)
+    assert co.lambda_low(grid) == grid.lambda1 * top
+    with pytest.raises(ValueError, match="no representable mode above"):
+        co.lambda_next(grid)
+
+
+def test_cutoff_lambda_low_without_an_eigenvalue(grid16, monkeypatch):
+    # shell_limit rejects every cutoff below the first eigenvalue, so an
+    # empty ball only arises if it ever returns 0
+    monkeypatch.setattr(GalerkinCutoff, "shell_limit", lambda self, grid: 0)
+    with pytest.raises(ValueError, match="no representable eigenvalue"):
+        GalerkinCutoff(1.0).lambda_low(grid16)
+
+
 def test_projections_decompose_exactly(rng, grid32):
     co = GalerkinCutoff(9.0)
     f = random_field(grid32, rng)

@@ -1,5 +1,7 @@
 """Observation operators and the empirical c0 of volume averages."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,50 @@ def test_estimate_c0_pinned_on_twin_bench_grid():
     grid = TorusGrid(TWO_PI, 48)
     spec = InterpolantSpec("volume_average", TWO_PI / 16.0)
     assert estimate_c0(spec, grid) == pytest.approx(0.06466571327058503, rel=1e-12)
+
+
+def _loop_estimate_c0(spec, grid, trials, rng):
+    """Per-probe reference: build each random field and its average on the full grid."""
+    decays = (1.0, 0.5, 0.25, 0.1)
+    worst = 0.0
+    for i in range(trials):
+        f = random_field(grid, rng, decay=decays[i % len(decays)])
+        nv = norm_V(f)
+        if nv == 0.0:
+            continue
+        err = norm_H(f - apply_ih(spec, f))
+        worst = max(worst, err * err / (spec.h * spec.h * nv * nv))
+    return worst
+
+
+# a symbol with zeros (n = 24, b = 3), classes with up to four band
+# members (96 / 16) and more cells per side than the band limit
+# (64 / 32: L/h = 32 > 21)
+C0_GRIDS = [(16, 4), (24, 8), (48, 16), (64, 32), (96, 16)]
+
+
+@pytest.mark.parametrize("n, m", C0_GRIDS)
+@pytest.mark.parametrize("seed", [3, 11])
+def test_estimate_c0_matches_per_probe_loop(n, m, seed):
+    grid = TorusGrid(TWO_PI, n)
+    spec = InterpolantSpec("volume_average", TWO_PI / m)
+    banded, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+    c0 = estimate_c0(spec, grid, trials=30, rng=banded)
+    assert c0 == pytest.approx(_loop_estimate_c0(spec, grid, 30, looped), rel=1e-12)
+    # the probes consumed exactly the normals of 30 random_field calls
+    assert banded.standard_normal() == looped.standard_normal()
+
+
+def test_estimate_c0_memory_on_twin_bench_grid():
+    grid = TorusGrid(TWO_PI, 48)
+    spec = InterpolantSpec("volume_average", TWO_PI / 16.0)
+    tracemalloc.start()
+    try:
+        estimate_c0(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 def test_volume_average_annihilates_cell_periodic_mode(grid16):

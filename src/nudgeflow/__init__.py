@@ -32,7 +32,6 @@ from .fields import (
     GridMismatchError,
     SpectralField,
     TorusGrid,
-    from_physical,
     inner_product,
     is_low_supported,
     norm_DA,
@@ -52,7 +51,6 @@ from .operators import (
     inverse_stokes,
     kolmogorov_forcing,
     kolmogorov_steady_state,
-    leray_project,
     phi1,
     taylor_green,
 )

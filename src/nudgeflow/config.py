@@ -14,6 +14,8 @@ import warnings
 from dataclasses import dataclass, fields as dc_fields
 from typing import Callable
 
+from .interpolants import KINDS
+from .schemes import SCHEMES
 from .storage import FLOAT_FMT
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config",
@@ -24,9 +26,9 @@ class ConfigError(ValueError):
     """Malformed config file or inadmissible value."""
 
 
-SCHEME_CHOICES = ("semi_implicit", "fully_implicit")
+SCHEME_CHOICES = SCHEMES
 FORCING_CHOICES = ("kolmogorov", "random_band", "none")
-INTERPOLANT_CHOICES = ("fourier_truncation", "volume_average", "none")
+INTERPOLANT_CHOICES = (*KINDS, "none")
 TRUTH_CHOICES = ("nse_integrate", "analytic:kolmogorov", "analytic:taylor_green")
 IC_CHOICES = ("random_bv", "zero", "truth_low", "perturbed_truth")
 EXPECT_CHOICES = ("decay", "no_decay")

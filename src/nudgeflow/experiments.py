@@ -11,18 +11,18 @@ parameters and a-priori constants, and is the front door: with each
 runner's own checks before it, it rejects every bad value the config alone
 decides with a ConfigError naming its keys, before anything is
 integrated.  `_start` integrates the truth and returns it with the
-initial data v0 = P_N build_ic.  The truth is a
-steady, analytic or stored `schemes.TruthSource`; the runners hand it to
-the solver whatever beta is, and the solver observes it under the params'
-interpolant only when beta > 0.  The run itself happens inside a `_Run`
-block, which owns the report, the output directory and the output tables
-(`_Run.table`).  On leaving the block `_Run` writes the tables in the
-order they were registered, then the report.  A stalled or non-finite
-solve (SolverError) inside the block ends the run with a failed `solver`
-check carrying the message and residual trace; the tables recorded up to
-the failure, a snapshot of the last accepted state and the report are
-still written.  Any other exception propagates and writes no table or
-report.
+initial data v0 = build_ic, which every branch builds in the low-mode
+space.  The truth is a steady, analytic or stored `schemes.TruthSource`;
+the runners hand it to the solver whatever beta is, and the solver
+observes it under the params' interpolant only when beta > 0.  The run
+itself happens inside a `_Run` block, which owns the report, the output
+directory and the output tables (`_Run.table`).  On leaving the block
+`_Run` writes the tables in the order they were registered, then the
+report.  A stalled or non-finite solve (SolverError) inside the block
+ends the run with a failed `solver` check carrying the message and
+residual trace; the tables recorded up to the failure, a snapshot of
+the last accepted state and the report are still written.  Any other
+exception propagates and writes no table or report.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .fields import (
     TorusGrid,
     _conj_flip,
     inner_product,
+    leray_project_raw,
     norm_DA,
     norm_H,
     norm_V,
@@ -70,7 +71,6 @@ from .operators import (
     bilinear_B_direct,
     kolmogorov_forcing,
     kolmogorov_steady_state,
-    leray_project_raw,
     phi1,
     taylor_green,
 )
@@ -297,14 +297,13 @@ def build_params(
     forcing: SpectralField,
     spec: InterpolantSpec | None,
     *,
-    beta: float | None = None,
     lambda_cut: float | None = None,
 ) -> PhysicsParams:
     return PhysicsParams(
         nu=cfg.nu,
         grid=grid,
         forcing=forcing,
-        beta=cfg.beta if beta is None else beta,
+        beta=cfg.beta,
         interpolant=spec,
         cutoff=GalerkinCutoff(cfg.lambda_cut if lambda_cut is None else lambda_cut),
     )
@@ -562,9 +561,9 @@ def build_ic(setup: _Setup, truth: TruthSource) -> SpectralField:
 
 
 def _start(setup: _Setup) -> tuple[TruthSource, SpectralField]:
-    """Truth on [0, setup.horizon] and v0."""
+    """Truth on [0, setup.horizon] and v0 (build_ic is low-supported)."""
     truth = build_truth(setup)
-    return truth, project_low(build_ic(setup, truth), setup.params.cutoff)
+    return truth, build_ic(setup, truth)
 
 
 # Residuals of a failed solve's history quoted in the `solver` check.

@@ -3,17 +3,20 @@
 A field u on Omega = (0, L)^2 is stored by its Fourier coefficients
 u(x) = sum_k uhat(k) exp(i k.x) with k = (2 pi / L) (j1, j2), on an
 n x n grid of integer indices in standard FFT order.  Three structural
-invariants are enforced at construction:
+invariants hold for every field:
 
   * zero mean: uhat(0) = 0,
   * incompressibility: k . uhat(k) = 0 for every k,
   * Hermitian symmetry: uhat(-k) = conj(uhat(k)), so u is real.
 
-`SpectralField.from_coeffs` checks them on arrays from outside the
-package (snapshots, physical samples, projections of raw spectra); the
-package's own constructors (random fields, the shear and band forcings,
-the Taylor-Green vortex, linear combinations) hold them by construction
-and skip the check.
+The module is their one home.  `leray_project_raw` is the package's
+Leray projection P_sigma of a raw coefficient array, used by every
+constructor that makes a spectrum solenoidal.  `SpectralField.from_coeffs`
+checks the invariants, and is meant only for arrays from outside the
+package (stored snapshots); the package's own constructors (random
+fields, the shear and band forcings, the Taylor-Green vortex, the
+bilinear term, observations, linear combinations) hold them by
+construction and build through the unchecked `SpectralField._trusted`.
 
 The inner product is normalized so that it equals the physical-space
 integral: (f, g) = L^2 sum_k fhat(k) . conj(ghat(k)).  With that
@@ -28,6 +31,24 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+__all__ = [
+    "GridMismatchError",
+    "FieldInvariantError",
+    "TorusGrid",
+    "GalerkinCutoff",
+    "SpectralField",
+    "inner_product",
+    "norm_H",
+    "norm_V",
+    "norm_DA",
+    "project_low",
+    "project_high",
+    "is_low_supported",
+    "leray_project_raw",
+    "to_physical",
+    "random_field",
+]
 
 INVARIANT_TOL = 1e-12
 # Relative slack when comparing |k|^2 against a cutoff, so that shells
@@ -123,11 +144,6 @@ class TorusGrid:
         """Largest eigenvalue ball inscribed in the dealiased band."""
         return GalerkinCutoff(self.lambda1 * float(self.band_limit**2))
 
-    def x(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physical sample coordinates (x1, x2) as broadcastable arrays."""
-        s = np.arange(self.n) * (self.L / self.n)
-        return s[:, None], s[None, :]
-
 
 @dataclass(frozen=True)
 class GalerkinCutoff:
@@ -163,10 +179,8 @@ class GalerkinCutoff:
 
     def lambda_low(self, grid: TorusGrid) -> float:
         """Largest realizable eigenvalue <= lambda_cut (lambda_N)."""
-        below = grid.shell[self.mask_low(grid)]
-        if below.size == 0:
-            raise ValueError("no representable eigenvalue at or below lambda_cut")
-        return grid.lambda1 * float(below.max())
+        # never empty: shell_limit is at least 1 and shell 1 exists on every grid
+        return grid.lambda1 * float(grid.shell[self.mask_low(grid)].max())
 
     def mode_count(self, grid: TorusGrid) -> int:
         return int(np.count_nonzero(self.mask_low(grid)))
@@ -177,11 +191,7 @@ class GalerkinCutoff:
 
 
 def _conj_flip(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """conj(uhat(-k)) with correct wrapping at the Nyquist rows.
-
-    np.take keeps the result C-contiguous, so sums with it can be handed
-    to from_coeffs(copy=False) at every grid size.
-    """
+    """conj(uhat(-k)) with correct wrapping at the Nyquist rows."""
     idx = grid._conj_index
     return np.conj(np.take(np.take(coeffs, idx, axis=-2), idx, axis=-1))
 
@@ -316,6 +326,27 @@ def is_low_supported(f: SpectralField, cutoff: GalerkinCutoff) -> bool:
     return not np.any(np.where(cutoff.mask_low(f.grid), 0.0, f.coeffs))
 
 
+def leray_project_raw(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Leray projection P_sigma of a raw coefficient array, into a new array.
+
+    uhat(k) <- uhat(k) - k (k . uhat(k)) / |k|^2, in integer index form
+    (the 2 pi / L factors cancel).  Also pins the mean mode to zero.
+    """
+    c = np.array(coeffs, dtype=np.complex128)
+    j1, j2 = grid.j1, grid.j2
+    shell = np.maximum(grid.shell, 1)
+    d = (j1 * c[0] + j2 * c[1]) / shell
+    c[0] -= j1 * d
+    c[1] -= j2 * d
+    c[:, 0, 0] = 0.0
+    # the Nyquist slot n/2 (n is always even) has no conjugate partner with
+    # flipped sign, so the projector cannot stay Hermitian there; drop it
+    # (it lies far outside the dealias band in any case)
+    c[:, grid.n // 2, :] = 0.0
+    c[:, :, grid.n // 2] = 0.0
+    return c
+
+
 # ---------------------------------------------------------------------------
 # transforms (scipy.fft is imported by the first transform, not with the
 # package, so runs that never transform do not load it)
@@ -326,27 +357,6 @@ def to_physical(f: SpectralField) -> np.ndarray:
     import scipy.fft as _fft
     n = f.grid.n
     return np.ascontiguousarray(_fft.ifft2(f.coeffs).real * n * n)
-
-
-def from_physical(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
-    """Inverse of to_physical; removes the mean, does NOT Leray-project.
-
-    Non-solenoidal samples therefore fail field validation; project the raw
-    spectrum with leray_project when that is intended.
-    """
-    import scipy.fft as _fft
-    s = np.asarray(samples)
-    if np.iscomplexobj(s):
-        if np.max(np.abs(s.imag)) > INVARIANT_TOL:
-            raise FieldInvariantError("physical samples must be real-valued")
-        s = s.real
-    if s.shape != (2, grid.n, grid.n):
-        raise FieldInvariantError(
-            f"samples must have shape (2, {grid.n}, {grid.n}), got {s.shape}"
-        )
-    c = _fft.fft2(s) / (grid.n * grid.n)
-    c[:, 0, 0] = 0.0
-    return SpectralField.from_coeffs(grid, c, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +387,7 @@ def random_field(
     c *= np.exp(-decay * np.sqrt(grid.shell.astype(float)))
     mask = cutoff.mask_low(grid) if cutoff is not None else grid.dealias_mask
     c = np.where(mask, c, 0.0)
-    c[:, 0, 0] = 0.0
-    c = 0.5 * (c + _conj_flip(grid, c))
-    # exact Leray projection in index space
-    j1, j2 = grid.j1, grid.j2
-    shell = np.maximum(grid.shell, 1)
-    d = (j1 * c[0] + j2 * c[1]) / shell
-    c[0] -= j1 * d
-    c[1] -= j2 * d
+    c = leray_project_raw(0.5 * (c + _conj_flip(grid, c)), grid)
     f = SpectralField._trusted(grid, c)
     if norm_v is not None:
         nv = norm_V(f)

@@ -34,8 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GalerkinCutoff, SpectralField, TorusGrid, project_low
-from .operators import leray_project_raw
+from .fields import (
+    GalerkinCutoff,
+    SpectralField,
+    TorusGrid,
+    leray_project_raw,
+    project_low,
+)
 
 __all__ = [
     "InterpolantSpec",

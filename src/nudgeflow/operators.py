@@ -1,12 +1,12 @@
 """Navier-Stokes building blocks on divergence-free spectral fields.
 
 Provides the Stokes operator A (multiplication by |k|^2), its inverse,
-the Leray projection, the advective bilinear term B(u, v) = P_sigma
-((u . grad) v) evaluated pseudo-spectrally with a dealiased product plus
-a brute-force convolution oracle, the postprocessing manifold map
-phi1(p) = (nu A)^(-1) Q_N [f - B(p, p)], and two exact-solution
-constructors (steady Kolmogorov shear, decaying Taylor-Green vortex)
-used as integration oracles.
+the advective bilinear term B(u, v) = P_sigma ((u . grad) v) evaluated
+pseudo-spectrally with a dealiased product plus a brute-force
+convolution oracle (P_sigma is `fields.leray_project_raw`), the
+postprocessing manifold map phi1(p) = (nu A)^(-1) Q_N [f - B(p, p)], and
+two exact-solution constructors (steady Kolmogorov shear, decaying
+Taylor-Green vortex) used as integration oracles.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import (
-    FieldInvariantError,
     GalerkinCutoff,
     SpectralField,
     TorusGrid,
     is_low_supported,
+    leray_project_raw,
     project_high,
     to_physical,
 )
@@ -26,8 +26,6 @@ from .fields import (
 __all__ = [
     "apply_stokes",
     "inverse_stokes",
-    "leray_project",
-    "leray_project_raw",
     "bilinear_B",
     "bilinear_B_direct",
     "advect_raw",
@@ -47,38 +45,6 @@ def inverse_stokes(f: SpectralField) -> SpectralField:
     """A^(-1) f on mean-zero fields; the k = 0 mode stays zero."""
     k2 = np.where(f.grid.shell == 0, 1.0, f.grid.k_squared)
     return SpectralField._trusted(f.grid, f.coeffs / k2)
-
-
-def leray_project_raw(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """In-place-free Leray projection of a raw coefficient array.
-
-    uhat(k) <- uhat(k) - k (k . uhat(k)) / |k|^2, in integer index form
-    (the 2 pi / L factors cancel).  Also pins the mean mode to zero.
-    """
-    c = np.array(coeffs, dtype=np.complex128)
-    j1, j2 = grid.j1, grid.j2
-    shell = np.maximum(grid.shell, 1)
-    d = (j1 * c[0] + j2 * c[1]) / shell
-    c[0] -= j1 * d
-    c[1] -= j2 * d
-    c[:, 0, 0] = 0.0
-    if grid.n % 2 == 0:
-        # the even-n Nyquist slot has no conjugate partner with flipped
-        # sign, so the projector cannot stay Hermitian there; drop it
-        # (it lies far outside the dealias band in any case)
-        c[:, grid.n // 2, :] = 0.0
-        c[:, :, grid.n // 2] = 0.0
-    return c
-
-
-def leray_project(raw: np.ndarray, grid: TorusGrid) -> SpectralField:
-    """Leray-Helmholtz projection of a Hermitian-symmetric coefficient array."""
-    raw = np.asarray(raw, dtype=np.complex128)
-    if raw.shape != (2, grid.n, grid.n):
-        raise FieldInvariantError(
-            f"expected coefficients of shape (2, {grid.n}, {grid.n}), got {raw.shape}"
-        )
-    return SpectralField.from_coeffs(grid, leray_project_raw(raw, grid), copy=False)
 
 
 def _require_band(f: SpectralField) -> None:
@@ -124,7 +90,7 @@ def bilinear_B(u: SpectralField, v: SpectralField) -> SpectralField:
     # uhat(j1, -j2) = conj(uhat(-j1, j2)) for the columns j2 = n/2 + 1 .. n - 1
     c[..., h:] = np.conj(half[:, grid._conj_index, h - 2 : 0 : -1])
     c *= grid.dealias_mask
-    return SpectralField.from_coeffs(grid, leray_project_raw(c, grid), copy=False)
+    return SpectralField._trusted(grid, leray_project_raw(c, grid))
 
 
 def bilinear_B_direct(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -163,8 +129,7 @@ def bilinear_B_direct(u: SpectralField, v: SpectralField) -> SpectralField:
         out[0][tr, tc] += contrib[0][valid]
         out[1][tr, tc] += contrib[1][valid]
     out *= grid.dealias_mask
-    out = leray_project_raw(out, grid)
-    return SpectralField.from_coeffs(grid, out, copy=False)
+    return SpectralField._trusted(grid, leray_project_raw(out, grid))
 
 
 def phi1(

@@ -73,7 +73,6 @@ from .fields import (
     GalerkinCutoff,
     SpectralField,
     TorusGrid,
-    project_low,
     to_physical,  # noqa: F401  (a layer entry point that tracing patches)
 )
 from .interpolants import InterpolantSpec, _cell_average_matrix, apply_ih
@@ -543,20 +542,20 @@ def advance(
 ) -> tuple[SchemeState, Trajectory | None]:
     """March n_steps from v^0 = P_N v0, optionally recording a trajectory.
 
-    When beta > 0 each step observes the truth at its new time under
-    p.interpolant (`TruthSource.observe`), an ETDRK4 step also at its
-    midpoint; with beta = 0 the truth is not read and may be None.
-    Each Euler solve starts from the damped cubic extrapolation of the
-    iterates so far, truncated where their damped differences stop
-    shrinking (v^0 for the first step; see the module docstring).
-    on_step(prev, new) fires after every accepted step with packed states,
-    whose fields are built only if asked for; store_every = m records the
-    packed v^0 and every m-th iterate (plus the final one) into the
-    returned trajectory.  A SolverError carries the last accepted state
-    and the cutoff.
+    Packing v0 reads only its low modes, which is P_N.  When beta > 0
+    each step observes the truth at its new time under p.interpolant
+    (`TruthSource.observe`), an ETDRK4 step also at its midpoint; with
+    beta = 0 the truth is not read and may be None.  Each Euler solve
+    starts from the damped cubic extrapolation of the iterates so far,
+    truncated where their damped differences stop shrinking (v^0 for the
+    first step; see the module docstring).  on_step(prev, new) fires
+    after every accepted step with packed states, whose fields are built
+    only if asked for; store_every = m records the packed v^0 and every
+    m-th iterate (plus the final one) into the returned trajectory.  A
+    SolverError carries the last accepted state and the cutoff.
     """
     stepper = _stepper(p, float(tau), scheme)
-    x0 = stepper._pack_field(project_low(v0, p.cutoff))
+    x0 = stepper._pack_field(v0)
     state = SchemeState(0, float(tau), x0, stepper)
     traj: Trajectory | None = None
     if store_every is not None:

@@ -318,6 +318,16 @@ def test_contraction_first_solution_is_the_advance_march(tmp_path, scheme):
     assert recorded == marched
 
 
+@pytest.mark.parametrize("ic", ["random_bv", "zero", "truth_low", "perturbed_truth"])
+def test_start_gives_low_supported_initial_data(ic):
+    # _start hands build_ic to advance unprojected: every branch is in P_N H
+    cfg = tiny_twin_config(ic=ic)
+    setup = experiments._setup(cfg, horizon=(cfg.t_end, "t_end"))
+    _, v0 = experiments._start(setup)
+    assert is_low_supported(v0, setup.params.cutoff)
+    assert np.array_equal(project_low(v0, setup.params.cutoff).coeffs, v0.coeffs)
+
+
 # ---------------------------------------------------------------------------
 # tau sweep
 

@@ -12,7 +12,6 @@ from nudgeflow.fields import (
     GridMismatchError,
     SpectralField,
     TorusGrid,
-    from_physical,
     inner_product,
     is_low_supported,
     norm_DA,
@@ -24,16 +23,19 @@ from nudgeflow.fields import (
     random_field,
     to_physical,
 )
-from nudgeflow.operators import kolmogorov_forcing, taylor_green
+from nudgeflow.operators import (
+    bilinear_B,
+    bilinear_B_direct,
+    kolmogorov_forcing,
+    taylor_green,
+)
 
 TWO_PI = 2.0 * np.pi
 
 
 def single_mode(grid, amplitude=3.0):
     """(amplitude sin(x2), 0): one conjugate mode pair at j = (0, +-1)."""
-    _, x2 = grid.x()
-    u1 = np.broadcast_to(amplitude * np.sin(x2), (grid.n, grid.n))
-    return from_physical(np.stack((u1, np.zeros_like(u1))), grid)
+    return kolmogorov_forcing(grid, 1, amplitude)
 
 
 def test_grid_validation():
@@ -68,9 +70,7 @@ def test_parseval_single_sine_mode(grid16):
 
 
 def test_norms_scale_with_shell(grid16):
-    _, x2 = grid16.x()
-    u1 = np.broadcast_to(np.sin(2.0 * x2), (grid16.n, grid16.n))
-    f = from_physical(np.stack((u1, np.zeros_like(u1))), grid16)
+    f = kolmogorov_forcing(grid16, 2, 1.0)  # (sin(2 x2), 0)
     # shell 4 mode: ||f||^2 = 4 |f|^2 and |Af|^2 = 16 |f|^2
     assert norm_V(f) ** 2 == pytest.approx(4.0 * norm_H(f) ** 2, rel=1e-13)
     assert norm_DA(f) ** 2 == pytest.approx(16.0 * norm_H(f) ** 2, rel=1e-13)
@@ -129,14 +129,6 @@ def test_cutoff_eigenvalues_match_unique_oracle(L, n):
         co.lambda_next(grid)
 
 
-def test_cutoff_lambda_low_without_an_eigenvalue(grid16, monkeypatch):
-    # shell_limit rejects every cutoff below the first eigenvalue, so an
-    # empty ball only arises if it ever returns 0
-    monkeypatch.setattr(GalerkinCutoff, "shell_limit", lambda self, grid: 0)
-    with pytest.raises(ValueError, match="no representable eigenvalue"):
-        GalerkinCutoff(1.0).lambda_low(grid16)
-
-
 def test_projections_decompose_exactly(rng, grid32):
     co = GalerkinCutoff(9.0)
     f = random_field(grid32, rng)
@@ -157,18 +149,11 @@ def test_projections_decompose_exactly(rng, grid32):
 
 def test_transform_round_trip(rng, grid32):
     f = random_field(grid32, rng, norm_v=2.5)
-    g = from_physical(to_physical(f), grid32)
-    assert norm_H(f - g) <= 1e-12 * norm_H(f)
     samples = to_physical(f)
     assert samples.shape == (2, grid32.n, grid32.n)
     assert np.isrealobj(samples)
-
-
-def test_from_physical_rejects_divergent_samples(grid16):
-    x1, _ = grid16.x()
-    u1 = np.broadcast_to(np.sin(x1), (grid16.n, grid16.n))
-    with pytest.raises(FieldInvariantError, match="divergence"):
-        from_physical(np.stack((u1, np.zeros_like(u1))), grid16)
+    g = SpectralField.from_coeffs(grid32, np.fft.fft2(samples) / grid32.n**2)
+    assert norm_H(f - g) <= 1e-12 * norm_H(f)
 
 
 def test_from_coeffs_rejects_bad_arrays(grid16):
@@ -183,6 +168,10 @@ def test_from_coeffs_rejects_bad_arrays(grid16):
         SpectralField.from_coeffs(grid16, c)
     with pytest.raises(FieldInvariantError, match="shape"):
         SpectralField.from_coeffs(grid16, np.zeros((2, n, n + 2), dtype=complex))
+    c = np.zeros((2, n, n), dtype=complex)
+    c[0, 1, 0], c[0, -1, 0] = -0.5j, 0.5j  # (sin(x1), 0): Hermitian, not solenoidal
+    with pytest.raises(FieldInvariantError, match="divergence"):
+        SpectralField.from_coeffs(grid16, c)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -226,24 +215,33 @@ def test_random_field_respects_requests(rng, grid32):
     st.integers(min_value=0, max_value=2**16),
 )
 def test_package_built_fields_are_valid_by_construction(n, cut, decay, seed):
-    # random_field, the random band forcing, the shear forcing and the
-    # Taylor-Green vortex skip from_coeffs: their arrays are Hermitian,
-    # mean-free and solenoidal by construction, which this checks instead
+    # random_field, the random band forcing, the shear forcing, the
+    # Taylor-Green vortex and the bilinear term skip from_coeffs: their
+    # arrays are Hermitian, mean-free and solenoidal by construction, which
+    # this checks instead
     grid = TorusGrid(TWO_PI, n)
     rng = np.random.default_rng(seed)
     band = grid.band_limit
     kappa = 1 + seed % band
     cutoff = GalerkinCutoff(grid.lambda1 * max(1.0, cut * band**2))
+    u = random_field(grid, rng, decay=decay)
+    v = random_field(grid, rng, decay=decay, norm_v=1.0, cutoff=cutoff)
+    # the convolution oracle is quartic in n, so it runs on one small grid
+    small = TorusGrid(TWO_PI, 12)
     built = [
-        random_field(grid, rng, decay=decay),
-        random_field(grid, rng, decay=decay, norm_v=1.0, cutoff=cutoff),
+        u,
+        v,
         _random_band_forcing(grid, 0.5, decay, seed),
         kolmogorov_forcing(grid, kappa if seed % 2 else -kappa, 0.5),
         taylor_green(grid, kappa, 0.3, 0.1),
+        bilinear_B(u, v),
+        bilinear_B_direct(random_field(small, rng, decay=decay),
+                          random_field(small, rng, decay=decay)),
     ]
     for f in built:
-        assert f.coeffs.shape == (2, n, n) and f.coeffs.dtype == np.complex128
-        _validate(grid, f.coeffs)
+        g = f.grid
+        assert f.coeffs.shape == (2, g.n, g.n) and f.coeffs.dtype == np.complex128
+        _validate(g, f.coeffs)
         assert not f.coeffs[:, 0, 0].any()
     with pytest.raises(ValueError, match="band"):
         random_field(grid, rng, cutoff=GalerkinCutoff(grid.lambda1 * (band**2 + 1)))

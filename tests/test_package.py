@@ -1,6 +1,9 @@
-"""Package surface: every exported name exists."""
+"""Package surface: every exported name exists, and only outside arrays
+enter through the validating constructor."""
 
+import ast
 import importlib
+import os
 import pkgutil
 
 import pytest
@@ -18,3 +21,32 @@ def test_every_name_in_all_is_defined(module_name):
     exported = getattr(module, "__all__", ())
     assert [name for name in exported if name not in vars(module)] == []
 
+
+
+def _calls_by_function(tree, attr):
+    """(enclosing function name or None) of every call to `<expr>.attr`."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == attr):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_from_coeffs_is_called_only_for_stored_snapshots():
+    # package-built arrays hold the field invariants by construction and
+    # use SpectralField._trusted; from_coeffs validates outside arrays
+    callers = []
+    for name in MODULES:
+        path = os.path.join(nudgeflow.__path__[0], f"{name}.py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        callers += [(name, fn) for fn in _calls_by_function(tree, "from_coeffs")]
+    assert callers == [("storage", "load_snapshot")]

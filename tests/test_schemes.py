@@ -21,6 +21,7 @@ from nudgeflow.fields import (
     norm_DA,
     norm_H,
     norm_V,
+    project_low,
     random_field,
 )
 from nudgeflow.interpolants import InterpolantSpec, apply_ih
@@ -88,6 +89,23 @@ def test_advance_projects_energy_outside_cutoff(rng, grid32):
     v = random_field(grid32, rng)  # full band support
     state, _ = advance(v, truncated, None, 0.01, 1)
     assert is_low_supported(state.v, co)
+
+
+def test_advance_starts_from_the_low_modes_of_v0(rng, grid32):
+    # v^0 = P_N v0: the modes above the cutoff never enter the march
+    co = GalerkinCutoff(4.0)
+    truncated = PhysicsParams(
+        1.0, grid32, SpectralField.zero(grid32), 0.0, None, co
+    )
+    v = random_field(grid32, rng)  # full band support
+    runs = [advance(w, truncated, None, 0.01, 3, store_every=1)
+            for w in (v, project_low(v, co))]
+    (full, full_traj), (low, low_traj) = runs
+    assert is_low_supported(full_traj.fields[0], co)
+    assert len(full_traj.frames) == len(low_traj.frames) == 4
+    for a, b in zip(full_traj.frames, low_traj.frames):
+        assert np.array_equal(a, b)
+    assert np.array_equal(full.x, low.x)
 
 
 @pytest.mark.parametrize("scheme", [SEMI_IMPLICIT, FULLY_IMPLICIT])

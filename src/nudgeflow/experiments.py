@@ -16,13 +16,18 @@ space.  The truth is a steady, analytic or stored `schemes.TruthSource`;
 the runners hand it to the solver whatever beta is, and the solver
 observes it under the params' interpolant only when beta > 0.  The run
 itself happens inside a `_Run` block, which owns the report, the output
-directory and the output tables (`_Run.table`).  On leaving the block
-`_Run` writes the tables in the order they were registered, then the
-report.  A stalled or non-finite solve (SolverError) inside the block
-ends the run with a failed `solver` check carrying the message and
-residual trace; the tables recorded up to the failure, a snapshot of
-the last accepted state and the report are still written.  Any other
-exception propagates and writes no table or report.
+directory and the output tables (`_Run.table`).  Runners record, then
+judge: `_Run._march` records row 0 and every accepted step of the march
+from v0 (packed norms, errors, envelopes), and every check is computed
+after its march from the recorded columns, so each verdict can be
+recomputed from the CSVs.  A soak violation replays the deterministic
+march to its first violating step for the snapshot.  On leaving the
+block `_Run` writes the tables in the order they were registered, then
+the report.  A stalled or non-finite solve (SolverError) inside the
+block ends the run with a failed `solver` check carrying the message
+and residual trace; the tables recorded up to the failure, a snapshot
+of the last accepted state and the report are still written.  Any
+other exception propagates and writes no table or report.
 """
 
 from __future__ import annotations
@@ -587,6 +592,7 @@ class _Run:
             constants=setup.consts, conditions=setup.conditions,
         )
         self.out = out_dir if out_dir is not None else cfg.out_dir
+        self._setup = setup
         self._tables: list[tuple[str, SeriesRecorder]] = []
 
     def table(
@@ -594,6 +600,29 @@ class _Run:
     ) -> SeriesRecorder:
         rec = SeriesRecorder(header)
         self._tables.append((filename, rec))
+        return rec
+
+    def _march(
+        self, filename: str, truth: TruthSource, v0: SpectralField, tau: float,
+        n_steps: int, errors: ErrorNorms, envelopes: tuple | None = None,
+    ) -> SeriesRecorder:
+        """The table `filename` of the march from v0: row 0 and one row per
+        accepted step, with the packed norms, errors(x, t) and the entries
+        of the (H, V) envelope arrays, 0 without them."""
+        params = self._setup.params
+        gal = _galerkin(params)
+        env_h, env_v = envelopes or (np.zeros(n_steps + 1),) * 2
+        rec = self.table(filename)
+
+        def record(k: int, t: float, x: np.ndarray) -> None:
+            eh, ev, _ = errors(x, t)
+            rec.add(k, t, gal.norms(x), eh, ev, env_h[k], env_v[k])
+
+        record(0, 0.0, gal._pack_field(v0))
+        advance(
+            v0, params, truth, tau, n_steps, scheme=self._setup.cfg.scheme,
+            on_step=lambda prev, new: record(new.k, new.t, new.x),
+        )
         return rec
 
     def __enter__(self) -> _Run:
@@ -657,20 +686,10 @@ def run_twin_experiment(
         env_h = np.sqrt(contraction_envelope(e0_h**2, params, tau, n_steps))
         env_v = np.sqrt(contraction_envelope(e0_v**2, params, tau, n_steps))
 
-        rec = run.table("twin_series.csv")
-        norms0 = gal.norms(x0)
-        rec.add(0, 0.0, norms0, e0_h, e0_v, env_h[0], env_v[0])
-        sup_v = norms0[1]
-
-        def on_step(prev: SchemeState, new: SchemeState) -> None:
-            nonlocal sup_v
-            norms = gal.norms(new.x)
-            eh, ev, _ = errors(new.x, new.t)
-            sup_v = max(sup_v, norms[1])
-            rec.add(new.k, new.t, norms, eh, ev, env_h[new.k], env_v[new.k])
-
-        advance(v0, params, truth, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
-        times, errs_h = rec.column("time"), rec.column("err_H")
+        rec = run._march(
+            "twin_series.csv", truth, v0, tau, n_steps, errors, (env_h, env_v)
+        )
+        times, errs_h, norms_v = (rec.column(c) for c in ("time", "err_H", "norm_V"))
         series = ErrorSeries(times, errs_h)
 
         if cfg.twin_expect == "decay":
@@ -716,9 +735,10 @@ def run_twin_experiment(
         if (
             setup.consts is not None
             and params.beta > 0.0
-            and norms0[1] <= setup.consts.M1 * (1.0 + BOUND_RTOL)
+            and norms_v[0] <= setup.consts.M1 * (1.0 + BOUND_RTOL)
         ):
             bound = 6.0 * setup.consts.M1
+            sup_v = float(np.max(norms_v))
             report.values["sup_norm_V"] = sup_v
             report.add_check(
                 "stability", PASS if sup_v <= bound * (1.0 + BOUND_RTOL) else FAIL,
@@ -732,6 +752,12 @@ def run_twin_experiment(
     return report
 
 
+def _max_ratio(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """max lhs / rhs over the entries where rhs > 0, or 0 if there are none."""
+    pos = rhs > 0.0
+    return float(np.max(lhs[pos] / rhs[pos], initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # contraction test
 
@@ -742,11 +768,13 @@ def run_contraction_test(
     """Two runs from perturbed initial data observing the same truth.
 
     Both solutions are marched by `advance`, the first stored at every
-    step and the second compared with it step by step.  The squared
-    difference must stay below the geometric envelope at every step: in H
-    for the semi-implicit scheme (hypothesis tau * beta <= 1, otherwise the
-    check is skipped), in V for the fully implicit scheme at any step size.
-    The series records the first solution's norms.
+    step; each step of the second records a row with the first solution's
+    norms and the difference of the two.  The checks are then judged from
+    the recorded columns: the squared difference must stay below the
+    geometric envelope at steps 1..n, in H for the semi-implicit scheme
+    (hypothesis tau * beta <= 1, otherwise the check is skipped), in V for
+    the fully implicit scheme at any step size; unperturbed runs must
+    record a difference of exactly 0.
     """
     n_steps = cfg.contraction_steps
     setup = _setup(cfg, horizon=(n_steps * cfg.tau, "contraction_steps * tau"))
@@ -759,7 +787,7 @@ def run_contraction_test(
             norm_v=cfg.perturbation * _m1_scale(setup), cutoff=params.cutoff,
         )
         gal = _galerkin(params)
-        b_v0 = project_low(v0 + bump, params.cutoff)
+        b_v0 = v0 + bump
         x0 = gal._pack_field(v0)
         eps0_h, eps0_v, _ = gal.norms(x0 - gal._pack_field(b_v0))
         env_h2 = contraction_envelope(eps0_h**2, params, tau, n_steps)
@@ -768,37 +796,32 @@ def run_contraction_test(
         rec = run.table("contraction_series.csv")
         rec.add(0, 0.0, gal.norms(x0), eps0_h, eps0_v,
                 math.sqrt(env_h2[0]), math.sqrt(env_v2[0]))
-        max_ratio_h = 0.0
-        max_ratio_v = 0.0
-        exact_zero = eps0_h == 0.0 and eps0_v == 0.0
         _, first = advance(
             v0, params, truth, tau, n_steps, scheme=cfg.scheme, store_every=1
         )
 
         def on_step(prev: SchemeState, new: SchemeState) -> None:
-            nonlocal max_ratio_h, max_ratio_v, exact_zero
             k, a = new.k, first.frames[new.k]
             eh, ev, _ = gal.norms(a - new.x)
-            if env_h2[k] > 0.0:
-                max_ratio_h = max(max_ratio_h, eh * eh / env_h2[k])
-            if env_v2[k] > 0.0:
-                max_ratio_v = max(max_ratio_v, ev * ev / env_v2[k])
-            exact_zero = exact_zero and eh == 0.0 and ev == 0.0
             rec.add(k, new.t, gal.norms(a), eh, ev,
                     math.sqrt(env_h2[k]), math.sqrt(env_v2[k]))
 
         advance(b_v0, params, truth, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
+        eps_h, eps_v = rec.column("err_H"), rec.column("err_V")
+        max_ratio_h = _max_ratio(eps_h[1:] ** 2, env_h2[1:])
+        max_ratio_v = _max_ratio(eps_v[1:] ** 2, env_v2[1:])
 
         report.values["eps0_H"] = eps0_h
         report.values["eps0_V"] = eps0_v
         report.values["max_ratio_H"] = max_ratio_h
         report.values["max_ratio_V"] = max_ratio_v
-        report.values["eps_final_H"] = float(rec.column("err_H")[-1])
+        report.values["eps_final_H"] = float(eps_h[-1])
 
         tol = 1.0 + BOUND_RTOL
         if cfg.perturbation == 0.0:
+            identical = not (np.any(eps_h) or np.any(eps_v))
             report.add_check(
-                "identical_runs", PASS if exact_zero else FAIL,
+                "identical_runs", PASS if identical else FAIL,
                 "difference of two unperturbed runs must vanish identically",
             )
         elif cfg.scheme == SEMI_IMPLICIT:
@@ -825,21 +848,17 @@ def run_contraction_test(
 # stability soak
 
 
-_SOAK_BOUNDS = (
-    "sup_V", "sup_H", "envelope_H2", "envelope_V2",
-    "stepwise_enstrophy", "stepwise_energy",
-)
-
-
 def run_stability_soak(
     cfg: ExperimentConfig, out_dir: str | None = None
 ) -> ExperimentReport:
     """Long integrations checking every a-priori bound at every step.
 
     Preconditions: nonzero forcing, beta > 0, the admissibility conditions
-    pass, and the initial data lies in B_V(M1).  On a violation the
-    offending iterate is dumped as a snapshot and the check fails; the run
-    continues so one report covers all bounds.
+    pass, and the initial data lies in B_V(M1).  Each tau's march records
+    every step; the bounds are then judged from the recorded norms against
+    the in-memory envelopes, so one report covers all bounds.  A violated
+    bound fails its check, and replaying the (deterministic) march to its
+    first violating step dumps that iterate as a snapshot.
     """
     taus = cfg.tau_list if cfg.tau_list else (cfg.tau,)
     n_steps = cfg.soak_steps
@@ -862,79 +881,61 @@ def run_stability_soak(
         report = run.report
         truth, v0 = _start(setup)
         gal = _galerkin(params)
-        x0 = gal._pack_field(v0)
-        norms0 = gal.norms(x0)
+        norms0 = gal.norms(gal._pack_field(v0))
         if norms0[1] > consts.M1 * (1.0 + BOUND_RTOL):
             raise ConfigError(
                 f"ic = {cfg.ic}: soak initial data must lie in B_V(M1): "
                 f"||v0|| = {norms0[1]:.4g} > M1 = {consts.M1:.4g}"
             )
         errors = truth.error_norms(gal)
-        e0_h, e0_v, _ = errors(x0, 0.0)
 
-        m1 = consts.M1
-        lam1 = params.grid.lambda1
-        v_cap = 6.0 * m1
-        h_cap = 6.0 * m1 / math.sqrt(lam1)
-        f2 = consts.f_norm**2
+        m1, lam1 = consts.M1, params.grid.lambda1
         beta, nu = params.beta, params.nu
 
         for tau in taus:
             label = f"tau={tau:g}"
             h2_env = stability_bound_h2(params, consts, norms0[0] ** 2, tau, n_steps)
             v2_env = stability_bound_v2(params, consts, norms0[1] ** 2, tau, n_steps)
-            energy_lhs_factor = 1.0 + tau * (0.5 * beta + nu * lam1)
-            energy_gain = 6.0 * tau * (f2 / beta + beta * consts.M0**2 + nu * m1**2)
-            first_violation: dict[str, str] = {}
-            max_ratio: dict[str, float] = {name: 0.0 for name in _SOAK_BOUNDS}
             safe = "".join(ch if ch.isalnum() else "_" for ch in label)
-            rec = run.table(f"soak_series_{safe}.csv")
-            rec.add(0, 0.0, norms0, e0_h, e0_v,
-                    math.sqrt(h2_env[0]), math.sqrt(v2_env[0]))
-            last = norms0  # norms of the previous iterate
-
-            def track(name: str, lhs: float, rhs: float, state: SchemeState) -> None:
-                if rhs > 0.0:
-                    max_ratio[name] = max(max_ratio[name], lhs / rhs)
-                if lhs > rhs * (1.0 + BOUND_RTOL) and name not in first_violation:
+            rec = run._march(
+                f"soak_series_{safe}.csv", truth, v0, tau, n_steps, errors,
+                (np.sqrt(h2_env), np.sqrt(v2_env)),
+            )
+            # (lhs, rhs) of each bound at steps 1..n; prev is the step before
+            h, v = rec.column("norm_H"), rec.column("norm_V")
+            h_new, v_new, h_prev, v_prev = h[1:], v[1:], h[:-1], v[:-1]
+            bounds = {
+                "sup_V": (v_new, np.full(n_steps, 6.0 * m1)),
+                "sup_H": (h_new, np.full(n_steps, 6.0 * m1 / math.sqrt(lam1))),
+                "envelope_H2": (h_new**2, h2_env[1:]),
+                "envelope_V2": (v_new**2, v2_env[1:]),
+                "stepwise_enstrophy": (v_new**2, 4.0 * v_prev**2 + 40.0 * m1**2),
+            }
+            if cfg.scheme == SEMI_IMPLICIT:
+                gain = 6.0 * tau * (
+                    consts.f_norm**2 / beta + beta * consts.M0**2 + nu * m1**2
+                )
+                bounds["stepwise_energy"] = (
+                    (1.0 + tau * (0.5 * beta + nu * lam1)) * h_new**2,
+                    h_prev**2 + gain,
+                )
+            for name, (lhs, rhs) in bounds.items():
+                check_name = f"{label}:{name}"
+                ratio = _max_ratio(lhs, rhs)
+                over = np.flatnonzero(lhs > rhs * (1.0 + BOUND_RTOL))
+                if over.size:
+                    # the march is deterministic: replay it to the violating step
+                    k = int(over[0]) + 1
+                    state, _ = advance(v0, params, truth, tau, k, scheme=cfg.scheme)
                     snap = os.path.join(
-                        run.out, f"soak_violation_{label}_{name}_step{state.k}.nnsf"
+                        run.out, f"soak_violation_{label}_{name}_step{k}.nnsf"
                     )
                     save_snapshot(snap, state.v)
-                    first_violation[name] = (
-                        f"step {state.k}: {lhs:.9g} > {rhs:.9g}, iterate in {snap}"
-                    )
-
-            def on_step(prev: SchemeState, new: SchemeState) -> None:
-                nonlocal last
-                h_prev, v_prev, _ = last
-                norms = last = gal.norms(new.x)
-                h_new, v_new, _ = norms
-                track("sup_V", v_new, v_cap, new)
-                track("sup_H", h_new, h_cap, new)
-                track("envelope_H2", h_new**2, float(h2_env[new.k]), new)
-                track("envelope_V2", v_new**2, float(v2_env[new.k]), new)
-                track("stepwise_enstrophy", v_new**2,
-                      4.0 * v_prev**2 + 40.0 * m1**2, new)
-                if cfg.scheme == SEMI_IMPLICIT:
-                    track("stepwise_energy", energy_lhs_factor * h_new**2,
-                          h_prev**2 + energy_gain, new)
-                eh, ev, _ = errors(new.x, new.t)
-                rec.add(new.k, new.t, norms, eh, ev,
-                        math.sqrt(h2_env[new.k]), math.sqrt(v2_env[new.k]))
-
-            advance(v0, params, truth, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
-            for name in _SOAK_BOUNDS:
-                if name == "stepwise_energy" and cfg.scheme != SEMI_IMPLICIT:
-                    continue
-                check_name = f"{label}:{name}"
-                if name in first_violation:
-                    report.add_check(check_name, FAIL, first_violation[name])
+                    detail = f"step {k}: {lhs[k - 1]:.9g} > {rhs[k - 1]:.9g}"
+                    report.add_check(check_name, FAIL, f"{detail}, iterate in {snap}")
                 else:
-                    report.add_check(
-                        check_name, PASS, f"max ratio {max_ratio[name]:.6g}"
-                    )
-                report.values[f"{check_name}:max_ratio"] = max_ratio[name]
+                    report.add_check(check_name, PASS, f"max ratio {ratio:.6g}")
+                report.values[f"{check_name}:max_ratio"] = ratio
     return report
 
 
@@ -997,21 +998,14 @@ def run_tau_sweep(
             gal.norms(a - b)[0] for a, b in zip(ref.frames[::2], ref_2dt.frames)
         )
         del ref_2dt  # only the gap is kept
-        x0 = gal._pack_field(v0)
         errors = StoredTruth(ref).error_norms(gal)
 
         sups_h: list[tuple[float, float]] = []
         sups_v: list[tuple[float, float]] = []
         for i, tau in enumerate(sorted(cfg.tau_list, reverse=True)):
-            n_steps = steps[tau]
-            rec = run.table(f"tau_sweep_series_{i}.csv")
-            rec.add(0, 0.0, gal.norms(x0), 0.0, 0.0)
-
-            def on_step(prev: SchemeState, new: SchemeState) -> None:
-                eh, ev, _ = errors(new.x, new.t)
-                rec.add(new.k, new.t, gal.norms(new.x), eh, ev)
-
-            advance(v0, params, truth, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
+            rec = run._march(
+                f"tau_sweep_series_{i}.csv", truth, v0, tau, steps[tau], errors
+            )
             times = rec.column("time")
             eh = ErrorSeries(times, rec.column("err_H"))
             ev = ErrorSeries(times, rec.column("err_V"))
@@ -1234,14 +1228,11 @@ def run_self_check(seed: int = 0, out_dir: str | None = None) -> ExperimentRepor
     # which the exact recursion below must not carry
     v = project_low(taylor_green(grid32, 1, 0.0, nu), p_free.cutoff)
     kp2 = 2.0 * (2.0 * math.pi / grid32.L) ** 2
+    _, traj = advance(v, p_free, None, tau, 20, store_every=1)
     worst_tg = 0.0
-
-    def on_step(prev: SchemeState, new: SchemeState) -> None:
-        nonlocal worst_tg
-        exact = v * (1.0 / (1.0 + nu * kp2 * tau) ** new.k)
-        worst_tg = max(worst_tg, norm_H(new.v - exact) / norm_H(exact))
-
-    advance(v, p_free, None, tau, 20, on_step=on_step)
+    for k, v_k in enumerate(traj.fields[1:], 1):
+        exact = v * (1.0 / (1.0 + nu * kp2 * tau) ** k)
+        worst_tg = max(worst_tg, norm_H(v_k - exact) / norm_H(exact))
     report.values["vortex_recursion_rel"] = worst_tg
     report.add_check(
         "vortex_recursion", PASS if worst_tg <= 1e-10 else FAIL,

@@ -225,10 +225,8 @@ class SpectralField:
     coeffs: np.ndarray  # (2, n, n) complex128, read-only
 
     @classmethod
-    def from_coeffs(
-        cls, grid: TorusGrid, coeffs: np.ndarray, *, copy: bool = True
-    ) -> "SpectralField":
-        c = np.array(coeffs, dtype=np.complex128, copy=copy, order="C")
+    def from_coeffs(cls, grid: TorusGrid, coeffs: np.ndarray) -> "SpectralField":
+        c = np.array(coeffs, dtype=np.complex128, order="C")
         if c.shape != (2, grid.n, grid.n):
             raise FieldInvariantError(
                 f"coefficients must have shape (2, {grid.n}, {grid.n}), got {c.shape}"

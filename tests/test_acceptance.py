@@ -94,7 +94,7 @@ def _single_mode(grid: TorusGrid, j1: int, j2: int) -> SpectralField:
     val = 0.35 + 0.2j
     c[:, j1 % grid.n, j2 % grid.n] = w * val
     c[:, (-j1) % grid.n, (-j2) % grid.n] = w * np.conj(val)
-    return SpectralField.from_coeffs(grid, c, copy=False)
+    return SpectralField.from_coeffs(grid, c)
 
 
 def test_criterion_02_orthogonality_and_projections():

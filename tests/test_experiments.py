@@ -392,6 +392,75 @@ def test_runner_tables_are_written_in_registration_order(
     assert listed == [f"file_{i} = {path}" for i, path in enumerate(report.series_files)]
 
 
+def _columns(path):
+    rows = path.read_text().splitlines()[1:]
+    table = np.array([[float(x) for x in row.split(",")] for row in rows])
+    return dict(zip(SERIES_HEADER, table.T))
+
+
+def _env_ratio(lhs, env):
+    """max lhs / env^2 over steps 1..n where the recorded envelope is > 0."""
+    lhs, env = lhs[1:], env[1:]
+    return np.max(lhs[env > 0.0] / env[env > 0.0] ** 2, initial=0.0)
+
+
+def _twin_from_columns(cfg, report, out):
+    s = _columns(out / "twin_series.csv")
+    return {"sup_norm_V": (np.max(s["norm_V"]), 0.0)}
+
+
+def _contraction_from_columns(cfg, report, out):
+    s = _columns(out / "contraction_series.csv")
+    return {
+        "max_ratio_H": (_env_ratio(s["err_H"] ** 2, s["envelope_H"]), 1e-12),
+        "max_ratio_V": (_env_ratio(s["err_V"] ** 2, s["envelope_V"]), 1e-12),
+    }
+
+
+def _soak_from_columns(cfg, report, out):
+    m1, lam1 = report.constants.M1, build_grid(cfg).lambda1
+    found = {}
+    for tau in cfg.tau_list:
+        label = f"tau={tau:g}"
+        s = _columns(out / f"soak_series_{label.replace('=', '_').replace('.', '_')}.csv")
+        h, v = s["norm_H"][1:], s["norm_V"][1:]
+        for name, ratio in (
+            ("sup_V", np.max(v) / (6.0 * m1)),
+            ("sup_H", np.max(h) * math.sqrt(lam1) / (6.0 * m1)),
+            ("envelope_H2", _env_ratio(s["norm_H"] ** 2, s["envelope_H"])),
+            ("envelope_V2", _env_ratio(s["norm_V"] ** 2, s["envelope_V"])),
+        ):
+            found[f"{label}:{name}:max_ratio"] = (ratio, 1e-12)
+    return found
+
+
+@pytest.mark.parametrize(
+    "runner, overrides, from_columns",
+    [
+        (run_twin_experiment, dict(t_end=0.1), _twin_from_columns),
+        (
+            run_contraction_test,
+            dict(perturbation=0.05, contraction_steps=20),
+            _contraction_from_columns,
+        ),
+        (run_stability_soak, dict(soak_steps=6), _soak_from_columns),
+    ],
+)
+def test_runner_checks_recompute_from_the_series_they_write(
+    runner, overrides, from_columns, tmp_path
+):
+    # every step is recorded, and each verdict's value is a function of the
+    # recorded columns (envelopes are recorded square-rooted, hence rel 1e-12);
+    # the short twin's sup ||v|| is its row 0, which the sup must include
+    cfg = tiny_twin_config(**overrides)
+    report = runner(cfg, str(tmp_path))
+    assert "solver" not in [c.name for c in report.checks]
+    found = from_columns(cfg, report, tmp_path)
+    assert found
+    for key, (value, rel) in found.items():
+        assert report.values[key] == pytest.approx(value, rel=rel, abs=0.0), key
+
+
 def test_bad_input_inside_a_run_writes_nothing(tmp_path):
     # v0 = P_N u* of a steady truth the cutoff holds: zero initial error
     out = tmp_path / "out"
@@ -890,9 +959,14 @@ def test_soak_violation_snapshots_the_offending_iterate(tmp_path, monkeypatch):
     assert check.detail.endswith(str(snap))
     state, _ = load_snapshot(str(snap))
     assert is_low_supported(state, GalerkinCutoff(cfg.lambda_cut))
+    # the replayed march reproduces the recorded iterate bit for bit
     row = _series_row(tmp_path / "soak_series_tau_0_01.csv", 1)
-    assert norm_H(state) == pytest.approx(row["norm_H"], rel=1e-13)
-    assert norm_V(state) == pytest.approx(row["norm_V"], rel=1e-13)
+    grid = build_grid(cfg)
+    params = build_params(cfg, grid, build_forcing(cfg, grid), build_interpolant(cfg))
+    gal = schemes._galerkin(params)
+    assert gal.norms(gal._pack_field(state)) == [
+        row["norm_H"], row["norm_V"], row["norm_DA"]
+    ]
 
 
 def test_runner_reuses_cached_steppers_across_calls(tmp_path):

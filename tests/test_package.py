@@ -1,5 +1,6 @@
-"""Package surface: every exported name exists, and only outside arrays
-enter through the validating constructor."""
+"""Package surface: every exported name exists, only outside arrays
+enter through the validating constructor, and no runner keeps per-step
+check state."""
 
 import ast
 import importlib
@@ -50,3 +51,12 @@ def test_from_coeffs_is_called_only_for_stored_snapshots():
             tree = ast.parse(fh.read(), filename=path)
         callers += [(name, fn) for fn in _calls_by_function(tree, "from_coeffs")]
     assert callers == [("storage", "load_snapshot")]
+
+
+def test_runners_keep_no_per_step_check_state():
+    # runners record every step and judge from the recorded series, so no
+    # per-step closure accumulates a verdict
+    path = os.path.join(nudgeflow.__path__[0], "experiments.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Nonlocal)] == []

@@ -62,7 +62,7 @@ from .fields import (
     _conj_flip,
     inner_product,
     leray_project_raw,
-    norm_DA,
+    norm_DA,  # noqa: F401  (a layer entry point that tracing patches)
     norm_H,
     norm_V,
     project_high,
@@ -86,7 +86,7 @@ from .schemes import (
     PhysicsParams,
     SchemeState,
     TruthSource,
-    _Galerkin,
+    _band_packing,
     _galerkin,
     _steps_for,
     advance,
@@ -426,89 +426,52 @@ def _setup(
 # truth sources
 
 
-def _per_packing(cache: dict, gal: _Galerkin, build: Callable[[], np.ndarray]):
-    """build(), computed once per packing and interpolant that observe it."""
-    key = (gal.grid, gal.p.cutoff, gal.p.interpolant)
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
-
-
-def _tail_sq(u: SpectralField, gal: _Galerkin) -> np.ndarray:
-    """Squared H, V and DA norms of u's modes outside gal's cutoff."""
-    q = project_high(u, gal.p.cutoff)
-    return np.array([norm_H(q), norm_V(q), norm_DA(q)]) ** 2
-
-
 class SteadyTruth(TruthSource):
-    """A time-independent u*, observed once per packing."""
+    """A time-independent u*, packed once on its grid's dealiased band."""
 
     def __init__(self, u_star: SpectralField) -> None:
         self.u_star = u_star
-        self._observed: dict[tuple, np.ndarray] = {}
+        packing = _band_packing(u_star.grid)
+        super().__init__(packing, [packing._pack_field(u_star)])
 
     def field_at(self, t: float) -> SpectralField:
         return self.u_star
 
-    def observe(self, gal: _Galerkin, t: float) -> np.ndarray:
-        return _per_packing(self._observed, gal, lambda: TruthSource.observe(self, gal, t))
-
-    def error_norms(self, gal: _Galerkin) -> ErrorNorms:
-        # |v - u|^2 = |v - P_N u|^2 + |(I - P_N) u|^2, with u packed once
-        u, tail = gal._pack_field(self.u_star), _tail_sq(self.u_star, gal)
-        return lambda x, t: gal.norms(x - u, tail)
+    def packed(self, t: float, frames) -> np.ndarray:
+        return frames[0]
 
 
 class AnalyticTruth(TruthSource):
-    """u(t) = fn(t), observed from its field at every call."""
+    """u(t) = fn(t) on grid, packed on the grid's dealiased band at every call."""
 
-    def __init__(self, fn) -> None:
+    def __init__(self, grid: TorusGrid, fn: Callable[[float], SpectralField]) -> None:
+        super().__init__(_band_packing(grid))
         self._fn = fn
 
     def field_at(self, t: float) -> SpectralField:
         return self._fn(t)
 
-    def error_norms(self, gal: _Galerkin) -> ErrorNorms:
-        def errors(x: np.ndarray, t: float) -> list[float]:
-            u = self._fn(t)
-            return gal.norms(x - gal._pack_field(u), _tail_sq(u, gal))
-
-        return errors
+    def packed(self, t: float, frames) -> np.ndarray:
+        return self.packing._pack_field(self._fn(t))
 
 
 class StoredTruth(TruthSource):
     """A packed trajectory whose packing holds every mode of the solution.
 
-    For each packing and interpolant that observe it, every stored frame
-    is observed once (`_Galerkin._observe`); lookups interpolate those
-    packed frames with the trajectory's own Lagrange weights, which equals
-    observing the interpolated truth because both maps are linear.
+    Its frames are the stored ones.  Lookups interpolate them, or their
+    observations, with the trajectory's own Lagrange weights, which
+    equals observing the interpolated truth because both maps are linear.
     """
 
     def __init__(self, traj: Trajectory) -> None:
+        super().__init__(traj.packing, traj.frames)
         self.traj = traj
-        self._observed: dict[tuple, np.ndarray] = {}
 
     def field_at(self, t: float) -> SpectralField:
         return self.traj.at(t)
 
-    def observe(self, gal: _Galerkin, t: float) -> np.ndarray:
-        if gal.grid != self.traj.grid:
-            raise ValueError("observed trajectory grid differs from params grid")
-        frames = _per_packing(self._observed, gal, lambda: gal._observe(self.traj.fields))
+    def packed(self, t: float, frames) -> np.ndarray:
         return self.traj.lookup(frames, t)
-
-    def error_norms(self, gal: _Galerkin) -> ErrorNorms:
-        # v embedded into the truth's own packing; no cancelling expansion
-        traj, own = self.traj, self.traj.packing
-        at = own._index_of(gal.modes)
-
-        def errors(x: np.ndarray, t: float) -> list[float]:
-            d = -traj.frame_at(t)
-            d[at] += x
-            return own.norms(d)
-
-        return errors
 
 
 def _m1_scale(setup: _Setup) -> float:
@@ -528,7 +491,7 @@ def build_truth(setup: _Setup) -> TruthSource:
         return SteadyTruth(u_star)
     if cfg.truth == "analytic:taylor_green":
         grid, kappa, nu = setup.grid, cfg.forcing_kappa, cfg.nu
-        return AnalyticTruth(lambda t: taylor_green(grid, kappa, t, nu))
+        return AnalyticTruth(grid, lambda t: taylor_green(grid, kappa, t, nu))
 
     tau_t = cfg.tau / cfg.truth_dt_factor
     p_free = PhysicsParams(

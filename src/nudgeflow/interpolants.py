@@ -10,7 +10,10 @@ separable symbol: with D(j) the mean of exp(2 pi i j s / n) over s < b,
 coefficient k of the averaged samples is conj(D(k)) times the sum of
 D(j) c(j) over the grid indices j = k mod m.  In two dimensions that is
 conj(D x D) * tile(fold(D x D * c)), the fold summing the m x m index
-classes, so no transform is needed.
+classes, so no transform is needed.  The solver applies the same symbol
+to packed amplitudes: `schemes._Galerkin._observation_map` builds
+P_N P_sigma I_h from it in closed form, and `apply_ih` is its field-level
+oracle.
 
 The module also estimates the approximation-of-identity constant c0 in
 
@@ -88,29 +91,6 @@ class InterpolantSpec:
 def _average_symbol(j: np.ndarray, n: int, b: int) -> np.ndarray:
     """D(j), the mean of exp(2 pi i j s / n) over the b samples s < b of a cell."""
     return np.exp(2j * np.pi * np.outer(j, np.arange(b)) / n).mean(axis=1)
-
-
-def _cell_average_matrix(
-    spec: InterpolantSpec,
-    grid: TorusGrid,
-    rows: np.ndarray,
-    cols: np.ndarray | None = None,
-) -> np.ndarray:
-    """Spectral matrix T of the one-dimensional cell average on grid samples.
-
-    T[a, b] is coefficient rows[a] of the piecewise-constant function that
-    replaces every h-cell of the grid samples of exp(2 pi i cols[b] x / L)
-    by their mean (cols defaults to rows): conj(D(rows[a])) D(cols[b]) when
-    the indices agree mod L/h, else 0.  The two-dimensional block average
-    is separable, so on a coefficient array C over cols it acts as
-    T C T^T, and rows picks the output coefficients.  T is diagonal on any
-    set of |j| < L/(2h).
-    """
-    cols = rows if cols is None else cols
-    m = spec.blocks(grid)
-    d_rows, d_cols = (_average_symbol(j, grid.n, grid.n // m) for j in (rows, cols))
-    same_class = rows[:, None] % m == cols[None, :] % m
-    return np.where(same_class, np.outer(d_rows.conj(), d_cols), 0.0)
 
 
 def apply_ih(spec: InterpolantSpec, f: SpectralField) -> SpectralField:

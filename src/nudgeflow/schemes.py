@@ -34,16 +34,17 @@ operator again.  GMRES builds its final residual from the operator
 products it has already applied (`krylov`), so a solve costs one
 application per iteration, plus one for its initial residual when it has
 none; the semi-implicit step's residual is that final residual.  Each
-application builds the half spectrum of its argument once, for both the
-advective and the observation terms.
+application builds the half spectrum of its argument once, for the
+advective term.
 
 The operator is applied on the cutoff's own product grid: the smallest
 even FFT-friendly n_s >= 3K + 1, K the largest |j|_inf of a low mode, on
-which the 2/3 rule makes P_N B(v, w) exact (Orszag 1971).  Volume
-averages of grid samples are separable, so P_N P_sigma I_h acts on the
-low modes as Leray(T C T^T) with a small precomputed matrix T; its
-diagonal is exact and is what the preconditioner and the ETDRK4 linear
-part use.
+which the 2/3 rule makes P_N B(v, w) exact (Orszag 1971).
+P_N P_sigma I_h is one closed-form, real-linear map from any packing on
+the grid to the low modes (`_Galerkin._observation_map`).  On the low
+modes themselves its diagonal is exact and is what the preconditioner
+and the ETDRK4 linear part use; when L/h < 2K + 1 the map couples them
+and the beta-term applies it whole.
 
 `advance` holds the one loop over time steps: every runner and check,
 the contraction runner's two solutions and the ETDRK4 reference included,
@@ -51,13 +52,15 @@ marches through it.  The packed vector is also the state the callers
 see.  A SchemeState carries its vector and packing and builds its n x n
 field only when asked for it; trajectories store packed frames.  Norms of
 packed vectors are Parseval sums with per-mode weights
-2 L^2 {1, |k|^2, |k|^4} (`norms`).
+2 L^2 {1, |k|^2, |k|^4} (`_Packing.norms`).
 The solver reads its observations from the truth itself: a TruthSource
-returns P_N P_sigma I_h u(t) packed (`TruthSource.observe`), under the
-one interpolant the params name, and only when beta > 0.  A stored
-truth's frames are observed once each, through a mode mask (Fourier
-truncation) or the low rows of T C T^T (volume averages), and
-interpolated in time with the trajectory's Lagrange weights.
+holds u(t) packed and returns P_N P_sigma I_h u(t) packed
+(`TruthSource.observe`), under the one interpolant the params name, and
+only when beta > 0.  Steady and analytic truths are packed on the grid's
+dealiased square band (`_band_packing`), a stored truth on its
+trajectory's packing, whose frames are all observed in one product and
+interpolated in time with the trajectory's Lagrange weights.  Errors
+embed the estimate in the truth's packing and take packed norms.
 """
 
 from __future__ import annotations
@@ -75,7 +78,11 @@ from .fields import (
     TorusGrid,
     to_physical,  # noqa: F401  (a layer entry point that tracing patches)
 )
-from .interpolants import InterpolantSpec, _cell_average_matrix, apply_ih
+from .interpolants import (
+    InterpolantSpec,
+    _average_symbol,
+    apply_ih,  # noqa: F401  (a layer entry point that tracing patches)
+)
 from .krylov import SolverError, gmres
 from .operators import advect_raw
 from .storage import Trajectory
@@ -182,23 +189,132 @@ class SchemeState:
         return self.k * self.tau
 
 
+class _Packing:
+    """Packed amplitudes of real solenoidal fields on half-plane modes of a grid.
+
+    A packed vector holds one complex amplitude a_k per mode k of a mask
+    on the grid with j2 > 0, or j2 = 0 < j1 (in the order of `modes`):
+    uhat(k) = a_k e_k, e_k = (-j2, j1) / |j|, and uhat(-k) = conj(uhat(k)),
+    the stream-function Galerkin form of Canuto et al., Spectral Methods
+    (2006).  Fields enter and leave on the grid; norms are Parseval sums.
+    """
+
+    def __init__(self, grid: TorusGrid, mask: np.ndarray) -> None:
+        self.grid = grid
+        n, j = grid.n, grid._j
+        half_plane = (j[None, :] > 0) | ((j[None, :] == 0) & (j[:, None] > 0))
+        rows, cols = np.nonzero(mask & half_plane)
+        j1, j2 = j[rows], j[cols]
+        self.modes = (j1, j2)
+        shell = j1 * j1 + j2 * j2
+        self.k_squared = grid.lambda1 * shell
+        # Parseval: |v|^2, ||v||^2 and |A v|^2 are these weights times |a_k|^2
+        self._norm_weights = 2.0 * grid.L**2 * np.stack(
+            (np.ones_like(self.k_squared), self.k_squared, self.k_squared**2)
+        )
+        self._e = np.stack((-j2, j1)) / np.sqrt(shell)
+        # flat positions in a (2, n, n) array, both components' packed modes
+        # followed by their mirrors: one scatter writes, one gather reads
+        at = np.concatenate((rows * n + cols, -j1 % n * n + -j2 % n))
+        self._grid_at = np.concatenate((at, at + n * n))
+
+    def _dot_e(self, coeffs: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """e_k . c(k) over the packed modes, at flat positions `at` of c."""
+        c = coeffs.take(at).reshape(2, -1)
+        m = self.k_squared.size
+        return self._e[0] * c[0, :m] + self._e[1] * c[1, :m]
+
+    def _pack_field(self, f: SpectralField) -> np.ndarray:
+        """Packed amplitudes of a field on the grid."""
+        return self._dot_e(f.coeffs, self._grid_at)
+
+    def _field(self, vec: np.ndarray) -> SpectralField:
+        """The grid field of a packed vector."""
+        n = self.grid.n
+        coeffs = np.zeros((2, n, n), dtype=np.complex128)
+        both = np.concatenate((vec, vec.conj()))
+        coeffs.ravel()[self._grid_at] = (both * np.tile(self._e, 2)).ravel()
+        return SpectralField._trusted(self.grid, coeffs)
+
+    def _index_of(self, modes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Positions in this packing of the modes (j1, j2) of another one."""
+        j1, j2 = self.modes
+        n = self.grid.n
+        table = np.full((n, n), -1)
+        table[j1 % n, j2 % n] = np.arange(j1.size)
+        at = table[modes[0] % n, modes[1] % n]
+        if np.any(at < 0) or np.any(j1[at] != modes[0]) or np.any(j2[at] != modes[1]):
+            raise ValueError("modes lie outside this packing")
+        return at
+
+    def norms(self, vec: np.ndarray) -> list[float]:
+        """[|v|, ||v||, |A v|] of a packed vector, by Parseval."""
+        return np.sqrt(self._norm_weights @ (vec.real**2 + vec.imag**2)).tolist()
+
+
+@lru_cache(maxsize=16)
+def _band_packing(grid: TorusGrid) -> _Packing:
+    """The packing of the grid's dealiased square band |j|_inf <= band_limit."""
+    return _Packing(grid, grid.dealias_mask)
+
+
+def _map(pair: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarray:
+    """M a + C conj(a) for the pair (M, C), on a packed vector or each row of a."""
+    m, c = pair
+    return a @ m.T + a.conj() @ c.T
+
+
 # (packed vector, time) -> [err_H, err_V, err_DA] of v(t) - u(t)
 ErrorNorms = Callable[[np.ndarray, float], list[float]]
 
 
 class TruthSource:
-    """Resolved solution u(t), which the solver observes under params.interpolant."""
+    """Resolved solution u(t), packed on `packing`, which holds every mode of u.
+
+    A subclass supplies its packing and `packed(t, frames)`: u(t) as a
+    linear combination of `frames`, its stored packed samples (None if it
+    has none), or the same combination of data derived linearly from them.
+    """
+
+    def __init__(self, packing: _Packing, frames: list | None = None) -> None:
+        self.packing, self.frames = packing, frames
+        self._observed: dict[tuple, tuple | np.ndarray] = {}
 
     def field_at(self, t: float) -> SpectralField:
         raise NotImplementedError
 
-    def observe(self, gal: "_Galerkin", t: float) -> np.ndarray:
-        """P_N P_sigma I_h u(t) packed in gal, I_h = gal.p.interpolant."""
-        return gal._pack_field(apply_ih(gal.p.interpolant, self.field_at(t)))
-
-    def error_norms(self, gal: "_Galerkin") -> ErrorNorms:
-        """Norms of v - u(t) for v packed in gal, by Parseval."""
+    def packed(self, t: float, frames) -> np.ndarray:
         raise NotImplementedError
+
+    def observe(self, gal: _Galerkin, t: float) -> np.ndarray:
+        """P_N P_sigma I_h u(t) packed in gal, I_h = gal.p.interpolant.
+
+        The map is built once per packing and interpolant that observe the
+        truth, and the stored frames are observed then, in one product.
+        """
+        key = (gal.grid, gal.p.cutoff, gal.p.interpolant)
+        if key not in self._observed:
+            if gal.grid != self.packing.grid:
+                raise ValueError("observed truth grid differs from params grid")
+            pair = gal._observation_map(self.packing.modes)
+            self._observed[key] = (
+                pair if self.frames is None else _map(pair, np.array(self.frames))
+            )
+        if self.frames is None:
+            return _map(self._observed[key], self.packed(t, None))
+        return self.packed(t, self._observed[key])
+
+    def error_norms(self, gal: _Galerkin) -> ErrorNorms:
+        """Norms of v - u(t) for v packed in gal, embedded in the truth's packing."""
+        own = self.packing
+        at = own._index_of(gal.modes)
+
+        def errors(x: np.ndarray, t: float) -> list[float]:
+            d = -self.packed(t, self.frames)
+            d[at] += x
+            return own.norms(d)
+
+        return errors
 
 
 def _product_size(k: int, n: int) -> int:
@@ -210,116 +326,81 @@ def _product_size(k: int, n: int) -> int:
     return min(size, n)
 
 
-class _Galerkin:
+class _Galerkin(_Packing):
     """Scheme-independent pieces of the nudged Galerkin system for one params.
 
-    A packed vector holds one complex amplitude a_k per low mode k with
-    j2 > 0, or j2 = 0 < j1 (in the order of `modes`): uhat(k) = a_k e_k,
-    e_k = (-j2, j1) / |j|, and uhat(-k) = conj(uhat(k)), the
-    stream-function Galerkin form of Canuto et al., Spectral Methods
-    (2006).  GMRES works in the real space Re <a, b>, whose norm is
-    norm_H / (sqrt(2) L), so relative tolerances transfer unchanged.
-    Diagonals (k_squared, obs_diag, and the steppers' Stokes,
-    preconditioner and ETDRK4 weights) hold one real entry per mode.
+    It packs the low modes of params.cutoff.  GMRES works in the real
+    space Re <a, b>, whose norm is norm_H / (sqrt(2) L), so relative
+    tolerances transfer unchanged.  Diagonals (k_squared, obs_diag, and
+    the steppers' Stokes, preconditioner and ETDRK4 weights) hold one
+    real entry per mode.
 
     Operators run on sgrid = TorusGrid(L, n_s), n_s the product size
     capped at grid.n.  A packed vector enters it as the half spectrum
     j2 >= 0 of its velocity (the j2 = 0 column holds k and -k) and leaves
     it as the dot product with e_k at the packed modes, which is
-    P_N P_sigma.  Fields enter and leave on params.grid.
+    P_N P_sigma.
 
-    obs_diag is the exact diagonal of beta P_N P_sigma I_h: beta on the
-    observed modes for Fourier truncation, beta T_{j1 j1} T_{j2 j2} for
-    volume averages, T the cell-average matrix of the params grid's
-    samples at sgrid's wavenumbers.  When L/h >= 2K + 1, T is diagonal on
-    |j| <= K and _cell_avg is None; otherwise it holds the matrices that
-    apply T C T^T to a half spectrum.
+    obs_diag is beta times the real diagonal of `_observation_map` onto
+    these modes.  That map is diagonal when L/h >= 2K + 1 (and for Fourier
+    truncation); otherwise _obs_pair holds beta times it, else None.
     """
 
     def __init__(self, p: PhysicsParams):
+        super().__init__(p.grid, p.cutoff.mask_low(p.grid))
         self.p = p
-        self.grid = grid = p.grid
-        k = math.isqrt(p.cutoff.shell_limit(grid))
-        self.sgrid = sgrid = TorusGrid(grid.L, _product_size(k, grid.n))
-        n, n_s, h, j = grid.n, sgrid.n, sgrid.n // 2 + 1, sgrid._j
-        half_plane = (j[None, :] > 0) | ((j[None, :] == 0) & (j[:, None] > 0))
-        rows, cols = np.nonzero(p.cutoff.mask_low(sgrid) & half_plane)
-        j1, j2 = j[rows], j[cols]
-        self.modes = (j1, j2)
-        shell = j1 * j1 + j2 * j2
-        self.k_squared = sgrid.lambda1 * shell
-        # Parseval: |v|^2, ||v||^2 and |A v|^2 are these weights times |a_k|^2
-        self._norm_weights = 2.0 * grid.L**2 * np.stack(
-            (np.ones_like(self.k_squared), self.k_squared, self.k_squared**2)
-        )
-        self._e = np.stack((-j2, j1)) / np.sqrt(shell)
+        k = math.isqrt(p.cutoff.shell_limit(self.grid))
+        self.sgrid = sgrid = TorusGrid(self.grid.L, _product_size(k, self.grid.n))
+        n_s, h = sgrid.n, sgrid.n // 2 + 1
+        j1, j2 = self.modes
         # the mirrors -k of the modes on the j2 = 0 axis also lie in j2 >= 0
         self._axis = np.flatnonzero(j2 == 0)
         self._half_shape = (2, n_s, h)
-        # flat positions in a (2, ...) array, both components' packed modes
-        # followed by their mirrors: one scatter writes, one gather reads
-        at = np.concatenate((rows * h + cols, -j1[self._axis] % n_s * h))
+        at = np.concatenate((j1 % n_s * h + j2, -j1[self._axis] % n_s * h))
         self._half_at = np.concatenate((at, at + n_s * h))
-        at = np.concatenate((j1 % n * n + j2 % n, -j1 % n * n + -j2 % n))
-        self._grid_at = np.concatenate((at, at + n * n))
         self._e_half = np.concatenate((self._e, self._e[:, self._axis]), axis=1)
         self.f_low = self._pack_field(p.forcing)
         self.obs_diag = np.zeros_like(self.k_squared)
-        self._cell_avg = None
+        self._obs_pair = None
         if p.beta > 0.0:
-            if p.interpolant.kind == "fourier_truncation":
-                observed = p.interpolant.cutoff().shell_limit(sgrid)
-                self.obs_diag = p.beta * (shell <= observed)
-            else:
-                t = _cell_average_matrix(p.interpolant, grid, j)
-                t_diag = t.diagonal().real
-                self.obs_diag = p.beta * t_diag[rows] * t_diag[cols]
-                if p.interpolant.blocks(grid) < 2 * k + 1:
-                    # T C T^T over C's columns j2 >= 0, then over its columns
-                    # j2 < 0, the mirror conj(C(-j1, -j2)) (j2 = 0 counted once)
-                    flip = sgrid._conj_index
-                    minus = t[:h, flip[:h]].T
-                    minus[0] = 0.0
-                    self._cell_avg = (t, t[:, flip], t[:h, :h].T, minus)
+            m, c = self._observation_map(self.modes)
+            self.obs_diag = p.beta * m.diagonal().real
+            spec = p.interpolant
+            if spec.kind == "volume_average" and spec.blocks(self.grid) < 2 * k + 1:
+                self._obs_pair = (p.beta * m, p.beta * c)
 
-    # -- packing ------------------------------------------------------------
+    def _observation_map(
+        self, modes: tuple[np.ndarray, np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The pair (M, C) with P_N P_sigma I_h v = M a + C conj(a) packed here,
+        for v packed as a on the half-plane modes (j1, j2) of the params grid.
 
-    def _dot_e(self, coeffs: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """e_k . c(k) over the packed modes, at flat positions `at` of c."""
-        c = coeffs.take(at).reshape(2, -1)
-        m = self.k_squared.size
-        return self._e[0] * c[0, :m] + self._e[1] * c[1, :m]
-
-    def _pack_field(self, f: SpectralField) -> np.ndarray:
-        """Packed amplitudes of a field on the params grid."""
-        return self._dot_e(f.coeffs, self._grid_at)
-
-    def _field(self, vec: np.ndarray) -> SpectralField:
-        """The params-grid field of a packed vector."""
-        n = self.grid.n
-        coeffs = np.zeros((2, n, n), dtype=np.complex128)
-        both = np.concatenate((vec, vec.conj()))
-        coeffs.ravel()[self._grid_at] = (both * np.tile(self._e, 2)).ravel()
-        return SpectralField._trusted(self.grid, coeffs)
-
-    def _index_of(self, modes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Positions in this packing of the modes (j1, j2) of another one."""
-        j1, j2 = self.modes
-        n = self.sgrid.n
-        table = np.full((n, n), -1)
-        table[j1 % n, j2 % n] = np.arange(j1.size)
-        at = table[modes[0] % n, modes[1] % n]
-        if np.any(at < 0) or np.any(j1[at] != modes[0]) or np.any(j2[at] != modes[1]):
-            raise ValueError("modes lie outside this packing")
-        return at
-
-    def norms(self, vec: np.ndarray, tail: np.ndarray | float = 0.0) -> list[float]:
-        """[|v|, ||v||, |A v|] of a packed vector, by Parseval.
-
-        tail adds the squared norms of a part of the field outside the
-        packing, orthogonal to it.
+        I_h is params.interpolant, and e_k . e_j = (k . j) / |k| |j|.
+        Fourier truncation keeps e_k . e_j where j = k is observed.  For a
+        volume average, D the product of both axes' `_average_symbol`,
+        M = conj(D(k)) D(j) e_k . e_j where j = k mod L/h on both axes, and
+        C = conj(D(k) D(j)) e_k . e_j where -j = k (the mirror of j).
         """
-        return np.sqrt(self._norm_weights @ (vec.real**2 + vec.imag**2) + tail).tolist()
+        spec, n = self.p.interpolant, self.grid.n
+        k1, k2 = (k[:, None] for k in self.modes)
+        j1, j2 = modes
+        shell = k1 * k1 + k2 * k2
+        dot = (k1 * j1 + k2 * j2) / np.sqrt(shell * (j1 * j1 + j2 * j2))
+        if spec.kind == "fourier_truncation":
+            observed = shell <= spec.cutoff().shell_limit(self.grid)
+            same = (k1 == j1) & (k2 == j2) & observed
+            return np.where(same, dot, 0.0), np.zeros_like(dot)
+        m = spec.blocks(self.grid)
+        d = _average_symbol(self.grid._j, n, n // m)  # D(j) of one axis at j % n
+        d_k, d_j = d[k1 % n] * d[k2 % n], d[j1 % n] * d[j2 % n]
+        same = ((k1 - j1) % m == 0) & ((k2 - j2) % m == 0)
+        mirror = ((k1 + j1) % m == 0) & ((k2 + j2) % m == 0)
+        return (
+            np.where(same, d_k.conj() * d_j * dot, 0.0),
+            np.where(mirror, (d_k * d_j).conj() * dot, 0.0),
+        )
+
+    # -- product-grid transfers ---------------------------------------------
 
     def _half(self, vec: np.ndarray) -> np.ndarray:
         """Product-grid half spectrum j2 >= 0 of a packed velocity."""
@@ -340,33 +421,11 @@ class _Galerkin:
 
     # -- operator pieces ----------------------------------------------------
 
-    def _obs_term(self, vec: np.ndarray, half: np.ndarray) -> np.ndarray:
-        """beta * P_N P_sigma I_h w on a packed vector and its half spectrum."""
-        if self._cell_avg is None:
+    def _obs_term(self, vec: np.ndarray) -> np.ndarray:
+        """beta * P_N P_sigma I_h w on a packed vector."""
+        if self._obs_pair is None:
             return self.obs_diag * vec
-        t, t_flip, plus, minus = self._cell_avg
-        averaged = t @ half @ plus + t_flip @ half.conj() @ minus
-        return self.p.beta * self._project(averaged)
-
-    def _observe(self, fields: list[SpectralField]) -> np.ndarray:
-        """Packed P_N P_sigma I_h f of each params-grid field, shape (len, modes).
-
-        I_h is params.interpolant.  Fourier truncation keeps the packed
-        amplitudes of the observed shells.  Volume averages take only the
-        low rows of T C T^T, T the cell-average matrix from the grid's
-        wavenumbers to |j| <= K.
-        """
-        spec, (j1, j2) = self.p.interpolant, self.modes
-        if spec.kind == "fourier_truncation":
-            keep = j1 * j1 + j2 * j2 <= spec.cutoff().shell_limit(self.sgrid)
-            return np.array([np.where(keep, self._pack_field(f), 0.0) for f in fields])
-        k = int(max(np.max(np.abs(j1)), np.max(j2)))
-        t = _cell_average_matrix(spec, self.grid, np.arange(-k, k + 1), self.grid._j)
-        out = np.empty((len(fields), j1.size), dtype=np.complex128)
-        for i, f in enumerate(fields):
-            c = (t @ f.coeffs @ t.T)[:, j1 + k, j2 + k]
-            out[i] = self._e[0] * c[0] + self._e[1] * c[1]
-        return out
+        return _map(self._obs_pair, vec)
 
     def _observed(self, truth: TruthSource | None, t: float) -> np.ndarray | float:
         """Packed beta P_N P_sigma I_h u(t), the nudging data (0.0 if beta = 0)."""
@@ -411,7 +470,7 @@ class _Stepper(_Galerkin):
         if half is None:
             half = self._half(vec)
         adv = self._project(advect_raw(self.sgrid, u_phys, half))
-        return self._stokes_diag * vec + adv + self._obs_term(vec, half)
+        return self._stokes_diag * vec + adv + self._obs_term(vec)
 
     def _solve(
         self,
@@ -637,8 +696,8 @@ class _Etdrk4(_Galerkin):
         half = self._half(vec)
         adv = advect_raw(self.sgrid, self._physical(half), half)
         out = self.f_low - self._project(adv) + data
-        if self._cell_avg is not None:
-            out += self.obs_diag * vec - self._obs_term(vec, half)
+        if self._obs_pair is not None:
+            out += self.obs_diag * vec - self._obs_term(vec)
         return out
 
     def step(

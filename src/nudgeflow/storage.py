@@ -198,13 +198,9 @@ class Trajectory:
             out = out + frames[lo + m] * weights[m]
         return out
 
-    def frame_at(self, t: float):
-        """Stored frame at time t if t matches, else interpolated."""
-        return self.lookup(self.frames, t)
-
     def at(self, t: float) -> SpectralField:
         """Field at time t: stored snapshot if t matches, else interpolated."""
-        return self.packing._field(self.frame_at(t))
+        return self.packing._field(self.lookup(self.frames, t))
 
 
 def series_to_csv(header: Iterable[str], rows: Iterable[Iterable[float]]) -> str:

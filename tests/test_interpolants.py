@@ -19,7 +19,6 @@ from nudgeflow.fields import (
 )
 from nudgeflow.interpolants import (
     InterpolantSpec,
-    _cell_average_matrix,
     apply_ih,
     estimate_c0,
 )
@@ -75,6 +74,8 @@ CELL_GRIDS = [(16, 4), (16, 16), (24, 8), (48, 16), (48, 8)]
 
 @pytest.mark.parametrize("n, m", CELL_GRIDS)
 def test_volume_average_matches_loop_reference(rng, n, m):
+    # the symbol checked here is also the one the solver's packed map is
+    # built from; tests/test_schemes.py checks that map against apply_ih
     grid = TorusGrid(TWO_PI, n)
     spec = InterpolantSpec("volume_average", TWO_PI / m)
     f = random_field(grid, rng, norm_v=1.0)
@@ -86,32 +87,6 @@ def test_volume_average_matches_loop_reference(rng, n, m):
     raw[:, 0, 0] = 0.0
     ref = SpectralField.from_coeffs(grid, leray_project_raw(raw, grid))
     assert norm_H(obs - ref) <= 1e-12 * max(norm_H(ref), 1e-30)
-
-
-def _dense_cell_average_matrix(n, m, rows, cols):
-    """DFT oracle: coefficients `rows` of the cell-averaged samples of the
-    waves exp(2 pi i cols x / L), the averaging done cell by cell."""
-    b = n // m
-    x = np.arange(n)
-    waves = np.exp(2j * np.pi * np.outer(x, cols) / n)
-    averaged = np.empty_like(waves)
-    for cell in range(m):
-        block = slice(cell * b, (cell + 1) * b)
-        averaged[block] = waves[block].mean(axis=0)
-    return np.exp(-2j * np.pi * np.outer(rows, x) / n) @ averaged / n
-
-
-@pytest.mark.parametrize("n, m", CELL_GRIDS)
-def test_cell_average_matrix_matches_dense_dft(n, m):
-    grid = TorusGrid(TWO_PI, n)
-    spec = InterpolantSpec("volume_average", TWO_PI / m)
-    k = grid.band_limit
-    for rows in (grid._j, np.arange(-k, k + 1)):
-        t = _cell_average_matrix(spec, grid, rows, grid._j)
-        ref = _dense_cell_average_matrix(n, m, rows, grid._j)
-        assert np.max(np.abs(t - ref)) <= 1e-14
-    square = _cell_average_matrix(spec, grid, grid._j)
-    assert np.array_equal(square, _cell_average_matrix(spec, grid, grid._j, grid._j))
 
 
 def test_estimate_c0_pinned_on_twin_bench_grid():

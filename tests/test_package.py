@@ -24,33 +24,44 @@ def test_every_name_in_all_is_defined(module_name):
 
 
 
-def _calls_by_function(tree, attr):
-    """(enclosing function name or None) of every call to `<expr>.attr`."""
+def _callers(name):
+    """(module, enclosing function or None) of every call in the package to
+    `name(...)` or `<expr>.name(...)`."""
     found = []
 
-    def visit(node, owner):
+    def visit(node, module, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == attr):
-            found.append(owner)
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called == name:
+                found.append((module, owner))
         for child in ast.iter_child_nodes(node):
-            visit(child, owner)
+            visit(child, module, owner)
 
-    visit(tree, None)
+    for module in MODULES:
+        path = os.path.join(nudgeflow.__path__[0], f"{module}.py")
+        with open(path, encoding="utf-8") as fh:
+            visit(ast.parse(fh.read(), filename=path), module, None)
     return found
 
 
 def test_from_coeffs_is_called_only_for_stored_snapshots():
     # package-built arrays hold the field invariants by construction and
     # use SpectralField._trusted; from_coeffs validates outside arrays
-    callers = []
-    for name in MODULES:
-        path = os.path.join(nudgeflow.__path__[0], f"{name}.py")
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        callers += [(name, fn) for fn in _calls_by_function(tree, "from_coeffs")]
-    assert callers == [("storage", "load_snapshot")]
+    assert _callers("from_coeffs") == [("storage", "load_snapshot")]
+
+
+def test_average_symbol_is_called_only_by_the_observation_builders():
+    # the volume-average symbol enters the solver through one builder of
+    # P_N P_sigma I_h; the interpolants module keeps its field oracle and c0
+    assert sorted(set(_callers("_average_symbol"))) == [
+        ("interpolants", "_off_band_gram"),
+        ("interpolants", "apply_ih"),
+        ("interpolants", "estimate_c0"),
+        ("schemes", "_observation_map"),
+    ]
 
 
 def test_runners_keep_no_per_step_check_state():

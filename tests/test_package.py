@@ -1,6 +1,6 @@
 """Package surface: every exported name exists, only outside arrays
-enter through the validating constructor, and no runner keeps per-step
-check state."""
+enter through the checking constructor, no code checks or repairs the
+field invariants, and no runner keeps per-step check state."""
 
 import ast
 import importlib
@@ -24,6 +24,16 @@ def test_every_name_in_all_is_defined(module_name):
 
 
 
+def _trees():
+    """{module: parsed source} of every module in the package."""
+    trees = {}
+    for module in MODULES:
+        path = os.path.join(nudgeflow.__path__[0], f"{module}.py")
+        with open(path, encoding="utf-8") as fh:
+            trees[module] = ast.parse(fh.read(), filename=path)
+    return trees
+
+
 def _callers(name):
     """(module, enclosing function or None) of every call in the package to
     `name(...)` or `<expr>.name(...)`."""
@@ -40,17 +50,29 @@ def _callers(name):
         for child in ast.iter_child_nodes(node):
             visit(child, module, owner)
 
-    for module in MODULES:
-        path = os.path.join(nudgeflow.__path__[0], f"{module}.py")
-        with open(path, encoding="utf-8") as fh:
-            visit(ast.parse(fh.read(), filename=path), module, None)
+    for module, tree in _trees().items():
+        visit(tree, module, None)
     return found
 
 
 def test_from_coeffs_is_called_only_for_stored_snapshots():
-    # package-built arrays hold the field invariants by construction and
-    # use SpectralField._trusted; from_coeffs validates outside arrays
+    # every amplitude vector is a field, so the package builds fields with
+    # the plain constructor; from_coeffs checks the shape and finiteness of
+    # outside arrays
     assert _callers("from_coeffs") == [("storage", "load_snapshot")]
+
+
+def test_no_code_checks_or_repairs_the_field_invariants():
+    # band-packed amplitudes are real, mean-free and solenoidal by
+    # construction; the Leray projection of a (2, n, n) array serves only
+    # the full-grid observation oracle, whose average is not band-limited
+    checkers = {"_conj_flip", "_validate", "_require_band"}
+    defined = [
+        (module, node.name) for module, tree in _trees().items()
+        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    ]
+    assert [f for f in defined if f[1] in checkers] == []
+    assert _callers("leray_project_raw") == [("interpolants", "apply_ih")]
 
 
 def test_average_symbol_is_called_only_by_the_observation_builders():
@@ -67,7 +89,5 @@ def test_average_symbol_is_called_only_by_the_observation_builders():
 def test_runners_keep_no_per_step_check_state():
     # runners record every step and judge from the recorded series, so no
     # per-step closure accumulates a verdict
-    path = os.path.join(nudgeflow.__path__[0], "experiments.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
+    tree = _trees()["experiments"]
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Nonlocal)] == []

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from nudgeflow.fields import GalerkinCutoff, SpectralField, norm_H, random_field
+from nudgeflow import storage
+from nudgeflow.fields import GalerkinCutoff, SpectralField, TorusGrid, norm_H, random_field
 from nudgeflow.schemes import PhysicsParams, _galerkin
 from nudgeflow.storage import (
     SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
     SnapshotFormatError,
     Trajectory,
     atomic_write_bytes,
@@ -69,6 +71,41 @@ def test_snapshot_format_errors(tmp_path, rng, grid16):
     open(versioned, "wb").write(blob[:4] + b"\x63\x00\x00\x00" + blob[8:])
     with pytest.raises(SnapshotFormatError, match="version"):
         load_snapshot(versioned)
+
+
+def _write_snapshot(path, version=SNAPSHOT_VERSION, L=2.0 * np.pi, n=16, lam=9.0,
+                    body=None):
+    """A snapshot file with the given header; the body defaults to the
+    amplitudes of a zero field on the n = 16 grid."""
+    if body is None:
+        body = SpectralField.zero(TorusGrid(2.0 * np.pi, 16)).coeffs
+    head = storage._HEADER.pack(SNAPSHOT_MAGIC, version, L, n, lam)
+    path.write_bytes(head + np.asarray(body).astype("<c16").tobytes())
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [dict(n=3), dict(n=0), dict(L=-1.0), dict(lam=np.nan), dict(L=np.inf),
+     dict(lam=np.inf)],
+    ids=["n=3", "n=0", "L=-1", "lam=nan", "L=inf", "lam=inf"],
+)
+def test_snapshot_rejects_bad_headers_naming_the_file(tmp_path, header):
+    path = _write_snapshot(tmp_path / "bad.nnsf", **header)
+    with pytest.raises(SnapshotFormatError, match="bad.nnsf: bad header"):
+        load_snapshot(path)
+
+
+def test_snapshot_rejects_version_1_and_non_finite_bodies(tmp_path):
+    # version 1 stored the (2, n, n) coefficient array
+    n = 16
+    v1 = _write_snapshot(tmp_path / "v1.nnsf", version=1, body=np.zeros((2, n, n)))
+    with pytest.raises(SnapshotFormatError, match="v1.nnsf: unsupported version 1"):
+        load_snapshot(v1)
+    body = np.array(SpectralField.zero(TorusGrid(2.0 * np.pi, n)).coeffs)
+    body[3] = np.nan
+    with pytest.raises(SnapshotFormatError, match="nan.nnsf: .*finite"):
+        load_snapshot(_write_snapshot(tmp_path / "nan.nnsf", body=body))
 
 
 def _band_packing(grid):

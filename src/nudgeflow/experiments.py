@@ -425,11 +425,7 @@ class SteadyTruth(TruthSource):
     """A time-independent u*, whose amplitudes are its one frame."""
 
     def __init__(self, u_star: SpectralField) -> None:
-        self.u_star = u_star
         super().__init__(_band_packing(u_star.grid), [u_star.coeffs])
-
-    def field_at(self, t: float) -> SpectralField:
-        return self.u_star
 
     def packed(self, t: float, frames) -> np.ndarray:
         return frames[0]
@@ -441,9 +437,6 @@ class AnalyticTruth(TruthSource):
     def __init__(self, grid: TorusGrid, fn: Callable[[float], SpectralField]) -> None:
         super().__init__(_band_packing(grid))
         self._fn = fn
-
-    def field_at(self, t: float) -> SpectralField:
-        return self._fn(t)
 
     def packed(self, t: float, frames) -> np.ndarray:
         return self._fn(t).coeffs
@@ -460,9 +453,6 @@ class StoredTruth(TruthSource):
     def __init__(self, traj: Trajectory) -> None:
         super().__init__(traj.packing, traj.frames)
         self.traj = traj
-
-    def field_at(self, t: float) -> SpectralField:
-        return self.traj.at(t)
 
     def packed(self, t: float, frames) -> np.ndarray:
         return self.traj.lookup(frames, t)

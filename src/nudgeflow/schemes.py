@@ -28,14 +28,15 @@ overshoot; and a steady state's roundoff, whose differences grow with m,
 is extrapolated by D_1 alone.  The first step starts from v^k.  The
 semi-implicit scheme still freezes its first bilinear argument at v^k; the
 Picard loop starts from the guess.
-Each Picard nonlinear residual b - A(v) v is also the initial GMRES
-residual of the next solve, which reuses it instead of applying the
-operator again.  GMRES builds its final residual from the operator
-products it has already applied (`krylov`), so a solve costs one
-application per iteration, plus one for its initial residual when it has
-none; the semi-implicit step's residual is that final residual.  Each
-application builds the half spectrum of its argument once, for the
-advective term.
+The Picard loop checks the nonlinear residual b - A(v) v of each
+iterate, the guess first, and accepts the first iterate within the step
+tolerance; otherwise that residual is the initial GMRES residual of the
+next solve.  GMRES builds its final residual from the operator products
+it has already applied (`krylov`), so a solve costs one application per
+iteration, a fully implicit step one more per residual check, and a step
+at its fixed point a single application; the semi-implicit step's
+residual is GMRES's final residual.  Each application builds the half
+spectrum of its argument once, for the advective term.
 
 The operator is applied on the cutoff's own product grid: the smallest
 even FFT-friendly n_s >= 3K + 1, K the largest |j|_inf of a low mode, on
@@ -215,7 +216,7 @@ class TruthSource:
         self._observed: dict[tuple, tuple | np.ndarray] = {}
 
     def field_at(self, t: float) -> SpectralField:
-        raise NotImplementedError
+        return self.packing._field(self.packed(t, self.frames))
 
     def packed(self, t: float, frames) -> np.ndarray:
         raise NotImplementedError
@@ -432,23 +433,24 @@ class _Stepper(_Galerkin):
             x = self._solve(self._physical(self._half(x)), b, guess)
             return SchemeState(state.k + 1, self.tau, x, self)
         # Fully implicit: Picard with frozen first bilinear argument, from the
-        # guess.  Each residual r is the next solve's initial GMRES residual.
+        # guess.  Each iterate's residual r is checked, then starts its solve.
         trace: list[float] = []
-        x, r = guess, None
-        u_phys = self._physical(self._half(x))
-        for _ in range(PICARD_MAX_OUTER):
-            x = self._solve(u_phys, b, x, r)
+        x = guess
+        while True:
             half = self._half(x)
             u_phys = self._physical(half)
             r = b - self._apply_linear(x, u_phys, half)
             trace.append(float(np.linalg.norm(r)) / bnorm if bnorm > 0 else 0.0)
             if trace[-1] <= STEP_RESIDUAL_RTOL:
                 return SchemeState(state.k + 1, self.tau, x, self)
-        raise SolverError(
-            "Picard iteration did not reach the nonlinear residual tolerance "
-            f"{STEP_RESIDUAL_RTOL:.0e} in {PICARD_MAX_OUTER} iterations; "
-            f"trace={['%.3e' % r for r in trace[-8:]]} (consider a smaller tau)"
-        )
+            if len(trace) > PICARD_MAX_OUTER:  # every allowed solve has run
+                raise SolverError(
+                    "Picard iteration did not reach the nonlinear residual "
+                    f"tolerance {STEP_RESIDUAL_RTOL:.0e} in {PICARD_MAX_OUTER} "
+                    f"iterations; trace={['%.3e' % r for r in trace[-8:]]} "
+                    "(consider a smaller tau)"
+                )
+            x = self._solve(u_phys, b, x, r)
 
 
 class _Predictor:
@@ -524,7 +526,7 @@ def advance(
     if store_every is not None:
         if store_every < 1:
             raise ValueError(f"store_every must be >= 1, got {store_every}")
-        traj = Trajectory(p.grid, stepper)
+        traj = Trajectory(stepper)
         traj.append(0.0, state.x)
     predict = stepper.predictor()
     for _ in range(n_steps):

@@ -142,8 +142,7 @@ class Trajectory:
 
     _EXACT_RTOL = 1e-9
 
-    def __init__(self, grid: TorusGrid, packing) -> None:
-        self.grid = grid
+    def __init__(self, packing) -> None:
         self.packing = packing
         self._times: list[float] = []
         self.frames: list[np.ndarray] = []

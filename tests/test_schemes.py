@@ -2,6 +2,7 @@
 exact recursions, order, guards."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -650,10 +651,11 @@ def test_semi_implicit_step_applies_the_operator_only_inside_gmres(monkeypatch):
 
 
 def test_picard_solves_start_from_the_residual_just_computed(monkeypatch):
-    # every advect_raw call is a GMRES operator application or a Picard
-    # residual apply, each solve after the first takes that residual as
-    # its initial residual instead of applying the operator again, and
-    # each solve builds its final residual from the products it applied
+    # every advect_raw call is a GMRES operator application or the residual
+    # check of a Picard iterate, the guess first; each solve takes the
+    # residual just checked as its initial residual instead of applying the
+    # operator again, and builds its final residual from the products it
+    # applied, so a step applies once per iteration plus solves + 1 times
     rng = np.random.default_rng(11)
     p, truth, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
     counts = {"advect_raw": 0, "checking": False}
@@ -665,13 +667,12 @@ def test_picard_solves_start_from_the_residual_just_computed(monkeypatch):
         return real_advect(*args)
 
     def gmres(apply_op, b, **kwargs):
-        solve = {"applies": 0, "r0": kwargs.get("r0")}
-        if solve["r0"] is not None:
-            counts["checking"] = True
-            solve["r0_exact"] = np.array_equal(
-                solve["r0"], b - apply_op(kwargs["x0"])
-            )
-            counts["checking"] = False
+        counts["checking"] = True
+        solve = {
+            "applies": 0,
+            "r0_exact": np.array_equal(kwargs["r0"], b - apply_op(kwargs["x0"])),
+        }
+        counts["checking"] = False
 
         def counted(w):
             solve["applies"] += 1
@@ -684,15 +685,74 @@ def test_picard_solves_start_from_the_residual_just_computed(monkeypatch):
 
     monkeypatch.setattr(schemes, "gmres", gmres)
     monkeypatch.setattr(schemes, "advect_raw", advect)
-    advance(v0, p, truth, 0.01, 1, scheme=FULLY_IMPLICIT)
-    assert len(solves) >= 2
+    n_steps = 3
+    advance(v0, p, truth, 0.01, n_steps, scheme=FULLY_IMPLICIT)
+    assert len(solves) >= 2 * n_steps
     applies = sum(s["applies"] for s in solves)
-    assert counts["advect_raw"] == applies + len(solves)
-    assert solves[0]["r0"] is None
-    assert solves[0]["applies"] == solves[0]["iterations"] + 1
-    for solve in solves[1:]:
+    assert counts["advect_raw"] == applies + len(solves) + n_steps
+    for solve in solves:
         assert solve["r0_exact"]
         assert solve["applies"] == solve["iterations"]
+
+
+def test_fully_implicit_step_at_a_fixed_point_makes_one_apply(monkeypatch, grid32):
+    # the guess v^0 = u* meets the step tolerance, so the step checks its
+    # residual once and accepts it without a solve
+    nu = 1.0
+    u_star = kolmogorov_steady_state(grid32, 1, 1.0, nu)
+    spec = InterpolantSpec("fourier_truncation", 0.25)
+    p = PhysicsParams(
+        nu, grid32, kolmogorov_forcing(grid32, 1, 1.0), 10.0, spec,
+        grid32.band_cutoff(),
+    )
+    counts = {"advect_raw": 0, "gmres": 0}
+    real_advect, real_gmres = schemes.advect_raw, schemes.gmres
+
+    def advect(*args):
+        counts["advect_raw"] += 1
+        return real_advect(*args)
+
+    def gmres(*args, **kwargs):
+        counts["gmres"] += 1
+        return real_gmres(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, "advect_raw", advect)
+    monkeypatch.setattr(schemes, "gmres", gmres)
+    new, _ = advance(u_star, p, SteadyTruth(u_star), 0.01, 1, scheme=FULLY_IMPLICIT)
+    assert new.k == 1
+    assert counts == {"advect_raw": 1, "gmres": 0}
+    assert np.array_equal(new.x, schemes._galerkin(p)._pack_field(u_star))
+
+
+def test_picard_stall_reports_the_residual_of_its_last_solve(monkeypatch):
+    # the volume-average problem takes about two solves per step, so with
+    # one solve allowed the first step stalls; the solve's iterate is
+    # checked before the step raises, and its residual ends the trace
+    rng = np.random.default_rng(11)
+    p, truth, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
+    solved, applied = [], []
+    real_solve = schemes._Stepper._solve
+    real_apply = schemes._Stepper._apply_linear
+
+    def solve(self, u_phys, b, x0, r0=None):
+        solved.append((b, real_solve(self, u_phys, b, x0, r0)))
+        return solved[-1][1]
+
+    def apply(self, vec, *args):
+        applied.append((vec, real_apply(self, vec, *args)))
+        return applied[-1][1]
+
+    monkeypatch.setattr(schemes, "PICARD_MAX_OUTER", 1)
+    monkeypatch.setattr(schemes._Stepper, "_solve", solve)
+    monkeypatch.setattr(schemes._Stepper, "_apply_linear", apply)
+    with pytest.raises(SolverError, match="Picard iteration did not reach") as info:
+        advance(v0, p, truth, 0.01, 1, scheme=FULLY_IMPLICIT)
+    assert info.value.state.k == 0
+    assert len(solved) == 1
+    (b, x), (checked, ax) = solved[-1], applied[-1]
+    assert checked is x
+    trace = re.findall(r"'([^']*)'", str(info.value))
+    assert trace[-1] == "%.3e" % (np.linalg.norm(b - ax) / np.linalg.norm(b))
 
 
 def _count_gmres(monkeypatch) -> dict:
@@ -727,8 +787,9 @@ def test_predictor_keeps_a_nudged_march_under_its_iteration_count(
 def test_predictor_does_not_extrapolate_a_steady_states_roundoff(scheme, monkeypatch):
     # criterion 04's soak config (tests/test_acceptance.py): after a transient
     # of about 50 steps the march sits at the steady state, where an
-    # untruncated cubic extrapolation of roundoff costs 0.54 iterations per
-    # solve; the truncated one takes 0.046 (semi) and 0.0625 (fully implicit)
+    # untruncated cubic extrapolation of roundoff costs a semi-implicit march
+    # 0.54 iterations per step; the truncated one takes 0.046 (semi) and
+    # 0.054 (fully implicit)
     amp = 0.1 * math.sqrt(2.0) / (2.0 * math.pi)
     cfg = default_config(
         nu=0.1, grid_n=32, forcing="kolmogorov", forcing_kappa=2,
@@ -739,8 +800,9 @@ def test_predictor_does_not_extrapolate_a_steady_states_roundoff(scheme, monkeyp
     setup = experiments._setup(cfg, horizon=(10.0, "t_end"))
     truth, v0 = experiments._start(setup)
     counts = _count_gmres(monkeypatch)
-    advance(v0, setup.params, truth, 0.01, 1000, scheme=scheme)
-    assert counts["iterations"] <= 0.08 * counts["solves"]
+    n_steps = 1000
+    advance(v0, setup.params, truth, 0.01, n_steps, scheme=scheme)
+    assert counts["iterations"] <= 0.08 * n_steps
 
 
 def test_layer_entry_points_are_called_once_per_operator_application(monkeypatch):
@@ -760,7 +822,7 @@ def test_layer_entry_points_are_called_once_per_operator_application(monkeypatch
     for name in ("at", "fields"):
         assert name in vars(Trajectory), name
     for name in ("exact_queries", "interpolated_queries"):
-        assert name in vars(Trajectory(TorusGrid(TWO_PI, 8), None)), name
+        assert name in vars(Trajectory(None)), name
     counts = {"advect_raw": 0, "apply": 0}
     real_advect = schemes.advect_raw
     real_apply = schemes._Stepper._apply_linear

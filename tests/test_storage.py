@@ -117,7 +117,7 @@ def _band_packing(grid):
 
 def test_trajectory_append_guards(rng, grid16):
     gal = _band_packing(grid16)
-    traj = Trajectory(grid16, gal)
+    traj = Trajectory(gal)
     x = gal._pack_field(random_field(grid16, rng))
     traj.append(0.0, x)
     with pytest.raises(ValueError, match="increase"):
@@ -133,7 +133,7 @@ def test_trajectory_exact_and_interpolated_lookup(rng, grid16):
     def frame_at(t):
         return base * (1.0 + 0.5 * t - 0.25 * t**2 + 0.125 * t**3)
 
-    traj = Trajectory(grid16, gal)
+    traj = Trajectory(gal)
     times = np.linspace(0.0, 2.0, 9)
     for t in times:
         traj.append(float(t), frame_at(float(t)))
@@ -150,12 +150,12 @@ def test_trajectory_exact_and_interpolated_lookup(rng, grid16):
     with pytest.raises(ValueError, match="outside"):
         traj.at(2.5)
     with pytest.raises(ValueError, match="empty"):
-        Trajectory(grid16, gal).at(0.0)
+        Trajectory(gal).at(0.0)
 
 
 def test_trajectory_near_time_tolerance(rng, grid16):
     gal = _band_packing(grid16)
-    traj = Trajectory(grid16, gal)
+    traj = Trajectory(gal)
     x = gal._pack_field(random_field(grid16, rng))
     traj.append(0.0, x)
     traj.append(0.1, x * 2.0)

@@ -84,6 +84,14 @@ class ExperimentConfig:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if not all(tau > 0.0 for tau in self.tau_list):
             raise ConfigError(f"tau_list entries must be positive, got {self.tau_list}")
+        for key in ("tau_list", "lambda_cut_list"):
+            # the runners name files, checks and values by an entry's %g label
+            labels = [f"{x:g}" for x in getattr(self, key)]
+            if len(set(labels)) < len(labels):
+                raise ConfigError(
+                    f"{key} entries must differ in their 6-digit labels, got "
+                    f"{getattr(self, key)} (labels {', '.join(labels)})"
+                )
         if self.truth_dt_factor < 1:
             raise ConfigError(
                 f"truth_dt_factor must be >= 1, got {self.truth_dt_factor}"

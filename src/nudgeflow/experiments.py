@@ -12,9 +12,11 @@ runner's own checks before it, it rejects every bad value the config alone
 decides with a ConfigError naming its keys, before anything is
 integrated.  `_start` integrates the truth and returns it with the
 initial data v0 = build_ic, which every branch builds in the low-mode
-space.  The truth is a steady, analytic or stored `schemes.TruthSource`;
-the runners hand it to the solver whatever beta is, and the solver
-observes it under the params' interpolant only when beta > 0.  The run
+space.  The truth is a `schemes.TruthSource`, packed frames read through
+a time stencil: a steady state's one frame, the Taylor-Green vortex's
+t = 0 frame weighted by its decay, or a stored trajectory's frames; the
+runners hand it to the solver whatever beta is, and the solver observes
+it under the params' interpolant only when beta > 0.  The run
 itself happens inside a `_Run` block, which owns the report, the output
 directory and the output tables (`_Run.table`).  Runners record, then
 judge: `_Run._march` records row 0 and every accepted step of the march
@@ -71,6 +73,7 @@ from .fields import (
 from .interpolants import InterpolantSpec, estimate_c0
 from .krylov import SolverError
 from .operators import (
+    _taylor_green_decay,
     bilinear_B,
     bilinear_B_direct,
     kolmogorov_forcing,
@@ -83,7 +86,6 @@ from .schemes import (
     SEMI_IMPLICIT,
     ErrorNorms,
     PhysicsParams,
-    SchemeState,
     TruthSource,
     _galerkin,
     _steps_for,
@@ -354,7 +356,9 @@ def _truth_spinup_steps(
         if cfg.forcing != forcing:
             raise ConfigError(f"truth = {cfg.truth} needs forcing = {forcing}")
         if cfg.truth == "analytic:taylor_green":
-            _config_value("forcing_kappa", taylor_green, grid, cfg.forcing_kappa, 0.0, cfg.nu)
+            _config_value(
+                "forcing_kappa", _taylor_green_decay, grid, cfg.forcing_kappa, 0.0, cfg.nu
+            )
         return 0
     if cfg.truth != "nse_integrate":
         raise ConfigError(f"unknown truth kind {cfg.truth!r}")
@@ -421,41 +425,14 @@ def _setup(
 # truth sources
 
 
-class SteadyTruth(TruthSource):
-    """A time-independent u*, whose amplitudes are its one frame."""
-
-    def __init__(self, u_star: SpectralField) -> None:
-        super().__init__(_band_packing(u_star.grid), [u_star.coeffs])
-
-    def packed(self, t: float, frames) -> np.ndarray:
-        return frames[0]
+def _steady(u: SpectralField) -> TruthSource:
+    """A time-independent u, whose amplitudes are its one frame."""
+    return TruthSource(_band_packing(u.grid), [u.coeffs], lambda t: (0, None))
 
 
-class AnalyticTruth(TruthSource):
-    """u(t) = fn(t) on grid, whose amplitudes are u(t) packed on the band."""
-
-    def __init__(self, grid: TorusGrid, fn: Callable[[float], SpectralField]) -> None:
-        super().__init__(_band_packing(grid))
-        self._fn = fn
-
-    def packed(self, t: float, frames) -> np.ndarray:
-        return self._fn(t).coeffs
-
-
-class StoredTruth(TruthSource):
-    """A packed trajectory whose packing holds every mode of the solution.
-
-    Its frames are the stored ones.  Lookups interpolate them, or their
-    observations, with the trajectory's own Lagrange weights, which
-    equals observing the interpolated truth because both maps are linear.
-    """
-
-    def __init__(self, traj: Trajectory) -> None:
-        super().__init__(traj.packing, traj.frames)
-        self.traj = traj
-
-    def packed(self, t: float, frames) -> np.ndarray:
-        return self.traj.lookup(frames, t)
+def _stored(traj: Trajectory) -> TruthSource:
+    """A trajectory that `advance` stored, read through its Lagrange stencil."""
+    return TruthSource(traj.packing, traj.frames, traj.stencil)
 
 
 def _m1_scale(setup: _Setup) -> float:
@@ -472,10 +449,14 @@ def build_truth(setup: _Setup) -> TruthSource:
         u_star = kolmogorov_steady_state(
             setup.grid, cfg.forcing_kappa, cfg.forcing_amplitude, cfg.nu
         )
-        return SteadyTruth(u_star)
+        return _steady(u_star)
     if cfg.truth == "analytic:taylor_green":
+        # the t = 0 frame times the vortex's decay, as `taylor_green` scales it
         grid, kappa, nu = setup.grid, cfg.forcing_kappa, cfg.nu
-        return AnalyticTruth(grid, lambda t: taylor_green(grid, kappa, t, nu))
+        return TruthSource(
+            _band_packing(grid), [taylor_green(grid, kappa, 0.0, nu).coeffs],
+            lambda t: (0, [_taylor_green_decay(grid, kappa, t, nu)]),
+        )
 
     tau_t = cfg.tau / cfg.truth_dt_factor
     p_free = PhysicsParams(
@@ -489,7 +470,7 @@ def build_truth(setup: _Setup) -> TruthSource:
     traj = nse_integrate(
         u_init, p_free, setup.horizon, tau_t, store_every=cfg.truth_store_every
     )
-    return StoredTruth(traj)
+    return _stored(traj)
 
 
 def build_ic(setup: _Setup, truth: TruthSource) -> SpectralField:
@@ -714,9 +695,10 @@ def run_contraction_test(
 ) -> ExperimentReport:
     """Two runs from perturbed initial data observing the same truth.
 
-    Both solutions are marched by `advance`, the first stored at every
-    step; each step of the second records a row with the first solution's
-    norms and the difference of the two.  The checks are then judged from
+    The second solution, from the perturbed initial data, is marched first
+    and stored at every step; it is then the truth of the first's errors,
+    and `_Run._march` records the first solution's norms and the
+    difference of the two at every step.  The checks are then judged from
     the recorded columns: the squared difference must stay below the
     geometric envelope at steps 1..n, in H for the semi-implicit scheme
     (hypothesis tau * beta <= 1, otherwise the check is skipped), in V for
@@ -733,27 +715,19 @@ def run_contraction_test(
             setup.grid, setup.rng,
             norm_v=cfg.perturbation * _m1_scale(setup), cutoff=params.cutoff,
         )
+        _, second = advance(
+            v0 + bump, params, truth, tau, n_steps, scheme=cfg.scheme, store_every=1
+        )
         gal = _galerkin(params)
-        b_v0 = v0 + bump
-        x0 = gal._pack_field(v0)
-        eps0_h, eps0_v, _ = gal.norms(x0 - gal._pack_field(b_v0))
+        errors = _stored(second).error_norms(gal)
+        eps0_h, eps0_v, _ = errors(gal._pack_field(v0), 0.0)
         env_h2 = contraction_envelope(eps0_h**2, params, tau, n_steps)
         env_v2 = contraction_envelope(eps0_v**2, params, tau, n_steps)
 
-        rec = run.table("contraction_series.csv")
-        rec.add(0, 0.0, gal.norms(x0), eps0_h, eps0_v,
-                math.sqrt(env_h2[0]), math.sqrt(env_v2[0]))
-        _, first = advance(
-            v0, params, truth, tau, n_steps, scheme=cfg.scheme, store_every=1
+        rec = run._march(
+            "contraction_series.csv", truth, v0, tau, n_steps, errors,
+            (np.sqrt(env_h2), np.sqrt(env_v2)),
         )
-
-        def on_step(prev: SchemeState, new: SchemeState) -> None:
-            k, a = new.k, first.frames[new.k]
-            eh, ev, _ = gal.norms(a - new.x)
-            rec.add(k, new.t, gal.norms(a), eh, ev,
-                    math.sqrt(env_h2[k]), math.sqrt(env_v2[k]))
-
-        advance(b_v0, params, truth, tau, n_steps, scheme=cfg.scheme, on_step=on_step)
         eps_h, eps_v = rec.column("err_H"), rec.column("err_V")
         max_ratio_h = _max_ratio(eps_h[1:] ** 2, env_h2[1:])
         max_ratio_v = _max_ratio(eps_v[1:] ** 2, env_v2[1:])
@@ -945,7 +919,7 @@ def run_tau_sweep(
             gal.norms(a - b)[0] for a, b in zip(ref.frames[::2], ref_2dt.frames)
         )
         del ref_2dt  # only the gap is kept
-        errors = StoredTruth(ref).error_norms(gal)
+        errors = _stored(ref).error_norms(gal)
 
         sups_h: list[tuple[float, float]] = []
         sups_v: list[tuple[float, float]] = []
@@ -1154,7 +1128,7 @@ def run_self_check(seed: int = 0, out_dir: str | None = None) -> ExperimentRepor
         nu=nu, grid=grid32, forcing=forcing, beta=5.0, interpolant=spec,
         cutoff=GalerkinCutoff(40.0),
     )
-    truth = SteadyTruth(u_star)
+    truth = _steady(u_star)
     drift = 0.0
     for scheme in (SEMI_IMPLICIT, FULLY_IMPLICIT):
         state, _ = advance(u_star, params, truth, 0.01, 1, scheme=scheme)

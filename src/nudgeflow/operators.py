@@ -162,6 +162,17 @@ def kolmogorov_steady_state(
     return kolmogorov_forcing(grid, kappa, amplitude) * (1.0 / (nu * kp * kp))
 
 
+def _taylor_green_decay(grid: TorusGrid, kappa: int, t: float, nu: float) -> float:
+    """The vortex's amplitude e^(-2 nu kp^2 t) at time t (`taylor_green`)."""
+    kappa = int(kappa)
+    if kappa <= 0 or kappa > grid.band_limit:
+        raise ValueError(
+            f"kappa must lie in [1, {grid.band_limit}] for grid n={grid.n}"
+        )
+    kp = 2.0 * np.pi * kappa / grid.L
+    return float(np.exp(-2.0 * nu * kp * kp * t))
+
+
 def taylor_green(grid: TorusGrid, kappa: int, t: float, nu: float) -> SpectralField:
     """Decaying Taylor-Green vortex, an exact unforced solution.
 
@@ -169,13 +180,8 @@ def taylor_green(grid: TorusGrid, kappa: int, t: float, nu: float) -> SpectralFi
     with kp = 2 pi kappa / L; the self-advection term is a pure gradient,
     so the field solves the unforced equation exactly.
     """
+    amp = _taylor_green_decay(grid, kappa, t, nu)
     kappa = int(kappa)
-    if kappa <= 0 or kappa > grid.band_limit:
-        raise ValueError(
-            f"kappa must lie in [1, {grid.band_limit}] for grid n={grid.n}"
-        )
-    kp = 2.0 * np.pi * kappa / grid.L
-    amp = float(np.exp(-2.0 * nu * kp * kp * t))
     # uhat(s1 kappa, kappa) = (-s1, 1) i amp / 4 = s1 a e_k, e_k = (-1, s1) / sqrt(2)
     a = np.sqrt(2.0) * 0.25j * amp
     return _modes_field(grid, [kappa, -kappa], [kappa, kappa], [a, -a])

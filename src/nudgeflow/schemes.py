@@ -57,13 +57,15 @@ and packing and builds its field only when asked for it; trajectories
 store packed frames.  Norms of packed vectors are Parseval sums with
 per-mode weights 2 L^2 {1, |k|^2, |k|^4} (`_Packing.norms`).
 The solver reads its observations from the truth itself: a TruthSource
-holds u(t) packed and returns P_N P_sigma I_h u(t) packed
+holds u(t) as packed frames and a time stencil, u(t) = combine(frames,
+*stencil(t)) (`storage.combine`), and returns P_N P_sigma I_h u(t) packed
 (`TruthSource.observe`), under the one interpolant the params name, and
-only when beta > 0.  A steady or analytic truth's frame is its field's
-amplitudes on the band (`fields._band_packing`), a stored truth's are its
-trajectory's packed frames, which are all observed in one product and
-interpolated in time with the trajectory's Lagrange weights.  Errors
-embed the estimate in the truth's packing and take packed norms.
+only when beta > 0.  The frames are observed once per packing, in one
+product, and the observed frames are combined with the same stencil,
+which equals observing u(t) because both maps are linear.  A steady truth
+is one frame, an analytic one its frames with closed-form weights, and a
+stored trajectory is its frames with its Lagrange stencil.  Errors embed
+the estimate in the truth's packing and take packed norms.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ from .interpolants import (
 )
 from .krylov import SolverError, gmres
 from .operators import advect_raw
-from .storage import Trajectory
+from .storage import Trajectory, combine
 
 __all__ = [
     "PhysicsParams",
@@ -204,40 +206,43 @@ ErrorNorms = Callable[[np.ndarray, float], list[float]]
 
 
 class TruthSource:
-    """Resolved solution u(t), packed on `packing`, which holds every mode of u.
+    """Resolved solution u(t) = combine(frames, *stencil(t)), packed on
+    `packing`, which holds every mode of u.
 
-    A subclass supplies its packing and `packed(t, frames)`: u(t) as a
-    linear combination of `frames`, its stored packed samples (None if it
-    has none), or the same combination of data derived linearly from them.
+    frames are packed vectors; stencil(t) returns the index of u(t)'s first
+    frame and the weights of it and the frames after it (None: u(t) is
+    that frame).  A steady truth is one frame with stencil (0, None), a
+    trajectory that `advance` stored is its frames with `traj.stencil`.
     """
 
-    def __init__(self, packing: _Packing, frames: list | None = None) -> None:
-        self.packing, self.frames = packing, frames
-        self._observed: dict[tuple, tuple | np.ndarray] = {}
+    def __init__(
+        self,
+        packing: _Packing,
+        frames: list[np.ndarray],
+        stencil: Callable[[float], tuple[int, list[float] | None]],
+    ) -> None:
+        self.packing, self.frames, self.stencil = packing, frames, stencil
+        self._observed: dict[tuple, np.ndarray] = {}
+
+    def packed(self, t: float) -> np.ndarray:
+        return combine(self.frames, *self.stencil(t))
 
     def field_at(self, t: float) -> SpectralField:
-        return self.packing._field(self.packed(t, self.frames))
-
-    def packed(self, t: float, frames) -> np.ndarray:
-        raise NotImplementedError
+        return self.packing._field(self.packed(t))
 
     def observe(self, gal: _Galerkin, t: float) -> np.ndarray:
         """P_N P_sigma I_h u(t) packed in gal, I_h = gal.p.interpolant.
 
-        The map is built once per packing and interpolant that observe the
-        truth, and the stored frames are observed then, in one product.
+        The frames are observed once per packing and interpolant that
+        observe the truth, in one product, and combined with the stencil.
         """
         key = (gal.grid, gal.p.cutoff, gal.p.interpolant)
         if key not in self._observed:
             if gal.grid != self.packing.grid:
                 raise ValueError("observed truth grid differs from params grid")
             pair = gal._observation_map(self.packing.modes)
-            self._observed[key] = (
-                pair if self.frames is None else _map(pair, np.array(self.frames))
-            )
-        if self.frames is None:
-            return _map(self._observed[key], self.packed(t, None))
-        return self.packed(t, self._observed[key])
+            self._observed[key] = _map(pair, np.array(self.frames))
+        return combine(self._observed[key], *self.stencil(t))
 
     def error_norms(self, gal: _Galerkin) -> ErrorNorms:
         """Norms of v - u(t) for v packed in gal, embedded in the truth's packing."""
@@ -245,7 +250,7 @@ class TruthSource:
         at = own._index_of(gal.modes)
 
         def errors(x: np.ndarray, t: float) -> list[float]:
-            d = -self.packed(t, self.frames)
+            d = -self.packed(t)
             d[at] += x
             return own.norms(d)
 

@@ -9,9 +9,11 @@ the body size and finiteness.
 
 A trajectory holds time-ordered frames in memory: the packed Galerkin
 vectors that the solver marches (see `schemes`), from which it builds a
-field only on request.  `Trajectory.lookup` interpolates between
-stored times with 4-point Lagrange weights, for the frames themselves and
-for per-frame data derived linearly from them (packed observations).
+field only on request.  `Trajectory.stencil` names the frames of a time:
+the stored frame at a stored time, else the 4-point Lagrange weights of
+the stored times around it.  `combine` applies a stencil to the frames
+themselves or to per-frame data derived linearly from them (packed
+observations), so a trajectory is a truth (`schemes.TruthSource`).
 """
 
 from __future__ import annotations
@@ -194,34 +196,32 @@ class Trajectory:
         self.interpolated_queries += 1
         return _lagrange_weights(times, t)
 
-    def lookup(self, frames, t: float):
-        """The entry of `frames` (one per stored time) at time t.
-
-        frames may be the stored frames or any data derived linearly from
-        them; between stored times the entries are interpolated.
-        """
-        lo, weights = self.stencil(t)
-        if weights is None:
-            return frames[lo]
-        out = frames[lo] * weights[0]
-        for m in range(1, len(weights)):
-            out = out + frames[lo + m] * weights[m]
-        return out
-
     def at(self, t: float) -> SpectralField:
         """Field at time t: stored snapshot if t matches, else interpolated."""
-        return self.packing._field(self.lookup(self.frames, t))
+        return self.packing._field(combine(self.frames, *self.stencil(t)))
+
+
+def combine(frames, lo: int, weights: list[float] | None):
+    """frames[lo] if weights is None, else the sum of weights[m] frames[lo + m].
+
+    frames is any sequence of packed vectors (or rows of an array).
+    """
+    if weights is None:
+        return frames[lo]
+    out = frames[lo] * weights[0]
+    for m in range(1, len(weights)):
+        out = out + frames[lo + m] * weights[m]
+    return out
 
 
 def series_to_csv(header: Iterable[str], rows: Iterable[Iterable[float]]) -> str:
-    """Render a numeric table with full-precision floats, ints kept as ints."""
+    """Render a numeric table with full-precision floats.
+
+    FLOAT_FMT prints every integer below 2^53 as `str` does, so integer
+    columns need no format of their own.
+    """
+    header = tuple(header)
+    fmt = ",".join([FLOAT_FMT] * len(header))
     out = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(FLOAT_FMT % float(v))
-        out.append(",".join(cells))
+    out.extend(fmt % tuple(row) for row in rows)
     return "\n".join(out) + "\n"

@@ -137,6 +137,9 @@ def test_burn_in_must_precede_t_end():
         ("experiment", "tau", "nan", "tau must be positive"),
         ("sweep", "tau_list", "0.02, 0.0, 0.005", "tau_list entries"),
         ("sweep", "tau_list", "0.02, -0.01, 0.005", "tau_list entries"),
+        # the runners label an entry by %g: these two share the label 0.01
+        ("sweep", "tau_list", "0.01, 0.0100000001", "tau_list entries must differ"),
+        ("sweep", "lambda_cut_list", "6, 16, 16.0000001", "lambda_cut_list entries must differ"),
         ("experiment", "truth_dt_factor", "0", "truth_dt_factor must be >= 1"),
         ("experiment", "truth_spinup", "-1", "truth_spinup must be nonnegative"),
         ("experiment", "truth_store_every", "0", "truth_store_every must be >= 1"),

@@ -242,8 +242,9 @@ def test_twin_zero_forcing_names_why_conditions_are_skipped(tmp_path):
 
 
 def test_analytic_taylor_green_twin_makes_no_grid_array(monkeypatch, tmp_path):
-    # the vortex writes its four amplitudes and an analytic truth's frame is
-    # the field's amplitudes, so no step packs or unpacks a (2, n, n) array
+    # the vortex writes its four amplitudes and the truth is its t = 0 frame
+    # times the decay, so the field is built once and no step packs or
+    # unpacks a (2, n, n) array
     calls = []
     for name in ("_pack_grid", "_unpack_grid"):
         real = getattr(_Packing, name)
@@ -251,6 +252,12 @@ def test_analytic_taylor_green_twin_makes_no_grid_array(monkeypatch, tmp_path):
             _Packing, name,
             lambda self, a, real=real, name=name: calls.append(name) or real(self, a),
         )
+    built_at = []
+    real_tg = experiments.taylor_green
+    monkeypatch.setattr(
+        experiments, "taylor_green",
+        lambda grid, kappa, t, nu: built_at.append(t) or real_tg(grid, kappa, t, nu),
+    )
     cfg = tiny_twin_config(
         grid_n=24, forcing="none", truth="analytic:taylor_green", ic="zero",
         lambda_cut=20.0, interpolant="volume_average", h=2.0 * math.pi / 8, t_end=0.05,
@@ -259,6 +266,7 @@ def test_analytic_taylor_green_twin_makes_no_grid_array(monkeypatch, tmp_path):
     rows = (tmp_path / "twin_series.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2", "3", "4", "5"]
     assert calls == []
+    assert built_at == [0.0]
 
 
 def test_twin_reruns_are_byte_identical(tmp_path):
@@ -747,10 +755,10 @@ def test_cli_rejects_a_bad_config_before_any_integration(
 
 def test_cli_lets_a_value_error_inside_a_run_propagate(tmp_path, monkeypatch):
     # a fault inside the run is a program error, never "bad input"
-    def broken_lookup(self, frames, t):
+    def broken_stencil(self, t):
         raise ValueError("lookup fault")
 
-    monkeypatch.setattr(Trajectory, "lookup", broken_lookup)
+    monkeypatch.setattr(Trajectory, "stencil", broken_stencil)
     cfg_path = tmp_path / "run.cfg"
     cfg = tiny_twin_config(truth="nse_integrate", truth_spinup=0.0, t_end=0.05)
     cfg_path.write_text(render_config(cfg))
@@ -844,7 +852,8 @@ STALL = (
     "runner, overrides, partial",
     [
         (run_twin_experiment, {}, "twin_series.csv"),
-        (run_contraction_test, dict(contraction_steps=5), "contraction_series.csv"),
+        # the stall hits the stored perturbed march, before the recorded one
+        (run_contraction_test, dict(contraction_steps=5), None),
         (run_stability_soak, dict(soak_steps=5), "soak_series_tau_0_02.csv"),
         (run_tau_sweep, dict(t_end=0.06), "tau_sweep_series_0.csv"),
         (run_n_sweep, dict(lambda_cut_list=(6.0, 16.0, 40.0)), "n_sweep_summary.csv"),

@@ -1,6 +1,7 @@
 """Package surface: every exported name exists, only outside arrays
 enter through the checking constructor, no code checks or repairs the
-field invariants, and no runner keeps per-step check state."""
+field invariants, no class subclasses the truth, and no runner keeps
+per-step check state."""
 
 import ast
 import importlib
@@ -84,6 +85,19 @@ def test_average_symbol_is_called_only_by_the_observation_builders():
         ("interpolants", "estimate_c0"),
         ("schemes", "_observation_map"),
     ]
+
+
+def test_no_class_subclasses_the_truth():
+    # every truth is packed frames read through a time stencil, so no
+    # per-kind truth class exists
+    subclasses = [
+        (module, node.name) for module, tree in _trees().items()
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for base in node.bases
+        if (base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None))
+        == "TruthSource"
+    ]
+    assert subclasses == []
 
 
 def test_runners_keep_no_per_step_check_state():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nudgeflow import experiments, schemes
 from nudgeflow.config import default_config
-from nudgeflow.experiments import AnalyticTruth, SteadyTruth, StoredTruth
+from nudgeflow.experiments import _steady, _stored
 from nudgeflow.fields import (
     GalerkinCutoff,
     SpectralField,
@@ -29,6 +29,7 @@ from nudgeflow.fields import (
 from nudgeflow.interpolants import InterpolantSpec, apply_ih
 from nudgeflow.krylov import SolverError
 from nudgeflow.operators import (
+    _taylor_green_decay,
     bilinear_B,
     kolmogorov_forcing,
     kolmogorov_steady_state,
@@ -39,6 +40,7 @@ from nudgeflow.schemes import (
     SEMI_IMPLICIT,
     PhysicsParams,
     SchemeState,
+    TruthSource,
     advance,
     nse_integrate,
     reference_galerkin_integrate,
@@ -46,6 +48,14 @@ from nudgeflow.schemes import (
 from nudgeflow.storage import Trajectory
 
 TWO_PI = 2.0 * np.pi
+
+
+def rotating(u, w):
+    """The truth u cos 3t + w sin 3t."""
+    return TruthSource(
+        _band_packing(u.grid), [u.coeffs, w.coeffs],
+        lambda t: (0, [math.cos(3.0 * t), math.sin(3.0 * t)]),
+    )
 
 
 def free_params(grid, nu, forcing=None):
@@ -135,7 +145,7 @@ def test_steady_state_is_fixed_point_nudged(scheme, grid32):
     )
     drift = []
     advance(
-        u_star, p, SteadyTruth(u_star), 0.01, 50, scheme=scheme,
+        u_star, p, _steady(u_star), 0.01, 50, scheme=scheme,
         on_step=lambda prev, new: drift.append(norm_H(new.v - u_star)),
     )
     assert max(drift) <= 50 * 1e-9 * norm_H(u_star)
@@ -321,7 +331,7 @@ def nudged_problem(grid, rng, kind="fourier_truncation"):
     p = PhysicsParams(0.1, grid, kolmogorov_forcing(grid, 2, 0.5), 10.0, spec, co)
     u = random_field(grid, rng, norm_v=2.0, cutoff=co)
     w = random_field(grid, rng, norm_v=2.0, cutoff=co)
-    truth = AnalyticTruth(grid, lambda t: u * np.cos(3.0 * t) + w * np.sin(3.0 * t))
+    truth = rotating(u, w)
     v0 = random_field(grid, rng, norm_v=3.0, cutoff=co)
     return p, truth, v0
 
@@ -420,7 +430,7 @@ def test_step_rejects_non_finite_observation_as_solver_error(rng, grid16):
     )
     v = random_field(grid16, rng, norm_v=0.1, cutoff=p.cutoff)
     with pytest.raises(SolverError, match="non-finite"):
-        advance(v, p, AnalyticTruth(grid16, lambda t: _poisoned(v)), 0.01, 1)
+        advance(v, p, _steady(_poisoned(v)), 0.01, 1)
 
 
 def test_reference_reports_blow_up_as_solver_error(rng, grid16):
@@ -544,7 +554,7 @@ def test_reference_vector_field_matches_full_grid_formula(n, kind, h, lam, n_s):
     u = random_field(grid, rng, norm_v=2.0)
     gal = schemes._Etdrk4(p, 0.01)
     x = gal._pack_field(v)
-    data = gal._observed(SteadyTruth(u), 0.0)
+    data = gal._observed(_steady(u), 0.0)
     got = -(p.nu * gal.k_squared + gal.obs_diag) * x + gal._explicit(x, data)
 
     expected = (
@@ -620,7 +630,7 @@ def test_semi_implicit_step_applies_the_operator_only_inside_gmres(monkeypatch):
     # separate check apply, and the new field is built without validation
     rng = np.random.default_rng(11)
     p, moving, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
-    truth = SteadyTruth(moving.field_at(0.01))
+    truth = _steady(moving.field_at(0.01))
     truth.observe(schemes._galerkin(p), 0.01)  # observed before counting
     counts = {"advect_raw": 0, "gmres_apply": 0, "from_coeffs": 0}
     real_advect, real_gmres = schemes.advect_raw, schemes.gmres
@@ -718,7 +728,7 @@ def test_fully_implicit_step_at_a_fixed_point_makes_one_apply(monkeypatch, grid3
 
     monkeypatch.setattr(schemes, "advect_raw", advect)
     monkeypatch.setattr(schemes, "gmres", gmres)
-    new, _ = advance(u_star, p, SteadyTruth(u_star), 0.01, 1, scheme=FULLY_IMPLICIT)
+    new, _ = advance(u_star, p, _steady(u_star), 0.01, 1, scheme=FULLY_IMPLICIT)
     assert new.k == 1
     assert counts == {"advect_raw": 1, "gmres": 0}
     assert np.array_equal(new.x, schemes._galerkin(p)._pack_field(u_star))
@@ -910,12 +920,13 @@ def _truths(grid, rng):
     traj = nse_integrate(u, free_params(grid, 0.1, forcing), 0.06, 0.01, store_every=2)
     kappa = grid.band_limit
     return {
-        "steady": SteadyTruth(u),
-        "analytic": AnalyticTruth(
-            grid, lambda t: u * math.cos(3.0 * t) + w * math.sin(3.0 * t)
+        "steady": _steady(u),
+        "analytic": rotating(u, w),
+        "stored": _stored(traj),
+        "taylor_green": TruthSource(
+            _band_packing(grid), [taylor_green(grid, kappa, 0.0, 0.1).coeffs],
+            lambda t: (0, [_taylor_green_decay(grid, kappa, t, 0.1)]),
         ),
-        "stored": StoredTruth(traj),
-        "taylor_green": AnalyticTruth(grid, lambda t: taylor_green(grid, kappa, t, 0.1)),
     }
 
 
@@ -958,7 +969,8 @@ def test_truth_observes_under_the_params_interpolant(which, n, kind, h):
         expected = _split_error_norms(truth, gal, x, t)
         assert np.max(np.abs(errors(x, t) - expected) / expected) <= 1e-13
     if which == "stored":
-        assert truth.traj.interpolated_queries > 0 and truth.traj.exact_queries > 0
+        traj = truth.stencil.__self__
+        assert traj.interpolated_queries > 0 and traj.exact_queries > 0
 
 
 @pytest.mark.parametrize(
@@ -1021,7 +1033,7 @@ def test_twin_steps_make_no_apply_ih_or_field_call(monkeypatch):
     traj = nse_integrate(u0, free_params(grid, 0.1, forcing), 0.1, 0.01, store_every=4)
     spec = InterpolantSpec("volume_average", TWO_PI / 16)
     p = PhysicsParams(0.1, grid, forcing, 8.0, spec, GalerkinCutoff(60.0))
-    truth = StoredTruth(traj)
+    truth = _stored(traj)
     v0 = random_field(grid, rng, norm_v=1.0, cutoff=p.cutoff)
     counts = {"apply_ih": 0, "_field": 0}
     real_apply_ih, real_field = schemes.apply_ih, schemes._Packing._field

@@ -186,3 +186,8 @@ def test_series_to_csv_formats():
     assert float(lines[2].split(",")[1]) == 2.0 / 3.0
     assert lines[2].split(",")[0] == "1"
     assert text.endswith("\n")
+    # an int and an integral float print alike, as str prints the int
+    big = 2**53 - 1
+    assert series_to_csv(("a", "b", "c"), [(7, 7.0, big), (0, -0.0, float(big))]) == (
+        f"a,b,c\n7,7,{big}\n0,-0,{big}\n"
+    )

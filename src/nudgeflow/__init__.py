@@ -13,7 +13,6 @@ from .analysis import (
     ConditionCheck,
     ConditionReport,
     DecayFit,
-    ErrorSeries,
     FitError,
     OrderFit,
     bound_constants,
@@ -59,7 +58,6 @@ from .schemes import (
     SCHEMES,
     SEMI_IMPLICIT,
     PhysicsParams,
-    SchemeState,
     TruthSource,
     advance,
     nse_integrate,

@@ -34,10 +34,10 @@ __all__ = [
     "contraction_envelope",
     "stability_bound_h2",
     "stability_bound_v2",
-    "ErrorSeries",
     "FitError",
     "DecayFit",
     "decay_rate_fit",
+    "tail_sup",
     "OrderFit",
     "convergence_order",
 ]
@@ -323,28 +323,29 @@ def gronwall_envelope(
 
 
 def contraction_envelope(
-    e0_sq: float, p: PhysicsParams, tau: float, steps: np.ndarray | int
+    e0_sq: float, p: PhysicsParams, tau: float, steps: int
 ) -> np.ndarray:
-    """Geometric difference envelope e0^2 / (1 + tau (beta + nu lambda1)/4)^n.
+    """Geometric difference envelope e0^2 / (1 + tau (beta + nu lambda1)/4)^n,
+    n = 0 .. steps.
 
     The same factor bounds the squared H-norm difference for the
     semi-implicit scheme (when tau beta <= 1) and the squared V-norm
     difference for the fully implicit scheme (any tau).
     """
-    n = np.arange(steps + 1) if isinstance(steps, int) else np.asarray(steps)
+    n = np.arange(steps + 1)
     factor = 1.0 + 0.25 * tau * (p.beta + p.nu * p.grid.lambda1)
     with np.errstate(over="ignore"):
         return e0_sq / factor ** n
 
 
 def stability_bound_h2(
-    p: PhysicsParams, consts: BoundConstants, v0_h2: float, tau: float,
-    steps: np.ndarray | int,
+    p: PhysicsParams, consts: BoundConstants, v0_h2: float, tau: float, steps: int
 ) -> np.ndarray:
-    """Explicit bound on |v^n|^2 for both schemes (requires beta > 0)."""
+    """Explicit bound on |v^n|^2, n = 0 .. steps, for both schemes (requires
+    beta > 0)."""
     if p.beta <= 0.0:
         raise ValueError("the explicit H bound requires beta > 0")
-    n = np.arange(steps + 1) if isinstance(steps, int) else np.asarray(steps)
+    n = np.arange(steps + 1)
     nu, beta = p.nu, p.beta
     lam1 = p.grid.lambda1
     f2 = consts.f_norm**2
@@ -360,11 +361,10 @@ def stability_bound_h2(
 
 
 def stability_bound_v2(
-    p: PhysicsParams, consts: BoundConstants, v0_v2: float, tau: float,
-    steps: np.ndarray | int,
+    p: PhysicsParams, consts: BoundConstants, v0_v2: float, tau: float, steps: int
 ) -> np.ndarray:
-    """Explicit bound on ||v^n||^2 for both schemes."""
-    n = np.arange(steps + 1) if isinstance(steps, int) else np.asarray(steps)
+    """Explicit bound on ||v^n||^2, n = 0 .. steps, for both schemes."""
+    n = np.arange(steps + 1)
     nu, beta = p.nu, p.beta
     lam1 = p.grid.lambda1
     with np.errstate(over="ignore"):
@@ -380,19 +380,12 @@ def stability_bound_v2(
 # measured series and fits
 
 
-@dataclass(frozen=True)
-class ErrorSeries:
-    """Per-time error between two trajectories in one norm."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def tail_sup(self, t_from: float) -> float:
-        """sup of the error over times >= t_from (uniform-in-time claims)."""
-        sel = self.times >= t_from - 1e-12 * max(1.0, abs(t_from))
-        if not np.any(sel):
-            raise ValueError(f"no samples at or after t = {t_from}")
-        return float(np.max(self.values[sel]))
+def tail_sup(times: np.ndarray, values: np.ndarray, t_from: float) -> float:
+    """sup of values over times >= t_from (uniform-in-time claims)."""
+    sel = times >= t_from - 1e-12 * max(1.0, abs(t_from))
+    if not np.any(sel):
+        raise ValueError(f"no samples at or after t = {t_from}")
+    return float(np.max(values[sel]))
 
 
 @dataclass(frozen=True)
@@ -404,8 +397,10 @@ class DecayFit:
     n_used: int
 
 
-def decay_rate_fit(series: ErrorSeries, min_samples: int = 10) -> DecayFit:
-    """Log-linear fit of the pre-floor decay segment.
+def decay_rate_fit(
+    times: np.ndarray, values: np.ndarray, min_samples: int = 10
+) -> DecayFit:
+    """Log-linear fit of the pre-floor decay segment of values(times).
 
     The floor is the median of the last 10% of samples; the fit uses the
     initial segment of samples strictly above 3x that floor and requires
@@ -413,8 +408,8 @@ def decay_rate_fit(series: ErrorSeries, min_samples: int = 10) -> DecayFit:
     above 3x the floor has not reached a floor (it decays by less than 3x
     over the run, or rises), and its whole positive part is fitted.
     """
-    t = np.asarray(series.times, dtype=float)
-    v = np.asarray(series.values, dtype=float)
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
     if len(t) < min_samples:
         raise FitError(f"need at least {min_samples} samples, got {len(t)}")
     tail = max(1, len(v) // 10)

@@ -92,6 +92,9 @@ class ExperimentConfig:
                     f"{key} entries must differ in their 6-digit labels, got "
                     f"{getattr(self, key)} (labels {', '.join(labels)})"
                 )
+        if self.seed < 0:
+            # numpy's generators take nonnegative seeds only
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.truth_dt_factor < 1:
             raise ConfigError(
                 f"truth_dt_factor must be >= 1, got {self.truth_dt_factor}"

@@ -45,7 +45,6 @@ from .analysis import (
     DEFAULT_CONSTANTS,
     BoundConstants,
     ConditionReport,
-    ErrorSeries,
     FitError,
     bound_constants,
     check_conditions,
@@ -55,6 +54,7 @@ from .analysis import (
     gronwall_envelope,
     stability_bound_h2,
     stability_bound_v2,
+    tail_sup,
 )
 from .config import ConfigError, ExperimentConfig
 from .fields import (
@@ -465,8 +465,7 @@ def build_truth(setup: _Setup) -> TruthSource:
     )
     u_init = random_field(setup.grid, setup.rng, norm_v=_m1_scale(setup))
     if setup.spinup_steps:
-        state, _ = advance(u_init, p_free, None, tau_t, setup.spinup_steps)
-        u_init = state.v
+        u_init, _ = advance(u_init, p_free, None, tau_t, setup.spinup_steps)
     traj = nse_integrate(
         u_init, p_free, setup.horizon, tau_t, store_every=cfg.truth_store_every
     )
@@ -549,7 +548,7 @@ class _Run:
         record(0, 0.0, gal._pack_field(v0))
         advance(
             v0, params, truth, tau, n_steps, scheme=self._setup.cfg.scheme,
-            on_step=lambda prev, new: record(new.k, new.t, new.x),
+            on_step=lambda k, x: record(k, k * tau, x),
         )
         return rec
 
@@ -575,10 +574,10 @@ class _Run:
                 f"{len(exc.result.history)}): "
                 + " ".join("%.3e" % r for r in tail)
             )
-        if exc.state is not None:
+        if exc.field is not None:
             name = f"{self.report.name}_solver_state.nnsf"
-            save_snapshot(os.path.join(self.out, name), exc.state.v, exc.cutoff)
-            detail += f"; last accepted state (step {exc.state.k}) in {name}"
+            save_snapshot(os.path.join(self.out, name), exc.field, exc.cutoff)
+            detail += f"; last accepted state (step {exc.step}) in {name}"
         self.report.add_check("solver", FAIL, detail)
 
 
@@ -618,11 +617,10 @@ def run_twin_experiment(
             "twin_series.csv", truth, v0, tau, n_steps, errors, (env_h, env_v)
         )
         times, errs_h, norms_v = (rec.column(c) for c in ("time", "err_H", "norm_V"))
-        series = ErrorSeries(times, errs_h)
 
         if cfg.twin_expect == "decay":
             try:
-                fit = decay_rate_fit(series)
+                fit = decay_rate_fit(times, errs_h)
                 orders = math.log10(errs_h[0] / fit.floor) if fit.floor > 0 else math.inf
                 report.values["decay_rate"] = fit.rate
                 report.values["decay_floor"] = fit.floor
@@ -847,11 +845,11 @@ def run_stability_soak(
                 if over.size:
                     # the march is deterministic: replay it to the violating step
                     k = int(over[0]) + 1
-                    state, _ = advance(v0, params, truth, tau, k, scheme=cfg.scheme)
+                    v_k, _ = advance(v0, params, truth, tau, k, scheme=cfg.scheme)
                     snap = os.path.join(
                         run.out, f"soak_violation_{label}_{name}_step{k}.nnsf"
                     )
-                    save_snapshot(snap, state.v)
+                    save_snapshot(snap, v_k)
                     detail = f"step {k}: {lhs[k - 1]:.9g} > {rhs[k - 1]:.9g}"
                     report.add_check(check_name, FAIL, f"{detail}, iterate in {snap}")
                 else:
@@ -928,10 +926,8 @@ def run_tau_sweep(
                 f"tau_sweep_series_{i}.csv", truth, v0, tau, steps[tau], errors
             )
             times = rec.column("time")
-            eh = ErrorSeries(times, rec.column("err_H"))
-            ev = ErrorSeries(times, rec.column("err_V"))
-            sup_h = eh.tail_sup(cfg.burn_in)
-            sup_v = ev.tail_sup(cfg.burn_in)
+            sup_h = tail_sup(times, rec.column("err_H"), cfg.burn_in)
+            sup_v = tail_sup(times, rec.column("err_V"), cfg.burn_in)
             sups_h.append((tau, sup_h))
             sups_v.append((tau, sup_v))
             report.values[f"sup_err_H:tau={tau:g}"] = sup_h
@@ -1003,11 +999,9 @@ def run_n_sweep(
             lambda_cut: float, tau: float, n_steps: int
         ) -> tuple[float, float, float, float]:
             params = params_at[lambda_cut]
-            state, _ = advance(v0, params, truth, tau, n_steps, scheme=cfg.scheme)
-            plain = state.v - u_end
-            corrected = (
-                state.v + phi1(state.v, setup.forcing, cfg.nu, params.cutoff) - u_end
-            )
+            v_n, _ = advance(v0, params, truth, tau, n_steps, scheme=cfg.scheme)
+            plain = v_n - u_end
+            corrected = v_n + phi1(v_n, setup.forcing, cfg.nu, params.cutoff) - u_end
             return norm_H(plain), norm_H(corrected), norm_V(plain), norm_V(corrected)
 
         summary = run.table(
@@ -1131,8 +1125,8 @@ def run_self_check(seed: int = 0, out_dir: str | None = None) -> ExperimentRepor
     truth = _steady(u_star)
     drift = 0.0
     for scheme in (SEMI_IMPLICIT, FULLY_IMPLICIT):
-        state, _ = advance(u_star, params, truth, 0.01, 1, scheme=scheme)
-        drift = max(drift, norm_H(state.v - u_star))
+        v1, _ = advance(u_star, params, truth, 0.01, 1, scheme=scheme)
+        drift = max(drift, norm_H(v1 - u_star))
     report.values["fixed_point_drift"] = drift
     report.add_check(
         "steady_fixed_point", PASS if drift <= 1e-9 else FAIL,

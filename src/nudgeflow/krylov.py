@@ -52,22 +52,17 @@ class SolveResult:
 class SolverError(RuntimeError):
     """Linear or nonlinear solve failed; carries the partial result.
 
-    An integrator that fails sets state to its last accepted iterate and
-    cutoff to the Galerkin cutoff it is supported under, or leaves both None.
+    An integrator that fails sets step and field to the index and field of
+    its last accepted iterate, and cutoff to the Galerkin cutoff that field
+    is supported under; otherwise all three stay None.
     """
 
-    def __init__(
-        self,
-        message: str,
-        result: SolveResult | None = None,
-        *,
-        state: object = None,
-        cutoff: object = None,
-    ) -> None:
+    def __init__(self, message: str, result: SolveResult | None = None) -> None:
         super().__init__(message)
         self.result = result
-        self.state = state
-        self.cutoff = cutoff
+        self.step: int | None = None
+        self.field = None
+        self.cutoff = None
 
 
 def gmres(

@@ -49,12 +49,12 @@ and the beta-term applies it whole.
 
 `advance` holds the one loop over time steps: every runner and check,
 the contraction runner's two solutions and the ETDRK4 reference included,
-marches through it.  The packed vector is also the state the callers
-see.  The solver's packing is a `fields._Packing` of the cutoff's low
-modes, and a field holds the same amplitudes on the whole dealiased band,
-so moving between them is an index map.  A SchemeState carries its vector
-and packing and builds its field only when asked for it; trajectories
-store packed frames.  Norms of packed vectors are Parseval sums with
+marches through it.  The packed vector is the march's only state: a step
+maps x_k to x_(k+1), on_step sees (k, x_k), trajectories store packed
+frames, and `advance` builds a field once, for v^n.  The solver's packing
+is a `fields._Packing` of the cutoff's low modes, and a field holds the
+same amplitudes on the whole dealiased band, so moving between them is
+an index map.  Norms of packed vectors are Parseval sums with
 per-mode weights 2 L^2 {1, |k|^2, |k|^4} (`_Packing.norms`).
 The solver reads its observations from the truth itself: a TruthSource
 holds u(t) as packed frames and a time stencil, u(t) = combine(frames,
@@ -95,7 +95,6 @@ from .storage import Trajectory, combine
 
 __all__ = [
     "PhysicsParams",
-    "SchemeState",
     "TruthSource",
     "SolverError",
     "SEMI_IMPLICIT",
@@ -160,39 +159,6 @@ class PhysicsParams:
 
     def __hash__(self) -> int:
         return hash(self._key)
-
-
-class SchemeState:
-    """Iterate v^k at time t_k = k * tau, supported in the low-mode space.
-
-    Carries its packed vector x and the packing x is written in (a
-    `_Galerkin`), and builds the field v from them on first access.
-    data, if not None, is the packed observation term at t_k, which the
-    ETDRK4 step that made the state has computed.
-    """
-
-    __slots__ = ("k", "tau", "x", "packing", "data", "_v")
-
-    def __init__(
-        self, k: int, tau: float, x: np.ndarray, packing: "_Galerkin",
-        data: np.ndarray | float | None = None,
-    ) -> None:
-        if not tau > 0.0:
-            raise ValueError(f"time step must be positive, got {tau}")
-        if k < 0:
-            raise ValueError(f"step index must be nonnegative, got {k}")
-        self.k, self.tau, self.x, self.packing, self.data = k, tau, x, packing, data
-        self._v: SpectralField | None = None
-
-    @property
-    def v(self) -> SpectralField:
-        if self._v is None:
-            self._v = self.packing._field(self.x)
-        return self._v
-
-    @property
-    def t(self) -> float:
-        return self.k * self.tau
 
 
 def _map(pair: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarray:
@@ -416,17 +382,17 @@ class _Stepper(_Galerkin):
 
     def step(
         self,
-        state: SchemeState,
+        x: np.ndarray,
+        k: int,
         truth: TruthSource | None,
         guess: np.ndarray | None = None,
-    ) -> SchemeState:
-        """The next iterate after state, which is packed in this stepper.
+    ) -> np.ndarray:
+        """x_(k+1) after the iterate x = x_k, packed in this stepper.
 
         guess, a packed vector, starts the solve (x_k if None); the
         iterate does not depend on it beyond the step tolerance.
         """
-        x = state.x
-        b = x / self.tau + self.f_low + self._observed(truth, (state.k + 1) * self.tau)
+        b = x / self.tau + self.f_low + self._observed(truth, (k + 1) * self.tau)
         bnorm = float(np.linalg.norm(b))
         if not np.isfinite(bnorm):
             # the state, the forcing or the observation is not finite
@@ -435,8 +401,7 @@ class _Stepper(_Galerkin):
             guess = x
         if self.scheme == SEMI_IMPLICIT:
             # the step residual is GMRES's final residual of this iterate
-            x = self._solve(self._physical(self._half(x)), b, guess)
-            return SchemeState(state.k + 1, self.tau, x, self)
+            return self._solve(self._physical(self._half(x)), b, guess)
         # Fully implicit: Picard with frozen first bilinear argument, from the
         # guess.  Each iterate's residual r is checked, then starts its solve.
         trace: list[float] = []
@@ -447,7 +412,7 @@ class _Stepper(_Galerkin):
             r = b - self._apply_linear(x, u_phys, half)
             trace.append(float(np.linalg.norm(r)) / bnorm if bnorm > 0 else 0.0)
             if trace[-1] <= STEP_RESIDUAL_RTOL:
-                return SchemeState(state.k + 1, self.tau, x, self)
+                return x
             if len(trace) > PICARD_MAX_OUTER:  # every allowed solve has run
                 raise SolverError(
                     "Picard iteration did not reach the nonlinear residual "
@@ -507,45 +472,47 @@ def advance(
     n_steps: int,
     *,
     scheme: str = SEMI_IMPLICIT,
-    on_step: Callable[[SchemeState, SchemeState], None] | None = None,
+    on_step: Callable[[int, np.ndarray], None] | None = None,
     store_every: int | None = None,
-) -> tuple[SchemeState, Trajectory | None]:
-    """March n_steps from v^0 = P_N v0, optionally recording a trajectory.
+) -> tuple[SpectralField, Trajectory | None]:
+    """March n_steps from v^0 = P_N v0: the field v^n and, optionally, a
+    recorded trajectory.
 
     Packing v0 reads only its low modes, which is P_N.  When beta > 0
     each step observes the truth at its new time under p.interpolant
-    (`TruthSource.observe`), an ETDRK4 step also at its midpoint; with
-    beta = 0 the truth is not read and may be None.  Each Euler solve
-    starts from the damped cubic extrapolation of the iterates so far,
-    truncated where their damped differences stop shrinking (v^0 for the
-    first step; see the module docstring).  on_step(prev, new) fires
-    after every accepted step with packed states, whose fields are built
-    only if asked for; store_every = m records the packed v^0 and every
-    m-th iterate (plus the final one) into the returned trajectory.  A
-    SolverError carries the last accepted state and the cutoff.
+    (`TruthSource.observe`), an ETDRK4 step also at its start and
+    midpoint; with beta = 0 the truth is not read and may be None.  Each
+    Euler solve starts from the damped cubic extrapolation of the iterates
+    so far, truncated where their damped differences stop shrinking (v^0
+    for the first step; see the module docstring).  on_step(k, x) fires
+    after every accepted step with its index k and packed iterate x;
+    store_every = m records the packed v^0 and every m-th iterate (plus
+    the final one) into the returned trajectory.  A SolverError carries
+    the last accepted iterate's index and field as exc.step and exc.field,
+    and the cutoff.
     """
+    if not tau > 0.0:
+        raise ValueError(f"time step must be positive, got {tau}")
     stepper = _stepper(p, float(tau), scheme)
-    x0 = stepper._pack_field(v0)
-    state = SchemeState(0, float(tau), x0, stepper)
+    x = stepper._pack_field(v0)
     traj: Trajectory | None = None
     if store_every is not None:
         if store_every < 1:
             raise ValueError(f"store_every must be >= 1, got {store_every}")
         traj = Trajectory(stepper)
-        traj.append(0.0, state.x)
+        traj.append(0.0, x)
     predict = stepper.predictor()
-    for _ in range(n_steps):
+    for k in range(1, n_steps + 1):
         try:
-            new = stepper.step(state, truth, predict(state.x))
+            x = stepper.step(x, k - 1, truth, predict(x))
         except SolverError as exc:
-            exc.state, exc.cutoff = state, p.cutoff
+            exc.step, exc.field, exc.cutoff = k - 1, stepper._field(x), p.cutoff
             raise
         if on_step is not None:
-            on_step(state, new)
-        if traj is not None and (new.k % store_every == 0 or new.k == n_steps):
-            traj.append(new.t, new.x)
-        state = new
-    return state, traj
+            on_step(k, x)
+        if traj is not None and (k % store_every == 0 or k == n_steps):
+            traj.append(k * stepper.tau, x)
+    return stepper._field(x), traj
 
 
 def _steps_for(t_end: float, tau: float) -> int:
@@ -584,8 +551,8 @@ def _etdrk4_weights(hl: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
 class _Etdrk4(_Galerkin):
     """ETDRK4 steps of size tau for one params (`reference_galerkin_integrate`).
 
-    A new state carries its observation term, which the next step takes
-    as its t_k data: each distinct stage time is observed once.
+    Each step observes the truth at its three stage times t_k, t_k + tau/2
+    and t_(k+1).
     """
 
     def __init__(self, p: PhysicsParams, tau: float):
@@ -612,12 +579,12 @@ class _Etdrk4(_Galerkin):
         return out
 
     def step(
-        self, state: SchemeState, truth: TruthSource | None, guess: None = None
-    ) -> SchemeState:
-        """The next iterate after state, which is packed in this stepper."""
-        x, h, k = state.x, self.tau, state.k
+        self, x: np.ndarray, k: int, truth: TruthSource | None, guess: None = None
+    ) -> np.ndarray:
+        """x_(k+1) after the iterate x = x_k, packed in this stepper."""
+        h = self.tau
         e, e2, q, f1, f2, f3 = self._weights
-        data0 = self._observed(truth, k * h) if state.data is None else state.data
+        data0 = self._observed(truth, k * h)
         data_half = self._observed(truth, (k + 0.5) * h)
         data1 = self._observed(truth, (k + 1) * h)
         nx = self._explicit(x, data0)
@@ -629,7 +596,7 @@ class _Etdrk4(_Galerkin):
         nc = self._explicit(c, data1)
         x = e * x + f1 * nx + 2.0 * f2 * (na + nb) + f3 * nc
         _require_finite(x, "iterate")
-        return SchemeState(k + 1, h, x, self, data1)
+        return x
 
 
 def reference_galerkin_integrate(
@@ -646,8 +613,8 @@ def reference_galerkin_integrate(
     L = -(nu A + obs_diag) is integrated exactly; the explicit part is
     N(v, t) = P_N f - P_N B(v, v) + beta P_N I_h u(t), plus, for volume
     averages, the off-diagonal remainder obs_diag v - beta P_N P_sigma I_h v
-    (zero when L/h >= 2K + 1).  I_h is p.interpolant, and the truth is
-    observed once per distinct stage time (not at all when beta = 0).  The
+    (zero when L/h >= 2K + 1).  I_h is p.interpolant, and each step
+    observes the truth at its three stage times (none when beta = 0).  The
     flow does not depend on a time-stepping scheme, so one trajectory
     serves both.  Raises SolverError if an iterate becomes non-finite.
     """

@@ -150,6 +150,8 @@ def test_burn_in_must_precede_t_end():
         ("sweep", "tau_floor_factor", "0", "tau_floor_factor must be > 1"),
         ("sweep", "tau_floor_factor", "-2", "tau_floor_factor must be > 1"),
         ("sweep", "tau_floor_factor", "1", "tau_floor_factor must be > 1"),
+        # numpy's generators reject it only when a runner draws
+        ("experiment", "seed", "-1", "seed must be nonnegative"),
     ],
 )
 def test_inadmissible_time_steps_rejected(section, key, value, match):

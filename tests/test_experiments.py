@@ -341,7 +341,7 @@ def test_contraction_first_solution_is_the_advance_march(tmp_path, scheme):
     marched = [gal.norms(gal._pack_field(v0))[:2]]
     schemes.advance(
         v0, setup.params, truth, cfg.tau, cfg.contraction_steps, scheme=scheme,
-        on_step=lambda prev, new: marched.append(gal.norms(new.x)[:2]),
+        on_step=lambda k, x: marched.append(gal.norms(x)[:2]),
     )
     assert recorded == marched
 
@@ -611,6 +611,8 @@ def test_cli_invalid_physics_exits_2(tmp_path, capsys):
         ("contraction", "contraction_steps", "-3"),
         ("n-sweep", "tau_floor_factor", "0"),
         ("n-sweep", "tau_floor_factor", "-2"),
+        ("twin", "seed", "-1"),
+        ("constants", "seed", "-1"),
     ],
 )
 def test_cli_inadmissible_time_step_exits_2(tmp_path, capsys, command, key, value):
@@ -792,6 +794,7 @@ _FUZZ_VALUES = {
     "forcing_kappa": [0, 9],
     "ic": ["zero", "truth_low", "perturbed_truth"],
     "ic_amplitude": [1.5],
+    "seed": [-1],
 }
 _FUZZ_CHANGES = st.lists(
     st.sampled_from(sorted(_FUZZ_VALUES)), min_size=1, max_size=3, unique=True
@@ -809,12 +812,18 @@ _FUZZ_CHANGES = st.lists(
 )
 def test_cli_exits_0_1_or_2_on_adversarial_configs(command, changes):
     # a run passes (0), fails a check (1) or is rejected by a ConfigError (2);
-    # any other exception escapes main and fails this test
+    # any other exception escapes main and fails this test.  A seed no
+    # config can hold reaches main as the --seed override.
+    changes = dict(changes)
+    seed = ["--seed", str(changes.pop("seed"))] if "seed" in changes else []
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "run.cfg")
         with open(cfg_path, "w", encoding="utf-8") as fh:
             fh.write(render_config(default_config(**{**_FUZZ_BASE, **changes})))
-        argv = ["--quiet", "--config", cfg_path, "--out", os.path.join(tmp, "out"), command]
+        argv = [
+            "--quiet", "--config", cfg_path, "--out", os.path.join(tmp, "out"),
+            *seed, command,
+        ]
         assert cli.main(argv) in (0, 1, 2)
 
 
@@ -897,10 +906,9 @@ def test_runners_report_a_solver_stall_as_failed_check(
 
 def test_tau_sweep_reference_failure_writes_report_and_snapshot(tmp_path, monkeypatch):
     def failing_reference(v0, p, truth, t_end, dt):
-        gal = schemes._galerkin(p)
-        x = gal._pack_field(project_low(v0, p.cutoff))
-        state = schemes.SchemeState(2, dt, x, gal)
-        raise SolverError("non-finite iterate", state=state, cutoff=p.cutoff)
+        exc = SolverError("non-finite iterate")
+        exc.step, exc.field, exc.cutoff = 2, project_low(v0, p.cutoff), p.cutoff
+        raise exc
 
     monkeypatch.setattr(experiments, "reference_galerkin_integrate", failing_reference)
     cfg = tiny_twin_config(t_end=0.06)

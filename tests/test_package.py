@@ -1,7 +1,8 @@
 """Package surface: every exported name exists, only outside arrays
 enter through the checking constructor, no code checks or repairs the
-field invariants, no class subclasses the truth, and no runner keeps
-per-step check state."""
+field invariants, no class subclasses the truth, packed vectors become
+fields only at the march boundary, and no runner keeps per-step check
+state."""
 
 import ast
 import importlib
@@ -98,6 +99,18 @@ def test_no_class_subclasses_the_truth():
         == "TruthSource"
     ]
     assert subclasses == []
+
+
+def test_packed_vectors_become_fields_only_at_the_march_boundary():
+    # the packed vector is the solver's state: advance builds the final
+    # field (and the last accepted one on a failure), and the truth and
+    # trajectories build a field only when one is asked for by time
+    assert sorted(set(_callers("_field"))) == [
+        ("schemes", "advance"),
+        ("schemes", "field_at"),
+        ("storage", "at"),
+        ("storage", "fields"),
+    ]
 
 
 def test_runners_keep_no_per_step_check_state():

@@ -39,7 +39,6 @@ from nudgeflow.schemes import (
     FULLY_IMPLICIT,
     SEMI_IMPLICIT,
     PhysicsParams,
-    SchemeState,
     TruthSource,
     advance,
     nse_integrate,
@@ -56,6 +55,12 @@ def rotating(u, w):
         _band_packing(u.grid), [u.coeffs, w.coeffs],
         lambda t: (0, [math.cos(3.0 * t), math.sin(3.0 * t)]),
     )
+
+
+def fields_into(p, out):
+    """An on_step callback appending each accepted iterate's field to out."""
+    gal = schemes._galerkin(p)
+    return lambda k, x: out.append(gal._field(x))
 
 
 def free_params(grid, nu, forcing=None):
@@ -82,15 +87,11 @@ def test_params_validation(grid16):
         PhysicsParams(1.0, grid16, zero, 0.0, None, GalerkinCutoff(30.0))
 
 
-def test_state_validation(rng, grid16):
-    gal = schemes._galerkin(free_params(grid16, 1.0))
-    x = gal._pack_field(random_field(grid16, rng))
-    s = SchemeState(3, 0.25, x, gal)
-    assert s.t == pytest.approx(0.75)
-    with pytest.raises(ValueError):
-        SchemeState(0, 0.0, x, gal)
-    with pytest.raises(ValueError):
-        SchemeState(-1, 0.1, x, gal)
+@pytest.mark.parametrize("tau", [0.0, -0.1])
+def test_advance_rejects_a_non_positive_step(tau, rng, grid16):
+    v0 = random_field(grid16, rng)
+    with pytest.raises(ValueError, match="time step must be positive"):
+        advance(v0, free_params(grid16, 1.0), None, tau, 1)
 
 
 def test_advance_projects_energy_outside_cutoff(rng, grid32):
@@ -99,8 +100,8 @@ def test_advance_projects_energy_outside_cutoff(rng, grid32):
         1.0, grid32, SpectralField.zero(grid32), 0.0, None, co
     )
     v = random_field(grid32, rng)  # full band support
-    state, _ = advance(v, truncated, None, 0.01, 1)
-    assert is_low_supported(state.v, co)
+    v1, _ = advance(v, truncated, None, 0.01, 1)
+    assert is_low_supported(v1, co)
 
 
 def test_advance_starts_from_the_low_modes_of_v0(rng, grid32):
@@ -117,7 +118,7 @@ def test_advance_starts_from_the_low_modes_of_v0(rng, grid32):
     assert len(full_traj.frames) == len(low_traj.frames) == 4
     for a, b in zip(full_traj.frames, low_traj.frames):
         assert np.array_equal(a, b)
-    assert np.array_equal(full.x, low.x)
+    assert np.array_equal(full.coeffs, low.coeffs)
 
 
 @pytest.mark.parametrize("scheme", [SEMI_IMPLICIT, FULLY_IMPLICIT])
@@ -125,11 +126,9 @@ def test_steady_state_is_fixed_point_free_run(scheme, grid32):
     nu = 1.0
     u_star = kolmogorov_steady_state(grid32, 1, 1.0, nu)
     p = free_params(grid32, nu, kolmogorov_forcing(grid32, 1, 1.0))
-    drift = []
-    advance(
-        u_star, p, None, 0.01, 50, scheme=scheme,
-        on_step=lambda prev, new: drift.append(norm_H(new.v - u_star)),
-    )
+    marched = []
+    advance(u_star, p, None, 0.01, 50, scheme=scheme, on_step=fields_into(p, marched))
+    drift = [norm_H(v - u_star) for v in marched]
     assert max(drift) <= 50 * 1e-9 * norm_H(u_star)
     assert drift[0] <= 1e-9 * norm_H(u_star)
 
@@ -143,12 +142,12 @@ def test_steady_state_is_fixed_point_nudged(scheme, grid32):
         nu, grid32, kolmogorov_forcing(grid32, 1, 1.0), 10.0, spec,
         grid32.band_cutoff(),
     )
-    drift = []
+    marched = []
     advance(
         u_star, p, _steady(u_star), 0.01, 50, scheme=scheme,
-        on_step=lambda prev, new: drift.append(norm_H(new.v - u_star)),
+        on_step=fields_into(p, marched),
     )
-    assert max(drift) <= 50 * 1e-9 * norm_H(u_star)
+    assert max(norm_H(v - u_star) for v in marched) <= 50 * 1e-9 * norm_H(u_star)
 
 
 @pytest.mark.parametrize("scheme", [SEMI_IMPLICIT, FULLY_IMPLICIT])
@@ -159,14 +158,11 @@ def test_taylor_green_exact_per_mode_recursion(scheme, grid32):
     p = free_params(grid32, nu)
     v0 = taylor_green(grid32, 1, 0.0, nu)
     collected = []
-    advance(
-        v0, p, None, tau, m, scheme=scheme,
-        on_step=lambda prev, new: collected.append(new),
-    )
+    advance(v0, p, None, tau, m, scheme=scheme, on_step=fields_into(p, collected))
     rho = 1.0 / (1.0 + 2.0 * nu * tau)
-    for state in (collected[0], collected[-1]):
-        expected = v0 * rho**state.k
-        assert norm_H(state.v - expected) <= 1e-9 * norm_H(v0)
+    for k in (1, m):
+        expected = v0 * rho**k
+        assert norm_H(collected[k - 1] - expected) <= 1e-9 * norm_H(v0)
 
 
 def test_taylor_green_first_order_in_tau(grid32):
@@ -176,8 +172,8 @@ def test_taylor_green_first_order_in_tau(grid32):
     exact = taylor_green(grid32, 1, t_end, nu)
     errs = []
     for tau in (0.02, 0.01):
-        state, _ = advance(v0, p, None, tau, int(round(t_end / tau)))
-        errs.append(norm_H(state.v - exact))
+        v_n, _ = advance(v0, p, None, tau, int(round(t_end / tau)))
+        errs.append(norm_H(v_n - exact))
     order = np.log2(errs[0] / errs[1])
     assert 0.85 <= order <= 1.15
 
@@ -192,7 +188,7 @@ def test_semi_and_fully_implicit_agree_to_second_order(rng, grid32):
     for tau in (0.0025, 0.00125):
         s, _ = advance(v0, p, None, tau, 1, scheme=SEMI_IMPLICIT)
         f, _ = advance(v0, p, None, tau, 1, scheme=FULLY_IMPLICIT)
-        diffs.append(norm_H(s.v - f.v))
+        diffs.append(norm_H(s - f))
     assert diffs[0] > 0.0
     ratio = diffs[0] / diffs[1]
     # one-step discrepancy is O(tau^2): halving tau shrinks it ~4x
@@ -206,28 +202,32 @@ def test_semi_implicit_energy_identity(rng, grid32):
     f = kolmogorov_forcing(grid32, 2, 0.3)
     p = free_params(grid32, nu, f)
     v0 = random_field(grid32, rng, norm_v=1.0)
+    gal = schemes._galerkin(p)
+    marched = [gal._field(gal._pack_field(v0))]
 
-    def check(prev, new):
+    def check(k, x):
+        prev, new = marched[-1], gal._field(x)
         lhs = (
-            norm_H(new.v) ** 2
-            - norm_H(prev.v) ** 2
-            + norm_H(new.v - prev.v) ** 2
-            + 2.0 * tau * nu * norm_V(new.v) ** 2
+            norm_H(new) ** 2
+            - norm_H(prev) ** 2
+            + norm_H(new - prev) ** 2
+            + 2.0 * tau * nu * norm_V(new) ** 2
         )
-        rhs = 2.0 * tau * inner_product(f, new.v)
-        assert abs(lhs - rhs) <= 1e-8 * max(1.0, norm_H(prev.v) ** 2)
+        rhs = 2.0 * tau * inner_product(f, new)
+        assert abs(lhs - rhs) <= 1e-8 * max(1.0, norm_H(prev) ** 2)
+        marched.append(new)
 
     advance(v0, p, None, tau, 5, on_step=check)
+    assert len(marched) == 6
 
 
 def test_advance_trajectory_cadence(rng, grid16):
     p = free_params(grid16, 1.0)
     v0 = random_field(grid16, rng, norm_v=0.1)
-    state, traj = advance(v0, p, None, 0.01, 7, store_every=3)
-    assert state.k == 7
+    v7, traj = advance(v0, p, None, 0.01, 7, store_every=3)
     assert traj is not None
     assert np.allclose(traj.times, [0.0, 0.03, 0.06, 0.07])
-    assert norm_H(traj.fields[-1] - state.v) == 0.0
+    assert np.array_equal(traj.fields[-1].coeffs, v7.coeffs)
     with pytest.raises(ValueError, match="store_every"):
         advance(v0, p, None, 0.01, 3, store_every=0)
     with pytest.raises(ValueError, match="scheme"):
@@ -241,13 +241,13 @@ def test_advance_agrees_with_single_steps(scheme, rng):
     # step tolerance
     p, truth, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
     marched = []
-    advance(v0, p, truth, 0.01, 20, scheme=scheme,
-            on_step=lambda prev, new: marched.append(new.v))
+    advance(v0, p, truth, 0.01, 20, scheme=scheme, on_step=fields_into(p, marched))
     stepper = schemes._stepper(p, 0.01, scheme)
-    state = SchemeState(0, 0.01, stepper._pack_field(v0), stepper)
-    for v in marched:
-        state = stepper.step(state, truth)
-        assert norm_H(v - state.v) <= 1e-9 * norm_H(state.v)
+    x = stepper._pack_field(v0)
+    for k, v in enumerate(marched):
+        x = stepper.step(x, k, truth)
+        stepped = stepper._field(x)
+        assert norm_H(v - stepped) <= 1e-9 * norm_H(stepped)
 
 
 def _random_modes(rng, m):
@@ -394,16 +394,16 @@ def test_solver_runs_at_every_grid_size(n):
     stepped, _ = advance(v0, p, None, 0.01, 1, scheme=SEMI_IMPLICIT)
     implicit, _ = advance(v0, p, None, 0.01, 1, scheme=FULLY_IMPLICIT)
     traj = reference_galerkin_integrate(v0, p, None, 0.01, 0.01)
-    assert norm_H(stepped.v - traj.fields[-1]) <= 1e-3 * norm_H(v0)
-    for out in (stepped.v, implicit.v, traj.fields[-1]):
+    assert norm_H(stepped - traj.fields[-1]) <= 1e-3 * norm_H(v0)
+    for out in (stepped, implicit, traj.fields[-1]):
         # one finite amplitude per band mode: the outside-array checks pass
         SpectralField.from_coeffs(grid, out.coeffs)
         assert is_low_supported(out, co)
     # packing and unpacking are inverse index maps
     gal = schemes._Galerkin(p)
-    x = gal._pack_field(stepped.v)
+    x = gal._pack_field(stepped)
     assert np.array_equal(gal._pack_field(gal._field(x)), x)
-    assert np.array_equal(gal._field(x).coeffs, stepped.v.coeffs)
+    assert np.array_equal(gal._field(x).coeffs, stepped.coeffs)
 
 
 def _poisoned(field):
@@ -419,8 +419,9 @@ def test_step_rejects_non_finite_state_as_solver_error(scheme, rng, grid16):
     v = _poisoned(random_field(grid16, rng, norm_v=0.1, cutoff=p.cutoff))
     with pytest.raises(SolverError, match="non-finite") as raised:
         advance(v, p, None, 0.01, 1, scheme=scheme)
-    # the error carries the last accepted state, here the initial one
-    assert raised.value.state.k == 0 and raised.value.cutoff == p.cutoff
+    # the error carries the last accepted iterate, here the initial one
+    assert raised.value.step == 0 and raised.value.cutoff == p.cutoff
+    assert raised.value.field.grid == grid16
 
 
 def test_step_rejects_non_finite_observation_as_solver_error(rng, grid16):
@@ -438,13 +439,13 @@ def test_reference_reports_blow_up_as_solver_error(rng, grid16):
     v0 = random_field(grid16, rng, norm_v=1.0)
     with pytest.raises(SolverError, match="non-finite") as raised:
         reference_galerkin_integrate(_poisoned(v0), p, None, 0.1, 0.1)
-    assert raised.value.state.k == 0 and raised.value.cutoff == p.cutoff
+    assert raised.value.step == 0 and raised.value.cutoff == p.cutoff
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverError, match="non-finite") as raised:
             reference_galerkin_integrate(v0 * 1e150, p, None, 1.0, 0.1)
-    # the last accepted state is finite, the one before the blow-up
-    assert raised.value.state.k == 0 and raised.value.cutoff == p.cutoff
-    assert np.all(np.isfinite(raised.value.state.x))
+    # the last accepted iterate is finite, the one before the blow-up
+    assert raised.value.step == 0 and raised.value.cutoff == p.cutoff
+    assert np.all(np.isfinite(raised.value.field.coeffs))
 
 
 def test_integrators_march_through_one_advance_call(monkeypatch, rng, grid16):
@@ -463,9 +464,9 @@ def test_integrators_march_through_one_advance_call(monkeypatch, rng, grid16):
     assert calls == [schemes.ETDRK4, SEMI_IMPLICIT]
 
 
-def test_reference_observes_each_stage_time_once(rng, grid16):
-    # n steps have 2n + 1 distinct stage times: t_0, then each step's
-    # midpoint and end, whose observation the next step reuses
+def test_reference_observes_the_stage_times_of_each_step(rng, grid16):
+    # each step observes its start, midpoint and end: n steps make 3n
+    # observations of the 2n + 1 distinct stage times
     p, truth, v0 = nudged_problem(grid16, rng)
     times = []
     real_observe = truth.observe
@@ -476,8 +477,8 @@ def test_reference_observes_each_stage_time_once(rng, grid16):
 
     truth.observe = observe
     reference_galerkin_integrate(v0, p, truth, 0.04, 0.01)
-    assert len(times) == 2 * 4 + 1
-    assert times == sorted(set(times))
+    assert len(times) == 3 * 4
+    assert sorted(set(times)) == [0.01 * k / 2 for k in range(2 * 4 + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +655,7 @@ def test_semi_implicit_step_applies_the_operator_only_inside_gmres(monkeypatch):
     monkeypatch.setattr(schemes, "advect_raw", advect)
     monkeypatch.setattr(schemes, "gmres", gmres)
     monkeypatch.setattr(SpectralField, "from_coeffs", classmethod(from_coeffs))
-    new, _ = advance(v0, p, truth, 0.01, 1)
-    assert new.k == 1
+    advance(v0, p, truth, 0.01, 1)
     assert counts["advect_raw"] == counts["gmres_apply"] > 0
     assert counts["from_coeffs"] == 0
 
@@ -728,10 +728,10 @@ def test_fully_implicit_step_at_a_fixed_point_makes_one_apply(monkeypatch, grid3
 
     monkeypatch.setattr(schemes, "advect_raw", advect)
     monkeypatch.setattr(schemes, "gmres", gmres)
-    new, _ = advance(u_star, p, _steady(u_star), 0.01, 1, scheme=FULLY_IMPLICIT)
-    assert new.k == 1
+    v1, _ = advance(u_star, p, _steady(u_star), 0.01, 1, scheme=FULLY_IMPLICIT)
     assert counts == {"advect_raw": 1, "gmres": 0}
-    assert np.array_equal(new.x, schemes._galerkin(p)._pack_field(u_star))
+    gal = schemes._galerkin(p)
+    assert np.array_equal(gal._pack_field(v1), gal._pack_field(u_star))
 
 
 def test_picard_stall_reports_the_residual_of_its_last_solve(monkeypatch):
@@ -757,7 +757,7 @@ def test_picard_stall_reports_the_residual_of_its_last_solve(monkeypatch):
     monkeypatch.setattr(schemes._Stepper, "_apply_linear", apply)
     with pytest.raises(SolverError, match="Picard iteration did not reach") as info:
         advance(v0, p, truth, 0.01, 1, scheme=FULLY_IMPLICIT)
-    assert info.value.state.k == 0
+    assert info.value.step == 0
     assert len(solved) == 1
     (b, x), (checked, ax) = solved[-1], applied[-1]
     assert checked is x
@@ -1014,17 +1014,6 @@ def test_one_truth_observed_under_two_interpolants(which):
     assert np.max(np.abs(truth.observe(coarse, 0.031) - truth.observe(fine, 0.031))) > 1e-3
 
 
-def test_lazy_state_field_equals_eager_field_bitwise(rng):
-    p, truth, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
-    new, _ = advance(v0, p, truth, 0.01, 1, scheme=FULLY_IMPLICIT)
-    assert new._v is None  # not built until asked for
-    stepper = schemes._stepper(p, 0.01, FULLY_IMPLICIT)
-    assert new.packing is stepper
-    lazy = new.v
-    assert np.array_equal(lazy.coeffs, stepper._field(new.x).coeffs)
-    assert new.v is lazy
-
-
 def test_twin_steps_make_no_apply_ih_or_field_call(monkeypatch):
     grid = TorusGrid(TWO_PI, 48)
     rng = np.random.default_rng(2)
@@ -1048,10 +1037,11 @@ def test_twin_steps_make_no_apply_ih_or_field_call(monkeypatch):
 
     monkeypatch.setattr(schemes, "apply_ih", apply_ih_counted)
     monkeypatch.setattr(schemes._Packing, "_field", field_counted)
-    # counted from the first lookup on, which observes every stored frame
+    # counted from the first lookup on, which observes every stored frame;
+    # the steps build no field, and advance builds one, for v^n
     seen = []
     advance(v0, p, truth, 0.02, 5, scheme=FULLY_IMPLICIT,
-            on_step=lambda prev, new: seen.append(new.k))
-    assert seen == [1, 2, 3, 4, 5]
-    assert counts == {"apply_ih": 0, "_field": 0}
+            on_step=lambda k, x: seen.append((k, dict(counts))))
+    assert seen == [(k, {"apply_ih": 0, "_field": 0}) for k in range(1, 6)]
+    assert counts == {"apply_ih": 0, "_field": 1}
     assert traj.interpolated_queries > 0  # t = 0.02, 0.06, ... lie between frames

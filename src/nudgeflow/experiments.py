@@ -19,17 +19,17 @@ runners hand it to the solver whatever beta is, and the solver observes
 it under the params' interpolant only when beta > 0.  The run
 itself happens inside a `_Run` block, which owns the report, the output
 directory and the output tables (`_Run.table`).  Runners record, then
-judge: `_Run._march` records row 0 and every accepted step of the march
-from v0 (packed norms, errors, envelopes), and every check is computed
-after its march from the recorded columns, so each verdict can be
-recomputed from the CSVs.  A soak violation replays the deterministic
-march to its first violating step for the snapshot.  On leaving the
-block `_Run` writes the tables in the order they were registered, then
-the report.  A stalled or non-finite solve (SolverError) inside the
-block ends the run with a failed `solver` check carrying the message
-and residual trace; the tables recorded up to the failure, a snapshot
-of the last accepted state and the report are still written.  Any
-other exception propagates and writes no table or report.
+judge: `_Run._march` stores every iterate of the march from v0 and,
+after it, builds the table of row 0 and every accepted step from the
+stored frames (packed norms, errors, envelopes); every check is computed
+from the recorded columns, so each verdict can be recomputed from the
+CSVs.  A soak violation snapshots the stored frame of its first
+violating step.  On leaving the block `_Run` writes the tables in the
+order they were registered, then the report.  A stalled or non-finite
+solve (SolverError) inside the block ends the run with a failed `solver`
+check carrying the message and residual trace; the rows of the accepted
+steps, a snapshot of the last accepted state and the report are still
+written.  Any other exception propagates and writes no table or report.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ from .operators import (
 from .schemes import (
     FULLY_IMPLICIT,
     SEMI_IMPLICIT,
-    ErrorNorms,
     PhysicsParams,
     TruthSource,
     _galerkin,
@@ -213,28 +212,11 @@ def write_report(report: ExperimentReport, out_dir: str) -> str:
 
 
 class SeriesRecorder:
-    """Accumulates the rows of one table; `add` fills the series schema."""
+    """The rows of one table under its header."""
 
     def __init__(self, header: tuple[str, ...] = SERIES_HEADER) -> None:
         self.header = header
         self.rows: list[tuple] = []
-
-    def add(
-        self,
-        step: int,
-        time: float,
-        norms: tuple[float, float, float],
-        err_h: float = 0.0,
-        err_v: float = 0.0,
-        env_h: float = 0.0,
-        env_v: float = 0.0,
-    ) -> None:
-        """One SERIES_HEADER row; norms are the state's (norm_H, norm_V, norm_DA)."""
-        nh, nv, nda = norms
-        self.rows.append(
-            (int(step), float(time), float(nh), float(nv), float(nda),
-             float(err_h), float(err_v), float(env_h), float(env_v))
-        )
 
     def column(self, name: str) -> np.ndarray:
         i = self.header.index(name)
@@ -502,6 +484,22 @@ def _start(setup: _Setup) -> tuple[TruthSource, SpectralField]:
 _TRACE_TAIL = 8
 
 
+def _series_rows(
+    traj: Trajectory, reference: TruthSource, envelopes: tuple | None
+) -> list[tuple]:
+    """SERIES_HEADER rows of a march stored at every step: each frame's
+    step, time, packed norms, errors against `reference` and envelope
+    entries (0 without envelopes)."""
+    n = len(traj.frames)
+    env_h, env_v = envelopes or (np.zeros(n),) * 2
+    norms = [traj.packing.norms(x) for x in traj.frames]
+    errors = reference.errors(traj.packing, traj.times, traj.frames)[:, :2]
+    table = np.column_stack(
+        (np.arange(n), traj.times, norms, errors, env_h[:n], env_v[:n])
+    )
+    return [tuple(row) for row in table.tolist()]
+
+
 class _Run:
     """One runner's report, output tables and solver failures.
 
@@ -531,26 +529,28 @@ class _Run:
 
     def _march(
         self, filename: str, truth: TruthSource, v0: SpectralField, tau: float,
-        n_steps: int, errors: ErrorNorms, envelopes: tuple | None = None,
-    ) -> SeriesRecorder:
-        """The table `filename` of the march from v0: row 0 and one row per
-        accepted step, with the packed norms, errors(x, t) and the entries
-        of the (H, V) envelope arrays, 0 without them."""
-        params = self._setup.params
-        gal = _galerkin(params)
-        env_h, env_v = envelopes or (np.zeros(n_steps + 1),) * 2
+        n_steps: int, reference: TruthSource, envelopes: tuple | None = None,
+    ) -> tuple[SeriesRecorder, Trajectory]:
+        """The table `filename` of the march from v0, and its trajectory,
+        stored at every step.
+
+        After the march, row k holds step k's time, the packed norms of
+        v^k, its errors against `reference` and the entries k of the
+        (H, V) envelope arrays, 0 without them.  A SolverError fills the
+        rows of the accepted steps, from the trajectory it carries, and
+        propagates.
+        """
         rec = self.table(filename)
-
-        def record(k: int, t: float, x: np.ndarray) -> None:
-            eh, ev, _ = errors(x, t)
-            rec.add(k, t, gal.norms(x), eh, ev, env_h[k], env_v[k])
-
-        record(0, 0.0, gal._pack_field(v0))
-        advance(
-            v0, params, truth, tau, n_steps, scheme=self._setup.cfg.scheme,
-            on_step=lambda k, x: record(k, k * tau, x),
-        )
-        return rec
+        try:
+            _, traj = advance(
+                v0, self._setup.params, truth, tau, n_steps,
+                scheme=self._setup.cfg.scheme, store_every=1,
+            )
+        except SolverError as exc:
+            rec.rows = _series_rows(exc.trajectory, reference, envelopes)
+            raise
+        rec.rows = _series_rows(traj, reference, envelopes)
+        return rec, traj
 
     def __enter__(self) -> _Run:
         return self
@@ -601,9 +601,7 @@ def run_twin_experiment(
         report = run.report
         truth, v0 = _start(setup)
         gal = _galerkin(params)
-        x0 = gal._pack_field(v0)
-        errors = truth.error_norms(gal)
-        e0_h, e0_v, _ = errors(x0, 0.0)
+        e0_h, e0_v, _ = truth.errors(gal, [0.0], [gal._pack_field(v0)])[0]
         if e0_h == 0.0:
             raise ConfigError("twin experiment requires v0 != u(0)")
 
@@ -613,8 +611,8 @@ def run_twin_experiment(
         env_h = np.sqrt(contraction_envelope(e0_h**2, params, tau, n_steps))
         env_v = np.sqrt(contraction_envelope(e0_v**2, params, tau, n_steps))
 
-        rec = run._march(
-            "twin_series.csv", truth, v0, tau, n_steps, errors, (env_h, env_v)
+        rec, _ = run._march(
+            "twin_series.csv", truth, v0, tau, n_steps, truth, (env_h, env_v)
         )
         times, errs_h, norms_v = (rec.column(c) for c in ("time", "err_H", "norm_V"))
 
@@ -717,13 +715,13 @@ def run_contraction_test(
             v0 + bump, params, truth, tau, n_steps, scheme=cfg.scheme, store_every=1
         )
         gal = _galerkin(params)
-        errors = _stored(second).error_norms(gal)
-        eps0_h, eps0_v, _ = errors(gal._pack_field(v0), 0.0)
+        reference = _stored(second)
+        eps0_h, eps0_v, _ = reference.errors(gal, [0.0], [gal._pack_field(v0)])[0]
         env_h2 = contraction_envelope(eps0_h**2, params, tau, n_steps)
         env_v2 = contraction_envelope(eps0_v**2, params, tau, n_steps)
 
-        rec = run._march(
-            "contraction_series.csv", truth, v0, tau, n_steps, errors,
+        rec, _ = run._march(
+            "contraction_series.csv", truth, v0, tau, n_steps, reference,
             (np.sqrt(env_h2), np.sqrt(env_v2)),
         )
         eps_h, eps_v = rec.column("err_H"), rec.column("err_V")
@@ -776,8 +774,8 @@ def run_stability_soak(
     pass, and the initial data lies in B_V(M1).  Each tau's march records
     every step; the bounds are then judged from the recorded norms against
     the in-memory envelopes, so one report covers all bounds.  A violated
-    bound fails its check, and replaying the (deterministic) march to its
-    first violating step dumps that iterate as a snapshot.
+    bound fails its check and dumps the stored iterate of its first
+    violating step as a snapshot.
     """
     taus = cfg.tau_list if cfg.tau_list else (cfg.tau,)
     n_steps = cfg.soak_steps
@@ -806,7 +804,6 @@ def run_stability_soak(
                 f"ic = {cfg.ic}: soak initial data must lie in B_V(M1): "
                 f"||v0|| = {norms0[1]:.4g} > M1 = {consts.M1:.4g}"
             )
-        errors = truth.error_norms(gal)
 
         m1, lam1 = consts.M1, params.grid.lambda1
         beta, nu = params.beta, params.nu
@@ -816,8 +813,8 @@ def run_stability_soak(
             h2_env = stability_bound_h2(params, consts, norms0[0] ** 2, tau, n_steps)
             v2_env = stability_bound_v2(params, consts, norms0[1] ** 2, tau, n_steps)
             safe = "".join(ch if ch.isalnum() else "_" for ch in label)
-            rec = run._march(
-                f"soak_series_{safe}.csv", truth, v0, tau, n_steps, errors,
+            rec, traj = run._march(
+                f"soak_series_{safe}.csv", truth, v0, tau, n_steps, truth,
                 (np.sqrt(h2_env), np.sqrt(v2_env)),
             )
             # (lhs, rhs) of each bound at steps 1..n; prev is the step before
@@ -843,18 +840,17 @@ def run_stability_soak(
                 ratio = _max_ratio(lhs, rhs)
                 over = np.flatnonzero(lhs > rhs * (1.0 + BOUND_RTOL))
                 if over.size:
-                    # the march is deterministic: replay it to the violating step
                     k = int(over[0]) + 1
-                    v_k, _ = advance(v0, params, truth, tau, k, scheme=cfg.scheme)
                     snap = os.path.join(
                         run.out, f"soak_violation_{label}_{name}_step{k}.nnsf"
                     )
-                    save_snapshot(snap, v_k)
+                    save_snapshot(snap, traj.at(k * tau))
                     detail = f"step {k}: {lhs[k - 1]:.9g} > {rhs[k - 1]:.9g}"
                     report.add_check(check_name, FAIL, f"{detail}, iterate in {snap}")
                 else:
                     report.add_check(check_name, PASS, f"max ratio {ratio:.6g}")
                 report.values[f"{check_name}:max_ratio"] = ratio
+            del traj  # its frames go before the next tau's march
     return report
 
 
@@ -917,13 +913,13 @@ def run_tau_sweep(
             gal.norms(a - b)[0] for a, b in zip(ref.frames[::2], ref_2dt.frames)
         )
         del ref_2dt  # only the gap is kept
-        errors = _stored(ref).error_norms(gal)
+        reference = _stored(ref)
 
         sups_h: list[tuple[float, float]] = []
         sups_v: list[tuple[float, float]] = []
         for i, tau in enumerate(sorted(cfg.tau_list, reverse=True)):
-            rec = run._march(
-                f"tau_sweep_series_{i}.csv", truth, v0, tau, steps[tau], errors
+            rec, _ = run._march(
+                f"tau_sweep_series_{i}.csv", truth, v0, tau, steps[tau], reference
             )
             times = rec.column("time")
             sup_h = tail_sup(times, rec.column("err_H"), cfg.burn_in)

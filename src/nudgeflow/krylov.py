@@ -53,8 +53,9 @@ class SolverError(RuntimeError):
     """Linear or nonlinear solve failed; carries the partial result.
 
     An integrator that fails sets step and field to the index and field of
-    its last accepted iterate, and cutoff to the Galerkin cutoff that field
-    is supported under; otherwise all three stay None.
+    its last accepted iterate, cutoff to the Galerkin cutoff that field is
+    supported under, and trajectory to what it had stored (None if it
+    stored nothing); otherwise all four stay None.
     """
 
     def __init__(self, message: str, result: SolveResult | None = None) -> None:
@@ -63,6 +64,7 @@ class SolverError(RuntimeError):
         self.step: int | None = None
         self.field = None
         self.cutoff = None
+        self.trajectory = None
 
 
 def gmres(

@@ -50,8 +50,8 @@ and the beta-term applies it whole.
 `advance` holds the one loop over time steps: every runner and check,
 the contraction runner's two solutions and the ETDRK4 reference included,
 marches through it.  The packed vector is the march's only state: a step
-maps x_k to x_(k+1), on_step sees (k, x_k), trajectories store packed
-frames, and `advance` builds a field once, for v^n.  The solver's packing
+maps x_k to x_(k+1), the stored trajectory is the one way iterates leave
+the march, and `advance` builds a field once, for v^n.  The solver's packing
 is a `fields._Packing` of the cutoff's low modes, and a field holds the
 same amplitudes on the whole dealiased band, so moving between them is
 an index map.  Norms of packed vectors are Parseval sums with
@@ -65,7 +65,8 @@ product, and the observed frames are combined with the same stencil,
 which equals observing u(t) because both maps are linear.  A steady truth
 is one frame, an analytic one its frames with closed-form weights, and a
 stored trajectory is its frames with its Lagrange stencil.  Errors embed
-the estimate in the truth's packing and take packed norms.
+each estimate of a march in the truth's packing and take packed norms
+(`TruthSource.errors`).
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -167,10 +168,6 @@ def _map(pair: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarray:
     return a @ m.T + a.conj() @ c.T
 
 
-# (packed vector, time) -> [err_H, err_V, err_DA] of v(t) - u(t)
-ErrorNorms = Callable[[np.ndarray, float], list[float]]
-
-
 class TruthSource:
     """Resolved solution u(t) = combine(frames, *stencil(t)), packed on
     `packing`, which holds every mode of u.
@@ -210,17 +207,21 @@ class TruthSource:
             self._observed[key] = _map(pair, np.array(self.frames))
         return combine(self._observed[key], *self.stencil(t))
 
-    def error_norms(self, gal: _Galerkin) -> ErrorNorms:
-        """Norms of v - u(t) for v packed in gal, embedded in the truth's packing."""
+    def errors(
+        self, packing: _Packing, times: Iterable[float], rows: Iterable[np.ndarray]
+    ) -> np.ndarray:
+        """[err_H, err_V, err_DA] of v - u(t) for each vector v packed in
+        `packing` and its time t, one row each, v embedded in the truth's
+        packing.  Each difference is built and measured on its own, which
+        holds one truth-packed vector at a time."""
         own = self.packing
-        at = own._index_of(gal.modes)
-
-        def errors(x: np.ndarray, t: float) -> list[float]:
+        at = own._index_of(packing.modes)
+        out = []
+        for t, x in zip(times, rows):
             d = -self.packed(t)
             d[at] += x
-            return own.norms(d)
-
-        return errors
+            out.append(own.norms(d))
+        return np.array(out)
 
 
 def _product_size(k: int, n: int) -> int:
@@ -472,7 +473,6 @@ def advance(
     n_steps: int,
     *,
     scheme: str = SEMI_IMPLICIT,
-    on_step: Callable[[int, np.ndarray], None] | None = None,
     store_every: int | None = None,
 ) -> tuple[SpectralField, Trajectory | None]:
     """March n_steps from v^0 = P_N v0: the field v^n and, optionally, a
@@ -484,12 +484,12 @@ def advance(
     midpoint; with beta = 0 the truth is not read and may be None.  Each
     Euler solve starts from the damped cubic extrapolation of the iterates
     so far, truncated where their damped differences stop shrinking (v^0
-    for the first step; see the module docstring).  on_step(k, x) fires
-    after every accepted step with its index k and packed iterate x;
-    store_every = m records the packed v^0 and every m-th iterate (plus
-    the final one) into the returned trajectory.  A SolverError carries
-    the last accepted iterate's index and field as exc.step and exc.field,
-    and the cutoff.
+    for the first step; see the module docstring).  store_every = m
+    records the packed v^0 and every m-th iterate (plus the final one)
+    into the returned trajectory, the one way iterates leave the march.
+    A SolverError carries the last accepted iterate's index and field as
+    exc.step and exc.field, the cutoff, and the trajectory stored so far
+    as exc.trajectory.
     """
     if not tau > 0.0:
         raise ValueError(f"time step must be positive, got {tau}")
@@ -507,9 +507,8 @@ def advance(
             x = stepper.step(x, k - 1, truth, predict(x))
         except SolverError as exc:
             exc.step, exc.field, exc.cutoff = k - 1, stepper._field(x), p.cutoff
+            exc.trajectory = traj
             raise
-        if on_step is not None:
-            on_step(k, x)
         if traj is not None and (k % store_every == 0 or k == n_steps):
             traj.append(k * stepper.tau, x)
     return stepper._field(x), traj

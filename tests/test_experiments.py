@@ -8,6 +8,7 @@ conditions, the decay fit, and the report files.
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -129,8 +130,8 @@ def test_series_recorder_columns_and_csv(tmp_path, grid8, rng):
     rec = SeriesRecorder()
     v = random_field(grid8, rng, norm_h=2.0)
     norms = (norm_H(v), norm_V(v), norm_DA(v))
-    rec.add(0, 0.0, norms)
-    rec.add(1, 0.25, norms, err_h=0.5, env_h=1.5)
+    # the runners build rows from float arrays, the step column included
+    rec.rows = [(0.0, 0.0, *norms, 0.0, 0.0, 0.0, 0.0), (1.0, 0.25, *norms, 0.5, 0.0, 1.5, 0.0)]
     assert rec.column("step").tolist() == [0.0, 1.0]
     assert rec.column("err_H").tolist() == [0.0, 0.5]
     assert math.isclose(rec.column("norm_H")[0], 2.0, rel_tol=1e-12)
@@ -139,8 +140,8 @@ def test_series_recorder_columns_and_csv(tmp_path, grid8, rng):
     lines = open(path).read().splitlines()
     assert lines[0] == ",".join(SERIES_HEADER)
     assert len(lines) == 3
-    # integer step column must round trip as an integer literal
-    assert lines[1].split(",")[0] == "0"
+    # the step column must round trip as an integer literal
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
 
 
 def test_render_report_sections_and_determinism(tmp_path):
@@ -338,12 +339,11 @@ def test_contraction_first_solution_is_the_advance_march(tmp_path, scheme):
     )
     truth, v0 = experiments._start(setup)
     gal = schemes._galerkin(setup.params)
-    marched = [gal.norms(gal._pack_field(v0))[:2]]
-    schemes.advance(
+    _, traj = schemes.advance(
         v0, setup.params, truth, cfg.tau, cfg.contraction_steps, scheme=scheme,
-        on_step=lambda k, x: marched.append(gal.norms(x)[:2]),
+        store_every=1,
     )
-    assert recorded == marched
+    assert recorded == [gal.norms(x)[:2] for x in traj.frames]
 
 
 @pytest.mark.parametrize("ic", ["random_bv", "zero", "truth_low", "perturbed_truth"])
@@ -983,24 +983,83 @@ def test_solver_stall_mid_run_snapshots_the_last_packed_state(tmp_path, monkeypa
         assert fn(state) == pytest.approx(row[name], rel=1e-13)
 
 
-def test_soak_violation_snapshots_the_offending_iterate(tmp_path, monkeypatch):
-    def vanishing_envelope(p, consts, v0_h2, tau, steps):
-        return np.full(steps + 1, 1e-30)
+@pytest.mark.parametrize("scheme", ["semi_implicit", "fully_implicit"])
+@pytest.mark.parametrize(
+    "runner, overrides, series",
+    [
+        (run_twin_experiment, {}, "twin_series.csv"),
+        (
+            run_contraction_test, dict(perturbation=0.05, contraction_steps=8),
+            "contraction_series.csv",
+        ),
+    ],
+)
+def test_solver_stall_mid_march_keeps_the_accepted_rows(
+    runner, overrides, series, scheme, tmp_path, monkeypatch
+):
+    # every solve from the recorded march's fourth step on stalls; the
+    # contraction runner's stored perturbed march comes first and is spared
+    cfg = tiny_twin_config(scheme=scheme, **overrides)
+    spared = 3 + (cfg.contraction_steps if runner is run_contraction_test else 0)
+    real_gmres, real_step = schemes.gmres, schemes._Stepper.step
+    steps = []
 
-    monkeypatch.setattr(experiments, "stability_bound_h2", vanishing_envelope)
-    cfg = tiny_twin_config(soak_steps=4)
-    report = run_stability_soak(cfg, str(tmp_path))
-    [check] = [c for c in report.checks if c.name == "tau=0.01:envelope_H2"]
-    assert check.status == FAIL and "step 1:" in check.detail
-    snap = tmp_path / "soak_violation_tau=0.01_envelope_H2_step1.nnsf"
-    assert check.detail.endswith(str(snap))
-    state, _ = load_snapshot(str(snap))
-    assert is_low_supported(state, GalerkinCutoff(cfg.lambda_cut))
-    # the replayed march reproduces the recorded iterate bit for bit
-    row = _series_row(tmp_path / "soak_series_tau_0_01.csv", 1)
+    def counted_step(self, *args):
+        steps.append(1)
+        return real_step(self, *args)
+
+    def stalls_late(apply_op, b, **kwargs):
+        if len(steps) > spared:
+            return _stalled_gmres(apply_op, b, **kwargs)
+        return real_gmres(apply_op, b, **kwargs)
+
+    monkeypatch.setattr(schemes._Stepper, "step", counted_step)
+    monkeypatch.setattr(schemes, "gmres", stalls_late)
+    report = runner(cfg, str(tmp_path))
+    [solver] = [c for c in report.checks if c.name == "solver"]
+    dump = f"{report.name}_solver_state.nnsf"
+    k = int(re.search(rf"last accepted state \(step (\d+)\) in {dump}$", solver.detail)[1])
+    assert k >= 3
+    # the series holds rows 0..k, and row k is the snapshot's iterate
+    rows = (tmp_path / series).read_text().splitlines()
+    assert rows[0] == ",".join(SERIES_HEADER)
+    assert [r.split(",")[0] for r in rows[1:]] == [str(j) for j in range(k + 1)]
+    state, _ = load_snapshot(str(tmp_path / dump))
     grid = build_grid(cfg)
     params = build_params(cfg, grid, build_forcing(cfg, grid), build_interpolant(cfg))
     gal = schemes._galerkin(params)
+    last = _series_row(tmp_path / series, k)
+    assert gal.norms(gal._pack_field(state)) == [
+        last["norm_H"], last["norm_V"], last["norm_DA"]
+    ]
+
+
+@pytest.mark.parametrize("first", [1, 3])
+def test_soak_violation_snapshots_the_offending_iterate(first, tmp_path, monkeypatch):
+    real_envelope = experiments.stability_bound_h2
+
+    def envelope_vanishing_from_first(p, consts, v0_h2, tau, steps):
+        env = real_envelope(p, consts, v0_h2, tau, steps)
+        env[first:] = 1e-30
+        return env
+
+    monkeypatch.setattr(experiments, "stability_bound_h2", envelope_vanishing_from_first)
+    cfg = tiny_twin_config(soak_steps=4)
+    report = run_stability_soak(cfg, str(tmp_path))
+    [check] = [c for c in report.checks if c.name == "tau=0.01:envelope_H2"]
+    assert check.status == FAIL and f"step {first}:" in check.detail
+    snap = tmp_path / f"soak_violation_tau=0.01_envelope_H2_step{first}.nnsf"
+    assert check.detail.endswith(str(snap))
+    state, _ = load_snapshot(str(snap))
+    assert is_low_supported(state, GalerkinCutoff(cfg.lambda_cut))
+    # the snapshot is the stored frame of the violating step: the iterate
+    # v^first, whose norms are that step's row bit for bit
+    setup = experiments._setup(cfg, horizon=(cfg.soak_steps * cfg.tau, "soak_steps * tau"))
+    truth, v0 = experiments._start(setup)
+    v_first, _ = schemes.advance(v0, setup.params, truth, cfg.tau, first, scheme=cfg.scheme)
+    assert np.array_equal(state.coeffs, v_first.coeffs)
+    row = _series_row(tmp_path / "soak_series_tau_0_01.csv", first)
+    gal = schemes._galerkin(setup.params)
     assert gal.norms(gal._pack_field(state)) == [
         row["norm_H"], row["norm_V"], row["norm_DA"]
     ]

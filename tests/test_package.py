@@ -1,8 +1,8 @@
 """Package surface: every exported name exists, only outside arrays
 enter through the checking constructor, no code checks or repairs the
 field invariants, no class subclasses the truth, packed vectors become
-fields only at the march boundary, and no runner keeps per-step check
-state."""
+fields only at the march boundary, runners march only where they record
+or build, and no runner keeps per-step check state."""
 
 import ast
 import importlib
@@ -110,6 +110,28 @@ def test_packed_vectors_become_fields_only_at_the_march_boundary():
         ("schemes", "field_at"),
         ("storage", "at"),
         ("storage", "fields"),
+    ]
+
+
+def test_runners_march_only_where_they_record_or_build():
+    # the stored trajectory is the one way iterates leave a march: the
+    # runners record from it after `_Run._march`, so none marches again to
+    # recover an iterate
+    tree = _trees()["experiments"]
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [
+        node for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+    ]
+    marching = [
+        fn.name for fn in functions
+        if any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "advance"
+            for node in ast.walk(fn)
+        )
+    ]
+    assert sorted(marching) == [
+        "_march", "build_truth", "run_contraction_test", "run_n_sweep", "run_self_check",
     ]
 
 

@@ -57,10 +57,10 @@ def rotating(u, w):
     )
 
 
-def fields_into(p, out):
-    """An on_step callback appending each accepted iterate's field to out."""
-    gal = schemes._galerkin(p)
-    return lambda k, x: out.append(gal._field(x))
+def marched_fields(v0, p, truth, tau, n_steps, scheme=SEMI_IMPLICIT):
+    """The fields v^1, ..., v^n of the march from v0, from its trajectory."""
+    _, traj = advance(v0, p, truth, tau, n_steps, scheme=scheme, store_every=1)
+    return traj.fields[1:]
 
 
 def free_params(grid, nu, forcing=None):
@@ -126,8 +126,7 @@ def test_steady_state_is_fixed_point_free_run(scheme, grid32):
     nu = 1.0
     u_star = kolmogorov_steady_state(grid32, 1, 1.0, nu)
     p = free_params(grid32, nu, kolmogorov_forcing(grid32, 1, 1.0))
-    marched = []
-    advance(u_star, p, None, 0.01, 50, scheme=scheme, on_step=fields_into(p, marched))
+    marched = marched_fields(u_star, p, None, 0.01, 50, scheme)
     drift = [norm_H(v - u_star) for v in marched]
     assert max(drift) <= 50 * 1e-9 * norm_H(u_star)
     assert drift[0] <= 1e-9 * norm_H(u_star)
@@ -142,11 +141,7 @@ def test_steady_state_is_fixed_point_nudged(scheme, grid32):
         nu, grid32, kolmogorov_forcing(grid32, 1, 1.0), 10.0, spec,
         grid32.band_cutoff(),
     )
-    marched = []
-    advance(
-        u_star, p, _steady(u_star), 0.01, 50, scheme=scheme,
-        on_step=fields_into(p, marched),
-    )
+    marched = marched_fields(u_star, p, _steady(u_star), 0.01, 50, scheme)
     assert max(norm_H(v - u_star) for v in marched) <= 50 * 1e-9 * norm_H(u_star)
 
 
@@ -157,8 +152,7 @@ def test_taylor_green_exact_per_mode_recursion(scheme, grid32):
     nu, tau, m = 0.5, 0.02, 20
     p = free_params(grid32, nu)
     v0 = taylor_green(grid32, 1, 0.0, nu)
-    collected = []
-    advance(v0, p, None, tau, m, scheme=scheme, on_step=fields_into(p, collected))
+    collected = marched_fields(v0, p, None, tau, m, scheme)
     rho = 1.0 / (1.0 + 2.0 * nu * tau)
     for k in (1, m):
         expected = v0 * rho**k
@@ -202,11 +196,10 @@ def test_semi_implicit_energy_identity(rng, grid32):
     f = kolmogorov_forcing(grid32, 2, 0.3)
     p = free_params(grid32, nu, f)
     v0 = random_field(grid32, rng, norm_v=1.0)
-    gal = schemes._galerkin(p)
-    marched = [gal._field(gal._pack_field(v0))]
-
-    def check(k, x):
-        prev, new = marched[-1], gal._field(x)
+    _, traj = advance(v0, p, None, tau, 5, store_every=1)
+    marched = traj.fields
+    assert len(marched) == 6
+    for prev, new in zip(marched, marched[1:]):
         lhs = (
             norm_H(new) ** 2
             - norm_H(prev) ** 2
@@ -215,10 +208,6 @@ def test_semi_implicit_energy_identity(rng, grid32):
         )
         rhs = 2.0 * tau * inner_product(f, new)
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, norm_H(prev) ** 2)
-        marched.append(new)
-
-    advance(v0, p, None, tau, 5, on_step=check)
-    assert len(marched) == 6
 
 
 def test_advance_trajectory_cadence(rng, grid16):
@@ -240,8 +229,7 @@ def test_advance_agrees_with_single_steps(scheme, rng):
     # extrapolation, a bare step from v^k; both iterates meet the 1e-10
     # step tolerance
     p, truth, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
-    marched = []
-    advance(v0, p, truth, 0.01, 20, scheme=scheme, on_step=fields_into(p, marched))
+    marched = marched_fields(v0, p, truth, 0.01, 20, scheme)
     stepper = schemes._stepper(p, 0.01, scheme)
     x = stepper._pack_field(v0)
     for k, v in enumerate(marched):
@@ -960,14 +948,16 @@ def test_truth_observes_under_the_params_interpolant(which, n, kind, h):
     # truncation keeps the packed amplitudes exactly
     exact = kind == "fourier_truncation" and which != "stored"
     x = gal._pack_field(random_field(grid, rng, norm_v=1.0, cutoff=p.cutoff))
-    errors = truth.error_norms(gal)
-    for t in (0.0, 0.02, 0.06, 0.005, 0.031, 0.0555):
+    times = (0.0, 0.02, 0.06, 0.005, 0.031, 0.0555)
+    # one call over all times: row m is the error of x at times[m]
+    errors = truth.errors(gal, times, np.array([x] * len(times)))
+    for t, got in zip(times, errors):
         assert _observation_gap(truth, gal, t) <= 1e-13
         if exact:
             kept = gal._pack_field(project_low(truth.field_at(t), p.interpolant.cutoff()))
             assert np.array_equal(truth.observe(gal, t), kept)
         expected = _split_error_norms(truth, gal, x, t)
-        assert np.max(np.abs(errors(x, t) - expected) / expected) <= 1e-13
+        assert np.max(np.abs(got - expected) / expected) <= 1e-13
     if which == "stored":
         traj = truth.stencil.__self__
         assert traj.interpolated_queries > 0 and traj.exact_queries > 0
@@ -1035,13 +1025,20 @@ def test_twin_steps_make_no_apply_ih_or_field_call(monkeypatch):
         counts["_field"] += 1
         return real_field(self, vec)
 
+    real_step = schemes._Stepper.step
+    seen = []
+
+    def step_counted(self, x, k, *args):
+        out = real_step(self, x, k, *args)
+        seen.append((k + 1, dict(counts)))
+        return out
+
     monkeypatch.setattr(schemes, "apply_ih", apply_ih_counted)
     monkeypatch.setattr(schemes._Packing, "_field", field_counted)
+    monkeypatch.setattr(schemes._Stepper, "step", step_counted)
     # counted from the first lookup on, which observes every stored frame;
     # the steps build no field, and advance builds one, for v^n
-    seen = []
-    advance(v0, p, truth, 0.02, 5, scheme=FULLY_IMPLICIT,
-            on_step=lambda k, x: seen.append((k, dict(counts))))
+    advance(v0, p, truth, 0.02, 5, scheme=FULLY_IMPLICIT)
     assert seen == [(k, {"apply_ih": 0, "_field": 0}) for k in range(1, 6)]
     assert counts == {"apply_ih": 0, "_field": 1}
     assert traj.interpolated_queries > 0  # t = 0.02, 0.06, ... lie between frames

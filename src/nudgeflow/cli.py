@@ -5,7 +5,7 @@ Exit status:
   0  every enabled check of the invoked subcommand passed (skipped checks
      do not fail a run);
   1  a check failed.  This includes the `solver` check a runner adds when
-     a linear, Picard or reference solve stalls or turns non-finite; the
+     a linear, Newton or reference solve stalls or turns non-finite; the
      report (with the solver message and residual trace), the series
      recorded up to the failure and a snapshot of the last accepted state
      are written all the same;

@@ -16,7 +16,8 @@ the whole band (`_band_packing`, the packing of every field) or the low
 modes of a Galerkin cutoff (the solver's, `schemes._Galerkin`).  It maps
 amplitudes between packings by index (`_pack_field`, `_field`), and
 through a product grid's half spectrum j2 >= 0: `_half` writes it,
-`_physical` synthesizes the samples and `_project` reads P_sigma back at
+`_physical` synthesizes the samples (`_sample` the samples and their
+gradients, in one inverse transform) and `_project` reads P_sigma back at
 the packed modes.  That is the one product path of `to_physical`,
 `operators.bilinear_B` and the solver.  (2, n, n) coefficient arrays
 appear only where a full grid is the point: random draws are packed by
@@ -281,6 +282,17 @@ class _Packing:
         import scipy.fft as _fft
         n = self.sgrid.n
         return _fft.irfft2(half, s=(n, n), norm="forward")
+
+    def _sample(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Product-grid samples of a packed velocity u and of its gradient,
+        from one inverse transform: u, shape (2, n, n), and du_c/dx_a as
+        grads[c, a], shape (2, 2, n, n)."""
+        import scipy.fft as _fft
+        n = self.sgrid.n
+        half = self._half(vec)
+        grads = (half[:, None] * self.sgrid._ik_half).reshape(4, n, -1)
+        out = _fft.irfft2(np.concatenate((half, grads)), s=(n, n), norm="forward")
+        return out[:2], out[2:].reshape(2, 2, n, n)
 
     # -- (2, n, n) coefficient arrays ---------------------------------------
 

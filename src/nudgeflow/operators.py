@@ -46,7 +46,12 @@ def inverse_stokes(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.coeffs / _band_packing(f.grid).k_squared)
 
 
-def advect_raw(grid: TorusGrid, u_phys: np.ndarray, v_coeffs: np.ndarray) -> np.ndarray:
+def advect_raw(
+    grid: TorusGrid,
+    u_phys: np.ndarray,
+    v_coeffs: np.ndarray | None,
+    grads: np.ndarray | None = None,
+) -> np.ndarray:
     """Raw half spectrum j2 >= 0 of (u . grad) v, shape (2, n, n // 2 + 1).
 
     u_phys are physical samples of the advecting field; only the half
@@ -56,13 +61,20 @@ def advect_raw(grid: TorusGrid, u_phys: np.ndarray, v_coeffs: np.ndarray) -> np.
     (alias-free) on the retained band, but neither masked nor
     Leray-projected.  The four gradient syntheses and the two analyses are
     real FFTs.
+
+    grads, if given, are the samples of dv_c/dx_a as grads[c, a]
+    (`fields._Packing._sample`), already synthesized, and v_coeffs is not
+    read.  They may stack m axes to u_phys's m rows, and the result is then
+    the one analysis of sum_a u_phys[a] grads[:, a]: with u_phys = (u, w)
+    and grads = (grad v, grad z), that is (u . grad) v + (w . grad) z.
     """
     import scipy.fft as _fft
     n = grid.n
-    # d/dx1 and d/dx2 of each component: spectra (2, 2, n, h), [component, axis]
-    grads = _fft.irfft2(
-        v_coeffs[:, None, :, : n // 2 + 1] * grid._ik_half, s=(n, n), norm="forward"
-    )
+    if grads is None:
+        # d/dx1 and d/dx2 of each component: spectra (2, 2, n, h), [component, axis]
+        grads = _fft.irfft2(
+            v_coeffs[:, None, :, : n // 2 + 1] * grid._ik_half, s=(n, n), norm="forward"
+        )
     return _fft.rfft2((grads * u_phys).sum(axis=1), norm="forward")
 
 

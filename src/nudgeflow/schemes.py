@@ -7,11 +7,11 @@ Both schemes advance
         = P_N f - beta P_N P_sigma I_h (v^{k+1} - u(t_{k+1}))
 
 with v* = v^k (semi-implicit) or v* = v^{k+1} (fully implicit, solved by
-a Picard outer loop that freezes the first bilinear argument).  Every
-linear solve is a matrix-free restarted-GMRES iteration on the coercive
-operator w/tau + nu A w + P_N B(v*, w) + beta P_N P_sigma I_h w with a
-diagonal right preconditioner.  The unknowns are one solenoidal amplitude
-per half-plane low mode, so every iterate is real and divergence-free by
+Newton's method).  Every linear solve is a matrix-free restarted-GMRES
+iteration with a diagonal right preconditioner, on the coercive operator
+w/tau + nu A w + P_N B(v*, w) + beta P_N P_sigma I_h w (semi-implicit) or
+on the Newton Jacobian.  The unknowns are one solenoidal amplitude per
+half-plane low mode, so every iterate is real and divergence-free by
 construction and is accepted as GMRES returns it.
 
 The initial guess changes only the work, not the step beyond its
@@ -26,17 +26,27 @@ extrapolation; a mode that only decays under its stiff diagonal has
 D_2 = D_3 = 0 and is guessed exactly, where plain extrapolation would
 overshoot; and a steady state's roundoff, whose differences grow with m,
 is extrapolated by D_1 alone.  The first step starts from v^k.  The
-semi-implicit scheme still freezes its first bilinear argument at v^k; the
-Picard loop starts from the guess.
-The Picard loop checks the nonlinear residual b - A(v) v of each
+semi-implicit scheme still freezes its first bilinear argument at v^k.
+The fully implicit step solves F(v) = b, F(v) = v/tau + nu A v +
+P_N B(v, v) + beta P_N P_sigma I_h v, by Newton's method from the guess.
+B is bilinear, so the Jacobian J(v) d = d/tau + nu A d + P_N [B(v, d) +
+B(d, v)] + beta P_N P_sigma I_h d is exact (Knoll & Keyes, J. Comput.
+Phys. 193, 2004).  Newton checks the residual r = b - F(v) of each
 iterate, the guess first, and accepts the first iterate within the step
-tolerance; otherwise that residual is the initial GMRES residual of the
-next solve.  GMRES builds its final residual from the operator products
-it has already applied (`krylov`), so a solve costs one application per
-iteration, a fully implicit step one more per residual check, and a step
-at its fixed point a single application; the semi-implicit step's
-residual is GMRES's final residual.  Each application builds the half
-spectrum of its argument once, for the advective term.
+tolerance; otherwise it solves J(v) d = r from d = 0, with r as the
+initial GMRES residual, to |r - J(v) d| <= tol |b| / 4 (an inner
+tolerance relative to b, Eisenstat & Walker, SIAM J. Sci. Comput. 17,
+1996).  The next residual is that remainder minus P_N B(d, d), so from a
+close guess one solve meets the tolerance.  GMRES builds its final
+residual from the operator products it has already applied (`krylov`), so
+a solve costs one application per iteration, a fully implicit step one
+more per residual check, and a step at its fixed point a single
+application; the semi-implicit step's residual is GMRES's final residual.
+An iterate's samples and gradients come from one inverse FFT
+(`_Packing._sample`), shared by its residual check and every Jacobian
+application of its solve; a Jacobian application synthesizes its
+direction the same way, so each application is one inverse and one
+forward real FFT, as is each ETDRK4 evaluation.
 
 The operator is applied on the cutoff's own product grid: the smallest
 even FFT-friendly n_s >= 3K + 1, K the largest |j|_inf of a low mode, on
@@ -112,7 +122,7 @@ SCHEMES = (SEMI_IMPLICIT, FULLY_IMPLICIT)
 ETDRK4 = "etdrk4"
 
 STEP_RESIDUAL_RTOL = 1e-10
-PICARD_MAX_OUTER = 100
+NEWTON_MAX_OUTER = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,34 +348,55 @@ class _Stepper(_Galerkin):
         return _Predictor(self._predictor_weight)
 
     def _apply_linear(
-        self, vec: np.ndarray, u_phys: np.ndarray, half: np.ndarray | None = None
+        self, vec: np.ndarray, u_phys: np.ndarray, grads: np.ndarray | None = None
     ) -> np.ndarray:
         """Packed action of w/tau + nu A w + P_N B(u, w) + beta P_N P_sigma I_h w.
 
-        half, if given, is vec's half spectrum, already built.
+        grads, if given, replace the samples of grad w, and the advective
+        term is P_N sum_a u_phys[a] grads[:, a] (`operators.advect_raw`):
+        with both samples from `_sample(w)` that is F(w), and `_jacobian`
+        stacks two pairs.
         """
-        if half is None:
-            half = self._half(vec)
-        adv = self._project(advect_raw(self.sgrid, u_phys, half))
-        return self._stokes_diag * vec + adv + self._obs_term(vec)
+        if grads is None:
+            adv = advect_raw(self.sgrid, u_phys, self._half(vec))
+        else:
+            adv = advect_raw(self.sgrid, u_phys, None, grads)
+        return self._stokes_diag * vec + self._project(adv) + self._obs_term(vec)
+
+    def _jacobian(
+        self, vec: np.ndarray, samples: tuple[np.ndarray, np.ndarray]
+    ) -> np.ndarray:
+        """J(x) d = d/tau + nu A d + P_N [B(x, d) + B(d, x)] + beta P_N P_sigma I_h d
+        for d = vec, samples = `_sample` of x.
+
+        F is quadratic in x, so this is its exact Jacobian; the
+        advective pair is one synthesis of d and one analysis.
+        """
+        u, grads = samples
+        d_u, d_grads = self._sample(vec)
+        return self._apply_linear(
+            vec, np.concatenate((u, d_u)), np.concatenate((d_grads, grads), axis=1)
+        )
 
     def _solve(
         self,
-        u_phys: np.ndarray,
+        apply_op: Callable[[np.ndarray], np.ndarray],
         b: np.ndarray,
-        x0: np.ndarray,
+        x0: np.ndarray | None = None,
         r0: np.ndarray | None = None,
+        rel_tol: float = 0.25 * STEP_RESIDUAL_RTOL,
     ) -> np.ndarray:
-        """The GMRES iterate, whose true relative residual is <= the step tolerance.
+        """The GMRES solution of apply_op(x) = b to relative residual rel_tol.
 
-        r0, if given, is b - A x0 for this u_phys, already computed.
+        x0 (0 if None) starts it; r0, if given, is b - apply_op(x0),
+        already computed.
         """
         result = gmres(
-            lambda w: self._apply_linear(w, u_phys),
+            apply_op,
             b,
             x0=x0,
             r0=r0,
-            rel_tol=0.25 * STEP_RESIDUAL_RTOL,
+            rel_tol=rel_tol,
             max_iter=2000,
             restart=50,
             apply_precond=lambda w: self._inv_diag * w,
@@ -391,7 +422,10 @@ class _Stepper(_Galerkin):
         """x_(k+1) after the iterate x = x_k, packed in this stepper.
 
         guess, a packed vector, starts the solve (x_k if None); the
-        iterate does not depend on it beyond the step tolerance.
+        iterate does not depend on it beyond the step tolerance.  The
+        fully implicit step is Newton's method from the guess (module
+        docstring): each iterate is sampled once, for its residual check
+        and the Jacobian of its solve.
         """
         b = x / self.tau + self.f_low + self._observed(truth, (k + 1) * self.tau)
         bnorm = float(np.linalg.norm(b))
@@ -402,26 +436,30 @@ class _Stepper(_Galerkin):
             guess = x
         if self.scheme == SEMI_IMPLICIT:
             # the step residual is GMRES's final residual of this iterate
-            return self._solve(self._physical(self._half(x)), b, guess)
-        # Fully implicit: Picard with frozen first bilinear argument, from the
-        # guess.  Each iterate's residual r is checked, then starts its solve.
+            u_phys = self._physical(self._half(x))
+            return self._solve(lambda w: self._apply_linear(w, u_phys), b, guess)
         trace: list[float] = []
         x = guess
         while True:
-            half = self._half(x)
-            u_phys = self._physical(half)
-            r = b - self._apply_linear(x, u_phys, half)
-            trace.append(float(np.linalg.norm(r)) / bnorm if bnorm > 0 else 0.0)
+            samples = self._sample(x)
+            r = b - self._apply_linear(x, *samples)
+            rnorm = float(np.linalg.norm(r))
+            trace.append(rnorm / bnorm if bnorm > 0 else 0.0)
             if trace[-1] <= STEP_RESIDUAL_RTOL:
                 return x
-            if len(trace) > PICARD_MAX_OUTER:  # every allowed solve has run
+            if len(trace) > NEWTON_MAX_OUTER:  # every allowed solve has run
                 raise SolverError(
-                    "Picard iteration did not reach the nonlinear residual "
-                    f"tolerance {STEP_RESIDUAL_RTOL:.0e} in {PICARD_MAX_OUTER} "
+                    "Newton iteration did not reach the nonlinear residual "
+                    f"tolerance {STEP_RESIDUAL_RTOL:.0e} in {NEWTON_MAX_OUTER} "
                     f"iterations; trace={['%.3e' % r for r in trace[-8:]]} "
                     "(consider a smaller tau)"
                 )
-            x = self._solve(u_phys, b, x, r)
+            x = x + self._solve(
+                lambda d: self._jacobian(d, samples),
+                r,
+                r0=r,
+                rel_tol=0.25 * STEP_RESIDUAL_RTOL * bnorm / rnorm,
+            )
 
 
 class _Predictor:
@@ -570,8 +608,8 @@ class _Etdrk4(_Galerkin):
         P_N f - P_N B(v, v) + data + (obs_diag v - beta P_N P_sigma I_h v),
         data the packed observation term beta P_N I_h u(t) (or 0.0).
         """
-        half = self._half(vec)
-        adv = advect_raw(self.sgrid, self._physical(half), half)
+        u, grads = self._sample(vec)
+        adv = advect_raw(self.sgrid, u, None, grads)
         out = self.f_low - self._project(adv) + data
         if self._obs_pair is not None:
             out += self.obs_diag * vec - self._obs_term(vec)

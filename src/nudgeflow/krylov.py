@@ -14,16 +14,18 @@ pass; twice is enough for an orthonormal basis to roundoff (Giraud,
 Langou & Rozloznik, Comput. Math. Appl. 50, 2005).  The small least
 squares problem is reduced by Givens rotations and solved by back
 substitution on Python floats (Saad & Schultz, SIAM J. Sci. Stat.
-Comput. 7, 1986).  A caller that already holds the initial residual
-b - A x0 passes it as r0 and saves one operator application.
+Comput. 7, 1986).  Every solve starts from x = 0, so its initial
+residual is b itself: a caller with a guess x0 solves A d = b - A x0 for
+the correction d (Saad, Iterative Methods for Sparse Linear Systems,
+2003, section 6.5).
 
 The residual at the end of a cycle is built from products already
 applied: the cycle keeps each A M^(-1) V[j], and since A is linear,
-b - A(x0 + M^(-1) V y) = r0 - sum_j y_j A M^(-1) V[j].  That residual,
+b - A(x + M^(-1) V y) = r - sum_j y_j A M^(-1) V[j].  That residual,
 which tracks a freshly applied one to roundoff (Van der Vorst & Ye,
 SIAM J. Sci. Comput. 22, 2000), decides convergence, is the reported
 residual and starts the next cycle, so a solve applies the operator once
-per iteration plus once for b - A x0 when r0 is not given.
+per iteration.
 """
 
 from __future__ import annotations
@@ -71,8 +73,6 @@ def gmres(
     apply_op: Operator,
     b: Vec,
     *,
-    x0: Vec | None = None,
-    r0: Vec | None = None,
     rel_tol: float = 1e-10,
     max_iter: int = 2000,
     restart: int = 50,
@@ -82,10 +82,9 @@ def gmres(
 
     apply_precond, if given, applies an approximate inverse M^(-1); the
     iteration solves A M^(-1) y = b and returns x = M^(-1) y, so the
-    residual history tracks |b - A x| throughout.  r0, if given, must be
-    b - A x0: the caller has just computed it, and the first cycle starts
-    from it instead of applying A once more.  The residual after each
-    cycle is r0 minus the kept products A M^(-1) V[j] weighted by the
+    residual history tracks |b - A x| throughout.  The iteration starts
+    from x = 0 with residual b.  The residual after each cycle is the
+    previous one minus the kept products A M^(-1) V[j] weighted by the
     cycle's coefficients, so the operator and the preconditioner must
     both be linear over the reals.
     """
@@ -95,8 +94,7 @@ def gmres(
     if bnorm == 0.0:
         return SolveResult(np.zeros_like(b), True, 0, 0.0, (0.0,))
     mi = apply_precond if apply_precond is not None else (lambda v: v)
-    x = np.array(x0, dtype=b.dtype) if x0 is not None else np.zeros_like(b)
-    r = b - apply_op(x) if r0 is None else r0
+    x, r = np.zeros_like(b), b
     history: list[float] = []
     total = 0
     breakdown = False

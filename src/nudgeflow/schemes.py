@@ -11,8 +11,8 @@ Newton's method).  Every linear solve is a matrix-free restarted-GMRES
 iteration with a diagonal right preconditioner, on the coercive operator
 w/tau + nu A w + P_N B(v*, w) + beta P_N P_sigma I_h w (semi-implicit) or
 on the Newton Jacobian.  The unknowns are one solenoidal amplitude per
-half-plane low mode, so every iterate is real and divergence-free by
-construction and is accepted as GMRES returns it.
+half-plane low mode, so every iterate and every GMRES correction is real
+and divergence-free by construction and is used as it is.
 
 The initial guess changes only the work, not the step beyond its
 tolerance: `advance` starts each step's solve from a damped cubic
@@ -25,23 +25,27 @@ norm exceeds that of D_(m-1).  Where tau d_k << 1 it is cubic
 extrapolation; a mode that only decays under its stiff diagonal has
 D_2 = D_3 = 0 and is guessed exactly, where plain extrapolation would
 overshoot; and a steady state's roundoff, whose differences grow with m,
-is extrapolated by D_1 alone.  The first step starts from v^k.  The
-semi-implicit scheme still freezes its first bilinear argument at v^k.
-The fully implicit step solves F(v) = b, F(v) = v/tau + nu A v +
-P_N B(v, v) + beta P_N P_sigma I_h v, by Newton's method from the guess.
-B is bilinear, so the Jacobian J(v) d = d/tau + nu A d + P_N [B(v, d) +
-B(d, v)] + beta P_N P_sigma I_h d is exact (Knoll & Keyes, J. Comput.
-Phys. 193, 2004).  Newton checks the residual r = b - F(v) of each
-iterate, the guess first, and accepts the first iterate within the step
-tolerance; otherwise it solves J(v) d = r from d = 0, with r as the
-initial GMRES residual, to |r - J(v) d| <= tol |b| / 4 (an inner
+is extrapolated by D_1 alone.  The first step starts from v^k.
+
+Every solve is a correction from zero.  A step checks the residual
+r = b - G(v) of its guess, G the map the step inverts, and accepts the
+guess within the tolerance; otherwise it solves G' d = r by GMRES from
+d = 0, r the right-hand side, to |r - G' d| <= tol |b| / 4 (an inner
 tolerance relative to b, Eisenstat & Walker, SIAM J. Sci. Comput. 17,
-1996).  The next residual is that remainder minus P_N B(d, d), so from a
+1996), and moves to v + d.  The semi-implicit scheme freezes its first
+bilinear argument at v^k, so G is linear, G' = G, and it checks its
+guess against tol / 4, the tolerance of its solve: its one solve is its
+last check.  The fully implicit step solves F(v) = b, F(v) = v/tau +
+nu A v + P_N B(v, v) + beta P_N P_sigma I_h v, by Newton's method from
+the guess, checking each iterate against tol.  B is bilinear, so G' =
+J(v), J(v) d = d/tau + nu A d + P_N [B(v, d) + B(d, v)] + beta P_N
+P_sigma I_h d, is exact (Knoll & Keyes, J. Comput. Phys. 193, 2004), and
+the next residual is the solve's remainder minus P_N B(d, d), so from a
 close guess one solve meets the tolerance.  GMRES builds its final
-residual from the operator products it has already applied (`krylov`), so
-a solve costs one application per iteration, a fully implicit step one
-more per residual check, and a step at its fixed point a single
-application; the semi-implicit step's residual is GMRES's final residual.
+residual from the operator products it has already applied (`krylov`),
+so in both schemes a solve costs one application per iteration, a step
+one more per residual check, and a step whose guess meets the tolerance
+a single application and no solve.
 An iterate's samples and gradients come from one inverse FFT
 (`_Packing._sample`), shared by its residual check and every Jacobian
 application of its solve; a Jacobian application synthesizes its
@@ -379,27 +383,12 @@ class _Stepper(_Galerkin):
         )
 
     def _solve(
-        self,
-        apply_op: Callable[[np.ndarray], np.ndarray],
-        b: np.ndarray,
-        x0: np.ndarray | None = None,
-        r0: np.ndarray | None = None,
-        rel_tol: float = 0.25 * STEP_RESIDUAL_RTOL,
+        self, apply_op: Callable[[np.ndarray], np.ndarray], r: np.ndarray, rel_tol: float
     ) -> np.ndarray:
-        """The GMRES solution of apply_op(x) = b to relative residual rel_tol.
-
-        x0 (0 if None) starts it; r0, if given, is b - apply_op(x0),
-        already computed.
-        """
+        """The correction d with apply_op(d) = r to relative residual rel_tol,
+        by GMRES from d = 0."""
         result = gmres(
-            apply_op,
-            b,
-            x0=x0,
-            r0=r0,
-            rel_tol=rel_tol,
-            max_iter=2000,
-            restart=50,
-            apply_precond=lambda w: self._inv_diag * w,
+            apply_op, r, rel_tol=rel_tol, apply_precond=lambda w: self._inv_diag * w
         )
         if not result.converged:
             raise SolverError(
@@ -422,29 +411,39 @@ class _Stepper(_Galerkin):
         """x_(k+1) after the iterate x = x_k, packed in this stepper.
 
         guess, a packed vector, starts the solve (x_k if None); the
-        iterate does not depend on it beyond the step tolerance.  The
-        fully implicit step is Newton's method from the guess (module
-        docstring): each iterate is sampled once, for its residual check
-        and the Jacobian of its solve.
+        iterate does not depend on it beyond the step tolerance.  Both
+        schemes check the guess's residual r = b - G(guess) first and
+        accept it within the tolerance; otherwise they solve for a
+        correction from zero with r as the right-hand side (module
+        docstring).  The semi-implicit operator is frozen at x_k and
+        linear, so its one solve is its last check; the fully implicit
+        step is Newton's method, each iterate sampled once, for its
+        residual check and the Jacobian of its solve.
         """
         b = x / self.tau + self.f_low + self._observed(truth, (k + 1) * self.tau)
         bnorm = float(np.linalg.norm(b))
         if not np.isfinite(bnorm):
             # the state, the forcing or the observation is not finite
             raise SolverError("non-finite step right-hand side")
+        if bnorm == 0.0:
+            return np.zeros_like(b)  # both operators map 0 to 0
         if guess is None:
             guess = x
         if self.scheme == SEMI_IMPLICIT:
-            # the step residual is GMRES's final residual of this iterate
             u_phys = self._physical(self._half(x))
-            return self._solve(lambda w: self._apply_linear(w, u_phys), b, guess)
+            op = lambda w: self._apply_linear(w, u_phys)
+            r = b - op(guess)
+            rnorm = float(np.linalg.norm(r))
+            if rnorm / bnorm <= 0.25 * STEP_RESIDUAL_RTOL:
+                return guess
+            return guess + self._solve(op, r, 0.25 * STEP_RESIDUAL_RTOL * bnorm / rnorm)
         trace: list[float] = []
         x = guess
         while True:
             samples = self._sample(x)
             r = b - self._apply_linear(x, *samples)
             rnorm = float(np.linalg.norm(r))
-            trace.append(rnorm / bnorm if bnorm > 0 else 0.0)
+            trace.append(rnorm / bnorm)
             if trace[-1] <= STEP_RESIDUAL_RTOL:
                 return x
             if len(trace) > NEWTON_MAX_OUTER:  # every allowed solve has run
@@ -457,8 +456,7 @@ class _Stepper(_Galerkin):
             x = x + self._solve(
                 lambda d: self._jacobian(d, samples),
                 r,
-                r0=r,
-                rel_tol=0.25 * STEP_RESIDUAL_RTOL * bnorm / rnorm,
+                0.25 * STEP_RESIDUAL_RTOL * bnorm / rnorm,
             )
 
 

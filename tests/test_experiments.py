@@ -137,7 +137,8 @@ def test_series_recorder_columns_and_csv(tmp_path, grid8, rng):
     assert math.isclose(rec.column("norm_H")[0], 2.0, rel_tol=1e-12)
 
     path = rec.write(str(tmp_path), "series.csv")
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == ",".join(SERIES_HEADER)
     assert len(lines) == 3
     # the step column must round trip as an integer literal
@@ -163,7 +164,8 @@ def test_render_report_sections_and_determinism(tmp_path):
 
     path = write_report(report, str(tmp_path))
     assert path.endswith("demo_report.txt")
-    assert open(path).read() == text
+    with open(path) as fh:
+        assert fh.read() == text
 
 
 def test_report_status_fails_on_any_failed_check():

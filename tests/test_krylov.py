@@ -79,17 +79,6 @@ def test_zero_rhs_short_circuits():
     assert np.all(res.x == 0)
 
 
-def test_warm_start_reduces_work(rng):
-    d = rng.uniform(1.0, 10.0, size=64)
-    b = rng.standard_normal(64).astype(complex)
-    exact = b / d
-    cold = gmres(lambda x: d * x, b, rel_tol=1e-12)
-    warm = gmres(lambda x: d * x, b, x0=exact.copy(), rel_tol=1e-12)
-    assert warm.converged
-    assert warm.iterations == 0
-    assert warm.iterations <= cold.iterations
-
-
 def test_restart_still_converges(rng):
     n = 60
     a = np.eye(n) + 0.3 / math.sqrt(n) * rng.standard_normal((n, n))
@@ -126,50 +115,58 @@ def test_hermitian_symmetry_is_preserved(rng):
     assert drift <= 1e-12 * np.max(np.abs(res.x))
 
 
-def test_given_initial_residual_saves_one_apply(rng):
-    n = 40
-    a = np.eye(n) + 0.3 / math.sqrt(n) * rng.standard_normal((n, n))
-    b = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(complex)
-    x0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    counts = []
-
-    def counted(x):
-        counts[-1] += 1
-        return a @ x
-
-    runs = []
-    for r0 in (None, b - a @ x0):
-        counts.append(0)
-        runs.append(gmres(counted, b, x0=x0, r0=r0, rel_tol=1e-11, restart=8))
-    plain, reused = runs
-    assert plain.converged and reused.converged
-    assert np.array_equal(plain.x, reused.x)
-    assert plain.history == reused.history
-    assert counts[1] == counts[0] - 1
-
-
 def _fresh_residual(a, b, x):
     return np.linalg.norm(b - a @ x) / np.linalg.norm(b)
 
 
+def test_solve_starts_from_zero_with_residual_b(rng):
+    # the first residual is b itself: the history starts at exactly 1 and
+    # the first basis vector the preconditioner sees is b / |b|
+    n = 24
+    a = np.eye(n) + 0.3 / math.sqrt(n) * rng.standard_normal((n, n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    seen = []
+
+    def record(v):
+        seen.append(np.array(v))
+        return v
+
+    res = gmres(_mat_op(a), b, apply_precond=record, rel_tol=1e-10)
+    assert res.converged
+    assert res.history[0] == 1.0
+    assert np.array_equal(seen[0], b / np.linalg.norm(b))
+
+
+def test_correction_from_a_close_guess_takes_fewer_iterations(rng):
+    # a caller with a guess x0 solves A d = r, r = b - A x0, to the
+    # tolerance scaled by |b| / |r|, so x0 + d meets it relative to b
+    n = 40
+    a = np.eye(n) + 0.3 / math.sqrt(n) * rng.standard_normal((n, n))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    tol = 1e-10
+    cold = gmres(_mat_op(a), b, rel_tol=tol)
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x0 = np.linalg.solve(a, b) + 1e-6 * noise
+    r = b - a @ x0
+    warm = gmres(_mat_op(a), r, rel_tol=tol * np.linalg.norm(b) / np.linalg.norm(r))
+    assert cold.converged and warm.converged
+    assert warm.iterations < cold.iterations
+    assert _fresh_residual(a, b, x0 + warm.x) <= tol
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("preconditioned", [False, True])
-@pytest.mark.parametrize("given_r0", [False, True])
-def test_final_residual_comes_from_the_applied_products(
-    rng, dtype, preconditioned, given_r0
-):
-    # the solve applies the operator once per iteration, plus once for
-    # b - A x0 unless r0 is given, and its built residual is the residual
-    # of the returned iterate to roundoff
+def test_final_residual_comes_from_the_applied_products(rng, dtype, preconditioned):
+    # the solve starts from x = 0 with residual b and applies the operator
+    # once per iteration, and its built residual is the residual of the
+    # returned iterate to roundoff
     n = 40
     a = np.diag(rng.uniform(1.0, 20.0, size=n))
     a += 2.0 / math.sqrt(n) * rng.standard_normal((n, n))
     b = rng.standard_normal(n)
-    x0 = rng.standard_normal(n)
     if dtype is complex:
         a = a + 1j / math.sqrt(n) * rng.standard_normal((n, n))
         b = b + 1j * rng.standard_normal(n)
-        x0 = x0 + 1j * rng.standard_normal(n)
     m_inv = 1.0 / np.diag(a)
     calls = [0]
 
@@ -178,14 +175,14 @@ def test_final_residual_comes_from_the_applied_products(
         return a @ x
 
     res = gmres(
-        counted, b, x0=x0, r0=b - a @ x0 if given_r0 else None, rel_tol=1e-10,
-        restart=8, apply_precond=(lambda y: m_inv * y) if preconditioned else None,
+        counted, b, rel_tol=1e-10, restart=8,
+        apply_precond=(lambda y: m_inv * y) if preconditioned else None,
     )
     assert res.converged and res.iterations > 8  # more than one cycle
     assert res.x.dtype == np.result_type(dtype, np.float64)
     assert abs(res.residual - _fresh_residual(a, b, res.x)) <= 1e-14
     assert res.history[-1] == res.residual
-    assert calls[0] == res.iterations + (not given_r0)
+    assert calls[0] == res.iterations
 
 
 @pytest.mark.parametrize("cycles", [10, 40, 150])

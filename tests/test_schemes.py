@@ -412,6 +412,17 @@ def test_step_rejects_non_finite_state_as_solver_error(scheme, rng, grid16):
     assert raised.value.field.grid == grid16
 
 
+@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT, FULLY_IMPLICIT])
+def test_step_with_a_zero_right_hand_side_returns_zero(scheme, rng, grid16):
+    # b = 0 (zero state and forcing, no nudging) is solved exactly by
+    # v = 0 in both schemes, whatever the guess
+    p = free_params(grid16, 0.1)
+    stepper = schemes._stepper(p, 0.01, scheme)
+    guess = stepper._pack_field(random_field(grid16, rng, norm_v=1.0, cutoff=p.cutoff))
+    x = np.zeros_like(guess)
+    assert np.array_equal(stepper.step(x, 0, None, guess), x)
+
+
 def test_step_rejects_non_finite_observation_as_solver_error(rng, grid16):
     spec = InterpolantSpec("fourier_truncation", 0.5)
     p = PhysicsParams(
@@ -655,9 +666,13 @@ def test_preconditioner_diagonal_is_exact(n, kind, h, lam, n_s):
 # entry points that layer tracing patches
 
 
-def test_semi_implicit_step_applies_the_operator_only_inside_gmres(monkeypatch):
-    # the step residual is GMRES's final residual, so there is no
-    # separate check apply, and the new field is built without validation
+def test_semi_implicit_step_applies_the_operator_once_per_check_and_iteration(
+    monkeypatch,
+):
+    # the step checks its guess's residual once and its one solve builds
+    # its final residual from the products it applied, so the step applies
+    # the operator once plus once per GMRES iteration, and the new field is
+    # built without validation
     rng = np.random.default_rng(11)
     p, moving, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
     truth = _steady(moving.field_at(0.01))
@@ -685,7 +700,8 @@ def test_semi_implicit_step_applies_the_operator_only_inside_gmres(monkeypatch):
     monkeypatch.setattr(schemes, "gmres", gmres)
     monkeypatch.setattr(SpectralField, "from_coeffs", classmethod(from_coeffs))
     advance(v0, p, truth, 0.01, 1)
-    assert counts["advect_raw"] == counts["gmres_apply"] > 0
+    assert counts["gmres_apply"] > 0
+    assert counts["advect_raw"] == counts["gmres_apply"] + 1
     assert counts["from_coeffs"] == 0
 
 
@@ -703,13 +719,15 @@ def _record_right_hand_sides(monkeypatch) -> list:
     return rhs
 
 
-def test_newton_solves_start_from_the_residual_just_computed(monkeypatch):
-    # every advect_raw call is a Jacobian application inside GMRES or the
-    # residual check of a Newton iterate, the guess first; each solve starts
-    # from d = 0 with the residual just checked, r = b - F(x), instead of
-    # applying the Jacobian again, and builds its final residual from the
-    # products it applied, so a step applies once per iteration plus once
-    # per residual check
+@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT, FULLY_IMPLICIT])
+def test_solves_start_from_the_residual_just_computed(scheme, monkeypatch):
+    # every advect_raw call is an operator application inside GMRES or the
+    # residual check of an iterate, the guess first; each solve is for a
+    # correction from zero with the residual just checked, r = b - G(x), as
+    # its right-hand side, and builds its final residual from the products
+    # it applied, so a step applies once per iteration plus once per
+    # residual check.  The semi-implicit operator is linear: it checks only
+    # its guess
     rng = np.random.default_rng(11)
     p, truth, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
     rhs = _record_right_hand_sides(monkeypatch)
@@ -725,15 +743,14 @@ def test_newton_solves_start_from_the_residual_just_computed(monkeypatch):
     def apply(self, *args):
         out = real_apply(self, *args)
         if not counts["in_gmres"]:
-            checks.append(out)  # F(x) of the iterate checked
+            checks.append(out)  # G(x) of the iterate checked
         return out
 
     def gmres(apply_op, b, **kwargs):
         solve = {
             "applies": 0,
-            "from_zero": kwargs.get("x0") is None,
-            "r0_exact": np.array_equal(kwargs["r0"], rhs[-1] - checks[-1]),
-            "r0_is_b": kwargs["r0"] is b,
+            "no_start": "x0" not in kwargs and "r0" not in kwargs,
+            "rhs_exact": np.array_equal(b, rhs[-1] - checks[-1]),
         }
 
         def counted(w):
@@ -751,17 +768,21 @@ def test_newton_solves_start_from_the_residual_just_computed(monkeypatch):
     monkeypatch.setattr(schemes, "advect_raw", advect)
     monkeypatch.setattr(schemes._Stepper, "_apply_linear", apply)
     n_steps = 3
-    advance(v0, p, truth, 0.01, n_steps, scheme=FULLY_IMPLICIT)
-    assert len(solves) >= n_steps
-    assert len(checks) == len(solves) + n_steps
+    advance(v0, p, truth, 0.01, n_steps, scheme=scheme)
+    if scheme == FULLY_IMPLICIT:
+        assert len(solves) >= n_steps
+        assert len(checks) == len(solves) + n_steps
+    else:
+        assert 0 < len(solves) <= n_steps == len(checks)
     applies = sum(s["applies"] for s in solves)
     assert counts["advect_raw"] == applies + len(checks)
     for solve in solves:
-        assert solve["from_zero"] and solve["r0_exact"] and solve["r0_is_b"]
+        assert solve["no_start"] and solve["rhs_exact"]
         assert solve["applies"] == solve["iterations"]
 
 
-def test_fully_implicit_step_at_a_fixed_point_makes_one_apply(monkeypatch, grid32):
+@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT, FULLY_IMPLICIT])
+def test_step_at_a_fixed_point_makes_one_apply(scheme, monkeypatch, grid32):
     # the guess v^0 = u* meets the step tolerance, so the step checks its
     # residual once and accepts it without a solve
     nu = 1.0
@@ -784,7 +805,7 @@ def test_fully_implicit_step_at_a_fixed_point_makes_one_apply(monkeypatch, grid3
 
     monkeypatch.setattr(schemes, "advect_raw", advect)
     monkeypatch.setattr(schemes, "gmres", gmres)
-    v1, _ = advance(u_star, p, _steady(u_star), 0.01, 1, scheme=FULLY_IMPLICIT)
+    v1, _ = advance(u_star, p, _steady(u_star), 0.01, 1, scheme=scheme)
     assert counts == {"advect_raw": 1, "gmres": 0}
     gal = schemes._galerkin(p)
     assert np.array_equal(gal._pack_field(v1), gal._pack_field(u_star))

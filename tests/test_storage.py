@@ -39,38 +39,38 @@ def test_snapshot_defaults_to_band_cutoff(tmp_path, rng, grid16):
 
 def test_snapshot_writes_are_byte_stable(tmp_path, rng, grid16):
     f = random_field(grid16, rng)
-    p1, p2 = str(tmp_path / "a.nnsf"), str(tmp_path / "b.nnsf")
-    save_snapshot(p1, f)
-    save_snapshot(p2, f)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    p1, p2 = tmp_path / "a.nnsf", tmp_path / "b.nnsf"
+    save_snapshot(str(p1), f)
+    save_snapshot(str(p2), f)
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_snapshot_format_errors(tmp_path, rng, grid16):
     f = random_field(grid16, rng)
-    path = str(tmp_path / "f.nnsf")
-    save_snapshot(path, f)
-    blob = open(path, "rb").read()
+    path = tmp_path / "f.nnsf"
+    save_snapshot(str(path), f)
+    blob = path.read_bytes()
     assert blob[:4] == SNAPSHOT_MAGIC
 
-    bad_magic = str(tmp_path / "m.nnsf")
-    open(bad_magic, "wb").write(b"XXXX" + blob[4:])
+    bad_magic = tmp_path / "m.nnsf"
+    bad_magic.write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(SnapshotFormatError, match="magic"):
-        load_snapshot(bad_magic)
+        load_snapshot(str(bad_magic))
 
-    short = str(tmp_path / "s.nnsf")
-    open(short, "wb").write(blob[:10])
+    short = tmp_path / "s.nnsf"
+    short.write_bytes(blob[:10])
     with pytest.raises(SnapshotFormatError, match="truncated"):
-        load_snapshot(short)
+        load_snapshot(str(short))
 
-    chopped = str(tmp_path / "c.nnsf")
-    open(chopped, "wb").write(blob[:-8])
+    chopped = tmp_path / "c.nnsf"
+    chopped.write_bytes(blob[:-8])
     with pytest.raises(SnapshotFormatError, match="expected"):
-        load_snapshot(chopped)
+        load_snapshot(str(chopped))
 
-    versioned = str(tmp_path / "v.nnsf")
-    open(versioned, "wb").write(blob[:4] + b"\x63\x00\x00\x00" + blob[8:])
+    versioned = tmp_path / "v.nnsf"
+    versioned.write_bytes(blob[:4] + b"\x63\x00\x00\x00" + blob[8:])
     with pytest.raises(SnapshotFormatError, match="version"):
-        load_snapshot(versioned)
+        load_snapshot(str(versioned))
 
 
 def _write_snapshot(path, version=SNAPSHOT_VERSION, L=2.0 * np.pi, n=16, lam=9.0,

@@ -15,14 +15,15 @@ package (stored snapshots), checks only their shape and finiteness.
 the whole band (`_band_packing`, the packing of every field) or the low
 modes of a Galerkin cutoff (the solver's, `schemes._Galerkin`).  It maps
 amplitudes between packings by index (`_pack_field`, `_field`), and
-through a product grid's half spectrum j2 >= 0: `_half` writes it,
-`_physical` synthesizes the samples (`_sample` the samples and their
-gradients, in one inverse transform) and `_project` reads P_sigma back at
-the packed modes.  That is the one product path of `to_physical`,
-`operators.bilinear_B` and the solver.  (2, n, n) coefficient arrays
-appear only where a full grid is the point: random draws are packed by
-the mirror gather `_pack_grid`, which is P_sigma of the real part, and
-the full-grid oracles (`operators.bilinear_B_direct`,
+through a product grid: `_sample` synthesizes the velocity samples of one
+or two packed vectors from their half spectra j2 >= 0, in one inverse
+transform, and `_project` reads P_sigma of the divergence of a product
+tensor back at the packed modes from the half spectra of its two or three
+products (`operators.advect_raw`).  That is the one product path of
+`to_physical`, `operators.bilinear_B` and the solver.  (2, n, n)
+coefficient arrays appear only where a full grid is the point: random
+draws are packed by the mirror gather `_pack_grid`, which is P_sigma of
+the real part, and the full-grid oracles (`operators.bilinear_B_direct`,
 `interpolants.apply_ih`) and the tests unpack fields with `_unpack_grid`.
 `leray_project_raw` is the Leray projection of such an array.
 
@@ -110,13 +111,6 @@ class TorusGrid:
         """Integer eigenvalue shell j1^2 + j2^2, shape (n, n)."""
         return self.j1 * self.j1 + self.j2 * self.j2
 
-    @cached_property
-    def _ik_half(self) -> np.ndarray:
-        """Derivative multipliers (i k1, i k2) on the half spectrum j2 >= 0,
-        shape (2, n, n // 2 + 1)."""
-        ik, h = 2j * np.pi / self.L, self.n // 2 + 1
-        return np.stack(np.broadcast_arrays(ik * self.j1, ik * self.j2[:, :h]))
-
     @property
     def band_limit(self) -> int:
         """Largest |j|_inf kept by the 2/3 dealiasing rule.
@@ -193,9 +187,10 @@ class _Packing:
     uhat(-k) = conj(uhat(k)).  Products run on sgrid, a grid of the same
     side whose n_s exceeds twice the largest |j|_inf of a mode (the grid
     itself unless given).  A vector enters it as the half spectrum
-    j2 >= 0 of its velocity (the j2 = 0 column holds k and -k) and leaves
-    it as the dot product with e_k at the packed modes, which is P_sigma
-    onto them.  Norms are Parseval sums.
+    j2 >= 0 of its velocity (the j2 = 0 column holds k and -k), and a
+    product tensor leaves it as the dot product of its divergence with e_k
+    at the packed modes, which is P_sigma onto them.  Norms are Parseval
+    sums.
     """
 
     def __init__(
@@ -217,12 +212,22 @@ class _Packing:
         )
         self._e = np.stack((-j2, j1)) / np.sqrt(self.shell)
         n_s, h = sgrid.n, sgrid.n // 2 + 1
-        # the mirrors -k of the modes on the j2 = 0 axis also lie in j2 >= 0
-        self._axis = np.flatnonzero(j2 == 0)
         self._half_shape = (2, n_s, h)
-        at = np.concatenate((j1 % n_s * h + j2, -j1[self._axis] % n_s * h))
-        self._half_at = np.concatenate((at, at + n_s * h))
-        self._e_half = np.concatenate((self._e, self._e[:, self._axis]), axis=1)
+        at = j1 % n_s * h + j2
+        self._product_at = np.concatenate([at + i * n_s * h for i in range(3)])
+        # the mirrors -k of the modes on the j2 = 0 axis also lie in j2 >= 0:
+        # the half spectrum holds the amplitudes at _mirrored, the last ones
+        # conjugated, times _e_half, at _half_at (for one or two vectors)
+        axis = np.flatnonzero(j2 == 0)
+        self._mirrored = np.concatenate((np.arange(self.size), axis))
+        self._e_half = self._e[:, self._mirrored]
+        at = np.concatenate((at, -j1[axis] % n_s * h))
+        at = np.concatenate((at, at + n_s * h))
+        self._half_at = np.concatenate((at, at + 2 * n_s * h))
+        # the weights of the products of a tensor in `_project`
+        ik = 2j * np.pi / grid.L / np.sqrt(self.shell)
+        a, b, c = ik * j1 * j2, ik * j1 * j1, ik * j2 * j2
+        self._product_weights = {3: np.stack((-a, b, -c)), 2: np.stack((-a, b - c))}
 
     # -- between packings ---------------------------------------------------
 
@@ -263,36 +268,37 @@ class _Packing:
 
     # -- product-grid transfers ---------------------------------------------
 
-    def _half(self, vec: np.ndarray) -> np.ndarray:
-        """Product-grid half spectrum j2 >= 0 of a packed velocity."""
-        half = np.zeros(self._half_shape, dtype=np.complex128)
-        amps = np.concatenate((vec, vec[self._axis].conj()))
-        half.ravel()[self._half_at] = (amps * self._e_half).ravel()
-        return half
-
-    def _project(self, half: np.ndarray) -> np.ndarray:
-        """P_sigma of a product-grid half spectrum, packed: e_k . half(k)."""
-        c = half.take(self._half_at).reshape(2, -1)
-        return self._e[0] * c[0, : self.size] + self._e[1] * c[1, : self.size]
-
-    def _physical(self, half: np.ndarray) -> np.ndarray:
-        """Product-grid samples of a velocity, from its half spectrum (`_half`)."""
+    def _sample(self, vec: np.ndarray) -> np.ndarray:
+        """Product-grid samples of packed velocities from one inverse
+        transform of their half spectra j2 >= 0: shape (2, n, n) for one
+        packed vector, (2, 2, n, n) for a stack of two, shape (2, size).
+        """
         # scipy.fft is imported by the first transform, not with the
         # package, so runs that never transform do not load it
         import scipy.fft as _fft
         n = self.sgrid.n
+        half = np.zeros(vec.shape[:-1] + self._half_shape, dtype=np.complex128)
+        amps = vec.take(self._mirrored, axis=-1)
+        mirrors = amps[..., self.size :]
+        np.conjugate(mirrors, out=mirrors)
+        at = self._half_at[: 2 * amps.size]
+        half.ravel()[at] = (amps[..., None, :] * self._e_half).ravel()
         return _fft.irfft2(half, s=(n, n), norm="forward")
 
-    def _sample(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Product-grid samples of a packed velocity u and of its gradient,
-        from one inverse transform: u, shape (2, n, n), and du_c/dx_a as
-        grads[c, a], shape (2, 2, n, n)."""
-        import scipy.fft as _fft
-        n = self.sgrid.n
-        half = self._half(vec)
-        grads = (half[:, None] * self.sgrid._ik_half).reshape(4, n, -1)
-        out = _fft.irfft2(np.concatenate((half, grads)), s=(n, n), norm="forward")
-        return out[:2], out[2:].reshape(2, 2, n, n)
+    def _project(self, products: np.ndarray) -> np.ndarray:
+        """Packed P_sigma div T of a product tensor T, from the half spectra
+        of its products (`operators.advect_raw`), shape (m, n, n // 2 + 1).
+
+        With F_bc = FT[T_bc], e_k . FT[div T](k) is -a (F11 - F22) +
+        b F12 - c F21, (a, b, c) = i kappa (j1 j2, j1^2, j2^2) / |j| and
+        kappa = 2 pi / L: m = 3 products (T11 - T22, T12, T21) take the
+        weights (-a, b, -c), and the m = 2 of a symmetric T, (T11 - T22,
+        T12), take (-a, b - c).
+        """
+        m = len(products)
+        c = products.take(self._product_at[: m * self.size]).reshape(m, self.size)
+        c *= self._product_weights[m]
+        return c.sum(axis=0)
 
     # -- (2, n, n) coefficient arrays ---------------------------------------
 
@@ -458,8 +464,7 @@ def leray_project_raw(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 def to_physical(f: SpectralField) -> np.ndarray:
     """Real velocity samples of shape (2, n, n); u(x) = sum uhat e^(ik.x)."""
-    p = _band_packing(f.grid)
-    return p._physical(p._half(f.coeffs))
+    return _band_packing(f.grid)._sample(f.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 Provides the Stokes operator A (multiplication by |k|^2), its inverse,
 the advective bilinear term B(u, v) = P_sigma ((u . grad) v) evaluated
-pseudo-spectrally through the band packing's half spectrum (the
-solver's product path, `fields._Packing`) plus a brute-force
-convolution oracle on (2, n, n) arrays, the postprocessing manifold map
-phi1(p) = (nu A)^(-1) Q_N [f - B(p, p)], and two exact-solution
-constructors (steady Kolmogorov shear, decaying Taylor-Green vortex) used
-as integration oracles, which write their few amplitudes directly.
+pseudo-spectrally in divergence form, P_sigma div(u (x) v) for solenoidal
+u, from velocity samples and their products alone (the solver's product
+path: `fields._Packing._sample`, `advect_raw`, `fields._Packing._project`),
+plus a brute-force convolution oracle on (2, n, n) arrays, the
+postprocessing manifold map phi1(p) = (nu A)^(-1) Q_N [f - B(p, p)], and
+two exact-solution constructors (steady Kolmogorov shear, decaying
+Taylor-Green vortex) used as integration oracles, which write their few
+amplitudes directly.
 """
 
 from __future__ import annotations
@@ -49,41 +51,49 @@ def inverse_stokes(f: SpectralField) -> SpectralField:
 def advect_raw(
     grid: TorusGrid,
     u_phys: np.ndarray,
-    v_coeffs: np.ndarray | None,
-    grads: np.ndarray | None = None,
+    v: np.ndarray | None = None,
+    symmetric: bool = False,
 ) -> np.ndarray:
-    """Raw half spectrum j2 >= 0 of (u . grad) v, shape (2, n, n // 2 + 1).
+    """Raw half spectra j2 >= 0 of the products of a tensor T whose
+    divergence is an advective term, shape (m, n, n // 2 + 1).
 
-    u_phys are physical samples of the advecting field; only the half
-    j2 >= 0 of v_coeffs, the Hermitian spectrum of the advected (real)
-    field, is read, so a full (2, n, n) or a half (2, n, n // 2 + 1) array
-    both do.  Both fields must be band-limited; the result is exact
-    (alias-free) on the retained band, but neither masked nor
-    Leray-projected.  The four gradient syntheses and the two analyses are
-    real FFTs.
+    u_phys are the samples (2, n, n) of a solenoidal advecting field u, so
+    (u . grad) v = div(u (x) v) (Basdevant, J. Comput. Phys. 50, 1983).  v
+    holds the samples of the advected field, None for v = u, or, complex,
+    its Hermitian spectrum, of which one inverse real FFT reads only the
+    half j2 >= 0 (a full (2, n, n) or a half (2, n, n // 2 + 1) array
+    both do).  The products, which one forward real FFT analyses, are
 
-    grads, if given, are the samples of dv_c/dx_a as grads[c, a]
-    (`fields._Packing._sample`), already synthesized, and v_coeffs is not
-    read.  They may stack m axes to u_phys's m rows, and the result is then
-    the one analysis of sum_a u_phys[a] grads[:, a]: with u_phys = (u, w)
-    and grads = (grad v, grad z), that is (u . grad) v + (w . grad) z.
+    - T = u (x) v: (u1 v1 - u2 v2, u1 v2, u2 v1), m = 3;
+    - T = u (x) u (v None): (u1^2 - u2^2, u1 u2), m = 2;
+    - T = u (x) v + v (x) u (symmetric, v solenoidal too):
+      (2 (u1 v1 - u2 v2), u1 v2 + u2 v1), m = 2,
+
+    and `fields._Packing._project` reads P_sigma div T from them.  For
+    fields of |j|_inf <= K on a grid with n >= 3K + 1 the spectra are exact
+    (alias-free) at |j|_inf <= K (Orszag, J. Atmos. Sci. 28, 1971), but
+    neither masked nor projected.
     """
     import scipy.fft as _fft
     n = grid.n
-    if grads is None:
-        # d/dx1 and d/dx2 of each component: spectra (2, 2, n, h), [component, axis]
-        grads = _fft.irfft2(
-            v_coeffs[:, None, :, : n // 2 + 1] * grid._ik_half, s=(n, n), norm="forward"
-        )
-    return _fft.rfft2((grads * u_phys).sum(axis=1), norm="forward")
+    if v is None:
+        v = u_phys
+    elif np.iscomplexobj(v):
+        v = _fft.irfft2(v[..., : n // 2 + 1], s=(n, n), norm="forward")
+    prod = (u_phys[:, None] * v).reshape(4, n, n)  # u_a v_b at 2a + b
+    prod[0] -= prod[3]
+    if symmetric:
+        prod[0] *= 2.0
+        prod[1] += prod[2]
+    return _fft.rfft2(prod[: 2 if symmetric or v is u_phys else 3], norm="forward")
 
 
 def bilinear_B(u: SpectralField, v: SpectralField) -> SpectralField:
     """B(u, v) = P_sigma((u . grad) v), pseudo-spectral with 2/3-rule dealiasing."""
     u._require_same_grid(v)
     p = _band_packing(u.grid)
-    adv = advect_raw(u.grid, p._physical(p._half(u.coeffs)), p._half(v.coeffs))
-    return SpectralField(u.grid, p._project(adv))
+    u_phys, v_phys = p._sample(np.stack((u.coeffs, v.coeffs)))
+    return SpectralField(u.grid, p._project(advect_raw(u.grid, u_phys, v_phys)))
 
 
 def bilinear_B_direct(u: SpectralField, v: SpectralField) -> SpectralField:

@@ -46,11 +46,17 @@ residual from the operator products it has already applied (`krylov`),
 so in both schemes a solve costs one application per iteration, a step
 one more per residual check, and a step whose guess meets the tolerance
 a single application and no solve.
-An iterate's samples and gradients come from one inverse FFT
-(`_Packing._sample`), shared by its residual check and every Jacobian
-application of its solve; a Jacobian application synthesizes its
-direction the same way, so each application is one inverse and one
-forward real FFT, as is each ETDRK4 evaluation.
+Every advective term is read in divergence form, (u . grad) w =
+div(u (x) w) for solenoidal u (Basdevant, J. Comput. Phys. 50, 1983), so
+an application synthesizes velocities only (`_Packing._sample`) and
+analyses two or three of their products (`operators.advect_raw`): each
+application is one inverse and one forward real FFT.  An iterate's
+samples are shared by its residual check (F(x): x (x) x, 2 fields in, 2
+out) and every Jacobian application of its solve, which synthesizes only
+the direction d (x (x) d + d (x) x, 2 and 2), as does each ETDRK4
+evaluation; a semi-implicit application synthesizes its argument w
+(x_k (x) w, 2 and 3), and a semi-implicit step samples x_k and its guess
+together, for its first check, in one inverse transform.
 
 The operator is applied on the cutoff's own product grid: the smallest
 even FFT-friendly n_s >= 3K + 1, K the largest |j|_inf of a low mode, on
@@ -352,35 +358,33 @@ class _Stepper(_Galerkin):
         return _Predictor(self._predictor_weight)
 
     def _apply_linear(
-        self, vec: np.ndarray, u_phys: np.ndarray, grads: np.ndarray | None = None
+        self,
+        vec: np.ndarray,
+        u_phys: np.ndarray,
+        v_phys: np.ndarray | None = None,
+        symmetric: bool = False,
     ) -> np.ndarray:
-        """Packed action of w/tau + nu A w + P_N B(u, w) + beta P_N P_sigma I_h w.
+        """Packed vec/tau + nu A vec + P_N P_sigma div T + beta P_N P_sigma I_h vec
+        for the product tensor T of `operators.advect_raw(u_phys, v_phys,
+        symmetric)`.
 
-        grads, if given, replace the samples of grad w, and the advective
-        term is P_N sum_a u_phys[a] grads[:, a] (`operators.advect_raw`):
-        with both samples from `_sample(w)` that is F(w), and `_jacobian`
-        stacks two pairs.
+        With v_phys the samples of vec, T = u (x) vec and this is the
+        semi-implicit operator frozen at u; with u_phys the samples of vec
+        and v_phys None, T = vec (x) vec and this is F(vec); `_jacobian`
+        passes the symmetric pair.
         """
-        if grads is None:
-            adv = advect_raw(self.sgrid, u_phys, self._half(vec))
-        else:
-            adv = advect_raw(self.sgrid, u_phys, None, grads)
+        adv = advect_raw(self.sgrid, u_phys, v_phys, symmetric)
         return self._stokes_diag * vec + self._project(adv) + self._obs_term(vec)
 
-    def _jacobian(
-        self, vec: np.ndarray, samples: tuple[np.ndarray, np.ndarray]
-    ) -> np.ndarray:
+    def _jacobian(self, vec: np.ndarray, x_phys: np.ndarray) -> np.ndarray:
         """J(x) d = d/tau + nu A d + P_N [B(x, d) + B(d, x)] + beta P_N P_sigma I_h d
-        for d = vec, samples = `_sample` of x.
+        for d = vec, x_phys = `_sample(x)`.
 
         F is quadratic in x, so this is its exact Jacobian; the
-        advective pair is one synthesis of d and one analysis.
+        advective pair is the divergence of x (x) d + d (x) x, one
+        synthesis of d and one analysis of two products.
         """
-        u, grads = samples
-        d_u, d_grads = self._sample(vec)
-        return self._apply_linear(
-            vec, np.concatenate((u, d_u)), np.concatenate((d_grads, grads), axis=1)
-        )
+        return self._apply_linear(vec, x_phys, self._sample(vec), True)
 
     def _solve(
         self, apply_op: Callable[[np.ndarray], np.ndarray], r: np.ndarray, rel_tol: float
@@ -430,9 +434,9 @@ class _Stepper(_Galerkin):
         if guess is None:
             guess = x
         if self.scheme == SEMI_IMPLICIT:
-            u_phys = self._physical(self._half(x))
-            op = lambda w: self._apply_linear(w, u_phys)
-            r = b - op(guess)
+            u_phys, guess_phys = self._sample(np.stack((x, guess)))
+            op = lambda w: self._apply_linear(w, u_phys, self._sample(w))
+            r = b - self._apply_linear(guess, u_phys, guess_phys)
             rnorm = float(np.linalg.norm(r))
             if rnorm / bnorm <= 0.25 * STEP_RESIDUAL_RTOL:
                 return guess
@@ -440,8 +444,8 @@ class _Stepper(_Galerkin):
         trace: list[float] = []
         x = guess
         while True:
-            samples = self._sample(x)
-            r = b - self._apply_linear(x, *samples)
+            x_phys = self._sample(x)
+            r = b - self._apply_linear(x, x_phys)
             rnorm = float(np.linalg.norm(r))
             trace.append(rnorm / bnorm)
             if trace[-1] <= STEP_RESIDUAL_RTOL:
@@ -454,7 +458,7 @@ class _Stepper(_Galerkin):
                     "(consider a smaller tau)"
                 )
             x = x + self._solve(
-                lambda d: self._jacobian(d, samples),
+                lambda d: self._jacobian(d, x_phys),
                 r,
                 0.25 * STEP_RESIDUAL_RTOL * bnorm / rnorm,
             )
@@ -606,8 +610,7 @@ class _Etdrk4(_Galerkin):
         P_N f - P_N B(v, v) + data + (obs_diag v - beta P_N P_sigma I_h v),
         data the packed observation term beta P_N I_h u(t) (or 0.0).
         """
-        u, grads = self._sample(vec)
-        adv = advect_raw(self.sgrid, u, None, grads)
+        adv = advect_raw(self.sgrid, self._sample(vec))
         out = self.f_low - self._project(adv) + data
         if self._obs_pair is not None:
             out += self.obs_diag * vec - self._obs_term(vec)

@@ -2,7 +2,8 @@
 enter through the checking constructor, no code checks or repairs the
 field invariants, no class subclasses the truth, packed vectors become
 fields only at the march boundary, runners march only where they record
-or build, and no runner keeps per-step check state."""
+or build, no runner keeps per-step check state, and no module reaches a
+private numpy or scipy module."""
 
 import ast
 import importlib
@@ -140,3 +141,52 @@ def test_runners_keep_no_per_step_check_state():
     # per-step closure accumulates a verdict
     tree = _trees()["experiments"]
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Nonlocal)] == []
+
+
+def _private_numpy_scipy(tree):
+    """The `_`-prefixed numpy and scipy modules or members that a parsed
+    module imports or reaches through an imported name, each as its dotted
+    name up to the first private part."""
+    names = []
+    bound = {}  # local name -> the dotted name it stands for
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.append(alias.name)
+                root = alias.name if alias.asname else alias.name.split(".")[0]
+                bound[alias.asname or root] = root
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                names.append(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = names[-1]
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in bound:
+            names.append(".".join([bound[node.id], *reversed(parts)]))
+    private = set()
+    for name in names:
+        head, *rest = name.split(".")
+        for i, part in enumerate(rest):
+            if head in ("numpy", "scipy") and part.startswith("_"):
+                private.add(".".join([head, *rest[: i + 1]]))
+                break
+    return sorted(private)
+
+
+def test_no_module_reaches_a_private_numpy_or_scipy_module():
+    # the transforms and every other numpy or scipy call go through the
+    # public API, so cuts in their dispatch cannot tie the package to one
+    # release's internals
+    for source, expected in (
+        ("import scipy.fft._pocketfft", ["scipy.fft._pocketfft"]),
+        ("from scipy.fft._pocketfft import c2r", ["scipy.fft._pocketfft"]),
+        ("from scipy.fft import _pocketfft as p", ["scipy.fft._pocketfft"]),
+        ("import scipy.fft as f\nf._pocketfft.pypocketfft.c2r", ["scipy.fft._pocketfft"]),
+        ("import numpy as np\nnp.fft._pocketfft_umath", ["numpy.fft._pocketfft_umath"]),
+        ("import numpy as np\nimport scipy.fft as _fft\nnp.fft.rfft2\n_fft.irfft2", []),
+    ):
+        assert _private_numpy_scipy(ast.parse(source)) == expected, source
+    assert {m: _private_numpy_scipy(t) for m, t in _trees().items()} == {m: [] for m in MODULES}

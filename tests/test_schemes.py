@@ -31,6 +31,7 @@ from nudgeflow.krylov import SolverError
 from nudgeflow.operators import (
     _taylor_green_decay,
     bilinear_B,
+    bilinear_B_direct,
     kolmogorov_forcing,
     kolmogorov_steady_state,
     taylor_green,
@@ -532,8 +533,9 @@ def test_product_grid_operator_matches_full_grid_formula(n, kind, h, lam, n_s):
     stepper = schemes._stepper(p, tau, SEMI_IMPLICIT)
     assert stepper.sgrid.n == n_s
 
+    w_packed = stepper._pack_field(w)
     got = stepper._apply_linear(
-        stepper._pack_field(w), stepper._physical(stepper._half(stepper._pack_field(v)))
+        w_packed, stepper._sample(stepper._pack_field(v)), stepper._sample(w_packed)
     )
     wc = _grid_coeffs(w)
     expected = (
@@ -557,12 +559,49 @@ def test_newton_jacobian_is_exact(n, kind, h, lam, n_s):
         return stepper._pack_field(random_field(p.grid, rng, norm_v=norm_v, cutoff=p.cutoff))
 
     def f(x):
-        return stepper._apply_linear(x, *stepper._sample(x))
+        return stepper._apply_linear(x, stepper._sample(x))
 
     x, d = packed(2.0), packed(1.0)
     jd = stepper._jacobian(d, stepper._sample(x))
     central = 0.5 * (f(x + d) - f(x - d))
     assert np.linalg.norm(jd - central) <= 1e-12 * np.linalg.norm(jd)
+
+
+# n = 24 products on n_s = 22 < n, under both interpolants, and the full
+# n = 48 band on its own grid
+ORACLE_CASES = [
+    (24, "volume_average", TWO_PI / 8, None, 22),
+    (24, "fourier_truncation", 0.4, None, 22),
+    (48, "volume_average", TWO_PI / 16, None, 48),
+]
+
+
+@pytest.mark.parametrize("n, kind, h, lam, n_s", ORACLE_CASES)
+def test_divergence_form_matches_the_direct_convolution(n, kind, h, lam, n_s):
+    # each advective term of the solver, the frozen-field application
+    # P_N B(u, w), the Jacobian pair P_N [B(u, w) + B(w, u)] and the
+    # ETDRK4 explicit term's P_N B(u, u), read from the divergence of a
+    # product tensor, against the convolution sum, mode by mode
+    p = _case_params(n, kind, h, lam)
+    rng = np.random.default_rng(n + 3)
+    u, w = (random_field(p.grid, rng, norm_v=nv, cutoff=p.cutoff) for nv in (2.0, 1.0))
+    stepper = schemes._stepper(p, 1.0, SEMI_IMPLICIT)
+    assert stepper.sgrid.n == n_s
+    x, d = stepper._pack_field(u), stepper._pack_field(w)
+
+    def gap(got, *products):
+        expected = sum(stepper._pack_field(bilinear_B_direct(a, b)) for a, b in products)
+        return np.linalg.norm(got - expected) / np.linalg.norm(expected)
+
+    linear = stepper._stokes_diag * d + stepper._obs_term(d)
+    u_phys, w_phys = stepper._sample(np.stack((x, d)))
+    assert gap(stepper._apply_linear(d, u_phys, w_phys) - linear, (u, w)) <= 1e-13
+    assert gap(stepper._jacobian(d, u_phys) - linear, (u, w), (w, u)) <= 1e-13
+    gal = schemes._Etdrk4(p, 1.0)
+    explicit = gal._explicit(x, 0.0) - gal.f_low
+    if gal._obs_pair is not None:
+        explicit -= gal.obs_diag * x - gal._obs_term(x)
+    assert gap(-explicit, (u, u)) <= 1e-13
 
 
 def test_one_newton_solve_from_a_close_guess_meets_the_step_tolerance(monkeypatch):
@@ -580,7 +619,7 @@ def test_one_newton_solve_from_a_close_guess_meets_the_step_tolerance(monkeypatc
     x = stepper.step(x0, 0, truth, guess)
     assert counts["solves"] == 1
     b = x0 / stepper.tau + stepper.f_low + stepper._observed(truth, stepper.tau)
-    r = b - stepper._apply_linear(x, *stepper._sample(x))
+    r = b - stepper._apply_linear(x, stepper._sample(x))
     assert np.linalg.norm(r) <= schemes.STEP_RESIDUAL_RTOL * np.linalg.norm(b)
 
 
@@ -882,22 +921,35 @@ def test_predictor_keeps_a_nudged_march_under_its_iteration_count(
 
 def test_work_budget_of_a_nudged_march(monkeypatch):
     # a ratchet: a change that lowers a count lowers its bound here.  The
-    # fully implicit march makes 22 Newton solves in 20 steps, and every
-    # residual check, Jacobian application and ETDRK4 evaluation is one
-    # inverse and one forward real FFT, the samples and gradients of the
-    # iterate or the direction coming from one synthesis
+    # fully implicit march makes 22 Newton solves in 20 steps.  Every
+    # operator application is one inverse and one forward real FFT of
+    # velocities and products only: a residual check, a Jacobian
+    # application or an ETDRK4 evaluation transforms 2 fields inverse and
+    # 2 forward, a semi-implicit application 2 and 3, and a semi-implicit
+    # step's first check synthesizes x_k and its guess together, 4 fields
     import scipy.fft
 
     ffts = {"irfft2": 0, "rfft2": 0, "advect_raw": 0}
+    fields = {"irfft2": 0, "rfft2": 0}
 
     def count(owner, name):
         real = getattr(owner, name)
 
         def counted(*args, **kwargs):
             ffts[name] += 1
+            if name in fields:
+                fields[name] += math.prod(args[0].shape[:-2])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
+
+    def work():
+        calls = ffts["advect_raw"]
+        assert ffts == {"irfft2": calls, "rfft2": calls, "advect_raw": calls}
+        out = (calls, fields["irfft2"], fields["rfft2"])
+        ffts.update(irfft2=0, rfft2=0, advect_raw=0)
+        fields.update(irfft2=0, rfft2=0)
+        return out
 
     count(scipy.fft, "irfft2")
     count(scipy.fft, "rfft2")
@@ -909,10 +961,13 @@ def test_work_budget_of_a_nudged_march(monkeypatch):
     n_steps = 20
     advance(v0, p, truth, 0.01, n_steps, scheme=FULLY_IMPLICIT)
     assert 10 * counts["solves"] <= 11 * n_steps
-    assert ffts["irfft2"] == ffts["rfft2"] == ffts["advect_raw"] > 0
-    ffts.update(irfft2=0, rfft2=0, advect_raw=0)
+    calls, inverse, forward = work()
+    assert calls > 0 and inverse == forward == 2 * calls
+    advance(v0, p, truth, 0.01, n_steps, scheme=SEMI_IMPLICIT)
+    calls, inverse, forward = work()
+    assert calls > 0 and (inverse, forward) == (2 * calls + 2 * n_steps, 3 * calls)
     reference_galerkin_integrate(v0, p, truth, 0.05, 0.01)
-    assert ffts == {"irfft2": 20, "rfft2": 20, "advect_raw": 20}
+    assert work() == (20, 40, 40)
 
 
 @pytest.mark.parametrize("scheme", [SEMI_IMPLICIT, FULLY_IMPLICIT])

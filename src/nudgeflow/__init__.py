@@ -8,7 +8,6 @@ contraction, and convergence bounds numerically.
 """
 
 from .analysis import (
-    AbsoluteConstants,
     BoundConstants,
     ConditionCheck,
     ConditionReport,

@@ -1,10 +1,10 @@
 """Explicit a-priori constants, admissibility checks, envelopes, and fits.
 
 The constants G, M0, M1, Lambda, R1, M2, R2, L_N, C0, C1 are computed by
-their defining formulas; the absolute constants those formulas carry
-(c, c4, c_alpha, c_minus1, ...) are not pinned down by the theory, so
-they default to 1 and are configurable.  Every report downstream prints
-the values used.
+their defining formulas; the theory does not pin down the absolute
+constants those formulas carry.  c (in the nudging-gain floor, C0 and C1)
+defaults to 1 and is configurable; c4 (in R1) is fixed at 1.  Every
+report downstream prints the values used.
 
 Checks come in two tiers: hard assertions for constant-free inequalities
 (Gronwall envelopes, contraction factors, the explicit stability bounds)
@@ -24,7 +24,6 @@ from .fields import norm_H, project_high
 from .schemes import PhysicsParams
 
 __all__ = [
-    "AbsoluteConstants",
     "BoundConstants",
     "bound_constants",
     "ConditionCheck",
@@ -48,41 +47,17 @@ class FitError(ValueError):
 
 
 @dataclass(frozen=True)
-class AbsoluteConstants:
-    """Absolute constants the theory leaves unspecified; all default to 1.
-
-    alpha is the exponent in the fractional bilinear estimate feeding the
-    postprocessing gain condition; it must lie in (1/2, 1).
-    """
-
-    c: float = 1.0
-    c4: float = 1.0
-    c_alpha: float = 1.0
-    c_minus1: float = 1.0
-    alpha: float = 0.75
-
-    def __post_init__(self) -> None:
-        # a negative c raised to the fractional power of the ppgm bound is complex
-        if not self.c >= 0.0:
-            raise ValueError(f"c must be nonnegative, got {self.c}")
-        if not (0.5 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (1/2, 1), got {self.alpha}")
-
-
-DEFAULT_CONSTANTS = AbsoluteConstants()
-
-
-@dataclass(frozen=True)
 class BoundConstants:
     """Derived a-priori constants of the nudged system.
 
     G        Grashof number |f| / (nu^2 lambda1).
     M0, M1   uniform H and V bounds on the reference solution.
     Lambda   1 + log(M1 / (nu lambda1^(1/2))).
-    R1       uniform V bound on du/dt (carries c4).
+    R1       uniform V bound on du/dt (carries c4 = 1).
     M2, R2   uniform |A .| bounds on the nudged Galerkin flow and its rate.
     L_N      [1 + log(lambda_N / lambda1)]^(1/2) for the active cutoff.
     C0, C1   high-mode residual constants feeding the postprocessing theory.
+    c        the absolute constant of the nudging-gain floor, C0 and C1.
     """
 
     G: float
@@ -96,7 +71,7 @@ class BoundConstants:
     C0: float
     C1: float
     f_norm: float
-    constants: AbsoluteConstants = field(default=DEFAULT_CONSTANTS, repr=False)
+    c: float = field(default=1.0, repr=False)
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -122,16 +97,17 @@ def _power(base: float, exponent: float) -> float:
         return math.inf
 
 
-def bound_constants(
-    p: PhysicsParams, consts: AbsoluteConstants = DEFAULT_CONSTANTS
-) -> BoundConstants:
+def bound_constants(p: PhysicsParams, c: float = 1.0) -> BoundConstants:
     """Evaluate the defining formulas of every a-priori constant.
 
-    Requires a nonzero forcing and, in floating point, |f| > 0 (the
+    Requires c >= 0, a nonzero forcing and, in floating point, |f| > 0 (the
     Grashof number and Lambda degenerate otherwise) and nu^2 lambda1 > 0, Lambda >= 0 so its square root
     exists in M2 and R2, and every constant finite: a ValueError names the
     first one that overflows.
     """
+    # a negative c would make the nudging-gain floor, C0 and C1 negative
+    if not c >= 0.0:
+        raise ValueError(f"c must be nonnegative, got {c}")
     if not np.any(p.forcing.coeffs):
         raise ValueError("bound constants require a nonzero forcing")
     fnorm = norm_H(p.forcing)
@@ -154,18 +130,18 @@ def bound_constants(
             f"Grashof number {G:.3e} gives Lambda = {Lambda:.3e} < 0; the "
             "bound formulas require G >= 1/e"
         )
-    R1 = consts.c4 * _power(M1, 3) * Lambda / nu
+    R1 = _power(M1, 3) * Lambda / nu
     bracket = M1 * math.sqrt(Lambda) / math.sqrt(nu) + math.sqrt(p.beta)
     M2 = (M1 / math.sqrt(nu)) * bracket
     R2 = (_power(M1, 3) * Lambda / _power(nu, 1.5)) * bracket
     lam_N = p.cutoff.lambda_low(p.grid)
     L_N = math.sqrt(1.0 + math.log(lam_N / lam1))
     qn = norm_H(project_high(p.forcing, p.cutoff))
-    C0 = consts.c * (qn + M1 * M1) / nu
-    C1 = consts.c * ((qn + M1 * M1) / nu + M0 * M1 * M1 / (nu * nu))
+    C0 = c * (qn + M1 * M1) / nu
+    C1 = c * ((qn + M1 * M1) / nu + M0 * M1 * M1 / (nu * nu))
     out = BoundConstants(
         G=G, M0=M0, M1=M1, Lambda=Lambda, R1=R1, M2=M2, R2=R2,
-        L_N=L_N, C0=C0, C1=C1, f_norm=fnorm, constants=consts,
+        L_N=L_N, C0=C0, C1=C1, f_norm=fnorm, c=c,
     )
     for name, value in out.as_dict().items():
         if not math.isfinite(value):
@@ -178,25 +154,24 @@ def bound_constants(
 
 @dataclass(frozen=True)
 class ConditionCheck:
-    """One admissibility inequality, stored as lhs <= rhs (or < when strict)."""
+    """One admissibility inequality, lhs <= rhs."""
 
     name: str
     lhs: float
     rhs: float
-    strict: bool = False
     note: str = ""
 
     @property
     def passed(self) -> bool:
-        return self.lhs < self.rhs if self.strict else self.lhs <= self.rhs
+        return self.lhs <= self.rhs
 
     def describe(self) -> str:
-        rel = "<" if self.strict else "<="
-        status = "pass" if self.passed else "FAIL"
-        out = f"{self.name}: {self.lhs:.6g} {rel} {self.rhs:.6g} [{status}]"
-        if self.note:
-            out += f" ({self.note})"
-        return out
+        """The report's line: name = pass|fail (lhs=... <= rhs=..., note)."""
+        note = f", {self.note}" if self.note else ""
+        return (
+            f"{self.name} = {'pass' if self.passed else 'fail'} "
+            f"(lhs={self.lhs:.12g} <= rhs={self.rhs:.12g}{note})"
+        )
 
 
 @dataclass(frozen=True)
@@ -226,23 +201,20 @@ def check_conditions(
     """Evaluate the admissibility inequalities for the given parameters.
 
     c0_value defaults to the exact 1 of fourier_truncation and must be
-    supplied for volume averages (interpolants.estimate_c0 estimates it);
-    the postprocessing check takes c_minus1 from the absolute constants.
-    The report is advisory; experiments decide which checks gate what.
-    A left-hand side that overflows reads inf, a failed check.
+    supplied for volume averages (interpolants.estimate_c0 estimates it).
+    tau_beta, the semi-implicit contraction hypothesis, is checked only
+    when tau is given.  The report is advisory; experiments decide which
+    checks gate what.  A left-hand side that overflows reads inf, a failed
+    check.
     """
-    ab = consts.constants
     nu, beta = p.nu, p.beta
-    lam1 = p.grid.lambda1
-    omega = p.grid.L * p.grid.L
     checks: list[ConditionCheck] = []
-    beta_floor = ab.c * _power(consts.M1, 2) * consts.Lambda / nu
     checks.append(
         ConditionCheck(
             "beta_lower_bound",
-            beta_floor,
+            consts.c * _power(consts.M1, 2) * consts.Lambda / nu,
             beta,
-            note=f"c={ab.c:g}",
+            note=f"c={consts.c:g}",
         )
     )
     if p.interpolant is not None:
@@ -263,33 +235,6 @@ def check_conditions(
                 note=f"c0={c0_value:g}",
             )
         )
-        checks.append(
-            ConditionCheck(
-                "ppgm_interpolant_resolution",
-                max(c0_value, 4.0 * ab.c_minus1) * beta * h * h,
-                nu,
-                strict=True,
-                note=f"c0={c0_value:g}, c_minus1={ab.c_minus1:g}",
-            )
-        )
-    alpha = ab.alpha
-    ppgm_alt = _power(
-        ab.c
-        * ab.c_alpha
-        * (1.0 + 1.0 / (1.0 - alpha))
-        * omega ** (alpha - 0.5)
-        * consts.M1
-        / nu**alpha,
-        1.0 / (1.0 - alpha),
-    )
-    checks.append(
-        ConditionCheck(
-            "ppgm_beta_lower_bound",
-            max(beta_floor, ppgm_alt),
-            beta,
-            note=f"alpha={alpha:g}, c_alpha={ab.c_alpha:g}",
-        )
-    )
     if tau is not None:
         checks.append(
             ConditionCheck("tau_beta", tau * beta, 1.0, note="semi-implicit contraction hypothesis")

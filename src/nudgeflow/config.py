@@ -49,7 +49,6 @@ class ExperimentConfig:
     h: float
     lambda_cut: float
     condition_c: float
-    alpha: float
     # [experiment]
     scheme: str
     tau: float
@@ -98,6 +97,10 @@ class ExperimentConfig:
         if self.truth_dt_factor < 1:
             raise ConfigError(
                 f"truth_dt_factor must be >= 1, got {self.truth_dt_factor}"
+            )
+        if not self.condition_c >= 0.0:
+            raise ConfigError(
+                f"condition_c must be nonnegative, got {self.condition_c}"
             )
         if not self.truth_spinup >= 0.0:
             raise ConfigError(
@@ -167,7 +170,6 @@ _SCHEMA: tuple[tuple[str, str, str, Callable, object], ...] = (
     ("physics", "h", "h", _f, 0.0424264068711928),
     ("physics", "lambda_cut", "lambda_cut", _f, 60.0),
     ("physics", "condition_c", "condition_c", _f, 1.0),
-    ("physics", "alpha", "alpha", _f, 0.75),
     ("experiment", "scheme", "scheme", _choice(*SCHEME_CHOICES), "semi_implicit"),
     ("experiment", "tau", "tau", _f, _REQUIRED),
     ("experiment", "t_end", "t_end", _f, _REQUIRED),

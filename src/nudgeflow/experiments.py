@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .analysis import (
-    DEFAULT_CONSTANTS,
     BoundConstants,
     ConditionReport,
     FitError,
@@ -173,14 +172,7 @@ def render_report(report: ExperimentReport) -> str:
     if report.conditions is not None:
         lines.append("")
         lines.append("[conditions]")
-        for check in report.conditions.checks:
-            verdict = PASS if check.passed else FAIL
-            rel = "<" if check.strict else "<="
-            note = f", {check.note}" if check.note else ""
-            lines.append(
-                f"{check.name} = {verdict} "
-                f"(lhs={_fmt(check.lhs)} {rel} rhs={_fmt(check.rhs)}{note})"
-            )
+        lines.extend(check.describe() for check in report.conditions.checks)
     lines.append("")
     lines.append("[checks]")
     for c in report.checks:
@@ -360,17 +352,15 @@ def _setup(
     """The config's grid, forcing, params and constants (module docstring).
 
     A runner that integrates a truth over [0, t] passes horizon = (t, the
-    config expression of t), which checks that truth too.
+    config expression of t), which checks that truth too.  The conditions
+    include tau_beta, the semi-implicit contraction hypothesis, at tau
+    (default cfg.tau) for the semi-implicit scheme only.
     """
     grid = _config_value("L, grid_n", build_grid, cfg)
     forcing = _config_value("forcing_kappa", build_forcing, cfg, grid)
     spec = _config_value("h", build_interpolant, cfg)
     params = _config_value(
         "nu, beta, interpolant, lambda_cut", build_params, cfg, grid, forcing, spec
-    )
-    abs_consts = _config_value(
-        "condition_c, alpha", replace, DEFAULT_CONSTANTS,
-        c=cfg.condition_c, alpha=cfg.alpha,
     )
     if params.beta > 0.0 and spec.kind == "volume_average":
         _config_value("h, grid_n", spec.blocks, grid)
@@ -386,16 +376,17 @@ def _setup(
     if np.any(forcing.coeffs):
         with np.errstate(over="ignore"):
             consts = _config_value(
-                "nu, forcing_amplitude", bound_constants, params, abs_consts
+                "nu, forcing_amplitude", bound_constants, params, cfg.condition_c
             )
     if consts is not None and params.beta > 0.0:
         c0_value = None
         if spec.kind == "volume_average":
             c0_value = estimate_c0(spec, grid)
-        conditions = check_conditions(
-            params, consts, tau=tau if tau is not None else cfg.tau,
-            c0_value=c0_value,
-        )
+        if cfg.scheme != SEMI_IMPLICIT:
+            tau = None
+        elif tau is None:
+            tau = cfg.tau
+        conditions = check_conditions(params, consts, tau=tau, c0_value=c0_value)
     return _Setup(
         cfg, grid, forcing, spec, params, consts, conditions,
         np.random.default_rng(cfg.seed),

@@ -2,10 +2,12 @@
 
 One test per numbered criterion, each printing a single pass/fail verdict
 line and asserting its runtime budget.  Tolerances are pinned; regimes are
-chosen so every admissibility condition genuinely holds (see the configs
-inline).  These tests are slower than the unit files (minutes, not
-seconds) and exercise the full pipeline: operators, steppers, bounds,
-experiment runners, and file outputs.
+chosen so every admissibility condition genuinely holds at the config's
+step (see the config builders, and
+`test_acceptance_configs_meet_every_condition_at_their_tau`).  These tests
+are slower than the unit files (minutes, not seconds) and exercise the
+full pipeline: operators, steppers, bounds, experiment runners, and file
+outputs.
 """
 
 import dataclasses
@@ -13,12 +15,14 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from nudgeflow.analysis import gronwall_envelope
 from nudgeflow.config import default_config
 from nudgeflow.experiments import (
     FAIL,
     PASS,
+    _setup,
     run_contraction_test,
     run_n_sweep,
     run_stability_soak,
@@ -323,10 +327,9 @@ def test_criterion_07_twin_convergence_and_control(tmp_path):
              f"{ratio:.3f}, {dt:.1f}s")
 
 
-def test_criterion_08_postprocessing_cutoff_sweep(tmp_path):
-    t0 = time.monotonic()
+def _n_sweep_config():
     amp = 0.1 * math.sqrt(2.0) / (2.0 * math.pi)
-    cfg = default_config(
+    return default_config(
         nu=0.1, grid_n=48, forcing="random_band", forcing_amplitude=amp,
         forcing_decay=1.0, beta=50.0, h=1.0 / math.sqrt(556.0),
         lambda_cut=60.0, scheme="semi_implicit", tau=0.005, t_end=3.0,
@@ -335,7 +338,11 @@ def test_criterion_08_postprocessing_cutoff_sweep(tmp_path):
         ic_amplitude=1.0, lambda_cut_list=(6.0, 16.0, 40.0),
         tau_floor_factor=2.0,
     )
-    rep = run_n_sweep(cfg, str(tmp_path))
+
+
+def test_criterion_08_postprocessing_cutoff_sweep(tmp_path):
+    t0 = time.monotonic()
+    rep = run_n_sweep(_n_sweep_config(), str(tmp_path))
     status = {c.name: c.status for c in rep.checks}
     slope = rep.values["pp_order:slope"]
     improve = [v for k, v in status.items() if k.startswith("pp_improves")]
@@ -370,16 +377,20 @@ def test_criterion_09_gronwall_envelope_dominates_recurrence():
              f"1000 draws, m <= 200, max a/envelope {worst:.4f}, {dt:.1f}s")
 
 
-def test_criterion_10_reruns_are_byte_identical(tmp_path):
-    t0 = time.monotonic()
+def _rerun_config():
     amp = 0.02 * math.sqrt(2.0) / (2.0 * math.pi)
-    twin = default_config(
+    return default_config(
         nu=0.1, grid_n=32, forcing="kolmogorov", forcing_kappa=1,
         forcing_amplitude=amp, beta=10.0, h=1.0 / math.sqrt(111.0),
         lambda_cut=60.0, scheme="semi_implicit", tau=0.01, t_end=0.3,
         burn_in=0.0, truth="analytic:kolmogorov", ic="random_bv",
         ic_amplitude=0.9, min_decay_orders=0.0,
     )
+
+
+def test_criterion_10_reruns_are_byte_identical(tmp_path):
+    t0 = time.monotonic()
+    twin = _rerun_config()
     contraction = dataclasses.replace(twin, perturbation=0.05, contraction_steps=100)
     compared = 0
     for name, runner, cfg in (
@@ -397,3 +408,28 @@ def test_criterion_10_reruns_are_byte_identical(tmp_path):
     dt = _elapsed(t0, 120.0, 10)
     _verdict(10, "identical config and seed reproduce outputs byte-for-byte",
              True, f"{compared} series files compared equal, {dt:.1f}s")
+
+
+def _acceptance_configs():
+    """(criterion label, config) of criteria 04-08 and 10."""
+    for scheme in SCHEMES:
+        yield f"04-{scheme}", _soak_config(scheme)
+        yield f"05-{scheme}", _contraction_config(scheme)
+        yield f"06-{scheme}", _tau_sweep_config(scheme)
+    yield "07", _twin_config(165.0, "decay")
+    yield "08", _n_sweep_config()
+    yield "10", _rerun_config()
+
+
+@pytest.mark.parametrize(
+    "cfg", [pytest.param(cfg, id=label) for label, cfg in _acceptance_configs()]
+)
+def test_acceptance_configs_meet_every_condition_at_their_tau(cfg):
+    # `_setup` builds the constants and conditions and integrates nothing.
+    # The soak and the tau sweep evaluate tau_beta at max(tau_list) instead:
+    # criterion 04's semi-implicit soak prints 0.1 * 50 = 5 > 1 there, a
+    # contraction hypothesis that no check of the soak reads.
+    conditions = _setup(cfg).conditions
+    names = [c.name for c in conditions.checks]
+    assert names[:2] == ["beta_lower_bound", "interpolant_resolution"]
+    assert all(c.passed for c in conditions.checks), conditions.describe()

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from nudgeflow.analysis import (
-    AbsoluteConstants,
     ConditionCheck,
     FitError,
     bound_constants,
@@ -49,7 +48,7 @@ def params16():
 
 def test_overflowing_constants_are_rejected_and_bounds_read_inf(params16):
     # nu^2 lambda1 underflows, the constants overflow (R2 from M1^3; G from
-    # |f| itself), or only the advisory power in ppgm_beta_lower_bound does
+    # |f| itself), or only the left-hand side of a condition does
     def with_(nu=1.0, amplitude=AMP_F5):
         forcing = kolmogorov_forcing(params16.grid, 1, amplitude)
         return dataclasses.replace(params16, nu=nu, forcing=forcing)
@@ -61,9 +60,9 @@ def test_overflowing_constants_are_rejected_and_bounds_read_inf(params16):
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="constant G = inf is not finite"):
             bound_constants(with_(amplitude=1e200))
-    consts = bound_constants(params16, AbsoluteConstants(alpha=0.999))
-    ppbeta = check_conditions(params16, consts).get("ppgm_beta_lower_bound")
-    assert ppbeta.lhs == math.inf and not ppbeta.passed
+    consts = bound_constants(params16)
+    tb = check_conditions(params16, consts, tau=1e308).get("tau_beta")
+    assert tb.lhs == math.inf and not tb.passed
 
 
 def test_constants_hand_regime(params16):
@@ -86,12 +85,18 @@ def test_constants_hand_regime(params16):
 
 
 def test_constants_scale_with_absolute_factors(params16):
-    doubled = bound_constants(params16, AbsoluteConstants(c=2.0, c4=3.0))
+    doubled = bound_constants(params16, c=2.0)
     base = bound_constants(params16)
-    assert doubled.R1 == pytest.approx(3.0 * base.R1, rel=1e-13)
     assert doubled.C0 == pytest.approx(2.0 * base.C0, rel=1e-13)
-    # M2 carries no absolute constant
+    assert doubled.C1 == pytest.approx(2.0 * base.C1, rel=1e-13)
+    floor = check_conditions(params16, doubled).get("beta_lower_bound")
+    assert floor.lhs == pytest.approx(
+        2.0 * check_conditions(params16, base).get("beta_lower_bound").lhs, rel=1e-13
+    )
+    assert floor.note == "c=2"
+    # M2 carries no adjustable constant, and R1 carries c4 = 1
     assert doubled.M2 == pytest.approx(base.M2, rel=1e-15)
+    assert doubled.R1 == base.R1
 
 
 def test_constants_reject_degenerate_forcing(params16):
@@ -105,15 +110,10 @@ def test_constants_reject_degenerate_forcing(params16):
         bound_constants(weak)
 
 
-def test_absolute_constants_alpha_range():
-    with pytest.raises(ValueError):
-        AbsoluteConstants(alpha=0.5)
-    with pytest.raises(ValueError):
-        AbsoluteConstants(alpha=1.0)
-    assert AbsoluteConstants(alpha=0.9).alpha == 0.9
-    # a negative c made the ppgm bound complex, a TypeError in its comparison
+@pytest.mark.parametrize("c", [-1.0, math.nan])
+def test_constants_reject_a_negative_or_nan_c(params16, c):
     with pytest.raises(ValueError, match="c must be nonnegative"):
-        AbsoluteConstants(c=-1.0)
+        bound_constants(params16, c=c)
 
 
 def test_condition_report_hand_values(params16):
@@ -126,25 +126,28 @@ def test_condition_report_hand_values(params16):
     res = report.get("interpolant_resolution")
     assert res.lhs == pytest.approx(0.125, rel=1e-13)  # c0 beta h^2
     assert res.passed
-    ppres = report.get("ppgm_interpolant_resolution")
-    assert ppres.strict
-    assert ppres.lhs == pytest.approx(0.5, rel=1e-13)  # max(c0, 4 c_minus1) beta h^2
-    ppbeta = report.get("ppgm_beta_lower_bound")
-    assert ppbeta.lhs == pytest.approx(15421256.876702117, rel=1e-9)
-    assert not ppbeta.passed
     tb = report.get("tau_beta")
     assert tb.lhs == pytest.approx(0.8) and tb.passed
     assert report.passed("tau_beta", "interpolant_resolution")
-    assert "beta_lower_bound" in report.describe()
+    assert [c.name for c in report.checks] == [
+        "beta_lower_bound", "interpolant_resolution", "tau_beta",
+    ]
+    assert report.describe().splitlines()[-1] == (
+        "tau_beta = pass (lhs=0.8 <= rhs=1, semi-implicit contraction hypothesis)"
+    )
+    # without a step there is no step condition
+    assert "tau_beta" not in [c.name for c in check_conditions(params16, consts).checks]
     with pytest.raises(KeyError):
         report.get("nonexistent")
 
 
-def test_condition_check_strictness():
+def test_condition_check_line():
+    # the line that stdout, the soak's ConfigError and the report all print
     assert ConditionCheck("x", 1.0, 1.0).passed
-    assert not ConditionCheck("x", 1.0, 1.0, strict=True).passed
-    assert "pass" in ConditionCheck("x", 0.0, 1.0).describe()
-    assert "FAIL" in ConditionCheck("x", 2.0, 1.0).describe()
+    assert ConditionCheck("x", 1.0, 1.0).describe() == "x = pass (lhs=1 <= rhs=1)"
+    fail = ConditionCheck("x", 2.0 / 3.0, 0.5, note="c=1")
+    assert not fail.passed
+    assert fail.describe() == "x = fail (lhs=0.666666666667 <= rhs=0.5, c=1)"
 
 
 def test_conditions_need_c0_for_volume_averages(params16):

@@ -703,13 +703,29 @@ def test_cli_overflowing_constants_exit_2(tmp_path, capsys, command, key, value,
 
 
 def test_cli_overflowing_advisory_bound_fails_its_condition(tmp_path):
-    # alpha = 0.999 lies inside (1/2, 1); its ppgm power overflowed
+    # tau * beta overflows; the condition reads inf and fails, and the
+    # command still exits 0, since no check of `constants` reads it
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "[physics]\nnu = 0.1\nbeta = 1e308\n[experiment]\ntau = 1e10\nt_end = 1e10\n"
+    )
     out = tmp_path / "out"
-    rc = cli.main(["--quiet", "--config", _minimal_config(tmp_path, "alpha", "0.999"),
-                   "--out", str(out), "constants"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["--quiet", "--config", str(path), "--out", str(out), "constants"])
     assert rc == 0
     text = (out / "constants_report.txt").read_text()
-    assert "ppgm_beta_lower_bound = fail (lhs=inf <= rhs=50" in text
+    assert "tau_beta = fail (lhs=inf <= rhs=1," in text
+
+
+def test_cli_negative_condition_c_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(["--config", _minimal_config(tmp_path, "condition_c", "-1"),
+                   "--out", str(out), "constants"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: condition_c must be nonnegative, got -1.0\n"
+    assert not out.exists()
 
 
 # Each of these was rejected only after its truth was integrated (13.5 s,

@@ -16,10 +16,11 @@ the whole band (`_band_packing`, the packing of every field) or the low
 modes of a Galerkin cutoff (the solver's, `schemes._Galerkin`).  It maps
 amplitudes between packings by index (`_pack_field`, `_field`), and
 through a product grid: `_sample` synthesizes the velocity samples of one
-or two packed vectors from their half spectra j2 >= 0, in one inverse
-transform, and `_project` reads P_sigma of the divergence of a product
-tensor back at the packed modes from the half spectra of its two or three
-products (`operators.advect_raw`).  That is the one product path of
+or two packed vectors from their half-plane block j2 >= 0, and `_project`
+reads P_sigma of the divergence of a product tensor back at the packed
+modes from the samples of its two or three products
+(`operators.advect_raw`), each by separable partial DFTs, two small
+matrix products per transform.  That is the one product path of
 `to_physical`, `operators.bilinear_B` and the solver.  (2, n, n)
 coefficient arrays appear only where a full grid is the point: random
 draws are packed by the mirror gather `_pack_grid`, which is P_sigma of
@@ -185,12 +186,11 @@ class _Packing:
     inside the dealiased band with j2 > 0, or j2 = 0 < j1 (in the order of
     `modes`): uhat(k) = a_k e_k, e_k = (-j2, j1) / |j|, and
     uhat(-k) = conj(uhat(k)).  Products run on sgrid, a grid of the same
-    side whose n_s exceeds twice the largest |j|_inf of a mode (the grid
-    itself unless given).  A vector enters it as the half spectrum
-    j2 >= 0 of its velocity (the j2 = 0 column holds k and -k), and a
-    product tensor leaves it as the dot product of its divergence with e_k
-    at the packed modes, which is P_sigma onto them.  Norms are Parseval
-    sums.
+    side whose n_s exceeds twice the largest |j|_inf = K of a mode (the
+    grid itself unless given).  A vector enters it as the (2K + 1) x (K + 1)
+    half-plane block j2 >= 0 of its velocity, and a product tensor leaves
+    it as the dot product of its divergence with e_k at the packed modes,
+    which is P_sigma onto them.  Norms are Parseval sums.
     """
 
     def __init__(
@@ -211,19 +211,12 @@ class _Packing:
             (np.ones_like(self.k_squared), self.k_squared, self.k_squared**2)
         )
         self._e = np.stack((-j2, j1)) / np.sqrt(self.shell)
-        n_s, h = sgrid.n, sgrid.n // 2 + 1
-        self._half_shape = (2, n_s, h)
-        at = j1 % n_s * h + j2
-        self._product_at = np.concatenate([at + i * n_s * h for i in range(3)])
-        # the mirrors -k of the modes on the j2 = 0 axis also lie in j2 >= 0:
-        # the half spectrum holds the amplitudes at _mirrored, the last ones
-        # conjugated, times _e_half, at _half_at (for one or two vectors)
-        axis = np.flatnonzero(j2 == 0)
-        self._mirrored = np.concatenate((np.arange(self.size), axis))
-        self._e_half = self._e[:, self._mirrored]
-        at = np.concatenate((at, -j1[axis] % n_s * h))
-        at = np.concatenate((at, at + n_s * h))
-        self._half_at = np.concatenate((at, at + 2 * n_s * h))
+        # each component's or product's half-plane block: j1 at row
+        # j1 % (2K + 1), j2 >= 0 at column j2, the modes only (`_transforms`)
+        self._k = k = int(max(np.abs(j1).max(), j2.max()))
+        self._block = (2 * k + 1, k + 1)
+        at = j1 % (2 * k + 1) * (k + 1) + j2
+        self._block_at = np.concatenate([at + i * math.prod(self._block) for i in range(4)])
         # the weights of the products of a tensor in `_project`
         ik = 2j * np.pi / grid.L / np.sqrt(self.shell)
         a, b, c = ik * j1 * j2, ik * j1 * j1, ik * j2 * j2
@@ -268,26 +261,35 @@ class _Packing:
 
     # -- product-grid transfers ---------------------------------------------
 
+    @cached_property
+    def _transforms(self) -> tuple[np.ndarray, ...]:
+        """(Ex, Ey, Fx, Fy), the partial DFTs of `_sample` and `_project`:
+        Ex[p, r] = exp(2 pi i j1 p / n_s) for the j1 of block row r; Ey has
+        rows 2 cos, -2 sin (2 pi j2 p / n_s) per column j2, so u = 2 Re of
+        the block's sum adds each mode's conjugate; Fx and Fy invert them on
+        the block, each with the factor 1 / n_s."""
+        n_s, k = self.sgrid.n, self._k
+        p = np.arange(n_s)
+        j = (np.arange(2 * k + 1) + k) % (2 * k + 1) - k
+        ex = np.exp(2j * np.pi * (np.outer(p, j) % n_s) / n_s)
+        angle = 2.0 * np.pi * (np.outer(np.arange(k + 1), p) % n_s) / n_s
+        rows = np.stack((np.cos(angle), -np.sin(angle)), axis=1).reshape(-1, n_s)
+        return ex, 2.0 * rows, ex.conj().T / n_s, rows.T / n_s
+
     def _sample(self, vec: np.ndarray) -> np.ndarray:
-        """Product-grid samples of packed velocities from one inverse
-        transform of their half spectra j2 >= 0: shape (2, n, n) for one
-        packed vector, (2, 2, n, n) for a stack of two, shape (2, size).
+        """Product-grid samples of packed velocities, (Ex @ block).view(float64)
+        @ Ey of their half-plane blocks: shape (2, n, n) for one packed
+        vector, (2, 2, n, n) for a stack of two, shape (2, size).
         """
-        # scipy.fft is imported by the first transform, not with the
-        # package, so runs that never transform do not load it
-        import scipy.fft as _fft
-        n = self.sgrid.n
-        half = np.zeros(vec.shape[:-1] + self._half_shape, dtype=np.complex128)
-        amps = vec.take(self._mirrored, axis=-1)
-        mirrors = amps[..., self.size :]
-        np.conjugate(mirrors, out=mirrors)
-        at = self._half_at[: 2 * amps.size]
-        half.ravel()[at] = (amps[..., None, :] * self._e_half).ravel()
-        return _fft.irfft2(half, s=(n, n), norm="forward")
+        ex, ey = self._transforms[:2]
+        half = np.zeros(vec.shape[:-1] + (2,) + self._block, dtype=np.complex128)
+        half.ravel()[self._block_at[: 2 * vec.size]] = (vec[..., None, :] * self._e).ravel()
+        return (ex @ half).view(np.float64) @ ey
 
     def _project(self, products: np.ndarray) -> np.ndarray:
-        """Packed P_sigma div T of a product tensor T, from the half spectra
-        of its products (`operators.advect_raw`), shape (m, n, n // 2 + 1).
+        """Packed P_sigma div T of a product tensor T, from the m product-grid
+        samples of its products (`operators.advect_raw`), shape (m, n, n),
+        whose half-plane blocks are Fx @ (products @ Fy).view(complex128).
 
         With F_bc = FT[T_bc], e_k . FT[div T](k) is -a (F11 - F22) +
         b F12 - c F21, (a, b, c) = i kappa (j1 j2, j1^2, j2^2) / |j| and
@@ -295,8 +297,10 @@ class _Packing:
         weights (-a, b, -c), and the m = 2 of a symmetric T, (T11 - T22,
         T12), take (-a, b - c).
         """
+        fx, fy = self._transforms[2:]
         m = len(products)
-        c = products.take(self._product_at[: m * self.size]).reshape(m, self.size)
+        spectra = fx @ (products @ fy).view(np.complex128)
+        c = spectra.take(self._block_at[: m * self.size]).reshape(m, self.size)
         c *= self._product_weights[m]
         return c.sum(axis=0)
 

@@ -69,6 +69,16 @@ class SolverError(RuntimeError):
         self.trajectory = None
 
 
+def _norm(vec: Vec) -> float:
+    """|vec|, finite for every finite vector: scaled by its largest entry
+    where the sum of squares overflows (entries past about 1e154)."""
+    sq = np.vdot(vec, vec).real
+    if math.isfinite(sq):
+        return math.sqrt(sq)
+    top = float(np.max(np.abs(vec)))
+    return top * float(np.linalg.norm(vec / top)) if math.isfinite(top) else top
+
+
 def gmres(
     apply_op: Operator,
     b: Vec,
@@ -90,7 +100,7 @@ def gmres(
     """
     b = np.asarray(b)
     b = b.astype(np.result_type(b.dtype, np.float64), copy=False)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     if bnorm == 0.0:
         return SolveResult(np.zeros_like(b), True, 0, 0.0, (0.0,))
     mi = apply_precond if apply_precond is not None else (lambda v: v)
@@ -99,7 +109,7 @@ def gmres(
     total = 0
     breakdown = False
     while True:
-        rho = float(np.linalg.norm(r))
+        rho = _norm(r)
         res = rho / bnorm
         history.append(res)
         if res <= rel_tol:

@@ -54,15 +54,11 @@ def advect_raw(
     v: np.ndarray | None = None,
     symmetric: bool = False,
 ) -> np.ndarray:
-    """Raw half spectra j2 >= 0 of the products of a tensor T whose
-    divergence is an advective term, shape (m, n, n // 2 + 1).
-
-    u_phys are the samples (2, n, n) of a solenoidal advecting field u, so
-    (u . grad) v = div(u (x) v) (Basdevant, J. Comput. Phys. 50, 1983).  v
-    holds the samples of the advected field, None for v = u, or, complex,
-    its Hermitian spectrum, of which one inverse real FFT reads only the
-    half j2 >= 0 (a full (2, n, n) or a half (2, n, n // 2 + 1) array
-    both do).  The products, which one forward real FFT analyses, are
+    """The product-grid samples (m, n, n) of the products of a tensor T
+    whose divergence is an advective term, from the samples (2, n, n) of a
+    solenoidal advecting field u, so (u . grad) v = div(u (x) v)
+    (Basdevant, J. Comput. Phys. 50, 1983), and of the advected field v
+    (None for v = u).  The products are
 
     - T = u (x) v: (u1 v1 - u2 v2, u1 v2, u2 v1), m = 3;
     - T = u (x) u (v None): (u1^2 - u2^2, u1 u2), m = 2;
@@ -70,22 +66,18 @@ def advect_raw(
       (2 (u1 v1 - u2 v2), u1 v2 + u2 v1), m = 2,
 
     and `fields._Packing._project` reads P_sigma div T from them.  For
-    fields of |j|_inf <= K on a grid with n >= 3K + 1 the spectra are exact
-    (alias-free) at |j|_inf <= K (Orszag, J. Atmos. Sci. 28, 1971), but
-    neither masked nor projected.
+    fields of |j|_inf <= K and n >= 3K + 1 their spectra are exact
+    (alias-free) at |j|_inf <= K (Orszag, J. Atmos. Sci. 28, 1971).
     """
-    import scipy.fft as _fft
     n = grid.n
     if v is None:
         v = u_phys
-    elif np.iscomplexobj(v):
-        v = _fft.irfft2(v[..., : n // 2 + 1], s=(n, n), norm="forward")
     prod = (u_phys[:, None] * v).reshape(4, n, n)  # u_a v_b at 2a + b
     prod[0] -= prod[3]
     if symmetric:
         prod[0] *= 2.0
         prod[1] += prod[2]
-    return _fft.rfft2(prod[: 2 if symmetric or v is u_phys else 3], norm="forward")
+    return prod[: 2 if symmetric or v is u_phys else 3]
 
 
 def bilinear_B(u: SpectralField, v: SpectralField) -> SpectralField:

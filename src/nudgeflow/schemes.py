@@ -49,18 +49,18 @@ a single application and no solve.
 Every advective term is read in divergence form, (u . grad) w =
 div(u (x) w) for solenoidal u (Basdevant, J. Comput. Phys. 50, 1983), so
 an application synthesizes velocities only (`_Packing._sample`) and
-analyses two or three of their products (`operators.advect_raw`): each
-application is one inverse and one forward real FFT.  An iterate's
-samples are shared by its residual check (F(x): x (x) x, 2 fields in, 2
-out) and every Jacobian application of its solve, which synthesizes only
-the direction d (x (x) d + d (x) x, 2 and 2), as does each ETDRK4
-evaluation; a semi-implicit application synthesizes its argument w
-(x_k (x) w, 2 and 3), and a semi-implicit step samples x_k and its guess
-together, for its first check, in one inverse transform.
+analyses two or three of their products (`operators.advect_raw`,
+`_Packing._project`), each transform a pair of small matrix products.
+An iterate's samples are shared by its residual check (F(x): x (x) x, 2
+fields in, 2 out) and every Jacobian application of its solve, which
+synthesizes only the direction d (x (x) d + d (x) x, 2 and 2), as does
+each ETDRK4 evaluation; a semi-implicit application synthesizes its
+argument w (x_k (x) w, 2 and 3), and a semi-implicit step samples x_k
+and its guess together, for its first check, in one synthesis.
 
 The operator is applied on the cutoff's own product grid: the smallest
-even FFT-friendly n_s >= 3K + 1, K the largest |j|_inf of a low mode, on
-which the 2/3 rule makes P_N B(v, w) exact (Orszag 1971).
+even n_s >= 3K + 1, K the largest |j|_inf of a low mode, on which the
+2/3 rule makes P_N B(v, w) exact (Orszag 1971).
 P_N P_sigma I_h is one closed-form, real-linear map from any packing on
 the grid to the low modes (`_Galerkin._observation_map`).  On the low
 modes themselves its diagonal is exact and is what the preconditioner
@@ -110,7 +110,7 @@ from .interpolants import (
     _average_symbol,
     apply_ih,  # noqa: F401  (a layer entry point that tracing patches)
 )
-from .krylov import SolverError, gmres
+from .krylov import SolverError, _norm, gmres
 from .operators import advect_raw
 from .storage import Trajectory, combine
 
@@ -244,15 +244,6 @@ class TruthSource:
         return np.array(out)
 
 
-def _product_size(k: int, n: int) -> int:
-    """Smallest even FFT-friendly length >= 3k + 1, at most n."""
-    import scipy.fft as _fft
-    size = _fft.next_fast_len(3 * k + 1)
-    while size % 2:
-        size = _fft.next_fast_len(size + 1)
-    return min(size, n)
-
-
 class _Galerkin(_Packing):
     """Scheme-independent pieces of the nudged Galerkin system for one params.
 
@@ -263,7 +254,7 @@ class _Galerkin(_Packing):
     real entry per mode.
 
     Operators run on its sgrid = TorusGrid(L, n_s), n_s the product size
-    capped at grid.n, through the packing's half spectrum (`_Packing`).
+    capped at grid.n, through the packing's half-plane block (`_Packing`).
 
     obs_diag is beta times the real diagonal of `_observation_map` onto
     these modes.  That map is diagonal when L/h >= 2K + 1 (and for Fourier
@@ -272,7 +263,7 @@ class _Galerkin(_Packing):
 
     def __init__(self, p: PhysicsParams):
         k = math.isqrt(p.cutoff.shell_limit(p.grid))
-        sgrid = TorusGrid(p.grid.L, _product_size(k, p.grid.n))
+        sgrid = TorusGrid(p.grid.L, min(2 * ((3 * k + 2) // 2), p.grid.n))
         super().__init__(p.grid, p.cutoff.mask_low(p.grid), sgrid)
         self.p = p
         self.f_low = self._pack_field(p.forcing)
@@ -425,7 +416,7 @@ class _Stepper(_Galerkin):
         residual check and the Jacobian of its solve.
         """
         b = x / self.tau + self.f_low + self._observed(truth, (k + 1) * self.tau)
-        bnorm = float(np.linalg.norm(b))
+        bnorm = _norm(b)
         if not np.isfinite(bnorm):
             # the state, the forcing or the observation is not finite
             raise SolverError("non-finite step right-hand side")
@@ -437,7 +428,7 @@ class _Stepper(_Galerkin):
             u_phys, guess_phys = self._sample(np.stack((x, guess)))
             op = lambda w: self._apply_linear(w, u_phys, self._sample(w))
             r = b - self._apply_linear(guess, u_phys, guess_phys)
-            rnorm = float(np.linalg.norm(r))
+            rnorm = _norm(r)
             if rnorm / bnorm <= 0.25 * STEP_RESIDUAL_RTOL:
                 return guess
             return guess + self._solve(op, r, 0.25 * STEP_RESIDUAL_RTOL * bnorm / rnorm)
@@ -446,7 +437,7 @@ class _Stepper(_Galerkin):
         while True:
             x_phys = self._sample(x)
             r = b - self._apply_linear(x, x_phys)
-            rnorm = float(np.linalg.norm(r))
+            rnorm = _norm(r)
             trace.append(rnorm / bnorm)
             if trace[-1] <= STEP_RESIDUAL_RTOL:
                 return x
@@ -568,22 +559,25 @@ _CONTOUR_POINTS = 32
 def _etdrk4_weights(hl: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
     """Cox-Matthews ETDRK4 weights for the diagonal h*L (Kassam & Trefethen 2005).
 
-    Each phi-function is the mean of its values on a unit circle around
-    h*L: upper-half points and the real part, since L is real.  The closed
-    forms cancel catastrophically when |h L| is small.
+    Each phi-function is the mean of its closed form on a unit circle
+    around h*L (upper-half points, real part, L real), which avoids their
+    cancellation at small |h L|.  The forms are in powers of w = 1/z: for
+    h*L <= 0, |e^z| <= e and |w| <= 1/sin(pi/64) on the contour, so no
+    term overflows however stiff h*L is.
     """
     r = np.exp(1j * np.pi * (np.arange(1, _CONTOUR_POINTS + 1) - 0.5) / _CONTOUR_POINTS)
     z = hl[:, None] + r[None, :]
     ez = np.exp(z)
-    z3 = z**3
+    w = 1.0 / z
+    w2, w3 = w * w, w * w * w
 
     def mean(values: np.ndarray) -> np.ndarray:
         return h * np.mean(values, axis=1).real
 
-    q = mean((np.exp(z / 2.0) - 1.0) / z)
-    f1 = mean((-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3)
-    f2 = mean((2.0 + z + ez * (z - 2.0)) / z3)
-    f3 = mean((-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3)
+    q = mean(w * (np.exp(z / 2.0) - 1.0))
+    f1 = mean(-4.0 * w3 - w2 + ez * (4.0 * w3 - 3.0 * w2 + w))
+    f2 = mean(2.0 * w3 + w2 + ez * (w2 - 2.0 * w3))
+    f3 = mean(-4.0 * w3 - 3.0 * w2 - w + ez * (4.0 * w3 - w2))
     return np.exp(hl), np.exp(hl / 2.0), q, f1, f2, f3
 
 

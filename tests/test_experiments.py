@@ -388,6 +388,20 @@ def test_tau_sweep_reference_check_certifies_the_reference(tmp_path):
         run_tau_sweep(dataclasses.replace(cfg, ref_factor=0), str(tmp_path / "c"))
 
 
+def test_stiff_nudging_tau_sweep_runs_without_a_warning(tmp_path):
+    # beta = 1e300: the ETDRK4 weights stay finite at h L near -1e298, and
+    # the step right-hand sides, whose entries pass 1e154, keep finite
+    # norms, so the sweep runs to its verdict with no solver failure
+    cfg = default_config(
+        grid_n=16, lambda_cut=20.0, forcing="kolmogorov", h=0.5, beta=1e300,
+        tau_list=(0.02, 0.01, 0.005), t_end=0.04, burn_in=0.0, truth_spinup=0.1,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_tau_sweep(cfg, str(tmp_path))
+    assert "solver" not in [c.name for c in report.checks]
+
+
 # ---------------------------------------------------------------------------
 # runner pipeline
 
@@ -543,11 +557,24 @@ for cfg in sys.argv[2:]:
     assert cli.main(["--quiet", "--config", cfg, "--out", out, "constants"]) == 0
     for name in ("scipy", "numpy.ma"):
         assert name not in sys.modules, "constants on " + cfg + " loaded " + name
+import math
+import numpy as np
+from nudgeflow import (
+    PhysicsParams, TorusGrid, advance, kolmogorov_forcing, random_field, run_self_check,
+)
+grid = TorusGrid(2.0 * math.pi, 24)
+forcing = kolmogorov_forcing(grid, 2, 0.5)
+p = PhysicsParams(0.1, grid, forcing, 0.0, None, grid.band_cutoff())
+advance(random_field(grid, np.random.default_rng(0)), p, None, 0.01, 5)
+assert run_self_check(out_dir=out).status == "pass"
+assert "scipy" not in sys.modules, "a march or the self check loaded scipy"
 """
 
 
 def test_cli_constants_never_loads_scipy_or_numpy_ma(tmp_path):
-    # a fresh interpreter, so no other test has imported scipy or numpy.ma yet
+    # a fresh interpreter, so no other test has imported scipy or numpy.ma
+    # yet; the transforms are matrix products, so a march and the self
+    # check leave scipy out too
     configs = []
     for name, overrides in (
         ("fourier.cfg", {}),

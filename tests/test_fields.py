@@ -19,6 +19,7 @@ from nudgeflow.fields import (
     norm_H,
     norm_V,
     _band_packing,
+    _Packing,
     project_high,
     project_low,
     random_field,
@@ -247,6 +248,51 @@ def test_mirror_gather_is_the_leray_projection_of_the_real_part(n, rng):
     expected = leray_project_raw(0.5 * (c + _mirror(c)), grid) * grid.dealias_mask
     got = band._unpack_grid(band._pack_grid(c))
     assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_product_grid_transforms_match_numpy_fft(k, extra, on_grid, seed):
+    # the partial DFTs of `_sample` and `_project` against full numpy.fft
+    # transforms, for the modes |j|_inf <= k of a grid of n >= 3k + 1, on
+    # the smallest even n_s >= 3k + 1 or on the grid itself
+    n_s = 2 * ((3 * k + 2) // 2)
+    grid = TorusGrid(TWO_PI, n_s + 2 * extra)
+    square = (np.abs(grid.j1) <= k) & (np.abs(grid.j2) <= k)
+    sgrid = grid if on_grid else TorusGrid(TWO_PI, n_s)
+    packing = _Packing(grid, square, sgrid)
+    n, h = sgrid.n, sgrid.n // 2 + 1
+    j1, j2 = packing.modes
+    rng = np.random.default_rng(seed)
+
+    # _sample: irfft2 of the half spectrum j2 >= 0, the j2 = 0 column
+    # holding each axis mode and its conjugate mirror
+    vecs = rng.standard_normal((2, packing.size)) + 1j * rng.standard_normal((2, packing.size))
+    e = np.stack((-j2, j1)) / np.hypot(j1, j2)
+    axis = j2 == 0
+    for vec in (vecs[0], vecs):
+        half = np.zeros(vec.shape[:-1] + (2, n, h), dtype=np.complex128)
+        half[..., j1 % n, j2] = vec[..., None, :] * e
+        half[..., -j1[axis] % n, 0] = vec[..., None, axis].conj() * e[:, axis]
+        expected = np.fft.irfft2(half, s=(n, n), norm="forward")
+        got = packing._sample(vec)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    # _project: rfft2 of the products, then the weighted gather at the modes
+    ik = 2j * np.pi / grid.L / np.hypot(j1, j2)
+    a, b, c = ik * j1 * j2, ik * j1 * j1, ik * j2 * j2
+    for weights in (np.stack((-a, b, -c)), np.stack((-a, b - c))):
+        products = rng.standard_normal((len(weights), n, n))
+        spectra = np.fft.rfft2(products, norm="forward")[:, j1 % n, j2]
+        expected = (weights * spectra).sum(axis=0)
+        got = packing._project(products)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,11 +1,12 @@
 """GMRES on complex vectors treated as a real Hilbert space."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from nudgeflow.krylov import SolveResult, gmres
+from nudgeflow.krylov import SolveResult, _norm, gmres
 
 
 def _mat_op(a):
@@ -19,6 +20,21 @@ def test_diagonal_system_matches_closed_form(rng):
     assert res.converged
     assert np.linalg.norm(res.x - b / d) <= 1e-10 * np.linalg.norm(b / d)
     assert res.residual <= 1e-12
+
+
+def test_norms_of_finite_vectors_past_the_square_overflow_are_finite(rng):
+    # entries near 1e300 overflow a plain sum of squares; the system's
+    # scale is no reason for a solve to read its right-hand side as infinite
+    d = rng.uniform(1.0, 5.0, size=64)
+    b = 1e300 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _norm(b) == pytest.approx(1e300 * np.linalg.norm(b / 1e300), rel=1e-15)
+        res = gmres(lambda x: d * x, b, rel_tol=1e-12)
+    assert res.converged and np.all(np.isfinite(res.x))
+    assert np.max(np.abs(res.x - b / d)) <= 1e-10 * np.max(np.abs(b / d))
+    assert _norm(np.array([np.inf, 1.0])) == math.inf
+    assert math.isnan(_norm(np.array([np.nan, 1.0])))
 
 
 def test_nonsymmetric_dense_system(rng):

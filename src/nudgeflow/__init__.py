@@ -57,7 +57,6 @@ from .schemes import (
     SCHEMES,
     SEMI_IMPLICIT,
     PhysicsParams,
-    TruthSource,
     advance,
     nse_integrate,
     reference_galerkin_integrate,

@@ -195,15 +195,13 @@ def check_conditions(
     p: PhysicsParams,
     consts: BoundConstants,
     *,
-    tau: float | None = None,
     c0_value: float | None = None,
 ) -> ConditionReport:
     """Evaluate the admissibility inequalities for the given parameters.
 
     c0_value defaults to the exact 1 of fourier_truncation and must be
     supplied for volume averages (interpolants.estimate_c0 estimates it).
-    tau_beta, the semi-implicit contraction hypothesis, is checked only
-    when tau is given.  The report is advisory; experiments decide which
+    The report is advisory; experiments decide which
     checks gate what.  A left-hand side that overflows reads inf, a failed
     check.
     """
@@ -234,10 +232,6 @@ def check_conditions(
                 nu,
                 note=f"c0={c0_value:g}",
             )
-        )
-    if tau is not None:
-        checks.append(
-            ConditionCheck("tau_beta", tau * beta, 1.0, note="semi-implicit contraction hypothesis")
         )
     return ConditionReport(tuple(checks))
 

@@ -12,11 +12,12 @@ runner's own checks before it, it rejects every bad value the config alone
 decides with a ConfigError naming its keys, before anything is
 integrated.  `_start` integrates the truth and returns it with the
 initial data v0 = build_ic, which every branch builds in the low-mode
-space.  The truth is a `schemes.TruthSource`, packed frames read through
-a time stencil: a steady state's one frame, the Taylor-Green vortex's
-t = 0 frame weighted by its decay, or a stored trajectory's frames; the
-runners hand it to the solver whatever beta is, and the solver observes
-it under the params' interpolant only when beta > 0.  The run
+space.  The truth, like every reference and every stored march, is a
+`storage.Trajectory`, packed frames read through a time stencil: a steady
+state's one frame, the Taylor-Green vortex's t = 0 frame weighted by its
+decay, or the frames `nse_integrate` stored; the runners hand it to the
+solver whatever beta is, and the solver observes it under the params'
+interpolant only when beta > 0.  The run
 itself happens inside a `_Run` block, which owns the report, the output
 directory and the output tables (`_Run.table`).  Runners record, then
 judge: `_Run._march` stores every iterate of the march from v0 and,
@@ -84,7 +85,6 @@ from .schemes import (
     FULLY_IMPLICIT,
     SEMI_IMPLICIT,
     PhysicsParams,
-    TruthSource,
     _galerkin,
     _steps_for,
     advance,
@@ -95,7 +95,7 @@ from .storage import Trajectory, atomic_write_text, save_snapshot, series_to_csv
 
 __all__ = [
     "PASS", "FAIL", "SKIP", "SERIES_HEADER", "CheckResult", "ExperimentReport",
-    "SeriesRecorder", "TruthSource", "build_grid", "build_forcing",
+    "SeriesRecorder", "build_grid", "build_forcing",
     "build_interpolant", "build_params", "build_truth", "build_ic",
     "run_twin_experiment", "run_contraction_test", "run_stability_soak",
     "run_tau_sweep", "run_n_sweep", "run_self_check", "render_report",
@@ -344,17 +344,12 @@ def _truth_spinup_steps(
 
 
 def _setup(
-    cfg: ExperimentConfig,
-    *,
-    tau: float | None = None,
-    horizon: tuple[float, str] | None = None,
+    cfg: ExperimentConfig, *, horizon: tuple[float, str] | None = None
 ) -> _Setup:
     """The config's grid, forcing, params and constants (module docstring).
 
     A runner that integrates a truth over [0, t] passes horizon = (t, the
-    config expression of t), which checks that truth too.  The conditions
-    include tau_beta, the semi-implicit contraction hypothesis, at tau
-    (default cfg.tau) for the semi-implicit scheme only.
+    config expression of t), which checks that truth too.
     """
     grid = _config_value("L, grid_n", build_grid, cfg)
     forcing = _config_value("forcing_kappa", build_forcing, cfg, grid)
@@ -382,11 +377,7 @@ def _setup(
         c0_value = None
         if spec.kind == "volume_average":
             c0_value = estimate_c0(spec, grid)
-        if cfg.scheme != SEMI_IMPLICIT:
-            tau = None
-        elif tau is None:
-            tau = cfg.tau
-        conditions = check_conditions(params, consts, tau=tau, c0_value=c0_value)
+        conditions = check_conditions(params, consts, c0_value=c0_value)
     return _Setup(
         cfg, grid, forcing, spec, params, consts, conditions,
         np.random.default_rng(cfg.seed),
@@ -398,21 +389,16 @@ def _setup(
 # truth sources
 
 
-def _steady(u: SpectralField) -> TruthSource:
+def _steady(u: SpectralField) -> Trajectory:
     """A time-independent u, whose amplitudes are its one frame."""
-    return TruthSource(_band_packing(u.grid), [u.coeffs], lambda t: (0, None))
-
-
-def _stored(traj: Trajectory) -> TruthSource:
-    """A trajectory that `advance` stored, read through its Lagrange stencil."""
-    return TruthSource(traj.packing, traj.frames, traj.stencil)
+    return Trajectory(_band_packing(u.grid), [u.coeffs], lambda t: (0, None))
 
 
 def _m1_scale(setup: _Setup) -> float:
     return setup.consts.M1 if setup.consts is not None else 1.0
 
 
-def build_truth(setup: _Setup) -> TruthSource:
+def build_truth(setup: _Setup) -> Trajectory:
     """Truth on [0, setup.horizon] per config (checked by `_setup`).
 
     Consumes the setup rng (before any initial data).
@@ -426,7 +412,7 @@ def build_truth(setup: _Setup) -> TruthSource:
     if cfg.truth == "analytic:taylor_green":
         # the t = 0 frame times the vortex's decay, as `taylor_green` scales it
         grid, kappa, nu = setup.grid, cfg.forcing_kappa, cfg.nu
-        return TruthSource(
+        return Trajectory(
             _band_packing(grid), [taylor_green(grid, kappa, 0.0, nu).coeffs],
             lambda t: (0, [_taylor_green_decay(grid, kappa, t, nu)]),
         )
@@ -439,13 +425,12 @@ def build_truth(setup: _Setup) -> TruthSource:
     u_init = random_field(setup.grid, setup.rng, norm_v=_m1_scale(setup))
     if setup.spinup_steps:
         u_init, _ = advance(u_init, p_free, None, tau_t, setup.spinup_steps)
-    traj = nse_integrate(
+    return nse_integrate(
         u_init, p_free, setup.horizon, tau_t, store_every=cfg.truth_store_every
     )
-    return _stored(traj)
 
 
-def build_ic(setup: _Setup, truth: TruthSource) -> SpectralField:
+def build_ic(setup: _Setup, truth: Trajectory) -> SpectralField:
     cfg = setup.cfg
     cutoff = setup.params.cutoff
     scale = _m1_scale(setup)
@@ -456,16 +441,16 @@ def build_ic(setup: _Setup, truth: TruthSource) -> SpectralField:
             setup.grid, setup.rng, norm_v=cfg.ic_amplitude * scale, cutoff=cutoff
         )
     if cfg.ic == "truth_low":
-        return project_low(truth.field_at(0.0), cutoff)
+        return project_low(truth.at(0.0), cutoff)
     if cfg.ic == "perturbed_truth":
         bump = random_field(
             setup.grid, setup.rng, norm_v=cfg.ic_amplitude * scale, cutoff=cutoff
         )
-        return project_low(truth.field_at(0.0), cutoff) + bump
+        return project_low(truth.at(0.0), cutoff) + bump
     raise ConfigError(f"unknown initial condition kind {cfg.ic!r}")
 
 
-def _start(setup: _Setup) -> tuple[TruthSource, SpectralField]:
+def _start(setup: _Setup) -> tuple[Trajectory, SpectralField]:
     """Truth on [0, setup.horizon] and v0 (build_ic is low-supported)."""
     truth = build_truth(setup)
     return truth, build_ic(setup, truth)
@@ -476,7 +461,7 @@ _TRACE_TAIL = 8
 
 
 def _series_rows(
-    traj: Trajectory, reference: TruthSource, envelopes: tuple | None
+    traj: Trajectory, reference: Trajectory, envelopes: tuple | None
 ) -> list[tuple]:
     """SERIES_HEADER rows of a march stored at every step: each frame's
     step, time, packed norms, errors against `reference` and envelope
@@ -519,8 +504,8 @@ class _Run:
         return rec
 
     def _march(
-        self, filename: str, truth: TruthSource, v0: SpectralField, tau: float,
-        n_steps: int, reference: TruthSource, envelopes: tuple | None = None,
+        self, filename: str, truth: Trajectory, v0: SpectralField, tau: float,
+        n_steps: int, reference: Trajectory, envelopes: tuple | None = None,
     ) -> tuple[SeriesRecorder, Trajectory]:
         """The table `filename` of the march from v0, and its trajectory,
         stored at every step.
@@ -702,11 +687,10 @@ def run_contraction_test(
             setup.grid, setup.rng,
             norm_v=cfg.perturbation * _m1_scale(setup), cutoff=params.cutoff,
         )
-        _, second = advance(
+        _, reference = advance(
             v0 + bump, params, truth, tau, n_steps, scheme=cfg.scheme, store_every=1
         )
         gal = _galerkin(params)
-        reference = _stored(second)
         eps0_h, eps0_v, _ = reference.errors(gal, [0.0], [gal._pack_field(v0)])[0]
         env_h2 = contraction_envelope(eps0_h**2, params, tau, n_steps)
         env_v2 = contraction_envelope(eps0_v**2, params, tau, n_steps)
@@ -776,7 +760,7 @@ def run_stability_soak(
             "B_V(M1), and ic = random_bv draws ||v0|| = |ic_amplitude| M1"
         )
     span = "soak_steps * max(tau_list)" if cfg.tau_list else "soak_steps * tau"
-    setup = _setup(cfg, tau=max(taus), horizon=(n_steps * max(taus), span))
+    setup = _setup(cfg, horizon=(n_steps * max(taus), span))
     if setup.consts is None or setup.params.beta <= 0.0:
         raise ConfigError("stability soak requires a nonzero forcing and beta > 0")
     if not setup.conditions.passed("beta_lower_bound", "interpolant_resolution"):
@@ -892,19 +876,18 @@ def run_tau_sweep(
         for i, tau in enumerate(cfg.tau_list)
     }
     dt_ref = _reference_step(cfg.tau_list, cfg.ref_factor)
-    setup = _setup(cfg, tau=max(cfg.tau_list), horizon=(cfg.t_end, "t_end"))
+    setup = _setup(cfg, horizon=(cfg.t_end, "t_end"))
     params = setup.params
     with _Run("tau_sweep", setup, out_dir) as run:
         report = run.report
         truth, v0 = _start(setup)
-        ref = reference_galerkin_integrate(v0, params, truth, cfg.t_end, dt_ref)
+        reference = reference_galerkin_integrate(v0, params, truth, cfg.t_end, dt_ref)
         ref_2dt = reference_galerkin_integrate(v0, params, truth, cfg.t_end, 2.0 * dt_ref)
         gal = _galerkin(params)
         ref_gap_h = max(
-            gal.norms(a - b)[0] for a, b in zip(ref.frames[::2], ref_2dt.frames)
+            gal.norms(a - b)[0] for a, b in zip(reference.frames[::2], ref_2dt.frames)
         )
         del ref_2dt  # only the gap is kept
-        reference = _stored(ref)
 
         sups_h: list[tuple[float, float]] = []
         sups_v: list[tuple[float, float]] = []
@@ -980,7 +963,7 @@ def run_n_sweep(
     with _Run("n_sweep", setup, out_dir) as run:
         report = run.report
         truth, v0 = _start(setup)
-        u_end = truth.field_at(cfg.t_end)
+        u_end = truth.at(cfg.t_end)
 
         def final_errors(
             lambda_cut: float, tau: float, n_steps: int

@@ -333,6 +333,12 @@ class _Packing:
         return coeffs
 
 
+def _map(pair: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarray:
+    """M a + C conj(a) for the pair (M, C), on a packed vector or each row of a."""
+    m, c = pair
+    return a @ m.T + a.conj() @ c.T
+
+
 @lru_cache(maxsize=16)
 def _band_packing(grid: TorusGrid) -> _Packing:
     """The packing of the grid's dealiased square band |j|_inf <= band_limit."""

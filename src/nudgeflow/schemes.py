@@ -76,17 +76,17 @@ is a `fields._Packing` of the cutoff's low modes, and a field holds the
 same amplitudes on the whole dealiased band, so moving between them is
 an index map.  Norms of packed vectors are Parseval sums with
 per-mode weights 2 L^2 {1, |k|^2, |k|^4} (`_Packing.norms`).
-The solver reads its observations from the truth itself: a TruthSource
-holds u(t) as packed frames and a time stencil, u(t) = combine(frames,
-*stencil(t)) (`storage.combine`), and returns P_N P_sigma I_h u(t) packed
-(`TruthSource.observe`), under the one interpolant the params name, and
-only when beta > 0.  The frames are observed once per packing, in one
-product, and the observed frames are combined with the same stencil,
-which equals observing u(t) because both maps are linear.  A steady truth
-is one frame, an analytic one its frames with closed-form weights, and a
-stored trajectory is its frames with its Lagrange stencil.  Errors embed
-each estimate of a march in the truth's packing and take packed norms
-(`TruthSource.errors`).
+The solver reads its observations from the truth itself, a
+`storage.Trajectory`, the one type that holds u(t) as packed frames and a
+time stencil, u(t) = combine(frames, *stencil(t)); it returns
+P_N P_sigma I_h u(t) packed (`Trajectory.observe`), under the one
+interpolant the params name, and only when beta > 0.  The frames are
+observed once per packing, in one product, and the observed frames are
+combined with the same stencil, which equals observing u(t) because both
+maps are linear.  A steady truth is one frame, an analytic one its frames
+with closed-form weights, and a stored march is its frames with its
+Lagrange stencil.  Errors embed each estimate of a march in the truth's
+packing and take packed norms (`Trajectory.errors`).
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -102,6 +102,7 @@ from .fields import (
     GalerkinCutoff,
     SpectralField,
     TorusGrid,
+    _map,
     _Packing,
     to_physical,  # noqa: F401  (a layer entry point that tracing patches)
 )
@@ -112,11 +113,10 @@ from .interpolants import (
 )
 from .krylov import SolverError, _norm, gmres
 from .operators import advect_raw
-from .storage import Trajectory, combine
+from .storage import Trajectory
 
 __all__ = [
     "PhysicsParams",
-    "TruthSource",
     "SolverError",
     "SEMI_IMPLICIT",
     "FULLY_IMPLICIT",
@@ -180,68 +180,6 @@ class PhysicsParams:
 
     def __hash__(self) -> int:
         return hash(self._key)
-
-
-def _map(pair: tuple[np.ndarray, np.ndarray], a: np.ndarray) -> np.ndarray:
-    """M a + C conj(a) for the pair (M, C), on a packed vector or each row of a."""
-    m, c = pair
-    return a @ m.T + a.conj() @ c.T
-
-
-class TruthSource:
-    """Resolved solution u(t) = combine(frames, *stencil(t)), packed on
-    `packing`, which holds every mode of u.
-
-    frames are packed vectors; stencil(t) returns the index of u(t)'s first
-    frame and the weights of it and the frames after it (None: u(t) is
-    that frame).  A steady truth is one frame with stencil (0, None), a
-    trajectory that `advance` stored is its frames with `traj.stencil`.
-    """
-
-    def __init__(
-        self,
-        packing: _Packing,
-        frames: list[np.ndarray],
-        stencil: Callable[[float], tuple[int, list[float] | None]],
-    ) -> None:
-        self.packing, self.frames, self.stencil = packing, frames, stencil
-        self._observed: dict[tuple, np.ndarray] = {}
-
-    def packed(self, t: float) -> np.ndarray:
-        return combine(self.frames, *self.stencil(t))
-
-    def field_at(self, t: float) -> SpectralField:
-        return self.packing._field(self.packed(t))
-
-    def observe(self, gal: _Galerkin, t: float) -> np.ndarray:
-        """P_N P_sigma I_h u(t) packed in gal, I_h = gal.p.interpolant.
-
-        The frames are observed once per packing and interpolant that
-        observe the truth, in one product, and combined with the stencil.
-        """
-        key = (gal.grid, gal.p.cutoff, gal.p.interpolant)
-        if key not in self._observed:
-            if gal.grid != self.packing.grid:
-                raise ValueError("observed truth grid differs from params grid")
-            pair = gal._observation_map(self.packing.modes)
-            self._observed[key] = _map(pair, np.array(self.frames))
-        return combine(self._observed[key], *self.stencil(t))
-
-    def errors(
-        self, packing: _Packing, times: Iterable[float], rows: Iterable[np.ndarray]
-    ) -> np.ndarray:
-        """[err_H, err_V, err_DA] of v - u(t) for each vector v packed in
-        `packing` and its time t, one row each, v embedded in the truth's
-        packing.  Each difference is built and measured on its own, which
-        holds one truth-packed vector at a time."""
-        own = self.packing
-        at = own._index_of(packing.modes)
-        out = []
-        for t, x in zip(times, rows):
-            d = -self.packed(t)
-            d[at] += x
-            out.append(own.norms(d))
-        return np.array(out)
 
 
 class _Galerkin(_Packing):
@@ -315,7 +253,7 @@ class _Galerkin(_Packing):
             return self.obs_diag * vec
         return _map(self._obs_pair, vec)
 
-    def _observed(self, truth: TruthSource | None, t: float) -> np.ndarray | float:
+    def _observed(self, truth: Trajectory | None, t: float) -> np.ndarray | float:
         """Packed beta P_N P_sigma I_h u(t), the nudging data (0.0 if beta = 0)."""
         if self.p.beta == 0.0:
             return 0.0
@@ -400,7 +338,7 @@ class _Stepper(_Galerkin):
         self,
         x: np.ndarray,
         k: int,
-        truth: TruthSource | None,
+        truth: Trajectory | None,
         guess: np.ndarray | None = None,
     ) -> np.ndarray:
         """x_(k+1) after the iterate x = x_k, packed in this stepper.
@@ -499,7 +437,7 @@ def _stepper(p: PhysicsParams, tau: float, scheme: str) -> _Stepper | _Etdrk4:
 def advance(
     v0: SpectralField,
     p: PhysicsParams,
-    truth: TruthSource | None,
+    truth: Trajectory | None,
     tau: float,
     n_steps: int,
     *,
@@ -511,7 +449,7 @@ def advance(
 
     Packing v0 reads only its low modes, which is P_N.  When beta > 0
     each step observes the truth at its new time under p.interpolant
-    (`TruthSource.observe`), an ETDRK4 step also at its start and
+    (`Trajectory.observe`), an ETDRK4 step also at its start and
     midpoint; with beta = 0 the truth is not read and may be None.  Each
     Euler solve starts from the damped cubic extrapolation of the iterates
     so far, truncated where their damped differences stop shrinking (v^0
@@ -533,15 +471,18 @@ def advance(
         traj = Trajectory(stepper)
         traj.append(0.0, x)
     predict = stepper.predictor()
-    for k in range(1, n_steps + 1):
-        try:
-            x = stepper.step(x, k - 1, truth, predict(x))
-        except SolverError as exc:
-            exc.step, exc.field, exc.cutoff = k - 1, stepper._field(x), p.cutoff
-            exc.trajectory = traj
-            raise
-        if traj is not None and (k % store_every == 0 or k == n_steps):
-            traj.append(k * stepper.tau, x)
+    # a diverging iterate overflows on its way to the step's finiteness
+    # check, which raises the SolverError that classifies it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            try:
+                x = stepper.step(x, k - 1, truth, predict(x))
+            except SolverError as exc:
+                exc.step, exc.field, exc.cutoff = k - 1, stepper._field(x), p.cutoff
+                exc.trajectory = traj
+                raise
+            if traj is not None and (k % store_every == 0 or k == n_steps):
+                traj.append(k * stepper.tau, x)
     return stepper._field(x), traj
 
 
@@ -611,7 +552,7 @@ class _Etdrk4(_Galerkin):
         return out
 
     def step(
-        self, x: np.ndarray, k: int, truth: TruthSource | None, guess: None = None
+        self, x: np.ndarray, k: int, truth: Trajectory | None, guess: None = None
     ) -> np.ndarray:
         """x_(k+1) after the iterate x = x_k, packed in this stepper."""
         h = self.tau
@@ -634,7 +575,7 @@ class _Etdrk4(_Galerkin):
 def reference_galerkin_integrate(
     v0: SpectralField,
     p: PhysicsParams,
-    truth: TruthSource | None,
+    truth: Trajectory | None,
     t_end: float,
     dt: float,
 ) -> Trajectory:

@@ -7,13 +7,16 @@ half-plane mode of |j|_inf <= band_limit, in the packing's order).
 Every finite body is a valid field, so loading checks only the header,
 the body size and finiteness.
 
-A trajectory holds time-ordered frames in memory: the packed Galerkin
-vectors that the solver marches (see `schemes`), from which it builds a
-field only on request.  `Trajectory.stencil` names the frames of a time:
-the stored frame at a stored time, else the 4-point Lagrange weights of
-the stored times around it.  `combine` applies a stencil to the frames
-themselves or to per-frame data derived linearly from them (packed
-observations), so a trajectory is a truth (`schemes.TruthSource`).
+`Trajectory` is the one type of a solution held as frames: packed
+vectors (see `schemes`) read through a time stencil, u(t) =
+combine(frames, *stencil(t)), from which it builds a field only on
+request.  A march that `advance` stores appends its frames, and its
+stencil names the stored frame at a stored time, else the 4-point
+Lagrange weights of the stored times around it; an analytic solution
+gives its frames and stencil at construction.  Every truth the solver
+observes and every reference it measures errors against is one:
+`combine` applies the stencil to the frames themselves or to per-frame
+data derived linearly from them (packed observations).
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from .fields import GalerkinCutoff, SpectralField, TorusGrid
+from .fields import GalerkinCutoff, SpectralField, TorusGrid, _map, _Packing
 
 __all__ = [
     "SNAPSHOT_MAGIC",
@@ -130,27 +133,38 @@ def _lagrange_weights(times: np.ndarray, t: float) -> tuple[int, list[float]]:
 
 
 class Trajectory:
-    """Time-ordered frames with exact lookup plus cubic time interpolation.
+    """A solution u(t) = combine(frames, *stencil(t)), packed on `packing`,
+    which holds every mode of u.
 
-    Stores one packed vector per frame together with its packing (an
-    object whose `_field(vec)` builds the field), and builds a field only
-    when one is asked for: `at`, `fields`.  Queries at stored times return
-    the stored frame; between samples a 4-point Lagrange polynomial in
-    time is used (linear combinations preserve the field invariants
-    exactly).
-    exact_queries and interpolated_queries count the lookups of each kind
-    so callers can report them.
+    frames are packed vectors; stencil(t) returns the index of u(t)'s first
+    frame and the weights of it and the frames after it (None: u(t) is
+    that frame).  Without a given stencil the frames are those appended
+    with their times, and `stencil` returns the stored frame at a stored
+    time, else a 4-point Lagrange polynomial in time (linear combinations
+    preserve the field invariants exactly); exact_queries and
+    interpolated_queries count the lookups of each kind so callers can
+    report them.  A given stencil, such as (0, None) for a steady u,
+    replaces it and counts nothing.  Fields are built only when asked
+    for: `at`, `fields`.
     """
 
     _EXACT_RTOL = 1e-9
 
-    def __init__(self, packing) -> None:
+    def __init__(
+        self,
+        packing: _Packing | None,
+        frames: list[np.ndarray] | None = None,
+        stencil: Callable[[float], tuple[int, list[float] | None]] | None = None,
+    ) -> None:
         self.packing = packing
         self._times: list[float] = []
-        self.frames: list[np.ndarray] = []
+        self.frames: list[np.ndarray] = [] if frames is None else frames
+        if stencil is not None:
+            self.stencil = stencil
         self.interpolated_queries = 0
         self.exact_queries = 0
         self._times_arr: np.ndarray | None = None
+        self._observed: dict[tuple, np.ndarray] = {}
 
     def append(self, t: float, frame: np.ndarray) -> None:
         """Store the packed vector of the state at time t."""
@@ -196,9 +210,44 @@ class Trajectory:
         self.interpolated_queries += 1
         return _lagrange_weights(times, t)
 
+    def packed(self, t: float) -> np.ndarray:
+        """u(t) packed on `packing`."""
+        return combine(self.frames, *self.stencil(t))
+
     def at(self, t: float) -> SpectralField:
-        """Field at time t: stored snapshot if t matches, else interpolated."""
-        return self.packing._field(combine(self.frames, *self.stencil(t)))
+        """The field of u(t), built anew."""
+        return self.packing._field(self.packed(t))
+
+    def observe(self, gal, t: float) -> np.ndarray:
+        """P_N P_sigma I_h u(t) packed in gal (a `schemes._Galerkin`),
+        I_h = gal.p.interpolant.
+
+        The frames are observed once per packing and interpolant that
+        observe u, in one product, and combined with the stencil.
+        """
+        key = (gal.grid, gal.p.cutoff, gal.p.interpolant)
+        if key not in self._observed:
+            if gal.grid != self.packing.grid:
+                raise ValueError("observed truth grid differs from params grid")
+            pair = gal._observation_map(self.packing.modes)
+            self._observed[key] = _map(pair, np.array(self.frames))
+        return combine(self._observed[key], *self.stencil(t))
+
+    def errors(
+        self, packing: _Packing, times: Iterable[float], rows: Iterable[np.ndarray]
+    ) -> np.ndarray:
+        """[err_H, err_V, err_DA] of v - u(t) for each vector v packed in
+        `packing` and its time t, one row each, v embedded in this
+        trajectory's packing.  Each difference is built and measured on its
+        own, which holds one vector of this packing at a time."""
+        own = self.packing
+        at = own._index_of(packing.modes)
+        out = []
+        for t, x in zip(times, rows):
+            d = -self.packed(t)
+            d[at] += x
+            out.append(own.norms(d))
+        return np.array(out)
 
 
 def combine(frames, lo: int, weights: list[float] | None):

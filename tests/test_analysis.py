@@ -60,9 +60,11 @@ def test_overflowing_constants_are_rejected_and_bounds_read_inf(params16):
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="constant G = inf is not finite"):
             bound_constants(with_(amplitude=1e200))
-    consts = bound_constants(params16)
-    tb = check_conditions(params16, consts, tau=1e308).get("tau_beta")
-    assert tb.lhs == math.inf and not tb.passed
+    coarse = dataclasses.replace(
+        params16, beta=1e308, interpolant=InterpolantSpec("fourier_truncation", 100.0)
+    )
+    res = check_conditions(coarse, bound_constants(params16)).get("interpolant_resolution")
+    assert res.lhs == math.inf and not res.passed
 
 
 def test_constants_hand_regime(params16):
@@ -118,7 +120,7 @@ def test_constants_reject_a_negative_or_nan_c(params16, c):
 
 def test_condition_report_hand_values(params16):
     consts = bound_constants(params16)
-    report = check_conditions(params16, consts, tau=0.4)
+    report = check_conditions(params16, consts)
     floor = report.get("beta_lower_bound")
     assert floor.lhs == pytest.approx(65.23594781085251, rel=1e-12)
     assert floor.rhs == 2.0
@@ -126,17 +128,8 @@ def test_condition_report_hand_values(params16):
     res = report.get("interpolant_resolution")
     assert res.lhs == pytest.approx(0.125, rel=1e-13)  # c0 beta h^2
     assert res.passed
-    tb = report.get("tau_beta")
-    assert tb.lhs == pytest.approx(0.8) and tb.passed
-    assert report.passed("tau_beta", "interpolant_resolution")
-    assert [c.name for c in report.checks] == [
-        "beta_lower_bound", "interpolant_resolution", "tau_beta",
-    ]
-    assert report.describe().splitlines()[-1] == (
-        "tau_beta = pass (lhs=0.8 <= rhs=1, semi-implicit contraction hypothesis)"
-    )
-    # without a step there is no step condition
-    assert "tau_beta" not in [c.name for c in check_conditions(params16, consts).checks]
+    assert report.passed("interpolant_resolution")
+    assert [c.name for c in report.checks] == ["beta_lower_bound", "interpolant_resolution"]
     with pytest.raises(KeyError):
         report.get("nonexistent")
 

@@ -730,11 +730,13 @@ def test_cli_overflowing_constants_exit_2(tmp_path, capsys, command, key, value,
 
 
 def test_cli_overflowing_advisory_bound_fails_its_condition(tmp_path):
-    # tau * beta overflows; the condition reads inf and fails, and the
+    # c0 beta h^2 overflows; the condition reads inf and fails, and the
     # command still exits 0, since no check of `constants` reads it
     path = tmp_path / "run.cfg"
     path.write_text(
-        "[physics]\nnu = 0.1\nbeta = 1e308\n[experiment]\ntau = 1e10\nt_end = 1e10\n"
+        "[physics]\nnu = 0.1\nL = 100\nh = 100\ngrid_n = 16\nlambda_cut = 0.05\n"
+        "beta = 1e308\nforcing_amplitude = 1\ninterpolant = volume_average\n"
+        "[experiment]\nscheme = fully_implicit\ntau = 0.01\nt_end = 0.01\n"
     )
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -742,7 +744,7 @@ def test_cli_overflowing_advisory_bound_fails_its_condition(tmp_path):
         rc = cli.main(["--quiet", "--config", str(path), "--out", str(out), "constants"])
     assert rc == 0
     text = (out / "constants_report.txt").read_text()
-    assert "tau_beta = fail (lhs=inf <= rhs=1," in text
+    assert "interpolant_resolution = fail (lhs=inf <= rhs=0.1," in text
 
 
 def test_cli_negative_condition_c_exits_2(tmp_path, capsys):
@@ -870,6 +872,20 @@ def test_cli_exits_0_1_or_2_on_adversarial_configs(command, changes):
             *seed, command,
         ]
         assert cli.main(argv) in (0, 1, 2)
+
+
+def test_cli_diverging_march_fails_its_solver_check_without_warnings(tmp_path):
+    # nu = 1e-6 lets the tau sweep's march blow up: the step's finiteness
+    # check classifies it as a `solver` failure, and no numpy overflow or
+    # invalid-value warning escapes on the way there
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(render_config(default_config(**{**_FUZZ_BASE, "nu": 1e-6})))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["--quiet", "--config", str(cfg_path), "--out", str(out), "tau-sweep"])
+    assert rc == 1
+    assert "solver = fail" in (out / "tau_sweep_report.txt").read_text()
 
 
 def test_cli_failed_check_exits_1(tmp_path):

@@ -58,7 +58,7 @@ def _callers(name):
     return found
 
 
-def test_from_coeffs_is_called_only_for_stored_snapshots():
+def test_from_coeffs_is_called_only_for_loaded_snapshots():
     # every amplitude vector is a field, so the package builds fields with
     # the plain constructor; from_coeffs checks the shape and finiteness of
     # outside arrays
@@ -97,7 +97,7 @@ def test_no_class_subclasses_the_truth():
         for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
         for base in node.bases
         if (base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None))
-        == "TruthSource"
+        == "Trajectory"
     ]
     assert subclasses == []
 
@@ -108,7 +108,6 @@ def test_packed_vectors_become_fields_only_at_the_march_boundary():
     # trajectories build a field only when one is asked for by time
     assert sorted(set(_callers("_field"))) == [
         ("schemes", "advance"),
-        ("schemes", "field_at"),
         ("storage", "at"),
         ("storage", "fields"),
     ]

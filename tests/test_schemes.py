@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nudgeflow import experiments, schemes
 from nudgeflow.config import default_config
-from nudgeflow.experiments import _steady, _stored
+from nudgeflow.experiments import _steady
 from nudgeflow.fields import (
     GalerkinCutoff,
     SpectralField,
@@ -42,7 +42,6 @@ from nudgeflow.schemes import (
     FULLY_IMPLICIT,
     SEMI_IMPLICIT,
     PhysicsParams,
-    TruthSource,
     advance,
     nse_integrate,
     reference_galerkin_integrate,
@@ -54,7 +53,7 @@ TWO_PI = 2.0 * np.pi
 
 def rotating(u, w):
     """The truth u cos 3t + w sin 3t."""
-    return TruthSource(
+    return Trajectory(
         _band_packing(u.grid), [u.coeffs, w.coeffs],
         lambda t: (0, [math.cos(3.0 * t), math.sin(3.0 * t)]),
     )
@@ -758,7 +757,7 @@ def test_semi_implicit_step_applies_the_operator_once_per_check_and_iteration(
     # built without validation
     rng = np.random.default_rng(11)
     p, moving, v0 = nudged_problem(TorusGrid(TWO_PI, 24), rng, "volume_average")
-    truth = _steady(moving.field_at(0.01))
+    truth = _steady(moving.at(0.01))
     truth.observe(schemes._galerkin(p), 0.01)  # observed before counting
     counts = {"advect_raw": 0, "gmres_apply": 0, "from_coeffs": 0}
     real_advect, real_gmres = schemes.advect_raw, schemes.gmres
@@ -1143,8 +1142,8 @@ def _truths(grid, rng):
     return {
         "steady": _steady(u),
         "analytic": rotating(u, w),
-        "stored": _stored(traj),
-        "taylor_green": TruthSource(
+        "stored": traj,
+        "taylor_green": Trajectory(
             _band_packing(grid), [taylor_green(grid, kappa, 0.0, 0.1).coeffs],
             lambda t: (0, [_taylor_green_decay(grid, kappa, t, 0.1)]),
         ),
@@ -1154,7 +1153,7 @@ def _truths(grid, rng):
 def _observation_gap(truth, gal, t):
     """|truth.observe - P_N P_sigma I_h u(t)| relative to the largest entry
     (absolute where u(t) is not observed at all)."""
-    expected = gal._pack_grid(apply_ih(gal.p.interpolant, truth.field_at(t)))
+    expected = gal._pack_grid(apply_ih(gal.p.interpolant, truth.at(t)))
     scale = np.max(np.abs(expected)) or 1.0
     return np.max(np.abs(truth.observe(gal, t) - expected)) / scale
 
@@ -1162,7 +1161,7 @@ def _observation_gap(truth, gal, t):
 def _split_error_norms(truth, gal, x, t):
     """Oracle for |v - u(t)|: |v - P_N u|^2 + |(I - P_N) u|^2 in each norm,
     the tail taken from the field u(t) on the full grid."""
-    u = truth.field_at(t)
+    u = truth.at(t)
     q = project_high(u, gal.p.cutoff)
     tail = np.array([norm_H(q), norm_V(q), norm_DA(q)])
     return np.hypot(gal.norms(x - gal._pack_field(u)), tail)
@@ -1187,13 +1186,12 @@ def test_truth_observes_under_the_params_interpolant(which, n, kind, h):
     for t, got in zip(times, errors):
         assert _observation_gap(truth, gal, t) <= 1e-13
         if exact:
-            kept = gal._pack_field(project_low(truth.field_at(t), p.interpolant.cutoff()))
+            kept = gal._pack_field(project_low(truth.at(t), p.interpolant.cutoff()))
             assert np.array_equal(truth.observe(gal, t), kept)
         expected = _split_error_norms(truth, gal, x, t)
         assert np.max(np.abs(got - expected) / expected) <= 1e-13
     if which == "stored":
-        traj = truth.stencil.__self__
-        assert traj.interpolated_queries > 0 and traj.exact_queries > 0
+        assert truth.interpolated_queries > 0 and truth.exact_queries > 0
 
 
 @pytest.mark.parametrize(
@@ -1242,10 +1240,9 @@ def test_twin_steps_make_no_apply_ih_or_field_call(monkeypatch):
     rng = np.random.default_rng(2)
     forcing = kolmogorov_forcing(grid, 1, 0.05)
     u0 = random_field(grid, rng, norm_v=1.0)
-    traj = nse_integrate(u0, free_params(grid, 0.1, forcing), 0.1, 0.01, store_every=4)
+    truth = nse_integrate(u0, free_params(grid, 0.1, forcing), 0.1, 0.01, store_every=4)
     spec = InterpolantSpec("volume_average", TWO_PI / 16)
     p = PhysicsParams(0.1, grid, forcing, 8.0, spec, GalerkinCutoff(60.0))
-    truth = _stored(traj)
     v0 = random_field(grid, rng, norm_v=1.0, cutoff=p.cutoff)
     counts = {"apply_ih": 0, "_field": 0}
     real_apply_ih, real_field = schemes.apply_ih, schemes._Packing._field
@@ -1274,4 +1271,4 @@ def test_twin_steps_make_no_apply_ih_or_field_call(monkeypatch):
     advance(v0, p, truth, 0.02, 5, scheme=FULLY_IMPLICIT)
     assert seen == [(k, {"apply_ih": 0, "_field": 0}) for k in range(1, 6)]
     assert counts == {"apply_ih": 0, "_field": 1}
-    assert traj.interpolated_queries > 0  # t = 0.02, 0.06, ... lie between frames
+    assert truth.interpolated_queries > 0  # t = 0.02, 0.06, ... lie between frames

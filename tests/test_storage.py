@@ -165,6 +165,23 @@ def test_trajectory_near_time_tolerance(rng, grid16):
     assert traj.interpolated_queries == 0
 
 
+def test_trajectory_with_a_given_stencil_reads_every_time_through_it(rng, grid16):
+    # an analytic solution: its frames and closed-form weights, read at any
+    # time without appended times, and counted as no lookup of either kind
+    gal = _band_packing(grid16)
+    frames = [gal._pack_field(random_field(grid16, rng)) for _ in range(2)]
+
+    def stencil(t):
+        return 0, [np.cos(t), np.sin(t)]
+
+    traj = Trajectory(gal, frames, stencil)
+    for t in (0.0, 0.3, 7.5):
+        expected = storage.combine(frames, *stencil(t))
+        assert np.array_equal(traj.packed(t), expected)
+        assert np.array_equal(traj.at(t).coeffs, gal._field(expected).coeffs)
+    assert traj.exact_queries == 0 and traj.interpolated_queries == 0
+
+
 def test_atomic_writes_leave_no_temp_files(tmp_path):
     target = tmp_path / "deep" / "out.txt"
     atomic_write_text(str(target), "hello\n")

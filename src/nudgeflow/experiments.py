@@ -833,22 +833,27 @@ def run_stability_soak(
 # tau sweep
 
 
-def _reference_step(tau_list: tuple[float, ...], ref_factor: int) -> float:
-    """dt_ref = min(tau)/(2m) for the smallest m making every tau a multiple.
+def _reference_step(
+    tau_list: tuple[float, ...], ref_factor: int, t_end: float
+) -> float:
+    """dt_ref = min(tau)/m for the smallest m in 1..2 ref_factor such that
+    every tau is a whole multiple of dt_ref and t_end one of 2 dt_ref.
 
-    Every list whose steps are multiples of min(tau)/ref_factor needs
-    m <= ref_factor, so the search stops there.
+    The second lets the checking run at 2 dt_ref end exactly at t_end.
+    Every list whose steps are multiples of min(tau)/ref_factor passes at
+    m = 2 ref_factor, since t_end is a whole number of min(tau), so the
+    search stops there.
     """
     tau_min = min(tau_list)
-    for m in range(1, ref_factor + 1):
-        dt = tau_min / (2 * m)
-        ratios = [tau / dt for tau in tau_list]
+    for m in range(1, 2 * ref_factor + 1):
+        dt = tau_min / m
+        ratios = [tau / dt for tau in tau_list] + [t_end / (2.0 * dt)]
         if all(abs(r - round(r)) <= 1e-9 * r for r in ratios):
             return dt
     raise ConfigError(
-        f"tau_list {tau_list} has no common reference step min(tau)/(2m) "
-        f"with m <= ref_factor = {ref_factor}: some tau is not an integer "
-        "multiple of it"
+        f"tau_list {tau_list} with t_end = {t_end} has no reference step "
+        f"dt_ref = min(tau)/m with m <= 2 ref_factor = {2 * ref_factor}: "
+        "some tau is not a whole multiple of dt_ref, or t_end not one of 2 dt_ref"
     )
 
 
@@ -860,12 +865,12 @@ def run_tau_sweep(
     All runs (coarse and reference) observe the same truth and share the
     initial data, so the truth discretization bias cancels
     and the measured gap isolates the time-stepping error.  The flow is
-    approximated by one ETDRK4 trajectory at dt_ref = min(tau)/(2m), m >= 1
-    the smallest value making every tau an integer multiple of dt_ref, with
-    every step stored so coarse times hit stored states exactly.  A second
-    ETDRK4 run at 2 dt_ref bounds the reference's own error: the `reference`
-    check passes iff their largest H gap, ref_gap_H, is at most
-    sup_err_H(min tau) / ref_factor.
+    approximated by one ETDRK4 trajectory at dt_ref = min(tau)/m, m >= 1
+    the smallest value making every tau a whole multiple of dt_ref and t_end
+    one of 2 dt_ref (`_reference_step`), with every step stored so coarse
+    times hit stored states exactly.  A second ETDRK4 run at 2 dt_ref bounds
+    the reference's own error: the `reference` check passes iff their
+    largest H gap, ref_gap_H, is at most sup_err_H(min tau) / ref_factor.
     """
     if len(cfg.tau_list) < 3:
         raise ConfigError("tau sweep needs at least 3 step sizes")
@@ -875,7 +880,7 @@ def run_tau_sweep(
         tau: _steps(cfg.t_end, "t_end", tau, f"steps tau_list[{i}]")
         for i, tau in enumerate(cfg.tau_list)
     }
-    dt_ref = _reference_step(cfg.tau_list, cfg.ref_factor)
+    dt_ref = _reference_step(cfg.tau_list, cfg.ref_factor, cfg.t_end)
     setup = _setup(cfg, horizon=(cfg.t_end, "t_end"))
     params = setup.params
     with _Run("tau_sweep", setup, out_dir) as run:
@@ -908,10 +913,12 @@ def run_tau_sweep(
 
         report.values["ref_gap_H"] = ref_gap_h
         budget = sups_h[-1][1] / cfg.ref_factor  # the runs end at min(tau)
+        n_ref = len(reference.frames) - 1  # even: t_end is a multiple of 2 dt_ref
         report.add_check(
             "reference", PASS if ref_gap_h <= budget else FAIL,
             f"ETDRK4 gap dt_ref vs 2 dt_ref {ref_gap_h:.3e}, must be <= "
-            f"sup_err_H(min tau) / ref_factor = {budget:.3e} (dt_ref {dt_ref:g})",
+            f"sup_err_H(min tau) / ref_factor = {budget:.3e} "
+            f"(dt_ref {dt_ref:g}: {n_ref} + {n_ref // 2} ETDRK4 steps)",
         )
         for label, sups, lo, hi in (
             ("order_H", sups_h, 0.8, 1.2),

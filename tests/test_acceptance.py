@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from nudgeflow import experiments, schemes
 from nudgeflow.analysis import gronwall_envelope
 from nudgeflow.config import default_config
 from nudgeflow.experiments import (
@@ -273,12 +274,30 @@ def _tau_sweep_config(scheme: str):
     )
 
 
-def test_criterion_06_first_order_in_tau_sweep(tmp_path):
+def test_criterion_06_first_order_in_tau_sweep(tmp_path, monkeypatch):
+    # work budget: the ETDRK4 pair at dt_ref = min(tau) = 2 truth steps
+    # makes 400 + 200 steps, and every stage time is a stored truth frame
+    steps, truths = [0], []
+    real_step, real_truth = schemes._Etdrk4.step, experiments.build_truth
+
+    def step(self, *args):
+        steps[0] += 1
+        return real_step(self, *args)
+
+    def build_truth(setup):
+        truths.append(real_truth(setup))
+        return truths[-1]
+
+    monkeypatch.setattr(schemes._Etdrk4, "step", step)
+    monkeypatch.setattr(experiments, "build_truth", build_truth)
     t0 = time.monotonic()
     slopes = {}
     for scheme in SCHEMES:
+        steps[0] = 0
         rep = run_tau_sweep(_tau_sweep_config(scheme), str(tmp_path / scheme))
         assert rep.status == PASS, rep.describe()
+        assert steps[0] == 600
+        assert truths[-1].interpolated_queries == 0
         slopes[scheme] = (rep.values["order_H:slope"], rep.values["order_V:slope"])
     dt = _elapsed(t0, 300.0, 6)
     ok = all(

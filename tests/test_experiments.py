@@ -362,14 +362,30 @@ def test_start_gives_low_supported_initial_data(ic):
 # tau sweep
 
 
-def test_reference_step_is_half_the_smallest_tau_when_commensurate():
-    assert _reference_step((0.02, 0.01, 0.005, 0.0025), 50) == 0.00125
-    assert _reference_step((0.03, 0.02, 0.01), 50) == pytest.approx(0.005)
+def test_reference_step_is_the_smallest_tau_when_commensurate():
+    assert _reference_step((0.02, 0.01, 0.005, 0.0025), 50, 0.06) == 0.0025
+    assert _reference_step((0.03, 0.02, 0.01), 50, 0.06) == pytest.approx(0.01)
     # steps that are multiples of min(tau)/3 only: the old min(tau)/ref_factor
     # rule accepted them at ref_factor = 3, and m = 3 still does
-    assert _reference_step((0.05, 0.04, 0.03), 3) == pytest.approx(0.005)
-    with pytest.raises(ConfigError, match="integer multiple"):
-        _reference_step((0.05, 0.04, 0.03), 2)
+    assert _reference_step((0.05, 0.04, 0.03), 3, 0.6) == pytest.approx(0.01)
+    # m <= 2 ref_factor = 4 reaches m = 3 at ref_factor = 2 as well
+    assert _reference_step((0.05, 0.04, 0.03), 2, 0.6) == pytest.approx(0.01)
+    with pytest.raises(ConfigError, match="whole multiple"):
+        _reference_step((0.05, 0.04, 0.03), 1, 0.6)
+
+
+def test_reference_step_is_even_when_t_end_is_an_odd_number_of_it(tmp_path):
+    # m = 1 makes every tau a multiple of 0.01 but t_end = 15 * 0.01, so
+    # the run at 2 dt_ref could not end at t_end; m = 2 is the step
+    taus, t_end = (0.05, 0.03, 0.01), 0.15
+    assert _reference_step(taus, 50, t_end) == pytest.approx(0.005)
+    cfg = default_config(
+        grid_n=16, lambda_cut=20.0, forcing="kolmogorov", h=0.5,
+        tau_list=taus, t_end=t_end, burn_in=0.0, truth_spinup=0.1,
+    )
+    report = run_tau_sweep(cfg, str(tmp_path))
+    detail = {c.name: c.detail for c in report.checks}["reference"]
+    assert "(dt_ref 0.005: 30 + 15 ETDRK4 steps)" in detail
 
 
 def test_tau_sweep_reference_check_certifies_the_reference(tmp_path):

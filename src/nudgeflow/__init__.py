@@ -45,7 +45,6 @@ from .krylov import SolveResult, SolverError, gmres
 from .operators import (
     apply_stokes,
     bilinear_B,
-    bilinear_B_direct,
     inverse_stokes,
     kolmogorov_forcing,
     kolmogorov_steady_state,
@@ -72,7 +71,6 @@ from .experiments import (
     ExperimentReport,
     run_contraction_test,
     run_n_sweep,
-    run_self_check,
     run_stability_soak,
     run_tau_sweep,
     run_twin_experiment,

@@ -31,7 +31,6 @@ from .experiments import (
     _setup,
     run_contraction_test,
     run_n_sweep,
-    run_self_check,
     run_stability_soak,
     run_tau_sweep,
     run_twin_experiment,
@@ -101,6 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "check":
+            from .oracles import run_self_check  # only `check` loads the oracles
             cfg = _load_cfg(args)
             report = run_self_check(cfg.seed, out_dir=cfg.out_dir)
         elif args.command == "constants":

@@ -24,7 +24,7 @@ matrix products per transform.  That is the one product path of
 `to_physical`, `operators.bilinear_B` and the solver.  (2, n, n)
 coefficient arrays appear only where a full grid is the point: random
 draws are packed by the mirror gather `_pack_grid`, which is P_sigma of
-the real part, and the full-grid oracles (`operators.bilinear_B_direct`,
+the real part, and the full-grid oracles (`oracles.bilinear_B_direct`,
 `interpolants.apply_ih`) and the tests unpack fields with `_unpack_grid`.
 `leray_project_raw` is the Leray projection of such an array.
 
@@ -33,7 +33,8 @@ integral: (f, g) = L^2 sum_k fhat(k) . conj(ghat(k)) = 2 L^2 Re sum a_k
 conj(b_k).  With that convention norm_H is the L^2 norm, norm_V the H^1
 seminorm (gradient norm) and norm_DA the norm of the Stokes operator
 applied to the field, so the Poincare chain lambda1^(1/2) |f| <= ||f||
-holds per mode.
+holds per mode.  The norms are finite for every finite field: past about
+1e154 they are taken on the amplitudes over the largest (`krylov._rescaled`).
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .krylov import _rescaled
 
 __all__ = [
     "GridMismatchError",
@@ -210,6 +213,8 @@ class _Packing:
         self._norm_weights = 2.0 * grid.L**2 * np.stack(
             (np.ones_like(self.k_squared), self.k_squared, self.k_squared**2)
         )
+        # below this sum of |a_k|^2 no square or weighted sum overflows
+        self._square_limit = np.finfo(float).max / self._norm_weights.max(initial=1.0)
         self._e = np.stack((-j2, j1)) / np.sqrt(self.shell)
         # each component's or product's half-plane block: j1 at row
         # j1 % (2K + 1), j2 >= 0 at column j2, the modes only (`_transforms`)
@@ -257,7 +262,9 @@ class _Packing:
 
     def norms(self, vec: np.ndarray) -> list[float]:
         """[|v|, ||v||, |A v|] of a packed vector, by Parseval."""
-        return np.sqrt(self._norm_weights @ (vec.real**2 + vec.imag**2)).tolist()
+        if np.vdot(vec, vec).real <= self._square_limit:
+            return np.sqrt(self._norm_weights @ (vec.real**2 + vec.imag**2)).tolist()
+        return [_rescaled(lambda u, row=row: self.norms(u)[row], vec) for row in range(3)]
 
     # -- product-grid transfers ---------------------------------------------
 
@@ -409,8 +416,10 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
 
 
 def _norm(f: SpectralField, row: int) -> float:
-    w, c = _band_packing(f.grid)._norm_weights[row], f.coeffs
-    return float(np.sqrt(w @ (c.real**2 + c.imag**2)))
+    band, c = _band_packing(f.grid), f.coeffs
+    if np.vdot(c, c).real <= band._square_limit:
+        return float(np.sqrt(band._norm_weights[row] @ (c.real**2 + c.imag**2)))
+    return band.norms(c)[row]
 
 
 def norm_H(f: SpectralField) -> float:

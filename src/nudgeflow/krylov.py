@@ -69,14 +69,17 @@ class SolverError(RuntimeError):
         self.trajectory = None
 
 
-def _norm(vec: Vec) -> float:
-    """|vec|, finite for every finite vector: scaled by its largest entry
-    where the sum of squares overflows (entries past about 1e154)."""
-    sq = np.vdot(vec, vec).real
-    if math.isfinite(sq):
-        return math.sqrt(sq)
+def _rescaled(norm: Callable[[Vec], float], vec: Vec) -> float:
+    """top * norm(vec / top), top = max |entry|: norm(vec) where its sum of
+    squares overflows (entries past about 1e154); a non-finite top returns."""
     top = float(np.max(np.abs(vec)))
-    return top * float(np.linalg.norm(vec / top)) if math.isfinite(top) else top
+    return top * norm(vec / top) if math.isfinite(top) else top
+
+
+def _norm(vec: Vec) -> float:
+    """|vec|, finite for every finite vector (`_rescaled`)."""
+    sq = np.vdot(vec, vec).real
+    return math.sqrt(sq) if math.isfinite(sq) else _rescaled(_norm, vec)
 
 
 def gmres(

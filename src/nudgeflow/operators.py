@@ -5,8 +5,7 @@ the advective bilinear term B(u, v) = P_sigma ((u . grad) v) evaluated
 pseudo-spectrally in divergence form, P_sigma div(u (x) v) for solenoidal
 u, from velocity samples and their products alone (the solver's product
 path: `fields._Packing._sample`, `advect_raw`, `fields._Packing._project`),
-plus a brute-force convolution oracle on (2, n, n) arrays, the
-postprocessing manifold map phi1(p) = (nu A)^(-1) Q_N [f - B(p, p)], and
+the postprocessing manifold map phi1(p) = (nu A)^(-1) Q_N [f - B(p, p)], and
 two exact-solution constructors (steady Kolmogorov shear, decaying
 Taylor-Green vortex) used as integration oracles, which write their few
 amplitudes directly.
@@ -29,7 +28,6 @@ __all__ = [
     "apply_stokes",
     "inverse_stokes",
     "bilinear_B",
-    "bilinear_B_direct",
     "advect_raw",
     "phi1",
     "kolmogorov_forcing",
@@ -86,45 +84,6 @@ def bilinear_B(u: SpectralField, v: SpectralField) -> SpectralField:
     p = _band_packing(u.grid)
     u_phys, v_phys = p._sample(np.stack((u.coeffs, v.coeffs)))
     return SpectralField(u.grid, p._project(advect_raw(u.grid, u_phys, v_phys)))
-
-
-def bilinear_B_direct(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Brute-force oracle for bilinear_B via the explicit convolution sum.
-
-    Accumulates uhat_B(k) = sum_{p+q=k} i (uhat(p) . q) vhat(q) mode by
-    mode (no FFT, no aliasing) on the (2, n, n) arrays of both fields,
-    then packs it on the band, which is the dealiasing mask and Leray
-    projection of bilinear_B, so outputs are directly comparable.
-    Intended for small grids.
-    """
-    u._require_same_grid(v)
-    grid = u.grid
-    n = grid.n
-    band = _band_packing(grid)
-    uc, vc = band._unpack_grid(u.coeffs), band._unpack_grid(v.coeffs)
-    scale = 2.0 * np.pi / grid.L
-    j1 = grid.j1.astype(np.int64)
-    j2 = grid.j2.astype(np.int64)
-    out = np.zeros((2, n, n), dtype=np.complex128)
-    rows, cols = np.nonzero(np.abs(uc[0]) + np.abs(uc[1]))
-    half = n // 2
-    for a, b in zip(rows, cols):
-        p1 = int(j1[a, 0])
-        p2 = int(j2[0, b])
-        up = uc[:, a, b]
-        # i (uhat(p) . q) vhat(q) for all q at once; q in physical units
-        dot = 1j * scale * (up[0] * j1 + up[1] * j2)
-        contrib = dot[None, :, :] * vc
-        t1 = p1 + j1  # target integer frequencies, shape (n, 1)
-        t2 = p2 + j2  # shape (1, n)
-        valid = (
-            (t1 >= -half) & (t1 <= half - 1) & (t2 >= -half) & (t2 <= half - 1)
-        )
-        tr = np.broadcast_to(t1 % n, (n, n))[valid]
-        tc = np.broadcast_to(t2 % n, (n, n))[valid]
-        out[0][tr, tc] += contrib[0][valid]
-        out[1][tr, tc] += contrib[1][valid]
-    return SpectralField(grid, band._pack_grid(out))
 
 
 def phi1(

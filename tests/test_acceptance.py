@@ -17,8 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from nudgeflow import experiments, schemes
-from nudgeflow.analysis import gronwall_envelope
+from nudgeflow import experiments, oracles, schemes
 from nudgeflow.config import default_config
 from nudgeflow.experiments import (
     FAIL,
@@ -30,30 +29,16 @@ from nudgeflow.experiments import (
     run_tau_sweep,
     run_twin_experiment,
 )
-from nudgeflow.fields import (
-    GalerkinCutoff,
-    SpectralField,
-    TorusGrid,
-    _band_packing,
-    inner_product,
-    leray_project_raw,
-    norm_H,
-    norm_V,
-    project_high,
-    project_low,
-    random_field,
-)
+from nudgeflow.fields import GalerkinCutoff, SpectralField, TorusGrid, norm_H, norm_V
 from nudgeflow.operators import (
-    bilinear_B,
-    bilinear_B_direct,
+    _modes_field,
     kolmogorov_forcing,
     kolmogorov_steady_state,
     taylor_green,
 )
-from nudgeflow.schemes import PhysicsParams, advance
+from nudgeflow.schemes import SCHEMES, PhysicsParams, advance
 
 SEED = 20260815
-SCHEMES = ("semi_implicit", "fully_implicit")
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -67,86 +52,27 @@ def _elapsed(t0: float, limit: float, num: int) -> float:
     return dt
 
 
-def _free_params(grid: TorusGrid, nu: float, forcing: SpectralField) -> PhysicsParams:
-    return PhysicsParams(
-        nu=nu, grid=grid, forcing=forcing, beta=0.0, interpolant=None,
-        cutoff=grid.band_cutoff(),
-    )
-
-
 def test_criterion_01_bilinear_matches_direct_convolution():
     t0 = time.monotonic()
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    pairs = 0
-    for n in (8, 12, 16):
-        grid = TorusGrid(2.0 * math.pi, n)
-        for _ in range(17):
-            u = random_field(grid, rng, norm_h=1.0)
-            v = random_field(grid, rng, norm_h=1.0)
-            slow = bilinear_B_direct(u, v)
-            gap = norm_H(bilinear_B(u, v) - slow)
-            worst = max(worst, gap / max(norm_H(slow), 1e-300))
-            pairs += 1
-    assert pairs >= 50
+    worst = oracles.bilinear_gap(np.random.default_rng(SEED), (8, 12, 16), 17)
     dt = _elapsed(t0, 10.0, 1)
     _verdict(1, "transform bilinear term vs direct convolution", worst <= 1e-12,
-             f"max rel gap {worst:.3e} over {pairs} pairs, {dt:.1f}s")
-
-
-def _single_mode(grid: TorusGrid, j1: int, j2: int) -> SpectralField:
-    """One amplitude at the half-plane mode (j1, j2)."""
-    band = _band_packing(grid)
-    c = np.zeros(band.size, dtype=complex)
-    c[band._index_of((np.array([j1]), np.array([j2])))] = 0.35 + 0.2j
-    return SpectralField(grid, c)
+             f"max rel gap {worst:.3e} over 51 pairs, {dt:.1f}s")
 
 
 def test_criterion_02_orthogonality_and_projections():
     t0 = time.monotonic()
     rng = np.random.default_rng(SEED + 2)
     grid = TorusGrid(2.0 * math.pi, 32)
-
-    worst_orth = 0.0
-    for _ in range(10):
-        u = random_field(grid, rng, norm_h=1.0)
-        v = random_field(grid, rng, norm_h=1.0)
-        w = random_field(grid, rng, norm_h=1.0)
-        buv, buw = bilinear_B(u, v), bilinear_B(u, w)
-        worst_orth = max(
-            worst_orth,
-            abs(inner_product(buv, v)) / (norm_H(buv) * norm_H(v)),
-            abs(inner_product(buv, w) + inner_product(buw, v))
-            / (norm_H(buv) * norm_H(w) + norm_H(buw) * norm_H(v)),
-        )
-
+    worst_orth = oracles.orthogonality_defect(rng, grid, 10)
     worst_poincare = 0.0
     for j1, j2 in ((1, 0), (0, 1), (1, 1), (2, 1), (3, 2), (4, 0), (5, 3)):
-        e = _single_mode(grid, j1, j2)
+        e = _modes_field(grid, [j1], [j2], [0.35 + 0.2j])
         lhs = norm_V(e) ** 2
         rhs = (j1 * j1 + j2 * j2) * grid.lambda1 * norm_H(e) ** 2
         worst_poincare = max(worst_poincare, abs(lhs - rhs) / rhs)
 
-    worst_proj = 0.0
-    for _ in range(5):
-        phys = rng.standard_normal((2, 32, 32))
-        raw = np.fft.fft2(phys, axes=(1, 2)) / (32 * 32)
-        p = leray_project_raw(raw, grid)
-        again = leray_project_raw(p, grid)
-        worst_proj = max(worst_proj, np.linalg.norm(again - p) / np.linalg.norm(p))
-        grad = raw - p
-        grad[:, 0, 0] = 0.0
-        cross = abs(float(np.sum(grad * np.conj(p)).real))
-        scale = float(np.linalg.norm(grad) * np.linalg.norm(p))
-        worst_proj = max(worst_proj, cross / scale)
-
-        f = random_field(grid, rng, norm_h=1.0)
-        cut = GalerkinCutoff(25.0)
-        low, high = project_low(f, cut), project_high(f, cut)
-        assert np.array_equal(project_low(low, cut).coeffs, low.coeffs)
-        worst_proj = max(worst_proj, abs(inner_product(low, high)) / norm_H(f) ** 2)
-        worst_proj = max(worst_proj, norm_H((low + high) - f) / norm_H(f))
-
+    worst_proj = oracles.projection_defect(rng, grid, GalerkinCutoff(25.0), 5)
     dt = _elapsed(t0, 10.0, 2)
     ok = worst_orth <= 1e-11 and worst_poincare <= 1e-12 and worst_proj <= 1e-12
     _verdict(2, "orthogonality, per-mode Poincare, projections", ok,
@@ -162,21 +88,16 @@ def test_criterion_03_steady_fixed_point_and_taylor_green_order():
     nu = 1.0
     f = kolmogorov_forcing(grid, 1, 1.0)
     star = kolmogorov_steady_state(grid, 1, 1.0, nu)
-    params = _free_params(grid, nu, f)
-    worst_step = 0.0
-    for scheme in SCHEMES:
-        for tau in (0.01, 0.1):
-            _, traj = advance(star, params, None, tau, 50, scheme=scheme, store_every=1)
-            devs = [0.0] + [norm_H(v - star) for v in traj.fields[1:]]
-            inc = max(b - a for a, b in zip(devs, devs[1:]))
-            worst_step = max(worst_step, inc, devs[1])
-            assert all(d <= (k + 1) * 1e-9 for k, d in enumerate(devs[1:]))
+    free = PhysicsParams(nu, grid, f, 0.0, None, grid.band_cutoff())
+    worst_step = oracles.steady_drift(free, star, (0.01, 0.1), 50)
 
     # (b) unforced vortex decay: first order in tau via Richardson halving
     grid_tg = TorusGrid(2.0 * math.pi, 16)
     nu_tg, t_end = 0.1, 2.0
     exact = taylor_green(grid_tg, 1, t_end, nu_tg)
-    params_tg = _free_params(grid_tg, nu_tg, SpectralField.zero(grid_tg))
+    params_tg = PhysicsParams(
+        nu_tg, grid_tg, SpectralField.zero(grid_tg), 0.0, None, grid_tg.band_cutoff()
+    )
     v0 = taylor_green(grid_tg, 1, 0.0, nu_tg)
     orders = {}
     fine_rel = {}
@@ -377,22 +298,9 @@ def test_criterion_08_postprocessing_cutoff_sweep(tmp_path):
 
 def test_criterion_09_gronwall_envelope_dominates_recurrence():
     t0 = time.monotonic()
-    rng = np.random.default_rng(SEED + 9)
-    worst = 0.0
-    for _ in range(1000):
-        m = int(rng.integers(0, 201))
-        gamma = float(rng.uniform(-0.5, 3.0))
-        a0 = float(rng.uniform(0.0, 10.0))
-        g = rng.uniform(0.0, 2.0, size=m)
-        env = gronwall_envelope(a0, gamma, g, m)
-        a = a0
-        for k in range(m):
-            a = float(rng.uniform(0.0, 1.0)) * (a + g[k]) / (1.0 + gamma)
-            assert a <= env[k + 1] * (1.0 + 1e-12) + 1e-15
-            if env[k + 1] > 0.0:
-                worst = max(worst, a / env[k + 1])
+    worst = oracles.gronwall_ratio(np.random.default_rng(SEED + 9), 1000, 200, 1.0)
     dt = _elapsed(t0, 5.0, 9)
-    _verdict(9, "recurrence never exceeds its closed envelope", True,
+    _verdict(9, "recurrence never exceeds its closed envelope", worst <= 1.0 + 1e-12,
              f"1000 draws, m <= 200, max a/envelope {worst:.4f}, {dt:.1f}s")
 
 

@@ -37,7 +37,6 @@ from nudgeflow.experiments import (
     render_report,
     run_contraction_test,
     run_n_sweep,
-    run_self_check,
     run_stability_soak,
     run_tau_sweep,
     run_twin_experiment,
@@ -53,6 +52,7 @@ from nudgeflow.fields import (
     project_low,
 )
 from nudgeflow.krylov import SolveResult, SolverError
+from nudgeflow.oracles import run_self_check
 from nudgeflow.storage import Trajectory, load_snapshot
 
 # Shear amplitude giving Grashof number 2 at nu = 0.1 on the 2 pi torus.
@@ -575,9 +575,8 @@ for cfg in sys.argv[2:]:
         assert name not in sys.modules, "constants on " + cfg + " loaded " + name
 import math
 import numpy as np
-from nudgeflow import (
-    PhysicsParams, TorusGrid, advance, kolmogorov_forcing, random_field, run_self_check,
-)
+from nudgeflow import PhysicsParams, TorusGrid, advance, kolmogorov_forcing, random_field
+from nudgeflow.oracles import run_self_check
 grid = TorusGrid(2.0 * math.pi, 24)
 forcing = kolmogorov_forcing(grid, 2, 0.5)
 p = PhysicsParams(0.1, grid, forcing, 0.0, None, grid.band_cutoff())
@@ -724,7 +723,7 @@ def _minimal_config(tmp_path, key, value):
         ("nu", "1e-300", "nu^2 lambda1 underflows to 0"),
         ("nu", "1e200", "Grashof number 0.000e+00 gives Lambda = -inf < 0"),
         ("forcing_amplitude", "1e100", "a-priori constant R1 = inf is not finite"),
-        ("forcing_amplitude", "1e200", "a-priori constant G = inf is not finite"),
+        ("forcing_amplitude", "1e200", "a-priori constant R1 = inf is not finite"),
         # read as zero forcing (exit 0, no constants) when |f| decided it
         ("forcing_amplitude", "1e-200", "nonzero forcing underflows to 0"),
     ],
@@ -732,7 +731,8 @@ def _minimal_config(tmp_path, key, value):
 def test_cli_overflowing_constants_exit_2(tmp_path, capsys, command, key, value, reason):
     # these escaped as ZeroDivisionError or OverflowError tracebacks,
     # printed G = M1 = inf and exited 0, or gave "math domain error"; an
-    # |f| of 1e200 also printed numpy's overflow warning before the reason
+    # |f| of 1e200 also overflowed to inf with numpy's warning before the
+    # reason
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -859,6 +859,7 @@ _FUZZ_VALUES = {
     "ic_amplitude": [1.5],
     "seed": [-1],
 }
+_FUZZ_COMMANDS = ("constants", "twin", "contraction", "soak", "tau-sweep", "n-sweep")
 _FUZZ_CHANGES = st.lists(
     st.sampled_from(sorted(_FUZZ_VALUES)), min_size=1, max_size=3, unique=True
 ).flatmap(
@@ -866,17 +867,10 @@ _FUZZ_CHANGES = st.lists(
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    command=st.sampled_from(
-        ["constants", "twin", "contraction", "soak", "tau-sweep", "n-sweep"]
-    ),
-    changes=_FUZZ_CHANGES,
-)
-def test_cli_exits_0_1_or_2_on_adversarial_configs(command, changes):
-    # a run passes (0), fails a check (1) or is rejected by a ConfigError (2);
-    # any other exception escapes main and fails this test.  A seed no
-    # config can hold reaches main as the --seed override.
+def _fuzz_exit(command: str, changes: dict) -> int:
+    """The exit code of `command` on _FUZZ_BASE with `changes`, in a fresh
+    temporary directory.  A seed no config can hold reaches main as the
+    --seed override."""
     changes = dict(changes)
     seed = ["--seed", str(changes.pop("seed"))] if "seed" in changes else []
     with tempfile.TemporaryDirectory() as tmp:
@@ -887,7 +881,64 @@ def test_cli_exits_0_1_or_2_on_adversarial_configs(command, changes):
             "--quiet", "--config", cfg_path, "--out", os.path.join(tmp, "out"),
             *seed, command,
         ]
-        assert cli.main(argv) in (0, 1, 2)
+        return cli.main(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(_FUZZ_COMMANDS), changes=_FUZZ_CHANGES)
+def test_cli_exits_0_1_or_2_on_adversarial_configs(command, changes):
+    # a run passes (0), fails a check (1) or is rejected by a ConfigError (2);
+    # any other exception escapes main and fails this test
+    assert _fuzz_exit(command, changes) in (0, 1, 2)
+
+
+# The exit codes of every one-key draw: per key, one string per value of
+# _FUZZ_VALUES in order, one digit per command of _FUZZ_COMMANDS in order.
+# `tests/fuzz_all.py` runs every draw of one to three keys.
+_ONE_KEY_EXITS = {
+    "beta": ["010201", "010201", "010211"],
+    "forcing": ["022222", "022222"],
+    "forcing_amplitude": ["222222", "222222"],
+    "forcing_kappa": ["222222", "222222"],
+    "grid_n": ["222222", "222222", "222222", "222222", "222222"],
+    "h": ["010201", "010201", "222222", "222222", "222222"],
+    "ic": ["010001", "020011", "010201"],
+    "ic_amplitude": ["010201"],
+    "interpolant": ["222222", "222222"],
+    "lambda_cut": ["222222", "010001", "222222"],
+    "lambda_cut_list": ["010002", "010002", "010002"],
+    "nu": ["222222", "011211", "222222", "222222"],
+    "seed": ["222222"],
+    "tau": ["020002", "020002", "020002"],
+    "truth": ["010001", "022222"],
+}
+
+
+def test_cli_pins_the_exit_code_of_every_one_key_draw():
+    # 41 values x 6 commands, each run end to end: a change in any verdict
+    # or rejection shows here, whichever draws the sampled fuzz makes
+    exits = {
+        key: ["".join(str(_fuzz_exit(c, {key: v})) for c in _FUZZ_COMMANDS) for v in values]
+        for key, values in _FUZZ_VALUES.items()
+    }
+    assert exits == _ONE_KEY_EXITS
+
+
+@pytest.mark.parametrize("truth", ["nse_integrate", "analytic:taylor_green"])
+def test_cli_n_sweep_reports_finite_errors_past_the_square_overflow(tmp_path, truth):
+    # nu = 1e-300 puts phi1's correction near 1e299: its norm is finite, so
+    # the report reads finite errors, and no overflow warning escapes main
+    cfg_path = tmp_path / "run.cfg"
+    cfg = default_config(**{**_FUZZ_BASE, "forcing": "none", "nu": 1e-300, "truth": truth})
+    cfg_path.write_text(render_config(cfg))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["--quiet", "--config", str(cfg_path), "--out", str(out), "n-sweep"])
+    assert rc == 1
+    errors = re.findall(r"^err_pp_H:lambda_cut=\S+ = (\S+)$",
+                        (out / "n_sweep_report.txt").read_text(), re.M)
+    assert len(errors) == 3 and all(math.isfinite(float(e)) for e in errors)
 
 
 def test_cli_diverging_march_fails_its_solver_check_without_warnings(tmp_path):

@@ -27,10 +27,10 @@ from nudgeflow.fields import (
 )
 from nudgeflow.operators import (
     bilinear_B,
-    bilinear_B_direct,
     kolmogorov_forcing,
     taylor_green,
 )
+from nudgeflow.oracles import bilinear_B_direct
 
 TWO_PI = 2.0 * np.pi
 
@@ -79,6 +79,20 @@ def test_norms_scale_with_shell(grid16):
     # shell 4 mode: ||f||^2 = 4 |f|^2 and |Af|^2 = 16 |f|^2
     assert norm_V(f) ** 2 == pytest.approx(4.0 * norm_H(f) ** 2, rel=1e-13)
     assert norm_DA(f) ** 2 == pytest.approx(16.0 * norm_H(f) ** 2, rel=1e-13)
+
+
+def test_norms_past_the_square_overflow_scale_with_the_field(rng, grid16):
+    # amplitudes past about 1e154 overflow a plain sum of squares although
+    # the norms are finite: they scale with the field, to roundoff, and
+    # without a warning; a non-finite vector reads its largest magnitude
+    f = random_field(grid16, rng, norm_h=1.0)
+    big = f * 1e200
+    for norm in (norm_H, norm_V, norm_DA):
+        assert norm(big) == pytest.approx(1e200 * norm(f), rel=1e-14)
+    band = _band_packing(grid16)
+    expected = [1e200 * x for x in band.norms(f.coeffs)]
+    assert band.norms(big.coeffs) == pytest.approx(expected, rel=1e-14)
+    assert band.norms(np.full(band.size, np.inf, dtype=complex)) == [np.inf] * 3
 
 
 def test_poincare_inequality_random(rng, grid32):

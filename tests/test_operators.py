@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from nudgeflow import oracles
 from nudgeflow.fields import (
     GalerkinCutoff,
     SpectralField,
     TorusGrid,
     _band_packing,
-    inner_product,
     leray_project_raw,
     norm_H,
     project_high,
@@ -18,7 +18,6 @@ from nudgeflow.fields import (
 from nudgeflow.operators import (
     apply_stokes,
     bilinear_B,
-    bilinear_B_direct,
     inverse_stokes,
     kolmogorov_forcing,
     kolmogorov_steady_state,
@@ -104,28 +103,20 @@ def test_bilinear_hand_convolution_oracle(grid16):
 
 @pytest.mark.parametrize("n", [8, 12])
 def test_bilinear_matches_direct_convolution(n, rng):
+    assert oracles.bilinear_gap(rng, (n,), 5) <= 1e-12
+    # B is quadratic: amplitudes of 1e6 give 1e12 times the direct product
     grid = TorusGrid(TWO_PI, n)
     for _ in range(5):
-        u = random_field(grid, rng, norm_v=1.0)
-        v = random_field(grid, rng, norm_v=1.0)
-        fast = bilinear_B(u, v)
-        slow = bilinear_B_direct(u, v)
-        assert norm_H(fast - slow) <= 1e-12 * max(norm_H(slow), 1e-30)
-        big = bilinear_B(u * 1e6, v * 1e6)
-        assert norm_H(big - slow * 1e12) <= 1e-12 * max(norm_H(slow * 1e12), 1e-30)
+        u, v = random_field(grid, rng, norm_v=1.0), random_field(grid, rng, norm_v=1.0)
+        slow = oracles.bilinear_B_direct(u, v) * 1e12
+        assert norm_H(bilinear_B(u * 1e6, v * 1e6) - slow) <= 1e-12 * norm_H(slow)
 
 
 def test_bilinear_orthogonality_identities(rng, grid32):
-    for _ in range(8):
-        u = random_field(grid32, rng, norm_v=1.0)
-        v = random_field(grid32, rng, norm_v=1.0)
-        w = random_field(grid32, rng, norm_v=1.0)
-        buv = bilinear_B(u, v)
-        buw = bilinear_B(u, w)
-        scale = max(norm_H(buv) * norm_H(v), 1e-30)
-        assert abs(inner_product(buv, v)) <= 1e-12 * scale
-        anti = inner_product(buv, w) + inner_product(buw, v)
-        assert abs(anti) <= 1e-12 * max(norm_H(buv) * norm_H(w), 1e-30)
+    # the antisymmetry defect is over |B(u,v)||w| + |B(u,w)||v|, where the
+    # two terms stay within a factor 2 of each other: 1e-13 of that sum is
+    # below 1e-12 |B(u,v)||w|
+    assert oracles.orthogonality_defect(rng, grid32, 8) <= 1e-13
 
 
 def test_taylor_green_self_advection_is_gradient(grid32):

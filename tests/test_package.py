@@ -68,14 +68,17 @@ def test_from_coeffs_is_called_only_for_loaded_snapshots():
 def test_no_code_checks_or_repairs_the_field_invariants():
     # band-packed amplitudes are real, mean-free and solenoidal by
     # construction; the Leray projection of a (2, n, n) array serves only
-    # the full-grid observation oracle, whose average is not band-limited
+    # the full-grid observation oracle, whose average is not band-limited,
+    # and the projection oracle that checks it
     checkers = {"_conj_flip", "_validate", "_require_band"}
     defined = [
         (module, node.name) for module, tree in _trees().items()
         for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
     ]
     assert [f for f in defined if f[1] in checkers] == []
-    assert _callers("leray_project_raw") == [("interpolants", "apply_ih")]
+    assert _callers("leray_project_raw") == [
+        ("interpolants", "apply_ih"), *[("oracles", "projection_defect")] * 2,
+    ]
 
 
 def test_average_symbol_is_called_only_by_the_observation_builders():
@@ -131,7 +134,7 @@ def test_runners_march_only_where_they_record_or_build():
         )
     ]
     assert sorted(marching) == [
-        "_march", "build_truth", "run_contraction_test", "run_n_sweep", "run_self_check",
+        "_march", "build_truth", "run_contraction_test", "run_n_sweep",
     ]
 
 

@@ -91,29 +91,20 @@ class ExperimentConfig:
                     f"{key} entries must differ in their 6-digit labels, got "
                     f"{getattr(self, key)} (labels {', '.join(labels)})"
                 )
-        if self.seed < 0:
-            # numpy's generators take nonnegative seeds only
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.truth_dt_factor < 1:
-            raise ConfigError(
-                f"truth_dt_factor must be >= 1, got {self.truth_dt_factor}"
-            )
-        if not self.condition_c >= 0.0:
-            raise ConfigError(
-                f"condition_c must be nonnegative, got {self.condition_c}"
-            )
-        if not self.truth_spinup >= 0.0:
-            raise ConfigError(
-                f"truth_spinup must be nonnegative, got {self.truth_spinup}"
-            )
-        for key in ("truth_store_every", "soak_steps", "contraction_steps"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if not self.tau_floor_factor > 1.0:
-            # the floor check compares against a finer step tau / factor
-            raise ConfigError(
-                f"tau_floor_factor must be > 1, got {self.tau_floor_factor}"
-            )
+        # numpy's generators take nonnegative seeds only, and the floor
+        # check compares against a finer step tau / tau_floor_factor
+        for key, need, holds in (
+            ("seed", "nonnegative", lambda x: x >= 0),
+            ("truth_dt_factor", ">= 1", lambda x: x >= 1),
+            ("condition_c", "nonnegative", lambda x: x >= 0.0),
+            ("truth_spinup", "nonnegative", lambda x: x >= 0.0),
+            ("truth_store_every", ">= 1", lambda x: x >= 1),
+            ("soak_steps", ">= 1", lambda x: x >= 1),
+            ("contraction_steps", ">= 1", lambda x: x >= 1),
+            ("tau_floor_factor", "> 1", lambda x: x > 1.0),
+        ):
+            if not holds(getattr(self, key)):
+                raise ConfigError(f"{key} must be {need}, got {getattr(self, key)}")
         for f in dc_fields(self):
             value = getattr(self, f.name)
             entries = value if isinstance(value, tuple) else (value,)

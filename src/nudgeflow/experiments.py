@@ -155,42 +155,30 @@ def _fmt(x: float) -> str:
 
 
 def render_report(report: ExperimentReport) -> str:
-    lines = ["[run]"]
-    lines.append(f"experiment = {report.name}")
-    lines.append(f"scheme = {report.scheme}")
-    lines.append(f"seed = {report.seed}")
-    lines.append(f"status = {report.status}")
-    if report.constants is not None:
-        lines.append("")
-        lines.append("[constants]")
-        for key, value in report.constants.as_dict().items():
-            lines.append(f"{key} = {_fmt(value)}")
-    if report.conditions is not None:
-        lines.append("")
-        lines.append("[conditions]")
-        lines.extend(check.describe() for check in report.conditions.checks)
-    lines.append("")
-    lines.append("[checks]")
-    for c in report.checks:
-        detail = f" ({c.detail})" if c.detail else ""
-        lines.append(f"{c.name} = {c.status}{detail}")
-    if report.values:
-        lines.append("")
-        lines.append("[values]")
-        for key, value in report.values.items():
-            lines.append(f"{key} = {_fmt(value)}")
-    if report.series_files:
-        lines.append("")
-        lines.append("[series]")
-        for i, name in enumerate(report.series_files):
-            lines.append(f"file_{i} = {name}")
-    if report.notes:
-        lines.append("")
-        lines.append("[notes]")
-        for i, note in enumerate(report.notes):
-            lines.append(f"note_{i} = {note}")
-    lines.append("")
-    return "\n".join(lines)
+    """Each section of the report under its [title], in order; a section
+    that is None (constants and conditions a run lacks, empty values,
+    series and notes) is left out."""
+    constants, conditions = report.constants, report.conditions
+    sections = {
+        "run": [
+            f"experiment = {report.name}", f"scheme = {report.scheme}",
+            f"seed = {report.seed}", f"status = {report.status}",
+        ],
+        "constants": constants and [f"{k} = {_fmt(v)}" for k, v in constants.as_dict().items()],
+        "conditions": conditions and [check.describe() for check in conditions.checks],
+        "checks": [
+            f"{c.name} = {c.status}" + (f" ({c.detail})" if c.detail else "")
+            for c in report.checks
+        ],
+        "values": [f"{k} = {_fmt(v)}" for k, v in report.values.items()] or None,
+        "series": [f"file_{i} = {name}" for i, name in enumerate(report.series_files)] or None,
+        "notes": [f"note_{i} = {note}" for i, note in enumerate(report.notes)] or None,
+    }
+    lines = []
+    for title, entries in sections.items():
+        if entries is not None:
+            lines += ["", f"[{title}]", *entries]
+    return "\n".join(lines[1:] + [""])
 
 
 def write_report(report: ExperimentReport, out_dir: str) -> str:

@@ -33,15 +33,17 @@ integral: (f, g) = L^2 sum_k fhat(k) . conj(ghat(k)) = 2 L^2 Re sum a_k
 conj(b_k).  With that convention norm_H is the L^2 norm, norm_V the H^1
 seminorm (gradient norm) and norm_DA the norm of the Stokes operator
 applied to the field, so the Poincare chain lambda1^(1/2) |f| <= ||f||
-holds per mode.  The norms are finite for every finite field: past about
-1e154 they are taken on the amplitudes over the largest (`krylov._rescaled`).
+holds per mode.  A norm overflows only where its value does: the Parseval
+weights are floats (`TorusGrid` rejects an L that puts them past the
+largest), and past about 1e154 the norms are taken on the amplitudes over
+the largest (`krylov._rescaled`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -90,6 +92,15 @@ class TorusGrid:
             raise ValueError(f"domain side L must be positive and finite, got {self.L}")
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"grid size n must be even and >= 4, got {self.n}")
+        # the largest Parseval weights of `_Packing`: 2 L^2 of |v|, and
+        # 2 L^2 k^4 of |A v| at the band's corner k^2 = lambda1 2 K^2
+        q = 2.0 * math.pi / self.L
+        corner = q * q * 2 * self.band_limit**2
+        if not math.isfinite(2.0 * (self.L * self.L) * max(1.0, corner * corner)):
+            raise ValueError(
+                f"domain side L = {self.L} puts the Parseval weights of the norms "
+                "past the largest float"
+            )
 
     @property
     def lambda1(self) -> float:
@@ -213,8 +224,11 @@ class _Packing:
         self._norm_weights = 2.0 * grid.L**2 * np.stack(
             (np.ones_like(self.k_squared), self.k_squared, self.k_squared**2)
         )
-        # below this sum of |a_k|^2 no square or weighted sum overflows
-        self._square_limit = np.finfo(float).max / self._norm_weights.max(initial=1.0)
+        # below a row's sum of |a_k|^2 no square or weighted sum of the row
+        # overflows, and below their least none of `norms`
+        limits = np.finfo(float).max / self._norm_weights.max(1, initial=1.0)
+        self._square_limits = limits.tolist()
+        self._square_limit = min(self._square_limits)
         self._e = np.stack((-j2, j1)) / np.sqrt(self.shell)
         # each component's or product's half-plane block: j1 at row
         # j1 % (2K + 1), j2 >= 0 at column j2, the modes only (`_transforms`)
@@ -262,9 +276,7 @@ class _Packing:
 
     def norms(self, vec: np.ndarray) -> list[float]:
         """[|v|, ||v||, |A v|] of a packed vector, by Parseval."""
-        if np.vdot(vec, vec).real <= self._square_limit:
-            return np.sqrt(self._norm_weights @ (vec.real**2 + vec.imag**2)).tolist()
-        return [_rescaled(lambda u, row=row: self.norms(u)[row], vec) for row in range(3)]
+        return _parseval_norms(self._norm_weights, self._square_limit, vec).tolist()
 
     # -- product-grid transfers ---------------------------------------------
 
@@ -415,11 +427,23 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
     return float(2.0 * f.grid.L**2 * s.real)
 
 
+def _parseval(weights: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """sqrt(weights @ |vec|^2), a norm per row of weights."""
+    return np.sqrt(weights @ (vec.real**2 + vec.imag**2))
+
+
+def _parseval_norms(weights: np.ndarray, limit: float, vec: np.ndarray) -> np.ndarray:
+    """`_parseval`, taken on vec over its largest |entry| (`krylov._rescaled`)
+    where the sum of |vec|^2 passes limit, the sum below which no term or
+    row sum overflows."""
+    if np.vdot(vec, vec).real <= limit:
+        return _parseval(weights, vec)
+    return _rescaled(partial(_parseval, weights), vec)
+
+
 def _norm(f: SpectralField, row: int) -> float:
-    band, c = _band_packing(f.grid), f.coeffs
-    if np.vdot(c, c).real <= band._square_limit:
-        return float(np.sqrt(band._norm_weights[row] @ (c.real**2 + c.imag**2)))
-    return band.norms(c)[row]
+    band = _band_packing(f.grid)
+    return float(_parseval_norms(band._norm_weights[row], band._square_limits[row], f.coeffs))
 
 
 def norm_H(f: SpectralField) -> float:

@@ -69,17 +69,18 @@ class SolverError(RuntimeError):
         self.trajectory = None
 
 
-def _rescaled(norm: Callable[[Vec], float], vec: Vec) -> float:
-    """top * norm(vec / top), top = max |entry|: norm(vec) where its sum of
-    squares overflows (entries past about 1e154); a non-finite top returns."""
+def _rescaled(norm: Callable[[Vec], float | Vec], vec: Vec) -> float | Vec:
+    """norm(vec) for a norm whose sum of squares overflows on vec (entries
+    past about 1e154): top * norm(vec / top), top = max |entry|, for finite
+    entries; norm(vec) itself, not finite, otherwise."""
     top = float(np.max(np.abs(vec)))
-    return top * norm(vec / top) if math.isfinite(top) else top
+    return top * norm(vec / top) if math.isfinite(top) else norm(vec)
 
 
 def _norm(vec: Vec) -> float:
     """|vec|, finite for every finite vector (`_rescaled`)."""
     sq = np.vdot(vec, vec).real
-    return math.sqrt(sq) if math.isfinite(sq) else _rescaled(_norm, vec)
+    return math.sqrt(sq) if math.isfinite(sq) else float(_rescaled(np.linalg.norm, vec))
 
 
 def gmres(

@@ -4,10 +4,10 @@
 100 draws per run: one command of `_FUZZ_COMMANDS` on `_FUZZ_BASE` with one
 to three keys set to values of `_FUZZ_VALUES`.  This script runs all
 58,434 of them in-process under `error::RuntimeWarning`, as the test suite
-does, split over at most two worker processes (BLAS pinned to one thread
-each).  From the root of a checkout:
+does, split over WORKERS = 2 processes (BLAS pinned to one thread each).
+From the root of a checkout:
 
-    PYTHONPATH=src python tests/fuzz_all.py [--workers 2] [--out out/fuzz_all.json]
+    PYTHONPATH=src python tests/fuzz_all.py [--out out/fuzz_all.json]
 
 It writes a JSON summary: the count of each exit code per command and per
 key, every failing draw (an exception out of `cli.main`, or an exit code
@@ -30,6 +30,7 @@ from collections import Counter, defaultdict
 
 from test_experiments import _FUZZ_COMMANDS, _FUZZ_VALUES, _fuzz_exit
 
+WORKERS = 2
 SLOWEST = 20
 
 
@@ -45,14 +46,13 @@ def draws() -> list[tuple[str, dict]]:
     ]
 
 
-def _run_share(share: tuple[int, int]) -> list[tuple[int, object, float]]:
+def _run_share(worker: int) -> list[tuple[int, object, float]]:
     """(index, exit code or traceback, seconds) of every draw whose index is
-    `worker` modulo `workers`."""
-    worker, workers = share
+    `worker` modulo WORKERS."""
     warnings.simplefilter("error", RuntimeWarning)
     results = []
     for i, (command, changes) in enumerate(draws()):
-        if i % workers != worker:
+        if i % WORKERS != worker:
             continue
         t0 = time.perf_counter()
         try:
@@ -95,16 +95,14 @@ def summarize(results: list[tuple[int, object, float]], wall_s: float) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workers", type=int, choices=(1, 2), default=2)
     parser.add_argument("--out", default=os.path.join("out", "fuzz_all.json"))
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     # each worker imports numpy afresh, with BLAS on one thread
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-    shares = [(w, args.workers) for w in range(args.workers)]
-    with multiprocessing.get_context("spawn").Pool(args.workers) as pool:
-        results = [r for share in pool.map(_run_share, shares) for r in share]
+    with multiprocessing.get_context("spawn").Pool(WORKERS) as pool:
+        results = [r for share in pool.map(_run_share, range(WORKERS)) for r in share]
     summary = summarize(sorted(results), time.perf_counter() - t0)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -305,13 +305,9 @@ def test_criterion_09_gronwall_envelope_dominates_recurrence():
 
 
 def _rerun_config():
-    amp = 0.02 * math.sqrt(2.0) / (2.0 * math.pi)
-    return default_config(
-        nu=0.1, grid_n=32, forcing="kolmogorov", forcing_kappa=1,
-        forcing_amplitude=amp, beta=10.0, h=1.0 / math.sqrt(111.0),
-        lambda_cut=60.0, scheme="semi_implicit", tau=0.01, t_end=0.3,
-        burn_in=0.0, truth="analytic:kolmogorov", ic="random_bv",
-        ic_amplitude=0.9, min_decay_orders=0.0,
+    # criterion 05's semi-implicit problem, 30 twin steps of 0.01
+    return dataclasses.replace(
+        _contraction_config("semi_implicit"), tau=0.01, t_end=0.3, min_decay_orders=0.0
     )
 
 

@@ -941,6 +941,23 @@ def test_cli_n_sweep_reports_finite_errors_past_the_square_overflow(tmp_path, tr
     assert len(errors) == 3 and all(math.isfinite(float(e)) for e in errors)
 
 
+@pytest.mark.parametrize("L, forcing, exits", [
+    (1e-80, "random_band", "22"), (1e-75, "none", "01"),
+    (1e150, "none", "01"), (1e155, "random_band", "22"),
+])
+def test_cli_domain_sides_near_the_ends_of_the_floats(capsys, L, forcing, exits):
+    # the config scaled to side L: a side that puts the norms' Parseval
+    # weights past the largest float is rejected on L, the others run
+    s = 2.0 * math.pi / L
+    changes = dict(
+        L=L, forcing=forcing, truth="nse_integrate", h=_FUZZ_BASE["h"] / s,
+        lambda_cut=9.0 * s * s,
+        lambda_cut_list=tuple(x * s * s for x in _FUZZ_BASE["lambda_cut_list"]),
+    )
+    assert "".join(str(_fuzz_exit(c, changes)) for c in ("constants", "twin")) == exits
+    assert ("error: L, grid_n: domain side" in capsys.readouterr().err) == (exits == "22")
+
+
 def test_cli_diverging_march_fails_its_solver_check_without_warnings(tmp_path):
     # nu = 1e-6 lets the tau sweep's march blow up: the step's finiteness
     # check classifies it as a `solver` failure, and no numpy overflow or

@@ -50,6 +50,10 @@ def test_grid_validation():
     for L in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             TorusGrid(L, 16)
+    # 2 L^2 of |v| and 2 L^2 k^4 of |A v| at the band's corner overflow
+    for L in (1e-80, 1e155):
+        with pytest.raises(ValueError, match="Parseval weights"):
+            TorusGrid(L, 16)
 
 
 @pytest.mark.parametrize("n,expected", [(8, 2), (12, 3), (16, 5), (48, 15), (64, 21)])
@@ -84,7 +88,7 @@ def test_norms_scale_with_shell(grid16):
 def test_norms_past_the_square_overflow_scale_with_the_field(rng, grid16):
     # amplitudes past about 1e154 overflow a plain sum of squares although
     # the norms are finite: they scale with the field, to roundoff, and
-    # without a warning; a non-finite vector reads its largest magnitude
+    # without a warning; an infinite vector reads infinite norms
     f = random_field(grid16, rng, norm_h=1.0)
     big = f * 1e200
     for norm in (norm_H, norm_V, norm_DA):
@@ -93,6 +97,19 @@ def test_norms_past_the_square_overflow_scale_with_the_field(rng, grid16):
     expected = [1e200 * x for x in band.norms(f.coeffs)]
     assert band.norms(big.coeffs) == pytest.approx(expected, rel=1e-14)
     assert band.norms(np.full(band.size, np.inf, dtype=complex)) == [np.inf] * 3
+
+
+def test_each_norm_sums_directly_below_its_own_overflow(rng):
+    # at L = 1e-75 the |A v| weights reach 1e157: amplitudes near 1e100
+    # overflow its sum, which is rescaled, while |v| and ||v|| keep the
+    # plain Parseval sum
+    grid = TorusGrid(1e-75, 16)
+    f = random_field(grid, rng, norm_h=1.0)
+    big = f * (1e100 / np.abs(f.coeffs).max())
+    band, c = _band_packing(grid), big.coeffs
+    for row, norm in enumerate((norm_H, norm_V)):
+        assert norm(big) == float(np.sqrt(band._norm_weights[row] @ (c.real**2 + c.imag**2)))
+    assert norm_DA(big) == pytest.approx(norm_DA(f) * norm_H(big) / norm_H(f), rel=1e-14)
 
 
 def test_poincare_inequality_random(rng, grid32):

@@ -2,9 +2,8 @@
 
 The constants G, M0, M1, Lambda, R1, M2, R2, L_N, C0, C1 are computed by
 their defining formulas; the theory does not pin down the absolute
-constants those formulas carry.  c (in the nudging-gain floor, C0 and C1)
-defaults to 1 and is configurable; c4 (in R1) is fixed at 1.  Every
-report downstream prints the values used.
+constants those formulas carry, and nudgeflow fixes both at 1: c (in
+the nudging-gain floor, C0 and C1) and c4 (in R1).
 
 Checks come in two tiers: hard assertions for constant-free inequalities
 (Gronwall envelopes, contraction factors, the explicit stability bounds)
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "BoundConstants",
     "bound_constants",
     "ConditionCheck",
-    "ConditionReport",
     "check_conditions",
     "gronwall_envelope",
     "contraction_envelope",
@@ -57,7 +55,6 @@ class BoundConstants:
     M2, R2   uniform |A .| bounds on the nudged Galerkin flow and its rate.
     L_N      [1 + log(lambda_N / lambda1)]^(1/2) for the active cutoff.
     C0, C1   high-mode residual constants feeding the postprocessing theory.
-    c        the absolute constant of the nudging-gain floor, C0 and C1.
     """
 
     G: float
@@ -71,22 +68,6 @@ class BoundConstants:
     C0: float
     C1: float
     f_norm: float
-    c: float = field(default=1.0, repr=False)
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "G": self.G,
-            "M0": self.M0,
-            "M1": self.M1,
-            "Lambda": self.Lambda,
-            "R1": self.R1,
-            "M2": self.M2,
-            "R2": self.R2,
-            "L_N": self.L_N,
-            "C0": self.C0,
-            "C1": self.C1,
-            "f_norm": self.f_norm,
-        }
 
 
 def _power(base: float, exponent: float) -> float:
@@ -97,17 +78,14 @@ def _power(base: float, exponent: float) -> float:
         return math.inf
 
 
-def bound_constants(p: PhysicsParams, c: float = 1.0) -> BoundConstants:
+def bound_constants(p: PhysicsParams) -> BoundConstants:
     """Evaluate the defining formulas of every a-priori constant.
 
-    Requires c >= 0, a nonzero forcing and, in floating point, |f| > 0 (the
-    Grashof number and Lambda degenerate otherwise) and nu^2 lambda1 > 0, Lambda >= 0 so its square root
-    exists in M2 and R2, and every constant finite: a ValueError names the
-    first one that overflows.
+    Requires a nonzero forcing and, in floating point, |f| > 0 (the
+    Grashof number and Lambda degenerate otherwise) and nu^2 lambda1 > 0,
+    Lambda >= 0 so its square root exists in M2 and R2, and every constant
+    finite: a ValueError names the first one that overflows.
     """
-    # a negative c would make the nudging-gain floor, C0 and C1 negative
-    if not c >= 0.0:
-        raise ValueError(f"c must be nonnegative, got {c}")
     if not np.any(p.forcing.coeffs):
         raise ValueError("bound constants require a nonzero forcing")
     fnorm = norm_H(p.forcing)
@@ -137,13 +115,13 @@ def bound_constants(p: PhysicsParams, c: float = 1.0) -> BoundConstants:
     lam_N = p.cutoff.lambda_low(p.grid)
     L_N = math.sqrt(1.0 + math.log(lam_N / lam1))
     qn = norm_H(project_high(p.forcing, p.cutoff))
-    C0 = c * (qn + M1 * M1) / nu
-    C1 = c * ((qn + M1 * M1) / nu + M0 * M1 * M1 / (nu * nu))
+    C0 = (qn + M1 * M1) / nu
+    C1 = (qn + M1 * M1) / nu + M0 * M1 * M1 / (nu * nu)
     out = BoundConstants(
         G=G, M0=M0, M1=M1, Lambda=Lambda, R1=R1, M2=M2, R2=R2,
-        L_N=L_N, C0=C0, C1=C1, f_norm=fnorm, c=c,
+        L_N=L_N, C0=C0, C1=C1, f_norm=fnorm,
     )
-    for name, value in out.as_dict().items():
+    for name, value in asdict(out).items():
         if not math.isfinite(value):
             raise ValueError(
                 f"a-priori constant {name} = {value} is not finite: the forcing "
@@ -174,34 +152,17 @@ class ConditionCheck:
         )
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    checks: tuple[ConditionCheck, ...]
-
-    def get(self, name: str) -> ConditionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def passed(self, *names: str) -> bool:
-        return all(self.get(n).passed for n in names)
-
-    def describe(self) -> str:
-        return "\n".join(c.describe() for c in self.checks)
-
-
 def check_conditions(
     p: PhysicsParams,
     consts: BoundConstants,
     *,
     c0_value: float | None = None,
-) -> ConditionReport:
+) -> tuple[ConditionCheck, ...]:
     """Evaluate the admissibility inequalities for the given parameters.
 
     c0_value defaults to the exact 1 of fourier_truncation and must be
     supplied for volume averages (interpolants.estimate_c0 estimates it).
-    The report is advisory; experiments decide which
+    The checks are advisory; experiments decide which
     checks gate what.  A left-hand side that overflows reads inf, a failed
     check.
     """
@@ -210,9 +171,8 @@ def check_conditions(
     checks.append(
         ConditionCheck(
             "beta_lower_bound",
-            consts.c * _power(consts.M1, 2) * consts.Lambda / nu,
+            _power(consts.M1, 2) * consts.Lambda / nu,
             beta,
-            note=f"c={consts.c:g}",
         )
     )
     if p.interpolant is not None:
@@ -233,7 +193,7 @@ def check_conditions(
                 note=f"c0={c0_value:g}",
             )
         )
-    return ConditionReport(tuple(checks))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------

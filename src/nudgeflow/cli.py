@@ -112,8 +112,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if not args.quiet:
         print(report.describe())
-        if report.conditions is not None:
-            print(report.conditions.describe())
+        for check in report.conditions or ():
+            print(check.describe())
     return 1 if any(c.status == FAIL for c in report.checks) else 0
 
 

@@ -48,7 +48,6 @@ class ExperimentConfig:
     interpolant: str
     h: float
     lambda_cut: float
-    condition_c: float
     # [experiment]
     scheme: str
     tau: float
@@ -70,7 +69,6 @@ class ExperimentConfig:
     tau_list: tuple[float, ...]
     lambda_cut_list: tuple[float, ...]
     ref_factor: int
-    tau_floor_factor: float
     # [output]
     out_dir: str
 
@@ -91,17 +89,14 @@ class ExperimentConfig:
                     f"{key} entries must differ in their 6-digit labels, got "
                     f"{getattr(self, key)} (labels {', '.join(labels)})"
                 )
-        # numpy's generators take nonnegative seeds only, and the floor
-        # check compares against a finer step tau / tau_floor_factor
+        # numpy's generators take nonnegative seeds only
         for key, need, holds in (
             ("seed", "nonnegative", lambda x: x >= 0),
             ("truth_dt_factor", ">= 1", lambda x: x >= 1),
-            ("condition_c", "nonnegative", lambda x: x >= 0.0),
             ("truth_spinup", "nonnegative", lambda x: x >= 0.0),
             ("truth_store_every", ">= 1", lambda x: x >= 1),
             ("soak_steps", ">= 1", lambda x: x >= 1),
             ("contraction_steps", ">= 1", lambda x: x >= 1),
-            ("tau_floor_factor", "> 1", lambda x: x > 1.0),
         ):
             if not holds(getattr(self, key)):
                 raise ConfigError(f"{key} must be {need}, got {getattr(self, key)}")
@@ -160,7 +155,6 @@ _SCHEMA: tuple[tuple[str, str, str, Callable, object], ...] = (
      "fourier_truncation"),
     ("physics", "h", "h", _f, 0.0424264068711928),
     ("physics", "lambda_cut", "lambda_cut", _f, 60.0),
-    ("physics", "condition_c", "condition_c", _f, 1.0),
     ("experiment", "scheme", "scheme", _choice(*SCHEME_CHOICES), "semi_implicit"),
     ("experiment", "tau", "tau", _f, _REQUIRED),
     ("experiment", "t_end", "t_end", _f, _REQUIRED),
@@ -183,7 +177,6 @@ _SCHEMA: tuple[tuple[str, str, str, Callable, object], ...] = (
     # check passes iff the gap between its ETDRK4 runs at dt_ref and 2 dt_ref
     # is at most sup_err_H(min tau) / ref_factor.  It does not set dt_ref.
     ("sweep", "ref_factor", "ref_factor", _i, 50),
-    ("sweep", "tau_floor_factor", "tau_floor_factor", _f, 2.0),
     ("output", "dir", "out_dir", _s, "out"),
 )
 

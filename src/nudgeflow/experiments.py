@@ -38,14 +38,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .analysis import (
     BoundConstants,
-    ConditionReport,
+    ConditionCheck,
     FitError,
     bound_constants,
     check_conditions,
@@ -91,8 +91,7 @@ from .storage import Trajectory, atomic_write_text, save_snapshot, series_to_csv
 
 __all__ = [
     "PASS", "FAIL", "SKIP", "SERIES_HEADER", "CheckResult", "ExperimentReport",
-    "SeriesRecorder", "build_grid", "build_forcing",
-    "build_interpolant", "build_params", "build_truth", "build_ic",
+    "SeriesRecorder", "build_forcing", "build_truth", "build_ic",
     "run_twin_experiment", "run_contraction_test", "run_stability_soak",
     "run_tau_sweep", "run_n_sweep", "render_report",
     "write_report",
@@ -133,7 +132,7 @@ class ExperimentReport:
     checks: list[CheckResult] = field(default_factory=list)
     values: dict[str, float] = field(default_factory=dict)
     constants: BoundConstants | None = None
-    conditions: ConditionReport | None = None
+    conditions: tuple[ConditionCheck, ...] | None = None
     series_files: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
@@ -164,8 +163,8 @@ def render_report(report: ExperimentReport) -> str:
             f"experiment = {report.name}", f"scheme = {report.scheme}",
             f"seed = {report.seed}", f"status = {report.status}",
         ],
-        "constants": constants and [f"{k} = {_fmt(v)}" for k, v in constants.as_dict().items()],
-        "conditions": conditions and [check.describe() for check in conditions.checks],
+        "constants": constants and [f"{k} = {_fmt(v)}" for k, v in asdict(constants).items()],
+        "conditions": conditions and [check.describe() for check in conditions],
         "checks": [
             f"{c.name} = {c.status}" + (f" ({c.detail})" if c.detail else "")
             for c in report.checks
@@ -208,10 +207,6 @@ class SeriesRecorder:
 # builders
 
 
-def build_grid(cfg: ExperimentConfig) -> TorusGrid:
-    return TorusGrid(L=cfg.L, n=cfg.grid_n)
-
-
 def _random_band_forcing(
     grid: TorusGrid, amplitude: float, decay: float, seed: int
 ) -> SpectralField:
@@ -245,39 +240,14 @@ def build_forcing(cfg: ExperimentConfig, grid: TorusGrid) -> SpectralField:
     raise ConfigError(f"unknown forcing kind {cfg.forcing!r}")
 
 
-def build_interpolant(cfg: ExperimentConfig) -> InterpolantSpec | None:
-    if cfg.interpolant == "none":
-        return None
-    return InterpolantSpec(cfg.interpolant, cfg.h)
-
-
-def build_params(
-    cfg: ExperimentConfig,
-    grid: TorusGrid,
-    forcing: SpectralField,
-    spec: InterpolantSpec | None,
-    *,
-    lambda_cut: float | None = None,
-) -> PhysicsParams:
-    return PhysicsParams(
-        nu=cfg.nu,
-        grid=grid,
-        forcing=forcing,
-        beta=cfg.beta,
-        interpolant=spec,
-        cutoff=GalerkinCutoff(cfg.lambda_cut if lambda_cut is None else lambda_cut),
-    )
-
-
 @dataclass
 class _Setup:
     cfg: ExperimentConfig
     grid: TorusGrid
     forcing: SpectralField
-    spec: InterpolantSpec | None
     params: PhysicsParams
     consts: BoundConstants | None
-    conditions: ConditionReport | None
+    conditions: tuple[ConditionCheck, ...] | None
     rng: np.random.Generator
     horizon: float | None  # the truth spans [0, horizon]
     spinup_steps: int  # of an nse_integrate truth
@@ -335,11 +305,16 @@ def _setup(
     A runner that integrates a truth over [0, t] passes horizon = (t, the
     config expression of t), which checks that truth too.
     """
-    grid = _config_value("L, grid_n", build_grid, cfg)
+    grid = _config_value("L, grid_n", TorusGrid, cfg.L, cfg.grid_n)
     forcing = _config_value("forcing_kappa", build_forcing, cfg, grid)
-    spec = _config_value("h", build_interpolant, cfg)
+    spec = None
+    if cfg.interpolant != "none":
+        spec = _config_value("h", InterpolantSpec, cfg.interpolant, cfg.h)
     params = _config_value(
-        "nu, beta, interpolant, lambda_cut", build_params, cfg, grid, forcing, spec
+        "nu, beta, interpolant, lambda_cut",
+        lambda: PhysicsParams(
+            cfg.nu, grid, forcing, cfg.beta, spec, GalerkinCutoff(cfg.lambda_cut)
+        ),
     )
     if params.beta > 0.0 and spec.kind == "volume_average":
         _config_value("h, grid_n", spec.blocks, grid)
@@ -353,16 +328,14 @@ def _setup(
     conditions = None
     # |f| may underflow or the constants overflow: bound_constants names either
     if np.any(forcing.coeffs):
-        consts = _config_value(
-            "nu, forcing_amplitude", bound_constants, params, cfg.condition_c
-        )
+        consts = _config_value("nu, forcing_amplitude", bound_constants, params)
     if consts is not None and params.beta > 0.0:
         c0_value = None
         if spec.kind == "volume_average":
             c0_value = estimate_c0(spec, grid)
         conditions = check_conditions(params, consts, c0_value=c0_value)
     return _Setup(
-        cfg, grid, forcing, spec, params, consts, conditions,
+        cfg, grid, forcing, params, consts, conditions,
         np.random.default_rng(cfg.seed),
         None if horizon is None else horizon[0], spinup_steps,
     )
@@ -603,7 +576,7 @@ def run_twin_experiment(
             )
 
         if setup.conditions is not None:
-            ok = setup.conditions.passed("beta_lower_bound", "interpolant_resolution")
+            ok = all(check.passed for check in setup.conditions)
             report.add_check(
                 "conditions", PASS if ok else FAIL,
                 "admissibility inequalities for the nudging gain and resolution",
@@ -746,10 +719,10 @@ def run_stability_soak(
     setup = _setup(cfg, horizon=(n_steps * max(taus), span))
     if setup.consts is None or setup.params.beta <= 0.0:
         raise ConfigError("stability soak requires a nonzero forcing and beta > 0")
-    if not setup.conditions.passed("beta_lower_bound", "interpolant_resolution"):
+    if not all(check.passed for check in setup.conditions):
         raise ConfigError(
             "stability soak requires the admissibility conditions on beta, h and "
-            "nu to pass:\n" + setup.conditions.describe()
+            "nu to pass:\n" + "\n".join(check.describe() for check in setup.conditions)
         )
     params, consts = setup.params, setup.consts
     with _Run("soak", setup, out_dir) as run:
@@ -938,15 +911,13 @@ def run_n_sweep(
     """
     if len(cfg.lambda_cut_list) < 3:
         raise ConfigError("cutoff sweep needs at least 3 cutoffs")
-    fine_tau = cfg.tau / cfg.tau_floor_factor
     n_coarse = _steps(cfg.t_end, "t_end", cfg.tau, "steps tau")
-    n_fine = _steps(cfg.t_end, "t_end", fine_tau, "steps tau / tau_floor_factor")
     setup = _setup(cfg, horizon=(cfg.t_end, "t_end"))
     # a cutoff inside the band has a next eigenvalue, so lambda_next holds
     params_at = {
         lam: _config_value(
-            f"lambda_cut_list entry {lam}", build_params,
-            cfg, setup.grid, setup.forcing, setup.spec, lambda_cut=lam,
+            f"lambda_cut_list entry {lam}",
+            lambda: replace(setup.params, cutoff=GalerkinCutoff(lam)),
         )
         for lam in cfg.lambda_cut_list
     }
@@ -982,7 +953,7 @@ def run_n_sweep(
                 f"pp_improves:lambda_cut={lam:g}",
                 PASS if ec_h <= ep_h * (1.0 + BOUND_RTOL) else FAIL,
                 f"corrected {ec_h:.6g} vs plain {ep_h:.6g} (ratio "
-                f"{ec_h / ep_h if ep_h > 0 else math.inf:.4f})",
+                f"{ec_h / ep_h if ep_h > 0 else math.inf:.4g})",
             )
             report.values[f"err_plain_H:lambda_cut={lam:g}"] = ep_h
             report.values[f"err_pp_H:lambda_cut={lam:g}"] = ec_h
@@ -1001,7 +972,8 @@ def run_n_sweep(
 
         lam_max = max(cfg.lambda_cut_list)
         ec_coarse = next(r[4] for r in summary.rows if r[0] == lam_max)
-        ec_fine = final_errors(lam_max, fine_tau, n_fine)[1]
+        # half the step, twice the steps: halving is exact in binary
+        ec_fine = final_errors(lam_max, cfg.tau / 2, 2 * n_coarse)[1]
         rel_change = abs(ec_coarse - ec_fine) / max(ec_coarse, 1e-300)
         report.values["tau_floor_rel_change"] = rel_change
         report.add_check(

@@ -33,10 +33,11 @@ integral: (f, g) = L^2 sum_k fhat(k) . conj(ghat(k)) = 2 L^2 Re sum a_k
 conj(b_k).  With that convention norm_H is the L^2 norm, norm_V the H^1
 seminorm (gradient norm) and norm_DA the norm of the Stokes operator
 applied to the field, so the Poincare chain lambda1^(1/2) |f| <= ||f||
-holds per mode.  A norm overflows only where its value does: the Parseval
-weights are floats (`TorusGrid` rejects an L that puts them past the
-largest), and past about 1e154 the norms are taken on the amplitudes over
-the largest (`krylov._rescaled`).
+holds per mode.  A norm overflows or underflows only where its value
+does: the Parseval weights are floats (`TorusGrid` rejects an L that puts
+them past the largest), and where the sum of squares would pass the
+largest float or fall below tiny / eps (about 1e-292), the norms are
+taken on the amplitudes over the largest (`krylov._rescaled`).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .krylov import _rescaled
+from .krylov import _SQUARE_FLOOR, _rescaled
 
 __all__ = [
     "GridMismatchError",
@@ -224,11 +225,16 @@ class _Packing:
         self._norm_weights = 2.0 * grid.L**2 * np.stack(
             (np.ones_like(self.k_squared), self.k_squared, self.k_squared**2)
         )
-        # below a row's sum of |a_k|^2 no square or weighted sum of the row
-        # overflows, and below their least none of `norms`
-        limits = np.finfo(float).max / self._norm_weights.max(1, initial=1.0)
-        self._square_limits = limits.tolist()
-        self._square_limit = min(self._square_limits)
+        # for a sum of |a_k|^2 in a row's range no square or weighted sum of
+        # the row overflows, and the row sum stays at least tiny / eps, so
+        # it neither reads 0 nor loses digits to subnormals (a weight that
+        # underflowed to 0 adds nothing either way); in every row's range,
+        # the same holds for all of `norms`
+        w = self._norm_weights
+        floors = _SQUARE_FLOOR / w.min(1, initial=1.0, where=w > 0.0)
+        limits = np.finfo(float).max / w.max(1, initial=1.0)
+        self._square_ranges = list(zip(floors.tolist(), limits.tolist()))
+        self._square_range = (float(floors.max()), float(limits.min()))
         self._e = np.stack((-j2, j1)) / np.sqrt(self.shell)
         # each component's or product's half-plane block: j1 at row
         # j1 % (2K + 1), j2 >= 0 at column j2, the modes only (`_transforms`)
@@ -276,7 +282,7 @@ class _Packing:
 
     def norms(self, vec: np.ndarray) -> list[float]:
         """[|v|, ||v||, |A v|] of a packed vector, by Parseval."""
-        return _parseval_norms(self._norm_weights, self._square_limit, vec).tolist()
+        return _parseval_norms(self._norm_weights, self._square_range, vec).tolist()
 
     # -- product-grid transfers ---------------------------------------------
 
@@ -432,18 +438,21 @@ def _parseval(weights: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.sqrt(weights @ (vec.real**2 + vec.imag**2))
 
 
-def _parseval_norms(weights: np.ndarray, limit: float, vec: np.ndarray) -> np.ndarray:
+def _parseval_norms(
+    weights: np.ndarray, square_range: tuple[float, float], vec: np.ndarray
+) -> np.ndarray:
     """`_parseval`, taken on vec over its largest |entry| (`krylov._rescaled`)
-    where the sum of |vec|^2 passes limit, the sum below which no term or
-    row sum overflows."""
-    if np.vdot(vec, vec).real <= limit:
+    where the sum of |vec|^2 leaves square_range, the sums for which no
+    term or row sum overflows or underflows."""
+    floor, limit = square_range
+    if floor <= np.vdot(vec, vec).real <= limit:
         return _parseval(weights, vec)
     return _rescaled(partial(_parseval, weights), vec)
 
 
 def _norm(f: SpectralField, row: int) -> float:
     band = _band_packing(f.grid)
-    return float(_parseval_norms(band._norm_weights[row], band._square_limits[row], f.coeffs))
+    return float(_parseval_norms(band._norm_weights[row], band._square_ranges[row], f.coeffs))
 
 
 def norm_H(f: SpectralField) -> float:

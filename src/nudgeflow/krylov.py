@@ -69,18 +69,29 @@ class SolverError(RuntimeError):
         self.trajectory = None
 
 
+# a sum of squares below this may have lost digits to squares that underflowed
+_SQUARE_FLOOR = float(np.finfo(float).tiny / np.finfo(float).eps)
+
+
 def _rescaled(norm: Callable[[Vec], float | Vec], vec: Vec) -> float | Vec:
-    """norm(vec) for a norm whose sum of squares overflows on vec (entries
-    past about 1e154): top * norm(vec / top), top = max |entry|, for finite
-    entries; norm(vec) itself, not finite, otherwise."""
+    """norm(vec) for a norm whose sum of squares overflows or underflows on
+    vec (entries past about 1e154, or a norm below about 1e-146): top *
+    norm(vec / top), top = max |entry|, for finite nonzero entries;
+    norm(vec) itself, 0 or not finite, otherwise."""
     top = float(np.max(np.abs(vec)))
-    return top * norm(vec / top) if math.isfinite(top) else norm(vec)
+    if not 0.0 < top < math.inf:
+        return norm(vec)
+    # by parts: numpy's complex division by a subnormal top overflows
+    return top * norm(vec.real / top + 1j * (vec.imag / top))
 
 
 def _norm(vec: Vec) -> float:
-    """|vec|, finite for every finite vector (`_rescaled`)."""
+    """|vec|, finite for every finite vector and positive for every nonzero
+    one (`_rescaled`)."""
     sq = np.vdot(vec, vec).real
-    return math.sqrt(sq) if math.isfinite(sq) else float(_rescaled(np.linalg.norm, vec))
+    if _SQUARE_FLOOR <= sq < math.inf:
+        return math.sqrt(sq)
+    return float(_rescaled(np.linalg.norm, vec))
 
 
 def gmres(

@@ -276,7 +276,6 @@ def _n_sweep_config():
         burn_in=1.0, truth="nse_integrate", truth_dt_factor=4,
         truth_spinup=3.0, truth_store_every=8, ic="random_bv",
         ic_amplitude=1.0, lambda_cut_list=(6.0, 16.0, 40.0),
-        tau_floor_factor=2.0,
     )
 
 
@@ -352,6 +351,6 @@ def test_acceptance_configs_meet_every_condition_at_their_tau(cfg):
     # no condition depends on the step, so every config meets them at any
     # tau it marches (the contraction runner judges tau * beta <= 1 itself).
     conditions = _setup(cfg).conditions
-    names = [c.name for c in conditions.checks]
+    names = [c.name for c in conditions]
     assert names[:2] == ["beta_lower_bound", "interpolant_resolution"]
-    assert all(c.passed for c in conditions.checks), conditions.describe()
+    assert all(c.passed for c in conditions), [c.describe() for c in conditions]

@@ -147,9 +147,6 @@ def test_burn_in_must_precede_t_end():
         ("experiment", "soak_steps", "0", "soak_steps must be >= 1"),
         ("experiment", "contraction_steps", "-3", "contraction_steps must be >= 1"),
         ("experiment", "contraction_steps", "0", "contraction_steps must be >= 1"),
-        ("sweep", "tau_floor_factor", "0", "tau_floor_factor must be > 1"),
-        ("sweep", "tau_floor_factor", "-2", "tau_floor_factor must be > 1"),
-        ("sweep", "tau_floor_factor", "1", "tau_floor_factor must be > 1"),
         # numpy's generators reject it only when a runner draws
         ("experiment", "seed", "-1", "seed must be nonnegative"),
     ],

@@ -86,17 +86,21 @@ def test_norms_scale_with_shell(grid16):
 
 
 def test_norms_past_the_square_overflow_scale_with_the_field(rng, grid16):
-    # amplitudes past about 1e154 overflow a plain sum of squares although
-    # the norms are finite: they scale with the field, to roundoff, and
-    # without a warning; an infinite vector reads infinite norms
+    # amplitudes past about 1e154 overflow a plain sum of squares, and a
+    # field whose norm is below about 1e-146 underflows it, although the
+    # norms are finite and positive: they scale with the field, to
+    # roundoff (to the digits a subnormal keeps), and without a warning;
+    # an infinite vector reads infinite norms and a zero one zeros
     f = random_field(grid16, rng, norm_h=1.0)
-    big = f * 1e200
-    for norm in (norm_H, norm_V, norm_DA):
-        assert norm(big) == pytest.approx(1e200 * norm(f), rel=1e-14)
     band = _band_packing(grid16)
-    expected = [1e200 * x for x in band.norms(f.coeffs)]
-    assert band.norms(big.coeffs) == pytest.approx(expected, rel=1e-14)
+    for scale, rel in ((1e200, 1e-14), (1e-200, 1e-14), (1e-320, 1e-2)):
+        scaled = f * scale
+        for norm in (norm_H, norm_V, norm_DA):
+            assert norm(scaled) == pytest.approx(scale * norm(f), rel=rel, abs=0.0)
+        expected = [scale * x for x in band.norms(f.coeffs)]
+        assert band.norms(scaled.coeffs) == pytest.approx(expected, rel=rel, abs=0.0)
     assert band.norms(np.full(band.size, np.inf, dtype=complex)) == [np.inf] * 3
+    assert band.norms(np.zeros(band.size, dtype=complex)) == [0.0] * 3
 
 
 def test_each_norm_sums_directly_below_its_own_overflow(rng):
@@ -110,6 +114,9 @@ def test_each_norm_sums_directly_below_its_own_overflow(rng):
     for row, norm in enumerate((norm_H, norm_V)):
         assert norm(big) == float(np.sqrt(band._norm_weights[row] @ (c.real**2 + c.imag**2)))
     assert norm_DA(big) == pytest.approx(norm_DA(f) * norm_H(big) / norm_H(f), rel=1e-14)
+    # a norm of 1e-180 has a plain sum of squares near 5e-211, but the |v|
+    # weight 2e-150 takes its weighted sum below the floats: rescaled too
+    assert norm_H(f * 1e-180) == pytest.approx(1e-180, rel=1e-14, abs=0.0)
 
 
 def test_poincare_inequality_random(rng, grid32):

@@ -23,13 +23,18 @@ def test_diagonal_system_matches_closed_form(rng):
 
 
 def test_norms_of_finite_vectors_past_the_square_overflow_are_finite(rng):
-    # entries near 1e300 overflow a plain sum of squares; the system's
-    # scale is no reason for a solve to read its right-hand side as infinite
+    # entries near 1e300 overflow a plain sum of squares, and entries near
+    # 1e-200 square to 0; the system's scale is no reason for a solve to
+    # read its right-hand side as infinite, or a step as zero
     d = rng.uniform(1.0, 5.0, size=64)
     b = 1e300 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert _norm(b) == pytest.approx(1e300 * np.linalg.norm(b / 1e300), rel=1e-15)
+        v = b / 1e300
+        for scale, rel in ((1e-200, 1e-15), (1e-320, 1e-2)):
+            assert _norm(scale * v) == pytest.approx(scale * np.linalg.norm(v), rel=rel, abs=0.0)
+        assert _norm(0.0 * v) == 0.0
         res = gmres(lambda x: d * x, b, rel_tol=1e-12)
     assert res.converged and np.all(np.isfinite(res.x))
     assert np.max(np.abs(res.x - b / d)) <= 1e-10 * np.max(np.abs(b / d))

@@ -111,6 +111,17 @@ def test_condition_report_hand_values(params16):
     assert res.passed
 
 
+def test_beta_lower_bound_fixes_c_at_1(params16):
+    # the gain floor is M1^2 Lambda / nu, with no absolute factor and no
+    # note, as R1 carries c4 = 1
+    consts = bound_constants(params16)
+    floor, _ = check_conditions(params16, consts)
+    assert floor.lhs == pytest.approx(consts.M1**2 * consts.Lambda / params16.nu, rel=1e-15)
+    assert floor.describe() == "beta_lower_bound = fail (lhs=65.2359478109 <= rhs=2)"
+    with pytest.raises(TypeError):
+        bound_constants(params16, c=2.0)
+
+
 def test_condition_check_line():
     # the line that stdout, the soak's ConfigError and the report all print
     assert ConditionCheck("x", 1.0, 1.0).passed

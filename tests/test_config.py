@@ -104,6 +104,24 @@ def test_unknown_key_warns_and_is_ignored():
     assert cfg.nu == 0.1
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        # c is fixed at 1 and the n-sweep halves tau: a file that still
+        # sets either loads as if it did not, whatever it set them to
+        ("physics", "condition_c", "-1"),
+        ("sweep", "tau_floor_factor", "0"),
+        ("sweep", "tau_floor_factor", "-2"),
+        ("sweep", "tau_floor_factor", "1"),
+    ],
+)
+def test_removed_keys_warn_and_are_ignored(section, key, value):
+    with pytest.warns(UserWarning, match=rf"unknown key '{key}' in section \[{section}\]"):
+        cfg = parse_config_text(MINIMAL + f"[{section}]\n{key} = {value}\n")
+    assert cfg == parse_config_text(MINIMAL)
+    assert not hasattr(cfg, key)
+
+
 def test_type_errors_carry_line_numbers():
     with pytest.raises(ConfigError, match=r":3: key 'nu'"):
         parse_config_text("\n[physics]\nnu = fast\n[experiment]\ntau=1\nt_end=2\n")

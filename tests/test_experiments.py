@@ -763,6 +763,23 @@ def test_cli_overflowing_advisory_bound_fails_its_condition(tmp_path):
     assert "interpolant_resolution = fail (lhs=inf <= rhs=0.1," in text
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    # condition_c = -1 exited 2 while c was a key; c is now the fixed 1
+    [("physics", "condition_c", "-1"), ("sweep", "tau_floor_factor", "0")],
+)
+def test_cli_removed_key_warns_and_reports_as_before(tmp_path, section, key, value):
+    base = _minimal_config(tmp_path, "nu", "0.1")
+    old = tmp_path / "old.cfg"
+    old.write_text((tmp_path / "run.cfg").read_text() + f"[{section}]\n{key} = {value}\n")
+    assert cli.main(["--quiet", "--config", base, "--out", str(tmp_path / "a"), "constants"]) == 0
+    with pytest.warns(UserWarning, match=rf"unknown key '{key}' in section \[{section}\]"):
+        rc = cli.main(["--quiet", "--config", str(old), "--out", str(tmp_path / "b"), "constants"])
+    assert rc == 0
+    report = "constants_report.txt"
+    assert (tmp_path / "b" / report).read_bytes() == (tmp_path / "a" / report).read_bytes()
+
+
 # Each of these was rejected only after its truth was integrated (13.5 s,
 # 3.7 s and 3.3 s for the first three), or with a message naming no key.
 _REJECTED_BASE = dict(

@@ -257,3 +257,13 @@ def test_non_finite_operator_output_ends_the_solve_unconverged():
     assert not res.converged
     assert res.iterations == 1
     assert math.isnan(res.residual)
+
+
+def test_gmres_solves_a_right_hand_side_below_the_square_underflow(rng):
+    # entries near 1e-200 square to 0: the solve read such a b as zero
+    # and returned x = 0
+    d = rng.uniform(1.0, 5.0, size=64)
+    b = 1e-200 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    res = gmres(lambda x: d * x, b, rel_tol=1e-12)
+    assert res.converged and np.any(res.x != 0.0)
+    assert np.max(np.abs(res.x - b / d)) <= 1e-10 * np.max(np.abs(b / d))

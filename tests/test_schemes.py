@@ -417,6 +417,20 @@ def test_step_with_a_zero_right_hand_side_returns_zero(scheme, rng, grid16):
     assert np.array_equal(stepper.step(x, 0, None, guess), x)
 
 
+@pytest.mark.parametrize("scheme", [SEMI_IMPLICIT, FULLY_IMPLICIT])
+def test_step_of_a_state_below_the_square_underflow_is_not_zero(scheme, rng, grid16):
+    # a state near 1e-200 gave a right-hand side whose norm read 0, and
+    # the step returned exact zeros; at such amplitudes the step is the
+    # linear one, so it scales with the state
+    p = free_params(grid16, 0.1)
+    stepper = schemes._stepper(p, 0.01, scheme)
+    x = stepper._pack_field(random_field(grid16, rng, norm_v=1.0, cutoff=p.cutoff))
+    tiny = stepper.step(1e-200 * x, 0, None)
+    small = stepper.step(1e-100 * x, 0, None)
+    assert np.any(tiny != 0.0)
+    assert np.linalg.norm(1e100 * tiny - small) <= 1e-9 * np.linalg.norm(small)
+
+
 def test_step_rejects_non_finite_observation_as_solver_error(rng, grid16):
     spec = InterpolantSpec("fourier_truncation", 0.5)
     p = PhysicsParams(

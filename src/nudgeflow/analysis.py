@@ -153,47 +153,20 @@ class ConditionCheck:
 
 
 def check_conditions(
-    p: PhysicsParams,
-    consts: BoundConstants,
-    *,
-    c0_value: float | None = None,
+    p: PhysicsParams, consts: BoundConstants, c0: float
 ) -> tuple[ConditionCheck, ...]:
-    """Evaluate the admissibility inequalities for the given parameters.
+    """Evaluate the admissibility inequalities of a nudged run (beta > 0)
+    whose interpolant has constant c0 (`interpolants.estimate_c0`).
 
-    c0_value defaults to the exact 1 of fourier_truncation and must be
-    supplied for volume averages (interpolants.estimate_c0 estimates it).
     The checks are advisory; experiments decide which
     checks gate what.  A left-hand side that overflows reads inf, a failed
     check.
     """
-    nu, beta = p.nu, p.beta
-    checks: list[ConditionCheck] = []
-    checks.append(
-        ConditionCheck(
-            "beta_lower_bound",
-            _power(consts.M1, 2) * consts.Lambda / nu,
-            beta,
-        )
+    nu, beta, h = p.nu, p.beta, p.interpolant.h
+    return (
+        ConditionCheck("beta_lower_bound", _power(consts.M1, 2) * consts.Lambda / nu, beta),
+        ConditionCheck("interpolant_resolution", c0 * beta * h * h, nu, note=f"c0={c0:g}"),
     )
-    if p.interpolant is not None:
-        if c0_value is None:
-            if p.interpolant.kind == "fourier_truncation":
-                c0_value = 1.0
-            else:
-                raise ValueError(
-                    "volume_average interpolants need an explicit c0_value "
-                    "(use interpolants.estimate_c0)"
-                )
-        h = p.interpolant.h
-        checks.append(
-            ConditionCheck(
-                "interpolant_resolution",
-                c0_value * beta * h * h,
-                nu,
-                note=f"c0={c0_value:g}",
-            )
-        )
-    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------

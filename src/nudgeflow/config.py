@@ -77,10 +77,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"burn_in ({self.burn_in}) must be smaller than t_end ({self.t_end})"
             )
-        if not self.tau > 0.0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if not all(tau > 0.0 for tau in self.tau_list):
-            raise ConfigError(f"tau_list entries must be positive, got {self.tau_list}")
+        # an Euler stepper adds 1/tau to its diagonal
+        if not (self.tau > 0.0 and math.isfinite(1.0 / self.tau)):
+            raise ConfigError(f"tau must be positive with a finite reciprocal, got {self.tau}")
+        if not all(tau > 0.0 and math.isfinite(1.0 / tau) for tau in self.tau_list):
+            raise ConfigError(
+                "tau_list entries must be positive with a finite reciprocal, got "
+                f"{self.tau_list}"
+            )
         for key in ("tau_list", "lambda_cut_list"):
             # the runners name files, checks and values by an entry's %g label
             labels = [f"{x:g}" for x in getattr(self, key)]

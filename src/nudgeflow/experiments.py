@@ -262,10 +262,13 @@ def _config_value(keys: str, build: Callable, *args, **kwargs):
 
 
 def _steps(span: float, span_key: str, step: float, step_key: str) -> int:
-    """span / step, a whole number, or a ConfigError naming both keys."""
+    """span / step, a whole number of steps whose reciprocal is finite, or a
+    ConfigError naming both keys."""
+    if not (step > 0.0 and math.isfinite(1.0 / step)):
+        raise ConfigError(f"{step_key} = {step} has no finite reciprocal")
     try:
         return _steps_for(span, step)
-    except ValueError:
+    except (ValueError, OverflowError):  # span / step may overflow to inf
         msg = f"{span_key} = {span} is not a whole number of {step_key} = {step}"
         raise ConfigError(msg) from None
 
@@ -316,13 +319,8 @@ def _setup(
             cfg.nu, grid, forcing, cfg.beta, spec, GalerkinCutoff(cfg.lambda_cut)
         ),
     )
-    if params.beta > 0.0 and spec.kind == "volume_average":
-        _config_value("h, grid_n", spec.blocks, grid)
-    elif params.beta > 0.0:
-        _config_value(
-            "h (Fourier truncation observes |k|^2 <= 1/h^2)",
-            lambda: spec.cutoff().shell_limit(grid),
-        )
+    if params.beta > 0.0:
+        _config_value("h, grid_n", spec.check, grid)
     spinup_steps = 0 if horizon is None else _truth_spinup_steps(cfg, grid, *horizon)
     consts = None
     conditions = None
@@ -330,10 +328,7 @@ def _setup(
     if np.any(forcing.coeffs):
         consts = _config_value("nu, forcing_amplitude", bound_constants, params)
     if consts is not None and params.beta > 0.0:
-        c0_value = None
-        if spec.kind == "volume_average":
-            c0_value = estimate_c0(spec, grid)
-        conditions = check_conditions(params, consts, c0_value=c0_value)
+        conditions = check_conditions(params, consts, estimate_c0(spec, grid))
     return _Setup(
         cfg, grid, forcing, params, consts, conditions,
         np.random.default_rng(cfg.seed),
@@ -912,6 +907,7 @@ def run_n_sweep(
     if len(cfg.lambda_cut_list) < 3:
         raise ConfigError("cutoff sweep needs at least 3 cutoffs")
     n_coarse = _steps(cfg.t_end, "t_end", cfg.tau, "steps tau")
+    n_fine = _steps(cfg.t_end, "t_end", cfg.tau / 2, "steps tau / 2")
     setup = _setup(cfg, horizon=(cfg.t_end, "t_end"))
     # a cutoff inside the band has a next eigenvalue, so lambda_next holds
     params_at = {
@@ -972,8 +968,7 @@ def run_n_sweep(
 
         lam_max = max(cfg.lambda_cut_list)
         ec_coarse = next(r[4] for r in summary.rows if r[0] == lam_max)
-        # half the step, twice the steps: halving is exact in binary
-        ec_fine = final_errors(lam_max, cfg.tau / 2, 2 * n_coarse)[1]
+        ec_fine = final_errors(lam_max, cfg.tau / 2, n_fine)[1]
         rel_change = abs(ec_coarse - ec_fine) / max(ec_coarse, 1e-300)
         report.values["tau_floor_rel_change"] = rel_change
         report.add_check(

@@ -221,16 +221,19 @@ class _Packing:
         self.size = j1.size
         self.shell = j1 * j1 + j2 * j2
         self.k_squared = grid.lambda1 * self.shell
-        # Parseval: |v|^2, ||v||^2 and |A v|^2 are these weights times |a_k|^2
-        self._norm_weights = 2.0 * grid.L**2 * np.stack(
-            (np.ones_like(self.k_squared), self.k_squared, self.k_squared**2)
-        )
+        # Parseval: |v|^2, ||v||^2 and |A v|^2 are these weights times |a_k|^2;
+        # 2 L^2 |k|^4 is formed as 2 (L lambda1)^2 shell^2, since |k|^4
+        # alone underflows at large L
+        self._norm_weights = w = np.stack((
+            2.0 * grid.L**2 * np.ones_like(self.k_squared),
+            2.0 * grid.L**2 * self.k_squared,
+            2.0 * (grid.L * grid.lambda1) ** 2 * self.shell**2,
+        ))
         # for a sum of |a_k|^2 in a row's range no square or weighted sum of
         # the row overflows, and the row sum stays at least tiny / eps, so
         # it neither reads 0 nor loses digits to subnormals (a weight that
         # underflowed to 0 adds nothing either way); in every row's range,
         # the same holds for all of `norms`
-        w = self._norm_weights
         floors = _SQUARE_FLOOR / w.min(1, initial=1.0, where=w > 0.0)
         limits = np.finfo(float).max / w.max(1, initial=1.0)
         self._square_ranges = list(zip(floors.tolist(), limits.tolist()))

@@ -1,8 +1,11 @@
-"""Coarse observation operators I_h and the empirical c0 of volume averages.
+"""Coarse observation operators I_h, the one module that tells their kinds apart.
 
 Two interpolant families are supported: truncation to Fourier modes with
 |k|^2 <= 1/h^2, and local volume averages over an h x h uniform
-partition composed with the Leray projection.
+partition composed with the Leray projection.  The solver, the truth
+and the runners use I_h through this module alone: whether it is
+defined on a grid (`InterpolantSpec.check`), P_N P_sigma I_h between
+packings (`observation_map`) and its c0 (`estimate_c0`).
 
 A volume average replaces each of the m = L/h cells per side by the mean
 of its b = n/m grid samples.  It is applied in spectral space through its
@@ -10,16 +13,15 @@ separable symbol: with D(j) the mean of exp(2 pi i j s / n) over s < b,
 coefficient k of the averaged samples is conj(D(k)) times the sum of
 D(j) c(j) over the grid indices j = k mod m.  In two dimensions that is
 conj(D x D) * tile(fold(D x D * c)), the fold summing the m x m index
-classes, so no transform is needed.  The solver applies the same symbol
-to packed amplitudes: `schemes._Galerkin._observation_map` builds
-P_N P_sigma I_h from it in closed form, and `apply_ih`, which returns
+classes, so no transform is needed.  `observation_map` applies the same
+symbol to packed amplitudes in closed form, and `apply_ih`, which returns
 P_sigma I_h f as a (2, n, n) coefficient array, is its full-grid oracle.
 
-The module also estimates the approximation-of-identity constant c0 in
+c0 is the approximation-of-identity constant in
 
-    |f - I_h f| <= c0^(1/2) h ||f||
+    |f - I_h f| <= c0^(1/2) h ||f||,
 
-of a volume average empirically; Fourier truncation has c0 = 1.  The
+exactly 1 for Fourier truncation and estimated for a volume average.  The
 estimate is the worst ratio over random probes, the same probes
 `random_field` draws from the same generator stream.  Probes live on the
 (2B+1)^2 dealiased band, so the estimate is evaluated there: the fold
@@ -50,6 +52,7 @@ __all__ = [
     "InterpolantSpec",
     "apply_ih",
     "estimate_c0",
+    "observation_map",
 ]
 
 KINDS = ("fourier_truncation", "volume_average")
@@ -88,6 +91,21 @@ class InterpolantSpec:
             )
         return m_int
 
+    def check(self, grid: TorusGrid) -> None:
+        """Raise a ValueError unless I_h is defined on grid: a volume average
+        needs L/h whole cells that divide n, Fourier truncation a finite
+        1/h^2 of at least the first eigenvalue lambda1."""
+        if self.kind == "volume_average":
+            self.blocks(grid)
+            return
+        try:
+            self.cutoff().shell_limit(grid)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"h = {self.h}: Fourier truncation observes |k|^2 <= 1/h^2, which "
+                f"must be finite and at least lambda1 = {grid.lambda1}"
+            ) from None
+
 
 def _average_symbol(j: np.ndarray, n: int, b: int) -> np.ndarray:
     """D(j), the mean of exp(2 pi i j s / n) over the b samples s < b of a cell."""
@@ -114,6 +132,41 @@ def apply_ih(spec: InterpolantSpec, f: SpectralField) -> np.ndarray:
     dd = d[:, None] * d[None, :]
     folded = (dd * band._unpack_grid(f.coeffs)).reshape(2, b, m, b, m).sum(axis=(1, 3))
     return leray_project_raw(dd.conj() * np.tile(folded, (1, b, b)), grid)
+
+
+def observation_map(
+    spec: InterpolantSpec,
+    grid: TorusGrid,
+    rows: tuple[np.ndarray, np.ndarray],
+    modes: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (M, C) with P_N P_sigma I_h v = M a + C conj(a) packed on
+    the half-plane `rows`, for v packed as a on the half-plane `modes` of grid.
+
+    e_k . e_j = (k . j) / |k| |j|.  Fourier truncation keeps e_k . e_j
+    where j = k is observed.  For a volume average, D the product of both
+    axes' `_average_symbol`, M = conj(D(k)) D(j) e_k . e_j where j = k mod
+    L/h on both axes, and C = conj(D(k) D(j)) e_k . e_j where -j = k (the
+    mirror of j).  Every other entry is an exact 0.0.
+    """
+    n = grid.n
+    k1, k2 = (k[:, None] for k in rows)
+    j1, j2 = modes
+    shell = k1 * k1 + k2 * k2
+    dot = (k1 * j1 + k2 * j2) / np.sqrt(shell * (j1 * j1 + j2 * j2))
+    if spec.kind == "fourier_truncation":
+        observed = shell <= spec.cutoff().shell_limit(grid)
+        same = (k1 == j1) & (k2 == j2) & observed
+        return np.where(same, dot, 0.0), np.zeros_like(dot)
+    m = spec.blocks(grid)
+    d = _average_symbol(grid._j, n, n // m)  # D(j) of one axis at j % n
+    d_k, d_j = d[k1 % n] * d[k2 % n], d[j1 % n] * d[j2 % n]
+    same = ((k1 - j1) % m == 0) & ((k2 - j2) % m == 0)
+    mirror = ((k1 + j1) % m == 0) & ((k2 + j2) % m == 0)
+    return (
+        np.where(same, d_k.conj() * d_j * dot, 0.0),
+        np.where(mirror, (d_k * d_j).conj() * dot, 0.0),
+    )
 
 
 # probes drawn and evaluated together: the normal buffer holds
@@ -151,7 +204,8 @@ def estimate_c0(
     trials: int = 200,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Empirical c0 of a volume average: the worst ratio
+    """c0 of I_h on grid: exactly 1 for Fourier truncation; for a volume
+    average the empirical worst ratio
     |f - I_h f|^2 / (h^2 ||f||^2) over random band-limited probes, some of
     them high-mode-heavy to stress the average near its resolution limit.
 
@@ -166,11 +220,9 @@ def estimate_c0(
 
     The maximum over probes is a lower bound on the exact supremum
     1/pi^2 = 0.1013: it reads 0.0647 on the twin bench grid.
-
-    Fourier truncation needs no estimate: its c0 is exactly 1.
     """
-    if spec.kind != "volume_average":
-        raise ValueError(f"estimate_c0 serves volume averages; {spec.kind} has c0 = 1")
+    if spec.kind == "fourier_truncation":
+        return 1.0
     if trials < 10:
         raise ValueError(f"need at least 10 trials, got {trials}")
     rng = rng if rng is not None else np.random.default_rng(0)

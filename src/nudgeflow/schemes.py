@@ -62,10 +62,11 @@ The operator is applied on the cutoff's own product grid: the smallest
 even n_s >= 3K + 1, K the largest |j|_inf of a low mode, on which the
 2/3 rule makes P_N B(v, w) exact (Orszag 1971).
 P_N P_sigma I_h is one closed-form, real-linear map from any packing on
-the grid to the low modes (`_Galerkin._observation_map`).  On the low
-modes themselves its diagonal is exact and is what the preconditioner
-and the ETDRK4 linear part use; when L/h < 2K + 1 the map couples them
-and the beta-term applies it whole.
+the grid to the low modes (`interpolants.observation_map`), the only
+place that tells the interpolant kinds apart.  On the low modes
+themselves its diagonal is exact and is what the preconditioner and the
+ETDRK4 linear part use; when the map couples them (a volume average with
+L/h < 2K + 1) the beta-term applies it whole.
 
 `advance` holds the one loop over time steps: every runner and check,
 the contraction runner's two solutions and the ETDRK4 reference included,
@@ -108,8 +109,8 @@ from .fields import (
 )
 from .interpolants import (
     InterpolantSpec,
-    _average_symbol,
     apply_ih,  # noqa: F401  (a layer entry point that tracing patches)
+    observation_map,
 )
 from .krylov import SolverError, _norm, gmres
 from .operators import advect_raw
@@ -194,9 +195,10 @@ class _Galerkin(_Packing):
     Operators run on its sgrid = TorusGrid(L, n_s), n_s the product size
     capped at grid.n, through the packing's half-plane block (`_Packing`).
 
-    obs_diag is beta times the real diagonal of `_observation_map` onto
-    these modes.  That map is diagonal when L/h >= 2K + 1 (and for Fourier
-    truncation); otherwise _obs_pair holds beta times it, else None.
+    obs_diag is beta times the real diagonal of
+    `interpolants.observation_map` onto these modes.  When the map has a
+    nonzero conjugate part or off-diagonal entry (a volume average with
+    L/h < 2K + 1), _obs_pair holds beta times it, else None.
     """
 
     def __init__(self, p: PhysicsParams):
@@ -208,42 +210,10 @@ class _Galerkin(_Packing):
         self.obs_diag = np.zeros_like(self.k_squared)
         self._obs_pair = None
         if p.beta > 0.0:
-            m, c = self._observation_map(self.modes)
+            m, c = observation_map(p.interpolant, p.grid, self.modes, self.modes)
             self.obs_diag = p.beta * m.diagonal().real
-            spec = p.interpolant
-            if spec.kind == "volume_average" and spec.blocks(self.grid) < 2 * k + 1:
+            if np.count_nonzero(m) + np.count_nonzero(c) > np.count_nonzero(m.diagonal()):
                 self._obs_pair = (p.beta * m, p.beta * c)
-
-    def _observation_map(
-        self, modes: tuple[np.ndarray, np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The pair (M, C) with P_N P_sigma I_h v = M a + C conj(a) packed here,
-        for v packed as a on the half-plane modes (j1, j2) of the params grid.
-
-        I_h is params.interpolant, and e_k . e_j = (k . j) / |k| |j|.
-        Fourier truncation keeps e_k . e_j where j = k is observed.  For a
-        volume average, D the product of both axes' `_average_symbol`,
-        M = conj(D(k)) D(j) e_k . e_j where j = k mod L/h on both axes, and
-        C = conj(D(k) D(j)) e_k . e_j where -j = k (the mirror of j).
-        """
-        spec, n = self.p.interpolant, self.grid.n
-        k1, k2 = (k[:, None] for k in self.modes)
-        j1, j2 = modes
-        shell = k1 * k1 + k2 * k2
-        dot = (k1 * j1 + k2 * j2) / np.sqrt(shell * (j1 * j1 + j2 * j2))
-        if spec.kind == "fourier_truncation":
-            observed = shell <= spec.cutoff().shell_limit(self.grid)
-            same = (k1 == j1) & (k2 == j2) & observed
-            return np.where(same, dot, 0.0), np.zeros_like(dot)
-        m = spec.blocks(self.grid)
-        d = _average_symbol(self.grid._j, n, n // m)  # D(j) of one axis at j % n
-        d_k, d_j = d[k1 % n] * d[k2 % n], d[j1 % n] * d[j2 % n]
-        same = ((k1 - j1) % m == 0) & ((k2 - j2) % m == 0)
-        mirror = ((k1 + j1) % m == 0) & ((k2 + j2) % m == 0)
-        return (
-            np.where(same, d_k.conj() * d_j * dot, 0.0),
-            np.where(mirror, (d_k * d_j).conj() * dot, 0.0),
-        )
 
     # -- operator pieces ----------------------------------------------------
 

@@ -29,6 +29,7 @@ from collections.abc import Callable, Iterable
 import numpy as np
 
 from .fields import GalerkinCutoff, SpectralField, TorusGrid, _map, _Packing
+from .interpolants import observation_map
 
 __all__ = [
     "SNAPSHOT_MAGIC",
@@ -229,7 +230,7 @@ class Trajectory:
         if key not in self._observed:
             if gal.grid != self.packing.grid:
                 raise ValueError("observed truth grid differs from params grid")
-            pair = gal._observation_map(self.packing.modes)
+            pair = observation_map(gal.p.interpolant, gal.grid, gal.modes, self.packing.modes)
             self._observed[key] = _map(pair, np.array(self.frames))
         return combine(self._observed[key], *self.stencil(t))
 

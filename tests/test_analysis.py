@@ -65,7 +65,7 @@ def test_overflowing_constants_are_rejected_and_bounds_read_inf(params16):
     coarse = dataclasses.replace(
         params16, beta=1e308, interpolant=InterpolantSpec("fourier_truncation", 100.0)
     )
-    _, res = check_conditions(coarse, bound_constants(params16))
+    _, res = check_conditions(coarse, bound_constants(params16), 1.0)
     assert res.lhs == math.inf and not res.passed
 
 
@@ -102,7 +102,7 @@ def test_constants_reject_degenerate_forcing(params16):
 
 def test_condition_report_hand_values(params16):
     consts = bound_constants(params16)
-    floor, res = check_conditions(params16, consts)
+    floor, res = check_conditions(params16, consts, 1.0)
     assert floor.name == "beta_lower_bound" and res.name == "interpolant_resolution"
     assert floor.lhs == pytest.approx(65.23594781085251, rel=1e-12)
     assert floor.rhs == 2.0
@@ -115,7 +115,7 @@ def test_beta_lower_bound_fixes_c_at_1(params16):
     # the gain floor is M1^2 Lambda / nu, with no absolute factor and no
     # note, as R1 carries c4 = 1
     consts = bound_constants(params16)
-    floor, _ = check_conditions(params16, consts)
+    floor, _ = check_conditions(params16, consts, 1.0)
     assert floor.lhs == pytest.approx(consts.M1**2 * consts.Lambda / params16.nu, rel=1e-15)
     assert floor.describe() == "beta_lower_bound = fail (lhs=65.2359478109 <= rhs=2)"
     with pytest.raises(TypeError):
@@ -136,9 +136,10 @@ def test_conditions_need_c0_for_volume_averages(params16):
 
     consts = bound_constants(params16)
     vol = replace(params16, interpolant=InterpolantSpec("volume_average", TWO_PI / 8.0))
-    with pytest.raises(ValueError, match="c0_value"):
+    # c0 is the caller's (interpolants.estimate_c0), for every interpolant
+    with pytest.raises(TypeError):
         check_conditions(vol, consts)
-    _, res = check_conditions(vol, consts, c0_value=0.5)
+    _, res = check_conditions(vol, consts, 0.5)
     assert res.lhs == pytest.approx(
         0.5 * 2.0 * (TWO_PI / 8.0) ** 2, rel=1e-13
     )

@@ -153,8 +153,12 @@ def test_burn_in_must_precede_t_end():
         ("experiment", "tau", "0", "tau must be positive"),
         ("experiment", "tau", "-0.01", "tau must be positive"),
         ("experiment", "tau", "nan", "tau must be positive"),
+        # an Euler stepper adds 1/tau to its diagonal: these failed their solver
+        ("experiment", "tau", "5e-324", "tau must be positive with a finite reciprocal"),
+        ("experiment", "tau", "1e-310", "with a finite reciprocal, got 1e-310"),
         ("sweep", "tau_list", "0.02, 0.0, 0.005", "tau_list entries"),
         ("sweep", "tau_list", "0.02, -0.01, 0.005", "tau_list entries"),
+        ("sweep", "tau_list", "0.02, 1e-310", "tau_list entries must be positive with a finite"),
         # the runners label an entry by %g: these two share the label 0.01
         ("sweep", "tau_list", "0.01, 0.0100000001", "tau_list entries must differ"),
         ("sweep", "lambda_cut_list", "6, 16, 16.0000001", "lambda_cut_list entries must differ"),

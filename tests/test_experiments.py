@@ -805,6 +805,14 @@ _REJECTED_BASE = dict(
                  soak_steps=3),
             "soak_steps * max(tau_list) = 0.09 is not a whole number of truth steps",
         ),
+        # derived steps whose reciprocal overflows (a config rejects such a
+        # tau or tau_list entry itself): each failed its solver
+        ("n-sweep", dict(tau=1e-308, t_end=2e-308), "steps tau / 2 = 5e-309 has no finite"),
+        ("twin", dict(tau=1e-307, t_end=1e-307), "truth steps tau / truth_dt_factor = "),
+        # t_end / tau overflows: an OverflowError escaped main
+        ("twin", dict(tau=1e-300, t_end=1e10), "t_end = 10000000000.0 is not a whole number"),
+        # Fourier truncation observing nothing: 1/h^2 = 0.01 < lambda1 = 1
+        ("twin", dict(h=10.0), "h, grid_n: h = 10.0: Fourier truncation observes"),
     ],
 )
 def test_cli_rejects_a_bad_config_before_any_integration(

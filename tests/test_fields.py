@@ -103,6 +103,16 @@ def test_norms_past_the_square_overflow_scale_with_the_field(rng, grid16):
     assert band.norms(np.zeros(band.size, dtype=complex)) == [0.0] * 3
 
 
+def test_norms_of_one_amplitude_vector_scale_with_the_side(rng, grid16):
+    # the same amplitudes on a side L: |v| scales by L, ||v|| by 1 and
+    # |A v| by 1/L, also where L^2 |k|^4 is a product of extreme floats
+    c = random_field(grid16, rng, norm_h=1.0).coeffs
+    f, big = (SpectralField(TorusGrid(L, 16), c) for L in (1.0, 1e150))
+    assert norm_H(big) == pytest.approx(1e150 * norm_H(f), rel=1e-13, abs=0.0)
+    assert norm_V(big) == pytest.approx(norm_V(f), rel=1e-13, abs=0.0)
+    assert norm_DA(big) == pytest.approx(1e-150 * norm_DA(f), rel=1e-13, abs=0.0)
+
+
 def test_each_norm_sums_directly_below_its_own_overflow(rng):
     # at L = 1e-75 the |A v| weights reach 1e157: amplitudes near 1e100
     # overflow its sum, which is rescaled, while |v| and ||v|| keep the

@@ -163,6 +163,17 @@ def test_volume_average_divisibility_errors(grid16):
         apply_ih(InterpolantSpec("volume_average", TWO_PI / 5.0), f)
 
 
+def test_check_rejects_an_interpolant_that_observes_nothing(grid16):
+    # 1/h^2 = lambda1 = 1 observes the first shell; 1/h^2 = 0.01 none, and
+    # 1/h^2 past the floats no cutoff
+    InterpolantSpec("fourier_truncation", 1.0).check(grid16)
+    for h in (10.0, 1e-200):
+        with pytest.raises(ValueError, match=rf"^h = {h}: .* 1/h\^2, .* lambda1 = 1\.0$"):
+            InterpolantSpec("fourier_truncation", h).check(grid16)
+    with pytest.raises(ValueError, match="divisible"):
+        InterpolantSpec("volume_average", TWO_PI / 5.0).check(grid16)
+
+
 def test_volume_average_c0_estimate_finite(grid16):
     spec = InterpolantSpec("volume_average", TWO_PI / 4.0)
     c0 = estimate_c0(spec, grid16, trials=30, rng=np.random.default_rng(5))
@@ -173,5 +184,4 @@ def test_volume_average_c0_estimate_finite(grid16):
     with pytest.raises(ValueError, match="trials"):
         estimate_c0(spec, grid16, trials=5)
     # Fourier truncation needs no estimate: its c0 is exactly 1
-    with pytest.raises(ValueError, match="c0 = 1"):
-        estimate_c0(InterpolantSpec("fourier_truncation", 1.0 / 3.0), grid16)
+    assert estimate_c0(InterpolantSpec("fourier_truncation", 1.0 / 3.0), grid16) == 1.0

@@ -83,12 +83,13 @@ def test_no_code_checks_or_repairs_the_field_invariants():
 
 def test_average_symbol_is_called_only_by_the_observation_builders():
     # the volume-average symbol enters the solver through one builder of
-    # P_N P_sigma I_h; the interpolants module keeps its field oracle and c0
+    # P_N P_sigma I_h, which the interpolants module owns beside its field
+    # oracle and c0
     assert sorted(set(_callers("_average_symbol"))) == [
         ("interpolants", "_off_band_gram"),
         ("interpolants", "apply_ih"),
         ("interpolants", "estimate_c0"),
-        ("schemes", "_observation_map"),
+        ("interpolants", "observation_map"),
     ]
 
 

@@ -4,6 +4,7 @@ exact recursions, order, guards."""
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nudgeflow import experiments, oracles, schemes
-from nudgeflow.config import default_config
+from nudgeflow.config import default_config, load_config
 from nudgeflow.experiments import _steady
 from nudgeflow.fields import (
     GalerkinCutoff,
@@ -28,7 +29,7 @@ from nudgeflow.fields import (
     project_low,
     random_field,
 )
-from nudgeflow.interpolants import InterpolantSpec, apply_ih
+from nudgeflow.interpolants import InterpolantSpec, apply_ih, observation_map
 from nudgeflow.krylov import SolverError
 from nudgeflow.operators import (
     _taylor_green_decay,
@@ -1214,17 +1215,38 @@ def test_observation_map_matches_apply_ih(n, kind, h, lam):
     band = _band_packing(grid)
     a = rng.standard_normal(band.size) + 1j * rng.standard_normal(band.size)
     expected = gal._pack_grid(apply_ih(p.interpolant, band._field(a)))
-    got = schemes._map(gal._observation_map(band.modes), a)
+    got = schemes._map(observation_map(p.interpolant, grid, gal.modes, band.modes), a)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
     # on the solver's own modes: e_k . e_k is exactly 1, and the map is
     # diagonal wherever the solver applies no dense pair
-    m, c = gal._observation_map(gal.modes)
+    m, c = observation_map(p.interpolant, grid, gal.modes, gal.modes)
     if kind == "fourier_truncation":
         j1, j2 = gal.modes
         observed = j1 * j1 + j2 * j2 <= p.interpolant.cutoff().shell_limit(grid)
         assert np.array_equal(m.diagonal(), observed.astype(float))
     if gal._obs_pair is None:
         assert not np.any(c) and np.array_equal(m, np.diag(m.diagonal()))
+
+
+@pytest.mark.parametrize("n", [16, 24, 48, 96])
+@pytest.mark.parametrize("lam", [2.0, 20.0])
+def test_dense_observation_pair_exactly_below_2k_plus_1_cells(n, lam):
+    # the coupled pair is read off the map's own zeros: a volume average
+    # couples the low modes exactly when L/h < 2K + 1, Fourier truncation never
+    k = math.isqrt(GalerkinCutoff(lam).shell_limit(TorusGrid(TWO_PI, n)))
+    for m in [d for d in range(1, n + 1) if n % d == 0]:
+        gal = schemes._Galerkin(_case_params(n, "volume_average", TWO_PI / m, lam))
+        assert (gal._obs_pair is not None) == (m < 2 * k + 1), m
+    assert schemes._Galerkin(_case_params(n, "fourier_truncation", 0.5, lam))._obs_pair is None
+
+
+def test_twin_bench_assimilation_takes_the_diagonal_observation_path():
+    # L/h = 16 cells against 2K + 1 = 15 at lambda_cut = 60: the benchmark
+    # times the diagonal beta-term
+    cfg = load_config(str(Path(__file__).parents[1] / "bench/configs/twin_volume_nse.cfg"))
+    params = experiments._setup(cfg).params
+    assert params.interpolant.blocks(params.grid) == 16
+    assert schemes._stepper(params, cfg.tau, cfg.scheme)._obs_pair is None
 
 
 @pytest.mark.parametrize("which", ["steady", "stored"])

@@ -21,6 +21,7 @@ import numpy as np
 
 from .fields import norm_H, project_high
 from .schemes import PhysicsParams
+from .storage import STEP_TOL
 
 __all__ = [
     "BoundConstants",
@@ -253,8 +254,10 @@ def stability_bound_v2(
 
 
 def tail_sup(times: np.ndarray, values: np.ndarray, t_from: float) -> float:
-    """sup of values over times >= t_from (uniform-in-time claims)."""
-    sel = times >= t_from - 1e-12 * max(1.0, abs(t_from))
+    """sup of values over times >= t_from (uniform-in-time claims), times a
+    march's steps: a time within STEP_TOL steps below t_from counts."""
+    dt = times[1] - times[0] if len(times) > 1 else 0.0
+    sel = times >= t_from - STEP_TOL * dt
     if not np.any(sel):
         raise ValueError(f"no samples at or after t = {t_from}")
     return float(np.max(values[sel]))

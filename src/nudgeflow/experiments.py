@@ -11,7 +11,8 @@ The runners share one pipeline.  `_setup` builds the grid, forcing,
 parameters and a-priori constants, and is the front door: with each
 runner's own checks before it, it rejects every bad value the config alone
 decides with a ConfigError naming its keys, before anything is
-integrated.  `_start` integrates the truth and returns it with the
+integrated, and counts each march's steps once (`_steps`, by
+`storage.whole_steps`).  `_start` integrates the truth and returns it with the
 initial data v0 = build_ic, which every branch builds in the low-mode
 space.  The truth, like every reference and every stored march, is a
 `storage.Trajectory`, packed frames read through a time stencil: a steady
@@ -82,12 +83,13 @@ from .schemes import (
     SEMI_IMPLICIT,
     PhysicsParams,
     _galerkin,
-    _steps_for,
     advance,
     nse_integrate,
     reference_galerkin_integrate,
 )
-from .storage import Trajectory, atomic_write_text, save_snapshot, series_to_csv
+from .storage import (
+    MAX_STEPS, Trajectory, atomic_write_text, save_snapshot, series_to_csv, whole_steps,
+)
 
 __all__ = [
     "PASS", "FAIL", "SKIP", "SERIES_HEADER", "CheckResult", "ExperimentReport",
@@ -249,8 +251,7 @@ class _Setup:
     consts: BoundConstants | None
     conditions: tuple[ConditionCheck, ...] | None
     rng: np.random.Generator
-    horizon: float | None  # the truth spans [0, horizon]
-    spinup_steps: int  # of an nse_integrate truth
+    truth_steps: tuple[int, int] | None  # spin-up, horizon of an nse_integrate truth
 
 
 def _config_value(keys: str, build: Callable, *args, **kwargs):
@@ -262,26 +263,27 @@ def _config_value(keys: str, build: Callable, *args, **kwargs):
 
 
 def _steps(span: float, span_key: str, step: float, step_key: str) -> int:
-    """span / step, a whole number of steps whose reciprocal is finite, or a
-    ConfigError naming both keys."""
+    """span / step, a whole number (`whole_steps`) of 1 to MAX_STEPS steps
+    whose reciprocal is finite, or a ConfigError naming both keys."""
     if not (step > 0.0 and math.isfinite(1.0 / step)):
         raise ConfigError(f"{step_key} = {step} has no finite reciprocal")
-    try:
-        return _steps_for(span, step)
-    except (ValueError, OverflowError):  # span / step may overflow to inf
-        msg = f"{span_key} = {span} is not a whole number of {step_key} = {step}"
-        raise ConfigError(msg) from None
+    n = whole_steps(span, step)
+    if n is None or n < 1:
+        raise ConfigError(f"{span_key} = {span} is not a whole number of {step_key} = {step}")
+    if n > MAX_STEPS:
+        msg = f"{span_key} = {span} is {n:.6g} {step_key} = {step}, past MAX_STEPS = {MAX_STEPS}"
+        raise ConfigError(msg)
+    return n
 
 
 # the forcing that each analytic truth solves the equations with
 _TRUTH_FORCING = {"analytic:kolmogorov": "kolmogorov", "analytic:taylor_green": "none"}
 
 
-def _truth_spinup_steps(
-    cfg: ExperimentConfig, grid: TorusGrid, t: float, key: str
-) -> int:
+def _truth_steps(cfg: ExperimentConfig, grid: TorusGrid, t: float, key: str) -> tuple[int, int]:
     """Checks the config's truth on [0, t], t the value of the config
-    expression `key`; the spin-up steps of an nse_integrate truth."""
+    expression `key`; the spin-up and [0, t] steps of an nse_integrate
+    truth, (0, 0) for an analytic one."""
     forcing = _TRUTH_FORCING.get(cfg.truth)
     if forcing is not None:
         if cfg.forcing != forcing:
@@ -290,14 +292,14 @@ def _truth_spinup_steps(
             _config_value(
                 "forcing_kappa", _taylor_green_decay, grid, cfg.forcing_kappa, 0.0, cfg.nu
             )
-        return 0
+        return 0, 0
     if cfg.truth != "nse_integrate":
         raise ConfigError(f"unknown truth kind {cfg.truth!r}")
     tau_t, step_key = cfg.tau / cfg.truth_dt_factor, "truth steps tau / truth_dt_factor"
-    _steps(t, key, tau_t, step_key)
+    n = _steps(t, key, tau_t, step_key)
     if cfg.truth_spinup == 0.0:
-        return 0
-    return _steps(cfg.truth_spinup, "truth_spinup", tau_t, step_key)
+        return 0, n
+    return _steps(cfg.truth_spinup, "truth_spinup", tau_t, step_key), n
 
 
 def _setup(
@@ -321,7 +323,7 @@ def _setup(
     )
     if params.beta > 0.0:
         _config_value("h, grid_n", spec.check, grid)
-    spinup_steps = 0 if horizon is None else _truth_spinup_steps(cfg, grid, *horizon)
+    truth_steps = None if horizon is None else _truth_steps(cfg, grid, *horizon)
     consts = None
     conditions = None
     # |f| may underflow or the constants overflow: bound_constants names either
@@ -331,8 +333,7 @@ def _setup(
         conditions = check_conditions(params, consts, estimate_c0(spec, grid))
     return _Setup(
         cfg, grid, forcing, params, consts, conditions,
-        np.random.default_rng(cfg.seed),
-        None if horizon is None else horizon[0], spinup_steps,
+        np.random.default_rng(cfg.seed), truth_steps,
     )
 
 
@@ -350,7 +351,7 @@ def _m1_scale(setup: _Setup) -> float:
 
 
 def build_truth(setup: _Setup) -> Trajectory:
-    """Truth on [0, setup.horizon] per config (checked by `_setup`).
+    """Truth over setup.truth_steps per config (checked by `_setup`).
 
     Consumes the setup rng (before any initial data).
     """
@@ -374,11 +375,10 @@ def build_truth(setup: _Setup) -> Trajectory:
         interpolant=None, cutoff=setup.grid.band_cutoff(),
     )
     u_init = random_field(setup.grid, setup.rng, norm_v=_m1_scale(setup))
-    if setup.spinup_steps:
-        u_init, _ = advance(u_init, p_free, None, tau_t, setup.spinup_steps)
-    return nse_integrate(
-        u_init, p_free, setup.horizon, tau_t, store_every=cfg.truth_store_every
-    )
+    spinup, n_steps = setup.truth_steps
+    if spinup:
+        u_init, _ = advance(u_init, p_free, None, tau_t, spinup)
+    return nse_integrate(u_init, p_free, n_steps, tau_t, store_every=cfg.truth_store_every)
 
 
 def build_ic(setup: _Setup, truth: Trajectory) -> SpectralField:
@@ -402,7 +402,7 @@ def build_ic(setup: _Setup, truth: Trajectory) -> SpectralField:
 
 
 def _start(setup: _Setup) -> tuple[Trajectory, SpectralField]:
-    """Truth on [0, setup.horizon] and v0 (build_ic is low-supported)."""
+    """Truth over setup.truth_steps and v0 (build_ic is low-supported)."""
     truth = build_truth(setup)
     return truth, build_ic(setup, truth)
 
@@ -786,9 +786,10 @@ def run_stability_soak(
 
 def _reference_step(
     tau_list: tuple[float, ...], ref_factor: int, t_end: float
-) -> float:
+) -> tuple[float, int]:
     """dt_ref = min(tau)/m for the smallest m in 1..2 ref_factor such that
-    every tau is a whole multiple of dt_ref and t_end one of 2 dt_ref.
+    every tau is a whole multiple of dt_ref and t_end one of 2 dt_ref
+    (`whole_steps`), and the reference's steps t_end / dt_ref.
 
     The second lets the checking run at 2 dt_ref end exactly at t_end.
     Every list whose steps are multiples of min(tau)/ref_factor passes at
@@ -798,9 +799,9 @@ def _reference_step(
     tau_min = min(tau_list)
     for m in range(1, 2 * ref_factor + 1):
         dt = tau_min / m
-        ratios = [tau / dt for tau in tau_list] + [t_end / (2.0 * dt)]
-        if all(abs(r - round(r)) <= 1e-9 * r for r in ratios):
-            return dt
+        whole = all(whole_steps(tau, dt) is not None for tau in tau_list)
+        if whole and whole_steps(t_end, 2.0 * dt) is not None:
+            return dt, 2 * _steps(t_end, "t_end", 2.0 * dt, "steps 2 dt_ref")
     raise ConfigError(
         f"tau_list {tau_list} with t_end = {t_end} has no reference step "
         f"dt_ref = min(tau)/m with m <= 2 ref_factor = {2 * ref_factor}: "
@@ -831,14 +832,14 @@ def run_tau_sweep(
         tau: _steps(cfg.t_end, "t_end", tau, f"steps tau_list[{i}]")
         for i, tau in enumerate(cfg.tau_list)
     }
-    dt_ref = _reference_step(cfg.tau_list, cfg.ref_factor, cfg.t_end)
+    dt_ref, n_ref = _reference_step(cfg.tau_list, cfg.ref_factor, cfg.t_end)
     setup = _setup(cfg, horizon=(cfg.t_end, "t_end"))
     params = setup.params
     with _Run("tau_sweep", setup, out_dir) as run:
         report = run.report
         truth, v0 = _start(setup)
-        reference = reference_galerkin_integrate(v0, params, truth, cfg.t_end, dt_ref)
-        ref_2dt = reference_galerkin_integrate(v0, params, truth, cfg.t_end, 2.0 * dt_ref)
+        reference = reference_galerkin_integrate(v0, params, truth, n_ref, dt_ref)
+        ref_2dt = reference_galerkin_integrate(v0, params, truth, n_ref // 2, 2.0 * dt_ref)
         gal = _galerkin(params)
         ref_gap_h = max(
             gal.norms(a - b)[0] for a, b in zip(reference.frames[::2], ref_2dt.frames)
@@ -864,7 +865,6 @@ def run_tau_sweep(
 
         report.values["ref_gap_H"] = ref_gap_h
         budget = sups_h[-1][1] / cfg.ref_factor  # the runs end at min(tau)
-        n_ref = len(reference.frames) - 1  # even: t_end is a multiple of 2 dt_ref
         report.add_check(
             "reference", PASS if ref_gap_h <= budget else FAIL,
             f"ETDRK4 gap dt_ref vs 2 dt_ref {ref_gap_h:.3e}, must be <= "

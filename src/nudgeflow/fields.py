@@ -93,11 +93,14 @@ class TorusGrid:
             raise ValueError(f"domain side L must be positive and finite, got {self.L}")
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"grid size n must be even and >= 4, got {self.n}")
-        # the largest Parseval weights of `_Packing`: 2 L^2 of |v|, and
-        # 2 L^2 k^4 of |A v| at the band's corner k^2 = lambda1 2 K^2
-        q = 2.0 * math.pi / self.L
-        corner = q * q * 2 * self.band_limit**2
-        if not math.isfinite(2.0 * (self.L * self.L) * max(1.0, corner * corner)):
+        # the Parseval weights of `_Packing` are largest at the band's corner
+        corner = np.array([2 * self.band_limit**2])
+        try:
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(_norm_weights(self.L, self.lambda1, corner)).all()
+        except OverflowError:  # a float power in lambda1 or the weights
+            finite = False
+        if not finite:
             raise ValueError(
                 f"domain side L = {self.L} puts the Parseval weights of the norms "
                 "past the largest float"
@@ -194,6 +197,15 @@ class GalerkinCutoff:
         return self.shell_limit(grid) <= grid.band_limit**2
 
 
+def _norm_weights(L: float, lambda1: float, shell: np.ndarray) -> np.ndarray:
+    """Parseval weights of |v|^2, ||v||^2 and |A v|^2 on the |a_k|^2 of
+    integer shells `shell`; 2 L^2 |k|^4 is formed as 2 (L lambda1)^2
+    shell^2, since |k|^4 alone underflows at large L."""
+    w = 2.0 * L**2
+    far = 2.0 * (L * lambda1) ** 2 * shell**2
+    return np.stack((w * np.ones(shell.shape), w * (lambda1 * shell), far))
+
+
 class _Packing:
     """Amplitudes of real solenoidal fields on half-plane modes of a grid's band.
 
@@ -221,14 +233,7 @@ class _Packing:
         self.size = j1.size
         self.shell = j1 * j1 + j2 * j2
         self.k_squared = grid.lambda1 * self.shell
-        # Parseval: |v|^2, ||v||^2 and |A v|^2 are these weights times |a_k|^2;
-        # 2 L^2 |k|^4 is formed as 2 (L lambda1)^2 shell^2, since |k|^4
-        # alone underflows at large L
-        self._norm_weights = w = np.stack((
-            2.0 * grid.L**2 * np.ones_like(self.k_squared),
-            2.0 * grid.L**2 * self.k_squared,
-            2.0 * (grid.L * grid.lambda1) ** 2 * self.shell**2,
-        ))
+        self._norm_weights = w = _norm_weights(grid.L, grid.lambda1, self.shell)
         # for a sum of |a_k|^2 in a row's range no square or weighted sum of
         # the row overflows, and the row sum stays at least tiny / eps, so
         # it neither reads 0 nor loses digits to subnormals (a weight that

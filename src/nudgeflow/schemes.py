@@ -456,13 +456,6 @@ def advance(
     return stepper._field(x), traj
 
 
-def _steps_for(t_end: float, tau: float) -> int:
-    n = int(round(t_end / tau))
-    if n < 1 or abs(n * tau - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError(f"t_end={t_end} is not an integer multiple of tau={tau}")
-    return n
-
-
 # Contour points of the Kassam-Trefethen mean for the ETDRK4 weights.
 _CONTOUR_POINTS = 32
 
@@ -546,14 +539,14 @@ def reference_galerkin_integrate(
     v0: SpectralField,
     p: PhysicsParams,
     truth: Trajectory | None,
-    t_end: float,
+    n_steps: int,
     dt: float,
 ) -> Trajectory:
     """Fourth-order surrogate for the continuous-in-time nudged Galerkin flow.
 
-    `advance` marches dv/dt = L v + N(v, t) with ETDRK4 (Cox & Matthews
-    2002), storing every step from v(0) = P_N v0.  The diagonal part
-    L = -(nu A + obs_diag) is integrated exactly; the explicit part is
+    `advance` marches n_steps of size dt of dv/dt = L v + N(v, t) with
+    ETDRK4 (Cox & Matthews 2002), storing each from v(0) = P_N v0.  The
+    diagonal L = -(nu A + obs_diag) is integrated exactly; the explicit part is
     N(v, t) = P_N f - P_N B(v, v) + beta P_N I_h u(t), plus, for volume
     averages, the off-diagonal remainder obs_diag v - beta P_N P_sigma I_h v
     (zero when L/h >= 2K + 1).  I_h is p.interpolant, and each step
@@ -561,22 +554,22 @@ def reference_galerkin_integrate(
     flow does not depend on a time-stepping scheme, so one trajectory
     serves both.  Raises SolverError if an iterate becomes non-finite.
     """
-    n_steps = _steps_for(t_end, dt)
     return advance(v0, p, truth, dt, n_steps, scheme=ETDRK4, store_every=1)[1]
 
 
 def nse_integrate(
     u0: SpectralField,
     p: PhysicsParams,
-    t_end: float,
+    n_steps: int,
     tau_fine: float,
     *,
     store_every: int = 1,
 ) -> Trajectory:
     """Integrate the unnudged equation at the grid's full dealiased band.
 
-    Truth generator for twin experiments: requires beta = 0 and the
-    cutoff equal to the full band so no resolved mode is discarded.
+    Truth generator for twin experiments: n_steps steps of size tau_fine,
+    stored as `advance` stores them; requires beta = 0 and the cutoff
+    equal to the full band so no resolved mode is discarded.
     """
     if p.beta != 0.0:
         raise ValueError(f"truth integration requires beta = 0, got {p.beta}")
@@ -586,5 +579,4 @@ def nse_integrate(
             f"use grid.band_cutoff() (shell {p.grid.band_limit**2}), got shell "
             f"{p.cutoff.shell_limit(p.grid)}"
         )
-    n = _steps_for(t_end, tau_fine)
-    return advance(u0, p, None, tau_fine, n, store_every=store_every)[1]
+    return advance(u0, p, None, tau_fine, n_steps, store_every=store_every)[1]

@@ -17,10 +17,17 @@ gives its frames and stencil at construction.  Every truth the solver
 observes and every reference it measures errors against is one:
 `combine` applies the stencil to the frames themselves or to per-frame
 data derived linearly from them (packed observations).
+
+One rule decides whether a time lies on a time grid, `whole_steps`: t is
+step k of spacing dt when |t/dt - k| <= STEP_TOL, whatever the unit of
+time.  The stencil applies it in the spacing of the stored times around
+t, and the harness to count each march's steps (at most MAX_STEPS).
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import os
 import struct
 import tempfile
@@ -47,6 +54,16 @@ SNAPSHOT_VERSION = 2
 _HEADER = struct.Struct("<4sIdId")
 # Float format guaranteeing exact double round-trip in text outputs.
 FLOAT_FMT = "%.17g"
+# The time-grid tolerance, in steps.  k dt is rounded by about eps k steps,
+# so past MAX_STEPS the rule could not tell step k from its neighbours.
+STEP_TOL = 1e-6
+MAX_STEPS = int(STEP_TOL / (4.0 * np.finfo(float).eps))
+
+
+def whole_steps(t: float, dt: float) -> int | None:
+    """k if time t is step k of spacing dt > 0, |t/dt - k| <= STEP_TOL, else None."""
+    r = t / dt
+    return round(r) if math.isfinite(r) and abs(r - round(r)) <= STEP_TOL else None
 
 
 class SnapshotFormatError(ValueError):
@@ -113,24 +130,17 @@ def load_snapshot(path: str) -> tuple[SpectralField, GalerkinCutoff]:
     return field, cutoff
 
 
-def _lagrange_weights(times: np.ndarray, t: float) -> tuple[int, list[float]]:
-    """First index and weights of the 4-point Lagrange stencil at time t.
-
-    The stencil is the (at most) four stored times around t, shifted
-    inward at the ends of the range.
-    """
+def _lagrange_weights(times: list[float], i: int, t: float) -> tuple[int, list[float]]:
+    """First index and weights of the 4-point Lagrange stencil at time t,
+    times[i] < t < times[i + 1]: the (at most) four stored times around t,
+    shifted inward at the ends of the range."""
     width = min(4, len(times))
-    i = int(np.searchsorted(times, t, side="right")) - 1
-    lo = int(np.clip(i - (width - 1) // 2, 0, len(times) - width))
+    lo = min(max(i - (width - 1) // 2, 0), len(times) - width)
     xs = times[lo : lo + width]
-    weights = []
-    for m in range(width):
-        w = 1.0
-        for l in range(width):
-            if l != m:
-                w *= (t - xs[l]) / (xs[m] - xs[l])
-        weights.append(w)
-    return lo, weights
+    return lo, [
+        math.prod((t - xs[j]) / (xs[m] - xs[j]) for j in range(width) if j != m)
+        for m in range(width)
+    ]
 
 
 class Trajectory:
@@ -140,16 +150,16 @@ class Trajectory:
     frames are packed vectors; stencil(t) returns the index of u(t)'s first
     frame and the weights of it and the frames after it (None: u(t) is
     that frame).  Without a given stencil the frames are those appended
-    with their times, and `stencil` returns the stored frame at a stored
-    time, else a 4-point Lagrange polynomial in time (linear combinations
-    preserve the field invariants exactly); exact_queries and
+    with their times, and `stencil` returns the stored frame at a time
+    within STEP_TOL spacings of it (`whole_steps`, in the spacing of the
+    stored times around t), else a 4-point Lagrange polynomial in time
+    (linear combinations preserve the field invariants exactly); a time
+    farther outside the stored range raises.  exact_queries and
     interpolated_queries count the lookups of each kind so callers can
     report them.  A given stencil, such as (0, None) for a steady u,
     replaces it and counts nothing.  Fields are built only when asked
     for: `at`, `fields`.
     """
-
-    _EXACT_RTOL = 1e-9
 
     def __init__(
         self,
@@ -158,30 +168,20 @@ class Trajectory:
         stencil: Callable[[float], tuple[int, list[float] | None]] | None = None,
     ) -> None:
         self.packing = packing
-        self._times: list[float] = []
+        self.times: list[float] = []
         self.frames: list[np.ndarray] = [] if frames is None else frames
         if stencil is not None:
             self.stencil = stencil
         self.interpolated_queries = 0
         self.exact_queries = 0
-        self._times_arr: np.ndarray | None = None
         self._observed: dict[tuple, np.ndarray] = {}
 
     def append(self, t: float, frame: np.ndarray) -> None:
         """Store the packed vector of the state at time t."""
-        if self._times and t <= self._times[-1]:
-            raise ValueError(
-                f"snapshot times must increase: got {t} after {self._times[-1]}"
-            )
-        self._times.append(float(t))
+        if self.times and t <= self.times[-1]:
+            raise ValueError(f"snapshot times must increase: got {t} after {self.times[-1]}")
+        self.times.append(float(t))
         self.frames.append(frame)
-        self._times_arr = None
-
-    @property
-    def times(self) -> np.ndarray:
-        if self._times_arr is None:
-            self._times_arr = np.asarray(self._times, dtype=float)
-        return self._times_arr
 
     @property
     def fields(self) -> list[SpectralField]:
@@ -193,23 +193,22 @@ class Trajectory:
 
         Counts the query as exact or interpolated.
         """
-        if not self._times:
-            raise ValueError("empty trajectory")
         times = self.times
-        i = int(np.searchsorted(times, t))
-        tol = self._EXACT_RTOL * (1.0 + abs(t))
-        for j in (i - 1, i):
-            if 0 <= j < len(times) and abs(times[j] - t) <= tol:
-                self.exact_queries += 1
-                return j, None
-        if t < times[0] - tol or t > times[-1] + tol:
-            raise ValueError(
-                f"time {t} outside stored range [{times[0]}, {times[-1]}]"
-            )
-        if len(times) < 2:
-            raise ValueError("cannot interpolate a single-snapshot trajectory")
+        if not times:
+            raise ValueError("empty trajectory")
+        if len(times) == 1:  # no spacing: only the stored time itself
+            i, k = 1, 0 if t == times[0] else None
+        else:
+            # t in the spacing of the stored times times[i - 1] < times[i] around it
+            i = min(max(bisect.bisect_left(times, t), 1), len(times) - 1)
+            k = whole_steps(t - times[i - 1], times[i] - times[i - 1])
+        if k == 0 or k == 1:
+            self.exact_queries += 1
+            return i - 1 + k, None
+        if not times[0] < t < times[-1]:
+            raise ValueError(f"time {t} outside stored range [{times[0]}, {times[-1]}]")
         self.interpolated_queries += 1
-        return _lagrange_weights(times, t)
+        return _lagrange_weights(times, i - 1, t)
 
     def packed(self, t: float) -> np.ndarray:
         """u(t) packed on `packing`."""

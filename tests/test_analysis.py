@@ -198,6 +198,13 @@ def test_error_series_tail_helpers():
         tail_sup(times, values, 5.0)
 
 
+@pytest.mark.parametrize("spacing", [1e-12, 1.0])
+def test_tail_sup_starts_at_the_step_of_t_from_at_every_time_scale(spacing):
+    # the sample one step before t_from stays out, however small a step is
+    times, values = np.arange(4) * spacing, np.array([0.0, 5.0, 1.0, 2.0])
+    assert tail_sup(times, values, 2 * spacing) == 2.0
+
+
 def test_decay_rate_fit_recovers_synthetic_rate():
     t = np.linspace(0.0, 15.0, 301)
     v = 3.0 * np.exp(-2.0 * t) + 1e-9

@@ -361,13 +361,14 @@ def test_start_gives_low_supported_initial_data(ic):
 
 
 def test_reference_step_is_the_smallest_tau_when_commensurate():
-    assert _reference_step((0.02, 0.01, 0.005, 0.0025), 50, 0.06) == 0.0025
-    assert _reference_step((0.03, 0.02, 0.01), 50, 0.06) == pytest.approx(0.01)
+    # (dt_ref, the reference's steps t_end / dt_ref)
+    assert _reference_step((0.02, 0.01, 0.005, 0.0025), 50, 0.06) == (0.0025, 24)
+    assert _reference_step((0.03, 0.02, 0.01), 50, 0.06) == pytest.approx((0.01, 6))
     # steps that are multiples of min(tau)/3 only: the old min(tau)/ref_factor
     # rule accepted them at ref_factor = 3, and m = 3 still does
-    assert _reference_step((0.05, 0.04, 0.03), 3, 0.6) == pytest.approx(0.01)
+    assert _reference_step((0.05, 0.04, 0.03), 3, 0.6) == pytest.approx((0.01, 60))
     # m <= 2 ref_factor = 4 reaches m = 3 at ref_factor = 2 as well
-    assert _reference_step((0.05, 0.04, 0.03), 2, 0.6) == pytest.approx(0.01)
+    assert _reference_step((0.05, 0.04, 0.03), 2, 0.6) == pytest.approx((0.01, 60))
     with pytest.raises(ConfigError, match="whole multiple"):
         _reference_step((0.05, 0.04, 0.03), 1, 0.6)
 
@@ -376,7 +377,7 @@ def test_reference_step_is_even_when_t_end_is_an_odd_number_of_it(tmp_path):
     # m = 1 makes every tau a multiple of 0.01 but t_end = 15 * 0.01, so
     # the run at 2 dt_ref could not end at t_end; m = 2 is the step
     taus, t_end = (0.05, 0.03, 0.01), 0.15
-    assert _reference_step(taus, 50, t_end) == pytest.approx(0.005)
+    assert _reference_step(taus, 50, t_end) == pytest.approx((0.005, 30))
     cfg = default_config(
         grid_n=16, lambda_cut=20.0, forcing="kolmogorov", h=0.5,
         tau_list=taus, t_end=t_end, burn_in=0.0, truth_spinup=0.1,
@@ -813,6 +814,17 @@ _REJECTED_BASE = dict(
         ("twin", dict(tau=1e-300, t_end=1e10), "t_end = 10000000000.0 is not a whole number"),
         # Fourier truncation observing nothing: 1/h^2 = 0.01 < lambda1 = 1
         ("twin", dict(h=10.0), "h, grid_n: h = 10.0: Fourier truncation observes"),
+        # 1e300 steps: past MAX_STEPS no step can be told from its neighbours,
+        # and the march never ended
+        ("twin", dict(tau=1e-300, t_end=1.0), "t_end = 1.0 is 1e+300 steps tau = 1e-300, past"),
+        # t_end = 1.67 tau: a tolerance absolute in time took it for 2 steps
+        # at this scale and marched past t_end
+        *[
+            (command, dict(tau=3e-10, t_end=5e-10, truth_spinup=0.0, grid_n=16),
+             "t_end = 5e-10 is not a whole number of steps tau = 3e-10")
+            for command in ("twin", "n-sweep")
+        ],
+        ("twin", dict(tau=0.015, t_end=0.05), "t_end = 0.05 is not a whole number of steps"),
     ],
 )
 def test_cli_rejects_a_bad_config_before_any_integration(
@@ -960,7 +972,7 @@ def test_cli_n_sweep_reports_finite_errors_past_the_square_overflow(tmp_path, tr
 
 
 @pytest.mark.parametrize("L, forcing, exits", [
-    (1e-80, "random_band", "22"), (1e-75, "none", "01"),
+    (1e-152, "random_band", "22"), (1e-80, "none", "01"), (1e-75, "none", "01"),
     (1e150, "none", "01"), (1e155, "random_band", "22"),
 ])
 def test_cli_domain_sides_near_the_ends_of_the_floats(capsys, L, forcing, exits):

@@ -50,10 +50,13 @@ def test_grid_validation():
     for L in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             TorusGrid(L, 16)
-    # 2 L^2 of |v| and 2 L^2 k^4 of |A v| at the band's corner overflow
-    for L in (1e-80, 1e155):
+    # the weights as `_Packing` builds them overflow: 2 L^2 of |v|, and
+    # 2 (L lambda1)^2 shell^2 of |A v| at the band's corner shell 2 K^2
+    # (7.8e166 at L = 1e-80, which is accepted)
+    for L in (1e-152, 1e155):
         with pytest.raises(ValueError, match="Parseval weights"):
             TorusGrid(L, 16)
+    assert TorusGrid(1e-80, 16).L == 1e-80
 
 
 @pytest.mark.parametrize("n,expected", [(8, 2), (12, 3), (16, 5), (48, 15), (64, 21)])

@@ -165,6 +165,25 @@ def test_trajectory_near_time_tolerance(rng, grid16):
     assert traj.interpolated_queries == 0
 
 
+@pytest.mark.parametrize("spacing", [1e-10, 1.0, 1e6])
+def test_trajectory_lookup_is_the_same_at_every_time_scale(rng, grid16, spacing):
+    # times are matched in frame spacings: the stencil of k s is frame k,
+    # 1.5 s gets the weights of 1.5 at spacing 1, and 6 s lies outside
+    gal = _band_packing(grid16)
+    traj = Trajectory(gal)
+    x = gal._pack_field(random_field(grid16, rng))
+    for k in range(5):
+        traj.append(k * spacing, x * (k + 1.0))
+    for k in range(5):
+        assert traj.stencil(k * spacing) == (k, None)
+    lo, weights = traj.stencil(1.5 * spacing)
+    assert lo == 0
+    assert weights == pytest.approx([-1 / 16, 9 / 16, 9 / 16, -1 / 16], rel=1e-12, abs=0.0)
+    assert (traj.exact_queries, traj.interpolated_queries) == (5, 1)
+    with pytest.raises(ValueError, match="outside"):
+        traj.stencil(6 * spacing)
+
+
 def test_trajectory_with_a_given_stencil_reads_every_time_through_it(rng, grid16):
     # an analytic solution: its frames and closed-form weights, read at any
     # time without appended times, and counted as no lookup of either kind

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .interpolants import KINDS
 from .schemes import SCHEMES
-from .storage import FLOAT_FMT
+from .storage import FLOAT_FMT, MAX_STEPS
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config",
            "parse_config_text", "render_config", "default_config"]
@@ -101,6 +101,9 @@ class ExperimentConfig:
             ("truth_store_every", ">= 1", lambda x: x >= 1),
             ("soak_steps", ">= 1", lambda x: x >= 1),
             ("contraction_steps", ">= 1", lambda x: x >= 1),
+            # with an analytic truth no other check counts these marches
+            ("soak_steps", f"<= MAX_STEPS = {MAX_STEPS}", lambda x: x <= MAX_STEPS),
+            ("contraction_steps", f"<= MAX_STEPS = {MAX_STEPS}", lambda x: x <= MAX_STEPS),
         ):
             if not holds(getattr(self, key)):
                 raise ConfigError(f"{key} must be {need}, got {getattr(self, key)}")

@@ -12,9 +12,11 @@ parameters and a-priori constants, and is the front door: with each
 runner's own checks before it, it rejects every bad value the config alone
 decides with a ConfigError naming its keys, before anything is
 integrated, and counts each march's steps once (`_steps`, by
-`storage.whole_steps`).  `_start` integrates the truth and returns it with the
-initial data v0 = build_ic, which every branch builds in the low-mode
-space.  The truth, like every reference and every stored march, is a
+`storage.whole_steps`).  Only the admissibility conditions wait: they are
+computed on first read, and a marching run whose c0 is probed (volume
+averages) estimates it in a forked child meanwhile (`_Run`).  `_start`
+integrates the truth and returns it with the initial data v0 = build_ic,
+which every branch builds in the low-mode space.  The truth, like every reference and every stored march, is a
 `storage.Trajectory`, packed frames read through a time stencil: a steady
 state's one frame, the Taylor-Green vortex's t = 0 frame weighted by its
 decay, or the frames `nse_integrate` stored; the runners hand it to the
@@ -39,7 +41,10 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -244,14 +249,30 @@ def build_forcing(cfg: ExperimentConfig, grid: TorusGrid) -> SpectralField:
 
 @dataclass
 class _Setup:
+    """What `_setup` built from a config.
+
+    `conditions`, the admissibility conditions (None without constants or
+    without nudging), is computed on first read.  Until then `c0` is the
+    source of the c0 they use: `estimate_c0` inline, or the `join` of the
+    child that `_Run` forked to run it while the run marches.
+    """
+
     cfg: ExperimentConfig
     grid: TorusGrid
     forcing: SpectralField
     params: PhysicsParams
     consts: BoundConstants | None
-    conditions: tuple[ConditionCheck, ...] | None
     rng: np.random.Generator
     truth_steps: tuple[int, int] | None  # spin-up, horizon of an nse_integrate truth
+    c0: Callable[[], float] | None  # None once read, or when nothing needs c0
+    _conditions: tuple[ConditionCheck, ...] | None = None
+
+    @property
+    def conditions(self) -> tuple[ConditionCheck, ...] | None:
+        if self.c0 is not None:
+            self._conditions = check_conditions(self.params, self.consts, self.c0())
+            self.c0 = None
+        return self._conditions
 
 
 def _config_value(keys: str, build: Callable, *args, **kwargs):
@@ -325,15 +346,15 @@ def _setup(
         _config_value("h, grid_n", spec.check, grid)
     truth_steps = None if horizon is None else _truth_steps(cfg, grid, *horizon)
     consts = None
-    conditions = None
+    c0 = None
     # |f| may underflow or the constants overflow: bound_constants names either
     if np.any(forcing.coeffs):
         consts = _config_value("nu, forcing_amplitude", bound_constants, params)
     if consts is not None and params.beta > 0.0:
-        conditions = check_conditions(params, consts, estimate_c0(spec, grid))
+        c0 = partial(estimate_c0, spec, grid)
     return _Setup(
-        cfg, grid, forcing, params, consts, conditions,
-        np.random.default_rng(cfg.seed), truth_steps,
+        cfg, grid, forcing, params, consts, np.random.default_rng(cfg.seed),
+        truth_steps, c0,
     )
 
 
@@ -427,6 +448,67 @@ def _series_rows(
     return [tuple(row) for row in table.tolist()]
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, 1 where the platform cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+class _Child:
+    """fn() computed in a forked child process.
+
+    The child sends fn's value, or the exception it raised, pickled
+    through a pipe, and leaves by `os._exit`, so it runs no atexit
+    handler, no test teardown and no flush of output it inherited.  A
+    fork, not a fresh interpreter: it starts with the parent's imports
+    and data, and a fork plus join costs about 2 ms after a twin run,
+    where a fresh interpreter would first spend about 0.1 s importing
+    numpy and this package.
+    """
+
+    def __init__(self, fn: Callable[[], object]) -> None:
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                try:
+                    result = (True, fn())
+                except BaseException as exc:  # the parent raises it from `join`
+                    result = (False, exc)
+                with open(write, "wb") as pipe:
+                    pickle.dump(result, pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self._pid: int | None = pid
+        self._pipe = open(read, "rb")
+
+    def join(self) -> object:
+        """fn's value, or its exception raised here; the child is reaped."""
+        try:
+            payload = self._pipe.read()
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        finally:
+            self.close()
+        if not payload:
+            raise RuntimeError("a forked child exited without sending its result")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        """Kill the child unless it was joined, reap it and close the pipe."""
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        self._pipe.close()
+
+
 class _Run:
     """One runner's report, output tables and solver failures.
 
@@ -435,17 +517,22 @@ class _Run:
     non-finite solve is an outcome of the run, not bad input.  Its last
     accepted state goes to the snapshot <name>_solver_state.nnsf, which the
     `solver` check names.
+
+    Entering the block starts `estimate_c0` in a forked child (`_Child`)
+    when the setup's conditions still wait on a probed c0, the setup has a
+    horizon (so a march follows) and the process may run on more than one
+    CPU; the conditions then join it on first read.  The report takes the
+    conditions on leaving the block, and every way out of it reaps the
+    child, killing it first unless it was joined.
     """
 
     def __init__(self, name: str, setup: _Setup, out_dir: str | None) -> None:
         cfg = setup.cfg
-        self.report = ExperimentReport(
-            name, cfg.scheme, cfg.seed,
-            constants=setup.consts, conditions=setup.conditions,
-        )
+        self.report = ExperimentReport(name, cfg.scheme, cfg.seed, constants=setup.consts)
         self.out = out_dir if out_dir is not None else cfg.out_dir
         self._setup = setup
         self._tables: list[tuple[str, SeriesRecorder]] = []
+        self._child: _Child | None = None
 
     def table(
         self, filename: str, header: tuple[str, ...] = SERIES_HEADER
@@ -480,17 +567,32 @@ class _Run:
         return rec, traj
 
     def __enter__(self) -> _Run:
+        setup = self._setup
+        if (
+            setup.c0 is not None
+            and setup.params.interpolant.probes_c0
+            and setup.truth_steps is not None
+            and hasattr(os, "fork")
+            and _cpus() > 1
+        ):
+            self._child = _Child(setup.c0)
+            setup.c0 = self._child.join
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc is not None and not isinstance(exc, SolverError):
-            return False
-        if exc is not None:
-            self._solver_failed(exc)
-        for filename, rec in self._tables:
-            self.report.series_files.append(rec.write(self.out, filename))
-        write_report(self.report, self.out)
-        return True
+        try:
+            if exc is not None and not isinstance(exc, SolverError):
+                return False
+            self.report.conditions = self._setup.conditions
+            if exc is not None:
+                self._solver_failed(exc)
+            for filename, rec in self._tables:
+                self.report.series_files.append(rec.write(self.out, filename))
+            write_report(self.report, self.out)
+            return True
+        finally:
+            if self._child is not None:
+                self._child.close()
 
     def _solver_failed(self, exc: SolverError) -> None:
         detail = str(exc)

@@ -71,6 +71,12 @@ class InterpolantSpec:
         if not (self.h > 0.0):
             raise ValueError(f"interpolant width h must be positive, got {self.h}")
 
+    @property
+    def probes_c0(self) -> bool:
+        """Whether `estimate_c0` draws probes: a volume average's c0 is
+        estimated, Fourier truncation's is exactly 1."""
+        return self.kind == "volume_average"
+
     def cutoff(self) -> GalerkinCutoff:
         """Induced spectral cutoff |k|^2 <= 1/h^2 (fourier_truncation only)."""
         if self.kind != "fourier_truncation":
@@ -221,7 +227,7 @@ def estimate_c0(
     The maximum over probes is a lower bound on the exact supremum
     1/pi^2 = 0.1013: it reads 0.0647 on the twin bench grid.
     """
-    if spec.kind == "fourier_truncation":
+    if not spec.probes_c0:
         return 1.0
     if trials < 10:
         raise ValueError(f"need at least 10 trials, got {trials}")

@@ -13,6 +13,7 @@ from nudgeflow.config import (
     parse_config_text,
     render_config,
 )
+from nudgeflow.storage import MAX_STEPS
 
 MINIMAL = """
 [physics]
@@ -169,6 +170,11 @@ def test_burn_in_must_precede_t_end():
         ("experiment", "soak_steps", "0", "soak_steps must be >= 1"),
         ("experiment", "contraction_steps", "-3", "contraction_steps must be >= 1"),
         ("experiment", "contraction_steps", "0", "contraction_steps must be >= 1"),
+        # past MAX_STEPS no step can be told from its neighbours; with an
+        # analytic truth nothing else counts these marches
+        ("experiment", "soak_steps", "3000000000", "soak_steps must be <= MAX_STEPS"),
+        ("experiment", "contraction_steps", str(MAX_STEPS + 1),
+         f"contraction_steps must be <= MAX_STEPS = {MAX_STEPS}, got {MAX_STEPS + 1}"),
         # numpy's generators reject it only when a runner draws
         ("experiment", "seed", "-1", "seed must be nonnegative"),
     ],
@@ -177,6 +183,11 @@ def test_inadmissible_time_steps_rejected(section, key, value, match):
     text = MINIMAL.replace("tau = 0.005\n", "") if key == "tau" else MINIMAL
     with pytest.raises(ConfigError, match=match):
         parse_config_text(text + f"[{section}]\n{key} = {value}\n")
+
+
+def test_step_counts_up_to_max_steps_load():
+    cfg = default_config(soak_steps=MAX_STEPS, contraction_steps=MAX_STEPS)
+    assert (cfg.soak_steps, cfg.contraction_steps) == (MAX_STEPS, MAX_STEPS)
 
 
 def test_float_list_keys():

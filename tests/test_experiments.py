@@ -656,6 +656,8 @@ def test_cli_invalid_physics_exits_2(tmp_path, capsys):
         ("twin", "truth_spinup", "-1"),
         ("soak", "soak_steps", "-3"),
         ("contraction", "contraction_steps", "-3"),
+        ("soak", "soak_steps", "3000000000"),
+        ("contraction", "contraction_steps", "3000000000"),
         ("twin", "seed", "-1"),
         ("constants", "seed", "-1"),
     ],
@@ -1122,6 +1124,124 @@ def test_cli_solver_stall_exits_1_with_report(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "out" / "twin_solver_state.nnsf").exists()
     assert (tmp_path / "out" / "twin_report.txt").exists()
     assert (tmp_path / "out" / "twin_series.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the c0 child: a run with volume averages estimates c0 in a forked child
+
+
+def _volume_twin(**overrides):
+    # c0 beta h^2 = 0.04 <= nu = 0.1; the twin passes
+    base = dict(interpolant="volume_average", h=2.0 * math.pi / 16, beta=5.0, t_end=0.5)
+    return tiny_twin_config(**{**base, **overrides})
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids forked while the test runs, in a process taken to have two CPUs."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+    return pids
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "overrides, stall, outcome",
+    [
+        ({}, False, PASS),
+        # the truth march stalls: the conditions are joined on the way out
+        (dict(truth="nse_integrate", truth_spinup=0.0), True, FAIL),
+        # v0 = P_N u(0): exit 2 after the truth, while the child may still run
+        (dict(ic="truth_low"), False, ConfigError),
+    ],
+    ids=["passes", "truth_stalls", "v0_is_u0"],
+)
+def test_no_c0_child_outlives_a_volume_average_twin(
+    tmp_path, monkeypatch, forks, overrides, stall, outcome
+):
+    if stall:
+        monkeypatch.setattr(schemes, "gmres", _stalled_gmres)
+    cfg = _volume_twin(**overrides)
+    if outcome is ConfigError:
+        with pytest.raises(ConfigError, match="v0 != u"):
+            run_twin_experiment(cfg, str(tmp_path))
+    else:
+        report = run_twin_experiment(cfg, str(tmp_path))
+        assert report.status == outcome
+        assert [c.name for c in report.conditions] == [
+            "beta_lower_bound", "interpolant_resolution"
+        ]
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_the_conditions_take_the_c0_the_child_computed(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(experiments, "estimate_c0", lambda spec, grid: float(os.getpid()))
+    report = run_twin_experiment(_volume_twin(), str(tmp_path))
+    assert report.conditions[1].note == f"c0={float(forks[0]):g}"
+    _assert_no_child_left()
+
+
+def test_an_exception_in_the_c0_child_reaches_the_caller(tmp_path, monkeypatch, forks):
+    def broken(spec, grid):
+        raise FloatingPointError("probe fault")
+
+    monkeypatch.setattr(experiments, "estimate_c0", broken)
+    with pytest.raises(FloatingPointError, match="probe fault"):
+        run_twin_experiment(_volume_twin(), str(tmp_path))
+    assert len(forks) == 1
+    _assert_no_child_left()
+    assert not any(tmp_path.iterdir())
+
+
+def test_the_forked_c0_writes_the_inline_bytes(tmp_path, monkeypatch, forks):
+    cfg = _volume_twin()
+    forked, inline = tmp_path / "forked", tmp_path / "inline"
+    run_twin_experiment(cfg, str(forked))
+    monkeypatch.setattr(experiments, "_cpus", lambda: 1)
+    run_twin_experiment(cfg, str(inline))
+    assert len(forks) == 1
+    assert (forked / "twin_series.csv").read_bytes() == (inline / "twin_series.csv").read_bytes()
+    report = (forked / "twin_report.txt").read_text()
+    # the report names its own series file
+    assert report.replace(str(forked), str(inline)) == (inline / "twin_report.txt").read_text()
+    setup = experiments._setup(cfg)
+    c0 = experiments.estimate_c0(setup.params.interpolant, setup.grid)
+    resolution = next(ln for ln in report.splitlines() if ln.startswith("interpolant_resolution"))
+    assert resolution.endswith(f", c0={c0:g})")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(render_config(cfg))
+    out = tmp_path / "constants"
+    assert cli.main(["--quiet", "--config", str(cfg_path), "--out", str(out), "constants"]) == 0
+    assert resolution in (out / "constants_report.txt").read_text().splitlines()
+
+
+def test_only_a_march_with_a_probed_c0_forks(tmp_path, forks):
+    # constants (no march), the soak (it reads the conditions at its front
+    # door) and Fourier truncation (c0 = 1) compute c0 inline
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(render_config(_volume_twin()))
+    assert cli.main(["--quiet", "--config", str(cfg_path), "--out", str(tmp_path), "constants"]) == 0
+    assert run_stability_soak(_volume_twin(soak_steps=5), str(tmp_path)).status == PASS
+    assert run_twin_experiment(tiny_twin_config(t_end=0.3), str(tmp_path)).conditions
+    assert forks == []
+    # a setup read outside a run computes its conditions inline
+    setup = experiments._setup(_volume_twin(), horizon=(0.5, "t_end"))
+    experiments._start(setup)
+    assert setup.conditions[1].passed and forks == []
 
 
 def _series_row(path, step):
